@@ -35,7 +35,10 @@ func chaosSchedules() map[string]FaultConfig {
 
 // Under every fault schedule, every SSB query either completes with a result
 // byte-identical to the fault-free reference or fails cleanly — and in both
-// cases the device heap ends the run empty.
+// cases the device heap ends the run empty. The runs are traced, which adds
+// span completeness to the matrix: a completed query's own record equals the
+// ring's spans under its id, in order; a failed query's record is the prefix
+// the ring held when it failed (operators still in flight emit after it).
 func TestChaosQueriesExactOrFailClean(t *testing.T) {
 	db := chaosDB()
 	queries := SSBQueries()
@@ -56,11 +59,14 @@ func TestChaosQueriesExactOrFailClean(t *testing.T) {
 				CacheBytes: dev.CacheBytes,
 				HeapBytes:  dev.HeapBytes,
 				Faults:     NewFaultInjector(cfg),
+				Tracer:     NewTracer(0),
 			})
 			completed, failed := 0, 0
+			var records []exec.QueryStats
 			e.Sim.Spawn("chaos", func(p *sim.Proc) {
 				for _, q := range queries {
-					v, _, err := e.RunQuery(p, q.Plan, placer.GPUPreferred{})
+					v, st, err := e.RunQuery(p, q.Plan, placer.GPUPreferred{})
+					records = append(records, st)
 					if err != nil {
 						failed++ // clean failure is acceptable; leaks are not
 						continue
@@ -74,6 +80,20 @@ func TestChaosQueriesExactOrFailClean(t *testing.T) {
 			e.Sim.Run()
 			if completed+failed != len(queries) {
 				t.Fatalf("ran %d+%d of %d queries", completed, failed, len(queries))
+			}
+			ring := make(map[string][]TraceSpan)
+			for _, s := range e.Tracer.Spans() {
+				ring[s.Query] = append(ring[s.Query], s)
+			}
+			for _, st := range records {
+				got, want := st.Spans, ring[st.QueryID]
+				if n := len(got); n > 0 && got[n-1].Abort != "" && n < len(want) {
+					want = want[:n] // failed: the ring kept receiving its in-flight operators
+				}
+				if len(got) == 0 || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: record (%d spans) differs from the ring's spans under its id (%d)",
+						st.QueryID, len(got), len(ring[st.QueryID]))
+				}
 			}
 			if completed == 0 {
 				t.Fatal("every query failed — retry/degradation ladder broken")

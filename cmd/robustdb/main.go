@@ -52,7 +52,8 @@
 //	                    SIGINT/SIGTERM, then drain within -drain-timeout
 //	                    and exit 0. Needs a single -strategy. A background
 //	                    tenant cycles the benchmark mix through the same
-//	                    front door so the detectors always have signal.
+//	                    front door so the detectors always have signal; its
+//	                    first pass ends before the first connection is accepted.
 //	-serve-window D     detector sampling + backpressure interval (default 500ms)
 //	-serve-cooldown D   idle gap between background passes (default 2s); the
 //	                    idle windows let the detectors observe recovery

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -108,7 +110,18 @@ func runServe(cfg serveConfig) error {
 	if cfg.maxConns > 0 {
 		ln = server.LimitListener(ln, cfg.maxConns)
 	}
-	srv := &http.Server{Handler: root}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	// The background tenant's first pass is the server's own warm-up: the
+	// listener is bound but nothing is accepted until the pass is over, so a
+	// server that answers /healthz has run the whole query mix once — learned
+	// cost models and detector baselines included — and a client's first
+	// requests never share the engine with it.
+	backgroundPass(ctx, front, cfg)
+	defer setGCHeadroom()()
+
+	srv := newHTTPServer(root)
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- srv.Serve(ln) }()
 	cfg.log.LogAttrs(context.Background(), slog.LevelInfo, "serving",
@@ -120,13 +133,10 @@ func runServe(cfg serveConfig) error {
 		slog.Int("max_conns", cfg.maxConns),
 		slog.Duration("window", cfg.window))
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// The background tenant: one pass over the query mix through the front
-	// door, then a wall-clock cooldown. It shares the admission controller
-	// with network clients, so under external overload it is shed like
-	// everyone else — which is the point.
+	// The background tenant from here on: a wall-clock cooldown, then one
+	// pass over the query mix through the front door. It shares the admission
+	// controller with network clients, so under external overload it is shed
+	// like everyone else — which is the point.
 	bgCtx, bgCancel := context.WithCancel(ctx)
 	bgDone := make(chan struct{})
 	go func() {
@@ -170,37 +180,94 @@ func runServe(cfg serveConfig) error {
 	return drainErr
 }
 
+// What a client that sends nothing may hold: a connection whose request
+// header has not arrived within readHeaderTimeout is closed, and so is a
+// keep-alive connection idle for idleTimeout. Together with the front door's
+// body limit they bound what a slow or hostile client costs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the root handler in the serve mode's http.Server. There
+// is deliberately no WriteTimeout: a long query is legitimate, and its bound
+// is the per-query deadline, not the socket.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// gcHeadroom is the least garbage the serving process lets pile up between two
+// collections. Every collection re-marks the tracer's span and event rings
+// (≈ 22 MB of string headers, 10–16 ms of mark work), and kernels allocate a
+// few hundred KB per query, so at the runtime's default — collect when the
+// heap has doubled — a server over a small database collects every ≈ 25 MB:
+// some 15 times a second at 1400 queries/s, a sixth of its CPU, on the cores
+// its sessions need. A floor under the interval bounds that rate whatever the
+// dataset size; past gcHeadroom of live heap the default already exceeds it.
+const gcHeadroom = 64 << 20
+
+// gcPercentFor returns the GC percent under which a heap of live bytes grows
+// by at least gcHeadroom before the next collection, never below the
+// runtime's default of 100.
+func gcPercentFor(live uint64) int {
+	if live == 0 || live >= gcHeadroom {
+		return 100
+	}
+	return int(100 * gcHeadroom / live)
+}
+
+// setGCHeadroom applies gcPercentFor to the heap the server holds at rest —
+// dataset, device cache, rings — and returns the function that restores the
+// previous setting. An operator's GOGC wins.
+func setGCHeadroom() (restore func()) {
+	if os.Getenv("GOGC") != "" {
+		return func() {}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	old := debug.SetGCPercent(gcPercentFor(ms.HeapAlloc))
+	return func() { debug.SetGCPercent(old) }
+}
+
 // backgroundLoad cycles the query mix through the front door as the
-// low-priority "background" tenant until the context ends. Typed shed
-// errors are the admission controller doing its job under load; anything
-// untyped is logged loudly but does not kill the server — serving real
-// tenants takes precedence over the synthetic load.
+// low-priority "background" tenant until the context ends: cooldown, pass,
+// repeat (the first pass ran before the listener opened).
 func backgroundLoad(ctx context.Context, front *server.Server, cfg serveConfig) {
-	for ctx.Err() == nil {
-		for _, q := range cfg.queries {
-			if ctx.Err() != nil {
-				return
-			}
-			_, err := front.Submit(ctx, "background", 0, q.Plan, 0)
-			var ae *admission.Error
-			switch {
-			case err == nil || errors.Is(err, context.Canceled):
-			case errors.As(err, &ae):
-				cfg.log.LogAttrs(ctx, slog.LevelDebug, "background query shed",
-					slog.String("component", "serve"),
-					slog.String("query", q.Name),
-					slog.String("code", string(ae.Code)))
-			default:
-				cfg.log.LogAttrs(ctx, slog.LevelWarn, "background query failed",
-					slog.String("component", "serve"),
-					slog.String("query", q.Name),
-					slog.String("error", err.Error()))
-			}
-		}
+	for {
 		select {
 		case <-ctx.Done():
+			return
 		//lint:ignore virtualtime the cooldown between background passes is wall-clock idle time, outside any deterministic run
 		case <-time.After(cfg.cooldown):
+		}
+		backgroundPass(ctx, front, cfg)
+	}
+}
+
+// backgroundPass submits the query mix once. Typed shed errors are the
+// admission controller doing its job under load; anything untyped is logged
+// loudly but does not kill the server — serving real tenants takes precedence
+// over the synthetic load.
+func backgroundPass(ctx context.Context, front *server.Server, cfg serveConfig) {
+	for _, q := range cfg.queries {
+		if ctx.Err() != nil {
+			return
+		}
+		_, err := front.Submit(ctx, "background", 0, q.Plan, 0)
+		var ae *admission.Error
+		switch {
+		case err == nil || errors.Is(err, context.Canceled):
+		case errors.As(err, &ae):
+			cfg.log.LogAttrs(ctx, slog.LevelDebug, "background query shed",
+				slog.String("component", "serve"),
+				slog.String("query", q.Name),
+				slog.String("code", string(ae.Code)))
+		default:
+			cfg.log.LogAttrs(ctx, slog.LevelWarn, "background query failed",
+				slog.String("component", "serve"),
+				slog.String("query", q.Name),
+				slog.String("error", err.Error()))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"robustdb/internal/plan"
 	"robustdb/internal/sim"
 	"robustdb/internal/table"
+	"robustdb/internal/trace"
 )
 
 // fixedPlacer places every operator on one processor at compile time.
@@ -90,7 +92,29 @@ func runQueryOnce(t *testing.T, e *Engine, pl *plan.Plan, placer Placer) (*Value
 	if err != nil {
 		t.Fatalf("query failed: %v", err)
 	}
+	requireRecordMatchesRing(t, e.Tracer, st)
 	return v, st
+}
+
+// requireRecordMatchesRing asserts span completeness: a finished query's own
+// record holds exactly the spans the ring holds under its id, in emission
+// order — what a per-request ring scan used to provide. With the tracer off
+// both sides are empty.
+func requireRecordMatchesRing(t *testing.T, tr *trace.Tracer, st QueryStats) {
+	t.Helper()
+	var ring []trace.Span
+	for _, s := range tr.Spans() {
+		if s.Query == st.QueryID {
+			ring = append(ring, s)
+		}
+	}
+	if !reflect.DeepEqual(st.Spans, ring) {
+		t.Fatalf("%s: the query's record has %d spans, the ring %d under its id, or they differ:\nrecord %+v\nring   %+v",
+			st.QueryID, len(st.Spans), len(ring), st.Spans, ring)
+	}
+	if n := len(st.Spans); n > 0 && st.Spans[n-1].Class != "query" {
+		t.Fatalf("%s: the record must end with the query span, ends with %+v", st.QueryID, st.Spans[n-1])
+	}
 }
 
 func TestCPUOnlyProducesExactResult(t *testing.T) {

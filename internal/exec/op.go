@@ -180,7 +180,7 @@ func (e *Engine) traceOp(q *query, n *plan.Node, kind cost.ProcKind, attempt int
 		// (heap-phase aborts): the output was rolled back, not produced.
 		rows, outBytes = 0, 0
 	}
-	e.Tracer.Span(trace.Span{
+	q.emit(trace.Span{
 		Query:           q.name,
 		Name:            procName(q.name, n),
 		Op:              n.Op.Name(),

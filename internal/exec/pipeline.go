@@ -327,7 +327,7 @@ func (r *pipeRun) chunkSpan(i int, stage, proc string, start, end time.Duration)
 	if r.e.Tracer == nil {
 		return
 	}
-	r.e.Tracer.Span(trace.Span{
+	r.q.emit(trace.Span{
 		Query: r.q.name,
 		Name:  fmt.Sprintf("%s/c%03d:%s", r.name, i, stage),
 		Op:    stage,

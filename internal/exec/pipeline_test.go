@@ -72,6 +72,9 @@ func TestPipelinedBitIdenticalToSerial(t *testing.T) {
 						PipelineDepth:     depth,
 						PipelineCoExec:    coexec,
 						PipelineChunkRows: 4096,
+						// Traced, so runQueryOnce checks span completeness on
+						// every cell: chunk, retry and CPU-redo spans included.
+						Tracer: trace.New(0),
 					}
 					if withFaults {
 						cfg.Faults = faults.New(faults.Config{

@@ -9,6 +9,7 @@ import (
 	"robustdb/internal/cost"
 	"robustdb/internal/plan"
 	"robustdb/internal/sim"
+	"robustdb/internal/table"
 	"robustdb/internal/trace"
 )
 
@@ -43,6 +44,9 @@ type query struct {
 	// completion and stamped on the query span.
 	pipeStage  time.Duration
 	pipeHidden time.Duration
+	// spans is the query's own record of every span it emitted, in emission
+	// order (see emit); nil while the tracer is off.
+	spans []trace.Span
 }
 
 // QueryStats reports the outcome of one query.
@@ -57,6 +61,31 @@ type QueryStats struct {
 	// when no operator had both an estimate and an actual (hand-built plans
 	// without EstimateSizes, or nothing completed).
 	QError float64
+	// Spans are the spans the query emitted up to the moment it finished, in
+	// emission order and ending with its query-level span — what EXPLAIN
+	// ANALYZE and the slow-query journal read, so neither has to search the
+	// tracer's ring. Nil while the tracer is off.
+	Spans []trace.Span
+	// Placement is the compile-time placement the query ran under; nil for
+	// strategies that place every operator at run time.
+	Placement map[int]cost.ProcKind
+}
+
+// Analyze renders the finished query's EXPLAIN ANALYZE document: the plan
+// under the placement the query ran under, with per-node actuals folded from
+// the query's own spans. It is the one function behind /v1/explain?analyze=1,
+// the slow-query journal's plan and DB.ExplainAnalyzeSQL. pl must be the plan
+// object the query executed (span node ids are its node ids) and is only
+// read, provided it was estimated against cat before it ran; outcome
+// overrides the span-derived outcome when non-empty.
+func (s QueryStats) Analyze(pl *plan.Plan, cat *table.Catalog, sqlText, outcome string) (*plan.ExplainPayload, error) {
+	payload, err := plan.Explain(pl, cat, s.Placement)
+	if err != nil {
+		return nil, err
+	}
+	payload.SQL = sqlText
+	plan.AttachActuals(payload, s.QueryID, s.Spans, outcome)
+	return payload, nil
 }
 
 // QueryOpts carries per-query execution options. The zero value inherits
@@ -95,6 +124,10 @@ func (e *Engine) RunQueryWith(p *sim.Proc, pl *plan.Plan, placer Placer, opts Qu
 		started: e.Sim.Now(),
 	}
 	q.placement = placer.CompileTime(e, pl)
+	if e.Tracer != nil {
+		// One span per node plus the query span, absent retries and chunks.
+		q.spans = make([]trace.Span, 0, len(pl.Nodes())+1)
+	}
 	for _, n := range pl.Nodes() {
 		q.pending[n.ID()] = len(n.Children)
 		for _, c := range n.Children {
@@ -133,11 +166,7 @@ func (e *Engine) RunQueryWith(p *sim.Proc, pl *plan.Plan, placer Placer, opts Qu
 		}
 		// Latency is time-to-failure: the slow-query journal records deadline
 		// failures with the latency they actually burned, not zero.
-		return nil, QueryStats{
-			Latency: e.Sim.Now() - q.started,
-			QueryID: q.name,
-			QError:  q.qerror,
-		}, q.err
+		return nil, q.stats(e.Sim.Now() - q.started), q.err
 	}
 	e.Metrics.QueriesCompleted.Inc()
 	if q.pipeStage > 0 {
@@ -151,11 +180,29 @@ func (e *Engine) RunQueryWith(p *sim.Proc, pl *plan.Plan, placer Placer, opts Qu
 			slog.String("query", q.name),
 			slog.Duration("latency", q.finished-q.started))
 	}
-	return q.result, QueryStats{
-		Latency: q.finished - q.started,
-		QueryID: q.name,
-		QError:  q.qerror,
-	}, nil
+	return q.result, q.stats(q.finished - q.started), nil
+}
+
+// stats is the finished query's record. Operators of a failed query that are
+// still in flight keep emitting after it: the record ends where the query
+// did. Those late appends land in q.spans beyond the returned length (or in
+// a reallocated array), never at an index a reader on another goroutine
+// holds; the clipped capacity keeps a caller's own append off them.
+func (q *query) stats(latency time.Duration) QueryStats {
+	return QueryStats{
+		Latency:   latency,
+		QueryID:   q.name,
+		QError:    q.qerror,
+		Spans:     q.spans[:len(q.spans):len(q.spans)],
+		Placement: q.placement,
+	}
+}
+
+// emit records one span of the query: kept on the query's own record and
+// forwarded to the tracer's ring. Callers have checked that the tracer is on.
+func (q *query) emit(s trace.Span) {
+	q.spans = append(q.spans, s)
+	q.engine.Tracer.Span(s)
 }
 
 // overlapRatio returns the fraction of the query's pipelined stage time
@@ -173,7 +220,7 @@ func (q *query) traceQuery(end time.Duration, abort string) {
 	if q.engine.Tracer == nil {
 		return
 	}
-	q.engine.Tracer.Span(trace.Span{
+	q.emit(trace.Span{
 		Query:   q.name,
 		Name:    q.name,
 		Class:   "query",

@@ -190,9 +190,9 @@ func (j *Journal) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// Waterfall converts trace spans (Tracer.SpansFor output) into the journal's
-// compact span records, skipping the query-level span (its content lives in
-// the entry fields).
+// Waterfall converts a query's trace spans (exec.QueryStats.Spans) into the
+// journal's compact span records, skipping the query-level span (its content
+// lives in the entry fields).
 func Waterfall(spans []trace.Span) []SpanRecord {
 	if len(spans) == 0 {
 		return nil

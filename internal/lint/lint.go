@@ -63,7 +63,6 @@ var Analyzers = []*Analyzer{
 	HeapBalance,
 	VirtualTime,
 	ErrDrop,
-	LockCopy,
 	LockHold,
 	PlacementGuard,
 	KernelPar,

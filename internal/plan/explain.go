@@ -121,16 +121,15 @@ type ExplainPayload struct {
 }
 
 // Explain renders the plan as a JSON-serializable node tree. Plans not yet
-// estimated get their compile-time estimates filled (mutating the plan's Est
-// fields); already-estimated plans — e.g. cached plans shared across
-// concurrent requests, estimated once at insert — are read without mutation.
+// estimated against cat get their compile-time estimates filled (mutating the
+// plan's Est fields); plans already estimated against it — e.g. cached plans
+// shared across concurrent requests, estimated once at insert — are read
+// without mutation.
 // placement maps node id → processor for compile-time strategies; nil means
 // every decision is deferred to run time.
 func Explain(p *Plan, cat *table.Catalog, placement map[int]cost.ProcKind) (*ExplainPayload, error) {
-	if !p.estimated {
-		if err := p.EstimateSizes(cat); err != nil {
-			return nil, err
-		}
+	if err := p.EstimateSizes(cat); err != nil {
+		return nil, err
 	}
 	var build func(n *Node) (*ExplainNode, error)
 	build = func(n *Node) (*ExplainNode, error) {
@@ -242,9 +241,9 @@ func explainBaseColumns(op Operator, cat *table.Catalog, en *ExplainNode) error 
 // Analyze section (status "missing" when no span reached it — shed queries
 // and nodes past a mid-plan failure report missing, never fabricated zeros),
 // and the payload gains an Exec summary from the query-level span. spans is
-// the output of Tracer.SpansFor(queryID); outcome overrides the span-derived
-// outcome when non-empty (the server knows shed/deadline classifications the
-// engine cannot see).
+// the query's own record (exec.QueryStats.Spans); outcome overrides the
+// span-derived outcome when non-empty (the server knows shed/deadline
+// classifications the engine cannot see).
 func AttachActuals(payload *ExplainPayload, queryID string, spans []trace.Span, outcome string) {
 	exec := &ExplainExec{QueryID: queryID, Outcome: "ok"}
 	byNode := make(map[int][]trace.Span, len(spans))

@@ -59,11 +59,13 @@ type Plan struct {
 	Root  *Node
 	nodes []*Node
 
-	// estimated records that EstimateSizes already ran, letting Explain skip
-	// re-estimation. Plans cached and shared across concurrent requests are
-	// estimated once at insert; re-estimating per request would race on the
-	// shared Est fields.
-	estimated bool
+	// estimatedFor is the catalog the Est fields were last computed against;
+	// EstimateSizes returns early on a match. A published plan (plan cache,
+	// shared by the pump, EXPLAIN and the journal) is therefore never written
+	// again as long as it keeps running against that catalog. A bool would be
+	// wrong: the figures run one plan object against the raw and the
+	// Compressed() catalog, whose column bytes differ.
+	estimatedFor *table.Catalog
 }
 
 // New numbers the tree in post-order (children before parents, root last)
@@ -152,7 +154,12 @@ const (
 
 // EstimateSizes fills EstInBytes/EstOutBytes/EstRows bottom-up using base
 // column sizes and row counts from the catalog and fixed selectivity guesses.
+// It is idempotent per catalog: a repeat call against the catalog it last
+// ran against reads one field and writes nothing.
 func (p *Plan) EstimateSizes(cat *table.Catalog) error {
+	if cat != nil && p.estimatedFor == cat {
+		return nil
+	}
 	for _, n := range p.nodes { // post-order: children first
 		var in int64
 		for _, id := range n.Op.BaseColumns() {
@@ -187,7 +194,7 @@ func (p *Plan) EstimateSizes(cat *table.Catalog) error {
 		}
 		n.EstRows = estRows(n, cat)
 	}
-	p.estimated = true
+	p.estimatedFor = cat
 	return nil
 }
 

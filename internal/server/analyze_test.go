@@ -1,21 +1,28 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"robustdb"
 	"robustdb/internal/admission"
+	"robustdb/internal/cost"
 	"robustdb/internal/exec"
 	"robustdb/internal/journal"
 	"robustdb/internal/plan"
 	"robustdb/internal/server"
+	"robustdb/internal/sql"
 	"robustdb/internal/trace"
+	"robustdb/internal/workload"
 )
 
 const analyzeSQL = "SELECT c_nation, SUM(lo_revenue) AS rev " +
@@ -287,5 +294,231 @@ func TestTenantOutcomeMetrics(t *testing.T) {
 	}
 	if h.Sum <= 0 {
 		t.Fatalf("observed latency must be positive, got %v", h.Sum)
+	}
+}
+
+// countingPlacer counts CompileTime calls. The pump makes exactly one per job
+// it serves — an executed query or a place-only EXPLAIN job — so the count is
+// the number of pump jobs.
+type countingPlacer struct {
+	exec.Placer
+	jobs atomic.Int64
+}
+
+func (c *countingPlacer) CompileTime(e *exec.Engine, p *plan.Plan) map[int]cost.ProcKind {
+	c.jobs.Add(1)
+	return c.Placer.CompileTime(e, p)
+}
+
+// journalTaxAllocs bounds what journaling one request on a cached statement
+// may allocate on top of serving it: the entry, its waterfall and the
+// rendered plan document — about 100 for the five-node test statement.
+// Parsing and compiling the statement again costs as many on top, so a
+// journal that re-resolves its text lands at about 200.
+const journalTaxAllocs = 150
+
+// TestJournaledRequestRedoesNothing pins the journal's cost on the hot path:
+// a journaled SubmitSQL on a cached statement reads the prepared statement it
+// executed and the engine's record of the query — no parse, no compile, no
+// second pump job — so it allocates only a small constant more than the same
+// call with journaling off, even with the tracer's ring full.
+func TestJournaledRequestRedoesNothing(t *testing.T) {
+	cat := catalog(t)
+	fullRing := func() *trace.Tracer {
+		tr := trace.New(0)
+		for i := 0; i < trace.DefaultCapacity; i++ {
+			tr.Span(trace.Span{Query: "warm"})
+		}
+		return tr
+	}
+	measure := func(j *journal.Journal) (allocs float64, jobsPerRun, misses int64) {
+		var placer *countingPlacer
+		s := newServer(t, cat, exec.Config{Tracer: fullRing()}, func(cfg *server.Config) {
+			placer = &countingPlacer{Placer: cfg.Placer}
+			cfg.Placer = placer
+			cfg.Journal = j
+		})
+		defer drain(t, s)
+		submit := func() {
+			if _, err := s.SubmitSQL(context.Background(), "acme", 0, analyzeSQL, 0); err != nil {
+				t.Fatalf("SubmitSQL: %v", err)
+			}
+		}
+		submit() // fill the plan cache: the runs below are hits
+		reg := s.Engine().Metrics.Registry()
+		missesBefore, jobsBefore := reg.Snapshot().Counters["PlancacheMisses"], placer.jobs.Load()
+		const runs = 20
+		allocs = testing.AllocsPerRun(runs, submit)
+		// AllocsPerRun makes one warm-up call on top of runs.
+		return allocs, (placer.jobs.Load() - jobsBefore) / (runs + 1), reg.Snapshot().Counters["PlancacheMisses"] - missesBefore
+	}
+	j := journal.New(16, 0, 0) // threshold 0: every request is journaled
+	on, jobs, misses := measure(j)
+	off, _, _ := measure(nil)
+	if j.Len() == 0 || j.Entries()[0].Plan == nil {
+		t.Fatal("the journaled runs recorded no analyzed plan: nothing was measured")
+	}
+	if jobs != 1 {
+		t.Fatalf("a journaled request made %d pump jobs, want exactly 1", jobs)
+	}
+	if misses != 0 {
+		t.Fatalf("%d plan-cache misses on a cached statement: the text was resolved again", misses)
+	}
+	t.Logf("allocations per request: %.0f journaled, %.0f not", on, off)
+	if tax := on - off; tax > journalTaxAllocs {
+		t.Fatalf("journaling a cached statement costs %.0f allocations per request (%.0f on, %.0f off), want <= %d",
+			tax, on, off, journalTaxAllocs)
+	}
+}
+
+// TestOneAnalyzeFunctionThreeSurfaces pins that EXPLAIN ANALYZE has one
+// implementation: the /v1/explain?analyze=1 response and the slow-log entry
+// of that same query carry byte-identical plan trees, the tree reports the
+// placement the query ran under, and the library's DB.ExplainAnalyzeSQL of
+// the statement on an identically built machine agrees with both on every
+// field that does not depend on virtual time.
+func TestOneAnalyzeFunctionThreeSurfaces(t *testing.T) {
+	cat := catalog(t)
+	// A compile-time strategy, so the document has real placements to report;
+	// warmed with the statement alone, as DB.ExplainAnalyzeSQL warms its engine.
+	strat := workload.DataDriven()
+	pl, err := sql.PlanQuery(cat, analyzeSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := journal.New(16, 0, 0)
+	s := newServerUnder(t, cat, exec.Config{Tracer: trace.New(0)}, strat,
+		[]workload.Query{{Name: "analyze", Plan: pl}}, func(cfg *server.Config) { cfg.Journal = j })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drain(t, s)
+
+	body := `{"tenant":"acme","sql":"` + analyzeSQL + `"}`
+	resp, err := http.Post(ts.URL+"/v1/explain?analyze=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	// Root stays raw so the comparison is over the bytes each surface sent.
+	type wireDoc struct {
+		Exec *plan.ExplainExec `json:"exec"`
+		Root json.RawMessage   `json:"root"`
+	}
+	var served wireDoc
+	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil || served.Exec == nil {
+		t.Fatalf("decode analyze response: %v (exec %+v)", err, served.Exec)
+	}
+
+	slow, err := http.Get(ts.URL + "/debug/slowlog")
+	if err != nil {
+		t.Fatalf("GET slowlog: %v", err)
+	}
+	defer slow.Body.Close()
+	var logged wireDoc
+	for dec := json.NewDecoder(slow.Body); dec.More(); {
+		var entry struct {
+			QueryID string  `json:"query_id"`
+			Plan    wireDoc `json:"plan"`
+		}
+		if err := dec.Decode(&entry); err != nil {
+			t.Fatalf("decode slowlog: %v", err)
+		}
+		if entry.QueryID == served.Exec.QueryID {
+			logged = entry.Plan
+		}
+	}
+	if logged.Root == nil {
+		t.Fatalf("query %s not in /debug/slowlog", served.Exec.QueryID)
+	}
+	if !bytes.Equal(served.Root, logged.Root) {
+		t.Fatalf("plan trees differ between the two surfaces:\n/v1/explain:    %s\n/debug/slowlog: %s", served.Root, logged.Root)
+	}
+
+	db := robustdb.OpenSSB(robustdb.SSBConfig{SF: 1, RowsPerSF: 2000, Seed: 7}) // catalog(t)'s data
+	lib, err := db.ExplainAnalyzeSQL(robustdb.Device{CacheBytes: cat.TotalBytes() / 2, HeapBytes: cat.TotalBytes()}, strat, analyzeSQL)
+	if err != nil {
+		t.Fatalf("ExplainAnalyzeSQL: %v", err)
+	}
+	var root plan.ExplainNode
+	if err := json.Unmarshal(logged.Root, &root); err != nil {
+		t.Fatalf("decode root: %v", err)
+	}
+	gpu := 0
+	var compare func(got, want *plan.ExplainNode)
+	compare = func(got, want *plan.ExplainNode) {
+		a, b := got.Analyze, want.Analyze
+		if a == nil || b == nil || len(got.Children) != len(want.Children) {
+			t.Fatalf("node %d: trees differ in shape or lack actuals", got.ID)
+		}
+		if got.Placement == "runtime" || (a.Attempts == 1 && got.Placement != a.Processor) {
+			t.Fatalf("node %d: placement %q is not what it ran under (processor %q, %d attempts)",
+				got.ID, got.Placement, a.Processor, a.Attempts)
+		}
+		if got.Placement == "gpu" {
+			gpu++
+		}
+		if got.Placement != want.Placement || a.Status != b.Status || a.Processor != b.Processor ||
+			a.Attempts != b.Attempts || a.ActualRows != b.ActualRows || a.ActualBytes != b.ActualBytes {
+			t.Fatalf("node %d: server %q %+v, library %q %+v", got.ID, got.Placement, *a, want.Placement, *b)
+		}
+		for i := range got.Children {
+			compare(got.Children[i], want.Children[i])
+		}
+	}
+	compare(&root, lib.Root)
+	if gpu == 0 {
+		t.Fatal("the strategy placed nothing on the co-processor: the placement check compared constants")
+	}
+}
+
+// TestPublishedPlanIsNeverWritten is the race-detector guard of the shared
+// prepared statement: under a compile-time strategy the pump runs the placer
+// over the cached plan for every query while network goroutines render the
+// same plan for plain EXPLAINs and for the journal. Nothing may write it
+// after it is published (run with -race).
+func TestPublishedPlanIsNeverWritten(t *testing.T) {
+	cat := catalog(t)
+	j := journal.New(64, 0, 0) // threshold 0: every query renders its plan
+	s := newServerUnder(t, cat, exec.Config{Tracer: trace.New(0)}, workload.CriticalPath(), queries(),
+		func(cfg *server.Config) { cfg.Journal = j })
+	defer drain(t, s)
+
+	const sessions, rounds = 8, 6
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := s.SubmitSQL(context.Background(), "acme", 0, analyzeSQL, 0); err != nil {
+					var ae *admission.Error
+					if !errors.As(err, &ae) { // a shed under 8 sessions vs 4 slots is fine
+						t.Errorf("SubmitSQL: %v", err)
+					}
+				}
+				if doc, err := s.Explain(analyzeSQL); err != nil || doc.Root == nil {
+					t.Errorf("Explain: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if j.Len() == 0 {
+		t.Fatal("nothing was journaled")
+	}
+}
+
+// TestNewRejectsASecondCatalog pins the precondition of the guard above: the
+// front door estimates prepared plans against Config.Catalog and the pump's
+// placers against Engine.Cat, so the two must be one catalog.
+func TestNewRejectsASecondCatalog(t *testing.T) {
+	cat := catalog(t)
+	strat := workload.CriticalPath()
+	e, err := workload.NewEngine(cat, exec.Config{CacheBytes: cat.TotalBytes(), HeapBytes: cat.TotalBytes()}, strat, queries())
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if _, err := server.New(server.Config{Engine: e, Placer: strat.Placer, Catalog: cat.Compressed()}); err == nil {
+		t.Fatal("server.New accepted a Config.Catalog that is not the engine's")
 	}
 }

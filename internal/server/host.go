@@ -119,10 +119,11 @@ func (h *Host) Run(pl *plan.Plan, opts exec.QueryOpts) (*engine.Batch, exec.Quer
 
 // Placement computes the compile-time placement the shared placer would
 // choose for pl, or nil when the strategy defers every decision to run time.
-// The computation is serialized onto the pump goroutine: placers read the
-// engine's learned cost models and cache state, which only the pump may
-// touch while queries execute. pl should be freshly compiled — compile-time
-// placers mutate its size estimates.
+// It serves plain EXPLAIN only — an executed query reports the placement it
+// ran under in its exec.QueryStats. The computation is serialized onto the
+// pump goroutine: placers read the engine's learned cost models and cache
+// state, which only the pump may touch while queries execute. pl must already
+// be estimated against the engine's catalog, so the placer only reads it.
 func (h *Host) Placement(pl *plan.Plan) (map[int]cost.ProcKind, error) {
 	j := &job{placeOnly: true, plan: pl, done: make(chan jobResult, 1)}
 	select {

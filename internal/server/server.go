@@ -38,8 +38,8 @@ type Config struct {
 	// Placer is the placement heuristic every served query runs under.
 	// Required.
 	Placer exec.Placer
-	// Catalog compiles SQL against the served database. Required for the
-	// HTTP handler; the direct Submit path can run plan-only.
+	// Catalog compiles SQL against the served database: Engine.Cat, or nil.
+	// Required for the HTTP handler; the direct Submit path can run plan-only.
 	Catalog *table.Catalog
 	// Admission tunes the admission controller; zero value = defaults.
 	Admission admission.Config
@@ -65,7 +65,7 @@ type Server struct {
 	maxDeadline time.Duration
 
 	reqs  reqMetrics
-	plans *planCache // bounded SQL plan cache (front door compiles once per text)
+	plans *planCache // bounded cache of prepared statements, keyed by text
 
 	journal *journal.Journal // nil = journaling off
 
@@ -83,14 +83,25 @@ type Server struct {
 // use a few dozen distinct statements; 256 leaves ample headroom.
 const planCacheCap = 256
 
-// planCache is a mutex-guarded LRU of compiled statements. Only statements
-// that compile successfully are inserted, with their size estimates filled
-// once at insert — cached plans are shared across concurrent requests, so
-// per-request re-estimation would race on the shared Est fields.
+// prepared is one resolved statement text: parsed, compiled and estimated
+// exactly once, at plan-cache insert, and immutable from then on — it is
+// shared by every concurrent request for that text, by the pump that executes
+// it, and by EXPLAIN and the journal that describe it.
+type prepared struct {
+	text string     // the cache key: the statement as the client sent it
+	plan *plan.Plan // estimated against the served catalog
+	// explain / analyze are the statement kind: an EXPLAIN prefix describes
+	// the plan instead of running it, EXPLAIN ANALYZE runs it and describes
+	// the plan with actuals.
+	explain, analyze bool
+}
+
+// planCache is a mutex-guarded LRU of prepared statements. Only statements
+// that compile successfully are inserted.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
-	lru   list.List // front = most recently used; values are *planCacheEntry
+	lru   list.List // front = most recently used; values are *prepared
 	byKey map[string]*list.Element
 
 	// Effectiveness counters (robustdb_plancache_*_total); nil without a
@@ -98,16 +109,11 @@ type planCache struct {
 	hits, misses, evictions *trace.Counter
 }
 
-type planCacheEntry struct {
-	key string
-	pl  *plan.Plan
-}
-
 func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, byKey: make(map[string]*list.Element, capacity)}
 }
 
-func (c *planCache) get(key string) (*plan.Plan, bool) {
+func (c *planCache) get(key string) (*prepared, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -117,22 +123,22 @@ func (c *planCache) get(key string) (*plan.Plan, bool) {
 	}
 	inc(c.hits)
 	c.lru.MoveToFront(el)
-	return el.Value.(*planCacheEntry).pl, true
+	return el.Value.(*prepared), true
 }
 
-func (c *planCache) put(key string, pl *plan.Plan) {
+func (c *planCache) put(p *prepared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
+	if el, ok := c.byKey[p.text]; ok {
 		c.lru.MoveToFront(el)
-		el.Value.(*planCacheEntry).pl = pl
+		el.Value = p
 		return
 	}
-	c.byKey[key] = c.lru.PushFront(&planCacheEntry{key: key, pl: pl})
+	c.byKey[p.text] = c.lru.PushFront(p)
 	if c.lru.Len() > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*planCacheEntry).key)
+		delete(c.byKey, oldest.Value.(*prepared).text)
 		inc(c.evictions)
 	}
 }
@@ -154,6 +160,12 @@ func inc(c *trace.Counter) {
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil || cfg.Placer == nil {
 		return nil, errors.New("server: Config.Engine and Config.Placer are required")
+	}
+	if cfg.Catalog != nil && cfg.Catalog != cfg.Engine.Cat {
+		// A prepared plan is estimated once and shared: the front door and the
+		// pump's placers must estimate against the same catalog, or each
+		// would rewrite the other's estimates on a published plan.
+		return nil, errors.New("server: Config.Catalog must be the engine's catalog")
 	}
 	if cfg.MaxQueryDeadline <= 0 {
 		cfg.MaxQueryDeadline = 10 * time.Second
@@ -238,12 +250,16 @@ const (
 // wait and the virtual-time execution (0 = server default). Every error
 // return is typed: *admission.Error for shed queries, exec errors for
 // admitted ones. On engine failure the Result still carries the QueryID so
-// callers can correlate spans.
+// callers can correlate spans. A raw plan has no statement behind it: the
+// journal records its spans without a plan document.
 func (s *Server) Submit(ctx context.Context, tenant string, prio int, pl *plan.Plan, deadline time.Duration) (Result, error) {
-	return s.submit(ctx, tenant, prio, pl, "", deadline)
+	res, _, err := s.submit(ctx, tenant, prio, &prepared{plan: pl}, deadline)
+	return res, err
 }
 
-func (s *Server) submit(ctx context.Context, tenant string, prio int, pl *plan.Plan, sqlText string, deadline time.Duration) (Result, error) {
+// submit is Submit over a prepared statement; it also returns the engine's
+// record of the query (zero when the query was shed) for EXPLAIN ANALYZE.
+func (s *Server) submit(ctx context.Context, tenant string, prio int, prep *prepared, deadline time.Duration) (Result, exec.QueryStats, error) {
 	inc(s.reqs.total)
 	if deadline <= 0 || deadline > s.maxDeadline {
 		deadline = s.maxDeadline
@@ -252,42 +268,45 @@ func (s *Server) submit(ctx context.Context, tenant string, prio int, pl *plan.P
 	if err != nil {
 		inc(s.reqs.shed)
 		s.noteOutcome(tenant, outcomeShed, 0)
-		s.journalQuery(sqlText, tenant, outcomeShed, exec.QueryStats{}, true)
-		return Result{}, err
+		s.journalQuery(prep, tenant, outcomeShed, exec.QueryStats{})
+		return Result{}, exec.QueryStats{}, err
 	}
 	if err := tk.Wait(ctx); err != nil {
 		inc(s.reqs.shed)
 		s.noteOutcome(tenant, outcomeShed, tk.QueueWait())
-		s.journalQuery(sqlText, tenant, outcomeShed, exec.QueryStats{}, true)
-		return Result{}, err
+		s.journalQuery(prep, tenant, outcomeShed, exec.QueryStats{})
+		return Result{}, exec.QueryStats{}, err
 	}
 	queueWait := tk.QueueWait()
 	defer s.ctrl.Release(tk)
 	inc(s.reqs.admitted)
-	batch, stats, err := s.host.Run(pl, exec.QueryOpts{Deadline: deadline, Tenant: tenant})
+	batch, stats, err := s.host.Run(prep.plan, exec.QueryOpts{Deadline: deadline, Tenant: tenant})
+	outcome := runOutcome(err)
+	s.noteOutcome(tenant, outcome, stats.Latency)
+	s.journalQuery(prep, tenant, outcome, stats)
+	res := Result{QueryID: stats.QueryID, QError: stats.QError, QueueWait: queueWait}
 	if err != nil {
 		inc(s.reqs.failed)
-		outcome := outcomeEngineFailure
-		if errors.Is(err, exec.ErrDeadlineExceeded) {
-			outcome = outcomeDeadline
-		} else if errors.Is(err, ErrHostClosed) {
-			// The host refused the work (shutdown), the engine did not break.
-			outcome = outcomeShed
-		}
-		s.noteOutcome(tenant, outcome, stats.Latency)
-		s.journalQuery(sqlText, tenant, outcome, stats, true)
-		return Result{QueryID: stats.QueryID, QError: stats.QError, QueueWait: queueWait}, err
+		return res, stats, err
 	}
 	inc(s.reqs.succeeded)
-	s.noteOutcome(tenant, outcomeOK, stats.Latency)
-	s.journalQuery(sqlText, tenant, outcomeOK, stats, false)
-	return Result{
-		Batch:     batch,
-		Latency:   stats.Latency,
-		QueueWait: queueWait,
-		QueryID:   stats.QueryID,
-		QError:    stats.QError,
-	}, nil
+	res.Batch, res.Latency = batch, stats.Latency
+	return res, stats, nil
+}
+
+// runOutcome classifies how an admitted query ended.
+func runOutcome(err error) string {
+	switch {
+	case err == nil:
+		return outcomeOK
+	case errors.Is(err, exec.ErrDeadlineExceeded):
+		return outcomeDeadline
+	case errors.Is(err, ErrHostClosed):
+		// The host refused the work (shutdown), the engine did not break.
+		return outcomeShed
+	default:
+		return outcomeEngineFailure
+	}
 }
 
 // noteOutcome records one query on the tenant's SLO attribution histogram:
@@ -304,38 +323,30 @@ func (s *Server) noteOutcome(tenant, outcome string, latency time.Duration) {
 }
 
 // journalQuery records the query in the slow-query journal when it crosses
-// a journal gate (latency threshold, q-error bound, or failure). The
-// expensive parts — span copy, fresh compile, analyzed plan — are built only
-// for entries that will actually be recorded; with journaling off the whole
-// call is one nil check.
-func (s *Server) journalQuery(sqlText, tenant, outcome string, stats exec.QueryStats, failed bool) {
-	reason := s.journal.Reason(stats.Latency, stats.QError, failed)
+// a journal gate (latency threshold, q-error bound, or any outcome but ok).
+// Everything an entry carries is read off what the request already holds —
+// the prepared statement it executed and the engine's record of the query —
+// so recording parses, compiles, scans and asks the pump for nothing; with
+// journaling off the whole call is one nil check.
+func (s *Server) journalQuery(prep *prepared, tenant, outcome string, stats exec.QueryStats) {
+	reason := s.journal.Reason(stats.Latency, stats.QError, outcome != outcomeOK)
 	if reason == "" {
 		return
 	}
 	e := journal.Entry{
 		QueryID:   stats.QueryID,
-		SQL:       sqlText,
+		SQL:       prep.text,
 		Tenant:    tenant,
 		Outcome:   outcome,
 		Reason:    reason,
 		LatencyUS: stats.Latency.Microseconds(),
 		QError:    stats.QError,
 		WallTime:  time.Now().UTC().Format(time.RFC3339Nano),
+		Spans:     journal.Waterfall(stats.Spans),
 	}
-	if stats.QueryID != "" {
-		if spans := s.host.Engine.Tracer.SpansFor(stats.QueryID); len(spans) > 0 {
-			e.Spans = journal.Waterfall(spans)
-			if sqlText != "" {
-				if payload, err := s.Explain(sqlText); err == nil {
-					analyzeOutcome := outcome
-					if outcome == outcomeOK {
-						analyzeOutcome = ""
-					}
-					plan.AttachActuals(payload, stats.QueryID, spans, analyzeOutcome)
-					e.Plan = payload
-				}
-			}
+	if prep.text != "" && len(stats.Spans) > 0 {
+		if payload, err := stats.Analyze(prep.plan, s.cat, prep.text, outcome); err == nil {
+			e.Plan = payload
 		}
 	}
 	s.journal.Record(e)
@@ -345,34 +356,45 @@ func (s *Server) journalQuery(sqlText, tenant, outcome string, stats exec.QueryS
 // to 400 instead of 500.
 var ErrBadQuery = errors.New("server: bad query")
 
-// SubmitSQL compiles the SQL text (cached per statement) and Submits it.
+// SubmitSQL prepares the SQL text (cached per statement) and Submits it.
 func (s *Server) SubmitSQL(ctx context.Context, tenant string, prio int, query string, deadline time.Duration) (Result, error) {
-	pl, err := s.plan(query)
+	prep, err := s.prepare(query)
 	if err != nil {
-		inc(s.reqs.badRequest)
 		return Result{}, err
 	}
-	return s.submit(ctx, tenant, prio, pl, query, deadline)
+	res, _, err := s.submit(ctx, tenant, prio, prep, deadline)
+	return res, err
 }
 
-func (s *Server) plan(query string) (*plan.Plan, error) {
+// prepare resolves a statement text: a plan-cache hit, or parse → compile →
+// estimate, once, at insert. It is the only place the front door turns text
+// into a plan; every surface (query, EXPLAIN, EXPLAIN ANALYZE, the journal)
+// works on the prepared statement it returns.
+func (s *Server) prepare(text string) (*prepared, error) {
 	if s.cat == nil {
 		return nil, errors.New("server: no catalog configured for SQL")
 	}
-	if pl, ok := s.plans.get(query); ok {
-		return pl, nil
+	if prep, ok := s.plans.get(text); ok {
+		return prep, nil
 	}
-	pl, err := sql.PlanQuery(s.cat, query)
+	st, err := sql.Parse(text)
+	var pl *plan.Plan
+	if err == nil {
+		pl, err = sql.Compile(s.cat, st)
+	}
+	if err == nil {
+		// Estimate before publishing: the plan is shared across concurrent
+		// requests, and EstimateSizes against the same catalog never writes
+		// again.
+		err = pl.EstimateSizes(s.cat)
+	}
 	if err != nil {
+		inc(s.reqs.badRequest)
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	// Estimate once at insert: cached plans are shared across concurrent
-	// requests, and EXPLAIN over a shared plan must not re-mutate it.
-	if err := pl.EstimateSizes(s.cat); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	s.plans.put(query, pl)
-	return pl, nil
+	prep := &prepared{text: text, plan: pl, explain: st.Explain, analyze: st.Analyze}
+	s.plans.put(prep)
+	return prep, nil
 }
 
 // Drain performs the orderly shutdown: stop admitting (queued queries shed
@@ -466,87 +488,76 @@ type ExplainRequest struct {
 	DeadlineMS int64  `json:"deadline_ms,omitempty"`
 }
 
-// Explain compiles the statement and renders its plan tree with placement
-// decisions and per-scan compression modes. The plan is compiled fresh —
-// never taken from the shared plan cache — because compile-time placers
-// mutate the plan's size estimates while deciding.
+// Explain renders the statement's plan tree with the strategy's compile-time
+// placement decisions and per-scan compression modes, without executing it.
 func (s *Server) Explain(query string) (*plan.ExplainPayload, error) {
-	if s.cat == nil {
-		return nil, errors.New("server: no catalog configured for SQL")
-	}
-	st, err := sql.Parse(query)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	pl, err := sql.Compile(s.cat, st)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	placement, err := s.host.Placement(pl)
+	prep, err := s.prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := plan.Explain(pl, s.cat, placement)
+	return s.explain(prep)
+}
+
+func (s *Server) explain(prep *prepared) (*plan.ExplainPayload, error) {
+	// Nothing ran, so there is no executed placement to read: ask the pump,
+	// the only goroutine that may consult the learner and the cache state.
+	placement, err := s.host.Placement(prep.plan)
 	if err != nil {
 		return nil, err
 	}
-	payload.SQL = query
+	payload, err := plan.Explain(prep.plan, s.cat, placement)
+	if err != nil {
+		return nil, err
+	}
+	payload.SQL = prep.text
 	return payload, nil
 }
 
-// ExplainAnalyze compiles the statement fresh, executes exactly that plan
-// through the full front-door path (admission, queueing, deadline), then
-// annotates the plan document with per-node actuals from the execution's
-// spans. Compiling fresh — never via the shared plan cache — is what makes
-// the correlation sound: the explained tree and the executed tree are the
-// same object, so span node ids align by construction. Shed queries return
-// the typed admission error (there is nothing to report); deadline and
+// ExplainAnalyze executes the statement through the full front-door path
+// (admission, queueing, deadline), then renders the plan it ran — the same
+// object, so span node ids align by construction — under the placement it ran
+// under, with per-node actuals from the query's own spans. Shed queries
+// return the typed admission error (there is nothing to report); deadline and
 // engine failures still return a payload, with the outcome flagged and the
 // reached nodes carrying partial actuals.
 func (s *Server) ExplainAnalyze(ctx context.Context, tenant string, prio int, query string, deadline time.Duration) (*plan.ExplainPayload, error) {
-	if s.cat == nil {
-		return nil, errors.New("server: no catalog configured for SQL")
-	}
-	st, err := sql.Parse(query)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	pl, err := sql.Compile(s.cat, st)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	if err := pl.EstimateSizes(s.cat); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	// Compile-time placement decisions for the document, resolved on the
-	// pump like plain EXPLAIN; the analyze sections additionally report the
-	// processor each node actually ran on.
-	placement, err := s.host.Placement(pl)
+	prep, err := s.prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	res, runErr := s.submit(ctx, tenant, prio, pl, query, deadline)
-	if runErr != nil {
-		var ae *admission.Error
-		if errors.As(runErr, &ae) || res.QueryID == "" {
-			// Shed before execution: no spans exist, nothing to analyze.
-			return nil, runErr
-		}
+	return s.explainAnalyze(ctx, tenant, prio, prep, deadline)
+}
+
+func (s *Server) explainAnalyze(ctx context.Context, tenant string, prio int, prep *prepared, deadline time.Duration) (*plan.ExplainPayload, error) {
+	_, stats, runErr := s.submit(ctx, tenant, prio, prep, deadline)
+	if runErr != nil && stats.QueryID == "" {
+		// Shed before execution: no spans exist, nothing to analyze.
+		return nil, runErr
 	}
-	payload, err := plan.Explain(pl, s.cat, placement)
-	if err != nil {
-		return nil, err
+	return stats.Analyze(prep.plan, s.cat, prep.text, runOutcome(runErr))
+}
+
+// maxBodyBytes bounds a request body. Statements are a few hundred bytes; a
+// client streaming more than this is cut off with 413 instead of being
+// buffered.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads one JSON request body of at most maxBodyBytes into v and
+// reports whether it succeeded; on failure the typed bad-request envelope has
+// been written (413 for an oversized body, 400 otherwise).
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	payload.SQL = query
-	outcome := ""
-	if runErr != nil {
-		outcome = outcomeEngineFailure
-		if errors.Is(runErr, exec.ErrDeadlineExceeded) {
-			outcome = outcomeDeadline
-		}
+	inc(s.reqs.badRequest)
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	plan.AttachActuals(payload, res.QueryID, s.host.Engine.Tracer.SpansFor(res.QueryID), outcome)
-	return payload, nil
+	writeError(w, status, "bad-request", fmt.Errorf("server: bad request body: %w", err), 0)
+	return false
 }
 
 // handleExplain serves POST /v1/explain: the plan document for a statement.
@@ -559,41 +570,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		inc(s.reqs.badRequest)
-		writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("server: bad request body: %w", err), 0)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if req.SQL == "" {
-		inc(s.reqs.badRequest)
-		writeError(w, http.StatusBadRequest, "bad-request", errors.New("server: empty sql"), 0)
-		return
-	}
-	analyze := r.URL.Query().Get("analyze") == "1"
-	if !analyze {
-		if st, err := sql.Parse(req.SQL); err == nil && st.Analyze {
-			analyze = true
-		}
-	}
-	if analyze {
-		if req.Tenant == "" {
-			req.Tenant = "default"
-		}
-		payload, err := s.ExplainAnalyze(r.Context(), req.Tenant, req.Priority, req.SQL,
-			time.Duration(req.DeadlineMS)*time.Millisecond)
-		if err != nil {
-			s.writeQueryError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, payload)
-		return
-	}
-	payload, err := s.Explain(req.SQL)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, payload)
+	q := QueryRequest{Tenant: req.Tenant, SQL: req.SQL, Priority: req.Priority, DeadlineMS: req.DeadlineMS}
+	s.serveStatement(w, r, q, true, r.URL.Query().Get("analyze") == "1")
 }
 
 // handleQuery is the wire entry point. Every error path maps to a typed
@@ -604,11 +585,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		inc(s.reqs.badRequest)
-		writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("server: bad request body: %w", err), 0)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
+	s.serveStatement(w, r, req, false, false)
+}
+
+// serveStatement answers one decoded request. The statement is prepared
+// once; its kind — or the endpoint, for /v1/explain — picks the surface. An
+// EXPLAIN statement describes its plan instead of executing; EXPLAIN ANALYZE
+// executes it and describes the plan with actuals; both answer with the same
+// document on either endpoint.
+func (s *Server) serveStatement(w http.ResponseWriter, r *http.Request, req QueryRequest, explain, analyze bool) {
 	if req.SQL == "" {
 		inc(s.reqs.badRequest)
 		writeError(w, http.StatusBadRequest, "bad-request", errors.New("server: empty sql"), 0)
@@ -617,16 +605,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	// An EXPLAIN statement describes its plan instead of executing; EXPLAIN
-	// ANALYZE executes it and describes the plan with actuals. Both answer
-	// with the same document /v1/explain serves.
-	if st, err := sql.Parse(req.SQL); err == nil && st.Explain {
+	prep, err := s.prepare(req.SQL)
+	if err != nil {
+		s.writeQueryError(w, err)
+		return
+	}
+	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
+	if explain || prep.explain {
 		var payload *plan.ExplainPayload
-		if st.Analyze {
-			payload, err = s.ExplainAnalyze(r.Context(), req.Tenant, req.Priority, req.SQL,
-				time.Duration(req.DeadlineMS)*time.Millisecond)
+		if analyze || prep.analyze {
+			payload, err = s.explainAnalyze(r.Context(), req.Tenant, req.Priority, prep, deadline)
 		} else {
-			payload, err = s.Explain(req.SQL)
+			payload, err = s.explain(prep)
 		}
 		if err != nil {
 			s.writeQueryError(w, err)
@@ -635,7 +625,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, payload)
 		return
 	}
-	res, err := s.SubmitSQL(r.Context(), req.Tenant, req.Priority, req.SQL, time.Duration(req.DeadlineMS)*time.Millisecond)
+	res, _, err := s.submit(r.Context(), req.Tenant, req.Priority, prep, deadline)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

@@ -45,16 +45,21 @@ func queries() []workload.Query {
 	return out
 }
 
-// newServer builds a front door over a fresh engine; mut tweaks the config
-// before construction.
+// newServer builds a front door over a fresh data-driven-chopping engine
+// warmed with the SSB mix; mut tweaks the config before construction.
 func newServer(t *testing.T, cat *table.Catalog, dev exec.Config, mut func(*server.Config)) *server.Server {
+	t.Helper()
+	return newServerUnder(t, cat, dev, workload.DataDrivenChopping(), queries(), mut)
+}
+
+// newServerUnder is newServer under a chosen strategy and warm-up mix.
+func newServerUnder(t *testing.T, cat *table.Catalog, dev exec.Config, strat workload.Strategy, warm []workload.Query, mut func(*server.Config)) *server.Server {
 	t.Helper()
 	if dev.CacheBytes == 0 {
 		dev.CacheBytes = cat.TotalBytes() / 2
 		dev.HeapBytes = cat.TotalBytes()
 	}
-	strat := workload.DataDrivenChopping()
-	e, err := workload.NewEngine(cat, dev, strat, queries())
+	e, err := workload.NewEngine(cat, dev, strat, warm)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -154,6 +159,17 @@ func TestHTTPWireStatuses(t *testing.T) {
 
 	wantStatus(post(`{"sql":"SELECT FROM"}`), http.StatusBadRequest, "bad-request")
 	wantStatus(post(`{}`), http.StatusBadRequest, "bad-request")
+
+	// A body past the 1 MiB limit is cut off, not buffered: typed 413 on both
+	// endpoints that read one.
+	huge := `{"sql":"` + strings.Repeat("x", 1<<20) + `"}`
+	for _, path := range []string{"/v1/query", "/v1/explain"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		wantStatus(resp, http.StatusRequestEntityTooLarge, "bad-request")
+	}
 
 	// Saturate: one admitted (held by a slow-enough query mix is hard to
 	// arrange over HTTP, so saturate the queue with concurrent requests and

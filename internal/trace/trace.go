@@ -213,30 +213,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// SpansFor returns the recorded spans of one query in emission order. It is
-// the EXPLAIN ANALYZE correlation read: cheaper than Spans() when one query
-// is wanted, because only matching spans are copied out. Safe on a nil
-// tracer (returns nil).
-func (t *Tracer) SpansFor(query string) []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Span
-	start := 0
-	if t.spanCount == len(t.spans) {
-		start = t.spanNext
-	}
-	for i := 0; i < t.spanCount; i++ {
-		s := t.spans[(start+i)%len(t.spans)]
-		if s.Query == query {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Dropped returns how many spans and events the rings overwrote.
 func (t *Tracer) Dropped() (spans, events int64) {
 	if t == nil {

@@ -29,6 +29,7 @@ import (
 	"robustdb/internal/faults"
 	"robustdb/internal/figures"
 	"robustdb/internal/plan"
+	"robustdb/internal/sim"
 	"robustdb/internal/sql"
 	"robustdb/internal/ssb"
 	"robustdb/internal/table"
@@ -251,9 +252,9 @@ func (db *DB) ExplainSQL(query string) (*ExplainPayload, error) {
 // ExplainAnalyzeSQL compiles the statement, executes it once on a fresh
 // simulated machine under the strategy, and returns the plan document with
 // per-node actuals attached (rows, bytes, virtual wall/queue/transfer time,
-// attempts, processor) — the library form of EXPLAIN ANALYZE. A tracer is
-// required to correlate execution spans back to plan nodes; one is attached
-// automatically when dev.Tracer is nil.
+// attempts, processor) — the library form of EXPLAIN ANALYZE, rendered by the
+// same function as the server's. The actuals are folded from the query's
+// spans, which only a tracer records; one is attached when dev.Tracer is nil.
 func (db *DB) ExplainAnalyzeSQL(dev Device, strat Strategy, query string) (*ExplainPayload, error) {
 	pl, err := db.SQL(query)
 	if err != nil {
@@ -265,26 +266,19 @@ func (db *DB) ExplainAnalyzeSQL(dev Device, strat Strategy, query string) (*Expl
 	if dev.Tracer == nil {
 		dev.Tracer = trace.New(0)
 	}
-	_, _, err = db.RunWorkload(dev, strat, Workload{
-		Queries: []WorkloadQuery{{Name: "analyze", Plan: pl}},
-		Users:   1,
+	e, err := workload.NewEngine(db.cat, dev, strat, []WorkloadQuery{{Name: "analyze", Plan: pl}})
+	if err != nil {
+		return nil, err
+	}
+	var stats exec.QueryStats
+	e.Sim.Spawn("analyze", func(p *sim.Proc) {
+		_, stats, err = e.RunQuery(p, pl, strat.Placer)
 	})
+	e.Sim.Run()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("robustdb: explain analyze: %w", err)
 	}
-	payload, err := plan.Explain(pl, db.cat, nil)
-	if err != nil {
-		return nil, err
-	}
-	payload.SQL = query
-	// The single executed query is the only query-class span in the tracer.
-	for _, s := range dev.Tracer.Spans() {
-		if s.Class == "query" {
-			plan.AttachActuals(payload, s.Query, dev.Tracer.SpansFor(s.Query), "")
-			break
-		}
-	}
-	return payload, nil
+	return stats.Analyze(pl, db.cat, query, "")
 }
 
 // SSBQueries returns all 13 SSB queries as workload queries.
