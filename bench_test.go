@@ -526,6 +526,108 @@ func BenchmarkMicroDecompressJoin(b *testing.B) {
 	}
 }
 
+// --- materialization micro set ---
+//
+// What an operator pays to hand its output on: gathering a fact-table-sized
+// column through a position list, and reading a join's probe keys. Each
+// bit-packed benchmark has a plain twin over the same values; CI gates
+// compressed gather at ≤ 3× the plain gather's wall time (cmd/benchdiff
+// -ratios) and reports the probe pair.
+
+const microGatherRows = 600000
+
+var (
+	microGatherOnce   sync.Once
+	microGatherPlain  *column.Int64Column
+	microGatherPacked *column.CompressedInt64Column
+	microGatherPos    column.PosList // 10 % of the rows, ascending
+	microGatherDim    *engine.Batch
+)
+
+// microGatherData builds one 600k-row foreign-key-like column (values below
+// 4096, 12-bit blocks), plain and bit-packed, a selective ascending position
+// list and the 4Ki-row dimension the probe benchmarks join it to.
+func microGatherData() {
+	microGatherOnce.Do(func() {
+		rng := rand.New(rand.NewSource(7))
+		vals := make([]int64, microGatherRows)
+		for i := range vals {
+			vals[i] = int64(rng.Intn(4096))
+			if rng.Intn(10) == 0 {
+				microGatherPos = append(microGatherPos, int32(i))
+			}
+		}
+		microGatherPlain = column.NewInt64("fk", vals)
+		microGatherPacked = column.CompressInt64(microGatherPlain)
+		dk := make([]int64, 4096)
+		for i := range dk {
+			dk[i] = int64(i)
+		}
+		microGatherDim = engine.MustNewBatch(column.NewInt64("dk", dk))
+	})
+}
+
+func benchGather(b *testing.B, c column.Column, pos column.PosList) {
+	ctx := microKernelCtx()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := engine.Gather(ctx, c, pos); out.Len() != len(pos) {
+			b.Fatalf("gathered %d rows, want %d", out.Len(), len(pos))
+		}
+	}
+}
+
+// BenchmarkMicroCompressedGather re-packs a 10 % ascending selection of a
+// bit-packed column: block-run decode, block pack, one arena.
+func BenchmarkMicroCompressedGather(b *testing.B) {
+	microGatherData()
+	benchGather(b, microGatherPacked, microGatherPos)
+}
+
+// BenchmarkMicroPlainGather is the same selection over the plain column.
+func BenchmarkMicroPlainGather(b *testing.B) {
+	microGatherData()
+	benchGather(b, microGatherPlain, microGatherPos)
+}
+
+// BenchmarkMicroContiguousGather gathers every row of the bit-packed column
+// through the identity list a predicate-less scan produces: the detection
+// pass over the list, then shared blocks — no decode, no copy.
+func BenchmarkMicroContiguousGather(b *testing.B) {
+	microGatherData()
+	benchGather(b, microGatherPacked, column.All(microGatherRows))
+}
+
+func benchProbe(b *testing.B, fk column.Column) {
+	fact := engine.MustNewBatch(fk)
+	ctx := microKernelCtx()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := engine.HashJoin(ctx, microGatherDim, "dk", fact, "fk")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.RightPos) != microGatherRows {
+			b.Fatalf("join produced %d pairs", len(res.RightPos))
+		}
+	}
+}
+
+// BenchmarkMicroCompressedProbe hash-joins with a bit-packed probe key: each
+// morsel's keys are decoded once, a block at a time, into pooled scratch.
+func BenchmarkMicroCompressedProbe(b *testing.B) {
+	microGatherData()
+	benchProbe(b, microGatherPacked)
+}
+
+// BenchmarkMicroPlainProbe is the same join with the plain probe key.
+func BenchmarkMicroPlainProbe(b *testing.B) {
+	microGatherData()
+	benchProbe(b, microGatherPlain)
+}
+
 // --- pipelined chunk executor micro set ---
 //
 // Each pipelined benchmark has a serial twin differing only in PipelineDepth

@@ -6,6 +6,15 @@
 // The layout follows CoGaDB's column store: every attribute of a table is a
 // dense array; operators materialize their outputs either as new columns or
 // as position lists over existing columns.
+//
+// Immutability: a column is never written to once it has been built. The
+// exported Values, Codes and Dict slices are exported to be read; no code
+// outside a constructor assigns to their elements, and nothing inside this
+// package rewrites packed words or run arrays in place. Zero-copy results
+// rely on it — GatherRange, Slice and Reader hand out views that alias a
+// column's storage, base-table storage included, so a write through any of
+// them would change every batch that shares it. The engine's alias-safety
+// test checksums a whole catalog around full workloads to keep this true.
 package column
 
 import (
@@ -57,8 +66,9 @@ func (t Type) Width() int {
 }
 
 // Column is the read interface shared by all column implementations.
-// Columns are immutable once built; the execution engine never mutates
-// base data, matching the read-only OLAP setting of the paper.
+// Columns are immutable once built (see the package comment); the execution
+// engine never mutates base data, matching the read-only OLAP setting of the
+// paper.
 type Column interface {
 	// Name returns the attribute name of the column.
 	Name() string

@@ -12,122 +12,377 @@ package column
 // and footprints all shrink by the true compression ratio, which is exactly
 // the mechanism that moves the knees of Figures 2/3/14.
 //
-// Kernels no longer decompress to operate: predicates scan the packed
-// blocks directly (see scan.go), Gather re-packs the surviving rows instead
-// of materializing them, and Slice produces zero-copy views so the morsel
+// Kernels do not decompress to operate: predicates scan the packed blocks
+// directly (see scan.go), Gather re-packs the surviving rows a block at a
+// time (sharing the source's packed words outright when the rows are a
+// contiguous range), and Slice produces zero-copy views so the morsel
 // scheduler can hand workers disjoint ranges of the same packed words. Full
 // decodes still happen at well-defined seams (Decompress/Materialized) and
 // are metered through DecompressedBytes so late materialization is
 // observable, not just asserted.
 
+import (
+	"math"
+	"math/bits"
+	"slices"
+	"sync"
+)
+
 // blockSize is the number of values per compression block.
 const blockSize = 128
 
-// packedBlock is one frame-of-reference block.
-type packedBlock struct {
+// gatherChunk is the number of output rows one gather task packs: a multiple
+// of blockSize, so the blocks of the output are the same however many
+// workers run the tasks.
+const gatherChunk = 64 * blockSize
+
+// denseRun is how many consecutive positions of a list must fall into one
+// source block before gather decodes that whole block instead of extracting
+// the values one by one.
+const denseRun = 48
+
+// blockHdr is the header of one frame-of-reference block. The block's packed
+// deltas are the wordsFor(n, width) words of the column's arena from off on.
+type blockHdr struct {
 	min   int64
-	width uint8    // bits per delta, 0..64
-	words []uint64 // ceil(n*width/64) packed words
-	n     int      // values in this block (≤ blockSize)
+	off   uint32
+	width uint8 // bits per delta, 0..64
 }
 
-// packInt64 encodes values into FOR/bit-packed blocks.
-func packInt64(values []int64) []packedBlock {
-	var blocks []packedBlock
-	for lo := 0; lo < len(values); lo += blockSize {
-		hi := lo + blockSize
-		if hi > len(values) {
-			hi = len(values)
-		}
-		chunk := values[lo:hi]
-		mn := chunk[0]
-		mx := chunk[0]
-		for _, v := range chunk {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		width := bitsFor(uint64(mx - mn))
-		b := packedBlock{min: mn, width: width, n: len(chunk)}
-		if width > 0 {
-			b.words = make([]uint64, (len(chunk)*int(width)+63)/64)
-			for i, v := range chunk {
-				putBits(b.words, i*int(width), width, uint64(v-mn))
-			}
-		}
-		blocks = append(blocks, b)
-	}
-	return blocks
+// packed is a frame-of-reference bit-packed integer sequence, possibly a
+// zero-copy view of a larger one: one header per 128 rows and the packed
+// deltas of all blocks back to back in one arena. Both compressed column
+// types embed it, so every kernel below is written once.
+type packed struct {
+	name   string
+	hdr    []blockHdr
+	words  []uint64
+	rows   int // rows encoded under hdr; only the last block may be short
+	off    int // first logical row of the view, counted from hdr[0]
+	length int
 }
 
 // bitsFor returns the number of bits needed to represent x.
-func bitsFor(x uint64) uint8 {
-	var n uint8
-	for x > 0 {
-		n++
-		x >>= 1
+func bitsFor(x uint64) uint8 { return uint8(bits.Len64(x)) }
+
+// wordsFor returns the number of words n deltas of the given width occupy.
+func wordsFor(n int, width uint8) int { return (n*int(width) + 63) / 64 }
+
+// frame returns the minimum of vals and the bit width of their largest delta.
+func frame(vals []int64) (int64, uint8) {
+	mn, mx := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
 	}
-	return n
+	return mn, bitsFor(uint64(mx) - uint64(mn))
 }
 
-// putBits writes the low `width` bits of v at bit offset off.
-func putBits(words []uint64, off int, width uint8, v uint64) {
-	word, bit := off/64, uint(off%64)
-	words[word] |= v << bit
-	if bit+uint(width) > 64 {
-		words[word+1] |= v >> (64 - bit)
+// appendBlock packs vals (at most blockSize of them) as one block at the end
+// of buf. The bit cursor and the word being filled stay in registers; every
+// word is stored once, so buf's spare capacity need not be zero.
+func appendBlock(buf []uint64, vals []int64) (blockHdr, []uint64) {
+	mn, width := frame(vals)
+	h := blockHdr{min: mn, off: uint32(len(buf)), width: width}
+	nw := wordsFor(len(vals), width)
+	buf = slices.Grow(buf, nw)[:len(buf)+nw]
+	dst := buf[h.off:]
+	switch width {
+	case 0:
+	case 64:
+		for i, v := range vals {
+			dst[i] = uint64(v) - uint64(mn)
+		}
+	default:
+		var cur uint64
+		bit, wi := uint(0), 0
+		for _, v := range vals {
+			d := uint64(v) - uint64(mn)
+			cur |= d << (bit & 63)
+			bit += uint(width)
+			if bit >= 64 {
+				dst[wi] = cur
+				wi++
+				bit -= 64
+				cur = d >> ((uint(width) - bit) & 63) // the bits that did not fit; 0 when bit is 0
+			}
+		}
+		if bit > 0 {
+			dst[wi] = cur
+		}
+	}
+	return h, buf
+}
+
+// pack encodes values into an exact-sized arena: one pass for the widths,
+// one to pack.
+func pack(name string, values []int64) packed {
+	s := packed{name: name, rows: len(values), length: len(values)}
+	if len(values) == 0 {
+		return s
+	}
+	total := 0
+	for lo := 0; lo < len(values); lo += blockSize {
+		chunk := values[lo:min(lo+blockSize, len(values))]
+		_, width := frame(chunk)
+		total += wordsFor(len(chunk), width)
+	}
+	s.hdr = make([]blockHdr, 0, (len(values)+blockSize-1)/blockSize)
+	s.words = make([]uint64, 0, total)
+	for lo := 0; lo < len(values); lo += blockSize {
+		var h blockHdr
+		h, s.words = appendBlock(s.words, values[lo:min(lo+blockSize, len(values))])
+		s.hdr = append(s.hdr, h)
+	}
+	return s
+}
+
+// number is the set of element types a packed sequence decodes into.
+type number interface{ ~int32 | ~int64 | ~float64 }
+
+// unpack decodes len(dst) consecutive values of a block, starting at the
+// block's j-th, with the bit cursor and the current word in registers.
+func unpack[T number](dst []T, words []uint64, j int, mn int64, width uint8) {
+	switch width {
+	case 0:
+		for i := range dst {
+			dst[i] = T(mn)
+		}
+	case 64:
+		for i := range dst {
+			dst[i] = T(mn + int64(words[j+i]))
+		}
+	default:
+		w := uint(width)
+		mask := uint64(1)<<w - 1
+		wi, bit := j*int(width)>>6, uint(j*int(width))&63
+		cur := words[wi]
+		for i := range dst {
+			v := cur >> (bit & 63)
+			bit += w
+			if bit >= 64 {
+				bit -= 64
+				if wi++; wi < len(words) {
+					cur = words[wi]
+					v |= cur << ((w - bit) & 63) // lands above the mask when bit is 0
+				}
+			}
+			dst[i] = T(mn + int64(v&mask))
+		}
 	}
 }
 
-// getBits reads `width` bits at bit offset off.
-func getBits(words []uint64, off int, width uint8) uint64 {
-	word, bit := off/64, uint(off%64)
-	v := words[word] >> bit
-	if bit+uint(width) > 64 {
-		v |= words[word+1] << (64 - bit)
-	}
-	if width == 64 {
-		return v
-	}
-	return v & ((1 << width) - 1)
+// delta extracts the j-th delta of a block of nonzero width whose words
+// begin at words[0]; words may run on past the block. Branch-free: the word
+// after the delta's first is read whether or not the delta straddles (the
+// last word again at the end of the arena) — shifted in, its bits land at or
+// above the width unless they belong to the delta, and the mask drops them.
+func delta(words []uint64, j uint, width uint8) uint64 {
+	at := j * uint(width)
+	word, sh := at>>6, at&63
+	next := words[min(word+1, uint(len(words)-1))]
+	return (words[word]>>sh | next<<(64-sh)) & (math.MaxUint64 >> (64 - width))
 }
 
-// blocksValue returns the i-th value of a packed sequence.
-func blocksValue(blocks []packedBlock, i int) int64 {
-	b := &blocks[i/blockSize]
-	if b.width == 0 {
-		return b.min
-	}
-	j := i % blockSize
-	return b.min + int64(getBits(b.words, j*int(b.width), b.width))
+// blockLen returns the number of rows encoded in block bi.
+func (s *packed) blockLen(bi int) int { return min(blockSize, s.rows-bi*blockSize) }
+
+// blockWords returns the packed deltas of block bi.
+func (s *packed) blockWords(bi int) []uint64 {
+	h := &s.hdr[bi]
+	return s.words[h.off : int(h.off)+wordsFor(s.blockLen(bi), h.width)]
 }
 
-// blocksBytes returns the real encoded size: per block, the minimum (8 B),
-// the width byte, and the packed words.
-func blocksBytes(blocks []packedBlock) int64 {
-	var n int64
-	for _, b := range blocks {
-		n += 8 + 1 + int64(len(b.words))*8
-	}
-	return n
-}
+// Name returns the attribute name.
+func (s *packed) Name() string { return s.name }
 
-// viewBlocksBytes charges a [off, off+length) view for the blocks it
-// overlaps. A full-column view (off 0) reproduces blocksBytes exactly, so
-// catalog byte accounting is unchanged by the view machinery.
-func viewBlocksBytes(blocks []packedBlock, off, length int) int64 {
-	if length == 0 {
+// Len returns the number of rows.
+func (s *packed) Len() int { return s.length }
+
+// Bytes returns the real encoded size of the blocks this view overlaps: per
+// block the minimum (8 B), the width byte, and the packed words. A
+// full-column view reports the whole encoding, so catalog byte accounting is
+// unchanged by the view machinery. Blocks lie back to back in the arena,
+// which makes this O(1).
+func (s *packed) Bytes() int64 {
+	if s.length == 0 {
 		return 0
 	}
-	first := off / blockSize
-	last := (off + length + blockSize - 1) / blockSize
-	if last > len(blocks) {
-		last = len(blocks)
+	first := s.off / blockSize
+	last := (s.off + s.length - 1) / blockSize
+	end := int(s.hdr[last].off) + wordsFor(s.blockLen(last), s.hdr[last].width)
+	return int64(last-first+1)*9 + int64(end-int(s.hdr[first].off))*8
+}
+
+// value returns the i-th value: the random-access path of the wire edge and
+// the sort comparator. Kernels read blocks (decode, gather, the scans).
+func (s *packed) value(i int) int64 {
+	at := s.off + i
+	h := &s.hdr[at/blockSize]
+	if h.width == 0 {
+		return h.min
 	}
-	return blocksBytes(blocks[first:last])
+	return h.min + int64(delta(s.words[h.off:], uint(at%blockSize), h.width))
+}
+
+// checkSlice panics like a slice expression does on bounds outside [0, n].
+func checkSlice(lo, hi, n int) {
+	if lo < 0 || hi < lo || hi > n {
+		panic("column: slice bounds out of range")
+	}
+}
+
+// slice returns a zero-copy view of rows [lo, hi): the packed words are
+// shared, only the window moves. Morsel workers slice instead of decoding.
+func (s *packed) slice(lo, hi int) packed {
+	checkSlice(lo, hi, s.length)
+	v := *s
+	v.off, v.length = s.off+lo, hi-lo
+	return v
+}
+
+// decode writes rows [lo, hi) of the view to dst, one source block at a time.
+func decode[T number](s *packed, lo, hi int, dst []T) {
+	for at := s.off + lo; lo < hi; {
+		bi, j := at/blockSize, at%blockSize
+		n := min(blockSize-j, hi-lo)
+		unpack(dst[:n], s.blockWords(bi), j, s.hdr[bi].min, s.hdr[bi].width)
+		dst, lo, at = dst[n:], lo+n, at+n
+	}
+}
+
+// wordPool recycles the buffers gather tasks pack into before the size of
+// the arena is known. A task packs at most gatherChunk rows and so at most
+// as many words (64-bit deltas throughout).
+var wordPool = sync.Pool{New: func() any { return new([gatherChunk]uint64) }}
+
+// serially runs the tasks of a gather on the calling goroutine.
+func serially(k int, task func(i int)) {
+	for i := 0; i < k; i++ {
+		task(i)
+	}
+}
+
+// gather re-packs the addressed rows into a new sequence. The output is cut
+// into tasks of gatherChunk rows, which run schedules (any order, any number
+// at once); each packs its blocks into a pooled buffer, and the buffers are
+// then copied into one exact-sized arena. Late materialization
+// keeps survivors encoded; decoding happens only at the Decompress seam.
+func (s *packed) gather(pos []int32, run func(k int, task func(i int))) packed {
+	n := len(pos)
+	out := packed{name: s.name, rows: n, length: n}
+	if n == 0 {
+		return out
+	}
+	out.hdr = make([]blockHdr, (n+blockSize-1)/blockSize)
+	bufs := make([][]uint64, (n+gatherChunk-1)/gatherChunk)
+	run(len(bufs), func(i int) {
+		lo := i * gatherChunk
+		hi := min(lo+gatherChunk, n)
+		bufs[i] = s.gatherChunk(pos[lo:hi], out.hdr[lo/blockSize:], wordPool.Get().(*[gatherChunk]uint64)[:0])
+	})
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	out.words = make([]uint64, total)
+	base := 0
+	for i, b := range bufs {
+		copy(out.words[base:], b)
+		first := i * (gatherChunk / blockSize)
+		for bi := first; bi < min(first+gatherChunk/blockSize, len(out.hdr)); bi++ {
+			out.hdr[bi].off += uint32(base)
+		}
+		base += len(b)
+		wordPool.Put((*[gatherChunk]uint64)(b[:gatherChunk]))
+	}
+	return out
+}
+
+// gatherChunk packs the rows at pos into buf, one header per output block.
+// Each output block collects its values in a stack buffer, source block by
+// source block. A source block is decoded whole when the position denseRun
+// places ahead still lies in it (a dense stretch of an ascending list) and
+// then serves every later position that hits it, so a dense ascending list
+// decodes each source block once; otherwise the values are extracted one by
+// one with the block's header and words hoisted.
+func (s *packed) gatherChunk(pos []int32, hdr []blockHdr, buf []uint64) []uint64 {
+	var vals, src [blockSize]int64
+	decoded := -1 // source block held in src
+	at := func(p int32) (block int, j uint) {
+		row := uint(s.off) + uint(p)
+		return int(row / blockSize), row % blockSize
+	}
+	for b := 0; b*blockSize < len(pos); b++ {
+		p := pos[b*blockSize : min((b+1)*blockSize, len(pos))]
+		for i := 0; i < len(p); {
+			bi, _ := at(p[i])
+			h := &s.hdr[bi]
+			if bi != decoded && h.width != 0 && i+denseRun <= len(p) {
+				if ahead, _ := at(p[i+denseRun-1]); ahead == bi {
+					unpack(src[:s.blockLen(bi)], s.blockWords(bi), 0, h.min, h.width)
+					decoded = bi
+				}
+			}
+			words := s.words[h.off:]
+			for ; i < len(p); i++ {
+				block, j := at(p[i])
+				if block != bi {
+					break
+				}
+				switch {
+				case h.width == 0:
+					vals[i] = h.min
+				case bi == decoded:
+					vals[i] = src[j]
+				default:
+					vals[i] = h.min + int64(delta(words, j, h.width))
+				}
+			}
+		}
+		hdr[b], buf = appendBlock(buf, vals[:len(p)])
+	}
+	return buf
+}
+
+// gatherRange returns what gather would produce for the contiguous positions
+// [lo, hi) without decoding them, when the range starts on a block boundary:
+// its blocks are the source's blocks, so headers and words are shared. Only
+// a final block the range cuts short is packed again (its frame may be
+// narrower than the source block's), behind a copy of the shared words.
+func (s *packed) gatherRange(lo, hi int) (packed, bool) {
+	checkSlice(lo, hi, s.length)
+	n := hi - lo
+	out := packed{name: s.name, rows: n, length: n}
+	if n == 0 {
+		return out, true
+	}
+	first, end := s.off+lo, s.off+hi
+	if first%blockSize != 0 {
+		return out, false
+	}
+	fb, lb := first/blockSize, (end-1)/blockSize
+	out.hdr, out.words = s.hdr[fb:lb+1:lb+1], s.words
+	if end%blockSize == 0 || end == s.rows {
+		return out, true
+	}
+	out.hdr = slices.Clone(out.hdr)
+	base, tail := out.hdr[0].off, out.hdr[lb-fb].off
+	for i := range out.hdr {
+		out.hdr[i].off -= base
+	}
+	var vals [blockSize]int64
+	cut := vals[:end%blockSize]
+	unpack(cut, s.blockWords(lb), 0, s.hdr[lb].min, s.hdr[lb].width)
+	_, width := frame(cut)
+	words := make([]uint64, tail-base, int(tail-base)+wordsFor(len(cut), width))
+	copy(words, s.words[base:tail])
+	out.hdr[lb-fb], out.words = appendBlock(words, cut)
+	return out, true
 }
 
 // CompressedInt64Column is a bit-packed integer column, possibly a zero-copy
@@ -135,77 +390,45 @@ func viewBlocksBytes(blocks []packedBlock, off, length int) int64 {
 // the packed blocks (ScanCmp/ScanRange), Gather re-packs the addressed rows
 // so late-materialized paths stay compressed, and Decompress is the single
 // (metered) full-decode seam.
-type CompressedInt64Column struct {
-	name   string
-	blocks []packedBlock
-	off    int // first logical row, in block coordinates
-	length int
-}
+type CompressedInt64Column struct{ packed }
 
 // CompressInt64 encodes a plain integer column.
 func CompressInt64(c *Int64Column) *CompressedInt64Column {
-	return &CompressedInt64Column{
-		name:   c.Name(),
-		blocks: packInt64(c.Values),
-		length: len(c.Values),
-	}
+	return &CompressedInt64Column{pack(c.Name(), c.Values)}
 }
-
-// Name returns the attribute name.
-func (c *CompressedInt64Column) Name() string { return c.name }
 
 // Type returns Int64: the logical type is unchanged by compression.
 func (c *CompressedInt64Column) Type() Type { return Int64 }
 
-// Len returns the number of rows.
-func (c *CompressedInt64Column) Len() int { return c.length }
-
-// Bytes returns the real encoded size of the blocks this view overlaps.
-func (c *CompressedInt64Column) Bytes() int64 { return viewBlocksBytes(c.blocks, c.off, c.length) }
-
 // Value returns the i-th value.
-func (c *CompressedInt64Column) Value(i int) int64 { return blocksValue(c.blocks, c.off+i) }
+func (c *CompressedInt64Column) Value(i int) int64 { return c.value(i) }
 
-// Slice returns a zero-copy view of rows [lo, hi): the packed words are
-// shared, only the window moves. Morsel workers slice instead of decoding.
+// Slice returns a zero-copy view of rows [lo, hi).
 func (c *CompressedInt64Column) Slice(lo, hi int) *CompressedInt64Column {
-	return &CompressedInt64Column{name: c.name, blocks: c.blocks, off: c.off + lo, length: hi - lo}
+	return &CompressedInt64Column{c.slice(lo, hi)}
 }
 
-// Gather re-packs the addressed rows into a new compressed column. Late
-// materialization keeps survivors encoded; decoding happens only at the
-// Decompress/Materialized seam (or value-at-a-time at the wire edge).
-func (c *CompressedInt64Column) Gather(pos []int32) Column {
-	out := make([]int64, len(pos))
-	for i, p := range pos {
-		out[i] = blocksValue(c.blocks, c.off+int(p))
-	}
-	return &CompressedInt64Column{name: c.name, blocks: packInt64(out), length: len(out)}
+// Gather re-packs the addressed rows into a new compressed column.
+func (c *CompressedInt64Column) Gather(pos []int32) Column { return c.GatherWith(pos, serially) }
+
+// GatherWith is Gather with the packing of the output's 8192-row chunks
+// handed to run as k independent tasks; the result does not depend on how
+// run schedules them.
+func (c *CompressedInt64Column) GatherWith(pos []int32, run func(k int, task func(i int))) Column {
+	return &CompressedInt64Column{c.gather(pos, run)}
 }
 
 // Decompress materializes the whole column (metered; see DecompressedBytes).
 func (c *CompressedInt64Column) Decompress() *Int64Column {
 	out := make([]int64, c.length)
-	for i := range out {
-		out[i] = blocksValue(c.blocks, c.off+i)
-	}
+	decode(&c.packed, 0, c.length, out)
 	noteDecompressed(int64(c.length) * 8)
 	return NewInt64(c.name, out)
 }
 
-// CompressionRatio returns plain bytes ÷ compressed bytes.
-func (c *CompressedInt64Column) CompressionRatio() float64 {
-	return float64(c.length*8) / float64(c.Bytes())
-}
-
-// CompressedDateColumn is a bit-packed date column (same block layout and
-// view semantics as CompressedInt64Column).
-type CompressedDateColumn struct {
-	name   string
-	blocks []packedBlock
-	off    int
-	length int
-}
+// CompressedDateColumn is a bit-packed date column (the same packed
+// sequence as CompressedInt64Column under a Date type).
+type CompressedDateColumn struct{ packed }
 
 // CompressDate encodes a plain date column.
 func CompressDate(c *DateColumn) *CompressedDateColumn {
@@ -213,46 +436,33 @@ func CompressDate(c *DateColumn) *CompressedDateColumn {
 	for i, v := range c.Values {
 		vals[i] = int64(v)
 	}
-	return &CompressedDateColumn{name: c.Name(), blocks: packInt64(vals), length: len(vals)}
+	return &CompressedDateColumn{pack(c.Name(), vals)}
 }
-
-// Name returns the attribute name.
-func (c *CompressedDateColumn) Name() string { return c.name }
 
 // Type returns Date.
 func (c *CompressedDateColumn) Type() Type { return Date }
 
-// Len returns the number of rows.
-func (c *CompressedDateColumn) Len() int { return c.length }
-
-// Bytes returns the real encoded size of the blocks this view overlaps.
-func (c *CompressedDateColumn) Bytes() int64 { return viewBlocksBytes(c.blocks, c.off, c.length) }
-
 // Value returns the i-th value as days since epoch.
-func (c *CompressedDateColumn) Value(i int) int32 {
-	return int32(blocksValue(c.blocks, c.off+i))
-}
+func (c *CompressedDateColumn) Value(i int) int32 { return int32(c.value(i)) }
 
 // Slice returns a zero-copy view of rows [lo, hi).
 func (c *CompressedDateColumn) Slice(lo, hi int) *CompressedDateColumn {
-	return &CompressedDateColumn{name: c.name, blocks: c.blocks, off: c.off + lo, length: hi - lo}
+	return &CompressedDateColumn{c.slice(lo, hi)}
 }
 
 // Gather re-packs the addressed rows into a new compressed date column.
-func (c *CompressedDateColumn) Gather(pos []int32) Column {
-	out := make([]int64, len(pos))
-	for i, p := range pos {
-		out[i] = blocksValue(c.blocks, c.off+int(p))
-	}
-	return &CompressedDateColumn{name: c.name, blocks: packInt64(out), length: len(out)}
+func (c *CompressedDateColumn) Gather(pos []int32) Column { return c.GatherWith(pos, serially) }
+
+// GatherWith is Gather with the chunk tasks handed to run (see
+// CompressedInt64Column.GatherWith).
+func (c *CompressedDateColumn) GatherWith(pos []int32, run func(k int, task func(i int))) Column {
+	return &CompressedDateColumn{c.gather(pos, run)}
 }
 
 // Decompress materializes the whole column (metered; see DecompressedBytes).
 func (c *CompressedDateColumn) Decompress() *DateColumn {
 	out := make([]int32, c.length)
-	for i := range out {
-		out[i] = int32(blocksValue(c.blocks, c.off+i))
-	}
+	decode(&c.packed, 0, c.length, out)
 	noteDecompressed(int64(c.length) * 4)
 	return NewDate(c.name, out)
 }

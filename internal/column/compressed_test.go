@@ -44,9 +44,6 @@ func TestCompressionShrinksNarrowDomains(t *testing.T) {
 	if c.Bytes() >= plain.Bytes()/10 {
 		t.Fatalf("0..10 domain should compress >10x: %d vs %d bytes", c.Bytes(), plain.Bytes())
 	}
-	if c.CompressionRatio() < 10 {
-		t.Fatalf("ratio = %.1f", c.CompressionRatio())
-	}
 }
 
 func TestCompressConstantColumn(t *testing.T) {
@@ -156,5 +153,50 @@ func TestWidth64Boundary(t *testing.T) {
 		if c.Value(i) != v {
 			t.Fatalf("full-range decode[%d] = %d, want %d", i, c.Value(i), v)
 		}
+	}
+}
+
+// Slice bounds outside the column panic, as a slice expression would — a
+// view must never reach rows its column does not have.
+func TestSliceBoundsPanic(t *testing.T) {
+	vals := make([]int64, 300)
+	packed := CompressInt64(NewInt64("x", vals))
+	dates := CompressDate(NewDate("d", make([]int32, 300)))
+	rle := CompressRLE("r", vals)
+	for label, slice := range map[string]func(lo, hi int){
+		"packed": func(lo, hi int) { packed.Slice(lo, hi) },
+		"view":   func(lo, hi int) { packed.Slice(100, 200).Slice(lo, hi) },
+		"date":   func(lo, hi int) { dates.Slice(lo, hi) },
+		"rle":    func(lo, hi int) { rle.Slice(lo, hi) },
+		"range":  func(lo, hi int) { GatherRange(packed, lo, hi) },
+	} {
+		for _, b := range [][2]int{{-1, 10}, {20, 10}, {0, 301}, {301, 301}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s.Slice(%d, %d) did not panic", label, b[0], b[1])
+					}
+				}()
+				slice(b[0], b[1])
+			}()
+		}
+		slice(0, 0)
+		slice(100, 100)
+	}
+	packed.Slice(0, 300)
+	rle.Slice(300, 300)
+}
+
+// A zero-row column packs to nothing and every kernel accepts it.
+func TestCompressEmptyColumn(t *testing.T) {
+	c := CompressInt64(NewInt64("x", nil))
+	if c.Len() != 0 || c.Bytes() != 0 || len(c.Decompress().Values) != 0 {
+		t.Fatalf("empty column: Len %d, Bytes %d", c.Len(), c.Bytes())
+	}
+	if g := c.Gather(nil); g.Len() != 0 || g.Bytes() != 0 {
+		t.Fatalf("empty gather: Len %d, Bytes %d", g.Len(), g.Bytes())
+	}
+	if got := c.ScanCmp(ScanGE, 0, nil); len(got) != 0 {
+		t.Fatalf("scan of an empty column selected %v", got)
 	}
 }

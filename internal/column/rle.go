@@ -91,6 +91,7 @@ func (c *RLEInt64Column) Runs(lo, hi int, fn func(v int64, lo, hi int)) {
 
 // Slice returns a zero-copy view of rows [lo, hi).
 func (c *RLEInt64Column) Slice(lo, hi int) *RLEInt64Column {
+	checkSlice(lo, hi, c.length)
 	return &RLEInt64Column{name: c.name, vals: c.vals, ends: c.ends, off: c.off + lo, length: hi - lo}
 }
 
@@ -119,11 +120,6 @@ func (c *RLEInt64Column) Decompress() *Int64Column {
 	})
 	noteDecompressed(int64(c.length) * 8)
 	return NewInt64(c.name, out)
-}
-
-// CompressionRatio returns plain bytes ÷ encoded bytes.
-func (c *RLEInt64Column) CompressionRatio() float64 {
-	return float64(c.length*8) / float64(c.Bytes())
 }
 
 // ScanCmp appends the local positions satisfying (value op v) to out,

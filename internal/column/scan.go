@@ -3,9 +3,8 @@ package column
 // Code-domain scan kernels: predicates evaluate directly on the packed
 // representation. Every frame-of-reference block knows its minimum and (from
 // the bit width) a conservative maximum, so whole blocks are skipped or
-// taken with two comparisons; only straddling blocks decode value-at-a-time,
-// and even those compare in the translated delta domain without
-// reconstructing the int64. This is what makes compressed filters faster
+// taken with two comparisons; only straddling blocks are decoded, a block at
+// a time into a stack buffer. This is what makes compressed filters faster
 // than decompress-then-filter on clustered data, not merely equal.
 
 import "sync/atomic"
@@ -47,31 +46,11 @@ func cmpMatches(op ScanOp, a, b int64) bool {
 	}
 }
 
-// ScanCmp appends the local positions satisfying (value op v) to out.
-func (c *CompressedInt64Column) ScanCmp(op ScanOp, v int64, out PosList) PosList {
-	return scanBlocksCmp(c.blocks, c.off, c.length, op, v, out)
-}
-
-// ScanRange appends the local positions with lo ≤ value ≤ hi to out.
-func (c *CompressedInt64Column) ScanRange(lo, hi int64, out PosList) PosList {
-	return scanBlocksRange(c.blocks, c.off, c.length, lo, hi, out)
-}
-
-// ScanCmp appends the local positions satisfying (value op v) to out.
-func (c *CompressedDateColumn) ScanCmp(op ScanOp, v int64, out PosList) PosList {
-	return scanBlocksCmp(c.blocks, c.off, c.length, op, v, out)
-}
-
-// ScanRange appends the local positions with lo ≤ value ≤ hi to out.
-func (c *CompressedDateColumn) ScanRange(lo, hi int64, out PosList) PosList {
-	return scanBlocksRange(c.blocks, c.off, c.length, lo, hi, out)
-}
-
 // blockBounds returns the value range a block can contain. The maximum is
 // the width-implied bound (min + 2^width − 1), which is exact for blocks
 // whose extremes realize the width and conservative otherwise. bounded is
 // false for 64-bit blocks, whose delta range wraps int64.
-func blockBounds(b *packedBlock) (mn int64, maxDelta uint64, bounded bool) {
+func blockBounds(b *blockHdr) (mn int64, maxDelta uint64, bounded bool) {
 	if b.width >= 64 {
 		return b.min, 0, false
 	}
@@ -88,7 +67,7 @@ const (
 	classMixed
 )
 
-func classifyCmp(b *packedBlock, op ScanOp, v int64) blockClass {
+func classifyCmp(b *blockHdr, op ScanOp, v int64) blockClass {
 	mn, maxDelta, bounded := blockBounds(b)
 	// dv is the unsigned distance v − mn, meaningful only when v ≥ mn;
 	// computing it in uint64 sidesteps int64 overflow for extreme frames.
@@ -145,96 +124,72 @@ func classifyCmp(b *packedBlock, op ScanOp, v int64) blockClass {
 	return classMixed
 }
 
-// scanBlocksCmp walks the blocks overlapping logical rows [off, off+n),
-// appending matching local positions. Blocks classified all/none are
-// emitted or skipped without touching their packed words.
-func scanBlocksCmp(blocks []packedBlock, off, n int, op ScanOp, v int64, out PosList) PosList {
-	for local := 0; local < n; {
-		base := off + local
-		b := &blocks[base/blockSize]
-		j := base % blockSize // first row of interest inside the block
-		span := b.n - j
-		if span > n-local {
-			span = n - local
-		}
-		switch classifyCmp(b, op, v) {
-		case classAll:
-			for i := 0; i < span; i++ {
-				out = append(out, int32(local+i))
-			}
-		case classMixed:
-			// Compare in the delta domain: value op v ⇔ delta op (v − min),
-			// with the boundary cases already resolved by classification.
-			dv := uint64(v) - uint64(b.min)
-			vBelow := v < b.min // NE with v under the frame: everything matches
-			for i := 0; i < span; i++ {
-				d := getBits(b.words, (j+i)*int(b.width), b.width)
-				var match bool
-				switch op {
-				case ScanEQ:
-					match = d == dv
-				case ScanNE:
-					match = vBelow || d != dv
-				case ScanLT:
-					match = !vBelow && d < dv
-				case ScanLE:
-					match = !vBelow && d <= dv
-				case ScanGT:
-					match = vBelow || d > dv
-				default: // ScanGE
-					match = vBelow || d >= dv
-				}
-				if match {
-					out = append(out, int32(local+i))
-				}
-			}
-		}
+// spans calls fn for each block the view overlaps, with the block's index,
+// the first row of interest inside it, the local row that is, and the
+// number of rows of interest.
+func (s *packed) spans(fn func(bi, j, local, span int)) {
+	for local := 0; local < s.length; {
+		at := s.off + local
+		bi, j := at/blockSize, at%blockSize
+		span := min(blockSize-j, s.length-local)
+		fn(bi, j, local, span)
 		local += span
+	}
+}
+
+// appendRange appends the positions [lo, lo+n) to out.
+func appendRange(out PosList, lo, n int) PosList {
+	for i := 0; i < n; i++ {
+		out = append(out, int32(lo+i))
 	}
 	return out
 }
 
-// scanBlocksRange is scanBlocksCmp for lo ≤ value ≤ hi.
-func scanBlocksRange(blocks []packedBlock, off, n int, lo, hi int64, out PosList) PosList {
-	if lo > hi {
-		return out
-	}
-	for local := 0; local < n; {
-		base := off + local
-		b := &blocks[base/blockSize]
-		j := base % blockSize
-		span := b.n - j
-		if span > n-local {
-			span = n - local
-		}
-		mn, maxDelta, bounded := blockBounds(b)
-		var dhi uint64
-		hiAbove := false // hi exceeds the block maximum
-		if hi >= mn {
-			dhi = uint64(hi) - uint64(mn)
-			hiAbove = bounded && dhi >= maxDelta
-		}
-		switch {
-		case hi < mn || (bounded && lo >= mn && uint64(lo)-uint64(mn) > maxDelta):
-			// disjoint: skip the block
-		case lo <= mn && hiAbove:
-			for i := 0; i < span; i++ {
-				out = append(out, int32(local+i))
-			}
-		default:
-			var dlo uint64
-			if lo > mn {
-				dlo = uint64(lo) - uint64(mn)
-			}
-			for i := 0; i < span; i++ {
-				d := getBits(b.words, (j+i)*int(b.width), b.width)
-				if d >= dlo && (hiAbove || d <= dhi) {
+// ScanCmp appends the local positions satisfying (value op v) to out. Blocks
+// classified all/none are emitted or skipped without touching their packed
+// words.
+func (s *packed) ScanCmp(op ScanOp, v int64, out PosList) PosList {
+	var vals [blockSize]int64
+	s.spans(func(bi, j, local, span int) {
+		h := &s.hdr[bi]
+		switch classifyCmp(h, op, v) {
+		case classAll:
+			out = appendRange(out, local, span)
+		case classMixed:
+			unpack(vals[:span], s.blockWords(bi), j, h.min, h.width)
+			for i, x := range vals[:span] {
+				if cmpMatches(op, x, v) {
 					out = append(out, int32(local+i))
 				}
 			}
 		}
-		local += span
+	})
+	return out
+}
+
+// ScanRange appends the local positions with lo ≤ value ≤ hi to out.
+func (s *packed) ScanRange(lo, hi int64, out PosList) PosList {
+	if lo > hi {
+		return out
 	}
+	var vals [blockSize]int64
+	s.spans(func(bi, j, local, span int) {
+		h := &s.hdr[bi]
+		mn, maxDelta, bounded := blockBounds(h)
+		switch {
+		case hi < mn || (bounded && lo >= mn && uint64(lo)-uint64(mn) > maxDelta):
+			// disjoint: skip the block
+		case lo <= mn && bounded && hi >= mn && uint64(hi)-uint64(mn) >= maxDelta:
+			out = appendRange(out, local, span)
+		default:
+			unpack(vals[:span], s.blockWords(bi), j, h.min, h.width)
+			for i, x := range vals[:span] {
+				if x >= lo && x <= hi {
+					out = append(out, int32(local+i))
+				}
+			}
+		}
+	})
 	return out
 }
 

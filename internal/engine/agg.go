@@ -68,26 +68,46 @@ type groupPartial struct {
 // The aggregation always uses the canonical morsel decomposition: partials
 // are computed per morsel and merged in morsel order, even under a nil
 // (serial) ctx, so float accumulation order — and therefore every output
-// bit — is independent of the worker count.
+// bit — is independent of the worker count. Each morsel reads its rows of
+// every key and aggregate input column once, as a block (column.Reader), so
+// a compressed column is decoded a block at a time, not a row at a time.
 func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) {
 	keyCols := make([]column.Column, len(keys))
+	keyReads := make([]keyReader, len(keys))
 	for i, k := range keys {
 		c, err := b.Column(k)
 		if err != nil {
 			return nil, fmt.Errorf("group by: %w", err)
 		}
 		keyCols[i] = c
+		if keyReads[i], err = groupKeyReader(c); err != nil {
+			return nil, fmt.Errorf("group by: %w", err)
+		}
 	}
-	mkAccums := func() ([]accumulator, error) {
+	aggReads := make([]func(lo, hi int, scratch []float64) []float64, len(aggs)) // nil for Count
+	for i, a := range aggs {
+		if a.Func > Avg {
+			return nil, fmt.Errorf("aggregate: unknown function %v", a.Func)
+		}
+		if a.Func == Count {
+			continue
+		}
+		c, err := b.Column(a.Col)
+		if err != nil {
+			return nil, fmt.Errorf("aggregate %s(%s): %w", a.Func, a.Col, err)
+		}
+		read, ok := column.Reader[float64](c)
+		if !ok {
+			return nil, fmt.Errorf("aggregate %s(%s): column %s is not numeric", a.Func, a.Col, c.Name())
+		}
+		aggReads[i] = read
+	}
+	mkAccums := func() []accumulator {
 		accums := make([]accumulator, len(aggs))
 		for i, a := range aggs {
-			acc, err := newAccumulator(b, a)
-			if err != nil {
-				return nil, err
-			}
-			accums[i] = acc
+			accums[i] = newAccumulator(a.Func)
 		}
-		return accums, nil
+		return accums
 	}
 
 	// RLE fast path: when every key column and every aggregate input column
@@ -100,7 +120,21 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 	n := b.NumRows()
 	numMorsels := par.Morsels(n)
 	partials := make([]groupPartial, numMorsels)
-	err := ctx.forEachMorsel(n, func(mi, lo, hi int) error {
+	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
+		keyVals := make([][]int64, len(keys))
+		for i, read := range keyReads {
+			scratch := par.GetInt64(hi - lo)
+			defer par.PutInt64(scratch)
+			keyVals[i] = read(lo, hi, scratch)
+		}
+		aggVals := make([][]float64, len(aggs))
+		for i, read := range aggReads {
+			if read != nil {
+				scratch := par.GetFloat64(hi - lo)
+				defer par.PutFloat64(scratch)
+				aggVals[i] = read(lo, hi, scratch)
+			}
+		}
 		local := groupPartial{groups: make(map[string]*groupState)}
 		keyBuf := make([]byte, 0, 64)
 		for row := lo; row < hi; {
@@ -114,33 +148,27 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 				}
 			}
 			keyBuf = keyBuf[:0]
-			for _, kc := range keyCols {
-				keyBuf = appendGroupKey(keyBuf, kc, row)
+			for _, kv := range keyVals {
+				keyBuf = appendGroupKey(keyBuf, uint64(kv[row-lo]))
 			}
 			k := string(keyBuf)
 			g, ok := local.groups[k]
 			if !ok {
-				accums, err := mkAccums()
-				if err != nil {
-					return err
-				}
-				g = &groupState{firstRow: int32(row), accums: accums}
+				g = &groupState{firstRow: int32(row), accums: mkAccums()}
 				local.groups[k] = g
 				local.order = append(local.order, k)
 			}
-			for _, acc := range g.accums {
-				if err := acc.addRun(row, end-row); err != nil {
-					return err
+			for i, acc := range g.accums {
+				var v float64
+				if aggVals[i] != nil {
+					v = aggVals[i][row-lo]
 				}
+				acc.addRun(v, end-row)
 			}
 			row = end
 		}
 		partials[mi] = local
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 
 	// Merge partials in morsel order: the global first-occurrence order (and
 	// every accumulator's fold order) matches a serial front-to-back scan.
@@ -167,11 +195,7 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 	}
 	if len(keys) == 0 && len(order) == 0 {
 		// Global aggregate over an empty input still yields one row.
-		accums, err := mkAccums()
-		if err != nil {
-			return nil, err
-		}
-		groups[""] = &groupState{firstRow: 0, accums: accums}
+		groups[""] = &groupState{firstRow: 0, accums: mkAccums()}
 		order = append(order, "")
 	}
 
@@ -195,19 +219,40 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 	return NewBatch(out...)
 }
 
+// groupKeyReader reads a grouping column as integers that are equal exactly
+// where the values are: integer and date columns of any encoding through
+// column.Reader, strings as their dictionary codes, floats in fixed point.
+func groupKeyReader(c column.Column) (keyReader, error) {
+	switch c := c.(type) {
+	case *column.StringColumn:
+		return codeReader(c.Codes, nil), nil
+	case *column.Float64Column:
+		return func(lo, hi int, scratch []int64) []int64 {
+			keys := sized(scratch, hi-lo)
+			for i, v := range c.Values[lo:hi] {
+				keys[i] = int64(v * 1e6) // fixed-point to be robust for money values
+			}
+			return keys
+		}, nil
+	}
+	if read, ok := column.Reader[int64](c); ok {
+		return read, nil
+	}
+	return nil, fmt.Errorf("column %s has ungroupable type %T", c.Name(), c)
+}
+
 // accumulator folds rows into one aggregate value. addRun folds k
-// consecutive rows starting at row that are known to carry equal values in
-// every aggregate input column (the RLE fast path); addRun(row, 1) is the
-// per-row case. merge folds another accumulator of the same concrete type
-// into the receiver; GroupBy calls it in morsel order, which keeps float
-// folds deterministic.
+// consecutive rows known to carry the value v in the aggregate's input
+// column (the RLE fast path); addRun(v, 1) is the per-row case. merge folds
+// another accumulator of the same concrete type into the receiver; GroupBy
+// calls it in morsel order, which keeps float folds deterministic.
 //
 // Run folds compute sums as value×count. For the integer-valued columns RLE
 // encodes this is exact (and therefore bit-identical to repeated addition)
 // as long as intermediate sums stay within float64's 2^53 integer range —
 // the property the compressed determinism suite pins.
 type accumulator interface {
-	addRun(row, k int) error
+	addRun(v float64, k int)
 	merge(other accumulator)
 	result() float64
 }
@@ -232,11 +277,7 @@ func runColumns(b *Batch, keyCols []column.Column, aggs []AggSpec) ([]runColumn,
 		if a.Func == Count {
 			continue
 		}
-		c, err := b.Column(a.Col)
-		if err != nil {
-			return nil, false // newAccumulator reports the missing column
-		}
-		rc, ok := c.(runColumn)
+		rc, ok := b.MustColumn(a.Col).(runColumn)
 		if !ok {
 			return nil, false
 		}
@@ -245,86 +286,48 @@ func runColumns(b *Batch, keyCols []column.Column, aggs []AggSpec) ([]runColumn,
 	return out, true
 }
 
-func newAccumulator(b *Batch, spec AggSpec) (accumulator, error) {
-	if spec.Func == Count {
-		return &countAcc{}, nil
-	}
-	c, err := b.Column(spec.Col)
-	if err != nil {
-		return nil, fmt.Errorf("aggregate %s(%s): %w", spec.Func, spec.Col, err)
-	}
-	read, err := numericReader(c)
-	if err != nil {
-		return nil, fmt.Errorf("aggregate %s(%s): %w", spec.Func, spec.Col, err)
-	}
-	switch spec.Func {
+func newAccumulator(f AggFunc) accumulator {
+	switch f {
 	case Sum:
-		return &sumAcc{read: read}, nil
+		return &sumAcc{}
+	case Count:
+		return &countAcc{}
 	case Min:
-		return &minAcc{read: read}, nil
+		return &minAcc{}
 	case Max:
-		return &maxAcc{read: read}, nil
-	case Avg:
-		return &avgAcc{read: read}, nil
+		return &maxAcc{}
 	default:
-		return nil, fmt.Errorf("aggregate: unknown function %v", spec.Func)
-	}
-}
-
-// numericReader returns a row accessor converting the column to float64.
-func numericReader(c column.Column) (func(int) float64, error) {
-	switch c := c.(type) {
-	case *column.Int64Column:
-		return func(i int) float64 { return float64(c.Values[i]) }, nil
-	case *column.Float64Column:
-		return func(i int) float64 { return c.Values[i] }, nil
-	case *column.DateColumn:
-		return func(i int) float64 { return float64(c.Values[i]) }, nil
-	case *column.CompressedInt64Column:
-		return func(i int) float64 { return float64(c.Value(i)) }, nil
-	case *column.CompressedDateColumn:
-		return func(i int) float64 { return float64(c.Value(i)) }, nil
-	case *column.RLEInt64Column:
-		return func(i int) float64 { return float64(c.Value(i)) }, nil
-	default:
-		return nil, fmt.Errorf("column %s is not numeric", c.Name())
+		return &avgAcc{}
 	}
 }
 
 type countAcc struct{ n int64 }
 
-func (a *countAcc) addRun(_, k int) error { a.n += int64(k); return nil }
-func (a *countAcc) merge(o accumulator)   { a.n += o.(*countAcc).n }
-func (a *countAcc) result() float64       { return float64(a.n) }
+func (a *countAcc) addRun(_ float64, k int) { a.n += int64(k) }
+func (a *countAcc) merge(o accumulator)     { a.n += o.(*countAcc).n }
+func (a *countAcc) result() float64         { return float64(a.n) }
 
-type sumAcc struct {
-	read func(int) float64
-	sum  float64
-}
+type sumAcc struct{ sum float64 }
 
-func (a *sumAcc) addRun(row, k int) error {
+func (a *sumAcc) addRun(v float64, k int) {
 	if k == 1 {
-		a.sum += a.read(row)
+		a.sum += v
 	} else {
-		a.sum += a.read(row) * float64(k)
+		a.sum += v * float64(k)
 	}
-	return nil
 }
 func (a *sumAcc) merge(o accumulator) { a.sum += o.(*sumAcc).sum }
 func (a *sumAcc) result() float64     { return a.sum }
 
 type minAcc struct {
-	read func(int) float64
 	min  float64
 	seen bool
 }
 
-func (a *minAcc) addRun(row, _ int) error {
-	v := a.read(row)
+func (a *minAcc) addRun(v float64, _ int) {
 	if !a.seen || v < a.min {
 		a.min, a.seen = v, true
 	}
-	return nil
 }
 func (a *minAcc) merge(o accumulator) {
 	b := o.(*minAcc)
@@ -335,17 +338,14 @@ func (a *minAcc) merge(o accumulator) {
 func (a *minAcc) result() float64 { return a.min }
 
 type maxAcc struct {
-	read func(int) float64
 	max  float64
 	seen bool
 }
 
-func (a *maxAcc) addRun(row, _ int) error {
-	v := a.read(row)
+func (a *maxAcc) addRun(v float64, _ int) {
 	if !a.seen || v > a.max {
 		a.max, a.seen = v, true
 	}
-	return nil
 }
 func (a *maxAcc) merge(o accumulator) {
 	b := o.(*maxAcc)
@@ -356,19 +356,17 @@ func (a *maxAcc) merge(o accumulator) {
 func (a *maxAcc) result() float64 { return a.max }
 
 type avgAcc struct {
-	read func(int) float64
-	sum  float64
-	n    int64
+	sum float64
+	n   int64
 }
 
-func (a *avgAcc) addRun(row, k int) error {
+func (a *avgAcc) addRun(v float64, k int) {
 	if k == 1 {
-		a.sum += a.read(row)
+		a.sum += v
 	} else {
-		a.sum += a.read(row) * float64(k)
+		a.sum += v * float64(k)
 	}
 	a.n += int64(k)
-	return nil
 }
 func (a *avgAcc) merge(o accumulator) {
 	b := o.(*avgAcc)
@@ -382,30 +380,11 @@ func (a *avgAcc) result() float64 {
 	return a.sum / float64(a.n)
 }
 
-// appendGroupKey serializes row i of the column into buf so that equal
+// appendGroupKey serializes one key column's value into buf so that equal
 // values produce equal byte strings and different columns cannot alias.
-func appendGroupKey(buf []byte, c column.Column, i int) []byte {
-	var v uint64
-	switch c := c.(type) {
-	case *column.Int64Column:
-		v = uint64(c.Values[i])
-	case *column.DateColumn:
-		v = uint64(uint32(c.Values[i]))
-	case *column.StringColumn:
-		v = uint64(uint32(c.Codes[i]))
-	case *column.Float64Column:
-		// Group-by on floats groups identical bit patterns.
-		v = uint64(int64(c.Values[i] * 1e6)) // fixed-point to be robust for money values
-	case *column.CompressedInt64Column:
-		v = uint64(c.Value(i))
-	case *column.CompressedDateColumn:
-		v = uint64(uint32(c.Value(i)))
-	case *column.RLEInt64Column:
-		v = uint64(c.Value(i))
-	}
-	buf = append(buf,
+func appendGroupKey(buf []byte, v uint64) []byte {
+	return append(buf,
 		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56),
 		0xfe) // separator
-	return buf
 }

@@ -136,13 +136,7 @@ func (b *Batch) Extend(col column.Column) (*Batch, error) {
 }
 
 // Gather materializes the addressed rows of every column into a new batch.
-func (b *Batch) Gather(pos column.PosList) *Batch {
-	cols := make([]column.Column, len(b.cols))
-	for i, c := range b.cols {
-		cols[i] = c.Gather(pos)
-	}
-	return MustNewBatch(cols...)
-}
+func (b *Batch) Gather(pos column.PosList) *Batch { return b.GatherCtx(nil, pos) }
 
 // Filter evaluates the predicate against the batch's columns and returns the
 // qualifying positions. Large inputs are evaluated per morsel on the

@@ -18,6 +18,9 @@ import (
 	"robustdb/internal/par"
 )
 
+// raceBuild is set by race_test.go when the race detector is compiled in.
+var raceBuild bool
+
 // compressedPair builds a compressed batch and its decompress-first twin
 // from one seeded value set: a bit-packed key, an RLE grouping column with
 // real runs, a bit-packed date, and a dictionary string column.
@@ -211,5 +214,95 @@ func TestCompressedErrorDeterminism(t *testing.T) {
 		if err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("workers=%d: error %v, want %v", w, err, wantErr)
 		}
+	}
+}
+
+// gatherLists are position lists over n rows of each shape Gather treats
+// differently: a 10 % ascending selection, a contiguous range starting on a
+// packing-block boundary (shared blocks, cut final block), one starting
+// inside a block (re-packed), and an unsorted list with repeats.
+func gatherLists(n int) map[string]column.PosList {
+	rng := rand.New(rand.NewSource(16))
+	lists := map[string]column.PosList{}
+	for i := 0; i < n; i++ {
+		if rng.Intn(10) == 0 {
+			lists["selective"] = append(lists["selective"], int32(i))
+		}
+		if i >= 128 && i < n-77 {
+			lists["contiguous-aligned"] = append(lists["contiguous-aligned"], int32(i))
+		}
+		if i >= 131 && i < n-5 {
+			lists["contiguous-unaligned"] = append(lists["contiguous-unaligned"], int32(i))
+		}
+		lists["repeated"] = append(lists["repeated"], int32(rng.Intn(n)), int32(rng.Intn(n/100+1)))
+	}
+	return lists
+}
+
+// TestCompressedGatherWorkerInvariance: a gather through any kind of list
+// builds the identical column — block for block, and therefore in Bytes(),
+// the number the heap and bus models charge — at every worker count, and
+// that column holds the values and the bytes of the plain re-encoding.
+func TestCompressedGatherWorkerInvariance(t *testing.T) {
+	n := 5*par.DefaultMorselRows + 321
+	comp, plain := compressedPair(t, 16, n)
+	for label, pos := range gatherLists(n) {
+		for _, name := range []string{"ck", "d", "grp"} {
+			src := comp.MustColumn(name)
+			serial := Gather(nil, src, pos)
+			want := plain.MustColumn(name).Gather(pos)
+			if !reflect.DeepEqual(column.Materialized(serial), want) {
+				t.Fatalf("%s/%s: gathered values differ from the plain gather", label, name)
+			}
+			if re := column.Compress(want); name != "grp" && serial.Bytes() != re.Bytes() {
+				t.Fatalf("%s/%s: Bytes() = %d, re-encoded values weigh %d", label, name, serial.Bytes(), re.Bytes())
+			}
+			if column.Encoding(serial) != column.Encoding(src) {
+				t.Fatalf("%s/%s: gather changed the encoding to %s", label, name, column.Encoding(serial))
+			}
+			for _, w := range workerCounts() {
+				if got := Gather(ctxFor(w), src, pos); !reflect.DeepEqual(got, serial) {
+					t.Fatalf("%s/%s workers=%d: column differs from the serial gather (Bytes %d vs %d)",
+						label, name, w, got.Bytes(), serial.Bytes())
+				}
+			}
+		}
+	}
+}
+
+// TestGatherAllocations pins what materialization may allocate, which —
+// unlike its wall time — repeats exactly: a contiguous list copies nothing,
+// and re-packing a selection allocates per column (headers, the task list,
+// one arena, the column), not per 128-row block.
+func TestGatherAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	const n = 600000
+	rng := rand.New(rand.NewSource(17))
+	vals := make([]int64, n)
+	var selective column.PosList
+	for i := range vals {
+		vals[i] = int64(rng.Intn(1 << 20))
+		if rng.Intn(10) == 0 {
+			selective = append(selective, int32(i))
+		}
+	}
+	plain := column.NewInt64("v", vals)
+	packed := column.CompressInt64(plain)
+	all := column.All(n)
+
+	var out column.Column
+	if a := testing.AllocsPerRun(10, func() { out = Gather(nil, plain, all) }); a > 2 {
+		t.Errorf("contiguous gather of a plain column: %v allocations, want ≤ 2", a)
+	}
+	if got := out.(*column.Int64Column).Values; len(got) != n || &got[0] != &vals[0] {
+		t.Error("contiguous gather of a plain column copied the rows")
+	}
+	if a := testing.AllocsPerRun(10, func() { out = Gather(nil, packed, selective) }); a > 8 {
+		t.Errorf("selective serial gather of a bit-packed column: %v allocations, want ≤ 8", a)
+	}
+	if out.Len() != len(selective) {
+		t.Errorf("selective gather kept %d rows, want %d", out.Len(), len(selective))
 	}
 }

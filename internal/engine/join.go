@@ -17,40 +17,22 @@ type JoinResult struct {
 // NumRows returns the number of join matches.
 func (r *JoinResult) NumRows() int { return len(r.LeftPos) }
 
-// keyAccessor resolves the key column's type once and returns a typed
-// row→key closure, hoisting the dispatch out of the build and probe loops.
-// Join keys may be int64 or date columns, plain or compressed (compressed
-// keys decode value-at-a-time inside the accessor — the column itself is
-// never materialized). Dictionary codes are only comparable across columns
-// through joinKeyAccessors' bridge.
-func keyAccessor(c column.Column) (func(int) int64, error) {
-	switch c := c.(type) {
-	case *column.Int64Column:
-		vals := c.Values
-		return func(i int) int64 { return vals[i] }, nil
-	case *column.DateColumn:
-		vals := c.Values
-		return func(i int) int64 { return int64(vals[i]) }, nil
-	case *column.CompressedInt64Column:
-		return func(i int) int64 { return c.Value(i) }, nil
-	case *column.CompressedDateColumn:
-		return func(i int) int64 { return int64(c.Value(i)) }, nil
-	case *column.RLEInt64Column:
-		return func(i int) int64 { return c.Value(i) }, nil
-	default:
-		return nil, fmt.Errorf("join: unsupported key column type %T (%s)", c, c.Name())
-	}
-}
+// keyReader reads rows [lo, hi) of a join key column as int64 keys: a view of
+// the column where it stores int64s, otherwise decoded a block at a time (or
+// translated from dictionary codes) into scratch. See column.Reader.
+type keyReader func(lo, hi int, scratch []int64) []int64
 
-// joinKeyAccessors resolves both key columns of a join together so
-// dictionary-encoded string keys can join on their integer codes. When both
+// joinKeyReaders resolves both key columns of a join together. Integer and
+// date keys, plain or compressed, read through column.Reader — a compressed
+// key column is decoded a morsel at a time, never materialized whole.
+// Dictionary-encoded string keys join on their integer codes: when both
 // sides share one dictionary (Gather propagates the dictionary by
 // reference), codes compare directly; otherwise a code→code bridge is built
 // once — build-side codes translate into the probe side's code domain, with
 // −1 marking build values absent from the probe dictionary (−1 never equals
 // a probe code, so unmatched build rows simply find no partner). String
 // joins therefore never materialize or hash a single string.
-func joinKeyAccessors(build, probe column.Column) (func(int) int64, func(int) int64, error) {
+func joinKeyReaders(build, probe column.Column) (keyReader, keyReader, error) {
 	bs, bok := build.(*column.StringColumn)
 	ps, pok := probe.(*column.StringColumn)
 	if bok != pok {
@@ -58,21 +40,19 @@ func joinKeyAccessors(build, probe column.Column) (func(int) int64, func(int) in
 			build.Name(), build, probe.Name(), probe)
 	}
 	if !bok {
-		bacc, err := keyAccessor(build)
-		if err != nil {
-			return nil, nil, err
+		br, ok := column.Reader[int64](build)
+		if !ok {
+			return nil, nil, fmt.Errorf("join: unsupported key column type %T (%s)", build, build.Name())
 		}
-		pacc, err := keyAccessor(probe)
-		if err != nil {
-			return nil, nil, err
+		pr, ok := column.Reader[int64](probe)
+		if !ok {
+			return nil, nil, fmt.Errorf("join: unsupported key column type %T (%s)", probe, probe.Name())
 		}
-		return bacc, pacc, nil
+		return br, pr, nil
 	}
-	bCodes, pCodes := bs.Codes, ps.Codes
-	pacc := func(j int) int64 { return int64(pCodes[j]) }
 	if len(bs.Dict) == len(ps.Dict) && (len(bs.Dict) == 0 || &bs.Dict[0] == &ps.Dict[0]) {
 		// Shared dictionary: one code domain on both sides.
-		return func(i int) int64 { return int64(bCodes[i]) }, pacc, nil
+		return codeReader(bs.Codes, nil), codeReader(ps.Codes, nil), nil
 	}
 	bridge := make([]int64, len(bs.Dict))
 	for c, s := range bs.Dict {
@@ -82,7 +62,30 @@ func joinKeyAccessors(build, probe column.Column) (func(int) int64, func(int) in
 			bridge[c] = -1
 		}
 	}
-	return func(i int) int64 { return bridge[bCodes[i]] }, pacc, nil
+	return codeReader(bs.Codes, bridge), codeReader(ps.Codes, nil), nil
+}
+
+// sized returns scratch with length n, reallocated if its capacity is short.
+func sized(scratch []int64, n int) []int64 {
+	if cap(scratch) < n {
+		return make([]int64, n)
+	}
+	return scratch[:n]
+}
+
+// codeReader reads dictionary codes as join keys, through bridge if given.
+func codeReader(codes []int32, bridge []int64) keyReader {
+	return func(lo, hi int, scratch []int64) []int64 {
+		keys := sized(scratch, hi-lo)
+		for i, c := range codes[lo:hi] {
+			if bridge != nil {
+				keys[i] = bridge[c]
+			} else {
+				keys[i] = int64(c)
+			}
+		}
+		return keys
+	}
 }
 
 // fibMul is the 64-bit Fibonacci hashing constant (2^64 / φ, odd). A single
@@ -149,7 +152,7 @@ func (t *joinTable) partOf(h uint64) *joinPart {
 // phases (count, scatter, per-partition insert) each fan out over disjoint
 // index ranges, and partition contents are laid out in global row order, so
 // the finished table is byte-identical regardless of worker count.
-func buildJoinTable(ctx *Ctx, key func(int) int64, n int) *joinTable {
+func buildJoinTable(ctx *Ctx, key keyReader, n int) *joinTable {
 	var pbits uint
 	if n > par.DefaultMorselRows {
 		pbits = joinPartitionBits
@@ -163,9 +166,8 @@ func buildJoinTable(ctx *Ctx, key func(int) int64, n int) *joinTable {
 	counts := make([][]int32, numMorsels)
 	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
 		cnt := make([]int32, numParts)
-		for i := lo; i < hi; i++ {
-			k := key(i)
-			keys[i] = k
+		copy(keys[lo:hi], key(lo, hi, keys[lo:lo:hi])) // decoded in place, or copied from the column
+		for _, k := range keys[lo:hi] {
 			cnt[fibHash(k)>>(64-pbits)]++
 		}
 		counts[mi] = cnt
@@ -251,11 +253,11 @@ func HashJoin(ctx *Ctx, left *Batch, leftKey string, right *Batch, rightKey stri
 	if err != nil {
 		return nil, fmt.Errorf("hash join probe side: %w", err)
 	}
-	lacc, racc, err := joinKeyAccessors(lk, rk)
+	lkeys, rkeys, err := joinKeyReaders(lk, rk)
 	if err != nil {
 		return nil, err
 	}
-	ht := buildJoinTable(ctx, lacc, lk.Len())
+	ht := buildJoinTable(ctx, lkeys, lk.Len())
 
 	n := rk.Len()
 	res := &JoinResult{}
@@ -267,7 +269,7 @@ func HashJoin(ctx *Ctx, left *Batch, leftKey string, right *Batch, rightKey stri
 		// (≈ one match per probe row) instead of growing from nil.
 		res.LeftPos = make(column.PosList, 0, n)
 		res.RightPos = make(column.PosList, 0, n)
-		probeJoinRange(ht, racc, 0, n, &res.LeftPos, &res.RightPos)
+		probeJoinRange(ht, rkeys, 0, n, &res.LeftPos, &res.RightPos)
 		if len(res.LeftPos) == 0 {
 			res.LeftPos, res.RightPos = nil, nil
 		}
@@ -282,7 +284,7 @@ func HashJoin(ctx *Ctx, left *Batch, leftKey string, right *Batch, rightKey stri
 	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
 		lbuf := par.GetPos(hi - lo)
 		rbuf := par.GetPos(hi - lo)
-		probeJoinRange(ht, racc, lo, hi, &lbuf, &rbuf)
+		probeJoinRange(ht, rkeys, lo, hi, &lbuf, &rbuf)
 		perL[mi], perR[mi] = lbuf, rbuf
 	})
 	total := 0
@@ -307,18 +309,20 @@ func HashJoin(ctx *Ctx, left *Batch, leftKey string, right *Batch, rightKey stri
 	return res, nil
 }
 
-// probeJoinRange probes rows [lo, hi) of the probe side against the table,
-// appending matches to the position buffers.
-func probeJoinRange(ht *joinTable, key func(int) int64, lo, hi int, lout, rout *column.PosList) {
-	for j := lo; j < hi; j++ {
-		k := key(j)
+// probeJoinRange probes rows [lo, hi) of the probe side (at most a morsel)
+// against the table, appending matches to the position buffers. The keys of
+// the range are read once, into pooled scratch if they need decoding.
+func probeJoinRange(ht *joinTable, key keyReader, lo, hi int, lout, rout *column.PosList) {
+	scratch := par.GetInt64(hi - lo)
+	for i, k := range key(lo, hi, scratch) {
 		h := fibHash(k)
 		part := ht.partOf(h)
 		for c := part.lookup(k, h); c >= 0; c = part.next[c] {
 			*lout = append(*lout, part.rows[c])
-			*rout = append(*rout, int32(j))
+			*rout = append(*rout, int32(lo+i))
 		}
 	}
+	par.PutInt64(scratch)
 }
 
 // SemiJoin returns the probe-side positions that have at least one build-side
@@ -334,23 +338,23 @@ func SemiJoin(ctx *Ctx, build *Batch, buildKey string, probe *Batch, probeKey st
 	if err != nil {
 		return nil, fmt.Errorf("semi join probe side: %w", err)
 	}
-	bacc, pacc, err := joinKeyAccessors(bk, pk)
+	bkeys, pkeys, err := joinKeyReaders(bk, pk)
 	if err != nil {
 		return nil, err
 	}
-	ht := buildJoinTable(ctx, bacc, bk.Len())
+	ht := buildJoinTable(ctx, bkeys, bk.Len())
 
 	n := pk.Len()
 	if par.Morsels(n) <= 1 {
 		var out column.PosList
-		semiJoinRange(ht, pacc, 0, n, &out)
+		semiJoinRange(ht, pkeys, 0, n, &out)
 		return out, nil
 	}
 	numMorsels := par.Morsels(n)
 	parts := make([]column.PosList, numMorsels)
 	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
 		buf := par.GetPos(hi - lo)
-		semiJoinRange(ht, pacc, lo, hi, &buf)
+		semiJoinRange(ht, pkeys, lo, hi, &buf)
 		parts[mi] = buf
 	})
 	total := 0
@@ -371,14 +375,15 @@ func SemiJoin(ctx *Ctx, build *Batch, buildKey string, probe *Batch, probeKey st
 	return out, nil
 }
 
-func semiJoinRange(ht *joinTable, key func(int) int64, lo, hi int, out *column.PosList) {
-	for j := lo; j < hi; j++ {
-		k := key(j)
+func semiJoinRange(ht *joinTable, key keyReader, lo, hi int, out *column.PosList) {
+	scratch := par.GetInt64(hi - lo)
+	for i, k := range key(lo, hi, scratch) {
 		h := fibHash(k)
 		if ht.partOf(h).lookup(k, h) >= 0 {
-			*out = append(*out, int32(j))
+			*out = append(*out, int32(lo+i))
 		}
 	}
+	par.PutInt64(scratch)
 }
 
 // NestedLoopJoin is the O(n·m) reference join used by tests to validate
@@ -393,15 +398,15 @@ func NestedLoopJoin(left *Batch, leftKey string, right *Batch, rightKey string) 
 	if err != nil {
 		return nil, err
 	}
-	lacc, racc, err := joinKeyAccessors(lk, rk)
+	lkeys, rkeys, err := joinKeyReaders(lk, rk)
 	if err != nil {
 		return nil, err
 	}
 	res := &JoinResult{}
-	for j := 0; j < rk.Len(); j++ {
-		kj := racc(j)
-		for i := 0; i < lk.Len(); i++ {
-			if lacc(i) == kj {
+	buildKeys := lkeys(0, lk.Len(), nil)
+	for j, kj := range rkeys(0, rk.Len(), nil) {
+		for i, ki := range buildKeys {
+			if ki == kj {
 				res.LeftPos = append(res.LeftPos, int32(i))
 				res.RightPos = append(res.RightPos, int32(j))
 			}
@@ -414,20 +419,13 @@ func NestedLoopJoin(left *Batch, leftKey string, right *Batch, rightKey string) 
 // result into one batch. Column name collisions are an error; plans qualify
 // names up front.
 func MaterializeJoin(ctx *Ctx, res *JoinResult, left *Batch, leftCols []string, right *Batch, rightCols []string) (*Batch, error) {
-	cols := make([]column.Column, 0, len(leftCols)+len(rightCols))
-	for _, name := range leftCols {
-		c, err := left.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, Gather(ctx, c, res.LeftPos))
+	lp, err := left.Project(leftCols...)
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range rightCols {
-		c, err := right.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, Gather(ctx, c, res.RightPos))
+	rp, err := right.Project(rightCols...)
+	if err != nil {
+		return nil, err
 	}
-	return NewBatch(cols...)
+	return NewBatch(append(GatherAll(ctx, lp.cols, res.LeftPos), GatherAll(ctx, rp.cols, res.RightPos)...)...)
 }

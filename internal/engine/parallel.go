@@ -9,29 +9,19 @@ import (
 )
 
 // sliceColumn returns a zero-copy view of rows [lo, hi) of a column: the
-// four dense storage types share their backing arrays (string views share
-// the dictionary), and the compressed encodings share their packed blocks
-// or runs through window views — morsel workers scan encoded data in place.
-// Reports false for column types without view support, which callers handle
-// by falling back to serial paths.
+// dense storage types and run-length columns as column.GatherRange views
+// (string views share the dictionary), bit-packed columns as window views
+// over their packed blocks at any offset — morsel workers scan encoded data
+// in place. Reports false for column types without view support, which
+// callers handle by falling back to serial paths.
 func sliceColumn(c column.Column, lo, hi int) (column.Column, bool) {
 	switch c := c.(type) {
-	case *column.Int64Column:
-		return column.NewInt64(c.Name(), c.Values[lo:hi]), true
-	case *column.Float64Column:
-		return column.NewFloat64(c.Name(), c.Values[lo:hi]), true
-	case *column.DateColumn:
-		return column.NewDate(c.Name(), c.Values[lo:hi]), true
-	case *column.StringColumn:
-		return column.NewStringFromDict(c.Name(), c.Dict, c.Codes[lo:hi]), true
 	case *column.CompressedInt64Column:
 		return c.Slice(lo, hi), true
 	case *column.CompressedDateColumn:
 		return c.Slice(lo, hi), true
-	case *column.RLEInt64Column:
-		return c.Slice(lo, hi), true
 	default:
-		return nil, false
+		return column.GatherRange(c, lo, hi)
 	}
 }
 
@@ -151,10 +141,51 @@ func filterRangeSlow(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (colum
 	return out, nil
 }
 
-// Gather materializes the rows addressed by pos into a new column, fanning
-// large gathers out over the context's pool for the flat column types. The
-// output is identical to c.Gather(pos).
+// contiguous reports whether pos lists the rows p0, p0+1, …, p0+len−1 and
+// returns p0. Every element is checked; a list that is not a range is
+// usually found out within a few.
+func contiguous(pos column.PosList) (p0 int, ok bool) {
+	if len(pos) == 0 {
+		return 0, false
+	}
+	for i, p := range pos {
+		if p != pos[0]+int32(i) {
+			return 0, false
+		}
+	}
+	return int(pos[0]), true
+}
+
+// Gather materializes the rows addressed by pos into a new column, identical
+// (Len, values, Bytes) to c.Gather(pos) at every worker count. A contiguous
+// ascending list — the whole input of a predicate-less scan, the probe side
+// of a join every row of which matches once — copies nothing: the result is
+// a view of c's storage (column.GatherRange). Other large gathers fan out
+// over the context's pool, bit-packed columns in 128-row-aligned chunks of
+// the output so that the packed blocks do not depend on the schedule.
 func Gather(ctx *Ctx, c column.Column, pos column.PosList) column.Column {
+	p0, isRange := contiguous(pos)
+	return gather(ctx, c, pos, p0, isRange)
+}
+
+// GatherAll is Gather for several columns through one list, which is
+// inspected once for all of them.
+func GatherAll(ctx *Ctx, cols []column.Column, pos column.PosList) []column.Column {
+	p0, isRange := contiguous(pos)
+	out := make([]column.Column, len(cols))
+	for i, c := range cols {
+		out[i] = gather(ctx, c, pos, p0, isRange)
+	}
+	return out
+}
+
+// gather is Gather given what contiguous(pos) reported.
+func gather(ctx *Ctx, c column.Column, pos column.PosList, p0 int, isRange bool) column.Column {
+	if isRange {
+		if v, ok := column.GatherRange(c, p0, p0+len(pos)); ok {
+			return v
+		}
+	}
 	n := len(pos)
 	if !ctx.parallel() || n <= par.DefaultMorselRows {
 		return c.Gather(pos)
@@ -196,6 +227,10 @@ func Gather(ctx *Ctx, c column.Column, pos column.PosList) column.Column {
 			}
 		})
 		return column.NewStringFromDict(c.Name(), c.Dict, out)
+	case *column.CompressedInt64Column:
+		return c.GatherWith(pos, ctx.forEachNNoErr)
+	case *column.CompressedDateColumn:
+		return c.GatherWith(pos, ctx.forEachNNoErr)
 	default:
 		return c.Gather(pos)
 	}
@@ -204,9 +239,5 @@ func Gather(ctx *Ctx, c column.Column, pos column.PosList) column.Column {
 // GatherCtx is Batch.Gather with the columns gathered through the context's
 // pool.
 func (b *Batch) GatherCtx(ctx *Ctx, pos column.PosList) *Batch {
-	cols := make([]column.Column, len(b.cols))
-	for i, c := range b.cols {
-		cols[i] = Gather(ctx, c, pos)
-	}
-	return MustNewBatch(cols...)
+	return MustNewBatch(GatherAll(ctx, b.cols, pos)...)
 }

@@ -41,38 +41,28 @@ func (c *CmpCols) Eval(resolve func(string) (column.Column, error)) (column.PosL
 	if err != nil {
 		return nil, err
 	}
-	lr, err := rowReader(lc)
-	if err != nil {
-		return nil, fmt.Errorf("predicate %s: %w", c, err)
-	}
-	rr, err := rowReader(rc)
-	if err != nil {
-		return nil, fmt.Errorf("predicate %s: %w", c, err)
-	}
-	if lc.Len() != rc.Len() {
+	lr, lok := column.Reader[float64](lc)
+	rr, rok := column.Reader[float64](rc)
+	switch {
+	case !lok:
+		return nil, fmt.Errorf("predicate %s: column %s is not numeric", c, lc.Name())
+	case !rok:
+		return nil, fmt.Errorf("predicate %s: column %s is not numeric", c, rc.Name())
+	case lc.Len() != rc.Len():
 		return nil, fmt.Errorf("predicate %s: column lengths differ (%d vs %d)", c, lc.Len(), rc.Len())
 	}
-	return filterOrdered(lc.Len(), c.Op, func(i int) int {
-		return cmpFloat64(lr(i), rr(i))
+	// filterOrdered visits the rows in ascending order, so both columns are
+	// read a block at a time (decoded, if compressed) just ahead of it.
+	const block = 4096
+	n := lc.Len()
+	lbuf, rbuf := make([]float64, block), make([]float64, block)
+	var lv, rv []float64
+	base, end := 0, 0
+	return filterOrdered(n, c.Op, func(i int) int {
+		if i >= end {
+			base, end = i, min(i+block, n)
+			lv, rv = lr(base, end, lbuf), rr(base, end, rbuf)
+		}
+		return cmpFloat64(lv[i-base], rv[i-base])
 	}), nil
-}
-
-// rowReader converts a numeric column into a float64 row accessor.
-func rowReader(c column.Column) (func(int) float64, error) {
-	switch c := c.(type) {
-	case *column.Int64Column:
-		return func(i int) float64 { return float64(c.Values[i]) }, nil
-	case *column.Float64Column:
-		return func(i int) float64 { return c.Values[i] }, nil
-	case *column.DateColumn:
-		return func(i int) float64 { return float64(c.Values[i]) }, nil
-	case *column.CompressedInt64Column:
-		return func(i int) float64 { return float64(c.Value(i)) }, nil
-	case *column.CompressedDateColumn:
-		return func(i int) float64 { return float64(c.Value(i)) }, nil
-	case *column.RLEInt64Column:
-		return func(i int) float64 { return float64(c.Value(i)) }, nil
-	default:
-		return nil, fmt.Errorf("column %s is not numeric", c.Name())
-	}
 }

@@ -51,6 +51,7 @@ func (b *bufPool[T]) put(s []T) {
 
 var (
 	f64Arena bufPool[float64]
+	i64Arena bufPool[int64]
 	i32Arena bufPool[int32]
 	posArena sync.Pool // of *column.PosList
 )
@@ -60,6 +61,12 @@ func GetFloat64(capHint int) []float64 { return f64Arena.get(capHint) }
 
 // PutFloat64 recycles a buffer obtained from GetFloat64.
 func PutFloat64(s []float64) { f64Arena.put(s) }
+
+// GetInt64 returns a zero-length []int64 with capacity >= capHint.
+func GetInt64(capHint int) []int64 { return i64Arena.get(capHint) }
+
+// PutInt64 recycles a buffer obtained from GetInt64.
+func PutInt64(s []int64) { i64Arena.put(s) }
 
 // GetInt32 returns a zero-length []int32 with capacity >= capHint.
 func GetInt32(capHint int) []int32 { return i32Arena.get(capHint) }

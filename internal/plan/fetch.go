@@ -66,13 +66,11 @@ func (o *FetchOp) Execute(ectx *engine.Ctx, cat *table.Catalog, inputs []*engine
 	}
 	cols := make([]column.Column, len(o.Cols))
 	for i, name := range o.Cols {
-		c, err := t.Column(name)
-		if err != nil {
+		if cols[i], err = t.Column(name); err != nil {
 			return nil, err
 		}
-		cols[i] = engine.Gather(ectx, c, pos)
 	}
-	return engine.NewBatch(cols...)
+	return engine.NewBatch(engine.GatherAll(ectx, cols, pos)...)
 }
 
 // IntersectOp intersects two sorted "<table>.rowid" position columns — the

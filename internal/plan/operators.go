@@ -198,13 +198,11 @@ func (o *ScanOp) MaterializeResult(ectx *engine.Ctx, cat *table.Catalog, pos col
 	}
 	cols := make([]column.Column, len(o.Cols))
 	for i, name := range o.Cols {
-		c, err := t.Column(name)
-		if err != nil {
+		if cols[i], err = t.Column(name); err != nil {
 			return nil, err
 		}
-		cols[i] = engine.Gather(ectx, c, pos)
 	}
-	return engine.NewBatch(cols...)
+	return engine.NewBatch(engine.GatherAll(ectx, cols, pos)...)
 }
 
 // FilterOp filters an intermediate batch with a predicate.
