@@ -263,8 +263,8 @@ func BenchmarkMicroJoin(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.LeftPos) != microKernelRows {
-			b.Fatalf("join produced %d pairs", len(res.LeftPos))
+		if res.NumRows() != microKernelRows {
+			b.Fatalf("join produced %d pairs", res.NumRows())
 		}
 	}
 }
@@ -302,7 +302,7 @@ func BenchmarkMicroFilter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pos) == 0 {
+		if pos.Len() == 0 {
 			b.Fatal("filter selected nothing")
 		}
 	}
@@ -419,8 +419,8 @@ func BenchmarkMicroCompressedFilter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pos) != 16*128 {
-			b.Fatalf("compressed filter selected %d rows", len(pos))
+		if pos.Len() != 16*128 {
+			b.Fatalf("compressed filter selected %d rows", pos.Len())
 		}
 	}
 }
@@ -438,8 +438,8 @@ func BenchmarkMicroDecompressFilter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pos) != 16*128 {
-			b.Fatalf("decompressed filter selected %d rows", len(pos))
+		if pos.Len() != 16*128 {
+			b.Fatalf("decompressed filter selected %d rows", pos.Len())
 		}
 	}
 }
@@ -495,8 +495,8 @@ func BenchmarkMicroCompressedJoin(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.LeftPos) != microCompressedRows {
-			b.Fatalf("bridge join produced %d pairs", len(res.LeftPos))
+		if res.NumRows() != microCompressedRows {
+			b.Fatalf("bridge join produced %d pairs", res.NumRows())
 		}
 	}
 }
@@ -551,12 +551,14 @@ func microGatherData() {
 	microGatherOnce.Do(func() {
 		rng := rand.New(rand.NewSource(7))
 		vals := make([]int64, microGatherRows)
+		var pos []int32
 		for i := range vals {
 			vals[i] = int64(rng.Intn(4096))
 			if rng.Intn(10) == 0 {
-				microGatherPos = append(microGatherPos, int32(i))
+				pos = append(pos, int32(i))
 			}
 		}
+		microGatherPos = column.Ascending(pos)
 		microGatherPlain = column.NewInt64("fk", vals)
 		microGatherPacked = column.CompressInt64(microGatherPlain)
 		dk := make([]int64, 4096)
@@ -572,8 +574,8 @@ func benchGather(b *testing.B, c column.Column, pos column.PosList) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := engine.Gather(ctx, c, pos); out.Len() != len(pos) {
-			b.Fatalf("gathered %d rows, want %d", out.Len(), len(pos))
+		if out := engine.Gather(ctx, c, pos); out.Len() != pos.Len() {
+			b.Fatalf("gathered %d rows, want %d", out.Len(), pos.Len())
 		}
 	}
 }
@@ -609,8 +611,8 @@ func benchProbe(b *testing.B, fk column.Column) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.RightPos) != microGatherRows {
-			b.Fatalf("join produced %d pairs", len(res.RightPos))
+		if res.NumRows() != microGatherRows {
+			b.Fatalf("join produced %d pairs", res.NumRows())
 		}
 	}
 }

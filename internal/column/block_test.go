@@ -63,7 +63,7 @@ func TestGatherRangeViews(t *testing.T) {
 		vals[i] = int64(i % 37)
 		strs[i] = string(rune('a' + i%5))
 	}
-	pos := All(len(vals))[256:901]
+	pos := Range(256, 901).Explicit()
 	for _, c := range []Column{NewInt64("i", vals), NewString("s", strs), CompressRLE("r", vals),
 		CompressInt64(NewInt64("p", vals))} {
 		v, ok := GatherRange(c, 256, 901)

@@ -1,7 +1,6 @@
 package column
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -125,92 +124,5 @@ func TestStringColumnBytesIncludesDict(t *testing.T) {
 	// 2 rows * 4 bytes codes + 4 bytes dictionary characters.
 	if c.Bytes() != 2*4+4 {
 		t.Fatalf("Bytes() = %d", c.Bytes())
-	}
-}
-
-func TestAll(t *testing.T) {
-	p := All(4)
-	if len(p) != 4 || p[0] != 0 || p[3] != 3 {
-		t.Fatalf("All(4) = %v", p)
-	}
-	if p.Bytes() != 16 {
-		t.Fatalf("Bytes = %d", p.Bytes())
-	}
-}
-
-func sortedSubset(rng *rand.Rand, n int) PosList {
-	var p PosList
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 0 {
-			p = append(p, int32(i))
-		}
-	}
-	return p
-}
-
-func TestIntersectUnionAgainstMaps(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		a := sortedSubset(rng, 50)
-		b := sortedSubset(rng, 50)
-		inA := make(map[int32]bool)
-		for _, x := range a {
-			inA[x] = true
-		}
-		inB := make(map[int32]bool)
-		for _, x := range b {
-			inB[x] = true
-		}
-		var wantI, wantU PosList
-		for i := int32(0); i < 50; i++ {
-			if inA[i] && inB[i] {
-				wantI = append(wantI, i)
-			}
-			if inA[i] || inB[i] {
-				wantU = append(wantU, i)
-			}
-		}
-		gotI := a.Intersect(b)
-		gotU := a.Union(b)
-		if len(gotI) != len(wantI) {
-			t.Fatalf("intersect size: got %d want %d", len(gotI), len(wantI))
-		}
-		for i := range gotI {
-			if gotI[i] != wantI[i] {
-				t.Fatalf("intersect mismatch at %d", i)
-			}
-		}
-		if len(gotU) != len(wantU) {
-			t.Fatalf("union size: got %d want %d", len(gotU), len(wantU))
-		}
-		for i := range gotU {
-			if gotU[i] != wantU[i] {
-				t.Fatalf("union mismatch at %d", i)
-			}
-		}
-	}
-}
-
-// Property: Intersect and Union preserve sortedness and set semantics.
-func TestPosListProperties(t *testing.T) {
-	gen := func(seed int64) (PosList, PosList) {
-		rng := rand.New(rand.NewSource(seed))
-		return sortedSubset(rng, 100), sortedSubset(rng, 100)
-	}
-	f := func(seed int64) bool {
-		a, b := gen(seed)
-		i := a.Intersect(b)
-		u := a.Union(b)
-		if !sort.SliceIsSorted(i, func(x, y int) bool { return i[x] < i[y] }) {
-			return false
-		}
-		if !sort.SliceIsSorted(u, func(x, y int) bool { return u[x] < u[y] }) {
-			return false
-		}
-		// |A ∪ B| + |A ∩ B| = |A| + |B| for sets.
-		return len(u)+len(i) == len(a)+len(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -167,8 +167,8 @@ func fuzzPositions(rng *rand.Rand, n int, mode uint8, data []byte) []int32 {
 	return pos
 }
 
-func bruteScan(vals []int64, match func(int64) bool) PosList {
-	out := PosList{}
+func bruteScan(vals []int64, match func(int64) bool) []int32 {
+	out := []int32{}
 	for i, x := range vals {
 		if match(x) {
 			out = append(out, int32(i))
@@ -262,13 +262,13 @@ func FuzzPackedGather(f *testing.F) {
 		}
 		for _, v := range probes {
 			for op := ScanEQ; op <= ScanGE; op++ {
-				got := view.ScanCmp(op, v, PosList{})
+				got := view.ScanCmp(op, v, []int32{})
 				if want := bruteScan(window, func(x int64) bool { return cmpMatches(op, x, v) }); !slices.Equal(got, want) {
 					t.Fatalf("ScanCmp(op %d, %d): %d positions, want %d", op, v, len(got), len(want))
 				}
 			}
 			rlo, rhi := min(v, probe), max(v, probe)
-			got := view.ScanRange(rlo, rhi, PosList{})
+			got := view.ScanRange(rlo, rhi, []int32{})
 			if want := bruteScan(window, func(x int64) bool { return x >= rlo && x <= rhi }); !slices.Equal(got, want) {
 				t.Fatalf("ScanRange(%d, %d): %d positions, want %d", rlo, rhi, len(got), len(want))
 			}

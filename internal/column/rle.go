@@ -124,7 +124,7 @@ func (c *RLEInt64Column) Decompress() *Int64Column {
 
 // ScanCmp appends the local positions satisfying (value op v) to out,
 // deciding each run with a single comparison.
-func (c *RLEInt64Column) ScanCmp(op ScanOp, v int64, out PosList) PosList {
+func (c *RLEInt64Column) ScanCmp(op ScanOp, v int64, out []int32) []int32 {
 	c.Runs(0, c.length, func(rv int64, lo, hi int) {
 		if cmpMatches(op, rv, v) {
 			for i := lo; i < hi; i++ {
@@ -136,7 +136,7 @@ func (c *RLEInt64Column) ScanCmp(op ScanOp, v int64, out PosList) PosList {
 }
 
 // ScanRange appends the local positions with lo ≤ value ≤ hi to out.
-func (c *RLEInt64Column) ScanRange(lo, hi int64, out PosList) PosList {
+func (c *RLEInt64Column) ScanRange(lo, hi int64, out []int32) []int32 {
 	c.Runs(0, c.length, func(rv int64, rlo, rhi int) {
 		if rv >= lo && rv <= hi {
 			for i := rlo; i < rhi; i++ {

@@ -123,7 +123,7 @@ func TestRLEGatherPreservesEncoding(t *testing.T) {
 	vals := rleTestValues(4, 500)
 	c := CompressRLE("g", vals)
 	rng := rand.New(rand.NewSource(5))
-	pos := make(PosList, 300)
+	pos := make([]int32, 300)
 	for i := range pos {
 		pos[i] = int32(rng.Intn(len(vals)))
 	}
@@ -141,7 +141,7 @@ func TestRLEGatherPreservesEncoding(t *testing.T) {
 	}
 	// Through a view: positions are view-local.
 	s := c.Slice(50, 450)
-	vg := s.Gather(PosList{0, 0, 399, 200})
+	vg := s.Gather([]int32{0, 0, 399, 200})
 	want := []int64{vals[50], vals[50], vals[449], vals[250]}
 	for i, wv := range want {
 		if got := vg.(*RLEInt64Column).Value(i); got != wv {
@@ -164,7 +164,7 @@ func TestRLEScanAgainstBruteForce(t *testing.T) {
 		}
 		for _, v := range []int64{-1, 0, 3, 4, 8, 9} {
 			for op := ScanEQ; op <= ScanGE; op++ {
-				var want PosList
+				var want []int32
 				for i := 0; i < col.Len(); i++ {
 					if cmpMatches(op, vals[base+i], v) {
 						want = append(want, int32(i))
@@ -177,7 +177,7 @@ func TestRLEScanAgainstBruteForce(t *testing.T) {
 			}
 		}
 		for _, r := range [][2]int64{{0, 8}, {2, 5}, {5, 2}, {-10, -1}, {7, 7}} {
-			var want PosList
+			var want []int32
 			for i := 0; i < col.Len(); i++ {
 				if x := vals[base+i]; x >= r[0] && x <= r[1] {
 					want = append(want, int32(i))

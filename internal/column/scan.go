@@ -138,7 +138,7 @@ func (s *packed) spans(fn func(bi, j, local, span int)) {
 }
 
 // appendRange appends the positions [lo, lo+n) to out.
-func appendRange(out PosList, lo, n int) PosList {
+func appendRange(out []int32, lo, n int) []int32 {
 	for i := 0; i < n; i++ {
 		out = append(out, int32(lo+i))
 	}
@@ -148,7 +148,7 @@ func appendRange(out PosList, lo, n int) PosList {
 // ScanCmp appends the local positions satisfying (value op v) to out. Blocks
 // classified all/none are emitted or skipped without touching their packed
 // words.
-func (s *packed) ScanCmp(op ScanOp, v int64, out PosList) PosList {
+func (s *packed) ScanCmp(op ScanOp, v int64, out []int32) []int32 {
 	var vals [blockSize]int64
 	s.spans(func(bi, j, local, span int) {
 		h := &s.hdr[bi]
@@ -168,7 +168,7 @@ func (s *packed) ScanCmp(op ScanOp, v int64, out PosList) PosList {
 }
 
 // ScanRange appends the local positions with lo ≤ value ≤ hi to out.
-func (s *packed) ScanRange(lo, hi int64, out PosList) PosList {
+func (s *packed) ScanRange(lo, hi int64, out []int32) []int32 {
 	if lo > hi {
 		return out
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // bruteCmp is the value-at-a-time reference for ScanCmp.
-func bruteCmp(vals []int64, op ScanOp, v int64) PosList {
-	var out PosList
+func bruteCmp(vals []int64, op ScanOp, v int64) []int32 {
+	var out []int32
 	for i, x := range vals {
 		if cmpMatches(op, x, v) {
 			out = append(out, int32(i))
@@ -59,7 +59,7 @@ func TestScanRangeAgainstBruteForce(t *testing.T) {
 		{0, int64(n)}, {100, 50}, {-5, 5}, {math.MinInt64, math.MaxInt64}, {7, 7},
 	}
 	for _, r := range ranges {
-		var want PosList
+		var want []int32
 		for i, x := range vals {
 			if x >= r[0] && x <= r[1] {
 				want = append(want, int32(i))
@@ -106,7 +106,7 @@ func TestScanWidth64Blocks(t *testing.T) {
 			}
 		}
 	}
-	want := bruteCmp(vals, ScanGE, 0).Intersect(bruteCmp(vals, ScanLE, math.MaxInt64))
+	want := bruteCmp(vals, ScanGE, 0) // every value is ≤ MaxInt64
 	got := c.ScanRange(0, math.MaxInt64, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("width-64 ScanRange: %d positions, want %d", len(got), len(want))
@@ -137,7 +137,7 @@ func TestScanThroughViews(t *testing.T) {
 				}
 			}
 		}
-		want := PosList(nil)
+		want := []int32(nil)
 		for i, x := range window {
 			if x >= 100 && x <= 800 {
 				want = append(want, int32(i))
@@ -162,7 +162,7 @@ func TestScanDateColumns(t *testing.T) {
 	c := CompressDate(NewDate("d", vals))
 	for _, v := range []int64{20200101, 20200180, 20200465, 0} {
 		for op := ScanEQ; op <= ScanGE; op++ {
-			var want PosList
+			var want []int32
 			for i, x := range vals {
 				if cmpMatches(op, int64(x), v) {
 					want = append(want, int32(i))

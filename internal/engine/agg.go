@@ -201,7 +201,7 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 
 	// Materialize: key columns gathered at group representatives, aggregates
 	// from the accumulators.
-	repr := make(column.PosList, len(order))
+	repr := make([]int32, len(order))
 	for i, k := range order {
 		repr[i] = groups[k].firstRow
 	}

@@ -95,7 +95,7 @@ func TestProjectExtendGather(t *testing.T) {
 	if _, err := b.Extend(column.NewInt64("id", []int64{9, 9, 9, 9})); err == nil {
 		t.Fatal("Extend with duplicate name should fail")
 	}
-	g := b.Gather(column.PosList{3, 0})
+	g := b.Gather(column.Positions([]int32{3, 0}))
 	if g.NumRows() != 2 || g.MustColumn("id").(*column.Int64Column).Values[0] != 4 {
 		t.Fatal("Gather wrong")
 	}
@@ -107,8 +107,8 @@ func TestFilterAndSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pos) != 3 || pos[0] != 1 {
-		t.Fatalf("Filter = %v", pos)
+	if pos.Len() != 3 || pos.Explicit()[0] != 1 {
+		t.Fatalf("Filter = %v", pos.Explicit())
 	}
 	sel, err := Select(nil, b, expr.NewCmp("city", expr.EQ, "b"))
 	if err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"robustdb/internal/column"
 	"robustdb/internal/par"
@@ -15,7 +16,7 @@ type JoinResult struct {
 }
 
 // NumRows returns the number of join matches.
-func (r *JoinResult) NumRows() int { return len(r.LeftPos) }
+func (r *JoinResult) NumRows() int { return r.LeftPos.Len() }
 
 // keyReader reads rows [lo, hi) of a join key column as int64 keys: a view of
 // the column where it stores int64s, otherwise decoded a block at a time (or
@@ -31,28 +32,30 @@ type keyReader func(lo, hi int, scratch []int64) []int64
 // once — build-side codes translate into the probe side's code domain, with
 // −1 marking build values absent from the probe dictionary (−1 never equals
 // a probe code, so unmatched build rows simply find no partner). String
-// joins therefore never materialize or hash a single string.
-func joinKeyReaders(build, probe column.Column) (keyReader, keyReader, error) {
+// joins therefore never materialize or hash a single string. bridged reports
+// that build keys went through such a bridge, and so that a negative one is
+// no key at all.
+func joinKeyReaders(build, probe column.Column) (bk, pk keyReader, bridged bool, err error) {
 	bs, bok := build.(*column.StringColumn)
 	ps, pok := probe.(*column.StringColumn)
 	if bok != pok {
-		return nil, nil, fmt.Errorf("join: cannot join %s (%T) with %s (%T)",
+		return nil, nil, false, fmt.Errorf("join: cannot join %s (%T) with %s (%T)",
 			build.Name(), build, probe.Name(), probe)
 	}
 	if !bok {
 		br, ok := column.Reader[int64](build)
 		if !ok {
-			return nil, nil, fmt.Errorf("join: unsupported key column type %T (%s)", build, build.Name())
+			return nil, nil, false, fmt.Errorf("join: unsupported key column type %T (%s)", build, build.Name())
 		}
 		pr, ok := column.Reader[int64](probe)
 		if !ok {
-			return nil, nil, fmt.Errorf("join: unsupported key column type %T (%s)", probe, probe.Name())
+			return nil, nil, false, fmt.Errorf("join: unsupported key column type %T (%s)", probe, probe.Name())
 		}
-		return br, pr, nil
+		return br, pr, false, nil
 	}
 	if len(bs.Dict) == len(ps.Dict) && (len(bs.Dict) == 0 || &bs.Dict[0] == &ps.Dict[0]) {
 		// Shared dictionary: one code domain on both sides.
-		return codeReader(bs.Codes, nil), codeReader(ps.Codes, nil), nil
+		return codeReader(bs.Codes, nil), codeReader(ps.Codes, nil), false, nil
 	}
 	bridge := make([]int64, len(bs.Dict))
 	for c, s := range bs.Dict {
@@ -62,7 +65,7 @@ func joinKeyReaders(build, probe column.Column) (keyReader, keyReader, error) {
 			bridge[c] = -1
 		}
 	}
-	return codeReader(bs.Codes, bridge), codeReader(ps.Codes, nil), nil
+	return codeReader(bs.Codes, bridge), codeReader(ps.Codes, nil), true, nil
 }
 
 // sized returns scratch with length n, reallocated if its capacity is short.
@@ -95,79 +98,161 @@ const fibMul = 0x9E3779B97F4A7C15
 
 func fibHash(k int64) uint64 { return uint64(k) * fibMul }
 
-// joinPartitionBits selects 2^4 = 16 partitions for inputs large enough to
-// parallelize; below the morsel grain a single partition avoids all
+// joinPartitionBits selects 2^4 = 16 partitions for hash-layout inputs large
+// enough to parallelize; below the morsel grain a single partition avoids all
 // partitioning overhead. The partition count depends only on the input size,
-// so the table layout — and therefore match order — is identical at every
-// worker count.
+// so the table — and therefore match order — is identical at every worker
+// count.
 const joinPartitionBits = 4
 
-// joinPart is one partition of the build table: an open-addressing
-// (linear-probe, power-of-two) index from key to a chain of build rows.
-// Chains list build rows in ascending order, which makes the probe emit
-// matches in exactly the order the previous map-based join (and the
-// NestedLoopJoin reference) produced.
+// The density rule: a direct-address table spends a zeroed slot on every
+// value of the key domain and saves each build row its hashing, partitioning
+// and insertion and each probe row a multiply, a partition lookup and a
+// compare-and-step loop, so the domain may be as wide as
+// directSlotsPerBuildRow slots a build row plus directSlotsPerProbeRow a
+// probe row. The constants are the lower ends of the break-even the sweep of
+// DESIGN.md §19 found (32–64 and 2–4); BenchmarkJoinLayout keeps a case on
+// each side.
+const (
+	directSlotsPerBuildRow = 32
+	directSlotsPerProbeRow = 2
+)
+
+// joinLayout is how buildJoinTable arranges the table. Callers pass
+// layoutAuto; tests force the other two to hold them to each other.
+type joinLayout uint8
+
+const (
+	layoutAuto joinLayout = iota // by the density rule
+	layoutDirect
+	layoutHash
+)
+
+// joinPart is one partition of the hash layout: an open-addressing
+// (linear-probe, power-of-two) index from key to the first build row of the
+// key's chain.
 type joinPart struct {
 	shift uint    // hash right-shift for the slot index
 	mask  uint32  // slot mask (power-of-two size − 1)
-	key   []int64 // slot → key, valid where head ≥ 0
-	head  []int32 // slot → first chain entry, −1 when the slot is empty
-	next  []int32 // chain entry → next entry with the same key, −1 at end
-	rows  []int32 // chain entry → build row
+	key   []int64 // slot → key, valid where head ≠ 0
+	head  []int32 // slot → first build row of the key + 1, 0 when empty
+	dup   bool    // some key of the partition occurs twice
 }
 
-// lookup returns the first chain entry for key k (with h = fibHash(k)), or
-// −1 when the key is absent. The load factor is kept ≤ 0.5, so probing always
+// first returns the first build row + 1 for key k (with h = fibHash(k)), or
+// 0 when the key is absent. The load factor is kept ≤ 0.5, so probing always
 // terminates at an empty slot.
-func (p *joinPart) lookup(k int64, h uint64) int32 {
-	if len(p.head) == 0 {
-		return -1
-	}
+func (p *joinPart) first(k int64, h uint64) int32 {
 	s := uint32(h>>p.shift) & p.mask
 	for {
 		c := p.head[s]
-		if c < 0 {
-			return -1
-		}
-		if p.key[s] == k {
+		if c == 0 || p.key[s] == k {
 			return c
 		}
 		s = (s + 1) & p.mask
 	}
 }
 
+// joinTable maps a key to the chain of build rows that hold it, in one of
+// two layouts chosen when it is built. Rows are stored + 1 throughout, so
+// that 0 is "none" and freshly allocated arrays need no fill. Chains list
+// build rows in ascending order, which makes the probe emit matches in
+// exactly the order the NestedLoopJoin reference produces — in both layouts,
+// because neither the direct slots nor the hash slots decide anything but
+// where a chain starts.
 type joinTable struct {
+	// Direct layout (parts == nil): head[k − min] starts key k's chain. The
+	// slot at index last belongs to no key and stays 0; keys outside the
+	// domain are clamped onto it (k − min is taken unsigned, so keys below
+	// min land far above).
+	min  uint64
+	last uint64
+	head []int32
+	// Hash layout: 1 << pbits partitions by the top hash bits.
 	pbits uint
 	parts []joinPart
+
+	next   []int32 // build row → next build row with the same key + 1, 0 at the end
+	unique bool    // no key occurs twice: every chain is one row long, next is unused
 }
 
-func (t *joinTable) partOf(h uint64) *joinPart {
-	if t.pbits == 0 {
-		return &t.parts[0]
+// buildJoinTable constructs the build-side table over rows [0, n) read
+// through key, for a probe side of probeRows rows. With dropNegative, rows
+// with a negative key — the bridge's "absent from the probe dictionary" — are
+// left out of the table and of the domain. Every parallel phase writes
+// disjoint index ranges and the direct scatter is serial, so the finished
+// table is byte-identical regardless of worker count.
+func buildJoinTable(ctx *Ctx, key keyReader, n, probeRows int, dropNegative bool, layout joinLayout) *joinTable {
+	// Hoist the keys once, and find the domain they span.
+	keys := make([]int64, n)
+	ctx.forEachMorselNoErr(n, func(_, lo, hi int) {
+		copy(keys[lo:hi], key(lo, hi, keys[lo:lo:hi])) // decoded in place, or copied from the column
+	})
+	mn, mx, rows := int64(math.MaxInt64), int64(math.MinInt64), 0
+	for _, k := range keys {
+		if !dropNegative || k >= 0 {
+			mn, mx, rows = min(mn, k), max(mx, k), rows+1
+		}
 	}
-	return &t.parts[h>>(64-t.pbits)]
+	if rows == 0 {
+		return &joinTable{head: make([]int32, 1), unique: true}
+	}
+	// The width is computed unsigned: keys near both ends of int64 span more
+	// than int64 holds, and must fall to the hash layout, not wrap.
+	width := uint64(mx) - uint64(mn)
+	if layout == layoutAuto {
+		layout = layoutHash
+		if width < directSlotsPerBuildRow*uint64(rows)+directSlotsPerProbeRow*uint64(probeRows) {
+			layout = layoutDirect
+		}
+	}
+	if layout == layoutDirect {
+		return buildDirect(keys, mn, width, dropNegative)
+	}
+	return buildHashed(ctx, keys, dropNegative)
 }
 
-// buildJoinTable constructs the partitioned build-side table. The three
-// phases (count, scatter, per-partition insert) each fan out over disjoint
-// index ranges, and partition contents are laid out in global row order, so
-// the finished table is byte-identical regardless of worker count.
-func buildJoinTable(ctx *Ctx, key keyReader, n int) *joinTable {
+// buildDirect scatters the build rows into one slot per key of the domain.
+// Walking the rows downwards and prepending leaves every chain ascending.
+func buildDirect(keys []int64, mn int64, width uint64, dropNegative bool) *joinTable {
+	t := &joinTable{min: uint64(mn), last: width + 1, head: make([]int32, width+2), unique: true}
+	for i := len(keys) - 1; i >= 0; i-- {
+		k := keys[i]
+		if dropNegative && k < 0 {
+			continue
+		}
+		s := uint64(k) - uint64(mn)
+		if t.head[s] != 0 {
+			if t.unique {
+				t.unique, t.next = false, make([]int32, len(keys))
+			}
+			t.next[i] = t.head[s]
+		}
+		t.head[s] = int32(i + 1)
+	}
+	return t
+}
+
+// buildHashed builds the partitioned open-addressing layout: count rows per
+// (morsel, partition), scatter the rows to their partitions in global row
+// order, then index each partition on its own.
+func buildHashed(ctx *Ctx, keys []int64, dropNegative bool) *joinTable {
+	n := len(keys)
 	var pbits uint
 	if n > par.DefaultMorselRows {
 		pbits = joinPartitionBits
 	}
 	numParts := 1 << pbits
-	t := &joinTable{pbits: pbits, parts: make([]joinPart, numParts)}
+	t := &joinTable{pbits: pbits, parts: make([]joinPart, numParts), next: make([]int32, n)}
 
-	// Phase 1: hoist keys once and count rows per (morsel, partition).
-	keys := make([]int64, n)
 	numMorsels := par.Morsels(n)
 	counts := make([][]int32, numMorsels)
 	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
 		cnt := make([]int32, numParts)
-		copy(keys[lo:hi], key(lo, hi, keys[lo:lo:hi])) // decoded in place, or copied from the column
 		for _, k := range keys[lo:hi] {
+			if dropNegative && k < 0 {
+				continue
+			}
 			cnt[fibHash(k)>>(64-pbits)]++
 		}
 		counts[mi] = cnt
@@ -175,36 +260,39 @@ func buildJoinTable(ctx *Ctx, key keyReader, n int) *joinTable {
 
 	// Prefix-sum the counts into scatter offsets: partition p receives its
 	// rows morsel by morsel, i.e. in ascending global row order.
-	for p := 0; p < numParts; p++ {
+	rows := make([][]int32, numParts)
+	for p := range rows {
 		var run int32
-		for mi := 0; mi < numMorsels; mi++ {
+		for mi := range counts {
 			c := counts[mi][p]
 			counts[mi][p] = run
 			run += c
 		}
-		t.parts[p].rows = make([]int32, run)
+		rows[p] = make([]int32, run)
 	}
 
-	// Phase 2: scatter rows into their partitions. Each (morsel, partition)
-	// pair writes a disjoint region, so the fan-out is race-free.
+	// Each (morsel, partition) pair writes a disjoint region, so the fan-out
+	// is race-free.
 	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
 		off := counts[mi]
 		for i := lo; i < hi; i++ {
+			if dropNegative && keys[i] < 0 {
+				continue
+			}
 			p := fibHash(keys[i]) >> (64 - pbits)
-			t.parts[p].rows[off[p]] = int32(i)
+			rows[p][off[p]] = int32(i)
 			off[p]++
 		}
 	})
 
-	// Phase 3: build each partition's open-addressing index. Inserting in
-	// descending chain order with prepends leaves every per-key chain in
-	// ascending build-row order.
+	// Index each partition. Inserting its rows downwards with prepends
+	// leaves every per-key chain in ascending build-row order; a row belongs
+	// to one partition, so the writes to next are disjoint too.
 	ctx.forEachNNoErr(numParts, func(p int) {
 		part := &t.parts[p]
-		nrows := len(part.rows)
 		slots := 8
 		var slotBits uint = 3
-		for slots < 2*nrows { // load factor ≤ 0.5
+		for slots < 2*len(rows[p]) { // load factor ≤ 0.5
 			slots <<= 1
 			slotBits++
 		}
@@ -212,117 +300,161 @@ func buildJoinTable(ctx *Ctx, key keyReader, n int) *joinTable {
 		part.shift = 64 - pbits - slotBits
 		part.key = make([]int64, slots)
 		part.head = make([]int32, slots)
-		for s := range part.head {
-			part.head[s] = -1
-		}
-		part.next = make([]int32, nrows)
-		for c := nrows - 1; c >= 0; c-- {
-			k := keys[part.rows[c]]
+		for c := len(rows[p]) - 1; c >= 0; c-- {
+			row := rows[p][c]
+			k := keys[row]
 			s := uint32(fibHash(k)>>part.shift) & part.mask
-			for {
-				if part.head[s] < 0 {
-					part.key[s] = k
-					part.head[s] = int32(c)
-					part.next[c] = -1
-					break
-				}
-				if part.key[s] == k {
-					part.next[c] = part.head[s]
-					part.head[s] = int32(c)
-					break
-				}
+			for part.head[s] != 0 && part.key[s] != k {
 				s = (s + 1) & part.mask
 			}
+			if part.head[s] != 0 {
+				part.dup = true
+			}
+			part.key[s], t.next[row], part.head[s] = k, part.head[s], row+1
 		}
 	})
+	t.unique = true
+	for p := range t.parts {
+		t.unique = t.unique && !t.parts[p].dup
+	}
 	return t
 }
 
+// first returns the first build row + 1 of key k's chain, 0 when absent.
+// The direct arm is one subtraction, one clamp and one load, and inlines
+// into the probe loops.
+func (t *joinTable) first(k int64) int32 {
+	if t.parts == nil {
+		return t.head[min(uint64(k)-t.min, t.last)]
+	}
+	return t.hashed(k)
+}
+
+// hashed is first for the hash layout, kept out of line so that first fits
+// the inlining budget.
+//
+//go:noinline
+func (t *joinTable) hashed(k int64) int32 {
+	h := fibHash(k)
+	return t.parts[h>>(64-t.pbits)].first(k, h)
+}
+
+// probe appends the matches of keys — the probe rows base, base+1, … — to
+// the two buffers, which hold len(keys) positions each: build rows to lout,
+// probe rows to rout.
+func (t *joinTable) probe(keys []int64, base int, lout, rout []int32) ([]int32, []int32) {
+	if !t.unique {
+		for i, k := range keys {
+			for c := t.first(k); c != 0; c = t.next[c-1] {
+				lout = append(lout, c-1)
+				rout = append(rout, int32(base+i))
+			}
+		}
+		return lout, rout
+	}
+	// At most one match a probe row: every row is written where the next
+	// match belongs, and the count moves on only past a match — no branch
+	// for the processor to mispredict on a half-selective dimension.
+	lout, rout = lout[:len(keys)], rout[:len(keys)]
+	cnt := 0
+	for i, k := range keys {
+		c := t.first(k)
+		lout[cnt], rout[cnt] = c-1, int32(base+i)
+		cnt += int(uint32(-c) >> 31)
+	}
+	return lout[:cnt], rout[:cnt]
+}
+
+// semiProbe appends to out, which holds len(keys) positions, the probe rows
+// among base, base+1, … whose key the table has.
+func (t *joinTable) semiProbe(keys []int64, base int, out []int32) []int32 {
+	out = out[:len(keys)]
+	cnt := 0
+	for i, k := range keys {
+		out[cnt] = int32(base + i)
+		cnt += int(uint32(-t.first(k)) >> 31)
+	}
+	return out[:cnt]
+}
+
+// equiJoin is HashJoin and SemiJoin: it probes the table built on
+// build.buildKey with every row of probe.probeKey, a morsel per task into
+// pooled buffers, and stitches the matches in morsel (= probe) order. A semi
+// join keeps each matching probe row once and returns no build rows.
+func equiJoin(ctx *Ctx, what string, build *Batch, buildKey string, probe *Batch, probeKey string, semi bool, layout joinLayout) (left, right column.PosList, err error) {
+	bk, err := build.Column(buildKey)
+	if err != nil {
+		return left, right, fmt.Errorf("%s build side: %w", what, err)
+	}
+	pk, err := probe.Column(probeKey)
+	if err != nil {
+		return left, right, fmt.Errorf("%s probe side: %w", what, err)
+	}
+	n := pk.Len()
+	if bk.Len() > math.MaxInt32 || n > math.MaxInt32 {
+		return left, right, fmt.Errorf("%s: %d build and %d probe rows, int32 positions cannot address them", what, bk.Len(), n)
+	}
+	bkeys, pkeys, bridged, err := joinKeyReaders(bk, pk)
+	if err != nil || bk.Len() == 0 || n == 0 {
+		return left, right, err
+	}
+	ht := buildJoinTable(ctx, bkeys, bk.Len(), n, bridged, layout)
+
+	m := par.Morsels(n)
+	perL, perR := make([][]int32, m), make([][]int32, m)
+	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
+		scratch := par.GetInt64(hi - lo)
+		keys := pkeys(lo, hi, scratch)
+		if semi {
+			perR[mi] = ht.semiProbe(keys, lo, par.GetInt32(hi-lo))
+		} else {
+			perL[mi], perR[mi] = ht.probe(keys, lo, par.GetInt32(hi-lo), par.GetInt32(hi-lo))
+		}
+		par.PutInt64(scratch)
+	})
+	total := 0
+	for _, r := range perR {
+		total += len(r)
+	}
+	// Probe rows that matched at most once each and n times in all are the
+	// rows 0 … n−1: the range says so without a list being written.
+	if total == n && (semi || ht.unique) {
+		right = column.Range(0, n)
+	} else {
+		right = stitch(perR, total)
+	}
+	if !semi {
+		left = stitch(perL, total)
+	}
+	for mi := range perR {
+		par.PutInt32(perL[mi])
+		par.PutInt32(perR[mi])
+	}
+	return left, right, nil
+}
+
+// stitch copies the per-morsel buffers, total positions in all, into one list.
+func stitch(per [][]int32, total int) column.PosList {
+	out := make([]int32, 0, total)
+	for _, s := range per {
+		out = append(out, s...)
+	}
+	return column.Positions(out)
+}
+
 // HashJoin computes the inner equi-join of left and right on
-// left.leftKey = right.rightKey. The hash table is built on the left
+// left.leftKey = right.rightKey. The table is built on the left
 // (conventionally the smaller, filtered dimension side) and probed with the
 // right. Matches preserve the probe order, like CoGaDB's join kernel; ties
 // on one probe row list build rows in ascending order. The result is
-// bit-identical at every worker count, including serial (nil ctx).
+// bit-identical at every worker count, including serial (nil ctx), and in
+// either table layout.
 func HashJoin(ctx *Ctx, left *Batch, leftKey string, right *Batch, rightKey string) (*JoinResult, error) {
-	lk, err := left.Column(leftKey)
-	if err != nil {
-		return nil, fmt.Errorf("hash join build side: %w", err)
-	}
-	rk, err := right.Column(rightKey)
-	if err != nil {
-		return nil, fmt.Errorf("hash join probe side: %w", err)
-	}
-	lkeys, rkeys, err := joinKeyReaders(lk, rk)
+	l, r, err := equiJoin(ctx, "hash join", left, leftKey, right, rightKey, false, layoutAuto)
 	if err != nil {
 		return nil, err
 	}
-	ht := buildJoinTable(ctx, lkeys, lk.Len())
-
-	n := rk.Len()
-	res := &JoinResult{}
-	if par.Morsels(n) <= 1 {
-		if n == 0 {
-			return res, nil
-		}
-		// Serial probe; preallocate from the probe-side cardinality estimate
-		// (≈ one match per probe row) instead of growing from nil.
-		res.LeftPos = make(column.PosList, 0, n)
-		res.RightPos = make(column.PosList, 0, n)
-		probeJoinRange(ht, rkeys, 0, n, &res.LeftPos, &res.RightPos)
-		if len(res.LeftPos) == 0 {
-			res.LeftPos, res.RightPos = nil, nil
-		}
-		return res, nil
-	}
-
-	// Parallel probe into arena-backed per-morsel buffers, stitched back in
-	// morsel (= probe) order.
-	numMorsels := par.Morsels(n)
-	perL := make([]column.PosList, numMorsels)
-	perR := make([]column.PosList, numMorsels)
-	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
-		lbuf := par.GetPos(hi - lo)
-		rbuf := par.GetPos(hi - lo)
-		probeJoinRange(ht, rkeys, lo, hi, &lbuf, &rbuf)
-		perL[mi], perR[mi] = lbuf, rbuf
-	})
-	total := 0
-	for _, s := range perL {
-		total += len(s)
-	}
-	if total == 0 {
-		for mi := range perL {
-			par.PutPos(perL[mi])
-			par.PutPos(perR[mi])
-		}
-		return res, nil
-	}
-	res.LeftPos = make(column.PosList, 0, total)
-	res.RightPos = make(column.PosList, 0, total)
-	for mi := range perL {
-		res.LeftPos = append(res.LeftPos, perL[mi]...)
-		res.RightPos = append(res.RightPos, perR[mi]...)
-		par.PutPos(perL[mi])
-		par.PutPos(perR[mi])
-	}
-	return res, nil
-}
-
-// probeJoinRange probes rows [lo, hi) of the probe side (at most a morsel)
-// against the table, appending matches to the position buffers. The keys of
-// the range are read once, into pooled scratch if they need decoding.
-func probeJoinRange(ht *joinTable, key keyReader, lo, hi int, lout, rout *column.PosList) {
-	scratch := par.GetInt64(hi - lo)
-	for i, k := range key(lo, hi, scratch) {
-		h := fibHash(k)
-		part := ht.partOf(h)
-		for c := part.lookup(k, h); c >= 0; c = part.next[c] {
-			*lout = append(*lout, part.rows[c])
-			*rout = append(*rout, int32(lo+i))
-		}
-	}
-	par.PutInt64(scratch)
+	return &JoinResult{LeftPos: l, RightPos: r}, nil
 }
 
 // SemiJoin returns the probe-side positions that have at least one build-side
@@ -330,60 +462,8 @@ func probeJoinRange(ht *joinTable, key keyReader, lo, hi int, lout, rout *column
 // of star schema plans: filter a dimension, semi-join the fact table's
 // foreign key.
 func SemiJoin(ctx *Ctx, build *Batch, buildKey string, probe *Batch, probeKey string) (column.PosList, error) {
-	bk, err := build.Column(buildKey)
-	if err != nil {
-		return nil, fmt.Errorf("semi join build side: %w", err)
-	}
-	pk, err := probe.Column(probeKey)
-	if err != nil {
-		return nil, fmt.Errorf("semi join probe side: %w", err)
-	}
-	bkeys, pkeys, err := joinKeyReaders(bk, pk)
-	if err != nil {
-		return nil, err
-	}
-	ht := buildJoinTable(ctx, bkeys, bk.Len())
-
-	n := pk.Len()
-	if par.Morsels(n) <= 1 {
-		var out column.PosList
-		semiJoinRange(ht, pkeys, 0, n, &out)
-		return out, nil
-	}
-	numMorsels := par.Morsels(n)
-	parts := make([]column.PosList, numMorsels)
-	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
-		buf := par.GetPos(hi - lo)
-		semiJoinRange(ht, pkeys, lo, hi, &buf)
-		parts[mi] = buf
-	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		for _, p := range parts {
-			par.PutPos(p)
-		}
-		return nil, nil
-	}
-	out := make(column.PosList, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-		par.PutPos(p)
-	}
-	return out, nil
-}
-
-func semiJoinRange(ht *joinTable, key keyReader, lo, hi int, out *column.PosList) {
-	scratch := par.GetInt64(hi - lo)
-	for i, k := range key(lo, hi, scratch) {
-		h := fibHash(k)
-		if ht.partOf(h).lookup(k, h) >= 0 {
-			*out = append(*out, int32(lo+i))
-		}
-	}
-	par.PutInt64(scratch)
+	_, pos, err := equiJoin(ctx, "semi join", build, buildKey, probe, probeKey, true, layoutAuto)
+	return pos, err
 }
 
 // NestedLoopJoin is the O(n·m) reference join used by tests to validate
@@ -398,21 +478,20 @@ func NestedLoopJoin(left *Batch, leftKey string, right *Batch, rightKey string) 
 	if err != nil {
 		return nil, err
 	}
-	lkeys, rkeys, err := joinKeyReaders(lk, rk)
+	lkeys, rkeys, _, err := joinKeyReaders(lk, rk)
 	if err != nil {
 		return nil, err
 	}
-	res := &JoinResult{}
+	var l, r []int32
 	buildKeys := lkeys(0, lk.Len(), nil)
 	for j, kj := range rkeys(0, rk.Len(), nil) {
 		for i, ki := range buildKeys {
 			if ki == kj {
-				res.LeftPos = append(res.LeftPos, int32(i))
-				res.RightPos = append(res.RightPos, int32(j))
+				l, r = append(l, int32(i)), append(r, int32(j))
 			}
 		}
 	}
-	return res, nil
+	return &JoinResult{LeftPos: column.Positions(l), RightPos: column.Positions(r)}, nil
 }
 
 // MaterializeJoin gathers the requested columns from both sides of a join

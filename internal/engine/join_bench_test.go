@@ -1,70 +1,63 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"robustdb/internal/column"
 )
 
-// benchJoinData builds fixed seeded join inputs: a 4Ki-row build side with
-// unique keys and a 128Ki-row probe side drawing from them.
-func benchJoinData(b *testing.B) (build, probe *Batch) {
-	b.Helper()
-	const nb, np = 4096, 1 << 17
-	rng := rand.New(rand.NewSource(7))
-	bk := make([]int64, nb)
-	for i := range bk {
-		bk[i] = int64(i)
+// benchDimKeys returns the 2 557 keys of a seven-year date dimension in three
+// spellings: dense, the surrogate keys 1 … n a dimension usually has; date,
+// SSB's d_datekey = yyyymmdd, whose domain 19920101 … 19981231 is 24 slots
+// wide for every key in it; and strided, every 256th integer, as when each
+// of 256 shards hands out the surrogate keys of its own residue class.
+func benchDimKeys() (dense, date, strided []int64) {
+	for d := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC); d.Year() < 1999; d = d.AddDate(0, 0, 1) {
+		n := int64(len(dense) + 1)
+		dense, strided = append(dense, n), append(strided, 256*n)
+		date = append(date, int64(d.Year()*10000+int(d.Month())*100+d.Day()))
 	}
-	pk := make([]int64, np)
-	for i := range pk {
-		pk[i] = int64(rng.Intn(nb))
-	}
-	return MustNewBatch(column.NewInt64("bk", bk)), MustNewBatch(column.NewInt64("pk", pk))
+	return dense, date, strided
 }
 
-// BenchmarkHashJoinOpenAddressing measures the production join kernel —
-// partitioned open addressing with linear probing — single-threaded (nil
-// ctx), so the delta against BenchmarkHashJoinMapReference isolates the
-// hash-table layout, not parallelism.
-func BenchmarkHashJoinOpenAddressing(b *testing.B) {
-	build, probe := benchJoinData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := HashJoin(nil, build, "bk", probe, "pk")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.LeftPos) != probe.NumRows() {
-			b.Fatalf("join produced %d pairs", len(res.LeftPos))
-		}
-	}
-}
-
-// BenchmarkHashJoinMapReference is the pre-refactor design kept as a
-// reference: a Go map[int64][]int32 build and a per-row append probe. The
-// EXPERIMENTS.md speedup claim for the open-addressing kernel is the ratio
-// of these two benchmarks.
-func BenchmarkHashJoinMapReference(b *testing.B) {
-	build, probe := benchJoinData(b)
-	bkey := build.MustColumn("bk").(*column.Int64Column).Values
-	pkey := probe.MustColumn("pk").(*column.Int64Column).Values
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ht := make(map[int64][]int32, len(bkey))
-		for r, k := range bkey {
-			ht[k] = append(ht[k], int32(r))
-		}
-		var lout, rout column.PosList
-		for r, k := range pkey {
-			for _, lr := range ht[k] {
-				lout = append(lout, lr)
-				rout = append(rout, int32(r))
+// BenchmarkJoinLayout states the crossover the density rule encodes: the same
+// dimension ⋈ fact join, single-threaded, in each layout and as the rule
+// picks (DESIGN.md §19 has the sweep the constants come from). Direct wins on
+// the dense and the date keys under 6 000 and under 600 000 probe rows; on
+// the strided keys it wins under 600 000 rows, which amortize a 654 000-slot
+// table, and loses under 6 000, which do not — and "auto" sits on the better
+// side all six times.
+func BenchmarkJoinLayout(b *testing.B) {
+	dense, date, strided := benchDimKeys()
+	for _, dim := range []struct {
+		name string
+		keys []int64
+	}{{"dense", dense}, {"date", date}, {"strided", strided}} {
+		for _, np := range []int{6000, 600000} {
+			rng := rand.New(rand.NewSource(7))
+			pk := make([]int64, np)
+			for i := range pk {
+				pk[i] = dim.keys[rng.Intn(len(dim.keys))]
 			}
-		}
-		if len(lout) != len(pkey) {
-			b.Fatalf("join produced %d pairs", len(lout))
+			build := MustNewBatch(column.NewInt64("bk", dim.keys))
+			probe := MustNewBatch(column.NewInt64("pk", pk))
+			for _, l := range []struct {
+				name   string
+				layout joinLayout
+			}{{"direct", layoutDirect}, {"hash", layoutHash}, {"auto", layoutAuto}} {
+				b.Run(fmt.Sprintf("%s/probe%d/%s", dim.name, np, l.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						left, _, err := equiJoin(nil, "bench", build, "bk", probe, "pk", false, l.layout)
+						if err != nil || left.Len() != np {
+							b.Fatalf("join produced %d pairs (%v)", left.Len(), err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,13 +26,10 @@ func TestHashJoinBasic(t *testing.T) {
 		t.Fatalf("matches = %d, want 3", res.NumRows())
 	}
 	// Probe order: fact rows 0,1,2 match.
-	wantRight := []int32{0, 1, 2}
-	wantLeft := []int32{1, 2, 1}
-	for i := range wantRight {
-		if res.RightPos[i] != wantRight[i] || res.LeftPos[i] != wantLeft[i] {
-			t.Fatalf("match %d = (%d,%d), want (%d,%d)",
-				i, res.LeftPos[i], res.RightPos[i], wantLeft[i], wantRight[i])
-		}
+	want := &JoinResult{LeftPos: column.Positions([]int32{1, 2, 1}), RightPos: column.Range(0, 3)}
+	if !sameJoin(res, want) {
+		t.Fatalf("matches = (%v, %v), want (%v, %v)", res.LeftPos.Explicit(), res.RightPos.Explicit(),
+			want.LeftPos.Explicit(), want.RightPos.Explicit())
 	}
 	out, err := MaterializeJoin(nil, res, dim, []string{"dname"}, fact, []string{"val"})
 	if err != nil {
@@ -65,7 +63,7 @@ func TestJoinDateKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumRows() != 1 || res.LeftPos[0] != 1 || res.RightPos[0] != 0 {
+	if res.NumRows() != 1 || res.LeftPos.Explicit()[0] != 1 || res.RightPos.Explicit()[0] != 0 {
 		t.Fatalf("date join wrong: %+v", res)
 	}
 }
@@ -103,7 +101,7 @@ func TestJoinErrors(t *testing.T) {
 	if _, err := NestedLoopJoin(b, "k", b, "zz"); err == nil {
 		t.Fatal("expected nlj error")
 	}
-	res := &JoinResult{LeftPos: column.PosList{0}, RightPos: column.PosList{0}}
+	res := &JoinResult{LeftPos: column.Range(0, 1), RightPos: column.Range(0, 1)}
 	if _, err := MaterializeJoin(nil, res, b, []string{"zz"}, b, nil); err == nil {
 		t.Fatal("expected materialize error left")
 	}
@@ -119,14 +117,8 @@ func TestSemiJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int32{1, 3, 4}
-	if len(pos) != len(want) {
-		t.Fatalf("semi join = %v, want %v", pos, want)
-	}
-	for i := range want {
-		if pos[i] != want[i] {
-			t.Fatalf("semi join = %v, want %v", pos, want)
-		}
+	if want := []int32{1, 3, 4}; !slices.Equal(pos.Explicit(), want) {
+		t.Fatalf("semi join = %v, want %v", pos.Explicit(), want)
 	}
 }
 
@@ -151,15 +143,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		if hj.NumRows() != nlj.NumRows() {
-			return false
-		}
-		for i := range hj.LeftPos {
-			if hj.LeftPos[i] != nlj.LeftPos[i] || hj.RightPos[i] != nlj.RightPos[i] {
-				return false
-			}
-		}
-		return true
+		return sameJoin(hj, nlj)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -186,23 +170,7 @@ func TestSemiJoinMatchesHashJoin(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		distinct := make(map[int32]bool)
-		var order []int32
-		for _, p := range hj.RightPos {
-			if !distinct[p] {
-				distinct[p] = true
-				order = append(order, p)
-			}
-		}
-		if len(semi) != len(order) {
-			return false
-		}
-		for i := range semi {
-			if semi[i] != order[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(semi.Explicit(), slices.Compact(slices.Clone(hj.RightPos.Explicit())))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

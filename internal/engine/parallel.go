@@ -42,8 +42,7 @@ func parFilter(ctx *Ctx, b *Batch, pred expr.Predicate, n int) (column.PosList, 
 			}
 		}
 	}
-	numMorsels := par.Morsels(n)
-	parts := make([]column.PosList, numMorsels)
+	parts := make([]column.PosList, par.Morsels(n))
 	err := ctx.forEachMorsel(n, func(mi, lo, hi int) error {
 		resolve := func(name string) (column.Column, error) {
 			c, err := b.Column(name)
@@ -54,30 +53,13 @@ func parFilter(ctx *Ctx, b *Batch, pred expr.Predicate, n int) (column.PosList, 
 			return v, nil
 		}
 		pos, err := pred.Eval(resolve)
-		if err != nil {
-			return err
-		}
-		for i := range pos {
-			pos[i] += int32(lo)
-		}
-		parts[mi] = pos
-		return nil
+		parts[mi] = pos.Shift(lo)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return column.PosList{}, err
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	out := make(column.PosList, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	return column.Concat(parts), nil
 }
 
 // FilterRange evaluates the predicate against rows [lo, hi) of the batch and
@@ -91,7 +73,7 @@ func parFilter(ctx *Ctx, b *Batch, pred expr.Predicate, n int) (column.PosList, 
 func FilterRange(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (column.PosList, error) {
 	n := b.NumRows()
 	if lo < 0 || hi > n || lo > hi {
-		return nil, fmt.Errorf("engine: filter range [%d, %d) outside batch of %d rows", lo, hi, n)
+		return column.PosList{}, fmt.Errorf("engine: filter range [%d, %d) outside batch of %d rows", lo, hi, n)
 	}
 	if lo == 0 && hi == n {
 		return Filter(ctx, b, pred)
@@ -113,120 +95,67 @@ func FilterRange(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (column.Po
 	}
 	vb, err := NewBatch(view...)
 	if err != nil {
-		return nil, err
+		return column.PosList{}, err
 	}
 	pos, err := Filter(ctx, vb, pred)
-	if err != nil {
-		return nil, err
-	}
-	for i := range pos {
-		pos[i] += int32(lo)
-	}
-	return pos, nil
+	return pos.Shift(lo), err
 }
 
 // filterRangeSlow evaluates the predicate over the whole batch and keeps the
 // positions inside [lo, hi) — the defensive fallback for unsliceable columns.
 func filterRangeSlow(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (column.PosList, error) {
 	all, err := Filter(ctx, b, pred)
-	if err != nil {
-		return nil, err
-	}
-	var out column.PosList
-	for _, p := range all {
-		if int(p) >= lo && int(p) < hi {
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
-// contiguous reports whether pos lists the rows p0, p0+1, …, p0+len−1 and
-// returns p0. Every element is checked; a list that is not a range is
-// usually found out within a few.
-func contiguous(pos column.PosList) (p0 int, ok bool) {
-	if len(pos) == 0 {
-		return 0, false
-	}
-	for i, p := range pos {
-		if p != pos[0]+int32(i) {
-			return 0, false
-		}
-	}
-	return int(pos[0]), true
+	return all.Intersect(column.Range(lo, hi)), err
 }
 
 // Gather materializes the rows addressed by pos into a new column, identical
-// (Len, values, Bytes) to c.Gather(pos) at every worker count. A contiguous
-// ascending list — the whole input of a predicate-less scan, the probe side
+// (Len, values, Bytes) to c.Gather of the explicit list at every worker
+// count. A range — the whole input of a predicate-less scan, the probe side
 // of a join every row of which matches once — copies nothing: the result is
 // a view of c's storage (column.GatherRange). Other large gathers fan out
 // over the context's pool, bit-packed columns in 128-row-aligned chunks of
 // the output so that the packed blocks do not depend on the schedule.
 func Gather(ctx *Ctx, c column.Column, pos column.PosList) column.Column {
-	p0, isRange := contiguous(pos)
-	return gather(ctx, c, pos, p0, isRange)
+	return GatherAll(ctx, []column.Column{c}, pos)[0]
 }
 
-// GatherAll is Gather for several columns through one list, which is
-// inspected once for all of them.
+// GatherAll is Gather for several columns through one list. A range that
+// some column cannot share (a bit-packed one, when the range starts inside a
+// block) is written out as a list once for all of them.
 func GatherAll(ctx *Ctx, cols []column.Column, pos column.PosList) []column.Column {
-	p0, isRange := contiguous(pos)
+	lo, hi, isRange := pos.AsRange()
+	var list []int32
 	out := make([]column.Column, len(cols))
 	for i, c := range cols {
-		out[i] = gather(ctx, c, pos, p0, isRange)
+		if isRange {
+			if v, ok := column.GatherRange(c, lo, hi); ok {
+				out[i] = v
+				continue
+			}
+		}
+		if list == nil {
+			list = pos.Explicit()
+		}
+		out[i] = gatherList(ctx, c, list)
 	}
 	return out
 }
 
-// gather is Gather given what contiguous(pos) reported.
-func gather(ctx *Ctx, c column.Column, pos column.PosList, p0 int, isRange bool) column.Column {
-	if isRange {
-		if v, ok := column.GatherRange(c, p0, p0+len(pos)); ok {
-			return v
-		}
-	}
+// gatherList is Gather through an explicit list.
+func gatherList(ctx *Ctx, c column.Column, pos []int32) column.Column {
 	n := len(pos)
 	if !ctx.parallel() || n <= par.DefaultMorselRows {
 		return c.Gather(pos)
 	}
 	switch c := c.(type) {
 	case *column.Int64Column:
-		src := c.Values
-		out := make([]int64, n)
-		ctx.forEachMorselNoErr(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = src[pos[i]]
-			}
-		})
-		return column.NewInt64(c.Name(), out)
+		return column.NewInt64(c.Name(), gatherRows(ctx, c.Values, pos))
 	case *column.Float64Column:
-		src := c.Values
-		out := make([]float64, n)
-		ctx.forEachMorselNoErr(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = src[pos[i]]
-			}
-		})
-		return column.NewFloat64(c.Name(), out)
+		return column.NewFloat64(c.Name(), gatherRows(ctx, c.Values, pos))
 	case *column.DateColumn:
-		src := c.Values
-		out := make([]int32, n)
-		ctx.forEachMorselNoErr(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = src[pos[i]]
-			}
-		})
-		return column.NewDate(c.Name(), out)
+		return column.NewDate(c.Name(), gatherRows(ctx, c.Values, pos))
 	case *column.StringColumn:
-		src := c.Codes
-		out := make([]int32, n)
-		ctx.forEachMorselNoErr(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = src[pos[i]]
-			}
-		})
-		return column.NewStringFromDict(c.Name(), c.Dict, out)
+		return column.NewStringFromDict(c.Name(), c.Dict, gatherRows(ctx, c.Codes, pos))
 	case *column.CompressedInt64Column:
 		return c.GatherWith(pos, ctx.forEachNNoErr)
 	case *column.CompressedDateColumn:
@@ -234,6 +163,17 @@ func gather(ctx *Ctx, c column.Column, pos column.PosList, p0 int, isRange bool)
 	default:
 		return c.Gather(pos)
 	}
+}
+
+// gatherRows copies src[pos[i]] to out[i], a morsel of the output per task.
+func gatherRows[T any](ctx *Ctx, src []T, pos []int32) []T {
+	out := make([]T, len(pos))
+	ctx.forEachMorselNoErr(len(pos), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = src[pos[i]]
+		}
+	})
+	return out
 }
 
 // GatherCtx is Batch.Gather with the columns gathered through the context's

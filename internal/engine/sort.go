@@ -30,10 +30,7 @@ func TopN(b *Batch, n int, keys ...SortKey) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > len(perm) {
-		n = len(perm)
-	}
-	return b.Gather(perm[:n]), nil
+	return b.Gather(perm.Slice(0, min(n, perm.Len()))), nil
 }
 
 func sortPermutation(b *Batch, keys []SortKey) (column.PosList, error) {
@@ -41,11 +38,11 @@ func sortPermutation(b *Batch, keys []SortKey) (column.PosList, error) {
 	for k, key := range keys {
 		c, err := b.Column(key.Col)
 		if err != nil {
-			return nil, fmt.Errorf("order by: %w", err)
+			return column.PosList{}, fmt.Errorf("order by: %w", err)
 		}
 		cmp, err := comparator(c)
 		if err != nil {
-			return nil, fmt.Errorf("order by: %w", err)
+			return column.PosList{}, fmt.Errorf("order by: %w", err)
 		}
 		if key.Desc {
 			inner := cmp
@@ -53,7 +50,7 @@ func sortPermutation(b *Batch, keys []SortKey) (column.PosList, error) {
 		}
 		cmps[k] = cmp
 	}
-	perm := column.All(b.NumRows())
+	perm := column.All(b.NumRows()).Explicit()
 	sort.SliceStable(perm, func(x, y int) bool {
 		for _, cmp := range cmps {
 			if d := cmp(perm[x], perm[y]); d != 0 {
@@ -62,7 +59,7 @@ func sortPermutation(b *Batch, keys []SortKey) (column.PosList, error) {
 		}
 		return false
 	})
-	return perm, nil
+	return column.Positions(perm), nil
 }
 
 // comparator returns a three-way row comparison for the column. Strings

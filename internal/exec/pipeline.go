@@ -230,17 +230,7 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool
 	// Stitch: concatenate the per-chunk position lists in chunk order and
 	// materialize once. The rows were computed and transferred back inside
 	// the chunk stages, so the stitch itself is free in virtual time.
-	total := 0
-	for _, pos := range r.results {
-		total += len(pos)
-	}
-	var pos column.PosList
-	if total > 0 {
-		pos = make(column.PosList, 0, total)
-		for _, part := range r.results {
-			pos = append(pos, part...)
-		}
-	}
+	pos := column.Concat(r.results)
 	var decodeBase int64
 	if e.Tracer != nil {
 		decodeBase = column.DecompressedBytes()
@@ -499,7 +489,7 @@ func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 		r.fail(fmt.Errorf("%s on gpu (chunk %d): %w", r.n.Op.Name(), i, kerr))
 		return chunkBail
 	}
-	chunkOut := int64(float64(len(pos)) * r.info.OutRowBytes)
+	chunkOut := int64(float64(pos.Len()) * r.info.OutRowBytes)
 	work := cost.Work(chunkIn, chunkOut)
 	dur := e.Params.OpDuration(r.class, cost.GPU, work)
 	if e.injector != nil {
@@ -572,7 +562,7 @@ func (r *pipeRun) runChunkCPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 		r.fail(fmt.Errorf("%s on cpu (chunk %d): %w", r.n.Op.Name(), i, kerr))
 		return
 	}
-	chunkOut := int64(float64(len(pos)) * r.info.OutRowBytes)
+	chunkOut := int64(float64(pos.Len()) * r.info.OutRowBytes)
 	dur := e.Params.OpDuration(r.class, cost.CPU, cost.Work(chunkIn, chunkOut))
 	e.CPU.Server.Execute(p, dur.Seconds())
 	r.chunkSpan(i, "compute", "cpu", t0, p.Now())

@@ -35,21 +35,21 @@ func (c *CmpCols) String() string { return fmt.Sprintf("%s %s %s", c.Left, c.Op,
 func (c *CmpCols) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
 	lc, err := resolve(c.Left)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	rc, err := resolve(c.Right)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	lr, lok := column.Reader[float64](lc)
 	rr, rok := column.Reader[float64](rc)
 	switch {
 	case !lok:
-		return nil, fmt.Errorf("predicate %s: column %s is not numeric", c, lc.Name())
+		return none, fmt.Errorf("predicate %s: column %s is not numeric", c, lc.Name())
 	case !rok:
-		return nil, fmt.Errorf("predicate %s: column %s is not numeric", c, rc.Name())
+		return none, fmt.Errorf("predicate %s: column %s is not numeric", c, rc.Name())
 	case lc.Len() != rc.Len():
-		return nil, fmt.Errorf("predicate %s: column lengths differ (%d vs %d)", c, lc.Len(), rc.Len())
+		return none, fmt.Errorf("predicate %s: column lengths differ (%d vs %d)", c, lc.Len(), rc.Len())
 	}
 	// filterOrdered visits the rows in ascending order, so both columns are
 	// read a block at a time (decoded, if compressed) just ahead of it.

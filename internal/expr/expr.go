@@ -80,9 +80,12 @@ func (c *Cmp) String() string { return fmt.Sprintf("%s %s %v", c.Col, c.Op, c.Va
 // with block skipping, never materializing the column.
 type codeScanner interface {
 	column.Column
-	ScanCmp(op column.ScanOp, v int64, out column.PosList) column.PosList
-	ScanRange(lo, hi int64, out column.PosList) column.PosList
+	ScanCmp(op column.ScanOp, v int64, out []int32) []int32
+	ScanRange(lo, hi int64, out []int32) []int32
 }
+
+// none is the empty selection returned beside an error.
+var none column.PosList
 
 // scanOp translates a predicate operator to the column scan kernels'
 // operator domain; the translation happens once per predicate evaluation,
@@ -108,20 +111,20 @@ func scanOp(op CmpOp) column.ScanOp {
 func (c *Cmp) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
 	col, err := resolve(c.Col)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	if sc, ok := col.(codeScanner); ok {
 		v, err := asInt64(c.Value)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", c, err)
+			return none, fmt.Errorf("predicate %s: %w", c, err)
 		}
-		return sc.ScanCmp(scanOp(c.Op), v, make(column.PosList, 0, sc.Len()/4)), nil
+		return column.Ascending(sc.ScanCmp(scanOp(c.Op), v, make([]int32, 0, sc.Len()/4))), nil
 	}
 	switch col := col.(type) {
 	case *column.Int64Column:
 		v, err := asInt64(c.Value)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", c, err)
+			return none, fmt.Errorf("predicate %s: %w", c, err)
 		}
 		return filterOrdered(len(col.Values), c.Op, func(i int) int {
 			return cmpInt64(col.Values[i], v)
@@ -129,7 +132,7 @@ func (c *Cmp) Eval(resolve func(string) (column.Column, error)) (column.PosList,
 	case *column.Float64Column:
 		v, err := asFloat64(c.Value)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", c, err)
+			return none, fmt.Errorf("predicate %s: %w", c, err)
 		}
 		return filterOrdered(len(col.Values), c.Op, func(i int) int {
 			return cmpFloat64(col.Values[i], v)
@@ -137,7 +140,7 @@ func (c *Cmp) Eval(resolve func(string) (column.Column, error)) (column.PosList,
 	case *column.DateColumn:
 		v, err := asInt64(c.Value)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", c, err)
+			return none, fmt.Errorf("predicate %s: %w", c, err)
 		}
 		return filterOrdered(len(col.Values), c.Op, func(i int) int {
 			return cmpInt64(int64(col.Values[i]), v)
@@ -145,11 +148,11 @@ func (c *Cmp) Eval(resolve func(string) (column.Column, error)) (column.PosList,
 	case *column.StringColumn:
 		s, ok := c.Value.(string)
 		if !ok {
-			return nil, fmt.Errorf("predicate %s: want string constant, got %T", c, c.Value)
+			return none, fmt.Errorf("predicate %s: want string constant, got %T", c, c.Value)
 		}
 		return evalStringCmp(col, c.Op, s), nil
 	default:
-		return nil, fmt.Errorf("predicate %s: unsupported column type %T", c, col)
+		return none, fmt.Errorf("predicate %s: unsupported column type %T", c, col)
 	}
 }
 
@@ -161,7 +164,7 @@ func evalStringCmp(col *column.StringColumn, op CmpOp, s string) column.PosList 
 	switch op {
 	case EQ:
 		if !present {
-			return column.PosList{}
+			return none
 		}
 	case NE:
 		if !present {
@@ -206,88 +209,88 @@ func (b *Between) String() string {
 func (b *Between) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
 	col, err := resolve(b.Col)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	if sc, ok := col.(codeScanner); ok {
 		lo, err := asInt64(b.Lo)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", b, err)
+			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
 		hi, err := asInt64(b.Hi)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", b, err)
+			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
-		return sc.ScanRange(lo, hi, make(column.PosList, 0, sc.Len()/4)), nil
+		return column.Ascending(sc.ScanRange(lo, hi, make([]int32, 0, sc.Len()/4))), nil
 	}
 	switch col := col.(type) {
 	case *column.Int64Column:
 		lo, err := asInt64(b.Lo)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", b, err)
+			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
 		hi, err := asInt64(b.Hi)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", b, err)
+			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
-		out := make(column.PosList, 0, len(col.Values)/4)
+		out := make([]int32, 0, len(col.Values)/4)
 		for i, v := range col.Values {
 			if v >= lo && v <= hi {
 				out = append(out, int32(i))
 			}
 		}
-		return out, nil
+		return column.Ascending(out), nil
 	case *column.Float64Column:
 		lo, err := asFloat64(b.Lo)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", b, err)
+			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
 		hi, err := asFloat64(b.Hi)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", b, err)
+			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
-		out := make(column.PosList, 0, len(col.Values)/4)
+		out := make([]int32, 0, len(col.Values)/4)
 		for i, v := range col.Values {
 			if v >= lo && v <= hi {
 				out = append(out, int32(i))
 			}
 		}
-		return out, nil
+		return column.Ascending(out), nil
 	case *column.DateColumn:
 		lo, err := asInt64(b.Lo)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", b, err)
+			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
 		hi, err := asInt64(b.Hi)
 		if err != nil {
-			return nil, fmt.Errorf("predicate %s: %w", b, err)
+			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
-		out := make(column.PosList, 0, len(col.Values)/4)
+		out := make([]int32, 0, len(col.Values)/4)
 		for i, v := range col.Values {
 			if int64(v) >= lo && int64(v) <= hi {
 				out = append(out, int32(i))
 			}
 		}
-		return out, nil
+		return column.Ascending(out), nil
 	case *column.StringColumn:
 		lo, okLo := b.Lo.(string)
 		hi, okHi := b.Hi.(string)
 		if !okLo || !okHi {
-			return nil, fmt.Errorf("predicate %s: want string bounds", b)
+			return none, fmt.Errorf("predicate %s: want string bounds", b)
 		}
 		loCode := col.LowerBound(lo)
 		hiCode, present := col.Code(hi)
 		if !present {
 			hiCode-- // insertion point; everything strictly below qualifies
 		}
-		out := make(column.PosList, 0, len(col.Codes)/4)
+		out := make([]int32, 0, len(col.Codes)/4)
 		for i, c := range col.Codes {
 			if c >= loCode && c <= hiCode {
 				out = append(out, int32(i))
 			}
 		}
-		return out, nil
+		return column.Ascending(out), nil
 	default:
-		return nil, fmt.Errorf("predicate %s: unsupported column type %T", b, col)
+		return none, fmt.Errorf("predicate %s: unsupported column type %T", b, col)
 	}
 }
 
@@ -307,16 +310,16 @@ func (a *And) String() string { return joinPreds(a.Preds, " and ") }
 // Eval intersects the operand position lists.
 func (a *And) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
 	if len(a.Preds) == 0 {
-		return nil, fmt.Errorf("and: no operands")
+		return none, fmt.Errorf("and: no operands")
 	}
 	acc, err := a.Preds[0].Eval(resolve)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	for _, p := range a.Preds[1:] {
 		next, err := p.Eval(resolve)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		acc = acc.Intersect(next)
 	}
@@ -338,16 +341,16 @@ func (o *Or) String() string { return joinPreds(o.Preds, " or ") }
 // Eval unions the operand position lists.
 func (o *Or) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
 	if len(o.Preds) == 0 {
-		return nil, fmt.Errorf("or: no operands")
+		return none, fmt.Errorf("or: no operands")
 	}
 	acc, err := o.Preds[0].Eval(resolve)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	for _, p := range o.Preds[1:] {
 		next, err := p.Eval(resolve)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		acc = acc.Union(next)
 	}
@@ -372,7 +375,7 @@ func (p *In) String() string { return fmt.Sprintf("%s in %v", p.Col, p.Values) }
 // Eval evaluates the in-list as a disjunction of equalities but in one pass.
 func (p *In) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
 	if len(p.Values) == 0 {
-		return column.PosList{}, nil
+		return none, nil
 	}
 	ors := make([]Predicate, len(p.Values))
 	for i, v := range p.Values {
@@ -407,7 +410,7 @@ func joinPreds(preds []Predicate, sep string) string {
 }
 
 func filterOrdered(n int, op CmpOp, cmp func(i int) int) column.PosList {
-	out := make(column.PosList, 0, n/4)
+	out := make([]int32, 0, n/4)
 	switch op {
 	case EQ:
 		for i := 0; i < n; i++ {
@@ -446,7 +449,7 @@ func filterOrdered(n int, op CmpOp, cmp func(i int) int) column.PosList {
 			}
 		}
 	}
-	return out
+	return column.Ascending(out)
 }
 
 func cmpInt64(a, b int64) int {

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -216,7 +217,7 @@ func TestAndOrIn(t *testing.T) {
 	assertPos(t, "in", got, []int32{1, 4})
 	empty := NewIn("x")
 	got, err = empty.Eval(r)
-	if err != nil || len(got) != 0 {
+	if err != nil || got.Len() != 0 {
 		t.Fatalf("empty in: %v %v", got, err)
 	}
 	cols := and.Columns()
@@ -269,7 +270,7 @@ func TestCmpMatchesReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var want column.PosList
+		var want []int32
 		for i, v := range vals {
 			keep := false
 			switch op {
@@ -290,15 +291,7 @@ func TestCmpMatchesReference(t *testing.T) {
 				want = append(want, int32(i))
 			}
 		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(got.Explicit(), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -322,15 +315,7 @@ func TestCompositeMatchesReference(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		if len(and) != len(btw) {
-			return false
-		}
-		for i := range and {
-			if and[i] != btw[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(and.Explicit(), btw.Explicit())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -339,12 +324,7 @@ func TestCompositeMatchesReference(t *testing.T) {
 
 func assertPos(t *testing.T, label string, got column.PosList, want []int32) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %v, want %v", label, got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: got %v, want %v", label, got, want)
-		}
+	if !slices.Equal(got.Explicit(), want) {
+		t.Fatalf("%s: got %v, want %v", label, got.Explicit(), want)
 	}
 }

@@ -53,7 +53,6 @@ var (
 	f64Arena bufPool[float64]
 	i64Arena bufPool[int64]
 	i32Arena bufPool[int32]
-	posArena sync.Pool // of *column.PosList
 )
 
 // GetFloat64 returns a zero-length []float64 with capacity >= capHint.
@@ -74,25 +73,10 @@ func GetInt32(capHint int) []int32 { return i32Arena.get(capHint) }
 // PutInt32 recycles a buffer obtained from GetInt32.
 func PutInt32(s []int32) { i32Arena.put(s) }
 
-// GetPos returns a zero-length position list with capacity >= capHint.
-func GetPos(capHint int) column.PosList {
-	if v := posArena.Get(); v != nil {
-		s := *(v.(*column.PosList))
-		if cap(s) >= capHint {
-			return s[:0]
-		}
+// PutPos recycles the buffer behind an explicit position list whose
+// positions were collected in a GetInt32 buffer. A range holds no buffer.
+func PutPos(pos column.PosList) {
+	if _, _, isRange := pos.AsRange(); !isRange {
+		PutInt32(pos.Explicit())
 	}
-	if capHint < DefaultMorselRows {
-		capHint = DefaultMorselRows
-	}
-	return make(column.PosList, 0, capHint)
-}
-
-// PutPos recycles a position list obtained from GetPos.
-func PutPos(s column.PosList) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	posArena.Put(&s)
 }

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"robustdb/internal/column"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -145,15 +146,14 @@ func TestArenaRoundTrip(t *testing.T) {
 	}
 	PutInt32(i)
 
-	p := GetPos(DefaultMorselRows * 2)
-	if len(p) != 0 || cap(p) < DefaultMorselRows*2 {
-		t.Fatalf("GetPos: len=%d cap=%d", len(p), cap(p))
-	}
-	PutPos(p)
+	// A list's buffer comes back through PutPos; a range has none to give.
+	p := append(GetInt32(DefaultMorselRows*2), 5, 3)
+	PutPos(column.Positions(p))
+	PutPos(column.Range(0, 1<<30))
 
 	// Puts of foreign or empty slices must be harmless.
 	PutFloat64(nil)
 	PutInt32(nil)
-	PutPos(nil)
-	PutPos(make([]int32, 0))
+	PutPos(column.PosList{})
+	PutPos(column.Positions(make([]int32, 0)))
 }

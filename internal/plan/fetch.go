@@ -57,7 +57,7 @@ func (o *FetchOp) Execute(ectx *engine.Ctx, cat *table.Catalog, inputs []*engine
 	if !ok {
 		return nil, fmt.Errorf("fetch: rowid column has type %T", ridCol)
 	}
-	pos := make(column.PosList, len(rids.Values))
+	pos := make([]int32, len(rids.Values))
 	for i, r := range rids.Values {
 		if r < 0 || r >= int64(t.NumRows()) {
 			return nil, fmt.Errorf("fetch: rowid %d out of range [0,%d)", r, t.NumRows())
@@ -70,7 +70,7 @@ func (o *FetchOp) Execute(ectx *engine.Ctx, cat *table.Catalog, inputs []*engine
 			return nil, err
 		}
 	}
-	return engine.NewBatch(engine.GatherAll(ectx, cols, pos)...)
+	return engine.NewBatch(engine.GatherAll(ectx, cols, column.Positions(pos))...)
 }
 
 // IntersectOp intersects two sorted "<table>.rowid" position columns — the
@@ -109,16 +109,20 @@ func (o *IntersectOp) Execute(_ *engine.Ctx, _ *table.Catalog, inputs []*engine.
 		if !ok {
 			return nil, fmt.Errorf("intersect: rowid column has type %T", c)
 		}
-		pos := make(column.PosList, len(ints.Values))
+		pos := make([]int32, len(ints.Values))
 		for j, v := range ints.Values {
 			pos[j] = int32(v)
 		}
-		lists[i] = pos
+		lists[i] = column.Ascending(pos)
 	}
-	out := lists[0].Intersect(lists[1])
-	ids := make([]int64, len(out))
-	for i, p := range out {
-		ids[i] = int64(p)
+	return engine.NewBatch(rowIDs(o.Table, lists[0].Intersect(lists[1])))
+}
+
+// rowIDs returns the "<table>.rowid" column listing pos.
+func rowIDs(tbl string, pos column.PosList) *column.Int64Column {
+	ids := make([]int64, 0, pos.Len())
+	for _, p := range pos.Explicit() {
+		ids = append(ids, int64(p))
 	}
-	return engine.NewBatch(column.NewInt64(name, ids))
+	return column.NewInt64(tbl+".rowid", ids)
 }

@@ -146,17 +146,10 @@ func (o *ScanOp) ChunkInfo(cat *table.Catalog) (ChunkInfo, error) {
 func (o *ScanOp) FilterChunk(ectx *engine.Ctx, cat *table.Catalog, lo, hi int) (column.PosList, error) {
 	t, err := cat.Table(o.Table)
 	if err != nil {
-		return nil, err
+		return column.PosList{}, err
 	}
 	if o.Pred == nil {
-		if lo == 0 && hi == t.NumRows() {
-			return column.All(t.NumRows()), nil
-		}
-		pos := make(column.PosList, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			pos = append(pos, int32(i))
-		}
-		return pos, nil
+		return column.Range(lo, hi), nil
 	}
 	// Hand the predicate's base columns to the filter kernel in their
 	// stored encoding: compressed columns are scanned in the code domain
@@ -171,13 +164,13 @@ func (o *ScanOp) FilterChunk(ectx *engine.Ctx, cat *table.Catalog, lo, hi int) (
 		seen[name] = true
 		c, err := t.Column(name)
 		if err != nil {
-			return nil, err
+			return column.PosList{}, err
 		}
 		predCols = append(predCols, c)
 	}
 	pb, err := engine.NewBatch(predCols...)
 	if err != nil {
-		return nil, err
+		return column.PosList{}, err
 	}
 	return engine.FilterRange(ectx, pb, o.Pred, lo, hi)
 }
@@ -190,11 +183,7 @@ func (o *ScanOp) MaterializeResult(ectx *engine.Ctx, cat *table.Catalog, pos col
 		return nil, err
 	}
 	if len(o.Cols) == 0 {
-		ids := make([]int64, len(pos))
-		for i, p := range pos {
-			ids[i] = int64(p)
-		}
-		return engine.NewBatch(column.NewInt64(o.Table+".rowid", ids))
+		return engine.NewBatch(rowIDs(o.Table, pos))
 	}
 	cols := make([]column.Column, len(o.Cols))
 	for i, name := range o.Cols {

@@ -190,6 +190,40 @@ func TestScanVariants(t *testing.T) {
 	}
 }
 
+// An identity scan — no predicate — selects its chunk as a range: constant
+// work and no list written, whatever the chunk's size, and the stitched chunks
+// of a whole table materialize as views of the base columns.
+func TestIdentityScanWritesNoList(t *testing.T) {
+	const n = 1 << 20
+	cat := table.NewCatalog()
+	vals := make([]int64, n)
+	cat.MustRegister(table.MustNew("big", column.NewInt64("v", vals)))
+	scan := Scan("big", []string{"v"}, nil).Op.(*ScanOp)
+	chunks := make([]column.PosList, 2)
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := range chunks {
+			pos, err := scan.FilterChunk(nil, cat, i*n/2, (i+1)*n/2)
+			if _, _, isRange := pos.AsRange(); err != nil || !isRange || pos.Len() != n/2 {
+				t.Fatalf("chunk %d: %d positions, range %v (%v)", i, pos.Len(), isRange, err)
+			}
+			chunks[i] = pos
+		}
+		if lo, hi, isRange := column.Concat(chunks).AsRange(); !isRange || lo != 0 || hi != n {
+			t.Fatalf("stitched chunks: [%d, %d), range %v", lo, hi, isRange)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("identity scan of %d rows: %v allocations, want 0", n, allocs)
+	}
+	out, err := scan.MaterializeResult(nil, cat, column.Concat(chunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.MustColumn("v").(*column.Int64Column).Values; len(got) != n || &got[0] != &vals[0] {
+		t.Fatal("the identity scan copied the column")
+	}
+}
+
 func TestOperatorMetadata(t *testing.T) {
 	scan := Scan("fact", []string{"qty"}, expr.NewCmp("qty", expr.GE, 1))
 	if scan.Op.Class() != cost.Selection || !strings.Contains(scan.Op.Name(), "scan") {

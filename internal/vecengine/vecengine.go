@@ -176,47 +176,19 @@ func (e *Engine) execPipeline(ectx *engine.Ctx, n *plan.Node, stats *Stats) (*en
 		}
 		// Evaluate the scan predicate once over the full table (morsel-wise
 		// on the pool via the filter kernel), then chunk the positions.
-		var pos column.PosList
-		if scan.Pred != nil {
-			seen := make(map[string]bool)
-			var predCols []column.Column
-			for _, name := range scan.Pred.Columns() {
-				if seen[name] {
-					continue
-				}
-				seen[name] = true
-				c, err := t.Column(name)
-				if err != nil {
-					return nil, err
-				}
-				// Stored encoding goes straight to the filter kernel:
-				// compressed columns scan in the code domain per morsel.
-				predCols = append(predCols, c)
-			}
-			pb, err := engine.NewBatch(predCols...)
-			if err != nil {
-				return nil, err
-			}
-			pos, err = engine.Filter(ectx, pb, scan.Pred)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			pos = column.All(t.NumRows())
+		pos, err := scan.FilterChunk(ectx, e.cat, 0, t.NumRows())
+		if err != nil {
+			return nil, err
 		}
-		for lo := 0; lo < len(pos) || lo == 0; lo += e.vectorSize {
-			hi := lo + e.vectorSize
-			if hi > len(pos) {
-				hi = len(pos)
-			}
-			chunks = append(chunks, chunk{lo, hi})
-			if len(pos) == 0 {
+		for lo := 0; lo < pos.Len() || lo == 0; lo += e.vectorSize {
+			chunks = append(chunks, chunk{lo, min(lo+e.vectorSize, pos.Len())})
+			if pos.Len() == 0 {
 				break
 			}
 		}
 		scanSaves = len(chain) > 1
 		makeVec = func(c chunk) (*engine.Batch, error) {
-			return e.materializeScan(scan, t, pos[c.lo:c.hi])
+			return scan.MaterializeResult(nil, e.cat, pos.Slice(c.lo, c.hi))
 		}
 	} else {
 		for lo := 0; lo < input.NumRows() || lo == 0; lo += e.vectorSize {
@@ -295,34 +267,9 @@ func (e *Engine) execPipeline(ectx *engine.Ctx, n *plan.Node, stats *Stats) (*en
 	return out, nil
 }
 
-// materializeScan gathers the scan's output columns for one chunk of
-// qualifying positions.
-func (e *Engine) materializeScan(scan *plan.ScanOp, t *table.Table, pos column.PosList) (*engine.Batch, error) {
-	if len(scan.Cols) == 0 {
-		ids := make([]int64, len(pos))
-		for i, p := range pos {
-			ids[i] = int64(p)
-		}
-		return engine.NewBatch(column.NewInt64(scan.Table+".rowid", ids))
-	}
-	cols := make([]column.Column, len(scan.Cols))
-	for i, name := range scan.Cols {
-		c, err := t.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c.Gather(pos)
-	}
-	return engine.NewBatch(cols...)
-}
-
-// sliceBatch materializes rows [lo, hi) of a batch.
+// sliceBatch returns rows [lo, hi) of a batch.
 func sliceBatch(b *engine.Batch, lo, hi int) *engine.Batch {
-	pos := make(column.PosList, hi-lo)
-	for i := range pos {
-		pos[i] = int32(lo + i)
-	}
-	return b.Gather(pos)
+	return b.Gather(column.Range(lo, hi))
 }
 
 // concatBatches appends the pieces of a pipeline into one batch.

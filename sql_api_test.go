@@ -1,6 +1,7 @@
 package robustdb
 
 import (
+	"fmt"
 	"testing"
 
 	"robustdb/internal/column"
@@ -88,4 +89,48 @@ func TestSQLWorkload(t *testing.T) {
 	if res.QueriesRun != int64(3*len(wq)) {
 		t.Fatalf("ran %d queries", res.QueriesRun)
 	}
+}
+
+// A join whose build side is a few keys far apart — the first and the last
+// order date, seven years apart, under 4 000 fact rows — is outside the
+// density rule and runs on the hash layout of the join table
+// (engine.TestJoinLayoutRule pins the shape); its answer must be the one the
+// predicate on the fact table's own column gives, on every strategy and on
+// the compressed database.
+func TestSQLSparseJoinKeys(t *testing.T) {
+	db := OpenSSB(SSBConfig{SF: 1, RowsPerSF: 4000, Seed: 12})
+	dev := db.DeviceForWorkingSet(1)
+	run := func(d *DB, strat Strategy, sql string) *Batch {
+		t.Helper()
+		p, err := d.SQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := d.Query(dev, strat, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ends := run(db, CPUOnly(), `select min(lo_orderdate) as first, max(lo_orderdate) as last from lineorder`)
+	first := int64(ends.MustColumn("first").(*column.Float64Column).Values[0])
+	last := int64(ends.MustColumn("last").(*column.Float64Column).Values[0])
+	if last-first < 60000 {
+		t.Fatalf("order dates %d … %d are too close to be sparse keys", first, last)
+	}
+	joined := fmt.Sprintf(`
+		select count(*) as n, sum(lo_revenue) as revenue
+		from lineorder, date
+		where lo_orderdate = d_datekey and d_datekey in (%d, %d)`, first, last)
+	want := run(db, CPUOnly(), fmt.Sprintf(`
+		select count(*) as n, sum(lo_revenue) as revenue
+		from lineorder
+		where lo_orderdate in (%d, %d)`, first, last))
+	if n := want.MustColumn("n").(*column.Float64Column).Values[0]; n < 2 {
+		t.Fatalf("%v orders on the two dates", n)
+	}
+	for _, strat := range []Strategy{CPUOnly(), GPUOnly(), DataDrivenChopping()} {
+		assertBatchesEqual(t, "sparse-key join", run(db, strat, joined), want)
+	}
+	assertBatchesEqual(t, "sparse-key join, compressed", run(db.Compressed(), DataDrivenChopping(), joined), want)
 }
