@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"robustdb/internal/chopping"
 	"robustdb/internal/column"
 	"robustdb/internal/cost"
 	"robustdb/internal/engine"
@@ -714,7 +713,6 @@ func runPipeBench(b *testing.B, mkPlan func() *Plan, depth int) {
 			CacheBytes:    1 << 30,
 			HeapBytes:     1 << 30,
 			PipelineDepth: depth,
-			ChunkSizer:    chopping.PipelineChunkRows,
 		})
 		var st exec.QueryStats
 		var err error

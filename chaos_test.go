@@ -42,11 +42,11 @@ func chaosSchedules() map[string]FaultConfig {
 func TestChaosQueriesExactOrFailClean(t *testing.T) {
 	db := chaosDB()
 	queries := SSBQueries()
-	// Fault-free references from the bulk kernels (results are placement-
+	// Fault-free references from a CPU-only run (results are placement-
 	// independent by construction; this pins that property under faults).
 	refs := make(map[string]*Batch, len(queries))
 	for _, q := range queries {
-		ref, err := evalPlan(db.cat, q.Plan)
+		ref, _, err := db.Query(Device{}, CPUOnly(), q.Plan)
 		if err != nil {
 			t.Fatalf("reference %s: %v", q.Name, err)
 		}

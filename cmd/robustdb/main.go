@@ -168,30 +168,39 @@ func main() {
 	flag.Parse()
 
 	opts := options{
-		bench:           *bench,
-		sf:              *sf,
-		rows:            *rows,
-		strategy:        *stratName,
-		users:           *users,
-		total:           *total,
-		query:           *queryName,
-		cacheFrac:       *cacheFrac,
-		heapFrac:        *heapFrac,
-		kernelWorkers:   *kernelWorkers,
-		logLevel:        *logLevel,
-		serve:           *serve,
-		serveWindow:     *serveWindow,
-		serveCooldown:   *serveCooldown,
-		admissionPolicy: *admissionPolicy,
-		admit:           *admit,
-		queueDepth:      *queueDepth,
-		tenantInflight:  *tenantInflight,
-		maxConns:        *maxConns,
-		drainTimeout:    *drainTimeout,
-		loadgen:         *loadgen,
-		rate:            *rate,
-		duration:        *duration,
-		tenantMix:       *tenantMix,
+		bench:            *bench,
+		sf:               *sf,
+		rows:             *rows,
+		strategy:         *stratName,
+		users:            *users,
+		total:            *total,
+		query:            *queryName,
+		cacheFrac:        *cacheFrac,
+		heapFrac:         *heapFrac,
+		kernelWorkers:    *kernelWorkers,
+		logLevel:         *logLevel,
+		serve:            *serve,
+		serveWindow:      *serveWindow,
+		serveCooldown:    *serveCooldown,
+		pipelineDepth:    *pipelineDepth,
+		deadline:         *deadline,
+		faultAlloc:       *faultAlloc,
+		faultTransfer:    *faultTransfer,
+		faultStuck:       *faultStuck,
+		faultResets:      *faultResets,
+		admissionPolicy:  *admissionPolicy,
+		admit:            *admit,
+		queueDepth:       *queueDepth,
+		tenantInflight:   *tenantInflight,
+		maxConns:         *maxConns,
+		drainTimeout:     *drainTimeout,
+		slowlogCap:       *slowlogCap,
+		slowlogThreshold: *slowlogThreshold,
+		slowlogQError:    *slowlogQError,
+		loadgen:          *loadgen,
+		rate:             *rate,
+		duration:         *duration,
+		tenantMix:        *tenantMix,
 	}
 	// Validate every flag before the dataset build: a typo'd flag must fail
 	// in milliseconds with exit 2, not after data generation.

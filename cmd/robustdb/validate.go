@@ -27,6 +27,14 @@ type options struct {
 	serve         string
 	serveWindow   time.Duration
 	serveCooldown time.Duration
+	pipelineDepth int
+	deadline      time.Duration
+
+	// Fault injection.
+	faultAlloc    float64
+	faultTransfer float64
+	faultStuck    float64
+	faultResets   int
 
 	// Serve-mode front door.
 	admissionPolicy string
@@ -35,6 +43,11 @@ type options struct {
 	tenantInflight  int
 	maxConns        int
 	drainTimeout    time.Duration
+
+	// Serve-mode slow-query journal.
+	slowlogCap       int
+	slowlogThreshold time.Duration
+	slowlogQError    float64
 
 	// Loadgen mode.
 	loadgen   string
@@ -72,6 +85,32 @@ func validateOptions(o options) error {
 	}
 	if o.kernelWorkers < 1 {
 		return fmt.Errorf("-kernel-workers: need at least one worker, got %d", o.kernelWorkers)
+	}
+	if o.pipelineDepth < 0 {
+		return fmt.Errorf("-pipeline-depth: in-flight chunk bound must not be negative, got %d (0 disables pipelining)", o.pipelineDepth)
+	}
+	if o.deadline < 0 {
+		return fmt.Errorf("-deadline: per-query deadline must not be negative, got %v (0 = none)", o.deadline)
+	}
+	for _, p := range []struct {
+		flag string
+		prob float64
+	}{{"-fault-alloc", o.faultAlloc}, {"-fault-transfer", o.faultTransfer}, {"-fault-stuck", o.faultStuck}} {
+		if !(p.prob >= 0 && p.prob <= 1) { // also rejects NaN
+			return fmt.Errorf("%s: probability must be in [0, 1], got %g", p.flag, p.prob)
+		}
+	}
+	if o.faultResets < 0 {
+		return fmt.Errorf("-fault-resets: reset count must not be negative, got %d", o.faultResets)
+	}
+	if o.slowlogCap < 0 {
+		return fmt.Errorf("-slowlog-capacity: ring capacity must not be negative, got %d (0 disables the journal)", o.slowlogCap)
+	}
+	if o.slowlogThreshold < 0 {
+		return fmt.Errorf("-slowlog-threshold: latency gate must not be negative, got %v (0 journals every query)", o.slowlogThreshold)
+	}
+	if !(o.slowlogQError >= 0) {
+		return fmt.Errorf("-slowlog-qerror: q-error gate must not be negative, got %g (0 disables the gate)", o.slowlogQError)
 	}
 	if o.strategy != "all" {
 		if _, err := strategyByName(o.strategy); err != nil {

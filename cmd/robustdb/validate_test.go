@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -19,12 +20,17 @@ func validOptions() options {
 		logLevel:      "info",
 		serveWindow:   500 * time.Millisecond,
 		serveCooldown: time.Second,
+		pipelineDepth: 2,
 
 		admissionPolicy: "fair",
 		admit:           8,
 		queueDepth:      64,
 		maxConns:        256,
 		drainTimeout:    10 * time.Second,
+
+		slowlogCap:       256,
+		slowlogThreshold: 100 * time.Millisecond,
+		slowlogQError:    16,
 
 		rate:     50,
 		duration: 10 * time.Second,
@@ -63,6 +69,22 @@ func TestValidateOptions(t *testing.T) {
 		{"serve-all", func(o *options) { o.serve = ":0"; o.strategy = "all" }, "-serve"},
 		{"serve-zero-window", func(o *options) { o.serve = ":0"; o.serveWindow = 0 }, "-serve-window"},
 		{"serve-negative-cooldown", func(o *options) { o.serve = ":0"; o.serveCooldown = -time.Second }, "-serve-cooldown"},
+
+		{"zero-pipeline-depth", func(o *options) { o.pipelineDepth = 0 }, ""},
+		{"negative-pipeline-depth", func(o *options) { o.pipelineDepth = -1 }, "-pipeline-depth"},
+		{"negative-deadline", func(o *options) { o.deadline = -time.Millisecond }, "-deadline"},
+		{"certain-faults", func(o *options) { o.faultAlloc, o.faultTransfer, o.faultStuck = 1, 1, 1 }, ""},
+		{"fault-alloc-above-one", func(o *options) { o.faultAlloc = 1.5 }, "-fault-alloc"},
+		{"negative-fault-alloc", func(o *options) { o.faultAlloc = -0.1 }, "-fault-alloc"},
+		{"fault-transfer-above-one", func(o *options) { o.faultTransfer = 2 }, "-fault-transfer"},
+		{"negative-fault-transfer", func(o *options) { o.faultTransfer = -1 }, "-fault-transfer"},
+		{"fault-stuck-above-one", func(o *options) { o.faultStuck = 1.01 }, "-fault-stuck"},
+		{"nan-fault-stuck", func(o *options) { o.faultStuck = math.NaN() }, "-fault-stuck"},
+		{"negative-fault-resets", func(o *options) { o.faultResets = -1 }, "-fault-resets"},
+		{"slowlog-off", func(o *options) { o.slowlogCap, o.slowlogThreshold, o.slowlogQError = 0, 0, 0 }, ""},
+		{"negative-slowlog-capacity", func(o *options) { o.slowlogCap = -1 }, "-slowlog-capacity"},
+		{"negative-slowlog-threshold", func(o *options) { o.slowlogThreshold = -time.Second }, "-slowlog-threshold"},
+		{"negative-slowlog-qerror", func(o *options) { o.slowlogQError = -16 }, "-slowlog-qerror"},
 
 		{"serve-detector-policy", func(o *options) { o.serve = ":0"; o.admissionPolicy = "detector" }, ""},
 		{"serve-fifo-policy", func(o *options) { o.serve = ":0"; o.admissionPolicy = "fifo" }, ""},

@@ -1,10 +1,4 @@
-package chopping
-
-import (
-	"time"
-
-	"robustdb/internal/cost"
-)
+package cost
 
 // Pipeline-aware chunk sizing for the pipelined chunk executor (the §5.2
 // chunks, sized for transfer/compute overlap instead of only for heap
@@ -27,9 +21,9 @@ const overheadBudget = 0.10
 // overhead stays under overheadBudget of one cycle. The result is clamped so
 // at least depth+1 chunks exist whenever the table is large enough — a
 // pipeline of depth d needs d+1 chunks before any stage overlaps — and never
-// below MinChunkRows. It matches exec.ChunkSizer; workload.NewEngine wires it
-// as the default sizer of pipelined engines.
-func PipelineChunkRows(learner *cost.Learner, params *cost.Params, class cost.OpClass,
+// below MinChunkRows. The pipelined executor and the placement estimate
+// that prices it (exec.PipelinedGPUEstimate) both size through here.
+func PipelineChunkRows(learner *Learner, params *Params, class OpClass,
 	totalRows int, inRowBytes, outRowBytes float64, depth int) int {
 	if totalRows <= 0 {
 		return 0
@@ -43,7 +37,7 @@ func PipelineChunkRows(learner *cost.Learner, params *cost.Params, class cost.Op
 	// volume minus the fixed startup, divided by the rows. The learner starts
 	// at the analytical prior and converges to observed throughput.
 	workBytes := int64(float64(totalRows) * (inRowBytes + outRowBytes))
-	compute := learner.Estimate(class, cost.GPU, workBytes) - params.Startup[cost.GPU]
+	compute := learner.Estimate(class, GPU, workBytes) - params.Startup[GPU]
 	compRow := 0.0
 	if compute > 0 {
 		compRow = compute.Seconds() / float64(totalRows)
@@ -55,7 +49,7 @@ func PipelineChunkRows(learner *cost.Learner, params *cost.Params, class cost.Op
 	if downRow > bottleneck {
 		bottleneck = downRow
 	}
-	overhead := (params.BusLatency + params.Startup[cost.GPU]).Seconds()
+	overhead := (params.BusLatency + params.Startup[GPU]).Seconds()
 	rows := totalRows
 	if bottleneck > 0 {
 		rows = int(overhead / (overheadBudget * bottleneck))
@@ -73,17 +67,4 @@ func PipelineChunkRows(learner *cost.Learner, params *cost.Params, class cost.Op
 		rows = totalRows
 	}
 	return rows
-}
-
-// PipelineStageTimes returns the per-chunk stage times of a pipelined
-// schedule for chunkRows rows (selectivity 1 on the output side — the
-// conservative bound placement prices with).
-func PipelineStageTimes(params *cost.Params, class cost.OpClass,
-	chunkRows int, inRowBytes, outRowBytes float64) (up, compute, down time.Duration) {
-	chunkIn := int64(float64(chunkRows) * inRowBytes)
-	chunkOut := int64(float64(chunkRows) * outRowBytes)
-	up = params.BusLatency + time.Duration(float64(chunkIn)/params.BusBandwidth*float64(time.Second))
-	down = params.BusLatency + time.Duration(float64(chunkOut)/params.BusBandwidth*float64(time.Second))
-	compute = params.OpDuration(class, cost.GPU, cost.Work(chunkIn, chunkOut))
-	return up, compute, down
 }

@@ -151,9 +151,11 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 			for _, kv := range keyVals {
 				keyBuf = appendGroupKey(keyBuf, uint64(kv[row-lo]))
 			}
-			k := string(keyBuf)
-			g, ok := local.groups[k]
+			// Looked up by the bytes (no conversion is made for a map index
+			// expression); the key string is allocated once per group.
+			g, ok := local.groups[string(keyBuf)]
 			if !ok {
+				k := string(keyBuf)
 				g = &groupState{firstRow: int32(row), accums: mkAccums()}
 				local.groups[k] = g
 				local.order = append(local.order, k)

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"robustdb/internal/column"
+	"robustdb/internal/par"
 )
 
 func TestAggFuncString(t *testing.T) {
@@ -209,5 +210,36 @@ func TestGroupBySumMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// GroupBy allocates per morsel and per group — the partial map, its group
+// states, one key string per group — never per input row: the lookup of a
+// row's key bytes must not materialize a string.
+func TestGroupByAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	const groups = 64
+	for _, n := range []int{par.DefaultMorselRows, 8 * par.DefaultMorselRows} {
+		keys := make([]int64, n)
+		vals := make([]int64, n)
+		for i := range keys {
+			keys[i] = int64(i % groups)
+			vals[i] = int64(i)
+		}
+		b := MustNewBatch(column.NewInt64("k", keys), column.NewInt64("v", vals))
+		aggs := []AggSpec{{Func: Sum, Col: "v", As: "s"}, {Func: Count, Col: "v", As: "c"}}
+		a := testing.AllocsPerRun(10, func() {
+			if _, err := GroupBy(nil, b, []string{"k"}, aggs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// 5 per group (state, accumulator slice, two accumulators, key) plus
+		// the map's buckets and the per-call fixtures: 366 for one morsel, 349
+		// per morsel for eight. One more per row would add 8192.
+		if perMorsel := a / float64(par.Morsels(n)); perMorsel > 6*groups+64 {
+			t.Errorf("%d rows: %.0f allocations per morsel over %d groups, want ≤ %d", n, perMorsel, groups, 6*groups+64)
+		}
 	}
 }

@@ -93,13 +93,9 @@ type Config struct {
 	// co-execution). Only meaningful with PipelineDepth > 0.
 	PipelineCoExec bool
 	// PipelineChunkRows, when > 0, fixes the chunk size instead of deriving
-	// it from the cost learner (ablation studies sweep it).
+	// it from the cost model (cost.PipelineChunkRows); ablation studies
+	// sweep it.
 	PipelineChunkRows int
-	// ChunkSizer derives the chunk size for a pipelined operator from the
-	// cost model; nil uses a built-in equal-split fallback. The workload
-	// package wires the chopping package's learner-driven sizer here
-	// (exec cannot import chopping — chopping imports exec).
-	ChunkSizer ChunkSizer
 	// Tracer, when non-nil, records one span per operator execution attempt
 	// and one event per cache/placement decision, all in virtual time. Nil
 	// disables tracing at zero per-operator cost.
@@ -121,14 +117,6 @@ type RetryConfig struct {
 	// further retry doubles it (default 100µs).
 	BackoffBase time.Duration
 }
-
-// ChunkSizer derives the row count per chunk for a pipelined chunkable
-// operator from the cost model: the learner's current per-byte estimate for
-// the operator class, the machine params, the total rows and per-row byte
-// widths of the operator, and the configured pipeline depth. Implementations
-// must be pure (placement and the executor may both call them).
-type ChunkSizer func(learner *cost.Learner, params *cost.Params, class cost.OpClass,
-	totalRows int, inRowBytes, outRowBytes float64, depth int) int
 
 func (r RetryConfig) withDefaults() RetryConfig {
 	if r.MaxAttempts <= 0 {
@@ -197,7 +185,6 @@ type Engine struct {
 	pipeDepth     int
 	pipeCoExec    bool
 	pipeChunkRows int
-	chunkSizer    ChunkSizer
 	// deviceValues registers every device-resident Value so a device reset
 	// can invalidate all of them.
 	deviceValues map[*Value]struct{}
@@ -260,7 +247,6 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		pipeDepth:     cfg.PipelineDepth,
 		pipeCoExec:    cfg.PipelineCoExec,
 		pipeChunkRows: cfg.PipelineChunkRows,
-		chunkSizer:    cfg.ChunkSizer,
 		deviceValues:  make(map[*Value]struct{}),
 	}
 	// Mirror per-direction link busy time into the atomic metrics registry so
@@ -375,13 +361,6 @@ func (e *Engine) Processor(kind cost.ProcKind) *Processor {
 // Outstanding returns the estimated seconds of queued + running work on the
 // processor.
 func (e *Engine) Outstanding(kind cost.ProcKind) float64 { return e.outstanding[kind] }
-
-// PipelineDepth returns the configured pipeline depth (0 = pipelining off).
-func (e *Engine) PipelineDepth() int { return e.pipeDepth }
-
-// PipelineCoExec reports whether the pipelined executor may hand trailing
-// chunks to the CPU pool.
-func (e *Engine) PipelineCoExec() bool { return e.pipeCoExec }
 
 // addLoad registers estimated work with a processor's queue estimate.
 func (e *Engine) addLoad(kind cost.ProcKind, seconds float64) { e.outstanding[kind] += seconds }

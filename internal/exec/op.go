@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -11,9 +10,7 @@ import (
 	"robustdb/internal/bus"
 	"robustdb/internal/column"
 	"robustdb/internal/cost"
-	"robustdb/internal/device"
 	"robustdb/internal/engine"
-	"robustdb/internal/faults"
 	"robustdb/internal/plan"
 	"robustdb/internal/sim"
 	"robustdb/internal/table"
@@ -32,42 +29,6 @@ var heapPhases = []struct {
 }{
 	{0.85, 0.60},
 	{0.15, 0.40},
-}
-
-// abortKind classifies why a device operator attempt gave up. The engine's
-// degradation ladder reacts differently per class: capacity aborts fall back
-// to the CPU immediately (the paper's §2.5.1 fault tolerance), transient
-// faults are retried with backoff before falling back, and both fault kinds
-// — unlike capacity aborts — count against device health.
-type abortKind uint8
-
-const (
-	abortNone abortKind = iota
-	// abortOOM: the device heap is full. Normal under contention; placement
-	// handles it, the health tracker ignores it.
-	abortOOM
-	// abortFault: an injected transient fault (allocator or transfer).
-	// Retryable; counts against device health.
-	abortFault
-	// abortReset: a device reset wiped the operator's state mid-run.
-	// Retryable once the device is back; counts against device health.
-	abortReset
-)
-
-// abortLabel is the trace-span cause string per abort kind.
-func abortLabel(k abortKind, err error) string {
-	switch {
-	case err != nil:
-		return "error"
-	case k == abortOOM:
-		return "oom"
-	case k == abortFault:
-		return "fault"
-	case k == abortReset:
-		return "reset"
-	default:
-		return ""
-	}
 }
 
 // opStats carries the per-attempt observability measurements (queue wait,
@@ -112,11 +73,11 @@ type opStats struct {
 // placement decision (Figure 8, right).
 func (e *Engine) execOp(p *sim.Proc, q *query, n *plan.Node, kind cost.ProcKind, inputs []*Value) (*Value, error) {
 	e.pollReset(p.Now())
-	if kind == cost.GPU && e.pipeDepth > 0 && len(inputs) == 0 && e.Health.AllowGPU(p.Now()) {
-		// Chunkable leaves with data to transfer run through the pipelined
-		// executor; it declines (ran=false) when nothing would overlap.
-		if v, ran, err := e.runPipelined(p, q, n); ran {
-			return v, err
+	if kind == cost.GPU && e.Health.AllowGPU(p.Now()) {
+		// Chunkable leaves with data to transfer take the pipelined route;
+		// everything else (nothing would overlap) takes the whole-operator one.
+		if cp, ok := e.pipelinePlanFor(n); ok {
+			return e.runPipelined(p, q, n, cp)
 		}
 	}
 	attempt := 0
@@ -232,41 +193,10 @@ func (e *Engine) compressionModes(n *plan.Node) string {
 	return strings.Join(modes, "+")
 }
 
-// noteKernel folds one attempt's kernel parallelism into its stats and the
-// morsel counter. A nil context (serial engine) records nothing, keeping
-// serial spans byte-identical to the pre-parallel engine.
-func (e *Engine) noteKernel(st *opStats, ectx *engine.Ctx) {
-	if ectx == nil {
-		return
-	}
-	st.kernelWorkers = ectx.Workers()
-	st.morsels = ectx.Morsels()
-	if st.morsels > 0 {
-		e.Metrics.KernelMorsels.Add(st.morsels)
-	}
-}
-
-// transferTimed runs one bus transfer and accumulates its virtual duration
-// (successful or faulted) into acc. Successful payload bytes are counted on
-// the per-direction registry counters so the observability windows see
-// transfer volume as it happens.
-func (e *Engine) transferTimed(p *sim.Proc, d bus.Direction, n int64, acc *time.Duration) error {
-	t0 := p.Now()
-	err := e.Bus.TryTransfer(p, d, n)
-	*acc += p.Now() - t0
-	if err == nil {
-		if d == bus.HostToDevice {
-			e.Metrics.H2DBytes.Add(n)
-		} else {
-			e.Metrics.D2HBytes.Add(n)
-		}
-	}
-	return err
-}
-
 // runOnGPU executes n on the co-processor. A non-abortNone return means the
 // attempt was rolled back (partial state released, abort stall charged) and
-// the caller decides between retry and CPU fallback.
+// the caller decides between retry, CPU fallback and — abortError, the only
+// class that carries an error — failing the query.
 func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value, st opStats, aborted abortKind, err error) {
 	tq := p.Now()
 	e.GPU.Workers.Acquire(p)
@@ -275,9 +205,15 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 
 	start := p.Now()
 	res := e.Heap.Reserve()
-	defer func() { st.heapHW = res.MaxHeld() }()
+	// refs are the cache references the attempt holds; nil again once the
+	// kernel is done with them.
 	var refs []table.ColumnID
-	abort := func() {
+	// The rollback every failing exit leaves through, whatever it had staged.
+	defer func() {
+		st.heapHW = res.MaxHeld()
+		if aborted == abortNone {
+			return
+		}
 		e.Metrics.Aborts.Inc()
 		// Failed allocation + cleanup synchronize the device: every
 		// in-flight kernel stalls, and the aborting operator's memory is
@@ -291,25 +227,13 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 		}
 		res.Release()
 		e.Metrics.WastedTime.Add(p.Now() - start)
-	}
-	// classify maps an allocation or transfer error to its abort kind;
-	// abortNone means the error is not an abort (a hard query error).
-	classify := func(aerr error) abortKind {
-		switch {
-		case errors.Is(aerr, device.ErrOutOfMemory):
-			return abortOOM
-		case errors.Is(aerr, device.ErrReset):
-			return abortReset
-		case faults.IsTransient(aerr):
-			if errors.Is(aerr, faults.ErrInjectedAlloc) {
-				e.Metrics.AllocFaults.Inc()
-			} else {
-				e.Metrics.TransferFaults.Inc()
-			}
-			return abortFault
-		default:
-			return abortNone
+	}()
+	// giveUp ends the attempt on the error of an allocation or a transfer.
+	giveUp := func(derr error) (*Value, opStats, abortKind, error) {
+		if kind := e.classify(derr, p.Now(), nil); kind != abortError {
+			return nil, st, kind, nil
 		}
+		return nil, st, abortError, derr
 	}
 
 	// Input phase: base columns through the cache, intermediates onto the
@@ -319,14 +243,12 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 	for _, id := range n.Op.BaseColumns() {
 		colBytes, berr := e.Cat.ColumnBytes(id)
 		if berr != nil {
-			abort()
-			return nil, st, abortNone, berr
+			return nil, st, abortError, berr
 		}
 		inBytes += colBytes
 		if e.Cache.Lookup(id) {
 			if rerr := e.Cache.Ref(id); rerr != nil {
-				abort()
-				return nil, st, abortNone, rerr
+				return nil, st, abortError, rerr
 			}
 			refs = append(refs, id)
 			continue // cache hit: data is already resident
@@ -335,35 +257,27 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 		if evicted, ok := e.Cache.Insert(id, colBytes); ok {
 			e.traceCacheAdmit(p.Now(), id, evicted, "operator-demand")
 			if rerr := e.Cache.Ref(id); rerr != nil {
-				abort()
-				return nil, st, abortNone, rerr
+				return nil, st, abortError, rerr
 			}
-			refs = append(refs, id)
 			if terr := e.transferTimed(p, bus.HostToDevice, colBytes, &st.transfer); terr != nil {
 				// The column never arrived: undo the placement.
 				e.Cache.Unref(id)
-				refs = refs[:len(refs)-1]
 				e.Cache.Evict(id)
 				if e.Tracer != nil {
 					e.Tracer.Event(trace.Event{At: p.Now(), Kind: "evict",
 						Subject: string(id), Reason: "transfer-failed"})
 				}
-				abort()
-				return nil, st, classify(terr), nil
+				return giveUp(terr)
 			}
+			refs = append(refs, id)
 			continue
 		}
 		// The cache cannot hold the column: stream it through the heap.
 		if aerr := res.Grow(colBytes); aerr != nil {
-			abort()
-			if k := classify(aerr); k != abortNone {
-				return nil, st, k, nil
-			}
-			return nil, st, abortNone, aerr
+			return giveUp(aerr)
 		}
 		if terr := e.transferTimed(p, bus.HostToDevice, colBytes, &st.transfer); terr != nil {
-			abort()
-			return nil, st, classify(terr), nil
+			return giveUp(terr)
 		}
 	}
 	for _, in := range inputs {
@@ -372,42 +286,26 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 			continue // produced by a GPU child, already resident
 		}
 		if aerr := res.Grow(in.Bytes()); aerr != nil {
-			abort()
-			if k := classify(aerr); k != abortNone {
-				return nil, st, k, nil
-			}
-			return nil, st, abortNone, aerr
+			return giveUp(aerr)
 		}
 		if terr := e.transferTimed(p, bus.HostToDevice, in.Bytes(), &st.transfer); terr != nil {
-			abort()
-			return nil, st, classify(terr), nil
+			return giveUp(terr)
 		}
 	}
 	if e.pollReset(p.Now()) || !res.Valid() {
 		// The device reset while (or right after) inputs were staged: all
 		// staged state is gone.
-		abort()
 		return nil, st, abortReset, nil
 	}
 
 	// The kernel's real result; the simulator charges its cost below.
 	batches := batchesOf(inputs)
 	ectx := e.kernelCtx()
-	var decodeBase int64
-	if e.Tracer != nil {
-		decodeBase = column.DecompressedBytes()
-	}
-	result, kerr := n.Op.Execute(ectx, e.Cat, batches)
-	if e.Tracer != nil {
-		st.decompress = column.DecompressedBytes() - decodeBase
-	}
-	e.noteKernel(&st, ectx)
+	result, kerr := e.runKernel(&st, ectx, func() (*engine.Batch, error) { return n.Op.Execute(ectx, e.Cat, batches) })
 	if kerr != nil {
-		abort()
-		return nil, st, abortNone, fmt.Errorf("%s on gpu: %w", n.Op.Name(), kerr)
+		return nil, st, abortError, fmt.Errorf("%s on gpu: %w", n.Op.Name(), kerr)
 	}
-	outBytes := result.Bytes()
-	st.rows, st.outBytes = int64(result.NumRows()), outBytes
+	outBytes := st.outBytes
 
 	// Heap phase: scratch + result footprint. Device operators cannot
 	// pre-declare their full demand (no concise upper bound for joins,
@@ -416,40 +314,22 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 	// second step fails *after* part of the kernel ran — the wasted work
 	// behind heap contention (Figures 3 and 20).
 	footprint := e.Params.HeapFootprint(n.Op.Class(), inBytes, outBytes)
-	dur := e.Params.OpDuration(n.Op.Class(), cost.GPU, cost.Work(inBytes, outBytes))
-	var slowFactor float64 = 1
-	if e.injector != nil {
-		var stall time.Duration
-		slowFactor, stall = e.injector.OpDelay(p.Now())
-		if stall > 0 {
-			// A stuck kernel: the device makes no progress for the stall.
-			e.Metrics.StuckOps.Inc()
-			p.Hold(stall)
-		}
-		if slowFactor != 1 {
-			dur = time.Duration(float64(dur) * slowFactor)
-		}
-	}
+	dur, slow := e.injectDelay(p, e.Params.OpDuration(n.Op.Class(), cost.GPU, cost.Work(inBytes, outBytes)))
 	t0 := p.Now()
 	for _, phase := range heapPhases {
 		if aerr := res.Grow(int64(float64(footprint) * phase.allocFraction)); aerr != nil {
-			abort() // mid-kernel failure: the partial compute is wasted
-			if k := classify(aerr); k != abortNone {
-				return nil, st, k, nil
-			}
-			return nil, st, abortNone, aerr
+			return giveUp(aerr) // mid-kernel failure: the partial compute is wasted
 		}
 		e.GPU.Server.Execute(p, dur.Seconds()*phase.computeFraction)
 		if e.pollReset(p.Now()) || !res.Valid() {
-			abort() // the reset wiped the kernel's state mid-run
-			return nil, st, abortReset, nil
+			return nil, st, abortReset, nil // the reset wiped the kernel's state mid-run
 		}
 	}
-	if slowFactor == 1 {
+	if slow {
 		// Degraded runs would poison the learner's calibration.
-		e.observe(n.Op.Class(), cost.GPU, cost.Work(inBytes, outBytes), p.Now()-t0)
-	} else {
 		e.Metrics.OperatorRuns.Inc()
+	} else {
+		e.observe(n.Op.Class(), cost.GPU, cost.Work(inBytes, outBytes), p.Now()-t0)
 	}
 	e.Metrics.GPUOperators.Inc()
 	e.Metrics.HeapHighWater.Max(e.Heap.HighWater())
@@ -459,28 +339,19 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 	for _, id := range refs {
 		e.Cache.Unref(id)
 	}
+	refs = nil
 	for _, in := range inputs {
 		e.dropDevice(in)
 	}
 	if held := res.Held(); held >= outBytes {
 		res.ReleasePartial(held - outBytes)
 	} else if aerr := res.Grow(outBytes - held); aerr != nil {
-		// The result itself does not fit (or faulted): late abort.
-		e.Metrics.Aborts.Inc()
-		e.GPU.Server.Stall(e.Params.AbortSync)
-		p.Hold(e.Params.AbortSync)
-		res.Release()
-		e.Metrics.WastedTime.Add(p.Now() - start)
-		if k := classify(aerr); k != abortNone {
-			return nil, st, k, nil
-		}
-		return nil, st, abortNone, aerr
+		return giveUp(aerr) // the result itself does not fit (or faulted): late abort
 	}
 	if e.forceCopyBack {
 		// UVA-style processing: results travel back after every operator.
 		if terr := e.transferTimed(p, bus.DeviceToHost, outBytes, &st.transfer); terr != nil {
-			abort()
-			return nil, st, classify(terr), nil
+			return giveUp(terr)
 		}
 		res.Release()
 		return &Value{Batch: result, OnDevice: false}, st, abortNone, nil
@@ -499,41 +370,27 @@ func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, inputs []*Value) (*Value, o
 	st.queueWait = p.Now() - tq
 	defer e.CPU.Workers.Release()
 
-	var inBytes int64
-	for _, id := range n.Op.BaseColumns() {
-		colBytes, err := e.Cat.ColumnBytes(id)
-		if err != nil {
-			return nil, st, err
-		}
-		inBytes += colBytes
+	inBytes, err := e.InputBytes(n, inputs)
+	if err != nil {
+		return nil, st, err
 	}
 	for _, in := range inputs {
-		inBytes += in.Bytes()
 		d, err := e.pullToHost(p, in)
 		st.transfer += d
 		if err != nil {
 			return nil, st, err
 		}
 	}
+	batches := batchesOf(inputs)
 	ectx := e.kernelCtx()
-	var decodeBase int64
-	if e.Tracer != nil {
-		decodeBase = column.DecompressedBytes()
-	}
-	result, err := n.Op.Execute(ectx, e.Cat, batchesOf(inputs))
-	if e.Tracer != nil {
-		st.decompress = column.DecompressedBytes() - decodeBase
-	}
-	e.noteKernel(&st, ectx)
+	result, err := e.runKernel(&st, ectx, func() (*engine.Batch, error) { return n.Op.Execute(ectx, e.Cat, batches) })
 	if err != nil {
 		return nil, st, fmt.Errorf("%s on cpu: %w", n.Op.Name(), err)
 	}
-	outBytes := result.Bytes()
-	st.rows, st.outBytes = int64(result.NumRows()), outBytes
-	dur := e.Params.OpDuration(n.Op.Class(), cost.CPU, cost.Work(inBytes, outBytes))
+	dur := e.Params.OpDuration(n.Op.Class(), cost.CPU, cost.Work(inBytes, st.outBytes))
 	t0 := p.Now()
 	e.CPU.Server.Execute(p, dur.Seconds())
-	e.observe(n.Op.Class(), cost.CPU, cost.Work(inBytes, outBytes), p.Now()-t0)
+	e.observe(n.Op.Class(), cost.CPU, cost.Work(inBytes, st.outBytes), p.Now()-t0)
 	e.Metrics.CPUOperators.Inc()
 	return &Value{Batch: result, OnDevice: false}, st, nil
 }
@@ -548,24 +405,15 @@ func (e *Engine) pullToHost(p *sim.Proc, v *Value) (time.Duration, error) {
 		return 0, nil
 	}
 	var busTime time.Duration
-	var err error
-	for attempt := 0; attempt < e.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			e.Metrics.Retries.Inc()
-			p.Hold(e.retry.backoff(attempt - 1))
-		}
-		if !v.OnDevice {
-			return busTime, nil // a device reset invalidated the copy; host batch is authoritative
-		}
-		err = e.transferTimed(p, bus.DeviceToHost, v.Bytes(), &busTime)
-		if err == nil {
-			e.dropDevice(v)
-			return busTime, nil
-		}
-		e.Metrics.TransferFaults.Inc()
-		e.Health.NoteFault(p.Now())
+	var hit bool
+	// A device reset during a backoff invalidates the copy; the host batch
+	// is authoritative and there is nothing left to fetch.
+	gone := func() bool { return !v.OnDevice }
+	if _, err := e.transferRetried(p, bus.DeviceToHost, v.Bytes(), &busTime, &hit, gone); err != nil {
+		return busTime, fmt.Errorf("device copy-back of %d bytes failed: %w", v.Bytes(), err)
 	}
-	return busTime, fmt.Errorf("device copy-back of %d bytes failed: %w", v.Bytes(), err)
+	e.dropDevice(v)
+	return busTime, nil
 }
 
 func batchesOf(inputs []*Value) []*engine.Batch {

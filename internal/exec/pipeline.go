@@ -20,76 +20,58 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"robustdb/internal/bus"
 	"robustdb/internal/column"
 	"robustdb/internal/cost"
-	"robustdb/internal/device"
 	"robustdb/internal/engine"
-	"robustdb/internal/faults"
 	"robustdb/internal/plan"
 	"robustdb/internal/sim"
 	"robustdb/internal/trace"
 )
 
-// pipelineChunkRowsFor resolves the chunk size for one pipelined operator:
-// a fixed override (ablations sweep it), the configured cost-model sizer, or
-// the built-in equal split into depth+2 chunks.
-func (e *Engine) pipelineChunkRowsFor(class cost.OpClass, info plan.ChunkInfo) int {
-	if e.pipeChunkRows > 0 {
-		r := e.pipeChunkRows
-		if r > info.Rows {
-			r = info.Rows
-		}
-		return r
-	}
-	if e.chunkSizer != nil {
-		return e.chunkSizer(e.Learner, e.Params, class, info.Rows, info.InRowBytes(), info.OutRowBytes, e.pipeDepth)
-	}
-	parts := e.pipeDepth + 2
-	r := (info.Rows + parts - 1) / parts
-	if r < 1 {
-		r = 1
-	}
-	return r
+// chunkPlan is the chunking of one pipelined operator: the kernel pair to
+// run, the rows and row widths it covers, and the k chunks of chunkRows rows
+// it is cut into.
+type chunkPlan struct {
+	op        plan.ChunkableOp
+	info      plan.ChunkInfo
+	chunkRows int
+	k         int
 }
 
 // pipelinePlanFor decides whether the pipelined executor applies to a
-// GPU-placed leaf and returns its chunking. It declines (k < 2) when the
-// operator is not chunkable, the chunk sizer cannot split it, or its inputs
-// are already device-resident — with nothing to transfer there is nothing to
-// overlap, and the serial path serves the cache hit.
-func (e *Engine) pipelinePlanFor(n *plan.Node) (plan.ChunkableOp, plan.ChunkInfo, int, int) {
+// GPU-placed leaf and returns its chunking. It declines when pipelining is
+// off, the operator is not a chunkable leaf, its inputs are already
+// device-resident — with nothing to transfer there is nothing to overlap, and
+// the whole-operator path serves the cache hit — or the chunk size (the
+// cost-model sizer's, or the fixed one ablations sweep) yields fewer than two
+// chunks.
+func (e *Engine) pipelinePlanFor(n *plan.Node) (chunkPlan, bool) {
 	if e.pipeDepth <= 0 || len(n.Children) != 0 {
-		return nil, plan.ChunkInfo{}, 0, 0
+		return chunkPlan{}, false
 	}
 	op, ok := n.Op.(plan.ChunkableOp)
-	if !ok {
-		return nil, plan.ChunkInfo{}, 0, 0
-	}
-	if e.TransferInEstimate(cost.GPU, n, nil) == 0 {
-		return nil, plan.ChunkInfo{}, 0, 0
+	if !ok || e.TransferInEstimate(cost.GPU, n, nil) == 0 {
+		return chunkPlan{}, false
 	}
 	info, err := op.ChunkInfo(e.Cat)
 	if err != nil {
 		e.NoteCatalogError(err)
-		return nil, plan.ChunkInfo{}, 0, 0
+		return chunkPlan{}, false
 	}
 	if info.Rows <= 0 {
-		return nil, plan.ChunkInfo{}, 0, 0
+		return chunkPlan{}, false
 	}
-	chunkRows := e.pipelineChunkRowsFor(n.Op.Class(), info)
+	chunkRows := e.pipeChunkRows
 	if chunkRows <= 0 {
-		return nil, plan.ChunkInfo{}, 0, 0
+		chunkRows = cost.PipelineChunkRows(e.Learner, e.Params, n.Op.Class(),
+			info.Rows, info.InRowBytes(), info.OutRowBytes, e.pipeDepth)
 	}
 	k := (info.Rows + chunkRows - 1) / chunkRows
-	if k < 2 {
-		return nil, plan.ChunkInfo{}, 0, 0
-	}
-	return op, info, chunkRows, k
+	return chunkPlan{op: op, info: info, chunkRows: chunkRows, k: k}, k >= 2
 }
 
 // PipelinedGPUEstimate estimates the seconds a GPU placement of n would take
@@ -98,47 +80,28 @@ func (e *Engine) pipelinePlanFor(n *plan.Node) (plan.ChunkableOp, plan.ChunkInfo
 // when the operator would not run pipelined, in which case callers fall back
 // to the serial estimate.
 func (e *Engine) PipelinedGPUEstimate(n *plan.Node) (float64, bool) {
-	op, info, chunkRows, k := e.pipelinePlanFor(n)
-	if op == nil {
+	cp, ok := e.pipelinePlanFor(n)
+	if !ok {
 		return 0, false
 	}
-	chunkIn := int64(float64(chunkRows) * info.InRowBytes())
-	chunkOut := int64(float64(chunkRows) * info.OutRowBytes) // selectivity-1 bound
+	chunkIn := int64(float64(cp.chunkRows) * cp.info.InRowBytes())
+	chunkOut := int64(float64(cp.chunkRows) * cp.info.OutRowBytes) // selectivity-1 bound
 	up := e.Bus.Duration(bus.HostToDevice, chunkIn)
 	down := e.Bus.Duration(bus.DeviceToHost, chunkOut)
 	comp := e.Learner.Estimate(n.Op.Class(), cost.GPU, cost.Work(chunkIn, chunkOut))
-	return cost.PipelinedDuration(up, comp, down, k).Seconds(), true
+	return cost.PipelinedDuration(up, comp, down, cp.k).Seconds(), true
 }
-
-// chunkOutcome is the result of one chunk attempt on the device.
-type chunkOutcome uint8
-
-const (
-	// chunkDone: the chunk completed and its positions are stored.
-	chunkDone chunkOutcome = iota
-	// chunkRedo: a capacity or infrastructure failure rolled the chunk back;
-	// the caller redoes it on the CPU (the per-chunk analogue of the
-	// operator-level abort-and-restart ladder).
-	chunkRedo
-	// chunkBail: the query failed or a sibling chunk hit a hard error; give
-	// up without redoing.
-	chunkBail
-)
 
 // pipeRun is the shared state of one pipelined operator execution. The
 // simulator serializes all processes, so plain fields are safe.
 type pipeRun struct {
+	chunkPlan
 	e     *Engine
 	q     *query
 	n     *plan.Node
-	op    plan.ChunkableOp
-	info  plan.ChunkInfo
 	class cost.OpClass
 	name  string
 	ectx  *engine.Ctx
-
-	chunkRows int
-	k         int
 
 	// inFlight bounds the buffered device chunks to the pipeline depth —
 	// the mbarrier-style producer/consumer credit of a double-buffered
@@ -165,14 +128,8 @@ type pipeRun struct {
 }
 
 // runPipelined executes a chunkable GPU-placed leaf through the pipelined
-// schedule. ran=false means the executor declined and the caller should run
-// the serial path; ran=true means the operator finished here (possibly with
-// an error that fails the query).
-func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool, error) {
-	op, info, chunkRows, k := e.pipelinePlanFor(n)
-	if op == nil {
-		return nil, false, nil
-	}
+// schedule chunks; an error fails the query.
+func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node, chunks chunkPlan) (*Value, error) {
 	opStart := p.Now()
 	e.GPU.Workers.Acquire(p)
 	defer e.GPU.Workers.Release()
@@ -180,24 +137,21 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool
 	e.Health.BeginAttempt()
 
 	r := &pipeRun{
+		chunkPlan: chunks,
 		e:         e,
 		q:         q,
 		n:         n,
-		op:        op,
-		info:      info,
 		class:     n.Op.Class(),
 		name:      procName(q.name, n),
 		ectx:      e.kernelCtx(),
-		chunkRows: chunkRows,
-		k:         k,
-		results:   make([]column.PosList, k),
-		remaining: k,
+		results:   make([]column.PosList, chunks.k),
+		remaining: chunks.k,
 	}
 	r.inFlight = sim.NewPool(e.Sim, r.name+".pipe", e.pipeDepth)
 	r.kexec = sim.NewPool(e.Sim, r.name+".kexec", 1)
 	r.done = sim.NewSignal(e.Sim)
 	start := p.Now()
-	for i := 0; i < k; i++ {
+	for i := 0; i < r.k; i++ {
 		i := i
 		e.Sim.Spawn(fmt.Sprintf("%s/c%03d", r.name, i), func(cp *sim.Proc) {
 			r.runChunk(cp, i)
@@ -210,43 +164,34 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool
 	st.transfer = r.transfer
 	st.heapHW = r.maxHeld
 	st.pipeDepth = e.pipeDepth
-	st.pipeChunks = int64(k)
+	st.pipeChunks = int64(r.k)
 	st.pipeCPUChunks = r.cpuChunks
 	kind := cost.GPU
 	if r.gpuChunks == 0 {
 		kind = cost.CPU
 	}
-	if r.err == nil && q.err != nil {
-		r.err = q.err
+	err := r.err
+	if err == nil {
+		err = q.err
 	}
-	if r.err != nil {
+	var result *engine.Batch
+	if err == nil {
+		// Stitch: concatenate the per-chunk position lists in chunk order and
+		// materialize once. The rows were computed and transferred back inside
+		// the chunk stages, so the stitch itself is free in virtual time.
+		pos := column.Concat(r.results)
+		result, err = e.runKernel(&st, r.ectx, func() (*engine.Batch, error) { return r.op.MaterializeResult(r.ectx, e.Cat, pos) })
+		if err != nil {
+			err = fmt.Errorf("%s pipelined: %w", n.Op.Name(), err)
+		}
+	}
+	if err != nil {
 		// Per-chunk faults were already noted via NoteFault; the attempt
 		// itself ends without a second health verdict.
 		e.Health.RecordNeutral()
-		e.traceOp(q, n, kind, 0, opStart, st, abortNone, r.err)
-		return nil, true, r.err
-	}
-
-	// Stitch: concatenate the per-chunk position lists in chunk order and
-	// materialize once. The rows were computed and transferred back inside
-	// the chunk stages, so the stitch itself is free in virtual time.
-	pos := column.Concat(r.results)
-	var decodeBase int64
-	if e.Tracer != nil {
-		decodeBase = column.DecompressedBytes()
-	}
-	result, merr := r.op.MaterializeResult(r.ectx, e.Cat, pos)
-	if e.Tracer != nil {
-		st.decompress = column.DecompressedBytes() - decodeBase
-	}
-	e.noteKernel(&st, r.ectx)
-	if merr != nil {
-		e.Health.RecordNeutral()
-		err := fmt.Errorf("%s pipelined: %w", n.Op.Name(), merr)
 		e.traceOp(q, n, kind, 0, opStart, st, abortNone, err)
-		return nil, true, err
+		return nil, err
 	}
-	st.rows, st.outBytes = int64(result.NumRows()), result.Bytes()
 
 	// Overlap: the ideal serial schedule costs the sum of all stage service
 	// times; the pipelined wall time (after admission) is what it actually
@@ -281,14 +226,14 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool
 		e.Metrics.CPUOperators.Inc()
 	}
 	e.Metrics.PipelinedOps.Inc()
-	e.Metrics.PipelineChunks.Add(int64(k))
+	e.Metrics.PipelineChunks.Add(int64(r.k))
 	e.Metrics.PipelineCPUChunks.Add(r.cpuChunks)
 	e.Metrics.HeapHighWater.Max(e.Heap.HighWater())
 	e.traceOp(q, n, kind, 0, opStart, st, abortNone, nil)
 	// Chunk results streamed back to the host as they completed, so the
 	// stitched value is host-resident (the transfer cost is already paid —
 	// nothing is saved by leaving a copy on the device).
-	return &Value{Batch: result, OnDevice: false}, true, nil
+	return &Value{Batch: result, OnDevice: false}, nil
 }
 
 // bail reports whether the run should stop early: the query failed (deadline,
@@ -344,13 +289,11 @@ func (r *pipeRun) runChunk(p *sim.Proc, i int) {
 	chunkIn := int64(float64(hi-lo) * r.info.InRowBytes())
 	outMax := int64(float64(hi-lo) * r.info.OutRowBytes)
 	if !r.wantCPU(p, chunkIn, outMax) {
-		switch r.runChunkGPU(p, i, lo, hi, chunkIn, outMax) {
-		case chunkDone, chunkBail:
+		// A rolled-back device attempt restarts on the CPU — the per-chunk
+		// analogue of the operator-level abort-and-restart ladder. Done,
+		// failed and overtaken chunks end here.
+		if aborted := r.runChunkGPU(p, i, lo, hi, chunkIn, outMax); !aborted.rolledBack() || r.bail() {
 			return
-		case chunkRedo:
-			if r.bail() {
-				return
-			}
 		}
 	}
 	r.runChunkCPU(p, i, lo, hi, chunkIn, outMax)
@@ -384,92 +327,65 @@ func (r *pipeRun) wantCPU(p *sim.Proc, chunkIn, outMax int64) bool {
 	return cpuSec < cycle*float64(backlog+1)
 }
 
-// noteChunkFault classifies a chunk-stage failure, counting injected faults
-// and feeding device health. OOM is capacity, not health (the serial ladder's
-// distinction); resets were already noted by DeviceReset.
-func (r *pipeRun) noteChunkFault(err error, now time.Duration) {
-	e := r.e
-	if err == nil || !faults.IsTransient(err) {
-		return
+// ended passes on the class a chunk's device attempt ended in, recording the
+// error of the one class that carries one as the run's.
+func (r *pipeRun) ended(kind abortKind, err error) abortKind {
+	if kind == abortError {
+		r.fail(err)
 	}
-	if errors.Is(err, faults.ErrInjectedAlloc) {
-		e.Metrics.AllocFaults.Inc()
-	} else {
-		e.Metrics.TransferFaults.Inc()
-	}
-	e.Health.NoteFault(now)
-	r.faulted = true
+	return kind
 }
 
 // runChunkGPU runs one chunk's upload → compute → download on the device.
 // Any capacity or infrastructure failure rolls the chunk back (reservation
-// released, no partial state) and reports chunkRedo; the caller restarts it
-// on the CPU, so a faulty device degrades chunk-by-chunk instead of wasting
-// the whole operator.
-func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64) chunkOutcome {
+// released, no partial state) and the caller restarts it on the CPU, so a
+// faulty device degrades chunk-by-chunk instead of wasting the whole
+// operator; abortStopped means the run was already failing, abortError that
+// this chunk failed it.
+func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64) (aborted abortKind) {
 	e := r.e
 	r.inFlight.Acquire(p)
 	defer r.inFlight.Release()
 	if r.bail() {
-		return chunkBail
+		return abortStopped
 	}
 	chunkStart := p.Now()
 
 	// Per-chunk heap reservation: the full footprint up front. A chunk is
 	// small, so the step-wise allocation storm of whole operators (§2.5.1)
 	// does not apply; what matters is that at most depth chunks hold
-	// reservations at once and every exit path releases.
+	// reservations at once and every exit, whatever its class, releases.
 	res := e.Heap.Reserve()
-	footprint := e.Params.HeapFootprint(r.class, chunkIn, outMax)
-	release := func() {
-		r.curHeld -= footprint
-		res.Release()
-	}
-	if aerr := res.Grow(footprint); aerr != nil {
-		res.Release()
-		if isHardAllocErr(aerr) {
-			r.fail(aerr)
-			return chunkBail
+	defer res.Release()
+	var held int64
+	defer func() {
+		r.curHeld -= held
+		if aborted.rolledBack() {
+			e.Metrics.WastedTime.Add(p.Now() - chunkStart)
 		}
-		r.noteChunkFault(aerr, p.Now())
-		e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-		return chunkRedo
+	}()
+	footprint := e.Params.HeapFootprint(r.class, chunkIn, outMax)
+	if aerr := res.Grow(footprint); aerr != nil {
+		return r.ended(e.classify(aerr, p.Now(), &r.faulted), aerr)
 	}
-	r.curHeld += footprint
+	held = footprint
+	r.curHeld += held
 	if r.curHeld > r.maxHeld {
 		r.maxHeld = r.curHeld
 	}
 
 	// Upload: chunk input over the H2D link, retrying transient faults.
 	t0 := p.Now()
-	for attempt := 0; ; attempt++ {
-		terr := e.transferTimed(p, bus.HostToDevice, chunkIn, &r.transfer)
-		if terr == nil {
-			break
-		}
-		r.noteChunkFault(terr, p.Now())
-		if attempt+1 >= e.retry.MaxAttempts {
-			release()
-			e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-			return chunkRedo
-		}
-		e.Metrics.Retries.Inc()
-		p.Hold(e.retry.backoff(attempt))
-		if r.bail() {
-			release()
-			return chunkBail
-		}
+	if kind, terr := e.transferRetried(p, bus.HostToDevice, chunkIn, &r.transfer, &r.faulted, r.bail); kind != abortNone {
+		return r.ended(kind, terr)
 	}
 	r.chunkSpan(i, "upload", "gpu", t0, p.Now())
 	r.stageTime += e.Bus.Duration(bus.HostToDevice, chunkIn)
 	if e.pollReset(p.Now()) || !res.Valid() {
-		release()
-		e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-		return chunkRedo
+		return abortReset
 	}
 	if r.bail() {
-		release()
-		return chunkBail
+		return abortStopped
 	}
 
 	// Compute: one kernel at a time on the device while other chunks'
@@ -477,32 +393,18 @@ func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 	r.kexec.Acquire(p)
 	if e.pollReset(p.Now()) || !res.Valid() {
 		r.kexec.Release()
-		release()
-		e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-		return chunkRedo
+		return abortReset
 	}
 	t0 = p.Now()
 	pos, kerr := r.op.FilterChunk(r.ectx, e.Cat, lo, hi)
 	if kerr != nil {
 		r.kexec.Release()
-		release()
-		r.fail(fmt.Errorf("%s on gpu (chunk %d): %w", r.n.Op.Name(), i, kerr))
-		return chunkBail
+		return r.ended(abortError, fmt.Errorf("%s on gpu (chunk %d): %w", r.n.Op.Name(), i, kerr))
 	}
 	chunkOut := int64(float64(pos.Len()) * r.info.OutRowBytes)
 	work := cost.Work(chunkIn, chunkOut)
-	dur := e.Params.OpDuration(r.class, cost.GPU, work)
-	if e.injector != nil {
-		slowFactor, stall := e.injector.OpDelay(p.Now())
-		if stall > 0 {
-			e.Metrics.StuckOps.Inc()
-			p.Hold(stall)
-		}
-		if slowFactor != 1 {
-			dur = time.Duration(float64(dur) * slowFactor)
-			r.anySlow = true
-		}
-	}
+	dur, slow := e.injectDelay(p, e.Params.OpDuration(r.class, cost.GPU, work))
+	r.anySlow = r.anySlow || slow
 	e.GPU.Server.Execute(p, dur.Seconds())
 	r.kexec.Release()
 	r.chunkSpan(i, "compute", "gpu", t0, p.Now())
@@ -510,40 +412,22 @@ func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 	r.gpuWork += work
 	r.gpuCompute += p.Now() - t0
 	if e.pollReset(p.Now()) || !res.Valid() {
-		release()
-		e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-		return chunkRedo
+		return abortReset
 	}
 
 	// Download: the chunk's qualifying rows stream back while the next
 	// chunk's kernel runs.
 	if chunkOut > 0 {
 		t0 = p.Now()
-		for attempt := 0; ; attempt++ {
-			terr := e.transferTimed(p, bus.DeviceToHost, chunkOut, &r.transfer)
-			if terr == nil {
-				break
-			}
-			r.noteChunkFault(terr, p.Now())
-			if attempt+1 >= e.retry.MaxAttempts {
-				release()
-				e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-				return chunkRedo
-			}
-			e.Metrics.Retries.Inc()
-			p.Hold(e.retry.backoff(attempt))
-			if r.bail() {
-				release()
-				return chunkBail
-			}
+		if kind, terr := e.transferRetried(p, bus.DeviceToHost, chunkOut, &r.transfer, &r.faulted, r.bail); kind != abortNone {
+			return r.ended(kind, terr)
 		}
 		r.chunkSpan(i, "download", "gpu", t0, p.Now())
 		r.stageTime += e.Bus.Duration(bus.DeviceToHost, chunkOut)
 	}
-	release()
 	r.results[i] = pos
 	r.gpuChunks++
-	return chunkDone
+	return abortNone
 }
 
 // runChunkCPU runs one chunk on the host: the co-execution path and the redo
@@ -569,17 +453,4 @@ func (r *pipeRun) runChunkCPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 	r.stageTime += dur
 	r.results[i] = pos
 	r.cpuChunks++
-}
-
-// isHardAllocErr reports whether a reservation failure is neither capacity
-// nor a known transient fault — a genuine engine error that must fail the
-// query instead of silently redoing on the CPU.
-func isHardAllocErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, device.ErrOutOfMemory) || errors.Is(err, device.ErrReset) {
-		return false
-	}
-	return !faults.IsTransient(err)
 }

@@ -95,10 +95,7 @@ func uniform(p *plan.Plan, kind cost.ProcKind) map[int]cost.ProcKind {
 // co-processor per iteration as long as the estimated response time
 // improves. A binary operator runs on the co-processor only if both children
 // do, which keeps transfers off the critical path.
-type CriticalPath struct {
-	// MaxIterations bounds the refinement; 0 means one pass per leaf.
-	MaxIterations int
-}
+type CriticalPath struct{}
 
 // Name returns "critical-path".
 func (CriticalPath) Name() string { return "critical-path" }
@@ -107,7 +104,7 @@ func (CriticalPath) Name() string { return "critical-path" }
 func (CriticalPath) RunTime(*exec.Engine, *plan.Node, []*exec.Value) cost.ProcKind { return cost.CPU }
 
 // CompileTime runs the iterative refinement.
-func (c CriticalPath) CompileTime(e *exec.Engine, p *plan.Plan) map[int]cost.ProcKind {
+func (CriticalPath) CompileTime(e *exec.Engine, p *plan.Plan) map[int]cost.ProcKind {
 	if err := p.EstimateSizes(e.Cat); err != nil {
 		e.NoteCatalogError(err)
 		return uniform(p, cost.CPU)
@@ -116,16 +113,13 @@ func (c CriticalPath) CompileTime(e *exec.Engine, p *plan.Plan) map[int]cost.Pro
 	onGPU := make(map[int]bool)
 	bestPlacement := derivePlacement(p, onGPU)
 	bestTime := estimateResponse(e, p, bestPlacement)
-	maxIter := c.MaxIterations
-	if maxIter <= 0 {
-		maxIter = len(leaves)
-	}
 	// Beam of width one (Appendix D): each iteration commits the single
 	// additional leaf path that yields the fastest plan at that level —
 	// even when that level is worse than the previous one, because deeper
 	// levels may recover (a binary operator joins the GPU only once both
-	// children are there). The best plan seen overall wins.
-	for iter := 0; iter < maxIter; iter++ {
+	// children are there). The best plan seen overall wins. One iteration per
+	// leaf: each finds a leaf still on the CPU, and after the last none is.
+	for range leaves {
 		levelLeaf := -1
 		var levelTime time.Duration
 		for _, leaf := range leaves {
@@ -139,9 +133,6 @@ func (c CriticalPath) CompileTime(e *exec.Engine, p *plan.Plan) map[int]cost.Pro
 				levelTime = t
 				levelLeaf = leaf.ID()
 			}
-		}
-		if levelLeaf < 0 {
-			break // every leaf path is on the co-processor
 		}
 		onGPU[levelLeaf] = true
 		if levelTime < bestTime {

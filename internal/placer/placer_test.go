@@ -195,23 +195,3 @@ func TestCriticalPathBadPlanFallsBackToCPU(t *testing.T) {
 		t.Fatal("unestimatable plan must fall back to CPU")
 	}
 }
-
-func TestCriticalPathIterationCap(t *testing.T) {
-	e := newEngine(1 << 30)
-	pl := starPlan()
-	for _, id := range pl.BaseColumns() {
-		b, _ := e.Cat.ColumnBytes(id)
-		e.Cache.Insert(id, b)
-	}
-	// One iteration can move at most one leaf path.
-	placement := CriticalPath{MaxIterations: 1}.CompileTime(e, pl)
-	gpuLeaves := 0
-	for _, l := range pl.Leaves() {
-		if placement[l.ID()] == cost.GPU {
-			gpuLeaves++
-		}
-	}
-	if gpuLeaves > 1 {
-		t.Fatalf("iteration cap violated: %d leaf paths moved", gpuLeaves)
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"robustdb/internal/bus"
-	"robustdb/internal/chopping"
 	"robustdb/internal/exec"
 	"robustdb/internal/placement"
 	"robustdb/internal/plan"
@@ -45,12 +44,6 @@ type Spec struct {
 	// Result.Failures instead of aborting the run. Without it the first
 	// failed query ends the run with its error.
 	ContinueOnError bool
-	// Monitor, when set, is invoked every MonitorEvery of virtual time
-	// while the workload runs (diagnostics: sampling concurrency, heap
-	// utilization). It must not block.
-	Monitor func(e *exec.Engine)
-	// MonitorEvery is the sampling period; zero means 100µs.
-	MonitorEvery time.Duration
 }
 
 // Result aggregates the metrics of one run.
@@ -148,7 +141,6 @@ type Runner struct {
 	strat     Strategy
 	spec      Spec
 	perUser   [][]Query
-	total     int
 	admission *sim.Pool
 }
 
@@ -164,12 +156,6 @@ func NewEngine(cat *table.Catalog, cfg exec.Config, strat Strategy, warm []Query
 	}
 	if strat.CPUWorkers > 0 {
 		cfg.CPUWorkers = strat.CPUWorkers
-	}
-	if cfg.PipelineDepth > 0 && cfg.ChunkSizer == nil {
-		// Wire the learner-driven chunk sizer of the chopping package as the
-		// default for pipelined engines (exec cannot import chopping, so the
-		// dependency is injected here).
-		cfg.ChunkSizer = chopping.PipelineChunkRows
 	}
 	e := exec.New(cat, cfg)
 
@@ -228,7 +214,7 @@ func NewRunner(cat *table.Catalog, cfg exec.Config, strat Strategy, spec Spec) (
 	if spec.AdmissionControl {
 		admission = sim.NewPool(e.Sim, "admission", 1)
 	}
-	return &Runner{Engine: e, strat: strat, spec: spec, perUser: perUser, total: total, admission: admission}, nil
+	return &Runner{Engine: e, strat: strat, spec: spec, perUser: perUser, admission: admission}, nil
 }
 
 // RunOnce executes one full pass of the workload in virtual time and
@@ -241,21 +227,6 @@ func (r *Runner) RunOnce() (Result, error) {
 	e, spec := r.Engine, r.spec
 	result := Result{Strategy: r.strat.Label, Latencies: make(map[string][]time.Duration)}
 	var runErr error
-	// finished counts queries that ended either way (completed or failed);
-	// the monitor terminates on it so chaos runs with failures still drain.
-	var finished int
-	if spec.Monitor != nil {
-		period := spec.MonitorEvery
-		if period <= 0 {
-			period = 100 * time.Microsecond
-		}
-		e.Sim.Spawn("monitor", func(p *sim.Proc) {
-			for finished < r.total && runErr == nil {
-				spec.Monitor(e)
-				p.Hold(period)
-			}
-		})
-	}
 	for u := 0; u < spec.Users; u++ {
 		queries := r.perUser[u]
 		e.Sim.Spawn(fmt.Sprintf("user%02d", u), func(p *sim.Proc) {
@@ -275,7 +246,6 @@ func (r *Runner) RunOnce() (Result, error) {
 				if r.admission != nil {
 					r.admission.Release()
 				}
-				finished++
 				if err != nil {
 					if !spec.ContinueOnError {
 						runErr = fmt.Errorf("workload: %s: %w", q.Name, err)

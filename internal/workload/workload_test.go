@@ -191,23 +191,19 @@ func TestStrategyCatalog(t *testing.T) {
 	}
 }
 
-// ContinueOnError: deadline failures are counted, the run drains, the
-// monitor loop terminates even though some queries never complete, and the
-// fault counters reach the result.
+// ContinueOnError: deadline failures are counted, the run drains even though
+// some queries never complete, and the fault counters reach the result.
 func TestContinueOnErrorDrains(t *testing.T) {
 	cat := tinySSB()
 	cfg := tinyCfg(cat)
 	// A deadline short enough that some queries fail, long enough that the
 	// cheap ones finish.
 	cfg.QueryDeadline = 50 * time.Microsecond
-	samples := 0
 	_, res, err := Run(cat, cfg, CPUOnly(), Spec{
 		Queries:         ssbQueries(),
 		Users:           2,
 		TotalQueries:    13,
 		ContinueOnError: true,
-		Monitor:         func(e *exec.Engine) { samples++ },
-		MonitorEvery:    10 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("run aborted despite ContinueOnError: %v", err)
@@ -220,9 +216,6 @@ func TestContinueOnErrorDrains(t *testing.T) {
 	}
 	if res.DeadlineFailures != res.Failures {
 		t.Fatalf("deadline failures %d != failures %d", res.DeadlineFailures, res.Failures)
-	}
-	if samples == 0 {
-		t.Fatal("monitor never sampled")
 	}
 	if res.WorkloadTime <= 0 {
 		t.Fatal("makespan missing")

@@ -190,26 +190,31 @@ type QueryStats struct {
 // Query executes one plan on a fresh simulated machine under the strategy
 // and returns its exact result.
 func (db *DB) Query(dev Device, strat Strategy, p *Plan) (*Batch, QueryStats, error) {
-	_, res, err := db.RunWorkload(dev, strat, Workload{
-		Queries: []WorkloadQuery{{Name: "q", Plan: p}},
-		Users:   1,
+	e, out, stats, err := db.runOne(dev, strat, "q", p)
+	if err != nil {
+		return nil, QueryStats{}, fmt.Errorf("robustdb: query: %w", err)
+	}
+	return out, QueryStats{Latency: stats.Latency, Aborts: e.Metrics.Aborts.Load()}, nil
+}
+
+// runOne is the single-query runner behind Query and ExplainAnalyzeSQL: one
+// session runs the plan once on a fresh engine built and pre-loaded the way a
+// workload's is, and the batch is the one the engine produced.
+func (db *DB) runOne(dev Device, strat Strategy, name string, p *Plan) (*exec.Engine, *Batch, exec.QueryStats, error) {
+	e, err := workload.NewEngine(db.cat, dev, strat, []WorkloadQuery{{Name: name, Plan: p}})
+	if err != nil {
+		return nil, nil, exec.QueryStats{}, err
+	}
+	var v *exec.Value
+	var stats exec.QueryStats
+	e.Sim.Spawn(name, func(proc *sim.Proc) {
+		v, stats, err = e.RunQuery(proc, p, strat.Placer)
 	})
+	e.Sim.Run()
 	if err != nil {
-		return nil, QueryStats{}, err
+		return nil, nil, stats, err
 	}
-	// Re-execute directly for the result batch (the workload runner reports
-	// metrics only); results are independent of placement, so the bulk
-	// kernels are authoritative.
-	out, err := evalPlan(db.cat, p)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	lat := res.Latencies["q"]
-	st := QueryStats{Aborts: res.Aborts}
-	if len(lat) > 0 {
-		st.Latency = lat[0]
-	}
-	return out, st, nil
+	return e, v.Batch, stats, nil
 }
 
 // RunWorkload executes a multi-user workload on a fresh simulated machine
@@ -266,15 +271,7 @@ func (db *DB) ExplainAnalyzeSQL(dev Device, strat Strategy, query string) (*Expl
 	if dev.Tracer == nil {
 		dev.Tracer = trace.New(0)
 	}
-	e, err := workload.NewEngine(db.cat, dev, strat, []WorkloadQuery{{Name: "analyze", Plan: pl}})
-	if err != nil {
-		return nil, err
-	}
-	var stats exec.QueryStats
-	e.Sim.Spawn("analyze", func(p *sim.Proc) {
-		_, stats, err = e.RunQuery(p, pl, strat.Placer)
-	})
-	e.Sim.Run()
+	_, _, stats, err := db.runOne(dev, strat, "analyze", pl)
 	if err != nil {
 		return nil, fmt.Errorf("robustdb: explain analyze: %w", err)
 	}
@@ -328,20 +325,3 @@ func RegenerateFigure(id string, opts FigureOptions) ([]*Figure, error) {
 
 // FigureIDs lists the regenerable figures in paper order.
 func FigureIDs() []string { return figures.IDs() }
-
-// evalPlan executes a plan directly with the bulk kernels.
-func evalPlan(cat *table.Catalog, p *plan.Plan) (*engine.Batch, error) {
-	var eval func(n *plan.Node) (*engine.Batch, error)
-	eval = func(n *plan.Node) (*engine.Batch, error) {
-		var inputs []*engine.Batch
-		for _, c := range n.Children {
-			in, err := eval(c)
-			if err != nil {
-				return nil, err
-			}
-			inputs = append(inputs, in)
-		}
-		return n.Op.Execute(nil, cat, inputs)
-	}
-	return eval(p.Root)
-}

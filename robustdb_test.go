@@ -83,6 +83,44 @@ func TestQueryAcrossStrategies(t *testing.T) {
 	}
 }
 
+// countingOp counts the kernel executions of the operator it wraps.
+type countingOp struct {
+	plan.Operator
+	runs int
+}
+
+func (c *countingOp) Execute(ectx *engine.Ctx, cat *table.Catalog, inputs []*engine.Batch) (*engine.Batch, error) {
+	c.runs++
+	return c.Operator.Execute(ectx, cat, inputs)
+}
+
+// DB.Query returns the batch the engine produced: on a device with room for
+// everything (no aborted attempt re-runs a kernel) every operator of the plan
+// executes exactly once, under every strategy.
+func TestQueryExecutesEachOperatorOnce(t *testing.T) {
+	db := testDB()
+	dev := db.DeviceForWorkingSet(1)
+	for _, strat := range AllStrategies() {
+		for _, q := range SSBQueries() {
+			var ops []*countingOp
+			for _, n := range q.Plan.Nodes() {
+				op := &countingOp{Operator: n.Op}
+				n.Op = op
+				ops = append(ops, op)
+			}
+			_, st, err := db.Query(dev, strat, q.Plan)
+			if err != nil || st.Aborts != 0 {
+				t.Fatalf("%s/%s: err %v, %d aborts", strat.Label, q.Name, err, st.Aborts)
+			}
+			for i, op := range ops {
+				if op.runs != 1 {
+					t.Errorf("%s/%s: node %d (%s) executed %d times, want 1", strat.Label, q.Name, i, op.Name(), op.runs)
+				}
+			}
+		}
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	db := testDB()
 	if _, err := SSBQuery("Q9.9"); err == nil {
