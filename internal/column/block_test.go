@@ -18,7 +18,7 @@ func TestReaderAcrossEncodings(t *testing.T) {
 		floats[i] = float64(vals[i])
 	}
 	plain := NewInt64("v", vals)
-	view := CompressInt64(plain).Slice(130, 650)
+	view := CompressRLE("v", vals).Slice(130, 650)
 	for _, c := range []Column{plain, NewDate("v", dates), CompressInt64(plain), CompressDate(NewDate("v", dates)),
 		CompressRLE("v", vals), view} {
 		base := 0

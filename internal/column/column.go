@@ -11,7 +11,7 @@
 // exported Values, Codes and Dict slices are exported to be read; no code
 // outside a constructor assigns to their elements, and nothing inside this
 // package rewrites packed words or run arrays in place. Zero-copy results
-// rely on it — GatherRange, Slice and Reader hand out views that alias a
+// rely on it — GatherRange and Reader hand out views that alias a
 // column's storage, base-table storage included, so a write through any of
 // them would change every batch that shares it. The engine's alias-safety
 // test checksums a whole catalog around full workloads to keep this true.

@@ -13,10 +13,9 @@ package column
 // the mechanism that moves the knees of Figures 2/3/14.
 //
 // Kernels do not decompress to operate: predicates scan the packed blocks
-// directly (see scan.go), Gather re-packs the surviving rows a block at a
-// time (sharing the source's packed words outright when the rows are a
-// contiguous range), and Slice produces zero-copy views so the morsel
-// scheduler can hand workers disjoint ranges of the same packed words. Full
+// directly, over whatever row range a morsel worker is handed (see scan.go),
+// and Gather re-packs the surviving rows a block at a time (sharing the
+// source's packed words outright when the rows are a contiguous range). Full
 // decodes still happen at well-defined seams (Decompress/Materialized) and
 // are metered through DecompressedBytes so late materialization is
 // observable, not just asserted.
@@ -49,17 +48,16 @@ type blockHdr struct {
 	width uint8 // bits per delta, 0..64
 }
 
-// packed is a frame-of-reference bit-packed integer sequence, possibly a
-// zero-copy view of a larger one: one header per 128 rows and the packed
-// deltas of all blocks back to back in one arena. Both compressed column
-// types embed it, so every kernel below is written once.
+// packed is a frame-of-reference bit-packed integer sequence: one header per
+// 128 rows and the packed deltas of all blocks back to back in one arena,
+// which a sequence cut from another on a block boundary shares (gatherRange).
+// Both compressed column types embed it, so every kernel below is written
+// once.
 type packed struct {
-	name   string
-	hdr    []blockHdr
-	words  []uint64
-	rows   int // rows encoded under hdr; only the last block may be short
-	off    int // first logical row of the view, counted from hdr[0]
-	length int
+	name  string
+	hdr   []blockHdr
+	words []uint64
+	rows  int // only the last block may be short
 }
 
 // bitsFor returns the number of bits needed to represent x.
@@ -121,7 +119,7 @@ func appendBlock(buf []uint64, vals []int64) (blockHdr, []uint64) {
 // pack encodes values into an exact-sized arena: one pass for the widths,
 // one to pack.
 func pack(name string, values []int64) packed {
-	s := packed{name: name, rows: len(values), length: len(values)}
+	s := packed{name: name, rows: len(values)}
 	if len(values) == 0 {
 		return s
 	}
@@ -201,32 +199,28 @@ func (s *packed) blockWords(bi int) []uint64 {
 func (s *packed) Name() string { return s.name }
 
 // Len returns the number of rows.
-func (s *packed) Len() int { return s.length }
+func (s *packed) Len() int { return s.rows }
 
-// Bytes returns the real encoded size of the blocks this view overlaps: per
-// block the minimum (8 B), the width byte, and the packed words. A
-// full-column view reports the whole encoding, so catalog byte accounting is
-// unchanged by the view machinery. Blocks lie back to back in the arena,
+// Bytes returns the real encoded size: per block the minimum (8 B), the
+// width byte, and the packed words. Blocks lie back to back in the arena,
 // which makes this O(1).
 func (s *packed) Bytes() int64 {
-	if s.length == 0 {
+	if s.rows == 0 {
 		return 0
 	}
-	first := s.off / blockSize
-	last := (s.off + s.length - 1) / blockSize
+	last := len(s.hdr) - 1
 	end := int(s.hdr[last].off) + wordsFor(s.blockLen(last), s.hdr[last].width)
-	return int64(last-first+1)*9 + int64(end-int(s.hdr[first].off))*8
+	return int64(len(s.hdr))*9 + int64(end-int(s.hdr[0].off))*8
 }
 
 // value returns the i-th value: the random-access path of the wire edge and
-// the sort comparator. Kernels read blocks (decode, gather, the scans).
+// the sort comparator. Kernels read blocks (decode, gather, the scan).
 func (s *packed) value(i int) int64 {
-	at := s.off + i
-	h := &s.hdr[at/blockSize]
+	h := &s.hdr[i/blockSize]
 	if h.width == 0 {
 		return h.min
 	}
-	return h.min + int64(delta(s.words[h.off:], uint(at%blockSize), h.width))
+	return h.min + int64(delta(s.words[h.off:], uint(i%blockSize), h.width))
 }
 
 // checkSlice panics like a slice expression does on bounds outside [0, n].
@@ -236,22 +230,13 @@ func checkSlice(lo, hi, n int) {
 	}
 }
 
-// slice returns a zero-copy view of rows [lo, hi): the packed words are
-// shared, only the window moves. Morsel workers slice instead of decoding.
-func (s *packed) slice(lo, hi int) packed {
-	checkSlice(lo, hi, s.length)
-	v := *s
-	v.off, v.length = s.off+lo, hi-lo
-	return v
-}
-
-// decode writes rows [lo, hi) of the view to dst, one source block at a time.
+// decode writes rows [lo, hi) to dst, one source block at a time.
 func decode[T number](s *packed, lo, hi int, dst []T) {
-	for at := s.off + lo; lo < hi; {
-		bi, j := at/blockSize, at%blockSize
+	for lo < hi {
+		bi, j := lo/blockSize, lo%blockSize
 		n := min(blockSize-j, hi-lo)
 		unpack(dst[:n], s.blockWords(bi), j, s.hdr[bi].min, s.hdr[bi].width)
-		dst, lo, at = dst[n:], lo+n, at+n
+		dst, lo = dst[n:], lo+n
 	}
 }
 
@@ -274,7 +259,7 @@ func serially(k int, task func(i int)) {
 // keeps survivors encoded; decoding happens only at the Decompress seam.
 func (s *packed) gather(pos []int32, run func(k int, task func(i int))) packed {
 	n := len(pos)
-	out := packed{name: s.name, rows: n, length: n}
+	out := packed{name: s.name, rows: n}
 	if n == 0 {
 		return out
 	}
@@ -313,10 +298,7 @@ func (s *packed) gather(pos []int32, run func(k int, task func(i int))) packed {
 func (s *packed) gatherChunk(pos []int32, hdr []blockHdr, buf []uint64) []uint64 {
 	var vals, src [blockSize]int64
 	decoded := -1 // source block held in src
-	at := func(p int32) (block int, j uint) {
-		row := uint(s.off) + uint(p)
-		return int(row / blockSize), row % blockSize
-	}
+	at := func(p int32) (block int, j uint) { return int(p) / blockSize, uint(p) % blockSize }
 	for b := 0; b*blockSize < len(pos); b++ {
 		p := pos[b*blockSize : min((b+1)*blockSize, len(pos))]
 		for i := 0; i < len(p); {
@@ -355,19 +337,18 @@ func (s *packed) gatherChunk(pos []int32, hdr []blockHdr, buf []uint64) []uint64
 // a final block the range cuts short is packed again (its frame may be
 // narrower than the source block's), behind a copy of the shared words.
 func (s *packed) gatherRange(lo, hi int) (packed, bool) {
-	checkSlice(lo, hi, s.length)
+	checkSlice(lo, hi, s.rows)
 	n := hi - lo
-	out := packed{name: s.name, rows: n, length: n}
+	out := packed{name: s.name, rows: n}
 	if n == 0 {
 		return out, true
 	}
-	first, end := s.off+lo, s.off+hi
-	if first%blockSize != 0 {
+	if lo%blockSize != 0 {
 		return out, false
 	}
-	fb, lb := first/blockSize, (end-1)/blockSize
+	fb, lb := lo/blockSize, (hi-1)/blockSize
 	out.hdr, out.words = s.hdr[fb:lb+1:lb+1], s.words
-	if end%blockSize == 0 || end == s.rows {
+	if hi%blockSize == 0 || hi == s.rows {
 		return out, true
 	}
 	out.hdr = slices.Clone(out.hdr)
@@ -376,7 +357,7 @@ func (s *packed) gatherRange(lo, hi int) (packed, bool) {
 		out.hdr[i].off -= base
 	}
 	var vals [blockSize]int64
-	cut := vals[:end%blockSize]
+	cut := vals[:hi%blockSize]
 	unpack(cut, s.blockWords(lb), 0, s.hdr[lb].min, s.hdr[lb].width)
 	_, width := frame(cut)
 	words := make([]uint64, tail-base, int(tail-base)+wordsFor(len(cut), width))
@@ -385,11 +366,10 @@ func (s *packed) gatherRange(lo, hi int) (packed, bool) {
 	return out, true
 }
 
-// CompressedInt64Column is a bit-packed integer column, possibly a zero-copy
-// view of a larger one. It satisfies Column; predicates evaluate directly on
-// the packed blocks (ScanCmp/ScanRange), Gather re-packs the addressed rows
-// so late-materialized paths stay compressed, and Decompress is the single
-// (metered) full-decode seam.
+// CompressedInt64Column is a bit-packed integer column. It satisfies Column;
+// predicates evaluate directly on the packed blocks (Scan), Gather re-packs
+// the addressed rows so late-materialized paths stay compressed, and
+// Decompress is the single (metered) full-decode seam.
 type CompressedInt64Column struct{ packed }
 
 // CompressInt64 encodes a plain integer column.
@@ -403,11 +383,6 @@ func (c *CompressedInt64Column) Type() Type { return Int64 }
 // Value returns the i-th value.
 func (c *CompressedInt64Column) Value(i int) int64 { return c.value(i) }
 
-// Slice returns a zero-copy view of rows [lo, hi).
-func (c *CompressedInt64Column) Slice(lo, hi int) *CompressedInt64Column {
-	return &CompressedInt64Column{c.slice(lo, hi)}
-}
-
 // Gather re-packs the addressed rows into a new compressed column.
 func (c *CompressedInt64Column) Gather(pos []int32) Column { return c.GatherWith(pos, serially) }
 
@@ -420,9 +395,9 @@ func (c *CompressedInt64Column) GatherWith(pos []int32, run func(k int, task fun
 
 // Decompress materializes the whole column (metered; see DecompressedBytes).
 func (c *CompressedInt64Column) Decompress() *Int64Column {
-	out := make([]int64, c.length)
-	decode(&c.packed, 0, c.length, out)
-	noteDecompressed(int64(c.length) * 8)
+	out := make([]int64, c.rows)
+	decode(&c.packed, 0, c.rows, out)
+	noteDecompressed(int64(c.rows) * 8)
 	return NewInt64(c.name, out)
 }
 
@@ -445,11 +420,6 @@ func (c *CompressedDateColumn) Type() Type { return Date }
 // Value returns the i-th value as days since epoch.
 func (c *CompressedDateColumn) Value(i int) int32 { return int32(c.value(i)) }
 
-// Slice returns a zero-copy view of rows [lo, hi).
-func (c *CompressedDateColumn) Slice(lo, hi int) *CompressedDateColumn {
-	return &CompressedDateColumn{c.slice(lo, hi)}
-}
-
 // Gather re-packs the addressed rows into a new compressed date column.
 func (c *CompressedDateColumn) Gather(pos []int32) Column { return c.GatherWith(pos, serially) }
 
@@ -461,9 +431,9 @@ func (c *CompressedDateColumn) GatherWith(pos []int32, run func(k int, task func
 
 // Decompress materializes the whole column (metered; see DecompressedBytes).
 func (c *CompressedDateColumn) Decompress() *DateColumn {
-	out := make([]int32, c.length)
-	decode(&c.packed, 0, c.length, out)
-	noteDecompressed(int64(c.length) * 4)
+	out := make([]int32, c.rows)
+	decode(&c.packed, 0, c.rows, out)
+	noteDecompressed(int64(c.rows) * 4)
 	return NewDate(c.name, out)
 }
 

@@ -156,19 +156,20 @@ func TestWidth64Boundary(t *testing.T) {
 	}
 }
 
-// Slice bounds outside the column panic, as a slice expression would — a
-// view must never reach rows its column does not have.
+// Row ranges outside the column panic, as a slice expression would — a view
+// or a scan must never reach rows its column does not have.
 func TestSliceBoundsPanic(t *testing.T) {
 	vals := make([]int64, 300)
 	packed := CompressInt64(NewInt64("x", vals))
 	dates := CompressDate(NewDate("d", make([]int32, 300)))
 	rle := CompressRLE("r", vals)
 	for label, slice := range map[string]func(lo, hi int){
-		"packed": func(lo, hi int) { packed.Slice(lo, hi) },
-		"view":   func(lo, hi int) { packed.Slice(100, 200).Slice(lo, hi) },
-		"date":   func(lo, hi int) { dates.Slice(lo, hi) },
-		"rle":    func(lo, hi int) { rle.Slice(lo, hi) },
-		"range":  func(lo, hi int) { GatherRange(packed, lo, hi) },
+		"rle":   func(lo, hi int) { rle.Slice(lo, hi) },
+		"view":  func(lo, hi int) { rle.Slice(0, 300).Slice(lo, hi) },
+		"range": func(lo, hi int) { GatherRange(packed, lo, hi) },
+		"scan":  func(lo, hi int) { Scan(packed, Interval[int64]{}, lo, hi, nil) },
+		"date":  func(lo, hi int) { Scan(dates, Interval[int64]{}, lo, hi, nil) },
+		"runs":  func(lo, hi int) { Scan(rle, Interval[int64]{}, lo, hi, nil) },
 	} {
 		for _, b := range [][2]int{{-1, 10}, {20, 10}, {0, 301}, {301, 301}} {
 			func() {
@@ -183,7 +184,6 @@ func TestSliceBoundsPanic(t *testing.T) {
 		slice(0, 0)
 		slice(100, 100)
 	}
-	packed.Slice(0, 300)
 	rle.Slice(300, 300)
 }
 
@@ -196,7 +196,7 @@ func TestCompressEmptyColumn(t *testing.T) {
 	if g := c.Gather(nil); g.Len() != 0 || g.Bytes() != 0 {
 		t.Fatalf("empty gather: Len %d, Bytes %d", g.Len(), g.Bytes())
 	}
-	if got := c.ScanCmp(ScanGE, 0, nil); len(got) != 0 {
+	if got, ok := Scan(c, Interval[int64]{Lo: 0, Hi: math.MaxInt64}, 0, 0, nil); !ok || len(got) != 0 {
 		t.Fatalf("scan of an empty column selected %v", got)
 	}
 }

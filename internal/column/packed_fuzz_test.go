@@ -78,15 +78,13 @@ func refBytes(blocks []refBlock) int64 {
 	return n
 }
 
-// assertEncodes fails unless s (a whole sequence, not a window) is exactly
-// the reference encoding of want: every block's min, width and words, the
-// length and Bytes().
+// assertEncodes fails unless s is exactly the reference encoding of want:
+// every block's min, width and words, the length and Bytes().
 func assertEncodes(t *testing.T, label string, s *packed, want []int64) {
 	t.Helper()
 	ref := refPack(want)
-	if s.off != 0 || s.length != len(want) || s.rows != len(want) || len(s.hdr) != len(ref) {
-		t.Fatalf("%s: off %d, length %d, rows %d, %d blocks; want 0, %d, %d, %d",
-			label, s.off, s.length, s.rows, len(s.hdr), len(want), len(want), len(ref))
+	if s.rows != len(want) || len(s.hdr) != len(ref) {
+		t.Fatalf("%s: rows %d, %d blocks; want %d, %d", label, s.rows, len(s.hdr), len(want), len(ref))
 	}
 	for bi, rb := range ref {
 		h := s.hdr[bi]
@@ -167,16 +165,6 @@ func fuzzPositions(rng *rand.Rand, n int, mode uint8, data []byte) []int32 {
 	return pos
 }
 
-func bruteScan(vals []int64, match func(int64) bool) []int32 {
-	out := []int32{}
-	for i, x := range vals {
-		if match(x) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // backwards runs gather tasks last to first: any schedule must give the
 // serial result.
 func backwards(k int, task func(i int)) {
@@ -185,11 +173,11 @@ func backwards(k int, task func(i int)) {
 	}
 }
 
-// FuzzPackedGather holds the block kernels — pack, Slice, Gather (serial and
-// scheduled), GatherRange, Decompress, Reader, ScanCmp, ScanRange — to the
-// value-at-a-time reference above, over arbitrary values (all widths 0…64,
-// frames at both ends of int64), an arbitrary window and an arbitrary
-// position list.
+// FuzzPackedGather holds the block kernels — pack, Gather (serial and
+// scheduled), GatherRange, Decompress, Reader, Scan — to the value-at-a-time
+// reference above, over arbitrary values (all widths 0…64, frames at both
+// ends of int64), an arbitrary row window [lo, hi) and an arbitrary position
+// list inside it.
 func FuzzPackedGather(f *testing.F) {
 	f.Add(int64(1), uint16(1000), uint8(12), int64(0), uint16(0), uint16(1000), uint8(1), int64(7), []byte(nil))
 	f.Add(int64(2), uint16(1000), uint8(64), int64(math.MinInt64), uint16(130), uint16(900), uint8(2), int64(-5), []byte(nil))
@@ -209,30 +197,31 @@ func FuzzPackedGather(f *testing.F) {
 			lo, hi = int(wlo)%(int(n)+1), int(whi)%(int(n)+1)
 			lo, hi = min(lo, hi), max(lo, hi)
 		}
-		view := c.Slice(lo, hi)
 		window := vals[lo:hi]
-		if got := view.Decompress().Values; !slices.Equal(got, window) {
-			t.Fatalf("Decompress of [%d,%d) differs from the values", lo, hi)
+		if got := c.Decompress().Values; !slices.Equal(got, vals) {
+			t.Fatal("Decompress differs from the values")
 		}
 
+		// pos addresses rows of the window, rows the same as rows of c.
 		pos := fuzzPositions(rng, len(window), mode, data)
+		rows := make([]int32, len(pos))
 		want := make([]int64, len(pos))
 		for i, p := range pos {
-			want[i] = window[p]
+			rows[i], want[i] = p+int32(lo), window[p]
 		}
-		g := view.Gather(pos).(*CompressedInt64Column)
+		g := c.Gather(rows).(*CompressedInt64Column)
 		assertEncodes(t, "Gather", &g.packed, want)
-		gw := view.GatherWith(pos, backwards).(*CompressedInt64Column)
+		gw := c.GatherWith(rows, backwards).(*CompressedInt64Column)
 		assertEncodes(t, "GatherWith(backwards)", &gw.packed, want)
 		contiguous := len(pos) > 0
 		for i, p := range pos {
 			contiguous = contiguous && p == pos[0]+int32(i)
 		}
 		if contiguous {
-			p0 := int(pos[0])
-			r, ok := GatherRange(view, p0, p0+len(pos))
-			if aligned := (lo+p0)%blockSize == 0; ok != aligned {
-				t.Fatalf("GatherRange ok = %v for a range starting at stored row %d", ok, lo+p0)
+			p0 := int(rows[0])
+			r, ok := GatherRange(c, p0, p0+len(pos))
+			if aligned := p0%blockSize == 0; ok != aligned {
+				t.Fatalf("GatherRange ok = %v for a range starting at row %d", ok, p0)
 			}
 			if ok {
 				assertEncodes(t, "GatherRange", &r.(*CompressedInt64Column).packed, want)
@@ -241,37 +230,31 @@ func FuzzPackedGather(f *testing.F) {
 
 		// Block reads of a sub-window, in both element types.
 		if len(window) > 0 {
-			a := rng.Intn(len(window))
-			b := a + rng.Intn(len(window)-a+1)
-			ints, _ := Reader[int64](view)
-			if got := ints(a, b, nil); !slices.Equal(got, window[a:b]) {
+			a := lo + rng.Intn(len(window))
+			b := a + rng.Intn(hi-a+1)
+			ints, _ := Reader[int64](c)
+			if got := ints(a, b, nil); !slices.Equal(got, vals[a:b]) {
 				t.Fatalf("Reader[int64](%d,%d) differs from the values", a, b)
 			}
-			floats, _ := Reader[float64](view)
+			floats, _ := Reader[float64](c)
 			for i, x := range floats(a, b, make([]float64, 3)) {
-				if x != float64(window[a+i]) {
-					t.Fatalf("Reader[float64](%d,%d)[%d] = %v, want %v", a, b, i, x, float64(window[a+i]))
+				if x != float64(vals[a+i]) {
+					t.Fatalf("Reader[float64](%d,%d)[%d] = %v, want %v", a, b, i, x, float64(vals[a+i]))
 				}
 			}
 		}
 
-		// Scans against brute force, at the probe and at a value that occurs.
+		// Scans of the window against brute force, at the probe and at a
+		// value that occurs.
 		probes := []int64{probe}
 		if len(window) > 0 {
 			probes = append(probes, window[rng.Intn(len(window))])
 		}
 		for _, v := range probes {
-			for op := ScanEQ; op <= ScanGE; op++ {
-				got := view.ScanCmp(op, v, []int32{})
-				if want := bruteScan(window, func(x int64) bool { return cmpMatches(op, x, v) }); !slices.Equal(got, want) {
-					t.Fatalf("ScanCmp(op %d, %d): %d positions, want %d", op, v, len(got), len(want))
-				}
+			for _, iv := range pivotIntervals(v) {
+				checkScan(t, "window", c, vals, iv, lo, hi)
 			}
-			rlo, rhi := min(v, probe), max(v, probe)
-			got := view.ScanRange(rlo, rhi, []int32{})
-			if want := bruteScan(window, func(x int64) bool { return x >= rlo && x <= rhi }); !slices.Equal(got, want) {
-				t.Fatalf("ScanRange(%d, %d): %d positions, want %d", rlo, rhi, len(got), len(want))
-			}
+			checkScan(t, "window", c, vals, Interval[int64]{Lo: min(v, probe), Hi: max(v, probe)}, lo, hi)
 		}
 
 		// The date twin packs the same sequence under another type.

@@ -12,8 +12,8 @@ import "slices"
 // is O(1) to build, measure, sub-range, intersect with another range and
 // recognize — Gather asks AsRange and reaches GatherRange without a list
 // ever being written. An explicit list holds anything else. The zero value
-// is the empty selection. A PosList is immutable once handed on, except
-// through Shift.
+// is the empty selection. A PosList is immutable: no method writes to a list,
+// so results may share one (Slice, Intersect with a range, Explicit).
 type PosList struct {
 	list  []int32 // the explicit arm; nil for a range
 	lo, n int32   // the range arm
@@ -93,20 +93,6 @@ func (p PosList) Slice(i, j int) PosList {
 		panic("column: position slice out of range")
 	}
 	return Range(int(p.lo)+i, int(p.lo)+j)
-}
-
-// Shift adds d to every position: how a selection over rows [d, …) of a
-// column, computed on a view, becomes one over the column. An explicit list
-// is shifted in place, so only the owner of a list nobody else has seen may
-// shift it.
-func (p PosList) Shift(d int) PosList {
-	for i := range p.list {
-		p.list[i] += int32(d)
-	}
-	if p.list == nil {
-		p.lo += int32(d)
-	}
-	return p
 }
 
 // Intersect computes the intersection of two ascending position lists: the

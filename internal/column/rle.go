@@ -7,8 +7,8 @@ import "sort"
 // natural encoding for sorted or clustered attributes (order keys, group
 // ids); aggregation consumes a whole run in O(1) and predicates decide a
 // run with one comparison, so work scales with the number of runs, not the
-// number of rows. Like the bit-packed columns it supports zero-copy Slice
-// views for the morsel scheduler and re-encodes on Gather.
+// number of rows. A contiguous gather is a zero-copy Slice view (GatherRange);
+// any other Gather re-encodes.
 type RLEInt64Column struct {
 	name   string
 	vals   []int64 // one value per run
@@ -122,26 +122,11 @@ func (c *RLEInt64Column) Decompress() *Int64Column {
 	return NewInt64(c.name, out)
 }
 
-// ScanCmp appends the local positions satisfying (value op v) to out,
-// deciding each run with a single comparison.
-func (c *RLEInt64Column) ScanCmp(op ScanOp, v int64, out []int32) []int32 {
-	c.Runs(0, c.length, func(rv int64, lo, hi int) {
-		if cmpMatches(op, rv, v) {
-			for i := lo; i < hi; i++ {
-				out = append(out, int32(i))
-			}
-		}
-	})
-	return out
-}
-
-// ScanRange appends the local positions with lo ≤ value ≤ hi to out.
-func (c *RLEInt64Column) ScanRange(lo, hi int64, out []int32) []int32 {
-	c.Runs(0, c.length, func(rv int64, rlo, rhi int) {
-		if rv >= lo && rv <= hi {
-			for i := rlo; i < rhi; i++ {
-				out = append(out, int32(i))
-			}
+// scan is the run-wise kernel: one comparison decides a run.
+func (c *RLEInt64Column) scan(iv Interval[int64], lo, hi int, out []int32) []int32 {
+	c.Runs(lo, hi, func(v int64, from, to int) {
+		if (v >= iv.Lo && v <= iv.Hi) != iv.Not {
+			out = appendRange(out, from, to-from)
 		}
 	})
 	return out

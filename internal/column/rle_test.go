@@ -150,44 +150,23 @@ func TestRLEGatherPreservesEncoding(t *testing.T) {
 	}
 }
 
-// TestRLEScanAgainstBruteForce: ScanCmp and ScanRange agree with the
-// value-at-a-time reference on every operator, including through views that
-// split runs.
+// TestRLEScanAgainstBruteForce: the run-wise scan agrees with the
+// value-at-a-time reference on every comparison, including through views
+// and row windows that split runs.
 func TestRLEScanAgainstBruteForce(t *testing.T) {
 	vals := rleTestValues(6, 900)
 	c := CompressRLE("g", vals)
-	cols := []*RLEInt64Column{c, c.Slice(33, 850)}
-	for ci, col := range cols {
-		base := 0
-		if ci == 1 {
-			base = 33
+	for _, v := range []int64{-1, 0, 3, 4, 8, 9} {
+		for _, iv := range pivotIntervals(v) {
+			checkScan(t, "whole", c, vals, iv, 0, len(vals))
+			checkScan(t, "window", c, vals, iv, 33, 850)
+			checkScan(t, "view", c.Slice(33, 850), vals[33:850], iv, 0, 817)
+			checkScan(t, "view window", c.Slice(33, 850), vals[33:850], iv, 5, 700)
 		}
-		for _, v := range []int64{-1, 0, 3, 4, 8, 9} {
-			for op := ScanEQ; op <= ScanGE; op++ {
-				var want []int32
-				for i := 0; i < col.Len(); i++ {
-					if cmpMatches(op, vals[base+i], v) {
-						want = append(want, int32(i))
-					}
-				}
-				got := col.ScanCmp(op, v, nil)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("col %d: ScanCmp(op=%d, v=%d): %d positions, want %d", ci, op, v, len(got), len(want))
-				}
-			}
-		}
-		for _, r := range [][2]int64{{0, 8}, {2, 5}, {5, 2}, {-10, -1}, {7, 7}} {
-			var want []int32
-			for i := 0; i < col.Len(); i++ {
-				if x := vals[base+i]; x >= r[0] && x <= r[1] {
-					want = append(want, int32(i))
-				}
-			}
-			got := col.ScanRange(r[0], r[1], nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("col %d: ScanRange(%d, %d): %d positions, want %d", ci, r[0], r[1], len(got), len(want))
-			}
-		}
+	}
+	for _, r := range [][2]int64{{0, 8}, {2, 5}, {5, 2}, {-10, -1}, {7, 7}} {
+		checkScan(t, "range", c, vals, Interval[int64]{Lo: r[0], Hi: r[1]}, 0, len(vals))
+		checkScan(t, "range view", c.Slice(33, 850), vals[33:850], Interval[int64]{Lo: r[0], Hi: r[1]}, 0, 817)
 	}
 }
 
@@ -236,8 +215,8 @@ func TestDecompressedBytesMetering(t *testing.T) {
 	cd := CompressDate(NewDate("d", []int32{1, 2, 3, 4}))
 
 	before := DecompressedBytes()
-	rle.ScanCmp(ScanEQ, 3, nil)
-	bp.ScanRange(2, 5, nil)
+	Scan(rle, Interval[int64]{Lo: 3, Hi: 3}, 0, len(vals), nil)
+	Scan(bp, Interval[int64]{Lo: 2, Hi: 5}, 0, len(vals), nil)
 	if got := DecompressedBytes(); got != before {
 		t.Fatalf("code-domain scans metered %d bytes", got-before)
 	}

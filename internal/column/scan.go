@@ -1,140 +1,76 @@
 package column
 
-// Code-domain scan kernels: predicates evaluate directly on the packed
-// representation. Every frame-of-reference block knows its minimum and (from
-// the bit width) a conservative maximum, so whole blocks are skipped or
-// taken with two comparisons; only straddling blocks are decoded, a block at
-// a time into a stack buffer. This is what makes compressed filters faster
-// than decompress-then-filter on clustered data, not merely equal.
+// The scan kernels. Every predicate that compares a column with constants is
+// an Interval of the column's value domain, and Scan finds the rows of a row
+// range whose stored value lies in it, reading the column's encoding in
+// place: a dense array is compared value by value, a run-length column run by
+// run, and a bit-packed column block by block — every frame-of-reference
+// block knows its minimum and (from the bit width) a conservative maximum, so
+// whole blocks are skipped or taken on their header and only straddling
+// blocks are decoded, a block at a time into a stack buffer. This is what
+// makes compressed filters faster than decompress-then-filter on clustered
+// data, not merely equal.
 
 import "sync/atomic"
 
-// ScanOp enumerates the comparison kinds of the code-domain kernels.
-// internal/expr translates its operators to these once per predicate.
-type ScanOp uint8
-
-const (
-	// ScanEQ selects values equal to the constant.
-	ScanEQ ScanOp = iota
-	// ScanNE selects values not equal to the constant.
-	ScanNE
-	// ScanLT selects values less than the constant.
-	ScanLT
-	// ScanLE selects values at most the constant.
-	ScanLE
-	// ScanGT selects values greater than the constant.
-	ScanGT
-	// ScanGE selects values at least the constant.
-	ScanGE
-)
-
-// cmpMatches reports whether (a op b) holds.
-func cmpMatches(op ScanOp, a, b int64) bool {
-	switch op {
-	case ScanEQ:
-		return a == b
-	case ScanNE:
-		return a != b
-	case ScanLT:
-		return a < b
-	case ScanLE:
-		return a <= b
-	case ScanGT:
-		return a > b
-	default:
-		return a >= b
-	}
+// Interval is the set of values v with Lo ≤ v ≤ Hi or, when Not is set, its
+// complement: the normal form of =, <>, <, ≤, >, ≥ and BETWEEN against
+// constants. Lo > Hi is the empty interval, and its complement everything. A
+// NaN lies in no interval and so in every complement — the IEEE answer, since
+// of the six comparisons only <> is a complement.
+type Interval[T int64 | float64] struct {
+	Lo, Hi T
+	Not    bool
 }
 
-// blockBounds returns the value range a block can contain. The maximum is
-// the width-implied bound (min + 2^width − 1), which is exact for blocks
-// whose extremes realize the width and conservative otherwise. bounded is
-// false for 64-bit blocks, whose delta range wraps int64.
-func blockBounds(b *blockHdr) (mn int64, maxDelta uint64, bounded bool) {
-	if b.width >= 64 {
-		return b.min, 0, false
+// Scan appends to out, in ascending order, the rows of [lo, hi) whose value
+// lies in iv, numbered as rows of c. Integer intervals scan the integer and
+// date columns of every encoding and the codes of a string column; float
+// intervals scan float columns. It reports false for any other pairing.
+func Scan[T int64 | float64](c Column, iv Interval[T], lo, hi int, out []int32) ([]int32, bool) {
+	checkSlice(lo, hi, c.Len())
+	switch iv := any(iv).(type) {
+	case Interval[float64]:
+		if c, ok := c.(*Float64Column); ok {
+			return scanDense(c.Values[lo:hi], iv, lo, out), true
+		}
+	case Interval[int64]:
+		switch c := c.(type) {
+		case *Int64Column:
+			return scanDense(c.Values[lo:hi], iv, lo, out), true
+		case *DateColumn:
+			return scanDense(c.Values[lo:hi], iv, lo, out), true
+		case *StringColumn:
+			return scanDense(c.Codes[lo:hi], iv, lo, out), true
+		case *CompressedInt64Column:
+			return c.scan(iv, lo, hi, out), true
+		case *CompressedDateColumn:
+			return c.scan(iv, lo, hi, out), true
+		case *RLEInt64Column:
+			return c.scan(iv, lo, hi, out), true
+		}
 	}
-	return b.min, (uint64(1) << b.width) - 1, true
+	return out, false
 }
 
-// blockClass classifies a block against (value op v): every row matches,
-// no row matches, or the block straddles and must be scanned.
-type blockClass uint8
-
-const (
-	classNone blockClass = iota
-	classAll
-	classMixed
-)
-
-func classifyCmp(b *blockHdr, op ScanOp, v int64) blockClass {
-	mn, maxDelta, bounded := blockBounds(b)
-	// dv is the unsigned distance v − mn, meaningful only when v ≥ mn;
-	// computing it in uint64 sidesteps int64 overflow for extreme frames.
-	var dv uint64
-	if v >= mn {
-		dv = uint64(v) - uint64(mn)
+// scanDense is the dense kernel: it appends base+i for every vals[i] in iv.
+// The complement is written as a negation, not as "below or above", so that
+// a NaN falls on its side.
+func scanDense[S number, T int64 | float64](vals []S, iv Interval[T], base int, out []int32) []int32 {
+	if iv.Not {
+		for i, v := range vals {
+			if x := T(v); !(x >= iv.Lo && x <= iv.Hi) {
+				out = append(out, int32(base+i))
+			}
+		}
+		return out
 	}
-	above := bounded && v >= mn && dv > maxDelta // v exceeds the block maximum
-	below := v < mn                              // v is under the block minimum
-	switch op {
-	case ScanEQ:
-		if below || above {
-			return classNone
-		}
-		if b.width == 0 && mn == v {
-			return classAll
-		}
-	case ScanNE:
-		if below || above {
-			return classAll
-		}
-		if b.width == 0 && mn == v {
-			return classNone
-		}
-	case ScanLT:
-		if above {
-			return classAll
-		}
-		if v <= mn {
-			return classNone
-		}
-	case ScanLE:
-		if above || (bounded && v >= mn && dv == maxDelta) {
-			return classAll
-		}
-		if below {
-			return classNone
-		}
-	case ScanGT:
-		if below {
-			return classAll
-		}
-		if above || (bounded && v >= mn && dv == maxDelta) {
-			return classNone
-		}
-	case ScanGE:
-		if v <= mn {
-			return classAll
-		}
-		if above {
-			return classNone
+	for i, v := range vals {
+		if x := T(v); x >= iv.Lo && x <= iv.Hi {
+			out = append(out, int32(base+i))
 		}
 	}
-	return classMixed
-}
-
-// spans calls fn for each block the view overlaps, with the block's index,
-// the first row of interest inside it, the local row that is, and the
-// number of rows of interest.
-func (s *packed) spans(fn func(bi, j, local, span int)) {
-	for local := 0; local < s.length; {
-		at := s.off + local
-		bi, j := at/blockSize, at%blockSize
-		span := min(blockSize-j, s.length-local)
-		fn(bi, j, local, span)
-		local += span
-	}
+	return out
 }
 
 // appendRange appends the positions [lo, lo+n) to out.
@@ -145,51 +81,30 @@ func appendRange(out []int32, lo, n int) []int32 {
 	return out
 }
 
-// ScanCmp appends the local positions satisfying (value op v) to out. Blocks
-// classified all/none are emitted or skipped without touching their packed
-// words.
-func (s *packed) ScanCmp(op ScanOp, v int64, out []int32) []int32 {
+// scan is the packed kernel. The values of a block lie between its minimum
+// and minimum + 2^width − 1, a bound that is exact for blocks whose extremes
+// realize the width and conservative otherwise; distances from the minimum
+// are taken in uint64, which sidesteps int64 overflow for extreme frames and
+// makes a 64-bit block span all of int64. A block inside the interval or
+// outside it is taken or skipped whole without touching its packed words.
+func (s *packed) scan(iv Interval[int64], lo, hi int, out []int32) []int32 {
 	var vals [blockSize]int64
-	s.spans(func(bi, j, local, span int) {
+	for lo < hi {
+		bi, j := lo/blockSize, lo%blockSize
+		n := min(blockSize-j, hi-lo)
 		h := &s.hdr[bi]
-		switch classifyCmp(h, op, v) {
-		case classAll:
-			out = appendRange(out, local, span)
-		case classMixed:
-			unpack(vals[:span], s.blockWords(bi), j, h.min, h.width)
-			for i, x := range vals[:span] {
-				if cmpMatches(op, x, v) {
-					out = append(out, int32(local+i))
-				}
-			}
-		}
-	})
-	return out
-}
-
-// ScanRange appends the local positions with lo ≤ value ≤ hi to out.
-func (s *packed) ScanRange(lo, hi int64, out []int32) []int32 {
-	if lo > hi {
-		return out
-	}
-	var vals [blockSize]int64
-	s.spans(func(bi, j, local, span int) {
-		h := &s.hdr[bi]
-		mn, maxDelta, bounded := blockBounds(h)
+		span := uint64(1)<<h.width - 1
+		outside := iv.Lo > iv.Hi || iv.Hi < h.min || (iv.Lo > h.min && uint64(iv.Lo)-uint64(h.min) > span)
+		inside := iv.Lo <= h.min && iv.Hi >= h.min && uint64(iv.Hi)-uint64(h.min) >= span
 		switch {
-		case hi < mn || (bounded && lo >= mn && uint64(lo)-uint64(mn) > maxDelta):
-			// disjoint: skip the block
-		case lo <= mn && bounded && hi >= mn && uint64(hi)-uint64(mn) >= maxDelta:
-			out = appendRange(out, local, span)
-		default:
-			unpack(vals[:span], s.blockWords(bi), j, h.min, h.width)
-			for i, x := range vals[:span] {
-				if x >= lo && x <= hi {
-					out = append(out, int32(local+i))
-				}
-			}
+		case !outside && !inside:
+			unpack(vals[:n], s.blockWords(bi), j, h.min, h.width)
+			out = scanDense(vals[:n], iv, lo, out)
+		case inside != iv.Not:
+			out = appendRange(out, lo, n)
 		}
-	})
+		lo += n
+	}
 	return out
 }
 

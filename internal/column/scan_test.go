@@ -3,26 +3,58 @@ package column
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 )
 
-// bruteCmp is the value-at-a-time reference for ScanCmp.
-func bruteCmp(vals []int64, op ScanOp, v int64) []int32 {
-	var out []int32
-	for i, x := range vals {
-		if cmpMatches(op, x, v) {
+// brute is the value-at-a-time reference for Scan: the rows of [lo, hi) whose
+// value lies in iv, tested the way the comparison reads.
+func brute[T int64 | float64](vals []T, iv Interval[T], lo, hi int) []int32 {
+	out := []int32{}
+	for i := lo; i < hi; i++ {
+		if in := vals[i] >= iv.Lo && vals[i] <= iv.Hi; in != iv.Not {
 			out = append(out, int32(i))
 		}
 	}
 	return out
 }
 
-// TestScanCmpAgainstBruteForce: every operator over a clustered distribution
-// whose blocks hit all three classes (all-match, none-match, straddling).
-func TestScanCmpAgainstBruteForce(t *testing.T) {
+// checkScan holds Scan over rows [lo, hi) of c to the reference over vals,
+// the values c encodes.
+func checkScan[T int64 | float64](t *testing.T, label string, c Column, vals []T, iv Interval[T], lo, hi int) {
+	t.Helper()
+	got, ok := Scan(c, iv, lo, hi, []int32{})
+	if want := brute(vals, iv, lo, hi); !ok || !slices.Equal(got, want) {
+		t.Fatalf("%s: Scan(%T, %+v, [%d,%d)) ok=%v: %d positions, want %d", label, c, iv, lo, hi, ok, len(got), len(want))
+	}
+}
+
+// pivotIntervals returns the six comparisons against v in interval form, the
+// complements of the ordered four, and the two degenerate intervals.
+func pivotIntervals(v int64) []Interval[int64] {
+	ivs := []Interval[int64]{
+		{Lo: v, Hi: v}, {Lo: math.MinInt64, Hi: v}, {Lo: v, Hi: math.MaxInt64},
+		{Lo: 1, Hi: 0}, {Lo: math.MinInt64, Hi: math.MaxInt64},
+	}
+	if v > math.MinInt64 {
+		ivs = append(ivs, Interval[int64]{Lo: math.MinInt64, Hi: v - 1})
+	}
+	if v < math.MaxInt64 {
+		ivs = append(ivs, Interval[int64]{Lo: v + 1, Hi: math.MaxInt64})
+	}
+	for _, iv := range slices.Clone(ivs) {
+		iv.Not = true
+		ivs = append(ivs, iv)
+	}
+	return ivs
+}
+
+// TestScanComparisonsAgainstBruteForce: every comparison over a clustered
+// distribution whose blocks hit all three classes (inside, outside,
+// straddling).
+func TestScanComparisonsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	n := 5*packBlockRows(t) + 77
+	n := 5*blockSize + 77
 	vals := make([]int64, n)
 	for i := range vals {
 		// Sorted-ish with noise: early blocks sit entirely below the
@@ -30,23 +62,18 @@ func TestScanCmpAgainstBruteForce(t *testing.T) {
 		vals[i] = int64(i/3) + int64(rng.Intn(40)) - 20
 	}
 	c := CompressInt64(NewInt64("k", vals))
-	pivots := []int64{math.MinInt64, -21, 0, int64(n / 6), int64(n / 3), math.MaxInt64}
-	for _, v := range pivots {
-		for op := ScanEQ; op <= ScanGE; op++ {
-			want := bruteCmp(vals, op, v)
-			got := c.ScanCmp(op, v, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ScanCmp(op=%d, v=%d): %d positions, want %d", op, v, len(got), len(want))
-			}
+	for _, v := range []int64{math.MinInt64, -21, 0, int64(n / 6), int64(n / 3), math.MaxInt64} {
+		for _, iv := range pivotIntervals(v) {
+			checkScan(t, "clustered", c, vals, iv, 0, n)
 		}
 	}
 }
 
 // TestScanRangeAgainstBruteForce includes empty, inverted, and full-domain
-// ranges.
+// ranges, and the complement of each.
 func TestScanRangeAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	n := 4*packBlockRows(t) + 31
+	n := 4*blockSize + 31
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i >> 5 * 7)
@@ -55,19 +82,9 @@ func TestScanRangeAgainstBruteForce(t *testing.T) {
 		}
 	}
 	c := CompressInt64(NewInt64("k", vals))
-	ranges := [][2]int64{
-		{0, int64(n)}, {100, 50}, {-5, 5}, {math.MinInt64, math.MaxInt64}, {7, 7},
-	}
-	for _, r := range ranges {
-		var want []int32
-		for i, x := range vals {
-			if x >= r[0] && x <= r[1] {
-				want = append(want, int32(i))
-			}
-		}
-		got := c.ScanRange(r[0], r[1], nil)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ScanRange(%d, %d): %d positions, want %d", r[0], r[1], len(got), len(want))
+	for _, r := range [][2]int64{{0, int64(n)}, {100, 50}, {-5, 5}, {math.MinInt64, math.MaxInt64}, {7, 7}} {
+		for _, not := range []bool{false, true} {
+			checkScan(t, "ranges", c, vals, Interval[int64]{Lo: r[0], Hi: r[1], Not: not}, 0, n)
 		}
 	}
 }
@@ -75,111 +92,110 @@ func TestScanRangeAgainstBruteForce(t *testing.T) {
 // TestScanWidthZeroBlocks: constant blocks pack at width 0 and must classify
 // whole-block (never straddle); the scan still returns exact positions.
 func TestScanWidthZeroBlocks(t *testing.T) {
-	n := 3 * packBlockRows(t)
+	n := 3 * blockSize
 	vals := make([]int64, n)
 	for i := range vals {
-		vals[i] = int64(i / packBlockRows(t) * 100) // constant within each block
+		vals[i] = int64(i / blockSize * 100) // constant within each block
 	}
 	c := CompressInt64(NewInt64("k", vals))
 	for _, v := range []int64{-1, 0, 100, 150, 200, 300} {
-		for op := ScanEQ; op <= ScanGE; op++ {
-			want := bruteCmp(vals, op, v)
-			got := c.ScanCmp(op, v, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("width-0 ScanCmp(op=%d, v=%d): %d positions, want %d", op, v, len(got), len(want))
-			}
+		for _, iv := range pivotIntervals(v) {
+			checkScan(t, "width 0", c, vals, iv, 0, n)
 		}
 	}
 }
 
-// TestScanWidth64Blocks: blocks spanning the full int64 domain are unbounded
-// (no block skipping is sound) but must still scan correctly.
+// TestScanWidth64Blocks: blocks spanning the full int64 domain have no
+// bound below MaxInt64 to skip on but must still scan correctly.
 func TestScanWidth64Blocks(t *testing.T) {
 	vals := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1, 42}
 	c := CompressInt64(NewInt64("k", vals))
 	for _, v := range []int64{math.MinInt64, -1, 0, 42, math.MaxInt64} {
-		for op := ScanEQ; op <= ScanGE; op++ {
-			want := bruteCmp(vals, op, v)
-			got := c.ScanCmp(op, v, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("width-64 ScanCmp(op=%d, v=%d): %d positions, want %d", op, v, len(got), len(want))
-			}
+		for _, iv := range pivotIntervals(v) {
+			checkScan(t, "width 64", c, vals, iv, 0, len(vals))
 		}
-	}
-	want := bruteCmp(vals, ScanGE, 0) // every value is ≤ MaxInt64
-	got := c.ScanRange(0, math.MaxInt64, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("width-64 ScanRange: %d positions, want %d", len(got), len(want))
 	}
 }
 
-// TestScanThroughViews: Slice views at offsets that are not block-aligned
-// return view-local positions identical to scanning the copied window.
+// TestScanThroughViews: row windows that are not block-aligned select the
+// rows the whole-column scan selects inside them, numbered as rows of the
+// column.
 func TestScanThroughViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n := 4 * packBlockRows(t)
+	n := 4 * blockSize
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(rng.Intn(1000))
 	}
 	c := CompressInt64(NewInt64("k", vals))
-	windows := [][2]int{{0, n}, {1, n - 1}, {packBlockRows(t)/2 + 3, 3 * packBlockRows(t)}, {n - 2, n}}
-	for _, w := range windows {
-		lo, hi := w[0], w[1]
-		view := c.Slice(lo, hi)
-		window := vals[lo:hi]
+	for _, w := range [][2]int{{0, n}, {1, n - 1}, {blockSize/2 + 3, 3 * blockSize}, {n - 2, n}, {200, 200}} {
 		for _, v := range []int64{0, 250, 500, 999} {
-			for op := ScanEQ; op <= ScanGE; op++ {
-				want := bruteCmp(window, op, v)
-				got := view.ScanCmp(op, v, nil)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("view [%d,%d): ScanCmp(op=%d, v=%d) differs from copied window", lo, hi, op, v)
-				}
+			for _, iv := range pivotIntervals(v) {
+				checkScan(t, "window", c, vals, iv, w[0], w[1])
 			}
 		}
-		want := []int32(nil)
-		for i, x := range window {
-			if x >= 100 && x <= 800 {
-				want = append(want, int32(i))
-			}
-		}
-		got := view.ScanRange(100, 800, nil)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("view [%d,%d): ScanRange differs from copied window", lo, hi)
-		}
+		checkScan(t, "window", c, vals, Interval[int64]{Lo: 100, Hi: 800}, w[0], w[1])
 	}
 }
 
-// TestScanDateColumns: the date scan kernels share the block machinery; the
-// int64 constant domain must compare correctly against int32 dates.
+// TestScanDateColumns: the date columns share the kernels; the int64
+// constant domain must compare correctly against int32 dates, also where the
+// constant is no int32.
 func TestScanDateColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	n := 2*packBlockRows(t) + 9
-	vals := make([]int32, n)
+	n := 2*blockSize + 9
+	dates := make([]int32, n)
+	vals := make([]int64, n)
 	for i := range vals {
-		vals[i] = int32(20200101 + rng.Intn(365))
+		dates[i] = int32(20200101 + rng.Intn(365))
+		vals[i] = int64(dates[i])
 	}
-	c := CompressDate(NewDate("d", vals))
-	for _, v := range []int64{20200101, 20200180, 20200465, 0} {
-		for op := ScanEQ; op <= ScanGE; op++ {
-			var want []int32
-			for i, x := range vals {
-				if cmpMatches(op, int64(x), v) {
-					want = append(want, int32(i))
-				}
-			}
-			got := c.ScanCmp(op, v, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("date ScanCmp(op=%d, v=%d): %d positions, want %d", op, v, len(got), len(want))
+	plain := NewDate("d", dates)
+	for _, c := range []Column{plain, CompressDate(plain)} {
+		for _, v := range []int64{20200101, 20200180, 20200465, 0, math.MaxInt32 + 1, math.MinInt32 - 1} {
+			for _, iv := range pivotIntervals(v) {
+				checkScan(t, "dates", c, vals, iv, 0, n)
+				checkScan(t, "dates", c, vals, iv, 5, n-3)
 			}
 		}
 	}
 }
 
-// packBlockRows returns the packing block size by probing the encoder: the
-// tests derive block-boundary cases from it instead of hard-coding the
-// constant.
-func packBlockRows(t *testing.T) int {
-	t.Helper()
-	return blockSize
+// TestScanFloatColumn: IEEE comparison decides — a NaN lies in no interval
+// and in every complement, the zeros are one value, the infinities are
+// values like any other.
+func TestScanFloatColumn(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	vals := []float64{1.5, nan, -inf, math.Copysign(0, -1), 0, inf, -2, nan, 5}
+	c := NewFloat64("f", vals)
+	for _, iv := range []Interval[float64]{
+		{Lo: 0, Hi: 0}, {Lo: -inf, Hi: inf}, {Lo: inf, Hi: inf}, {Lo: -inf, Hi: -inf},
+		{Lo: 1, Hi: 0}, {Lo: nan, Hi: nan}, {Lo: -inf, Hi: nan}, {Lo: -2, Hi: 1.5},
+	} {
+		for _, not := range []bool{false, true} {
+			iv.Not = not
+			checkScan(t, "floats", c, vals, iv, 0, len(vals))
+			checkScan(t, "floats", c, vals, iv, 1, 6)
+		}
+	}
+	got, _ := Scan(c, Interval[float64]{Lo: 5, Hi: 5, Not: true}, 0, len(vals), nil)
+	if want := []int32{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("x <> 5 selected %v, want %v (the NaN rows included)", got, want)
+	}
+	got, _ = Scan(c, Interval[float64]{Lo: 0, Hi: 0}, 0, len(vals), nil)
+	if want := []int32{3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("x = 0 selected %v, want %v (both zeros)", got, want)
+	}
+}
+
+// TestScanRefusesMismatchedDomain: an interval of one domain does not scan
+// a column of the other, and out comes back as it went in.
+func TestScanRefusesMismatchedDomain(t *testing.T) {
+	out := []int32{7}
+	if got, ok := Scan(NewFloat64("f", []float64{1}), Interval[int64]{Lo: 0, Hi: 9}, 0, 1, out); ok || !slices.Equal(got, out) {
+		t.Fatalf("an integer interval scanned a float column: %v", got)
+	}
+	if got, ok := Scan(NewInt64("i", []int64{1}), Interval[float64]{Lo: 0, Hi: 9}, 0, 1, out); ok || !slices.Equal(got, out) {
+		t.Fatalf("a float interval scanned an integer column: %v", got)
+	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"robustdb/internal/column"
 	"robustdb/internal/par"
@@ -223,7 +224,8 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 
 // groupKeyReader reads a grouping column as integers that are equal exactly
 // where the values are: integer and date columns of any encoding through
-// column.Reader, strings as their dictionary codes, floats in fixed point.
+// column.Reader, strings as their dictionary codes, floats as their bit
+// patterns with the two zeros folded into one and all NaNs into another.
 func groupKeyReader(c column.Column) (keyReader, error) {
 	switch c := c.(type) {
 	case *column.StringColumn:
@@ -232,7 +234,13 @@ func groupKeyReader(c column.Column) (keyReader, error) {
 		return func(lo, hi int, scratch []int64) []int64 {
 			keys := sized(scratch, hi-lo)
 			for i, v := range c.Values[lo:hi] {
-				keys[i] = int64(v * 1e6) // fixed-point to be robust for money values
+				switch {
+				case v == 0:
+					v = 0 // −0 groups with +0
+				case v != v:
+					v = math.NaN()
+				}
+				keys[i] = int64(math.Float64bits(v))
 			}
 			return keys
 		}, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,17 +144,20 @@ func TestGroupByDateKeyAndValue(t *testing.T) {
 	}
 }
 
+// Float keys group by value: values a fixed-point key would merge (below its
+// resolution, beyond its range) stay apart, the two zeros are one group and
+// so are all NaNs.
 func TestGroupByFloatKey(t *testing.T) {
-	b := MustNewBatch(
-		column.NewFloat64("f", []float64{1.5, 1.5, 2.5}),
-		column.NewInt64("v", []int64{1, 1, 1}),
-	)
-	out, err := GroupBy(nil, b, []string{"f"}, []AggSpec{{Func: Count, As: "n"}})
+	nan1, nan2 := math.NaN(), math.Float64frombits(math.Float64bits(math.NaN())|1)
+	keys := []float64{1.5, 1.5, 2.5, 1e-7, 2e-7, 1e13, 2e13, math.Copysign(0, -1), 0, nan1, nan2, 1e-7}
+	want := []float64{2, 1, 2, 1, 1, 1, 2, 2} // 1.5, 2.5, 1e-7, 2e-7, 1e13, 2e13, 0, NaN
+	out, err := GroupBy(nil, MustNewBatch(column.NewFloat64("f", keys)), []string{"f"}, []AggSpec{{Func: Count, As: "n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.NumRows() != 2 {
-		t.Fatalf("float grouping rows = %d", out.NumRows())
+	if got := out.MustColumn("n").(*column.Float64Column).Values; !slices.Equal(got, want) {
+		t.Fatalf("float grouping: group sizes %v over keys %v, want %v",
+			got, out.MustColumn("f").(*column.Float64Column).Values, want)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"robustdb/internal/column"
 	"robustdb/internal/expr"
-	"robustdb/internal/par"
 	"robustdb/internal/table"
 )
 
@@ -139,15 +138,9 @@ func (b *Batch) Extend(col column.Column) (*Batch, error) {
 func (b *Batch) Gather(pos column.PosList) *Batch { return b.GatherCtx(nil, pos) }
 
 // Filter evaluates the predicate against the batch's columns and returns the
-// qualifying positions. Large inputs are evaluated per morsel on the
-// context's pool (nil ctx = serial); the qualifying positions are identical
-// either way because predicates are row-local.
+// qualifying positions: FilterRange over every row.
 func Filter(ctx *Ctx, b *Batch, pred expr.Predicate) (column.PosList, error) {
-	n := b.NumRows()
-	if !ctx.parallel() || n <= par.DefaultMorselRows {
-		return pred.Eval(b.Column)
-	}
-	return parFilter(ctx, b, pred, n)
+	return FilterRange(ctx, b, pred, 0, b.NumRows())
 }
 
 // Select evaluates the predicate and materializes the qualifying rows.

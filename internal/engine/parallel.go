@@ -8,104 +8,40 @@ import (
 	"robustdb/internal/par"
 )
 
-// sliceColumn returns a zero-copy view of rows [lo, hi) of a column: the
-// dense storage types and run-length columns as column.GatherRange views
-// (string views share the dictionary), bit-packed columns as window views
-// over their packed blocks at any offset — morsel workers scan encoded data
-// in place. Reports false for column types without view support, which
-// callers handle by falling back to serial paths.
-func sliceColumn(c column.Column, lo, hi int) (column.Column, bool) {
-	switch c := c.(type) {
-	case *column.CompressedInt64Column:
-		return c.Slice(lo, hi), true
-	case *column.CompressedDateColumn:
-		return c.Slice(lo, hi), true
-	default:
-		return column.GatherRange(c, lo, hi)
-	}
+// Columns is what a predicate is evaluated against: a batch, or a base table
+// handed over as it is stored.
+type Columns interface {
+	Column(name string) (column.Column, error)
+	NumRows() int
 }
 
-// parFilter evaluates the whole predicate tree per morsel against zero-copy
-// column views and concatenates the per-morsel position lists. Predicates
-// are row-local (And/Or combine positions within a row range), so the
-// morsel-wise evaluation restricted to [lo, hi) shifted by lo reproduces the
-// serial evaluation exactly.
-func parFilter(ctx *Ctx, b *Batch, pred expr.Predicate, n int) (column.PosList, error) {
-	// Fall back to the serial evaluator if any referenced column cannot be
-	// sliced zero-copy (defensive: every storage and compressed encoding
-	// supports views, so this only triggers for exotic column types).
-	for _, name := range pred.Columns() {
-		c, err := b.Column(name)
-		if err == nil {
-			if _, ok := sliceColumn(c, 0, 0); !ok {
-				return pred.Eval(b.Column)
-			}
-		}
+// FilterRange evaluates the predicate against rows [lo, hi) of src and
+// returns the qualifying positions as rows of src. It is the one place a
+// predicate is evaluated: in one piece when the range is a single morsel or
+// the context is serial, otherwise a morsel at a time on the context's pool.
+// Each piece scans its rows of the columns in their stored encoding and
+// numbers what it finds as rows of the column, so the pieces are concatenated
+// as they are. Predicates are row-local, which makes the pieces of any
+// partition of a range, in range order, the selection over the range — the
+// property the morsels rely on here and the pipelined chunk executor stitches
+// on.
+func FilterRange(ctx *Ctx, src Columns, pred expr.Predicate, lo, hi int) (column.PosList, error) {
+	if n := src.NumRows(); lo < 0 || hi > n || lo > hi {
+		return column.PosList{}, fmt.Errorf("engine: filter range [%d, %d) outside the %d rows of the source", lo, hi, n)
 	}
-	parts := make([]column.PosList, par.Morsels(n))
-	err := ctx.forEachMorsel(n, func(mi, lo, hi int) error {
-		resolve := func(name string) (column.Column, error) {
-			c, err := b.Column(name)
-			if err != nil {
-				return nil, err
-			}
-			v, _ := sliceColumn(c, lo, hi)
-			return v, nil
-		}
-		pos, err := pred.Eval(resolve)
-		parts[mi] = pos.Shift(lo)
+	resolve := expr.Resolver(src.Column)
+	if !ctx.parallel() || hi-lo <= par.DefaultMorselRows {
+		return pred.Eval(resolve, lo, hi)
+	}
+	parts := make([]column.PosList, par.Morsels(hi-lo))
+	err := ctx.forEachMorsel(hi-lo, func(mi, mlo, mhi int) (err error) {
+		parts[mi], err = pred.Eval(resolve, lo+mlo, lo+mhi)
 		return err
 	})
 	if err != nil {
 		return column.PosList{}, err
 	}
 	return column.Concat(parts), nil
-}
-
-// FilterRange evaluates the predicate against rows [lo, hi) of the batch and
-// returns the qualifying positions as global row numbers. Predicates are
-// row-local, so concatenating FilterRange results over a partition of [0, n)
-// in range order reproduces Filter over the full batch bit-identically — the
-// property the pipelined chunk executor stitches on, and the same argument
-// parFilter makes per morsel. Columns are sliced zero-copy; a column type
-// without view support falls back to a full evaluation restricted to the
-// range (correct, merely not chunk-local).
-func FilterRange(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (column.PosList, error) {
-	n := b.NumRows()
-	if lo < 0 || hi > n || lo > hi {
-		return column.PosList{}, fmt.Errorf("engine: filter range [%d, %d) outside batch of %d rows", lo, hi, n)
-	}
-	if lo == 0 && hi == n {
-		return Filter(ctx, b, pred)
-	}
-	for _, name := range pred.Columns() {
-		if c, err := b.Column(name); err == nil {
-			if _, ok := sliceColumn(c, 0, 0); !ok {
-				return filterRangeSlow(ctx, b, pred, lo, hi)
-			}
-		}
-	}
-	view := make([]column.Column, len(b.cols))
-	for i, c := range b.cols {
-		v, ok := sliceColumn(c, lo, hi)
-		if !ok {
-			return filterRangeSlow(ctx, b, pred, lo, hi)
-		}
-		view[i] = v
-	}
-	vb, err := NewBatch(view...)
-	if err != nil {
-		return column.PosList{}, err
-	}
-	pos, err := Filter(ctx, vb, pred)
-	return pos.Shift(lo), err
-}
-
-// filterRangeSlow evaluates the predicate over the whole batch and keeps the
-// positions inside [lo, hi) — the defensive fallback for unsliceable columns.
-func filterRangeSlow(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (column.PosList, error) {
-	all, err := Filter(ctx, b, pred)
-	return all.Intersect(column.Range(lo, hi)), err
 }
 
 // Gather materializes the rows addressed by pos into a new column, identical

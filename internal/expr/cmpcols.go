@@ -31,8 +31,28 @@ func (c *CmpCols) Columns() []string {
 // String renders "left op right".
 func (c *CmpCols) String() string { return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Right) }
 
-// Eval scans both columns and collects rows where the comparison holds.
-func (c *CmpCols) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
+// holds reports whether "l op r" is true, as IEEE comparison has it: a NaN on
+// either side satisfies <> and nothing else.
+func (op CmpOp) holds(l, r float64) bool {
+	switch op {
+	case EQ:
+		return l == r
+	case NE:
+		return l != r
+	case LT:
+		return l < r
+	case LE:
+		return l <= r
+	case GT:
+		return l > r
+	default:
+		return l >= r
+	}
+}
+
+// Eval scans rows [lo, hi) of both columns and collects those where the
+// comparison holds.
+func (c *CmpCols) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 	lc, err := resolve(c.Left)
 	if err != nil {
 		return none, err
@@ -51,18 +71,18 @@ func (c *CmpCols) Eval(resolve func(string) (column.Column, error)) (column.PosL
 	case lc.Len() != rc.Len():
 		return none, fmt.Errorf("predicate %s: column lengths differ (%d vs %d)", c, lc.Len(), rc.Len())
 	}
-	// filterOrdered visits the rows in ascending order, so both columns are
-	// read a block at a time (decoded, if compressed) just ahead of it.
+	// Both columns are read a block at a time (decoded, if compressed).
 	const block = 4096
-	n := lc.Len()
 	lbuf, rbuf := make([]float64, block), make([]float64, block)
-	var lv, rv []float64
-	base, end := 0, 0
-	return filterOrdered(n, c.Op, func(i int) int {
-		if i >= end {
-			base, end = i, min(i+block, n)
-			lv, rv = lr(base, end, lbuf), rr(base, end, rbuf)
+	out := make([]int32, 0, (hi-lo)/4)
+	for base := lo; base < hi; base += block {
+		end := min(base+block, hi)
+		lv, rv := lr(base, end, lbuf), rr(base, end, rbuf)
+		for i, l := range lv {
+			if c.Op.holds(l, rv[i]) {
+				out = append(out, int32(base+i))
+			}
 		}
-		return cmpFloat64(lv[i-base], rv[i-base])
-	}), nil
+	}
+	return column.Ascending(out), nil
 }

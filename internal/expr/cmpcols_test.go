@@ -10,17 +10,17 @@ func TestCmpColsBasic(t *testing.T) {
 	a := column.NewInt64("a", []int64{1, 5, 3})
 	b := column.NewInt64("b", []int64{2, 4, 3})
 	r := resolver(a, b)
-	got, err := NewCmpCols("a", LT, "b").Eval(r)
+	got, err := NewCmpCols("a", LT, "b").Eval(r.all())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertPos(t, "lt", got, []int32{0})
-	got, err = NewCmpCols("a", EQ, "b").Eval(r)
+	got, err = NewCmpCols("a", EQ, "b").Eval(r.all())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertPos(t, "eq", got, []int32{2})
-	got, err = NewCmpCols("a", GE, "b").Eval(r)
+	got, err = NewCmpCols("a", GE, "b").Eval(r.all())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +32,12 @@ func TestCmpColsMixedTypes(t *testing.T) {
 	e := column.NewDate("receipt", []int32{20, 25})
 	f := column.NewFloat64("f", []float64{15, 27})
 	r := resolver(d, e, f)
-	got, err := NewCmpCols("commit", LT, "receipt").Eval(r)
+	got, err := NewCmpCols("commit", LT, "receipt").Eval(r.all())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertPos(t, "dates", got, []int32{0})
-	got, err = NewCmpCols("commit", LT, "f").Eval(r)
+	got, err = NewCmpCols("commit", LT, "f").Eval(r.all())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +49,19 @@ func TestCmpColsErrors(t *testing.T) {
 	s := column.NewString("s", []string{"x"})
 	short := column.NewInt64("short", []int64{})
 	r := resolver(a, s, short)
-	if _, err := NewCmpCols("missing", LT, "a").Eval(r); err == nil {
+	if _, err := NewCmpCols("missing", LT, "a").Eval(r.all()); err == nil {
 		t.Fatal("expected resolve error left")
 	}
-	if _, err := NewCmpCols("a", LT, "missing").Eval(r); err == nil {
+	if _, err := NewCmpCols("a", LT, "missing").Eval(r.all()); err == nil {
 		t.Fatal("expected resolve error right")
 	}
-	if _, err := NewCmpCols("s", LT, "a").Eval(r); err == nil {
+	if _, err := NewCmpCols("s", LT, "a").Eval(r.all()); err == nil {
 		t.Fatal("expected non-numeric error left")
 	}
-	if _, err := NewCmpCols("a", LT, "s").Eval(r); err == nil {
+	if _, err := NewCmpCols("a", LT, "s").Eval(r.all()); err == nil {
 		t.Fatal("expected non-numeric error right")
 	}
-	if _, err := NewCmpCols("a", LT, "short").Eval(r); err == nil {
+	if _, err := NewCmpCols("a", LT, "short").Eval(r.all()); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
 }

@@ -1,13 +1,18 @@
 // Package expr defines the scalar predicate language operators filter with.
 //
 // Predicates are comparisons of a column against constants (point and range
-// predicates) combined with conjunction and disjunction. Evaluation produces
-// a sorted position list. String predicates are evaluated on dictionary
-// codes, exploiting the order-preserving encoding of column.StringColumn.
+// predicates) combined with conjunction and disjunction. Evaluation over a
+// row range produces a sorted position list. Every comparison with constants
+// first becomes an interval of the column's value domain — integers for
+// integer and date columns of any encoding, dictionary codes for strings
+// (exploiting the order-preserving encoding of column.StringColumn), floats
+// for float columns — and column.Scan finds the rows inside it.
 package expr
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"robustdb/internal/column"
 )
@@ -45,11 +50,16 @@ func (op CmpOp) String() string {
 	}
 }
 
+// Resolver maps a column name to the column a predicate filters.
+type Resolver func(name string) (column.Column, error)
+
 // Predicate filters the rows of a single table.
 type Predicate interface {
-	// Eval returns the sorted positions of qualifying rows. resolve maps a
-	// column name to the column it filters.
-	Eval(resolve func(name string) (column.Column, error)) (column.PosList, error)
+	// Eval returns the sorted positions of the qualifying rows among rows
+	// [lo, hi), numbered as rows of the resolved columns. A row qualifies or
+	// not whatever range it is asked about in, so the results over a partition
+	// of a range, one after the other, are the result over the range.
+	Eval(resolve Resolver, lo, hi int) (column.PosList, error)
 	// Columns returns the names of the columns the predicate reads.
 	Columns() []string
 	// String renders the predicate in SQL-ish syntax.
@@ -75,114 +85,97 @@ func (c *Cmp) Columns() []string { return []string{c.Col} }
 // String renders "col op value".
 func (c *Cmp) String() string { return fmt.Sprintf("%s %s %v", c.Col, c.Op, c.Value) }
 
-// codeScanner is implemented by the compressed column encodings (bit-packed
-// and run-length): comparisons evaluate directly on the encoded blocks/runs
-// with block skipping, never materializing the column.
-type codeScanner interface {
-	column.Column
-	ScanCmp(op column.ScanOp, v int64, out []int32) []int32
-	ScanRange(lo, hi int64, out []int32) []int32
-}
-
 // none is the empty selection returned beside an error.
 var none column.PosList
 
-// scanOp translates a predicate operator to the column scan kernels'
-// operator domain; the translation happens once per predicate evaluation,
-// not per row.
-func scanOp(op CmpOp) column.ScanOp {
-	switch op {
-	case EQ:
-		return column.ScanEQ
-	case NE:
-		return column.ScanNE
-	case LT:
-		return column.ScanLT
-	case LE:
-		return column.ScanLE
-	case GT:
-		return column.ScanGT
-	default:
-		return column.ScanGE
-	}
+// nothing is the empty interval of either domain; its complement is every row.
+func nothing[T int64 | float64](not bool) column.Interval[T] {
+	return column.Interval[T]{Lo: 1, Hi: 0, Not: not}
 }
 
-// Eval scans the column and collects qualifying positions.
-func (c *Cmp) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
+// interval is "value op v" over a domain that runs from first to last and in
+// which below and above are the values next to v. A comparison nothing can
+// satisfy (below the first value, above the last, any of the four orderings
+// against a NaN) is the empty interval.
+func interval[T int64 | float64](op CmpOp, v, first, last, below, above T) column.Interval[T] {
+	switch op {
+	case EQ, NE:
+		return column.Interval[T]{Lo: v, Hi: v, Not: op == NE}
+	case LT:
+		if v > first {
+			return column.Interval[T]{Lo: first, Hi: below}
+		}
+	case LE:
+		return column.Interval[T]{Lo: first, Hi: v}
+	case GT:
+		if v < last {
+			return column.Interval[T]{Lo: above, Hi: last}
+		}
+	case GE:
+		return column.Interval[T]{Lo: v, Hi: last}
+	}
+	return nothing[T](false)
+}
+
+func intInterval(op CmpOp, v int64) column.Interval[int64] {
+	return interval(op, v, math.MinInt64, math.MaxInt64, v-1, v+1)
+}
+
+func floatInterval(op CmpOp, v float64) column.Interval[float64] {
+	inf := math.Inf(1)
+	return interval(op, v, -inf, inf, math.Nextafter(v, -inf), math.Nextafter(v, inf))
+}
+
+// scan evaluates a column-vs-constant predicate p, normalized to iv, over
+// rows [lo, hi) of col.
+func scan[T int64 | float64](p Predicate, col column.Column, iv column.Interval[T], lo, hi int) (column.PosList, error) {
+	out, ok := column.Scan(col, iv, lo, hi, make([]int32, 0, (hi-lo)/4))
+	if !ok {
+		return none, fmt.Errorf("predicate %s: unsupported column type %T", p, col)
+	}
+	return column.Ascending(out), nil
+}
+
+// Eval scans rows [lo, hi) of the column for the comparison's interval. A
+// string constant absent from the dictionary stands just below its insertion
+// point: equal to nothing, and ordered against the codes on either side.
+func (c *Cmp) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 	col, err := resolve(c.Col)
 	if err != nil {
 		return none, err
 	}
-	if sc, ok := col.(codeScanner); ok {
-		v, err := asInt64(c.Value)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", c, err)
-		}
-		return column.Ascending(sc.ScanCmp(scanOp(c.Op), v, make([]int32, 0, sc.Len()/4))), nil
-	}
 	switch col := col.(type) {
-	case *column.Int64Column:
-		v, err := asInt64(c.Value)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", c, err)
-		}
-		return filterOrdered(len(col.Values), c.Op, func(i int) int {
-			return cmpInt64(col.Values[i], v)
-		}), nil
 	case *column.Float64Column:
 		v, err := asFloat64(c.Value)
 		if err != nil {
 			return none, fmt.Errorf("predicate %s: %w", c, err)
 		}
-		return filterOrdered(len(col.Values), c.Op, func(i int) int {
-			return cmpFloat64(col.Values[i], v)
-		}), nil
-	case *column.DateColumn:
-		v, err := asInt64(c.Value)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", c, err)
-		}
-		return filterOrdered(len(col.Values), c.Op, func(i int) int {
-			return cmpInt64(int64(col.Values[i]), v)
-		}), nil
+		return scan(c, col, floatInterval(c.Op, v), lo, hi)
 	case *column.StringColumn:
 		s, ok := c.Value.(string)
 		if !ok {
 			return none, fmt.Errorf("predicate %s: want string constant, got %T", c, c.Value)
 		}
-		return evalStringCmp(col, c.Op, s), nil
-	default:
-		return none, fmt.Errorf("predicate %s: unsupported column type %T", c, col)
-	}
-}
-
-// evalStringCmp translates the comparison to dictionary codes. For a constant
-// absent from the dictionary, EQ selects nothing, NE everything, and the
-// ordered operators compare against the insertion point.
-func evalStringCmp(col *column.StringColumn, op CmpOp, s string) column.PosList {
-	code, present := col.Code(s)
-	switch op {
-	case EQ:
-		if !present {
-			return none
-		}
-	case NE:
-		if !present {
-			return column.All(len(col.Codes))
-		}
-	case GT, LE:
-		// code is the insertion point; "> s" over an absent s means ">= code".
-		if !present {
-			if op == GT {
-				op = GE
-			} else {
+		code, present := col.Code(s)
+		op := c.Op
+		if !present { // code is the insertion point
+			switch op {
+			case EQ, NE:
+				return scan(c, col, nothing[int64](op == NE), lo, hi)
+			case LE:
 				op = LT
+			case GT:
+				op = GE
 			}
 		}
+		return scan(c, col, intInterval(op, int64(code)), lo, hi)
+	default:
+		v, err := asInt64(c.Value)
+		if err != nil {
+			return none, fmt.Errorf("predicate %s: %w", c, err)
+		}
+		return scan(c, col, intInterval(c.Op, v), lo, hi)
 	}
-	return filterOrdered(len(col.Codes), op, func(i int) int {
-		return cmpInt64(int64(col.Codes[i]), int64(code))
-	})
 }
 
 // Between is an inclusive range predicate lo <= col <= hi.
@@ -204,93 +197,39 @@ func (b *Between) String() string {
 	return fmt.Sprintf("%s between %v and %v", b.Col, b.Lo, b.Hi)
 }
 
-// Eval evaluates the range predicate as the conjunction of GE and LE but in
-// one pass over the column.
-func (b *Between) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
+// Eval scans rows [lo, hi) of the column for the interval [Lo, Hi]; string
+// bounds absent from the dictionary move inward to the nearest code.
+func (b *Between) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 	col, err := resolve(b.Col)
 	if err != nil {
 		return none, err
 	}
-	if sc, ok := col.(codeScanner); ok {
-		lo, err := asInt64(b.Lo)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", b, err)
-		}
-		hi, err := asInt64(b.Hi)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", b, err)
-		}
-		return column.Ascending(sc.ScanRange(lo, hi, make([]int32, 0, sc.Len()/4))), nil
-	}
 	switch col := col.(type) {
-	case *column.Int64Column:
-		lo, err := asInt64(b.Lo)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", b, err)
-		}
-		hi, err := asInt64(b.Hi)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", b, err)
-		}
-		out := make([]int32, 0, len(col.Values)/4)
-		for i, v := range col.Values {
-			if v >= lo && v <= hi {
-				out = append(out, int32(i))
-			}
-		}
-		return column.Ascending(out), nil
 	case *column.Float64Column:
-		lo, err := asFloat64(b.Lo)
-		if err != nil {
+		l, errLo := asFloat64(b.Lo)
+		h, errHi := asFloat64(b.Hi)
+		if err := cmp.Or(errLo, errHi); err != nil {
 			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
-		hi, err := asFloat64(b.Hi)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", b, err)
-		}
-		out := make([]int32, 0, len(col.Values)/4)
-		for i, v := range col.Values {
-			if v >= lo && v <= hi {
-				out = append(out, int32(i))
-			}
-		}
-		return column.Ascending(out), nil
-	case *column.DateColumn:
-		lo, err := asInt64(b.Lo)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", b, err)
-		}
-		hi, err := asInt64(b.Hi)
-		if err != nil {
-			return none, fmt.Errorf("predicate %s: %w", b, err)
-		}
-		out := make([]int32, 0, len(col.Values)/4)
-		for i, v := range col.Values {
-			if int64(v) >= lo && int64(v) <= hi {
-				out = append(out, int32(i))
-			}
-		}
-		return column.Ascending(out), nil
+		return scan(b, col, column.Interval[float64]{Lo: l, Hi: h}, lo, hi)
 	case *column.StringColumn:
-		lo, okLo := b.Lo.(string)
-		hi, okHi := b.Hi.(string)
+		l, okLo := b.Lo.(string)
+		h, okHi := b.Hi.(string)
 		if !okLo || !okHi {
 			return none, fmt.Errorf("predicate %s: want string bounds", b)
 		}
-		loCode := col.LowerBound(lo)
-		hiCode, present := col.Code(hi)
+		hiCode, present := col.Code(h)
 		if !present {
 			hiCode-- // insertion point; everything strictly below qualifies
 		}
-		out := make([]int32, 0, len(col.Codes)/4)
-		for i, c := range col.Codes {
-			if c >= loCode && c <= hiCode {
-				out = append(out, int32(i))
-			}
-		}
-		return column.Ascending(out), nil
+		return scan(b, col, column.Interval[int64]{Lo: int64(col.LowerBound(l)), Hi: int64(hiCode)}, lo, hi)
 	default:
-		return none, fmt.Errorf("predicate %s: unsupported column type %T", b, col)
+		l, errLo := asInt64(b.Lo)
+		h, errHi := asInt64(b.Hi)
+		if err := cmp.Or(errLo, errHi); err != nil {
+			return none, fmt.Errorf("predicate %s: %w", b, err)
+		}
+		return scan(b, col, column.Interval[int64]{Lo: l, Hi: h}, lo, hi)
 	}
 }
 
@@ -308,16 +247,16 @@ func (a *And) Columns() []string { return unionColumns(a.Preds) }
 func (a *And) String() string { return joinPreds(a.Preds, " and ") }
 
 // Eval intersects the operand position lists.
-func (a *And) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
+func (a *And) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 	if len(a.Preds) == 0 {
 		return none, fmt.Errorf("and: no operands")
 	}
-	acc, err := a.Preds[0].Eval(resolve)
+	acc, err := a.Preds[0].Eval(resolve, lo, hi)
 	if err != nil {
 		return none, err
 	}
 	for _, p := range a.Preds[1:] {
-		next, err := p.Eval(resolve)
+		next, err := p.Eval(resolve, lo, hi)
 		if err != nil {
 			return none, err
 		}
@@ -339,16 +278,16 @@ func (o *Or) Columns() []string { return unionColumns(o.Preds) }
 func (o *Or) String() string { return joinPreds(o.Preds, " or ") }
 
 // Eval unions the operand position lists.
-func (o *Or) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
+func (o *Or) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 	if len(o.Preds) == 0 {
 		return none, fmt.Errorf("or: no operands")
 	}
-	acc, err := o.Preds[0].Eval(resolve)
+	acc, err := o.Preds[0].Eval(resolve, lo, hi)
 	if err != nil {
 		return none, err
 	}
 	for _, p := range o.Preds[1:] {
-		next, err := p.Eval(resolve)
+		next, err := p.Eval(resolve, lo, hi)
 		if err != nil {
 			return none, err
 		}
@@ -372,8 +311,8 @@ func (p *In) Columns() []string { return []string{p.Col} }
 // String renders "col in (...)".
 func (p *In) String() string { return fmt.Sprintf("%s in %v", p.Col, p.Values) }
 
-// Eval evaluates the in-list as a disjunction of equalities but in one pass.
-func (p *In) Eval(resolve func(string) (column.Column, error)) (column.PosList, error) {
+// Eval evaluates the in-list as a disjunction of equalities.
+func (p *In) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 	if len(p.Values) == 0 {
 		return none, nil
 	}
@@ -381,7 +320,7 @@ func (p *In) Eval(resolve func(string) (column.Column, error)) (column.PosList, 
 	for i, v := range p.Values {
 		ors[i] = NewCmp(p.Col, EQ, v)
 	}
-	return NewOr(ors...).Eval(resolve)
+	return NewOr(ors...).Eval(resolve, lo, hi)
 }
 
 func unionColumns(preds []Predicate) []string {
@@ -407,71 +346,6 @@ func joinPreds(preds []Predicate, sep string) string {
 		s += p.String()
 	}
 	return s + ")"
-}
-
-func filterOrdered(n int, op CmpOp, cmp func(i int) int) column.PosList {
-	out := make([]int32, 0, n/4)
-	switch op {
-	case EQ:
-		for i := 0; i < n; i++ {
-			if cmp(i) == 0 {
-				out = append(out, int32(i))
-			}
-		}
-	case NE:
-		for i := 0; i < n; i++ {
-			if cmp(i) != 0 {
-				out = append(out, int32(i))
-			}
-		}
-	case LT:
-		for i := 0; i < n; i++ {
-			if cmp(i) < 0 {
-				out = append(out, int32(i))
-			}
-		}
-	case LE:
-		for i := 0; i < n; i++ {
-			if cmp(i) <= 0 {
-				out = append(out, int32(i))
-			}
-		}
-	case GT:
-		for i := 0; i < n; i++ {
-			if cmp(i) > 0 {
-				out = append(out, int32(i))
-			}
-		}
-	case GE:
-		for i := 0; i < n; i++ {
-			if cmp(i) >= 0 {
-				out = append(out, int32(i))
-			}
-		}
-	}
-	return column.Ascending(out)
-}
-
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpFloat64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 func asInt64(v interface{}) (int64, error) {

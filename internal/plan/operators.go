@@ -151,28 +151,10 @@ func (o *ScanOp) FilterChunk(ectx *engine.Ctx, cat *table.Catalog, lo, hi int) (
 	if o.Pred == nil {
 		return column.Range(lo, hi), nil
 	}
-	// Hand the predicate's base columns to the filter kernel in their
-	// stored encoding: compressed columns are scanned in the code domain
-	// (block skipping, run comparisons) and sliced per morsel without
-	// ever materializing.
-	seen := make(map[string]bool)
-	var predCols []column.Column
-	for _, name := range o.Pred.Columns() {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		c, err := t.Column(name)
-		if err != nil {
-			return column.PosList{}, err
-		}
-		predCols = append(predCols, c)
-	}
-	pb, err := engine.NewBatch(predCols...)
-	if err != nil {
-		return column.PosList{}, err
-	}
-	return engine.FilterRange(ectx, pb, o.Pred, lo, hi)
+	// The filter kernel reads the table's columns in their stored encoding:
+	// compressed columns are scanned in the code domain (block skipping, run
+	// comparisons) over the chunk's rows without ever materializing.
+	return engine.FilterRange(ectx, t, o.Pred, lo, hi)
 }
 
 // MaterializeResult gathers the requested columns through the stitched

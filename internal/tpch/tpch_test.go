@@ -202,3 +202,31 @@ func TestQ4MatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// The float columns of the benchmark group by value exactly as they did when
+// group keys were int64(v·1e6): every distinct value has its own fixed-point
+// key, so keying on the bits moved no row between groups.
+func TestFloatColumnsGroupAsInFixedPoint(t *testing.T) {
+	cat := smallCatalog()
+	for _, id := range []table.ColumnID{"lineitem.l_extendedprice", "lineitem.l_discount", "partsupp.ps_supplycost", "supplier.s_acctbal"} {
+		c := cat.MustColumn(id).(*column.Float64Column)
+		out, err := engine.GroupBy(nil, engine.MustNewBatch(c), []string{c.Name()}, []engine.AggSpec{{Func: engine.Count, As: "n"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed := make(map[int64]float64)
+		for _, v := range c.Values {
+			fixed[int64(v*1e6)]++
+		}
+		groups := out.MustColumn(c.Name()).(*column.Float64Column).Values
+		sizes := out.MustColumn("n").(*column.Float64Column).Values
+		if len(groups) != len(fixed) {
+			t.Fatalf("%s: %d groups, %d fixed-point keys", id, len(groups), len(fixed))
+		}
+		for i, v := range groups {
+			if fixed[int64(v*1e6)] != sizes[i] {
+				t.Fatalf("%s: group %v has %v rows, its fixed-point key %v", id, v, sizes[i], fixed[int64(v*1e6)])
+			}
+		}
+	}
+}

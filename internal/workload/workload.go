@@ -128,28 +128,11 @@ type Strategy struct {
 	Preload bool
 }
 
-// Runner is a workload bound to one persistent engine. One-shot benchmark
-// runs use the Run convenience wrapper; the serve mode builds a Runner once
-// and calls RunOnce in a loop, so the engine — and with it the metrics
-// registry, cache state, and learned cost models — persists across passes
-// and the live observability surface sees one continuous series.
-type Runner struct {
-	// Engine is the engine the runner executes on (exposed for inspection
-	// and for wiring the observability surface to its registry).
-	Engine *exec.Engine
-
-	strat     Strategy
-	spec      Spec
-	perUser   [][]Query
-	admission *sim.Pool
-}
-
 // NewEngine builds a fresh engine over cat with the strategy's concurrency
 // bounds and pre-loads the cache per the strategy, warming the access
 // statistics from the given query mix (the paper warms the system with two
-// unmeasured passes). The workload runner and the network front door share
-// this construction so a served engine behaves exactly like a benchmarked
-// one.
+// unmeasured passes). Run and the network front door share this construction
+// so a served engine behaves exactly like a benchmarked one.
 func NewEngine(cat *table.Catalog, cfg exec.Config, strat Strategy, warm []Query) (*exec.Engine, error) {
 	if strat.GPUWorkers > 0 {
 		cfg.GPUWorkers = strat.GPUWorkers
@@ -184,18 +167,20 @@ func NewEngine(cat *table.Catalog, cfg exec.Config, strat Strategy, warm []Query
 	return e, nil
 }
 
-// NewRunner builds a fresh engine over cat, pre-loads the cache per the
-// strategy, and distributes the workload over the user sessions.
-func NewRunner(cat *table.Catalog, cfg exec.Config, strat Strategy, spec Spec) (*Runner, error) {
+// Run executes the workload under the strategy in virtual time on a fresh
+// engine over cat — cache pre-loaded per the strategy, the queries
+// distributed over the user sessions — and returns the engine (for
+// inspection) plus the aggregated result.
+func Run(cat *table.Catalog, cfg exec.Config, strat Strategy, spec Spec) (*exec.Engine, Result, error) {
 	if spec.Users < 1 {
-		return nil, fmt.Errorf("workload: need at least one user, got %d", spec.Users)
+		return nil, Result{}, fmt.Errorf("workload: need at least one user, got %d", spec.Users)
 	}
 	if len(spec.Queries) == 0 {
-		return nil, fmt.Errorf("workload: no queries")
+		return nil, Result{}, fmt.Errorf("workload: no queries")
 	}
 	e, err := NewEngine(cat, cfg, strat, spec.Queries)
 	if err != nil {
-		return nil, err
+		return nil, Result{}, err
 	}
 
 	total := spec.TotalQueries
@@ -214,21 +199,9 @@ func NewRunner(cat *table.Catalog, cfg exec.Config, strat Strategy, spec Spec) (
 	if spec.AdmissionControl {
 		admission = sim.NewPool(e.Sim, "admission", 1)
 	}
-	return &Runner{Engine: e, strat: strat, spec: spec, perUser: perUser, admission: admission}, nil
-}
-
-// RunOnce executes one full pass of the workload in virtual time and
-// aggregates the result. WorkloadTime and Latencies cover this pass only;
-// the counter-derived fields (bytes, aborts, faults, …) read the engine's
-// cumulative metrics, so on a repeatedly driven Runner they accumulate
-// across passes — per-pass rates come from registry snapshot deltas, which
-// is exactly what the obs samplers consume.
-func (r *Runner) RunOnce() (Result, error) {
-	e, spec := r.Engine, r.spec
-	result := Result{Strategy: r.strat.Label, Latencies: make(map[string][]time.Duration)}
+	result := Result{Strategy: strat.Label, Latencies: make(map[string][]time.Duration)}
 	var runErr error
-	for u := 0; u < spec.Users; u++ {
-		queries := r.perUser[u]
+	for u, queries := range perUser {
 		e.Sim.Spawn(fmt.Sprintf("user%02d", u), func(p *sim.Proc) {
 			for _, q := range queries {
 				if runErr != nil {
@@ -239,12 +212,12 @@ func (r *Runner) RunOnce() (Result, error) {
 				// increase the paper attributes to query-level admission
 				// (Figure 21).
 				submitted := p.Now()
-				if r.admission != nil {
-					r.admission.Acquire(p)
+				if admission != nil {
+					admission.Acquire(p)
 				}
-				_, _, err := e.RunQuery(p, q.Plan, r.strat.Placer)
-				if r.admission != nil {
-					r.admission.Release()
+				_, _, err := e.RunQuery(p, q.Plan, strat.Placer)
+				if admission != nil {
+					admission.Release()
 				}
 				if err != nil {
 					if !spec.ContinueOnError {
@@ -260,14 +233,10 @@ func (r *Runner) RunOnce() (Result, error) {
 			}
 		})
 	}
-	// The virtual clock persists across passes; the makespan of this pass is
-	// the clock advance, not the absolute end time.
-	start := e.Sim.Now()
-	makespan := e.Sim.Run() - start
+	result.WorkloadTime = e.Sim.Run()
 	if runErr != nil {
-		return Result{}, runErr
+		return e, Result{}, runErr
 	}
-	result.WorkloadTime = makespan
 	result.H2DTime = e.Bus.Link(bus.HostToDevice).BusyTime()
 	result.D2HTime = e.Bus.Link(bus.DeviceToHost).BusyTime()
 	result.H2DBytes = e.Bus.Link(bus.HostToDevice).Bytes()
@@ -286,16 +255,5 @@ func (r *Runner) RunOnce() (Result, error) {
 	result.DeadlineFailures = e.Metrics.DeadlineFailures.Load()
 	result.CatalogErrors = e.Metrics.CatalogErrors.Load()
 	result.PreloadErrors = e.Metrics.PreloadErrors.Load()
-	return result, nil
-}
-
-// Run executes the workload under the strategy on a fresh engine over cat
-// and returns the engine (for inspection) plus the aggregated result.
-func Run(cat *table.Catalog, cfg exec.Config, strat Strategy, spec Spec) (*exec.Engine, Result, error) {
-	r, err := NewRunner(cat, cfg, strat, spec)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	result, err := r.RunOnce()
-	return r.Engine, result, err
+	return e, result, nil
 }

@@ -233,37 +233,3 @@ func TestFailureAbortsWithoutContinueOnError(t *testing.T) {
 		t.Fatal("expected the run to abort on the failed query")
 	}
 }
-
-// TestRunnerRepeatedPasses pins the serve-mode contract: one Runner can
-// execute the workload repeatedly on its persistent engine, each pass
-// completing the full query total on a monotonically advancing virtual
-// clock, with per-pass WorkloadTime and cumulative engine counters.
-func TestRunnerRepeatedPasses(t *testing.T) {
-	cat := tinySSB()
-	r, err := NewRunner(cat, tinyCfg(cat), DataDrivenChopping(), Spec{
-		Queries: ssbQueries(), Users: 2, TotalQueries: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prevQueries int64
-	var prevNow time.Duration
-	for pass := 0; pass < 3; pass++ {
-		res, err := r.RunOnce()
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if res.WorkloadTime <= 0 {
-			t.Fatalf("pass %d: WorkloadTime = %v", pass, res.WorkloadTime)
-		}
-		if got := res.QueriesRun - prevQueries; got != 7 {
-			t.Fatalf("pass %d: completed %d queries, want 7", pass, got)
-		}
-		prevQueries = res.QueriesRun
-		if now := r.Engine.Sim.Now(); now <= prevNow {
-			t.Fatalf("pass %d: virtual clock did not advance (%v -> %v)", pass, prevNow, now)
-		} else {
-			prevNow = now
-		}
-	}
-}
