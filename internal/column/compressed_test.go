@@ -167,9 +167,9 @@ func TestSliceBoundsPanic(t *testing.T) {
 		"rle":   func(lo, hi int) { rle.Slice(lo, hi) },
 		"view":  func(lo, hi int) { rle.Slice(0, 300).Slice(lo, hi) },
 		"range": func(lo, hi int) { GatherRange(packed, lo, hi) },
-		"scan":  func(lo, hi int) { Scan(packed, Interval[int64]{}, lo, hi, nil) },
-		"date":  func(lo, hi int) { Scan(dates, Interval[int64]{}, lo, hi, nil) },
-		"runs":  func(lo, hi int) { Scan(rle, Interval[int64]{}, lo, hi, nil) },
+		"scan":  func(lo, hi int) { Scan(packed, Interval[int64]{}, Range(lo, hi), nil) },
+		"date":  func(lo, hi int) { Scan(dates, Interval[int64]{}, Range(lo, hi), nil) },
+		"runs":  func(lo, hi int) { Scan(rle, Interval[int64]{}, Range(lo, hi), nil) },
 	} {
 		for _, b := range [][2]int{{-1, 10}, {20, 10}, {0, 301}, {301, 301}} {
 			func() {
@@ -185,6 +185,20 @@ func TestSliceBoundsPanic(t *testing.T) {
 		slice(100, 100)
 	}
 	rle.Slice(300, 300)
+	// A list is held to the same bounds as a range, by its ends.
+	for _, c := range []Column{packed, dates, rle, NewInt64("x", vals)} {
+		for _, list := range [][]int32{{-1, 5}, {5, 300}, {300}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Scan(%T) over the rows %v did not panic", c, list)
+					}
+				}()
+				Scan(c, Interval[int64]{Lo: 0, Hi: 1}, Positions(list), nil)
+			}()
+		}
+		Scan(c, Interval[int64]{Lo: 0, Hi: 1}, Positions([]int32{0, 299}), nil)
+	}
 }
 
 // A zero-row column packs to nothing and every kernel accepts it.
@@ -196,7 +210,7 @@ func TestCompressEmptyColumn(t *testing.T) {
 	if g := c.Gather(nil); g.Len() != 0 || g.Bytes() != 0 {
 		t.Fatalf("empty gather: Len %d, Bytes %d", g.Len(), g.Bytes())
 	}
-	if got, ok := Scan(c, Interval[int64]{Lo: 0, Hi: math.MaxInt64}, 0, 0, nil); !ok || len(got) != 0 {
+	if got, ok := Scan(c, Interval[int64]{Lo: 0, Hi: math.MaxInt64}, All(0), nil); !ok || len(got) != 0 {
 		t.Fatalf("scan of an empty column selected %v", got)
 	}
 }

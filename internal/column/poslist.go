@@ -26,7 +26,8 @@ func Range(lo, hi int) PosList { return PosList{lo: int32(lo), n: int32(hi - lo)
 func All(n int) PosList { return Range(0, n) }
 
 // Positions wraps an explicit list of positions, in any order, without
-// copying or inspecting it.
+// copying or inspecting it. An empty list is the zero value, so the explicit
+// arm always holds a position.
 func Positions(list []int32) PosList {
 	if len(list) == 0 {
 		return PosList{}
@@ -78,10 +79,7 @@ func (p PosList) AppendTo(dst []int32) []int32 {
 	if p.list != nil {
 		return append(dst, p.list...)
 	}
-	for i := p.lo; i < p.lo+p.n; i++ {
-		dst = append(dst, i)
-	}
-	return dst
+	return appendRange(slices.Grow(dst, int(p.n)), int(p.lo), int(p.n))
 }
 
 // Slice returns positions i … j−1 of the list, sharing its storage.

@@ -122,12 +122,25 @@ func (c *RLEInt64Column) Decompress() *Int64Column {
 	return NewInt64(c.name, out)
 }
 
-// scan is the run-wise kernel: one comparison decides a run.
-func (c *RLEInt64Column) scan(iv Interval[int64], lo, hi int, out []int32) []int32 {
-	c.Runs(lo, hi, func(v int64, from, to int) {
-		if (v >= iv.Lo && v <= iv.Hi) != iv.Not {
+// scan is the run layout: one comparison decides a run of a range, and a
+// cursor over the runs follows an ascending list.
+func (c *RLEInt64Column) scan(a arc, sel PosList, out []int32) []int32 {
+	c.Runs(int(sel.lo), int(sel.lo+sel.n), func(v int64, from, to int) {
+		if a.hit(v) == 1 {
 			out = appendRange(out, from, to-from)
 		}
 	})
-	return out
+	if sel.list == nil {
+		return out
+	}
+	k, r := len(out), c.run(int(sel.list[0]))
+	out = out[:k+len(sel.list)]
+	for _, p := range sel.list {
+		for int(c.ends[r])-c.off <= int(p) {
+			r++
+		}
+		out[k] = p
+		k += a.hit(c.vals[r])
+	}
+	return out[:k]
 }

@@ -215,8 +215,14 @@ func TestDecompressedBytesMetering(t *testing.T) {
 	cd := CompressDate(NewDate("d", []int32{1, 2, 3, 4}))
 
 	before := DecompressedBytes()
-	Scan(rle, Interval[int64]{Lo: 3, Hi: 3}, 0, len(vals), nil)
-	Scan(bp, Interval[int64]{Lo: 2, Hi: 5}, 0, len(vals), nil)
+	dense, sparse := make([]int32, 100), []int32{3, 131, 140, 255}
+	for i := range dense {
+		dense[i] = int32(20 + i)
+	}
+	for _, sel := range []PosList{All(len(vals)), Positions(dense), Positions(sparse)} {
+		Scan(rle, Interval[int64]{Lo: 3, Hi: 3}, sel, nil)
+		Scan(bp, Interval[int64]{Lo: 2, Hi: 5}, sel, nil)
+	}
 	if got := DecompressedBytes(); got != before {
 		t.Fatalf("code-domain scans metered %d bytes", got-before)
 	}

@@ -1,17 +1,23 @@
 package column
 
 // The scan kernels. Every predicate that compares a column with constants is
-// an Interval of the column's value domain, and Scan finds the rows of a row
-// range whose stored value lies in it, reading the column's encoding in
-// place: a dense array is compared value by value, a run-length column run by
-// run, and a bit-packed column block by block — every frame-of-reference
-// block knows its minimum and (from the bit width) a conservative maximum, so
-// whole blocks are skipped or taken on their header and only straddling
-// blocks are decoded, a block at a time into a stack buffer. This is what
-// makes compressed filters faster than decompress-then-filter on clustered
-// data, not merely equal.
+// an Interval of the column's value domain, and Scan finds the rows of a
+// selection — a row range or an ascending list — whose stored value lies in
+// it, reading the column's encoding in place: a dense array is compared value
+// by value, a run-length column run by run, and a bit-packed column block by
+// block — every frame-of-reference block knows its minimum and (from the bit
+// width) a conservative maximum, so whole blocks are skipped or taken on
+// their header and only straddling blocks are decoded, into a stack buffer.
+// This is what makes compressed filters faster than decompress-then-filter on
+// clustered data, not merely equal. No kernel branches on a comparison: the
+// candidate row is stored at the output cursor either way and the cursor
+// moves on by the comparison's 0 or 1, so cost does not follow selectivity.
 
-import "sync/atomic"
+import (
+	"math"
+	"slices"
+	"sync/atomic"
+)
 
 // Interval is the set of values v with Lo ≤ v ≤ Hi or, when Not is set, its
 // complement: the normal form of =, <>, <, ≤, >, ≥ and BETWEEN against
@@ -23,89 +29,202 @@ type Interval[T int64 | float64] struct {
 	Not    bool
 }
 
-// Scan appends to out, in ascending order, the rows of [lo, hi) whose value
-// lies in iv, numbered as rows of c. Integer intervals scan the integer and
-// date columns of every encoding and the codes of a string column; float
-// intervals scan float columns. It reports false for any other pairing.
-func Scan[T int64 | float64](c Column, iv Interval[T], lo, hi int, out []int32) ([]int32, bool) {
+// Scan appends to out, in ascending order, the rows of sel whose value lies
+// in iv, numbered as rows of c; sel must itself be ascending. Integer
+// intervals scan the integer and date columns of every encoding and the codes
+// of a string column; float intervals scan float columns. It reports false
+// for any other pairing. out is grown, once, to hold every row of sel.
+func Scan[T int64 | float64](c Column, iv Interval[T], sel PosList, out []int32) ([]int32, bool) {
+	lo, hi, isRange := sel.AsRange()
+	if !isRange {
+		lo, hi = int(sel.list[0]), int(sel.list[len(sel.list)-1])+1
+	}
 	checkSlice(lo, hi, c.Len())
+	out = slices.Grow(out, sel.Len())
 	switch iv := any(iv).(type) {
 	case Interval[float64]:
 		if c, ok := c.(*Float64Column); ok {
-			return scanDense(c.Values[lo:hi], iv, lo, out), true
+			return scanFloats(c.Values, iv, sel, out), true
 		}
 	case Interval[int64]:
+		if c.Type() == Float64 {
+			break
+		}
+		a, proper := arcOf(iv)
+		if !proper { // no value lies in iv, or every value does
+			if (iv.Lo > iv.Hi) == iv.Not {
+				out = sel.AppendTo(out)
+			}
+			return out, true
+		}
 		switch c := c.(type) {
 		case *Int64Column:
-			return scanDense(c.Values[lo:hi], iv, lo, out), true
+			return scanInts(c.Values, a, sel, out), true
 		case *DateColumn:
-			return scanDense(c.Values[lo:hi], iv, lo, out), true
+			return scanInts(c.Values, a, sel, out), true
 		case *StringColumn:
-			return scanDense(c.Codes[lo:hi], iv, lo, out), true
+			return scanInts(c.Codes, a, sel, out), true
 		case *CompressedInt64Column:
-			return c.scan(iv, lo, hi, out), true
+			return c.scan(a, sel, out), true
 		case *CompressedDateColumn:
-			return c.scan(iv, lo, hi, out), true
+			return c.scan(a, sel, out), true
 		case *RLEInt64Column:
-			return c.scan(iv, lo, hi, out), true
+			return c.scan(a, sel, out), true
 		}
 	}
 	return out, false
 }
 
-// scanDense is the dense kernel: it appends base+i for every vals[i] in iv.
-// The complement is written as a negation, not as "below or above", so that
-// a NaN falls on its side.
-func scanDense[S number, T int64 | float64](vals []S, iv Interval[T], base int, out []int32) []int32 {
+// B2I is 1 for true and 0 for false — a flag move, not a branch: what a
+// kernel moves its output cursor on by.
+func B2I(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// arc is an integer interval, or the complement of one, in circular form: the
+// values v with uint64(v) − start ≤ span, distances taken modulo 2^64. For
+// Lo ≤ Hi the arc from uint64(Lo) of span uint64(Hi) − uint64(Lo) is exactly
+// [Lo, Hi] at any signs and bounds: a v inside lies v − Lo ≤ Hi − Lo places
+// past start, any other wraps beyond the span. What an arc leaves out is the
+// arc that starts one past its end, so the integer kernels know no Not.
+type arc struct{ start, span uint64 }
+
+// arcOf puts iv in circular form; the empty interval and all of int64 have no
+// proper arc (neither has a complement that is one).
+func arcOf(iv Interval[int64]) (a arc, proper bool) {
+	a = arc{uint64(iv.Lo), uint64(iv.Hi) - uint64(iv.Lo)}
+	proper = iv.Lo <= iv.Hi && a.span != math.MaxUint64
 	if iv.Not {
-		for i, v := range vals {
-			if x := T(v); !(x >= iv.Lo && x <= iv.Hi) {
-				out = append(out, int32(base+i))
-			}
-		}
-		return out
+		a = a.rest()
 	}
-	for i, v := range vals {
-		if x := T(v); x >= iv.Lo && x <= iv.Hi {
-			out = append(out, int32(base+i))
-		}
-	}
-	return out
+	return a, proper
 }
 
-// appendRange appends the positions [lo, lo+n) to out.
+// rest returns the arc of the values a leaves out.
+func (a arc) rest() arc { return arc{a.start + a.span + 1, ^a.span - 1} }
+
+// hit is 1 when v lies on the arc and otherwise 0.
+func (a arc) hit(v int64) int { return B2I(uint64(v)-a.start <= a.span) }
+
+// holds reports whether every value of b lies on a.
+func (a arc) holds(b arc) bool {
+	off := b.start - a.start
+	return off <= a.span && b.span <= a.span-off
+}
+
+// scanInts is the dense integer layout — plain integers, dates, dictionary
+// codes. Like every kernel, it has one loop for each arm of a selection and
+// writes into capacity out already has. (The range arm returns rather than
+// fall into an empty list loop: sharing registers with it costs two reloads
+// a row.)
+func scanInts[S int32 | int64](vals []S, a arc, sel PosList, out []int32) []int32 {
+	k := len(out)
+	out = out[:k+sel.Len()]
+	if sel.list == nil {
+		for i, v := range vals[sel.lo : sel.lo+sel.n] {
+			out[k] = sel.lo + int32(i)
+			k += a.hit(int64(v))
+		}
+		return out[:k]
+	}
+	for _, p := range sel.list {
+		out[k] = p
+		k += a.hit(int64(vals[p]))
+	}
+	return out[:k]
+}
+
+// scanFloats is the dense float layout. An interval of floats is two
+// comparisons, both false for a NaN, and the complement is the negation of
+// their conjunction, not "below or above", so that a NaN falls on its side.
+func scanFloats(vals []float64, iv Interval[float64], sel PosList, out []int32) []int32 {
+	k, not := len(out), B2I(iv.Not)
+	out = out[:k+sel.Len()]
+	if sel.list == nil {
+		for i, v := range vals[sel.lo : sel.lo+sel.n] {
+			out[k] = sel.lo + int32(i)
+			k += (B2I(v >= iv.Lo) & B2I(v <= iv.Hi)) ^ not
+		}
+		return out[:k]
+	}
+	for _, p := range sel.list {
+		out[k] = p
+		k += (B2I(vals[p] >= iv.Lo) & B2I(vals[p] <= iv.Hi)) ^ not
+	}
+	return out[:k]
+}
+
+// appendRange appends the positions [lo, lo+n) to out, which has the capacity.
 func appendRange(out []int32, lo, n int) []int32 {
-	for i := 0; i < n; i++ {
-		out = append(out, int32(lo+i))
+	k := len(out)
+	out = out[:k+n]
+	for i := range out[k:] {
+		out[k+i] = int32(lo + i)
 	}
 	return out
 }
 
-// scan is the packed kernel. The values of a block lie between its minimum
-// and minimum + 2^width − 1, a bound that is exact for blocks whose extremes
-// realize the width and conservative otherwise; distances from the minimum
-// are taken in uint64, which sidesteps int64 overflow for extreme frames and
-// makes a 64-bit block span all of int64. A block inside the interval or
-// outside it is taken or skipped whole without touching its packed words.
-func (s *packed) scan(iv Interval[int64], lo, hi int, out []int32) []int32 {
+// arc returns the arc the values of the block lie on: from its minimum, of
+// span 2^width − 1 — exact for blocks whose extremes realize the width and
+// conservative otherwise; a 64-bit block spans the circle.
+func (h *blockHdr) arc() arc { return arc{uint64(h.min), uint64(1)<<h.width - 1} }
+
+// scan is the packed layout. A block on the arc asked for, or on the rest of
+// it, is taken or skipped whole without touching its packed words. Of a
+// straddling block the range arm decodes its rows; the list arm, which walks
+// the list source block by source block as gatherChunk does, decodes the
+// block when denseRun or more of its rows are listed and extracts them one by
+// one when fewer are.
+func (s *packed) scan(a arc, sel PosList, out []int32) []int32 {
 	var vals [blockSize]int64
-	for lo < hi {
+	rest, k := a.rest(), len(out)
+	out = out[:k+sel.Len()]
+	for lo, hi := int(sel.lo), int(sel.lo+sel.n); lo < hi; {
 		bi, j := lo/blockSize, lo%blockSize
-		n := min(blockSize-j, hi-lo)
-		h := &s.hdr[bi]
-		span := uint64(1)<<h.width - 1
-		outside := iv.Lo > iv.Hi || iv.Hi < h.min || (iv.Lo > h.min && uint64(iv.Lo)-uint64(h.min) > span)
-		inside := iv.Lo <= h.min && iv.Hi >= h.min && uint64(iv.Hi)-uint64(h.min) >= span
-		switch {
-		case !outside && !inside:
+		n, h := min(blockSize-j, hi-lo), &s.hdr[bi]
+		switch frame := h.arc(); {
+		case a.holds(frame):
+			appendRange(out[:k], lo, n)
+			k += n
+		case !rest.holds(frame):
 			unpack(vals[:n], s.blockWords(bi), j, h.min, h.width)
-			out = scanDense(vals[:n], iv, lo, out)
-		case inside != iv.Not:
-			out = appendRange(out, lo, n)
+			for i, v := range vals[:n] {
+				out[k] = int32(lo + i)
+				k += a.hit(v)
+			}
 		}
 		lo += n
 	}
-	return out
+	for list := sel.list; len(list) > 0; {
+		bi, e := int(list[0])/blockSize, 1
+		for e < len(list) && int(list[e]) < (bi+1)*blockSize {
+			e++
+		}
+		in, h := list[:e], &s.hdr[bi]
+		list = list[e:]
+		switch frame := h.arc(); {
+		case a.holds(frame):
+			k += copy(out[k:], in)
+		case rest.holds(frame):
+		case e >= denseRun:
+			unpack(vals[:s.blockLen(bi)], s.blockWords(bi), 0, h.min, h.width)
+			for _, p := range in {
+				out[k] = p
+				k += a.hit(vals[p%blockSize])
+			}
+		default:
+			words := s.words[h.off:]
+			for _, p := range in {
+				out[k] = p
+				k += a.hit(h.min + int64(delta(words, uint(p)%blockSize, h.width)))
+			}
+		}
+	}
+	return out[:k]
 }
 
 // decompressedBytes counts bytes materialized out of compressed columns by

@@ -11,15 +11,29 @@ import (
 // dictionary codes, floats, frame-of-reference blocks of every width from 0
 // to 64 under both packed types, runs and a view of runs — against arbitrary
 // intervals and their complements (points, ranges, empty, everything, bounds
-// at both ends of int64) over an arbitrary row window, which as a rule starts
-// and ends inside a block and inside a run.
+// at both ends of int64) over both arms of a selection: an arbitrary row
+// window, which as a rule starts and ends inside a block and inside a run, and
+// an ascending explicit list of rows of that window, drawn by repeating a bit
+// pattern over it — so empty, a single row, every row, sixty rows in a row
+// inside one block and single rows blocks apart are each a few bytes.
 func FuzzScan(f *testing.F) {
-	f.Add(int64(1), uint16(1000), uint8(12), int64(0), uint8(0), uint16(0), uint16(1000), int64(100), int64(900), false)
-	f.Add(int64(2), uint16(700), uint8(64), int64(math.MinInt64), uint8(3), uint16(130), uint16(650), int64(math.MinInt64), int64(-1), true)
-	f.Add(int64(3), uint16(640), uint8(0), int64(42), uint8(0), uint16(5), uint16(600), int64(42), int64(42), false)
-	f.Add(int64(4), uint16(300), uint8(63), int64(math.MaxInt64), uint8(7), uint16(1), uint16(2), int64(5), int64(math.MaxInt64), true)
-	f.Add(int64(5), uint16(0), uint8(9), int64(0), uint8(1), uint16(0), uint16(0), int64(1), int64(0), false)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, maxWidth uint8, base int64, runLen uint8, wlo, whi uint16, ilo, ihi int64, not bool) {
+	f.Add(int64(1), uint16(1000), uint8(12), int64(0), uint8(0), uint16(0), uint16(1000), int64(100), int64(900), false, []byte{0x55})
+	f.Add(int64(2), uint16(700), uint8(64), int64(math.MinInt64), uint8(3), uint16(130), uint16(650), int64(math.MinInt64), int64(-1), true, []byte{0xff})
+	f.Add(int64(3), uint16(640), uint8(0), int64(42), uint8(0), uint16(5), uint16(600), int64(42), int64(42), false, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(int64(4), uint16(300), uint8(63), int64(math.MaxInt64), uint8(7), uint16(1), uint16(2), int64(5), int64(math.MaxInt64), true, []byte{1})
+	f.Add(int64(5), uint16(0), uint8(9), int64(0), uint8(1), uint16(0), uint16(0), int64(1), int64(0), false, []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, maxWidth uint8, base int64, runLen uint8, wlo, whi uint16, ilo, ihi int64, not bool, pattern []byte) {
+		check := func(label string, c Column, vals any, iv Interval[int64], lo, hi int) {
+			t.Helper()
+			for _, sel := range []PosList{Range(lo, hi), patternList(lo, hi, pattern)} {
+				switch vals := vals.(type) {
+				case []int64:
+					checkScanOver(t, label, c, vals, iv, sel)
+				case []float64:
+					checkScanOver(t, label, c, vals, Interval[float64]{Lo: float64(iv.Lo), Hi: float64(iv.Hi), Not: iv.Not}, sel)
+				}
+			}
+		}
 		rng := rand.New(rand.NewSource(seed))
 		vals := fuzzValues(rng, int(n), maxWidth%65, base)
 		if k := 1 + int(runLen)%9; k > 1 { // runs of k rows, out of step with the blocks
@@ -72,17 +86,17 @@ func FuzzScan(f *testing.F) {
 		strs, flts := NewStringFromDict("s", dict, codes), NewFloat64("f", floats)
 		for _, iv := range ivs {
 			for label, c := range ints {
-				checkScan(t, label, c, vals, iv, lo, hi)
+				check(label, c, vals, iv, lo, hi)
 			}
 			for label, c := range days {
-				checkScan(t, label, c, dateVals, iv, lo, hi)
+				check(label, c, dateVals, iv, lo, hi)
 			}
-			checkScan(t, "codes", strs, codeVals, iv, lo, hi)
-			checkScan(t, "floats", flts, floats, Interval[float64]{Lo: float64(iv.Lo), Hi: float64(iv.Hi), Not: iv.Not}, lo, hi)
+			check("codes", strs, codeVals, iv, lo, hi)
+			check("floats", flts, floats, iv, lo, hi)
 			// A view of the runs, and a window inside the view.
 			a := rng.Intn(hi - lo + 1)
 			b := a + rng.Intn(hi-lo-a+1)
-			checkScan(t, "view of runs", rle.Slice(lo, hi), vals[lo:hi], iv, a, b)
+			check("view of runs", rle.Slice(lo, hi), vals[lo:hi], iv, a, b)
 		}
 	})
 }

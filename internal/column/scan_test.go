@@ -7,25 +7,53 @@ import (
 	"testing"
 )
 
-// brute is the value-at-a-time reference for Scan: the rows of [lo, hi) whose
-// value lies in iv, tested the way the comparison reads.
-func brute[T int64 | float64](vals []T, iv Interval[T], lo, hi int) []int32 {
+// brute is the value-at-a-time reference for Scan: the rows of sel whose value
+// lies in iv, tested the way the comparison reads.
+func brute[T int64 | float64](vals []T, iv Interval[T], sel []int32) []int32 {
 	out := []int32{}
-	for i := lo; i < hi; i++ {
-		if in := vals[i] >= iv.Lo && vals[i] <= iv.Hi; in != iv.Not {
-			out = append(out, int32(i))
+	for _, p := range sel {
+		if in := vals[p] >= iv.Lo && vals[p] <= iv.Hi; in != iv.Not {
+			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// checkScan holds Scan over rows [lo, hi) of c to the reference over vals,
+// checkScanOver holds Scan over the rows sel of c to the reference over vals,
 // the values c encodes.
+func checkScanOver[T int64 | float64](t *testing.T, label string, c Column, vals []T, iv Interval[T], sel PosList) {
+	t.Helper()
+	got, ok := Scan(c, iv, sel, []int32{})
+	if want := brute(vals, iv, sel.Explicit()); !ok || !slices.Equal(got, want) {
+		lo, hi, isRange := sel.AsRange()
+		t.Fatalf("%s: Scan(%T, %+v) over %d rows (range %v [%d,%d)) ok=%v: %d positions, want %d",
+			label, c, iv, sel.Len(), isRange, lo, hi, ok, len(got), len(want))
+	}
+}
+
+// patternList returns the rows lo+i of [lo, hi) for which bit i of pattern,
+// repeated as often as needed, is set, as an explicit list: nothing for an
+// empty pattern, every row for 0xff.
+func patternList(lo, hi int, pattern []byte) PosList {
+	var list []int32
+	for i := 0; len(pattern) > 0 && lo+i < hi; i++ {
+		if b := i % (8 * len(pattern)); pattern[b/8]>>(b%8)&1 == 1 {
+			list = append(list, int32(lo+i))
+		}
+	}
+	return Positions(list)
+}
+
+// checkScan holds Scan to the reference over the rows [lo, hi) as a range
+// and over lists of them: all of them, every other row (dense enough to
+// decode a packed block once), sixty rows in a row out of every 192, and
+// single rows far apart.
 func checkScan[T int64 | float64](t *testing.T, label string, c Column, vals []T, iv Interval[T], lo, hi int) {
 	t.Helper()
-	got, ok := Scan(c, iv, lo, hi, []int32{})
-	if want := brute(vals, iv, lo, hi); !ok || !slices.Equal(got, want) {
-		t.Fatalf("%s: Scan(%T, %+v, [%d,%d)) ok=%v: %d positions, want %d", label, c, iv, lo, hi, ok, len(got), len(want))
+	checkScanOver(t, label, c, vals, iv, Range(lo, hi))
+	stretch := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0}
+	for _, pattern := range [][]byte{{0xff}, {0x55}, stretch, {0x01, 0, 0, 0, 0, 0, 0x20, 0, 0, 0, 0}} {
+		checkScanOver(t, label+" (list)", c, vals, iv, patternList(lo, hi, pattern))
 	}
 }
 
@@ -178,11 +206,11 @@ func TestScanFloatColumn(t *testing.T) {
 			checkScan(t, "floats", c, vals, iv, 1, 6)
 		}
 	}
-	got, _ := Scan(c, Interval[float64]{Lo: 5, Hi: 5, Not: true}, 0, len(vals), nil)
+	got, _ := Scan(c, Interval[float64]{Lo: 5, Hi: 5, Not: true}, All(len(vals)), nil)
 	if want := []int32{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(got, want) {
 		t.Fatalf("x <> 5 selected %v, want %v (the NaN rows included)", got, want)
 	}
-	got, _ = Scan(c, Interval[float64]{Lo: 0, Hi: 0}, 0, len(vals), nil)
+	got, _ = Scan(c, Interval[float64]{Lo: 0, Hi: 0}, All(len(vals)), nil)
 	if want := []int32{3, 4}; !slices.Equal(got, want) {
 		t.Fatalf("x = 0 selected %v, want %v (both zeros)", got, want)
 	}
@@ -192,10 +220,10 @@ func TestScanFloatColumn(t *testing.T) {
 // a column of the other, and out comes back as it went in.
 func TestScanRefusesMismatchedDomain(t *testing.T) {
 	out := []int32{7}
-	if got, ok := Scan(NewFloat64("f", []float64{1}), Interval[int64]{Lo: 0, Hi: 9}, 0, 1, out); ok || !slices.Equal(got, out) {
+	if got, ok := Scan(NewFloat64("f", []float64{1}), Interval[int64]{Lo: 0, Hi: 9}, All(1), out); ok || !slices.Equal(got, out) {
 		t.Fatalf("an integer interval scanned a float column: %v", got)
 	}
-	if got, ok := Scan(NewInt64("i", []int64{1}), Interval[float64]{Lo: 0, Hi: 9}, 0, 1, out); ok || !slices.Equal(got, out) {
+	if got, ok := Scan(NewInt64("i", []int64{1}), Interval[float64]{Lo: 0, Hi: 9}, All(1), out); ok || !slices.Equal(got, out) {
 		t.Fatalf("a float interval scanned an integer column: %v", got)
 	}
 }

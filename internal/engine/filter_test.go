@@ -94,9 +94,14 @@ func TestFilterRangePartitions(t *testing.T) {
 }
 
 // TestFilterAllocations pins what a parallel filter may allocate, which —
-// unlike its wall time — repeats exactly: per morsel the position lists it
-// produces (one per conjunct and their intersection) and nothing to hand the
-// morsel its rows — no view column, no batch, no resolver.
+// unlike its wall time — repeats exactly: per morsel one position list a
+// conjunct, the copy of what qualified that each keeps of its pooled scratch
+// (a later conjunct writes a list of its own rather than compact its
+// predecessor's, which the predecessor may share), none for an intersection,
+// and nothing to hand the morsel its rows — no view column, no batch, no
+// resolver. A conjunct that keeps every row of a morsel returns the range it
+// was handed and keeps no list at all, so a conjunction of such conjuncts
+// allocates nothing per morsel and stitches back into one range.
 func TestFilterAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -111,18 +116,30 @@ func TestFilterAllocations(t *testing.T) {
 	}
 	plain := MustNewBatch(column.NewInt64("k", keys), column.NewDate("d", dates))
 	packed := MustNewBatch(column.Compress(plain.MustColumn("k")), column.Compress(plain.MustColumn("d")))
-	pred := expr.NewAnd(expr.NewBetween("k", int64(10), int64(29)), expr.NewCmp("d", expr.LT, int32(200)))
+	selective := expr.NewAnd(expr.NewBetween("k", int64(10), int64(29)), expr.NewCmp("d", expr.LT, int32(200)))
+	keepsAll := expr.NewAnd(expr.NewBetween("k", int64(0), int64(99)), expr.NewCmp("d", expr.LT, int32(1000)), expr.NewCmp("k", expr.NE, int64(-1)))
 	ctx := ctxFor(2)
 	const fixed = 16 // the morsel fan-out, the part list, the concatenation
 	for label, b := range map[string]*Batch{"plain": plain, "bit-packed": packed} {
 		var pos column.PosList
-		a := testing.AllocsPerRun(5, func() { pos, _ = Filter(ctx, b, pred) })
-		if limit := float64(3*par.Morsels(n) + fixed); a > limit {
+		a := testing.AllocsPerRun(5, func() { pos, _ = Filter(ctx, b, selective) })
+		if limit := float64(2*par.Morsels(n) + fixed); a > limit {
 			t.Errorf("%s: %v allocations for %d morsels, want ≤ %v", label, a, par.Morsels(n), limit)
 		}
 		if pos.Len() == 0 || pos.Len() > n/20 {
 			t.Errorf("%s: selected %d of %d rows, expected about 4 %%", label, pos.Len(), n)
 		}
 		t.Logf("%s: %v allocations for %d morsels", label, a, par.Morsels(n))
+
+		a = testing.AllocsPerRun(5, func() { pos, _ = Filter(ctx, b, keepsAll) })
+		if lo, hi, isRange := pos.AsRange(); !isRange || lo != 0 || hi != n {
+			t.Errorf("%s: a conjunction that keeps every row returned [%d, %d), range %v", label, lo, hi, isRange)
+		}
+		if a > fixed {
+			t.Errorf("%s: %v allocations for a conjunction that keeps every row, want ≤ %d", label, a, fixed)
+		}
+		if got := b.GatherCtx(ctx, pos).MustColumn("k"); label == "plain" && &got.(*column.Int64Column).Values[0] != &keys[0] {
+			t.Errorf("%s: gathering through the kept-everything selection copied the column", label)
+		}
 	}
 }

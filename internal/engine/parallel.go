@@ -31,11 +31,11 @@ func FilterRange(ctx *Ctx, src Columns, pred expr.Predicate, lo, hi int) (column
 	}
 	resolve := expr.Resolver(src.Column)
 	if !ctx.parallel() || hi-lo <= par.DefaultMorselRows {
-		return pred.Eval(resolve, lo, hi)
+		return pred.Eval(resolve, column.Range(lo, hi))
 	}
 	parts := make([]column.PosList, par.Morsels(hi-lo))
 	err := ctx.forEachMorsel(hi-lo, func(mi, mlo, mhi int) (err error) {
-		parts[mi], err = pred.Eval(resolve, lo+mlo, lo+mhi)
+		parts[mi], err = pred.Eval(resolve, column.Range(lo+mlo, lo+mhi))
 		return err
 	})
 	if err != nil {

@@ -4,11 +4,14 @@ import (
 	"fmt"
 
 	"robustdb/internal/column"
+	"robustdb/internal/par"
 )
 
 // CmpCols compares two columns of the same relation row-wise
 // (e.g. TPC-H Q4's l_commitdate < l_receiptdate). Both columns must be
-// numeric (int64, date, or float64); mixing int-family and float works.
+// numeric. Two integer-family columns (int64 or date, in any encoding)
+// compare as integers, exactly; with a float on either side both compare as
+// float64.
 type CmpCols struct {
 	Left  string
 	Op    CmpOp
@@ -31,28 +34,19 @@ func (c *CmpCols) Columns() []string {
 // String renders "left op right".
 func (c *CmpCols) String() string { return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Right) }
 
-// holds reports whether "l op r" is true, as IEEE comparison has it: a NaN on
-// either side satisfies <> and nothing else.
-func (op CmpOp) holds(l, r float64) bool {
-	switch op {
-	case EQ:
-		return l == r
-	case NE:
-		return l != r
-	case LT:
-		return l < r
-	case LE:
-		return l <= r
-	case GT:
-		return l > r
-	default:
-		return l >= r
-	}
+// truth[op] has bit c set when "l op r" holds given the outcome c of comparing
+// l with r: 1 for less, 2 for equal, 4 for greater, and 0 for unordered — a
+// NaN on either side, which satisfies <> and nothing else, as IEEE has it.
+var truth = [256]uint8{EQ: 1 << 2, NE: 1<<0 | 1<<1 | 1<<4, LT: 1 << 1, LE: 1<<1 | 1<<2, GT: 1 << 4, GE: 1<<2 | 1<<4}
+
+// holds is 1 when the comparison with truth bits t holds for l and r, and
+// otherwise 0.
+func holds[T int64 | float64](t uint8, l, r T) int {
+	return int(t) >> (column.B2I(l < r) | column.B2I(l == r)<<1 | column.B2I(l > r)<<2) & 1
 }
 
-// Eval scans rows [lo, hi) of both columns and collects those where the
-// comparison holds.
-func (c *CmpCols) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
+// Eval collects the rows of sel where the comparison holds.
+func (c *CmpCols) Eval(resolve Resolver, sel column.PosList) (column.PosList, error) {
 	lc, err := resolve(c.Left)
 	if err != nil {
 		return none, err
@@ -61,8 +55,21 @@ func (c *CmpCols) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 	if err != nil {
 		return none, err
 	}
-	lr, lok := column.Reader[float64](lc)
-	rr, rok := column.Reader[float64](rc)
+	if integral := func(c column.Column) bool { return c.Type() == column.Int64 || c.Type() == column.Date }; integral(lc) && integral(rc) {
+		return cmpCols[int64](c, lc, rc, sel)
+	}
+	return cmpCols[float64](c, lc, rc, sel)
+}
+
+// cmpCols is Eval in the domain T. Both columns are read a window of rows at
+// a time (decoded, if compressed): a range in windows of block rows, a list
+// from a listed row to the last one listed in the same stride rows — the size
+// of a packed block, so that no block is decoded that the selection does not
+// touch. The write is the scan kernels': every candidate row is stored, and
+// the cursor moves on by the comparison.
+func cmpCols[T int64 | float64](c *CmpCols, lc, rc column.Column, sel column.PosList) (column.PosList, error) {
+	lr, lok := column.Reader[T](lc)
+	rr, rok := column.Reader[T](rc)
 	switch {
 	case !lok:
 		return none, fmt.Errorf("predicate %s: column %s is not numeric", c, lc.Name())
@@ -70,19 +77,36 @@ func (c *CmpCols) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 		return none, fmt.Errorf("predicate %s: column %s is not numeric", c, rc.Name())
 	case lc.Len() != rc.Len():
 		return none, fmt.Errorf("predicate %s: column lengths differ (%d vs %d)", c, lc.Len(), rc.Len())
+	case sel.Len() == 0:
+		return none, nil
 	}
-	// Both columns are read a block at a time (decoded, if compressed).
-	const block = 4096
-	lbuf, rbuf := make([]float64, block), make([]float64, block)
-	out := make([]int32, 0, (hi-lo)/4)
-	for base := lo; base < hi; base += block {
-		end := min(base+block, hi)
-		lv, rv := lr(base, end, lbuf), rr(base, end, rbuf)
-		for i, l := range lv {
-			if c.Op.holds(l, rv[i]) {
-				out = append(out, int32(base+i))
+	const block, stride = 4096, 128
+	out, k, t := par.GetInt32(sel.Len())[:sel.Len()], 0, truth[c.Op]
+	if lo, hi, isRange := sel.AsRange(); isRange {
+		lbuf, rbuf := make([]T, block), make([]T, block)
+		for base := lo; base < hi; base += block {
+			end := min(base+block, hi)
+			lv, rv := lr(base, end, lbuf), rr(base, end, rbuf)
+			for i, l := range lv {
+				out[k] = int32(base + i)
+				k += holds(t, l, rv[i])
 			}
 		}
+		return par.TakePos(out[:k]), nil
 	}
-	return column.Ascending(out), nil
+	lbuf, rbuf := make([]T, stride), make([]T, stride)
+	for list := sel.Explicit(); len(list) > 0; {
+		base, e := int(list[0]), 1
+		for e < len(list) && int(list[e]) < base-base%stride+stride {
+			e++
+		}
+		end := int(list[e-1]) + 1
+		lv, rv := lr(base, end, lbuf), rr(base, end, rbuf)
+		for _, p := range list[:e] {
+			out[k] = p
+			k += holds(t, lv[int(p)-base], rv[int(p)-base])
+		}
+		list = list[e:]
+	}
+	return par.TakePos(out[:k]), nil
 }

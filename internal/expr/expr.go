@@ -1,8 +1,10 @@
 // Package expr defines the scalar predicate language operators filter with.
 //
 // Predicates are comparisons of a column against constants (point and range
-// predicates) combined with conjunction and disjunction. Evaluation over a
-// row range produces a sorted position list. Every comparison with constants
+// predicates) combined with conjunction and disjunction. A predicate is a
+// function from a selection to a selection: evaluated over a sorted position
+// list — a row range or the survivors of an earlier predicate — it returns
+// the positions among them that qualify. Every comparison with constants
 // first becomes an interval of the column's value domain — integers for
 // integer and date columns of any encoding, dictionary codes for strings
 // (exploiting the order-preserving encoding of column.StringColumn), floats
@@ -15,6 +17,7 @@ import (
 	"math"
 
 	"robustdb/internal/column"
+	"robustdb/internal/par"
 )
 
 // CmpOp is a comparison operator.
@@ -55,11 +58,12 @@ type Resolver func(name string) (column.Column, error)
 
 // Predicate filters the rows of a single table.
 type Predicate interface {
-	// Eval returns the sorted positions of the qualifying rows among rows
-	// [lo, hi), numbered as rows of the resolved columns. A row qualifies or
-	// not whatever range it is asked about in, so the results over a partition
-	// of a range, one after the other, are the result over the range.
-	Eval(resolve Resolver, lo, hi int) (column.PosList, error)
+	// Eval returns, ascending, the rows of sel that qualify, numbered as rows
+	// of the resolved columns; sel must itself be ascending. A row qualifies
+	// or not whatever selection it is asked about in, so evaluating q over
+	// what p kept keeps what both keep, and the results over a partition of a
+	// range, one after the other, are the result over the range.
+	Eval(resolve Resolver, sel column.PosList) (column.PosList, error)
 	// Columns returns the names of the columns the predicate reads.
 	Columns() []string
 	// String renders the predicate in SQL-ish syntax.
@@ -127,19 +131,19 @@ func floatInterval(op CmpOp, v float64) column.Interval[float64] {
 }
 
 // scan evaluates a column-vs-constant predicate p, normalized to iv, over
-// rows [lo, hi) of col.
-func scan[T int64 | float64](p Predicate, col column.Column, iv column.Interval[T], lo, hi int) (column.PosList, error) {
-	out, ok := column.Scan(col, iv, lo, hi, make([]int32, 0, (hi-lo)/4))
+// the rows sel of col.
+func scan[T int64 | float64](p Predicate, col column.Column, iv column.Interval[T], sel column.PosList) (column.PosList, error) {
+	out, ok := column.Scan(col, iv, sel, par.GetInt32(sel.Len()))
 	if !ok {
 		return none, fmt.Errorf("predicate %s: unsupported column type %T", p, col)
 	}
-	return column.Ascending(out), nil
+	return par.TakePos(out), nil
 }
 
-// Eval scans rows [lo, hi) of the column for the comparison's interval. A
+// Eval scans the rows sel of the column for the comparison's interval. A
 // string constant absent from the dictionary stands just below its insertion
 // point: equal to nothing, and ordered against the codes on either side.
-func (c *Cmp) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
+func (c *Cmp) Eval(resolve Resolver, sel column.PosList) (column.PosList, error) {
 	col, err := resolve(c.Col)
 	if err != nil {
 		return none, err
@@ -150,7 +154,7 @@ func (c *Cmp) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 		if err != nil {
 			return none, fmt.Errorf("predicate %s: %w", c, err)
 		}
-		return scan(c, col, floatInterval(c.Op, v), lo, hi)
+		return scan(c, col, floatInterval(c.Op, v), sel)
 	case *column.StringColumn:
 		s, ok := c.Value.(string)
 		if !ok {
@@ -161,20 +165,20 @@ func (c *Cmp) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 		if !present { // code is the insertion point
 			switch op {
 			case EQ, NE:
-				return scan(c, col, nothing[int64](op == NE), lo, hi)
+				return scan(c, col, nothing[int64](op == NE), sel)
 			case LE:
 				op = LT
 			case GT:
 				op = GE
 			}
 		}
-		return scan(c, col, intInterval(op, int64(code)), lo, hi)
+		return scan(c, col, intInterval(op, int64(code)), sel)
 	default:
 		v, err := asInt64(c.Value)
 		if err != nil {
 			return none, fmt.Errorf("predicate %s: %w", c, err)
 		}
-		return scan(c, col, intInterval(c.Op, v), lo, hi)
+		return scan(c, col, intInterval(c.Op, v), sel)
 	}
 }
 
@@ -197,9 +201,9 @@ func (b *Between) String() string {
 	return fmt.Sprintf("%s between %v and %v", b.Col, b.Lo, b.Hi)
 }
 
-// Eval scans rows [lo, hi) of the column for the interval [Lo, Hi]; string
+// Eval scans the rows sel of the column for the interval [Lo, Hi]; string
 // bounds absent from the dictionary move inward to the nearest code.
-func (b *Between) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
+func (b *Between) Eval(resolve Resolver, sel column.PosList) (column.PosList, error) {
 	col, err := resolve(b.Col)
 	if err != nil {
 		return none, err
@@ -211,7 +215,7 @@ func (b *Between) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 		if err := cmp.Or(errLo, errHi); err != nil {
 			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
-		return scan(b, col, column.Interval[float64]{Lo: l, Hi: h}, lo, hi)
+		return scan(b, col, column.Interval[float64]{Lo: l, Hi: h}, sel)
 	case *column.StringColumn:
 		l, okLo := b.Lo.(string)
 		h, okHi := b.Hi.(string)
@@ -222,14 +226,14 @@ func (b *Between) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 		if !present {
 			hiCode-- // insertion point; everything strictly below qualifies
 		}
-		return scan(b, col, column.Interval[int64]{Lo: int64(col.LowerBound(l)), Hi: int64(hiCode)}, lo, hi)
+		return scan(b, col, column.Interval[int64]{Lo: int64(col.LowerBound(l)), Hi: int64(hiCode)}, sel)
 	default:
 		l, errLo := asInt64(b.Lo)
 		h, errHi := asInt64(b.Hi)
 		if err := cmp.Or(errLo, errHi); err != nil {
 			return none, fmt.Errorf("predicate %s: %w", b, err)
 		}
-		return scan(b, col, column.Interval[int64]{Lo: l, Hi: h}, lo, hi)
+		return scan(b, col, column.Interval[int64]{Lo: l, Hi: h}, sel)
 	}
 }
 
@@ -246,23 +250,21 @@ func (a *And) Columns() []string { return unionColumns(a.Preds) }
 // String renders the conjunction.
 func (a *And) String() string { return joinPreds(a.Preds, " and ") }
 
-// Eval intersects the operand position lists.
-func (a *And) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
+// Eval narrows the selection through the operands in written order: each
+// sees only the rows its predecessors kept. Handed the empty selection an
+// operand scans nothing but still resolves its column and checks its
+// constant: whether a malformed conjunct is reported does not follow the data.
+func (a *And) Eval(resolve Resolver, sel column.PosList) (column.PosList, error) {
 	if len(a.Preds) == 0 {
 		return none, fmt.Errorf("and: no operands")
 	}
-	acc, err := a.Preds[0].Eval(resolve, lo, hi)
-	if err != nil {
-		return none, err
-	}
-	for _, p := range a.Preds[1:] {
-		next, err := p.Eval(resolve, lo, hi)
-		if err != nil {
+	for _, p := range a.Preds {
+		var err error
+		if sel, err = p.Eval(resolve, sel); err != nil {
 			return none, err
 		}
-		acc = acc.Intersect(next)
 	}
-	return acc, nil
+	return sel, nil
 }
 
 // Or is the disjunction of predicates.
@@ -277,17 +279,14 @@ func (o *Or) Columns() []string { return unionColumns(o.Preds) }
 // String renders the disjunction.
 func (o *Or) String() string { return joinPreds(o.Preds, " or ") }
 
-// Eval unions the operand position lists.
-func (o *Or) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
+// Eval unions what each operand keeps of the selection.
+func (o *Or) Eval(resolve Resolver, sel column.PosList) (column.PosList, error) {
 	if len(o.Preds) == 0 {
 		return none, fmt.Errorf("or: no operands")
 	}
-	acc, err := o.Preds[0].Eval(resolve, lo, hi)
-	if err != nil {
-		return none, err
-	}
-	for _, p := range o.Preds[1:] {
-		next, err := p.Eval(resolve, lo, hi)
+	acc := none
+	for _, p := range o.Preds {
+		next, err := p.Eval(resolve, sel)
 		if err != nil {
 			return none, err
 		}
@@ -312,7 +311,7 @@ func (p *In) Columns() []string { return []string{p.Col} }
 func (p *In) String() string { return fmt.Sprintf("%s in %v", p.Col, p.Values) }
 
 // Eval evaluates the in-list as a disjunction of equalities.
-func (p *In) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
+func (p *In) Eval(resolve Resolver, sel column.PosList) (column.PosList, error) {
 	if len(p.Values) == 0 {
 		return none, nil
 	}
@@ -320,7 +319,7 @@ func (p *In) Eval(resolve Resolver, lo, hi int) (column.PosList, error) {
 	for i, v := range p.Values {
 		ors[i] = NewCmp(p.Col, EQ, v)
 	}
-	return NewOr(ors...).Eval(resolve, lo, hi)
+	return NewOr(ors...).Eval(resolve, sel)
 }
 
 func unionColumns(preds []Predicate) []string {
@@ -368,6 +367,8 @@ func asFloat64(v interface{}) (float64, error) {
 	case int64:
 		return float64(v), nil
 	case int:
+		return float64(v), nil
+	case int32:
 		return float64(v), nil
 	default:
 		return 0, fmt.Errorf("want numeric constant, got %T", v)

@@ -17,7 +17,7 @@ type testCols []column.Column
 
 func resolver(cols ...column.Column) testCols { return cols }
 
-func (cols testCols) all() (Resolver, int, int) {
+func (cols testCols) all() (Resolver, column.PosList) {
 	return func(name string) (column.Column, error) {
 		for _, c := range cols {
 			if c.Name() == name {
@@ -25,7 +25,7 @@ func (cols testCols) all() (Resolver, int, int) {
 			}
 		}
 		return nil, errNotFound(name)
-	}, 0, cols[0].Len()
+	}, column.All(cols[0].Len())
 }
 
 type errNotFound string
@@ -490,20 +490,20 @@ func TestEvalOverRowRanges(t *testing.T) {
 		flts[i] = rng.Float64()
 	}
 	ints := column.NewInt64("i", vals)
-	resolve, _, _ := resolver(ints, column.NewString("s", strs), column.NewFloat64("f", flts),
+	resolve, _ := resolver(ints, column.NewString("s", strs), column.NewFloat64("f", flts),
 		column.CompressInt64(column.NewInt64("p", vals)), column.CompressInt64RLE(column.NewInt64("r", vals))).all()
 	for _, p := range []Predicate{
 		NewCmp("i", LT, 20), NewCmp("s", GE, "k"), NewCmp("s", NE, "kk"), NewCmp("f", GT, 0.5), NewCmp("p", NE, 7),
 		NewBetween("r", 10, 30), NewBetween("s", "c", "m"), NewIn("p", 1, 2, 3), NewCmpCols("i", LE, "f"),
 		NewAnd(NewCmp("i", GE, 5), NewOr(NewCmp("f", LT, 0.1), NewCmp("s", EQ, "b")), NewBetween("p", 0, 40)),
 	} {
-		whole, err := p.Eval(resolve, 0, n)
+		whole, err := p.Eval(resolve, column.All(n))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var parts []column.PosList
 		for _, cut := range [][2]int{{0, 1}, {1, 130}, {130, 130}, {130, 777}, {777, n}} {
-			part, err := p.Eval(resolve, cut[0], cut[1])
+			part, err := p.Eval(resolve, column.Range(cut[0], cut[1]))
 			if err != nil {
 				t.Fatal(err)
 			}

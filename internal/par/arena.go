@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync"
 
 	"robustdb/internal/column"
@@ -23,13 +24,17 @@ import (
 //     heap Reservation accounting because reservations model the simulated
 //     device, not host scratch.
 
+// bufPool keeps buffers boxed (a sync.Pool holds pointers) and the boxes
+// get empties for put to fill again, so that a round trip allocates nothing.
 type bufPool[T any] struct {
-	pool sync.Pool
+	pool, boxes sync.Pool
 }
 
 func (b *bufPool[T]) get(capHint int) []T {
-	if v := b.pool.Get(); v != nil {
-		s := *(v.(*[]T))
+	if box, _ := b.pool.Get().(*[]T); box != nil {
+		s := *box
+		*box = nil
+		b.boxes.Put(box)
 		if cap(s) >= capHint {
 			return s[:0]
 		}
@@ -45,8 +50,12 @@ func (b *bufPool[T]) put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:0]
-	b.pool.Put(&s)
+	box, _ := b.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	b.pool.Put(box)
 }
 
 var (
@@ -79,4 +88,18 @@ func PutPos(pos column.PosList) {
 	if _, _, isRange := pos.AsRange(); !isRange {
 		PutInt32(pos.Explicit())
 	}
+}
+
+// TakePos is the way out of a GetInt32 buffer for a selection kernel, which
+// stores every candidate row and so needs a place for each: out holds the
+// ascending positions that qualified. The selection returned keeps a copy
+// the size of what qualified — none at all when that is a run of rows, which
+// is a range — and the buffer is recycled.
+func TakePos(out []int32) column.PosList {
+	pos := column.Ascending(out)
+	if _, _, isRange := pos.AsRange(); !isRange {
+		pos = column.Positions(slices.Clone(out))
+	}
+	PutInt32(out)
+	return pos
 }
