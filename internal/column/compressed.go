@@ -30,6 +30,20 @@ import (
 // blockSize is the number of values per compression block.
 const blockSize = 128
 
+// BlockRows is blockSize for readers outside the package: fetching listed
+// rows within one block at a time decodes no block the list does not touch.
+const BlockRows = blockSize
+
+// HeadBlock splits an ascending, non-empty list after its rows of the block
+// that its first row lies in.
+func HeadBlock(list []int32) (in, rest []int32) {
+	e, end := 1, (int(list[0])/blockSize+1)*blockSize
+	for e < len(list) && int(list[e]) < end {
+		e++
+	}
+	return list[:e], list[e:]
+}
+
 // gatherChunk is the number of output rows one gather task packs: a multiple
 // of blockSize, so the blocks of the output are the same however many
 // workers run the tasks.

@@ -47,30 +47,19 @@ func Scan[T int64 | float64](c Column, iv Interval[T], sel PosList, out []int32)
 			return scanFloats(c.Values, iv, sel, out), true
 		}
 	case Interval[int64]:
-		if c.Type() == Float64 {
+		c, ok := c.(interface {
+			scan(a arc, sel PosList, out []int32) []int32
+		})
+		if !ok {
 			break
 		}
-		a, proper := arcOf(iv)
-		if !proper { // no value lies in iv, or every value does
-			if (iv.Lo > iv.Hi) == iv.Not {
-				out = sel.AppendTo(out)
-			}
-			return out, true
+		switch a, proper := arcOf(iv); {
+		case proper:
+			out = c.scan(a, sel, out)
+		case (iv.Lo > iv.Hi) == iv.Not: // every value lies in iv; otherwise none does
+			out = sel.AppendTo(out)
 		}
-		switch c := c.(type) {
-		case *Int64Column:
-			return scanInts(c.Values, a, sel, out), true
-		case *DateColumn:
-			return scanInts(c.Values, a, sel, out), true
-		case *StringColumn:
-			return scanInts(c.Codes, a, sel, out), true
-		case *CompressedInt64Column:
-			return c.scan(a, sel, out), true
-		case *CompressedDateColumn:
-			return c.scan(a, sel, out), true
-		case *RLEInt64Column:
-			return c.scan(a, sel, out), true
-		}
+		return out, true
 	}
 	return out, false
 }
@@ -114,6 +103,18 @@ func (a arc) hit(v int64) int { return B2I(uint64(v)-a.start <= a.span) }
 func (a arc) holds(b arc) bool {
 	off := b.start - a.start
 	return off <= a.span && b.span <= a.span-off
+}
+
+// scan, on each column type whose stored values are integers, is the kernel of
+// its layout; Scan refuses a column without one whatever the interval.
+func (c *Int64Column) scan(a arc, sel PosList, out []int32) []int32 {
+	return scanInts(c.Values, a, sel, out)
+}
+func (c *DateColumn) scan(a arc, sel PosList, out []int32) []int32 {
+	return scanInts(c.Values, a, sel, out)
+}
+func (c *StringColumn) scan(a arc, sel PosList, out []int32) []int32 {
+	return scanInts(c.Codes, a, sel, out)
 }
 
 // scanInts is the dense integer layout — plain integers, dates, dictionary
@@ -175,10 +176,9 @@ func (h *blockHdr) arc() arc { return arc{uint64(h.min), uint64(1)<<h.width - 1}
 
 // scan is the packed layout. A block on the arc asked for, or on the rest of
 // it, is taken or skipped whole without touching its packed words. Of a
-// straddling block the range arm decodes its rows; the list arm, which walks
-// the list source block by source block as gatherChunk does, decodes the
-// block when denseRun or more of its rows are listed and extracts them one by
-// one when fewer are.
+// straddling block the range arm decodes its rows into a stack buffer; the
+// list arm, which walks the list source block by source block, extracts the
+// listed rows one by one.
 func (s *packed) scan(a arc, sel PosList, out []int32) []int32 {
 	var vals [blockSize]int64
 	rest, k := a.rest(), len(out)
@@ -200,23 +200,13 @@ func (s *packed) scan(a arc, sel PosList, out []int32) []int32 {
 		lo += n
 	}
 	for list := sel.list; len(list) > 0; {
-		bi, e := int(list[0])/blockSize, 1
-		for e < len(list) && int(list[e]) < (bi+1)*blockSize {
-			e++
-		}
-		in, h := list[:e], &s.hdr[bi]
-		list = list[e:]
+		var in []int32
+		in, list = HeadBlock(list)
+		h := &s.hdr[in[0]/blockSize]
 		switch frame := h.arc(); {
 		case a.holds(frame):
 			k += copy(out[k:], in)
-		case rest.holds(frame):
-		case e >= denseRun:
-			unpack(vals[:s.blockLen(bi)], s.blockWords(bi), 0, h.min, h.width)
-			for _, p := range in {
-				out[k] = p
-				k += a.hit(vals[p%blockSize])
-			}
-		default:
+		case !rest.holds(frame):
 			words := s.words[h.off:]
 			for _, p := range in {
 				out[k] = p

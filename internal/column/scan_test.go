@@ -45,9 +45,8 @@ func patternList(lo, hi int, pattern []byte) PosList {
 }
 
 // checkScan holds Scan to the reference over the rows [lo, hi) as a range
-// and over lists of them: all of them, every other row (dense enough to
-// decode a packed block once), sixty rows in a row out of every 192, and
-// single rows far apart.
+// and over lists of them: all of them, every other row, sixty rows in a row
+// out of every 192, and single rows far apart.
 func checkScan[T int64 | float64](t *testing.T, label string, c Column, vals []T, iv Interval[T], lo, hi int) {
 	t.Helper()
 	checkScanOver(t, label, c, vals, iv, Range(lo, hi))
@@ -216,14 +215,23 @@ func TestScanFloatColumn(t *testing.T) {
 	}
 }
 
+// foreignColumn is a Column this package does not know the layout of.
+type foreignColumn struct{ Column }
+
 // TestScanRefusesMismatchedDomain: an interval of one domain does not scan
-// a column of the other, and out comes back as it went in.
+// a column of the other, nor an integer interval a column without an integer
+// kernel — whether or not the interval needs a kernel to answer — and out
+// comes back as it went in.
 func TestScanRefusesMismatchedDomain(t *testing.T) {
 	out := []int32{7}
-	if got, ok := Scan(NewFloat64("f", []float64{1}), Interval[int64]{Lo: 0, Hi: 9}, All(1), out); ok || !slices.Equal(got, out) {
-		t.Fatalf("an integer interval scanned a float column: %v", got)
-	}
 	if got, ok := Scan(NewInt64("i", []int64{1}), Interval[float64]{Lo: 0, Hi: 9}, All(1), out); ok || !slices.Equal(got, out) {
 		t.Fatalf("a float interval scanned an integer column: %v", got)
+	}
+	for _, c := range []Column{NewFloat64("f", []float64{1}), foreignColumn{NewInt64("i", []int64{1})}} {
+		for _, iv := range []Interval[int64]{{Lo: 0, Hi: 9}, {Lo: 1, Hi: 0}, {Lo: 1, Hi: 0, Not: true}, {Lo: math.MinInt64, Hi: math.MaxInt64}} {
+			if got, ok := Scan(c, iv, All(1), out); ok || !slices.Equal(got, out) {
+				t.Fatalf("the integer interval %+v scanned a %T: %v", iv, c, got)
+			}
+		}
 	}
 }

@@ -37,7 +37,7 @@ func (c *CmpCols) String() string { return fmt.Sprintf("%s %s %s", c.Left, c.Op,
 // truth[op] has bit c set when "l op r" holds given the outcome c of comparing
 // l with r: 1 for less, 2 for equal, 4 for greater, and 0 for unordered — a
 // NaN on either side, which satisfies <> and nothing else, as IEEE has it.
-var truth = [256]uint8{EQ: 1 << 2, NE: 1<<0 | 1<<1 | 1<<4, LT: 1 << 1, LE: 1<<1 | 1<<2, GT: 1 << 4, GE: 1<<2 | 1<<4}
+var truth = [...]uint8{EQ: 1 << 2, NE: 1<<0 | 1<<1 | 1<<4, LT: 1 << 1, LE: 1<<1 | 1<<2, GT: 1 << 4, GE: 1<<2 | 1<<4}
 
 // holds is 1 when the comparison with truth bits t holds for l and r, and
 // otherwise 0.
@@ -63,10 +63,10 @@ func (c *CmpCols) Eval(resolve Resolver, sel column.PosList) (column.PosList, er
 
 // cmpCols is Eval in the domain T. Both columns are read a window of rows at
 // a time (decoded, if compressed): a range in windows of block rows, a list
-// from a listed row to the last one listed in the same stride rows — the size
-// of a packed block, so that no block is decoded that the selection does not
-// touch. The write is the scan kernels': every candidate row is stored, and
-// the cursor moves on by the comparison.
+// from a listed row to the last one listed in the same packed block, so that
+// no block is decoded that the selection does not touch. The write is the
+// scan kernels': every candidate row is stored, and the cursor moves on by
+// the comparison.
 func cmpCols[T int64 | float64](c *CmpCols, lc, rc column.Column, sel column.PosList) (column.PosList, error) {
 	lr, lok := column.Reader[T](lc)
 	rr, rok := column.Reader[T](rc)
@@ -77,10 +77,12 @@ func cmpCols[T int64 | float64](c *CmpCols, lc, rc column.Column, sel column.Pos
 		return none, fmt.Errorf("predicate %s: column %s is not numeric", c, rc.Name())
 	case lc.Len() != rc.Len():
 		return none, fmt.Errorf("predicate %s: column lengths differ (%d vs %d)", c, lc.Len(), rc.Len())
+	case int(c.Op) >= len(truth):
+		return none, fmt.Errorf("predicate %s: unknown operator", c)
 	case sel.Len() == 0:
 		return none, nil
 	}
-	const block, stride = 4096, 128
+	const block = 4096
 	out, k, t := par.GetInt32(sel.Len())[:sel.Len()], 0, truth[c.Op]
 	if lo, hi, isRange := sel.AsRange(); isRange {
 		lbuf, rbuf := make([]T, block), make([]T, block)
@@ -94,19 +96,16 @@ func cmpCols[T int64 | float64](c *CmpCols, lc, rc column.Column, sel column.Pos
 		}
 		return par.TakePos(out[:k]), nil
 	}
-	lbuf, rbuf := make([]T, stride), make([]T, stride)
+	lbuf, rbuf := make([]T, column.BlockRows), make([]T, column.BlockRows)
 	for list := sel.Explicit(); len(list) > 0; {
-		base, e := int(list[0]), 1
-		for e < len(list) && int(list[e]) < base-base%stride+stride {
-			e++
-		}
-		end := int(list[e-1]) + 1
+		var in []int32
+		in, list = column.HeadBlock(list)
+		base, end := int(in[0]), int(in[len(in)-1])+1
 		lv, rv := lr(base, end, lbuf), rr(base, end, rbuf)
-		for _, p := range list[:e] {
+		for _, p := range in {
 			out[k] = p
 			k += holds(t, lv[int(p)-base], rv[int(p)-base])
 		}
-		list = list[e:]
 	}
 	return par.TakePos(out[:k]), nil
 }

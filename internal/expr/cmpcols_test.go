@@ -64,6 +64,11 @@ func TestCmpColsErrors(t *testing.T) {
 	if _, err := NewCmpCols("a", LT, "short").Eval(r.all()); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
+	for _, op := range []CmpOp{GE + 1, 255} {
+		if _, err := NewCmpCols("a", op, "a").Eval(r.all()); err == nil {
+			t.Fatalf("expected unknown operator error for %s", op)
+		}
+	}
 }
 
 func TestCmpColsMetadata(t *testing.T) {
