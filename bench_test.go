@@ -722,6 +722,88 @@ func BenchmarkMicroConjunctionIntersect(b *testing.B) {
 	}
 }
 
+// --- star-join chain micro pair ---
+//
+// The first three joins of SSB Q4.1 over 600 000 fact rows: customer, whose
+// nation is kept, then supplier and part, which only filter — each dimension
+// cut to a fifth of its keys — with the order date, the two measures and the
+// nation carried along, then grouped. A batch hands a carried column on as
+// (source, positions) and copies it for whoever reads it first: the next join
+// reads one key, the aggregation the rest at 1/125 of the rows.
+// StarJoinChainEager is the reference the way ConjunctionIntersect is
+// Conjunction's: every column of every join's output copied as the join
+// returns, which is what each join did before. CI gates the ratio (≥ 1.3×).
+
+const microStarRows = 600000
+
+var (
+	microStarOnce sync.Once
+	microStarFact *engine.Batch
+	microStarDims [3]*engine.Batch
+)
+
+func microStarData() {
+	microStarOnce.Do(func() {
+		const dimRows = 1000
+		rng := rand.New(rand.NewSource(13))
+		var cols []column.Column
+		for _, name := range []string{"k0", "k1", "k2", "revenue", "cost"} {
+			vals := make([]int64, microStarRows)
+			for i := range vals {
+				vals[i] = rng.Int63n(dimRows)
+			}
+			cols = append(cols, column.NewInt64(name, vals))
+		}
+		years := make([]int32, microStarRows)
+		for i := range years {
+			years[i] = int32(1992 + rng.Intn(7))
+		}
+		microStarFact = engine.MustNewBatch(append(cols, column.NewDate("year", years))...)
+		for d := range microStarDims {
+			keys, nation := make([]int64, dimRows/5), make([]int64, dimRows/5)
+			for i := range keys {
+				keys[i], nation[i] = int64(5*i+d), int64(i%5)
+			}
+			microStarDims[d] = engine.MustNewBatch(column.NewInt64(fmt.Sprint("dk", d), keys), column.NewInt64("nation", nation))
+		}
+	})
+}
+
+func benchStarJoinChain(b *testing.B, eager bool) {
+	microStarData()
+	ctx := microKernelCtx()
+	aggs := []engine.AggSpec{{Func: engine.Sum, Col: "revenue", As: "revenue"}, {Func: engine.Sum, Col: "cost", As: "cost"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, carried, kept := microStarFact, []string{"k1", "k2", "year", "revenue", "cost"}, []string{"nation"}
+		for d, dim := range microStarDims {
+			var err error
+			out, err = engine.Join(ctx, dim, fmt.Sprint("dk", d), kept, out, fmt.Sprint("k", d), carried)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if eager {
+				out.Force(ctx)
+			}
+			carried, kept = append(carried[1:len(carried):len(carried)], kept...), nil
+		}
+		res, err := engine.GroupBy(ctx, out, []string{"year", "nation"}, aggs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumRows() != 35 || out.NumRows() < microStarRows/200 {
+			b.Fatalf("chain kept %d rows in %d groups", out.NumRows(), res.NumRows())
+		}
+	}
+}
+
+// BenchmarkMicroStarJoinChain runs the chain as the plans do.
+func BenchmarkMicroStarJoinChain(b *testing.B) { benchStarJoinChain(b, false) }
+
+// BenchmarkMicroStarJoinChainEager forces every join's output as it returns.
+func BenchmarkMicroStarJoinChainEager(b *testing.B) { benchStarJoinChain(b, true) }
+
 // BenchmarkMicroFilterSelectivity is the selectivity sweep of the scan
 // kernels: v < 10·s over uniform values below 1000 keeps s % of 600 000 rows
 // (v = 1000 keeps none), plain and bit-packed (10-bit blocks, every one

@@ -76,7 +76,7 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 	keyCols := make([]column.Column, len(keys))
 	keyReads := make([]keyReader, len(keys))
 	for i, k := range keys {
-		c, err := b.Column(k)
+		c, err := b.column(ctx, k)
 		if err != nil {
 			return nil, fmt.Errorf("group by: %w", err)
 		}
@@ -93,7 +93,7 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 		if a.Func == Count {
 			continue
 		}
-		c, err := b.Column(a.Col)
+		c, err := b.column(ctx, a.Col)
 		if err != nil {
 			return nil, fmt.Errorf("aggregate %s(%s): %w", a.Func, a.Col, err)
 		}

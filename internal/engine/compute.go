@@ -42,8 +42,8 @@ type operand struct {
 }
 
 // columnOperand resolves a numeric column of the batch as an operand.
-func columnOperand(b *Batch, as, col string) (operand, error) {
-	c, err := b.Column(col)
+func columnOperand(ctx *Ctx, b *Batch, as, col string) (operand, error) {
+	c, err := b.column(ctx, col)
 	if err != nil {
 		return operand{}, fmt.Errorf("compute %s: %w", as, err)
 	}
@@ -120,11 +120,11 @@ func compute(ctx *Ctx, n int, as string, l operand, op BinOp, r operand) (column
 // batch and returns the derived column under the given name. The result is
 // always float64, matching the engine's aggregate domain.
 func Compute(ctx *Ctx, b *Batch, as string, left string, op BinOp, right string) (column.Column, error) {
-	l, err := columnOperand(b, as, left)
+	l, err := columnOperand(ctx, b, as, left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := columnOperand(b, as, right)
+	r, err := columnOperand(ctx, b, as, right)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func Compute(ctx *Ctx, b *Batch, as string, left string, op BinOp, right string)
 
 // ComputeConst evaluates "col op constant" row-wise, e.g. "price * 0.9".
 func ComputeConst(ctx *Ctx, b *Batch, as string, col string, op BinOp, k float64) (column.Column, error) {
-	l, err := columnOperand(b, as, col)
+	l, err := columnOperand(ctx, b, as, col)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func ComputeConst(ctx *Ctx, b *Batch, as string, col string, op BinOp, k float64
 // ComputeConstLeft evaluates "constant op col" row-wise (e.g. the
 // "1 - discount" term of TPC-H pricing expressions).
 func ComputeConstLeft(ctx *Ctx, b *Batch, as string, k float64, op BinOp, col string) (column.Column, error) {
-	r, err := columnOperand(b, as, col)
+	r, err := columnOperand(ctx, b, as, col)
 	if err != nil {
 		return nil, err
 	}

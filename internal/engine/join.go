@@ -16,7 +16,7 @@ type JoinResult struct {
 }
 
 // NumRows returns the number of join matches.
-func (r *JoinResult) NumRows() int { return r.LeftPos.Len() }
+func (r *JoinResult) NumRows() int { return r.RightPos.Len() }
 
 // keyReader reads rows [lo, hi) of a join key column as int64 keys: a view of
 // the column where it stores int64s, otherwise decoded a block at a time (or
@@ -377,16 +377,26 @@ func (t *joinTable) semiProbe(keys []int64, base int, out []int32) []int32 {
 	return out[:cnt]
 }
 
-// equiJoin is HashJoin and SemiJoin: it probes the table built on
-// build.buildKey with every row of probe.probeKey, a morsel per task into
-// pooled buffers, and stitches the matches in morsel (= probe) order. A semi
-// join keeps each matching probe row once and returns no build rows.
-func equiJoin(ctx *Ctx, what string, build *Batch, buildKey string, probe *Batch, probeKey string, semi bool, layout joinLayout) (left, right column.PosList, err error) {
-	bk, err := build.Column(buildKey)
+// joinKeep is what of its matches an equi-join hands back.
+type joinKeep uint8
+
+const (
+	keepBoth      joinKeep = iota // build and probe row of every match: HashJoin
+	keepProbe                     // the probe row of every match: a join that keeps no build column
+	keepProbeOnce                 // each matching probe row once: SemiJoin
+)
+
+// equiJoin is every hash join: it probes the table built on build.buildKey
+// with every row of probe.probeKey, a morsel per task into pooled buffers,
+// and stitches the matches in morsel (= probe) order. Where no build row is
+// asked for and none can match twice — a semi join, or unique build keys —
+// no build position is written at all, and left stays empty.
+func equiJoin(ctx *Ctx, what string, build *Batch, buildKey string, probe *Batch, probeKey string, keep joinKeep, layout joinLayout) (left, right column.PosList, err error) {
+	bk, err := build.column(ctx, buildKey)
 	if err != nil {
 		return left, right, fmt.Errorf("%s build side: %w", what, err)
 	}
-	pk, err := probe.Column(probeKey)
+	pk, err := probe.column(ctx, probeKey)
 	if err != nil {
 		return left, right, fmt.Errorf("%s probe side: %w", what, err)
 	}
@@ -399,13 +409,14 @@ func equiJoin(ctx *Ctx, what string, build *Batch, buildKey string, probe *Batch
 		return left, right, err
 	}
 	ht := buildJoinTable(ctx, bkeys, bk.Len(), n, bridged, layout)
+	once := keep == keepProbeOnce || keep == keepProbe && ht.unique
 
 	m := par.Morsels(n)
 	perL, perR := make([][]int32, m), make([][]int32, m)
 	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
 		scratch := par.GetInt64(hi - lo)
 		keys := pkeys(lo, hi, scratch)
-		if semi {
+		if once {
 			perR[mi] = ht.semiProbe(keys, lo, par.GetInt32(hi-lo))
 		} else {
 			perL[mi], perR[mi] = ht.probe(keys, lo, par.GetInt32(hi-lo), par.GetInt32(hi-lo))
@@ -418,12 +429,12 @@ func equiJoin(ctx *Ctx, what string, build *Batch, buildKey string, probe *Batch
 	}
 	// Probe rows that matched at most once each and n times in all are the
 	// rows 0 … n−1: the range says so without a list being written.
-	if total == n && (semi || ht.unique) {
+	if total == n && (once || ht.unique) {
 		right = column.Range(0, n)
 	} else {
 		right = stitch(perR, total)
 	}
-	if !semi {
+	if keep == keepBoth {
 		left = stitch(perL, total)
 	}
 	for mi := range perR {
@@ -450,7 +461,7 @@ func stitch(per [][]int32, total int) column.PosList {
 // bit-identical at every worker count, including serial (nil ctx), and in
 // either table layout.
 func HashJoin(ctx *Ctx, left *Batch, leftKey string, right *Batch, rightKey string) (*JoinResult, error) {
-	l, r, err := equiJoin(ctx, "hash join", left, leftKey, right, rightKey, false, layoutAuto)
+	l, r, err := equiJoin(ctx, "hash join", left, leftKey, right, rightKey, keepBoth, layoutAuto)
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +473,7 @@ func HashJoin(ctx *Ctx, left *Batch, leftKey string, right *Batch, rightKey stri
 // of star schema plans: filter a dimension, semi-join the fact table's
 // foreign key.
 func SemiJoin(ctx *Ctx, build *Batch, buildKey string, probe *Batch, probeKey string) (column.PosList, error) {
-	_, pos, err := equiJoin(ctx, "semi join", build, buildKey, probe, probeKey, true, layoutAuto)
+	_, pos, err := equiJoin(ctx, "semi join", build, buildKey, probe, probeKey, keepProbeOnce, layoutAuto)
 	return pos, err
 }
 
@@ -494,9 +505,9 @@ func NestedLoopJoin(left *Batch, leftKey string, right *Batch, rightKey string) 
 	return &JoinResult{LeftPos: column.Positions(l), RightPos: column.Positions(r)}, nil
 }
 
-// MaterializeJoin gathers the requested columns from both sides of a join
-// result into one batch. Column name collisions are an error; plans qualify
-// names up front.
+// MaterializeJoin returns the requested columns of both sides at the rows of
+// a join result, as one batch of res.NumRows() rows whichever columns it
+// keeps. Column name collisions are an error; plans qualify names up front.
 func MaterializeJoin(ctx *Ctx, res *JoinResult, left *Batch, leftCols []string, right *Batch, rightCols []string) (*Batch, error) {
 	lp, err := left.Project(leftCols...)
 	if err != nil {
@@ -506,5 +517,21 @@ func MaterializeJoin(ctx *Ctx, res *JoinResult, left *Batch, leftCols []string, 
 	if err != nil {
 		return nil, err
 	}
-	return NewBatch(append(GatherAll(ctx, lp.cols, res.LeftPos), GatherAll(ctx, rp.cols, res.RightPos)...)...)
+	return newBatch(res.NumRows(), append(lp.GatherCtx(ctx, res.LeftPos).cols, rp.GatherCtx(ctx, res.RightPos).cols...))
+}
+
+// Join is the inner equi-join of left and right on left.leftKey =
+// right.rightKey with the named columns of each side kept: HashJoin and
+// MaterializeJoin in one call, which knows that a join keeping no build
+// column needs no build rows.
+func Join(ctx *Ctx, left *Batch, leftKey string, leftCols []string, right *Batch, rightKey string, rightCols []string) (*Batch, error) {
+	keep := keepBoth
+	if len(leftCols) == 0 {
+		keep = keepProbe
+	}
+	l, r, err := equiJoin(ctx, "hash join", left, leftKey, right, rightKey, keep, layoutAuto)
+	if err != nil {
+		return nil, err
+	}
+	return MaterializeJoin(ctx, &JoinResult{LeftPos: l, RightPos: r}, left, leftCols, right, rightCols)
 }

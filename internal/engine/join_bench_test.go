@@ -51,7 +51,7 @@ func BenchmarkJoinLayout(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/probe%d/%s", dim.name, np, l.name), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						left, _, err := equiJoin(nil, "bench", build, "bk", probe, "pk", false, l.layout)
+						left, _, err := equiJoin(nil, "bench", build, "bk", probe, "pk", keepBoth, l.layout)
 						if err != nil || left.Len() != np {
 							b.Fatalf("join produced %d pairs (%v)", left.Len(), err)
 						}

@@ -15,7 +15,11 @@ import (
 // joinIn forces a layout through equiJoin's unexported argument.
 func joinIn(t testing.TB, ctx *Ctx, layout joinLayout, build, probe *Batch, semi bool) *JoinResult {
 	t.Helper()
-	l, r, err := equiJoin(ctx, "test join", build, "k", probe, "k", semi, layout)
+	keep := keepBoth
+	if semi {
+		keep = keepProbeOnce
+	}
+	l, r, err := equiJoin(ctx, "test join", build, "k", probe, "k", keep, layout)
 	if err != nil {
 		t.Fatal(err)
 	}

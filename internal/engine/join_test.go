@@ -110,6 +110,36 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
+// A join result has a row a match whichever columns are kept of it — none
+// at all included — and Join, which then writes no build positions over
+// unique build keys, agrees with HashJoin + MaterializeJoin.
+func TestJoinRowCountWithoutColumns(t *testing.T) {
+	fact := MustNewBatch(column.NewInt64("fk", []int64{1, 2, 3, 4, 2}), column.NewInt64("v", []int64{10, 20, 30, 40, 50}))
+	for name, keys := range map[string][]int64{"unique": {2, 4}, "duplicated": {2, 4, 2}, "all": {1, 2, 3, 4}} {
+		dim := MustNewBatch(column.NewInt64("dk", keys))
+		res, err := HashJoin(nil, dim, "dk", fact, "fk")
+		if err != nil {
+			t.Fatal(err)
+		}
+		none, err := MaterializeJoin(nil, res, dim, nil, fact, nil)
+		if err != nil || none.NumRows() != res.NumRows() || none.NumColumns() != 0 || none.Bytes() != 0 {
+			t.Fatalf("%s: join keeping no column: %d rows, %d columns (%v), want %d rows", name, none.NumRows(), none.NumColumns(), err, res.NumRows())
+		}
+		want, err := MaterializeJoin(nil, res, dim, nil, fact, []string{"v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Join(nil, dim, "dk", nil, fact, "fk", []string{"v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRows() != res.NumRows() {
+			t.Fatalf("%s: Join without build columns has %d rows, want %d", name, got.NumRows(), res.NumRows())
+		}
+		assertBatchEqual(t, name, got, want)
+	}
+}
+
 func TestSemiJoin(t *testing.T) {
 	dim := MustNewBatch(column.NewInt64("dk", []int64{2, 4}))
 	fact := MustNewBatch(column.NewInt64("fk", []int64{1, 2, 3, 4, 2}))

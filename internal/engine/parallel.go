@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"robustdb/internal/column"
 	"robustdb/internal/expr"
@@ -101,19 +102,80 @@ func gatherList(ctx *Ctx, c column.Column, pos []int32) column.Column {
 	}
 }
 
-// gatherRows copies src[pos[i]] to out[i], a morsel of the output per task.
+// gatherRows copies src[pos[i]] to out[i], a morsel of the output per task
+// where the context fans out and the list is longer than one.
 func gatherRows[T any](ctx *Ctx, src []T, pos []int32) []T {
 	out := make([]T, len(pos))
-	ctx.forEachMorselNoErr(len(pos), func(_, lo, hi int) {
+	run := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = src[pos[i]]
 		}
-	})
+	}
+	if ctx.parallel() && len(pos) > par.DefaultMorselRows {
+		ctx.forEachMorselNoErr(len(pos), run)
+	} else {
+		run(0, 0, len(pos))
+	}
 	return out
 }
 
-// GatherCtx is Batch.Gather with the columns gathered through the context's
-// pool.
+// GatherCtx returns the rows of b that pos addresses, in that order. It is
+// the one way rows of a batch are picked — a selection, a semi join, either
+// side of a join, a sort, a scan's or a fetch's read of a base table — and
+// it copies as little as the result allows. A range of a held column is the
+// view GatherRange gives. A list over a held plain column is left pending,
+// sharing pos with the others of its kind. A pending column stays pending
+// through the composition of its list with pos, written once for all the
+// columns that shared the list, so its source is still a held column however
+// long the chain. Only a bit-packed or run-length column under a list (or a
+// range no view can give) is gathered now, through ctx: the footprint of its
+// re-encoded rows is not known before they are (footprint).
 func (b *Batch) GatherCtx(ctx *Ctx, pos column.PosList) *Batch {
-	return MustNewBatch(GatherAll(ctx, b.cols, pos)...)
+	_, _, isRange := pos.AsRange()
+	out := make([]batchCol, len(b.cols))
+	cols := make([]*batchCol, len(b.cols))
+	var (
+		from, to []*column.PosList // to[j] is *from[j] composed with pos; pos itself for from[j] == nil, the held columns
+		now      []column.Column   // gathered at once, into the columns at
+		at       []int
+	)
+	for i, c := range b.cols {
+		cols[i] = &out[i]
+		col, src, via := c.state()
+		width, extra, canWait := c.width, c.extra, c.pending
+		if col != nil { // held: itself the source, of a gather through pos alone
+			if !c.pending {
+				width, extra, canWait = footprint(col)
+			}
+			if isRange || !canWait {
+				out[i].name = c.name
+				now, at = append(now, col), append(at, i)
+				continue
+			}
+			src = col
+		}
+		j := slices.Index(from, via)
+		if j < 0 {
+			j = len(from)
+			list := pos
+			if via != nil {
+				list = compose(ctx, *via, pos)
+			}
+			from, to = append(from, via), append(to, &list)
+		}
+		out[i] = batchCol{name: c.name, pending: true, width: width, extra: extra, src: src, pos: to[j]}
+	}
+	for j, col := range GatherAll(ctx, now, pos) {
+		out[at[j]].col = col
+	}
+	return &Batch{rows: pos.Len(), cols: cols, byName: b.byName}
+}
+
+// compose returns the rows of p that q addresses: gathering through p and
+// then through q reads the source through it.
+func compose(ctx *Ctx, p, q column.PosList) column.PosList {
+	if lo, hi, ok := q.AsRange(); ok {
+		return p.Slice(lo, hi)
+	}
+	return column.Positions(gatherRows(ctx, p.Explicit(), q.Explicit()))
 }

@@ -161,16 +161,22 @@ func (e *Engine) injectDelay(p *sim.Proc, dur time.Duration) (_ time.Duration, s
 
 // runKernel makes one metered kernel call: it brackets kernel with the
 // decode meter, folds the context's parallelism into st and the morsel
-// counter, and records the actual output size. The meter is process-global,
+// counter, and records the actual output size. The result of the plan's root
+// is forced inside the call: what leaves the executor holds no gather still
+// to do and so no intermediate, while every other result goes to the next
+// operator as it is, whose reads do the copying. The meter is process-global,
 // so its delta is read only when a tracer will report it; a nil context
 // (serial engine) records no parallelism, keeping serial spans byte-identical
 // to the pre-parallel engine.
-func (e *Engine) runKernel(st *opStats, ectx *engine.Ctx, kernel func() (*engine.Batch, error)) (*engine.Batch, error) {
+func (e *Engine) runKernel(st *opStats, ectx *engine.Ctx, root bool, kernel func() (*engine.Batch, error)) (*engine.Batch, error) {
 	var decodeBase int64
 	if e.Tracer != nil {
 		decodeBase = column.DecompressedBytes()
 	}
 	result, err := kernel()
+	if err == nil && root {
+		result.Force(ectx)
+	}
 	if e.Tracer != nil {
 		st.decompress = column.DecompressedBytes() - decodeBase
 	}

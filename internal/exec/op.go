@@ -89,7 +89,7 @@ func (e *Engine) execOp(p *sim.Proc, q *query, n *plan.Node, kind cost.ProcKind,
 			}
 			e.Health.BeginAttempt()
 			start := p.Now()
-			v, st, abort, err := e.runOnGPU(p, n, inputs)
+			v, st, abort, err := e.runOnGPU(p, n, n == q.plan.Root, inputs)
 			e.traceOp(q, n, cost.GPU, attempt, start, st, abort, err)
 			if abort != abortNone && e.logEnabled(slog.LevelDebug) {
 				e.logEvent(slog.LevelDebug, "operator aborted",
@@ -123,7 +123,7 @@ func (e *Engine) execOp(p *sim.Proc, q *query, n *plan.Node, kind cost.ProcKind,
 		}
 	}
 	start := p.Now()
-	v, st, err := e.runOnCPU(p, n, inputs)
+	v, st, err := e.runOnCPU(p, n, n == q.plan.Root, inputs)
 	e.traceOp(q, n, cost.CPU, attempt, start, st, abortNone, err)
 	return v, err
 }
@@ -197,7 +197,7 @@ func (e *Engine) compressionModes(n *plan.Node) string {
 // attempt was rolled back (partial state released, abort stall charged) and
 // the caller decides between retry, CPU fallback and — abortError, the only
 // class that carries an error — failing the query.
-func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value, st opStats, aborted abortKind, err error) {
+func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value) (v *Value, st opStats, aborted abortKind, err error) {
 	tq := p.Now()
 	e.GPU.Workers.Acquire(p)
 	st.queueWait = p.Now() - tq
@@ -301,7 +301,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 	// The kernel's real result; the simulator charges its cost below.
 	batches := batchesOf(inputs)
 	ectx := e.kernelCtx()
-	result, kerr := e.runKernel(&st, ectx, func() (*engine.Batch, error) { return n.Op.Execute(ectx, e.Cat, batches) })
+	result, kerr := e.runKernel(&st, ectx, root, func() (*engine.Batch, error) { return n.Op.Execute(ectx, e.Cat, batches) })
 	if kerr != nil {
 		return nil, st, abortError, fmt.Errorf("%s on gpu: %w", n.Op.Name(), kerr)
 	}
@@ -363,7 +363,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 // first (the extra transfers the paper attributes to aborted operators and
 // to compile-time placement after faults); a copy-back that keeps faulting
 // after retries fails the query cleanly.
-func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, inputs []*Value) (*Value, opStats, error) {
+func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value) (*Value, opStats, error) {
 	var st opStats
 	tq := p.Now()
 	e.CPU.Workers.Acquire(p)
@@ -383,7 +383,7 @@ func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, inputs []*Value) (*Value, o
 	}
 	batches := batchesOf(inputs)
 	ectx := e.kernelCtx()
-	result, err := e.runKernel(&st, ectx, func() (*engine.Batch, error) { return n.Op.Execute(ectx, e.Cat, batches) })
+	result, err := e.runKernel(&st, ectx, root, func() (*engine.Batch, error) { return n.Op.Execute(ectx, e.Cat, batches) })
 	if err != nil {
 		return nil, st, fmt.Errorf("%s on cpu: %w", n.Op.Name(), err)
 	}

@@ -180,7 +180,7 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node, chunks chunkP
 		// materialize once. The rows were computed and transferred back inside
 		// the chunk stages, so the stitch itself is free in virtual time.
 		pos := column.Concat(r.results)
-		result, err = e.runKernel(&st, r.ectx, func() (*engine.Batch, error) { return r.op.MaterializeResult(r.ectx, e.Cat, pos) })
+		result, err = e.runKernel(&st, r.ectx, n == q.plan.Root, func() (*engine.Batch, error) { return r.op.MaterializeResult(r.ectx, e.Cat, pos) })
 		if err != nil {
 			err = fmt.Errorf("%s pipelined: %w", n.Op.Name(), err)
 		}

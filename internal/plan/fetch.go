@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"robustdb/internal/column"
 	"robustdb/internal/cost"
@@ -40,7 +41,9 @@ func (o *FetchOp) BaseColumns() []table.ColumnID {
 	return out
 }
 
-// Execute gathers the base columns at the child's row ids.
+// Execute returns the base columns at the child's row ids, which may come in
+// any order; an ascending run of them — a fetch of every row — is the
+// zero-copy range.
 func (o *FetchOp) Execute(ectx *engine.Ctx, cat *table.Catalog, inputs []*engine.Batch) (*engine.Batch, error) {
 	if len(inputs) != 1 {
 		return nil, fmt.Errorf("fetch: want 1 input, got %d", len(inputs))
@@ -49,28 +52,55 @@ func (o *FetchOp) Execute(ectx *engine.Ctx, cat *table.Catalog, inputs []*engine
 	if err != nil {
 		return nil, err
 	}
-	ridCol, err := inputs[0].Column(o.Table + ".rowid")
+	pos, err := rowPositions(o, inputs[0], o.Table, int64(t.NumRows()), false)
 	if err != nil {
-		return nil, fmt.Errorf("fetch: %w", err)
+		return nil, err
 	}
-	rids, ok := ridCol.(*column.Int64Column)
+	return gatherBase(ectx, t, o.Cols, pos)
+}
+
+// RowIDError is a "<table>.rowid" input an operator cannot take: a row id
+// outside the table (or a position), or one not above its predecessor where
+// the operator needs its input strictly ascending.
+type RowIDError struct {
+	Op     string // the operator's Name
+	RowID  int64
+	Reason string
+}
+
+func (e *RowIDError) Error() string { return fmt.Sprintf("%s: rowid %d %s", e.Op, e.RowID, e.Reason) }
+
+// rowPositions narrows the "<tbl>.rowid" column of in to positions for op,
+// every one checked to lie in [0, limit) and, with mustAscend, above the one
+// before it. What does ascend strictly is wrapped as such, so a run of row
+// ids becomes a range.
+func rowPositions(op Operator, in *engine.Batch, tbl string, limit int64, mustAscend bool) (column.PosList, error) {
+	c, err := in.Column(tbl + ".rowid")
+	if err != nil {
+		return column.PosList{}, fmt.Errorf("%s: %w", op.Name(), err)
+	}
+	rids, ok := c.(*column.Int64Column)
 	if !ok {
-		return nil, fmt.Errorf("fetch: rowid column has type %T", ridCol)
+		return column.PosList{}, fmt.Errorf("%s: rowid column has type %T", op.Name(), c)
 	}
 	pos := make([]int32, len(rids.Values))
+	ascends, prev := true, int64(-1)
 	for i, r := range rids.Values {
-		if r < 0 || r >= int64(t.NumRows()) {
-			return nil, fmt.Errorf("fetch: rowid %d out of range [0,%d)", r, t.NumRows())
+		if r < 0 || r >= limit {
+			return column.PosList{}, &RowIDError{op.Name(), r, fmt.Sprintf("out of range [0,%d)", limit)}
 		}
-		pos[i] = int32(r)
-	}
-	cols := make([]column.Column, len(o.Cols))
-	for i, name := range o.Cols {
-		if cols[i], err = t.Column(name); err != nil {
-			return nil, err
+		if r <= prev {
+			if mustAscend {
+				return column.PosList{}, &RowIDError{op.Name(), r, "does not ascend"}
+			}
+			ascends = false
 		}
+		pos[i], prev = int32(r), r
 	}
-	return engine.NewBatch(engine.GatherAll(ectx, cols, column.Positions(pos))...)
+	if ascends {
+		return column.Ascending(pos), nil
+	}
+	return column.Positions(pos), nil
 }
 
 // IntersectOp intersects two sorted "<table>.rowid" position columns — the
@@ -93,27 +123,18 @@ func (o *IntersectOp) Name() string { return fmt.Sprintf("intersect(%s)", o.Tabl
 // BaseColumns returns nil.
 func (o *IntersectOp) BaseColumns() []table.ColumnID { return nil }
 
-// Execute intersects the two rowid lists.
+// Execute intersects the two rowid lists, each of which must ascend strictly
+// and fit a position.
 func (o *IntersectOp) Execute(_ *engine.Ctx, _ *table.Catalog, inputs []*engine.Batch) (*engine.Batch, error) {
 	if len(inputs) != 2 {
 		return nil, fmt.Errorf("intersect: want 2 inputs, got %d", len(inputs))
 	}
-	name := o.Table + ".rowid"
-	lists := make([]column.PosList, 2)
+	var lists [2]column.PosList
 	for i, in := range inputs {
-		c, err := in.Column(name)
-		if err != nil {
-			return nil, fmt.Errorf("intersect: %w", err)
+		var err error
+		if lists[i], err = rowPositions(o, in, o.Table, math.MaxInt32+1, true); err != nil {
+			return nil, err
 		}
-		ints, ok := c.(*column.Int64Column)
-		if !ok {
-			return nil, fmt.Errorf("intersect: rowid column has type %T", c)
-		}
-		pos := make([]int32, len(ints.Values))
-		for j, v := range ints.Values {
-			pos[j] = int32(v)
-		}
-		lists[i] = column.Ascending(pos)
 	}
 	return engine.NewBatch(rowIDs(o.Table, lists[0].Intersect(lists[1])))
 }

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,6 +120,65 @@ func TestIntersectErrors(t *testing.T) {
 	wrongType := engine.MustNewBatch(column.NewFloat64("fact.rowid", []float64{0}))
 	if _, err := op.Execute(nil, cat, []*engine.Batch{a, wrongType}); err == nil {
 		t.Fatal("expected rowid-type error")
+	}
+}
+
+// Row ids reach Fetch and Intersect through the public plan API from any
+// child — a Sort below an Intersect is expressible — so both check what they
+// narrow to positions: Fetch that every id is a row of the table, in any
+// order; Intersect that its inputs fit a position and ascend strictly, which
+// its merge silently relies on.
+func TestRowIDInputsAreChecked(t *testing.T) {
+	cat := testCatalog() // fact has 5 rows
+	ids := func(v ...int64) *engine.Batch { return engine.MustNewBatch(column.NewInt64("fact.rowid", v)) }
+	fetch, intersect := Fetch(nil, "fact", "qty").Op, Intersect(nil, nil, "fact").Op
+	for _, c := range []struct {
+		name   string
+		op     Operator
+		inputs []*engine.Batch
+		want   []int64 // qty fetched, or row ids intersected; nil: a RowIDError
+		bad    int64   // the row id the error names
+	}{
+		{"fetch every row", fetch, []*engine.Batch{ids(0, 1, 2, 3, 4)}, []int64{10, 20, 30, 40, 50}, 0},
+		{"fetch a run", fetch, []*engine.Batch{ids(1, 2, 3)}, []int64{20, 30, 40}, 0},
+		{"fetch unordered with repeats", fetch, []*engine.Batch{ids(4, 0, 4, 2)}, []int64{50, 10, 50, 30}, 0},
+		{"fetch a permutation whose ends look like a run", fetch, []*engine.Batch{ids(0, 2, 1, 3)}, []int64{10, 30, 20, 40}, 0},
+		{"fetch nothing", fetch, []*engine.Batch{ids()}, []int64{}, 0},
+		{"fetch negative", fetch, []*engine.Batch{ids(1, -1)}, nil, -1},
+		{"fetch past the table", fetch, []*engine.Batch{ids(0, 5)}, nil, 5},
+		{"intersect", intersect, []*engine.Batch{ids(0, 1, 3, 4), ids(1, 2, 3)}, []int64{1, 3}, 0},
+		{"intersect runs", intersect, []*engine.Batch{ids(0, 1, 2, 3), ids(2, 3, 4)}, []int64{2, 3}, 0},
+		{"intersect with nothing", intersect, []*engine.Batch{ids(0, 1), ids()}, []int64{}, 0},
+		{"intersect negative", intersect, []*engine.Batch{ids(-3, 1), ids(1)}, nil, -3},
+		{"intersect beyond int32", intersect, []*engine.Batch{ids(1), ids(1, 1<<31)}, nil, 1 << 31},
+		{"intersect wraps to a valid position", intersect, []*engine.Batch{ids(1), ids(1, 1<<32+2)}, nil, 1<<32 + 2},
+		{"intersect unsorted", intersect, []*engine.Batch{ids(3, 1, 2), ids(1, 2, 3)}, nil, 1},
+		{"intersect repeated", intersect, []*engine.Batch{ids(1, 2), ids(1, 2, 2)}, nil, 2},
+	} {
+		out, err := c.op.Execute(nil, cat, c.inputs)
+		if c.want == nil {
+			var bad *RowIDError
+			if !errors.As(err, &bad) || bad.RowID != c.bad || bad.Op != c.op.Name() {
+				t.Errorf("%s: error %v, want a RowIDError of %s naming row id %d", c.name, err, c.op.Name(), c.bad)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got := out.Columns()[0].(*column.Int64Column).Values; !slices.Equal(got, c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+	}
+	// A fetch of every row copies nothing: the column is the table's own.
+	out, err := fetch.Execute(nil, cat, []*engine.Batch{ids(0, 1, 2, 3, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := cat.MustTable("fact").MustColumn("qty").(*column.Int64Column).Values
+	if got := out.MustColumn("qty").(*column.Int64Column).Values; &got[0] != &base[0] {
+		t.Error("a fetch of every row copied the column")
 	}
 }
 

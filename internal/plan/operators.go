@@ -157,8 +157,8 @@ func (o *ScanOp) FilterChunk(ectx *engine.Ctx, cat *table.Catalog, lo, hi int) (
 	return engine.FilterRange(ectx, t, o.Pred, lo, hi)
 }
 
-// MaterializeResult gathers the requested columns through the stitched
-// position list (or emits the rowid column for a bare selection).
+// MaterializeResult returns the requested columns at the stitched position
+// list (or emits the rowid column for a bare selection).
 func (o *ScanOp) MaterializeResult(ectx *engine.Ctx, cat *table.Catalog, pos column.PosList) (*engine.Batch, error) {
 	t, err := cat.Table(o.Table)
 	if err != nil {
@@ -167,13 +167,23 @@ func (o *ScanOp) MaterializeResult(ectx *engine.Ctx, cat *table.Catalog, pos col
 	if len(o.Cols) == 0 {
 		return engine.NewBatch(rowIDs(o.Table, pos))
 	}
-	cols := make([]column.Column, len(o.Cols))
-	for i, name := range o.Cols {
+	return gatherBase(ectx, t, o.Cols, pos)
+}
+
+// gatherBase is the rows pos of the named columns of t as a batch.
+func gatherBase(ectx *engine.Ctx, t *table.Table, names []string, pos column.PosList) (*engine.Batch, error) {
+	cols := make([]column.Column, len(names))
+	for i, name := range names {
+		var err error
 		if cols[i], err = t.Column(name); err != nil {
 			return nil, err
 		}
 	}
-	return engine.NewBatch(engine.GatherAll(ectx, cols, pos)...)
+	b, err := engine.NewBatch(cols...)
+	if err != nil {
+		return nil, err
+	}
+	return b.GatherCtx(ectx, pos), nil
 }
 
 // FilterOp filters an intermediate batch with a predicate.
@@ -327,11 +337,7 @@ func (o *JoinOp) Execute(ectx *engine.Ctx, _ *table.Catalog, inputs []*engine.Ba
 	if len(inputs) != 2 {
 		return nil, fmt.Errorf("join: want 2 inputs, got %d", len(inputs))
 	}
-	res, err := engine.HashJoin(ectx, inputs[0], o.LeftKey, inputs[1], o.RightKey)
-	if err != nil {
-		return nil, err
-	}
-	return engine.MaterializeJoin(ectx, res, inputs[0], o.LeftCols, inputs[1], o.RightCols)
+	return engine.Join(ectx, inputs[0], o.LeftKey, o.LeftCols, inputs[1], o.RightKey, o.RightCols)
 }
 
 // AggregateOp groups by Keys and computes Aggs.

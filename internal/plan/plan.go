@@ -13,8 +13,9 @@ import (
 	"robustdb/internal/table"
 )
 
-// Operator is one bulk operator: it consumes fully materialized inputs (one
-// per child) and materializes its output.
+// Operator is one bulk operator: it consumes the complete outputs of its
+// children (one batch per child) and produces its own, whose columns it has
+// copied or left for their first reader to copy (engine.Batch).
 type Operator interface {
 	// Class returns the cost class of the operator.
 	Class() cost.OpClass

@@ -121,6 +121,27 @@ func TestQueryExecutesEachOperatorOnce(t *testing.T) {
 	}
 }
 
+// A join that keeps no column of either side still has one row a match: a
+// batch carries its row count, it does not ask its first column.
+func TestJoinKeepingNoColumnCountsItsRows(t *testing.T) {
+	db := OpenSSB(SSBConfig{SF: 1, Seed: 1})
+	p := plan.New(plan.Aggregate(
+		plan.Join(
+			plan.Scan("date", []string{"d_datekey"}, nil),
+			plan.Scan("lineorder", []string{"lo_orderdate"}, nil),
+			"d_datekey", "lo_orderdate", nil, nil),
+		nil, []engine.AggSpec{{Func: engine.Count, As: "n"}}))
+	for _, strat := range []Strategy{CPUOnly(), DataDrivenChopping()} {
+		out, _, err := db.Query(db.DeviceForWorkingSet(1), strat, p)
+		if err != nil {
+			t.Fatalf("%s: %v", strat.Label, err)
+		}
+		if got := out.MustColumn("n").(*column.Float64Column).Values[0]; got != 60000 {
+			t.Errorf("%s: count over a join keeping no column = %v, want 60000", strat.Label, got)
+		}
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	db := testDB()
 	if _, err := SSBQuery("Q9.9"); err == nil {
