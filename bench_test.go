@@ -289,6 +289,61 @@ func BenchmarkMicroAgg(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroAggManyGroups is the group-by where aggregation aggregates
+// little: 128Ki rows over 32Ki distinct keys a stride of 2^20 apart, so every
+// morsel numbers its rows through the hashed slot table and the merge numbers
+// ≈ 100 000 partial groups again.
+func BenchmarkMicroAggManyGroups(b *testing.B) {
+	rng := rand.New(rand.NewSource(43))
+	keys, vals := make([]int64, microKernelRows), make([]float64, microKernelRows)
+	for i, k := range rng.Perm(1 << 15) { // every key once, then at random
+		keys[i] = int64(k) << 20
+	}
+	for i := range keys {
+		if i >= 1<<15 {
+			keys[i] = int64(rng.Intn(1<<15)) << 20
+		}
+		vals[i] = float64(i & 1023)
+	}
+	runAggBench(b, engine.MustNewBatch(column.NewInt64("k", keys), column.NewFloat64("v", vals)), []string{"k"}, 1<<15)
+}
+
+// BenchmarkMicroAggMultiKey is the group-by of SSB Q3.3's shape: two cities
+// coded in a dictionary of 250 and a year of 7, three key columns whose
+// domains multiply to 437 500 slots — too many for a morsel's direct table —
+// while the rows hold 5 × 5 × 7 of the tuples.
+func BenchmarkMicroAggMultiKey(b *testing.B) {
+	rng := rand.New(rand.NewSource(44))
+	dict := make([]string, 250) // the whole dimension's dictionary, as a join hands it on
+	for i := range dict {
+		dict[i] = fmt.Sprintf("CITY %03d", i)
+	}
+	ccity, scity := make([]int32, microKernelRows), make([]int32, microKernelRows)
+	year, vals := make([]int64, microKernelRows), make([]float64, microKernelRows)
+	for i := range year {
+		ccity[i], scity[i] = int32(50*rng.Intn(5)), int32(49+50*rng.Intn(5))
+		year[i], vals[i] = int64(1992+rng.Intn(7)), float64(i&1023)
+	}
+	in := engine.MustNewBatch(column.NewStringFromDict("c_city", dict, ccity), column.NewStringFromDict("s_city", dict, scity),
+		column.NewInt64("d_year", year), column.NewFloat64("v", vals))
+	runAggBench(b, in, []string{"c_city", "s_city", "d_year"}, 5*5*7)
+}
+
+func runAggBench(b *testing.B, in *engine.Batch, keys []string, groups int) {
+	ctx := microKernelCtx()
+	aggs := []engine.AggSpec{{Func: engine.Sum, Col: "v", As: "s"}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := engine.GroupBy(ctx, in, keys, aggs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.NumRows() != groups {
+			b.Fatalf("groupby produced %d groups, want %d", out.NumRows(), groups)
+		}
+	}
+}
+
 // BenchmarkMicroFilter measures the morsel-parallel selection kernel alone:
 // one predicate over 128Ki rows, per iteration.
 func BenchmarkMicroFilter(b *testing.B) {
@@ -368,7 +423,7 @@ func microCompressedData() {
 		microCompFilterCol = column.CompressInt64(column.NewInt64("v", vals))
 		microCompFilter = engine.MustNewBatch(microCompFilterCol)
 
-		// 64-long runs: the run-aware group-by folds each run in O(1).
+		// 64-long runs: 12 bytes a run for the group-by to read as blocks.
 		grps := make([]int64, microCompressedRows)
 		rvals := make([]int64, microCompressedRows)
 		for i := range grps {
@@ -397,8 +452,7 @@ func microCompressedData() {
 	})
 }
 
-// microCompAggSpecs is the shared aggregation shape: one run-foldable sum
-// plus a count.
+// microCompAggSpecs is the shared aggregation shape: a sum plus a count.
 func microCompAggSpecs() []engine.AggSpec {
 	return []engine.AggSpec{
 		{Func: engine.Sum, Col: "val", As: "s"},
@@ -443,8 +497,9 @@ func BenchmarkMicroDecompressFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroCompressedAgg measures the run-aware group-by over RLE
-// columns: each 64-row run folds in O(1).
+// BenchmarkMicroCompressedAgg measures the group-by over RLE columns: key
+// and input are read a morsel at a time into pooled scratch (column.Reader),
+// never decompressed whole.
 func BenchmarkMicroCompressedAgg(b *testing.B) {
 	microCompressedData()
 	ctx := microKernelCtx()
@@ -462,8 +517,8 @@ func BenchmarkMicroCompressedAgg(b *testing.B) {
 }
 
 // BenchmarkMicroDecompressAgg is the decompress-first reference for
-// BenchmarkMicroCompressedAgg: decode both RLE columns, then aggregate row
-// by row.
+// BenchmarkMicroCompressedAgg: decode both RLE columns whole, then run the
+// same group-by over the flat copies.
 func BenchmarkMicroDecompressAgg(b *testing.B) {
 	microCompressedData()
 	ctx := microKernelCtx()

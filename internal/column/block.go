@@ -58,8 +58,9 @@ func Reader[T int64 | float64](c Column) (read func(lo, hi int, scratch []T) []T
 		return func(lo, hi int, scratch []T) []T {
 			dst := grown(scratch, hi-lo)
 			c.Runs(lo, hi, func(v int64, a, b int) {
-				for i := a; i < b; i++ {
-					dst[i-lo] = T(v)
+				run, tv := dst[a-lo:b-lo], T(v)
+				for i := range run {
+					run[i] = tv
 				}
 			})
 			return dst

@@ -5,10 +5,10 @@ import "sort"
 // RLEInt64Column is a run-length-encoded integer column: maximal runs of
 // equal values stored as one (value, cumulative end) pair each. RLE is the
 // natural encoding for sorted or clustered attributes (order keys, group
-// ids); aggregation consumes a whole run in O(1) and predicates decide a
-// run with one comparison, so work scales with the number of runs, not the
-// number of rows. A contiguous gather is a zero-copy Slice view (GatherRange);
-// any other Gather re-encodes.
+// ids): predicates decide a run with one comparison, so a scan's work scales
+// with the number of runs, not the number of rows; every other kernel reads
+// it a block at a time (Reader). A contiguous gather is a zero-copy Slice
+// view (GatherRange); any other Gather re-encodes.
 type RLEInt64Column struct {
 	name   string
 	vals   []int64 // one value per run
@@ -61,17 +61,6 @@ func (c *RLEInt64Column) run(i int) int {
 
 // Value returns the i-th value.
 func (c *RLEInt64Column) Value(i int) int64 { return c.vals[c.run(i)] }
-
-// RunEnd returns the exclusive end (in local row coordinates, clipped to the
-// view) of the maximal equal-value run containing row i. Aggregation uses it
-// to consume a run per step instead of a row per step.
-func (c *RLEInt64Column) RunEnd(i int) int {
-	e := int(c.ends[c.run(i)]) - c.off
-	if e > c.length {
-		e = c.length
-	}
-	return e
-}
 
 // Runs calls fn(value, lo, hi) for each maximal run overlapping local rows
 // [lo, hi), clipped to that window, in ascending row order.

@@ -66,31 +66,6 @@ func TestRLESliceViews(t *testing.T) {
 	}
 }
 
-// TestRLERunEndClipping: RunEnd is exclusive, in local coordinates, and never
-// exceeds the view even when the underlying run does.
-func TestRLERunEndClipping(t *testing.T) {
-	vals := []int64{5, 5, 5, 5, 7, 7, 9}
-	c := CompressRLE("g", vals)
-	for i, want := range []int{4, 4, 4, 4, 6, 6, 7} {
-		if got := c.RunEnd(i); got != want {
-			t.Fatalf("RunEnd(%d) = %d, want %d", i, got, want)
-		}
-	}
-	// View [1,3) sits inside the first run: the clipped end is the view end.
-	s := c.Slice(1, 3)
-	if got := s.RunEnd(0); got != 2 {
-		t.Fatalf("view RunEnd(0) = %d, want 2", got)
-	}
-	// View [2,6) splits two runs.
-	s = c.Slice(2, 6)
-	if got := s.RunEnd(0); got != 2 {
-		t.Fatalf("split view RunEnd(0) = %d, want 2", got)
-	}
-	if got := s.RunEnd(2); got != 4 {
-		t.Fatalf("split view RunEnd(2) = %d, want 4", got)
-	}
-}
-
 // TestRLERunsWindows: Runs visits each maximal run clipped to the window, in
 // order, covering the window exactly.
 func TestRLERunsWindows(t *testing.T) {

@@ -46,18 +46,12 @@ type AggSpec struct {
 	As   string
 }
 
-// groupState is one group's accumulators plus the row its key columns are
-// gathered from.
-type groupState struct {
-	firstRow int32
-	accums   []accumulator
-}
-
-// groupPartial is the thread-local result of aggregating one morsel: groups
-// in first-occurrence order within the morsel.
+// groupPartial is what one morsel — or, after the merge, the input — groups
+// to: its groups in first-occurrence order, flat.
 type groupPartial struct {
-	groups map[string]*groupState
-	order  []string
+	first []int32   // group → the row it was first seen at
+	keys  [][]int64 // key column → group → key, what the merge numbers again
+	aggs  []aggState
 }
 
 // GroupBy groups the batch by the key columns and computes the aggregates.
@@ -69,10 +63,21 @@ type groupPartial struct {
 // The aggregation always uses the canonical morsel decomposition: partials
 // are computed per morsel and merged in morsel order, even under a nil
 // (serial) ctx, so float accumulation order — and therefore every output
-// bit — is independent of the worker count. Each morsel reads its rows of
-// every key and aggregate input column once, as a block (column.Reader), so
-// a compressed column is decoded a block at a time, not a row at a time.
+// bit — is independent of the worker count. A morsel is two passes over
+// columns, each key and aggregate input read once as a block
+// (column.Reader): its rows are numbered by key tuple (numberGroups), then
+// every aggregate is folded by group number into a flat array (aggState).
+// The merge is the same two passes over the partials' groups. DESIGN.md §23.
 func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) {
+	return groupBy(ctx, b, keys, aggs, layoutAuto)
+}
+
+// groupBy is GroupBy with the slot table's layout for tests to force.
+func groupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec, layout joinLayout) (*Batch, error) {
+	n := b.NumRows()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("group by: %d rows, int32 positions cannot address them", n)
+	}
 	keyCols := make([]column.Column, len(keys))
 	keyReads := make([]keyReader, len(keys))
 	for i, k := range keys {
@@ -103,24 +108,8 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 		}
 		aggReads[i] = read
 	}
-	mkAccums := func() []accumulator {
-		accums := make([]accumulator, len(aggs))
-		for i, a := range aggs {
-			accums[i] = newAccumulator(a.Func)
-		}
-		return accums
-	}
 
-	// RLE fast path: when every key column and every aggregate input column
-	// exposes maximal equal-value runs, a whole run is one key lookup and one
-	// O(1) accumulator fold instead of per-row work. Runs are clipped to
-	// morsel boundaries, so the decomposition — and therefore every output
-	// bit — stays identical at any worker count.
-	runCols, runAware := runColumns(b, keyCols, aggs)
-
-	n := b.NumRows()
-	numMorsels := par.Morsels(n)
-	partials := make([]groupPartial, numMorsels)
+	partials := make([]groupPartial, par.Morsels(n))
 	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
 		keyVals := make([][]int64, len(keys))
 		for i, read := range keyReads {
@@ -128,98 +117,267 @@ func GroupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec) (*Batch, error) 
 			defer par.PutInt64(scratch)
 			keyVals[i] = read(lo, hi, scratch)
 		}
-		aggVals := make([][]float64, len(aggs))
-		for i, read := range aggReads {
-			if read != nil {
-				scratch := par.GetFloat64(hi - lo)
-				defer par.PutFloat64(scratch)
-				aggVals[i] = read(lo, hi, scratch)
-			}
-		}
-		local := groupPartial{groups: make(map[string]*groupState)}
-		keyBuf := make([]byte, 0, 64)
-		for row := lo; row < hi; {
-			end := row + 1
-			if runAware {
-				end = hi
-				for _, rc := range runCols {
-					if e := rc.RunEnd(row); e < end {
-						end = e
-					}
+		gid := par.GetInt32(hi - lo)[:hi-lo]
+		defer par.PutInt32(gid)
+		pt := &partials[mi]
+		pt.first = numberGroups(keyVals, gid, layout)
+		if len(partials) > 1 {
+			pt.keys = make([][]int64, len(keys))
+			for i, kv := range keyVals {
+				pt.keys[i] = make([]int64, len(pt.first))
+				for g, row := range pt.first {
+					pt.keys[i][g] = kv[row]
 				}
 			}
-			keyBuf = keyBuf[:0]
-			for _, kv := range keyVals {
-				keyBuf = appendGroupKey(keyBuf, uint64(kv[row-lo]))
-			}
-			// Looked up by the bytes (no conversion is made for a map index
-			// expression); the key string is allocated once per group.
-			g, ok := local.groups[string(keyBuf)]
-			if !ok {
-				k := string(keyBuf)
-				g = &groupState{firstRow: int32(row), accums: mkAccums()}
-				local.groups[k] = g
-				local.order = append(local.order, k)
-			}
-			for i, acc := range g.accums {
-				var v float64
-				if aggVals[i] != nil {
-					v = aggVals[i][row-lo]
-				}
-				acc.addRun(v, end-row)
-			}
-			row = end
 		}
-		partials[mi] = local
+		for g := range pt.first {
+			pt.first[g] += int32(lo)
+		}
+		scratch := par.GetFloat64(hi - lo)
+		defer par.PutFloat64(scratch)
+		pt.aggs = make([]aggState, len(aggs))
+		for i, a := range aggs {
+			var vals []float64
+			if aggReads[i] != nil {
+				vals = aggReads[i](lo, hi, scratch)
+			}
+			pt.aggs[i] = newAggState(a.Func, len(pt.first))
+			pt.aggs[i].fold(a.Func, gid, vals, nil)
+		}
 	})
 
-	// Merge partials in morsel order: the global first-occurrence order (and
-	// every accumulator's fold order) matches a serial front-to-back scan.
-	var groups map[string]*groupState
-	var order []string
-	if numMorsels == 1 {
-		groups, order = partials[0].groups, partials[0].order
-	} else {
-		groups = make(map[string]*groupState)
+	// Merge the partials in morsel order: the global first-occurrence order
+	// (and every aggregate's fold order) matches a serial front-to-back scan.
+	// Their groups are numbered by their stored tuples as rows are, and folded
+	// as rows are, a partial's sums and counts in place of a row's value and 1.
+	var all groupPartial
+	if len(partials) == 1 {
+		all = partials[0]
+	} else if len(partials) > 1 {
+		var firsts []int32
+		tuples := make([][]int64, len(keys))
 		for _, pt := range partials {
-			for _, k := range pt.order {
-				pg := pt.groups[k]
-				g, ok := groups[k]
-				if !ok {
-					groups[k] = pg
-					order = append(order, k)
-					continue
-				}
-				for i, acc := range g.accums {
-					acc.merge(pg.accums[i])
-				}
+			firsts = append(firsts, pt.first...)
+			for i := range tuples {
+				tuples[i] = append(tuples[i], pt.keys[i]...)
 			}
 		}
-	}
-	if len(keys) == 0 && len(order) == 0 {
-		// Global aggregate over an empty input still yields one row.
-		groups[""] = &groupState{firstRow: 0, accums: mkAccums()}
-		order = append(order, "")
+		gid := make([]int32, len(firsts))
+		all.first = numberGroups(tuples, gid, layout)
+		all.aggs = make([]aggState, len(aggs))
+		for i, a := range aggs {
+			all.aggs[i] = newAggState(a.Func, len(all.first))
+			off := 0
+			for _, pt := range partials {
+				all.aggs[i].fold(a.Func, gid[off:off+len(pt.first)], pt.aggs[i].val, pt.aggs[i].cnt)
+				off += len(pt.first)
+			}
+		}
+		for g, at := range all.first {
+			all.first[g] = firsts[at]
+		}
 	}
 
-	// Materialize: key columns gathered at group representatives, aggregates
-	// from the accumulators.
-	repr := make([]int32, len(order))
-	for i, k := range order {
-		repr[i] = groups[k].firstRow
-	}
+	// Materialize: key columns gathered at the groups' first rows, aggregates
+	// from their arrays.
 	out := make([]column.Column, 0, len(keys)+len(aggs))
 	for _, kc := range keyCols {
-		out = append(out, kc.Gather(repr))
+		out = append(out, kc.Gather(all.first))
 	}
 	for i, a := range aggs {
-		vals := make([]float64, len(order))
-		for j, k := range order {
-			vals[j] = groups[k].accums[i].result()
+		var vals []float64
+		switch {
+		case n > 0:
+			vals = all.aggs[i].result(a.Func)
+		case len(keys) == 0:
+			vals = make([]float64, 1) // a global aggregate over no rows is still one row, of zeros
 		}
 		out = append(out, column.NewFloat64(a.As, vals))
 	}
 	return NewBatch(out...)
+}
+
+// numberGroups numbers the rows whose key tuple is (cols[0][j], cols[1][j],
+// …) by tuple, in order of first occurrence: gid[j] becomes row j's group
+// and first[g] the row group g was first seen at; len(gid) ≥ 1 is the row
+// count. The tuple is reduced to one integer first, mixed-radix over the
+// domains [min, max] the columns span in these very rows (a key column
+// gathered out of a join has no header or dictionary to ask), and the
+// integers are numbered by one slot table (numberCodes). All arithmetic is
+// unsigned, as buildJoinTable's is. Two factors below 2^32 multiply inside
+// 64 bits; one that is not — a float column's bit patterns, integers at both
+// ends of int64, the product of the columns so far — is numbered on its own
+// by the same table first, which leaves it below the row count.
+func numberGroups(cols [][]int64, gid []int32, layout joinLayout) (first []int32) {
+	const half = 1 << 32
+	code := par.GetInt64(len(gid))[:len(gid)]
+	defer par.PutInt64(code)
+	clear(code)
+	var dom uint64 // the codes so far lie in [0, dom]
+	for _, kv := range cols {
+		mn, mx := kv[0], kv[0]
+		for _, k := range kv {
+			mn, mx = min(mn, k), max(mx, k)
+		}
+		width := uint64(mx) - uint64(mn)
+		if width == 0 {
+			continue // one value: nothing to tell groups apart by
+		}
+		if dom != 0 && width >= half {
+			own := make([]int64, len(kv))
+			for j, k := range kv {
+				own[j] = k - mn
+			}
+			kv, mn, width = own, 0, renumber(own, width, gid)
+		}
+		if dom >= half {
+			dom = renumber(code, dom, gid)
+		}
+		for j, k := range kv[:len(code)] {
+			code[j] = code[j]*int64(width+1) + (k - mn) // wraps as the unsigned arithmetic does
+		}
+		dom = dom*(width+1) + width
+	}
+	return numberCodes(code, dom, layout, gid)
+}
+
+// renumber replaces each of the codes, which lie in [0, dom], by its number
+// among them (gid is scratch) and returns the new, dense dom. Too wide to
+// multiply is too wide for a direct table by any rule.
+func renumber(code []int64, dom uint64, gid []int32) uint64 {
+	first := numberCodes(code, dom, layoutHash, gid)
+	for j, g := range gid {
+		code[j] = int64(g)
+	}
+	return uint64(len(first) - 1)
+}
+
+// numberCodes is the slot table of the group-by: it numbers the codes, which
+// lie in [0, dom], in order of first occurrence, as numberGroups states. The
+// table is direct-addressed, a slot per code of the domain, where the density
+// rule the join applies to its probe side allows (every row here is a probe,
+// and inserts on a miss), and the join's open-addressing slots otherwise —
+// sized for every row being a group of its own, so they never grow.
+func numberCodes(code []int64, dom uint64, layout joinLayout, gid []int32) (first []int32) {
+	if dom == 0 { // no key column, or none with two values: one group
+		clear(gid)
+		return []int32{0}
+	}
+	if layout == layoutDirect || layout == layoutAuto && dense(dom, 0, len(code)) {
+		slots := make([]int32, dom+1) // code → group + 1
+		for j, c := range code {
+			g := slots[uint64(c)]
+			if g == 0 {
+				first = append(first, int32(j))
+				g = int32(len(first))
+				slots[uint64(c)] = g
+			}
+			gid[j] = g - 1
+		}
+		return first
+	}
+	t := newSlotTable(len(code), 0)
+	for j, c := range code {
+		s := t.slot(c, fibHash(c))
+		if t.head[s] == 0 {
+			first = append(first, int32(j))
+			t.key[s], t.head[s] = c, int32(len(first))
+		}
+		gid[j] = t.head[s] - 1
+	}
+	return first
+}
+
+// aggState is one aggregate's running value for every group of a partial,
+// flat: val the sums (Sum, Avg) or the extremes (Min, Max), cnt the row
+// counts (Count, Avg), each nil where the function has no use for it.
+type aggState struct {
+	val []float64
+	cnt []int64
+}
+
+// newAggState returns the state of f before any row, for the given number of
+// groups: sums and counts zero, and the extremes at the far end of floatLess's
+// order — NaN, which every number is below, and −Inf.
+func newAggState(f AggFunc, groups int) aggState {
+	var a aggState
+	if f != Count {
+		a.val = make([]float64, groups)
+	}
+	if f == Count || f == Avg {
+		a.cnt = make([]int64, groups)
+	}
+	if f == Min || f == Max {
+		init := math.NaN()
+		if f == Max {
+			init = math.Inf(-1)
+		}
+		for g := range a.val {
+			a.val[g] = init
+		}
+	}
+	return a
+}
+
+// fold folds item j — a row with its value and a count of one (cnt nil), or a
+// group of a partial with its sum or extreme and its count — into group
+// gid[j], in the order of j: one loop an array, nothing per group but the
+// array element.
+func (a *aggState) fold(f AggFunc, gid []int32, val []float64, cnt []int64) {
+	switch f {
+	case Sum, Avg:
+		if len(a.val) == 1 { // one group: the same additions in the same order, through a register
+			sum := a.val[0]
+			for _, v := range val {
+				sum += v
+			}
+			a.val[0] = sum
+		} else {
+			for j, g := range gid {
+				a.val[g] += val[j]
+			}
+		}
+	case Min:
+		for j, g := range gid {
+			if floatLess(val[j], a.val[g]) {
+				a.val[g] = val[j]
+			}
+		}
+	case Max:
+		for j, g := range gid {
+			if floatLess(a.val[g], val[j]) {
+				a.val[g] = val[j]
+			}
+		}
+	}
+	switch {
+	case a.cnt == nil:
+	case cnt == nil && len(a.cnt) == 1:
+		a.cnt[0] += int64(len(gid))
+	case cnt == nil:
+		for _, g := range gid {
+			a.cnt[g]++
+		}
+	default:
+		for j, g := range gid {
+			a.cnt[g] += cnt[j]
+		}
+	}
+}
+
+// result returns the aggregate of every group (each holds a row at least).
+func (a *aggState) result(f AggFunc) []float64 {
+	if f == Sum || f == Min || f == Max {
+		return a.val
+	}
+	out := make([]float64, len(a.cnt))
+	for g, n := range a.cnt {
+		out[g] = float64(n)
+		if f == Avg {
+			out[g] = a.val[g] / float64(n)
+		}
+	}
+	return out
 }
 
 // groupKeyReader reads a grouping column as integers that are equal exactly
@@ -249,152 +407,4 @@ func groupKeyReader(c column.Column) (keyReader, error) {
 		return read, nil
 	}
 	return nil, fmt.Errorf("column %s has ungroupable type %T", c.Name(), c)
-}
-
-// accumulator folds rows into one aggregate value. addRun folds k
-// consecutive rows known to carry the value v in the aggregate's input
-// column (the RLE fast path); addRun(v, 1) is the per-row case. merge folds
-// another accumulator of the same concrete type into the receiver; GroupBy
-// calls it in morsel order, which keeps float folds deterministic.
-//
-// Run folds compute sums as value×count. For the integer-valued columns RLE
-// encodes this is exact (and therefore bit-identical to repeated addition)
-// as long as intermediate sums stay within float64's 2^53 integer range —
-// the property the compressed determinism suite pins.
-type accumulator interface {
-	addRun(v float64, k int)
-	merge(other accumulator)
-	result() float64
-}
-
-// runColumn is implemented by run-length-encoded columns: RunEnd(i) is the
-// exclusive end of the maximal equal-value run containing row i.
-type runColumn interface{ RunEnd(i int) int }
-
-// runColumns collects the run views of every column the grouping reads
-// (keys and aggregate inputs). ok is true only when all of them expose
-// runs; Count aggregates read no column and never disqualify the fast path.
-func runColumns(b *Batch, keyCols []column.Column, aggs []AggSpec) ([]runColumn, bool) {
-	var out []runColumn
-	for _, kc := range keyCols {
-		rc, ok := kc.(runColumn)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, rc)
-	}
-	for _, a := range aggs {
-		if a.Func == Count {
-			continue
-		}
-		rc, ok := b.MustColumn(a.Col).(runColumn)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, rc)
-	}
-	return out, true
-}
-
-func newAccumulator(f AggFunc) accumulator {
-	switch f {
-	case Sum:
-		return &sumAcc{}
-	case Count:
-		return &countAcc{}
-	case Min:
-		return &minAcc{}
-	case Max:
-		return &maxAcc{}
-	default:
-		return &avgAcc{}
-	}
-}
-
-type countAcc struct{ n int64 }
-
-func (a *countAcc) addRun(_ float64, k int) { a.n += int64(k) }
-func (a *countAcc) merge(o accumulator)     { a.n += o.(*countAcc).n }
-func (a *countAcc) result() float64         { return float64(a.n) }
-
-type sumAcc struct{ sum float64 }
-
-func (a *sumAcc) addRun(v float64, k int) {
-	if k == 1 {
-		a.sum += v
-	} else {
-		a.sum += v * float64(k)
-	}
-}
-func (a *sumAcc) merge(o accumulator) { a.sum += o.(*sumAcc).sum }
-func (a *sumAcc) result() float64     { return a.sum }
-
-type minAcc struct {
-	min  float64
-	seen bool
-}
-
-func (a *minAcc) addRun(v float64, _ int) {
-	if !a.seen || v < a.min {
-		a.min, a.seen = v, true
-	}
-}
-func (a *minAcc) merge(o accumulator) {
-	b := o.(*minAcc)
-	if b.seen && (!a.seen || b.min < a.min) {
-		a.min, a.seen = b.min, true
-	}
-}
-func (a *minAcc) result() float64 { return a.min }
-
-type maxAcc struct {
-	max  float64
-	seen bool
-}
-
-func (a *maxAcc) addRun(v float64, _ int) {
-	if !a.seen || v > a.max {
-		a.max, a.seen = v, true
-	}
-}
-func (a *maxAcc) merge(o accumulator) {
-	b := o.(*maxAcc)
-	if b.seen && (!a.seen || b.max > a.max) {
-		a.max, a.seen = b.max, true
-	}
-}
-func (a *maxAcc) result() float64 { return a.max }
-
-type avgAcc struct {
-	sum float64
-	n   int64
-}
-
-func (a *avgAcc) addRun(v float64, k int) {
-	if k == 1 {
-		a.sum += v
-	} else {
-		a.sum += v * float64(k)
-	}
-	a.n += int64(k)
-}
-func (a *avgAcc) merge(o accumulator) {
-	b := o.(*avgAcc)
-	a.sum += b.sum
-	a.n += b.n
-}
-func (a *avgAcc) result() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sum / float64(a.n)
-}
-
-// appendGroupKey serializes one key column's value into buf so that equal
-// values produce equal byte strings and different columns cannot alias.
-func appendGroupKey(buf []byte, v uint64) []byte {
-	return append(buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56),
-		0xfe) // separator
 }

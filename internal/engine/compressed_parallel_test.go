@@ -132,9 +132,10 @@ func TestCompressedSelectWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestCompressedGroupByWorkerInvariance: the run-at-a-time RLE aggregation
-// and the parallel merge produce exactly the reference groups and integer
-// sums at every worker count.
+// TestCompressedGroupByWorkerInvariance: a group-by reading run-length and
+// bit-packed keys and inputs a block at a time, and its parallel merge,
+// produce exactly the reference groups and integer sums at every worker
+// count.
 func TestCompressedGroupByWorkerInvariance(t *testing.T) {
 	n := 4*par.DefaultMorselRows + 55
 	comp, plain := compressedPair(t, 13, n)

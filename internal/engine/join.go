@@ -118,6 +118,12 @@ const (
 	directSlotsPerProbeRow = 2
 )
 
+// dense is the rule, for a domain [0, width]. The group-by asks it too, of
+// rows that are all probes (numberCodes).
+func dense(width uint64, buildRows, probeRows int) bool {
+	return width < directSlotsPerBuildRow*uint64(buildRows)+directSlotsPerProbeRow*uint64(probeRows)
+}
+
 // joinLayout is how buildJoinTable arranges the table. Callers pass
 // layoutAuto; tests force the other two to hold them to each other.
 type joinLayout uint8
@@ -128,29 +134,37 @@ const (
 	layoutHash
 )
 
-// joinPart is one partition of the hash layout: an open-addressing
-// (linear-probe, power-of-two) index from key to the first build row of the
-// key's chain.
-type joinPart struct {
+// slotTable is open addressing (linear probe, power-of-two) from an integer
+// key to a positive number: one partition of the join's hash layout, where
+// that is the first build row of the key's chain + 1, and the hashed arm of
+// the group-by, where it is the key's group + 1 (numberCodes).
+type slotTable struct {
 	shift uint    // hash right-shift for the slot index
 	mask  uint32  // slot mask (power-of-two size − 1)
 	key   []int64 // slot → key, valid where head ≠ 0
-	head  []int32 // slot → first build row of the key + 1, 0 when empty
-	dup   bool    // some key of the partition occurs twice
+	head  []int32 // slot → the key's number, 0 when empty
+	dup   bool    // some key of a join partition occurs twice
 }
 
-// first returns the first build row + 1 for key k (with h = fibHash(k)), or
-// 0 when the key is absent. The load factor is kept ≤ 0.5, so probing always
-// terminates at an empty slot.
-func (p *joinPart) first(k int64, h uint64) int32 {
+// newSlotTable sizes a table for rows keys at a load factor ≤ 0.5, so that
+// probing always ends at an empty slot; the top pbits of a hash are spent.
+func newSlotTable(rows int, pbits uint) slotTable {
+	slots, slotBits := 8, uint(3)
+	for slots < 2*rows {
+		slots <<= 1
+		slotBits++
+	}
+	return slotTable{shift: 64 - pbits - slotBits, mask: uint32(slots - 1), key: make([]int64, slots), head: make([]int32, slots)}
+}
+
+// slot returns the slot of key k (with h = fibHash(k)): the one that holds
+// it, or the empty one it belongs in. It is the one probe loop of the engine.
+func (p *slotTable) slot(k int64, h uint64) uint32 {
 	s := uint32(h>>p.shift) & p.mask
-	for {
-		c := p.head[s]
-		if c == 0 || p.key[s] == k {
-			return c
-		}
+	for p.head[s] != 0 && p.key[s] != k {
 		s = (s + 1) & p.mask
 	}
+	return s
 }
 
 // joinTable maps a key to the chain of build rows that hold it, in one of
@@ -170,7 +184,7 @@ type joinTable struct {
 	head []int32
 	// Hash layout: 1 << pbits partitions by the top hash bits.
 	pbits uint
-	parts []joinPart
+	parts []slotTable
 
 	next   []int32 // build row → next build row with the same key + 1, 0 at the end
 	unique bool    // no key occurs twice: every chain is one row long, next is unused
@@ -202,7 +216,7 @@ func buildJoinTable(ctx *Ctx, key keyReader, n, probeRows int, dropNegative bool
 	width := uint64(mx) - uint64(mn)
 	if layout == layoutAuto {
 		layout = layoutHash
-		if width < directSlotsPerBuildRow*uint64(rows)+directSlotsPerProbeRow*uint64(probeRows) {
+		if dense(width, rows, probeRows) {
 			layout = layoutDirect
 		}
 	}
@@ -243,7 +257,7 @@ func buildHashed(ctx *Ctx, keys []int64, dropNegative bool) *joinTable {
 		pbits = joinPartitionBits
 	}
 	numParts := 1 << pbits
-	t := &joinTable{pbits: pbits, parts: make([]joinPart, numParts), next: make([]int32, n)}
+	t := &joinTable{pbits: pbits, parts: make([]slotTable, numParts), next: make([]int32, n)}
 
 	numMorsels := par.Morsels(n)
 	counts := make([][]int32, numMorsels)
@@ -289,24 +303,12 @@ func buildHashed(ctx *Ctx, keys []int64, dropNegative bool) *joinTable {
 	// leaves every per-key chain in ascending build-row order; a row belongs
 	// to one partition, so the writes to next are disjoint too.
 	ctx.forEachNNoErr(numParts, func(p int) {
+		t.parts[p] = newSlotTable(len(rows[p]), pbits)
 		part := &t.parts[p]
-		slots := 8
-		var slotBits uint = 3
-		for slots < 2*len(rows[p]) { // load factor ≤ 0.5
-			slots <<= 1
-			slotBits++
-		}
-		part.mask = uint32(slots - 1)
-		part.shift = 64 - pbits - slotBits
-		part.key = make([]int64, slots)
-		part.head = make([]int32, slots)
 		for c := len(rows[p]) - 1; c >= 0; c-- {
 			row := rows[p][c]
 			k := keys[row]
-			s := uint32(fibHash(k)>>part.shift) & part.mask
-			for part.head[s] != 0 && part.key[s] != k {
-				s = (s + 1) & part.mask
-			}
+			s := part.slot(k, fibHash(k))
 			if part.head[s] != 0 {
 				part.dup = true
 			}
@@ -336,7 +338,8 @@ func (t *joinTable) first(k int64) int32 {
 //go:noinline
 func (t *joinTable) hashed(k int64) int32 {
 	h := fibHash(k)
-	return t.parts[h>>(64-t.pbits)].first(k, h)
+	p := &t.parts[h>>(64-t.pbits)]
+	return p.head[p.slot(k, h)]
 }
 
 // probe appends the matches of keys — the probe rows base, base+1, … — to

@@ -61,3 +61,40 @@ func BenchmarkJoinLayout(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGroupLayout is BenchmarkJoinLayout for the group-by's slot table:
+// 2^17 rows summed by one key, single-threaded, in each layout and as the
+// density rule picks — the rule the join applies to its probe side, a
+// morsel's 8 192 rows being the probe rows. What the rule reads is varied and
+// nothing else: the key domain is 8 to 2^24 wide and holds 1 024 keys (8 in
+// the first), evenly spaced. Direct wins while a morsel zeroes no more than
+// two slots a row and loses beyond; "auto" sits on the better side of every
+// pair. DESIGN.md §23 has the sweep, and the one with every key of the domain
+// in use, where direct holds on for longer than the rule can know.
+func BenchmarkGroupLayout(b *testing.B) {
+	const n = 1 << 17
+	aggs := []AggSpec{{Func: Sum, Col: "v", As: "s"}}
+	for _, width := range []int{8, 1 << 10, 1 << 14, 1 << 18, 1 << 24} {
+		groups := min(width, 1<<10)
+		rng := rand.New(rand.NewSource(11))
+		keys, vals := make([]int64, n), make([]float64, n)
+		for i := range keys {
+			keys[i], vals[i] = int64(rng.Intn(groups)*(width/groups)), float64(i&1023)
+		}
+		in := MustNewBatch(column.NewInt64("k", keys), column.NewFloat64("v", vals))
+		for _, l := range []struct {
+			name   string
+			layout joinLayout
+		}{{"direct", layoutDirect}, {"hash", layoutHash}, {"auto", layoutAuto}} {
+			b.Run(fmt.Sprintf("width%d/%s", width, l.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := groupBy(nil, in, []string{"k"}, aggs, l.layout)
+					if err != nil || out.NumRows() != groups {
+						b.Fatalf("group-by produced %d groups (%v)", out.NumRows(), err)
+					}
+				}
+			})
+		}
+	}
+}

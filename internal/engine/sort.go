@@ -73,16 +73,7 @@ func comparator(c column.Column) (func(i, j int32) int, error) {
 	case *column.StringColumn:
 		return func(i, j int32) int { return cmp64(int64(c.Codes[i]), int64(c.Codes[j])) }, nil
 	case *column.Float64Column:
-		return func(i, j int32) int {
-			switch {
-			case c.Values[i] < c.Values[j]:
-				return -1
-			case c.Values[i] > c.Values[j]:
-				return 1
-			default:
-				return 0
-			}
-		}, nil
+		return func(i, j int32) int { return cmpFloat(c.Values[i], c.Values[j]) }, nil
 	case *column.CompressedInt64Column:
 		return func(i, j int32) int { return cmp64(c.Value(int(i)), c.Value(int(j))) }, nil
 	case *column.CompressedDateColumn:
@@ -103,4 +94,22 @@ func cmp64(a, b int64) int {
 	default:
 		return 0
 	}
+}
+
+// floatLess is the engine's one order of floats, and total: numbers by value,
+// the two zeros equal, every NaN equal to every other and after every number
+// — the order group keys follow (groupKeyReader) and PostgreSQL's. ORDER BY
+// sorts by it and MIN and MAX fold by it, so MAX is NaN where any input is
+// and MIN where all are, in whatever order the rows come.
+func floatLess(a, b float64) bool { return a < b || a == a && b != b }
+
+// cmpFloat is floatLess as the three-way comparison a sort key wants.
+func cmpFloat(a, b float64) int {
+	switch {
+	case floatLess(a, b):
+		return -1
+	case floatLess(b, a):
+		return 1
+	}
+	return 0
 }
