@@ -401,14 +401,14 @@ var (
 	microCompFilterCol *column.CompressedInt64Column
 	microCompFilter    *engine.Batch
 	microCompAgg       *engine.Batch
-	microCompAggCols   []*column.RLEInt64Column
+	microCompAggCols   []*column.CompressedInt64Column
 	microCompJoinDim   *engine.Batch
 	microCompJoinFact  *engine.Batch
 )
 
 // microCompressedData builds the fixed seeded inputs the compressed micro
 // set shares. The shapes are deliberately encoding-friendly — clustered
-// values for block skipping, 64-long runs for RLE folding, one key domain
+// values for block skipping, 64-long runs packed into narrow blocks, one key domain
 // under two dictionaries for the join bridge — because the benchmarks
 // measure what compressed execution buys when the encoding fits.
 func microCompressedData() {
@@ -423,7 +423,8 @@ func microCompressedData() {
 		microCompFilterCol = column.CompressInt64(column.NewInt64("v", vals))
 		microCompFilter = engine.MustNewBatch(microCompFilterCol)
 
-		// 64-long runs: 12 bytes a run for the group-by to read as blocks.
+		// 64-long runs, bit-packed — the encoding Compress produces — for
+		// the group-by to read as blocks.
 		grps := make([]int64, microCompressedRows)
 		rvals := make([]int64, microCompressedRows)
 		for i := range grps {
@@ -431,9 +432,9 @@ func microCompressedData() {
 			grps[i] = int64(run % 32)
 			rvals[i] = int64(run%7 + 1)
 		}
-		gc := column.CompressRLE("grp", grps)
-		vc := column.CompressRLE("val", rvals)
-		microCompAggCols = []*column.RLEInt64Column{gc, vc}
+		gc := column.CompressInt64(column.NewInt64("grp", grps))
+		vc := column.CompressInt64(column.NewInt64("val", rvals))
+		microCompAggCols = []*column.CompressedInt64Column{gc, vc}
 		microCompAgg = engine.MustNewBatch(gc, vc)
 
 		// One key domain, two independently built dictionaries: the join
@@ -497,7 +498,7 @@ func BenchmarkMicroDecompressFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroCompressedAgg measures the group-by over RLE columns: key
+// BenchmarkMicroCompressedAgg measures the group-by over bit-packed columns: key
 // and input are read a morsel at a time into pooled scratch (column.Reader),
 // never decompressed whole.
 func BenchmarkMicroCompressedAgg(b *testing.B) {
@@ -517,7 +518,7 @@ func BenchmarkMicroCompressedAgg(b *testing.B) {
 }
 
 // BenchmarkMicroDecompressAgg is the decompress-first reference for
-// BenchmarkMicroCompressedAgg: decode both RLE columns whole, then run the
+// BenchmarkMicroCompressedAgg: decode both packed columns whole, then run the
 // same group-by over the flat copies.
 func BenchmarkMicroDecompressAgg(b *testing.B) {
 	microCompressedData()

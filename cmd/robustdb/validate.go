@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"time"
 
 	"robustdb"
@@ -65,8 +66,8 @@ func validateOptions(o options) error {
 	default:
 		return fmt.Errorf("-bench: unknown benchmark %q (want ssb or tpch)", o.bench)
 	}
-	if o.sf < 0 {
-		return fmt.Errorf("-sf: scale factor must not be negative, got %d", o.sf)
+	if o.sf < 1 {
+		return fmt.Errorf("-sf: scale factor must be at least 1, got %d", o.sf)
 	}
 	if o.rows < 0 {
 		return fmt.Errorf("-rows: rows per scale factor must not be negative, got %d", o.rows)
@@ -77,12 +78,6 @@ func validateOptions(o options) error {
 	if o.total < 0 {
 		return fmt.Errorf("-total: total queries must not be negative, got %d", o.total)
 	}
-	if o.cacheFrac < 0 {
-		return fmt.Errorf("-cache-frac: fraction must not be negative, got %g", o.cacheFrac)
-	}
-	if o.heapFrac < 0 {
-		return fmt.Errorf("-heap-frac: fraction must not be negative, got %g", o.heapFrac)
-	}
 	if o.kernelWorkers < 1 {
 		return fmt.Errorf("-kernel-workers: need at least one worker, got %d", o.kernelWorkers)
 	}
@@ -92,12 +87,20 @@ func validateOptions(o options) error {
 	if o.deadline < 0 {
 		return fmt.Errorf("-deadline: per-query deadline must not be negative, got %v (0 = none)", o.deadline)
 	}
-	for _, p := range []struct {
-		flag string
-		prob float64
-	}{{"-fault-alloc", o.faultAlloc}, {"-fault-transfer", o.faultTransfer}, {"-fault-stuck", o.faultStuck}} {
-		if !(p.prob >= 0 && p.prob <= 1) { // also rejects NaN
-			return fmt.Errorf("%s: probability must be in [0, 1], got %g", p.flag, p.prob)
+	for _, f := range []struct {
+		flag   string
+		x, max float64
+		want   string
+	}{
+		{"-cache-frac", o.cacheFrac, math.MaxFloat64, "fraction must be finite and not negative"},
+		{"-heap-frac", o.heapFrac, math.MaxFloat64, "fraction must be finite and not negative"},
+		{"-fault-alloc", o.faultAlloc, 1, "probability must be in [0, 1]"},
+		{"-fault-transfer", o.faultTransfer, 1, "probability must be in [0, 1]"},
+		{"-fault-stuck", o.faultStuck, 1, "probability must be in [0, 1]"},
+		{"-slowlog-qerror", o.slowlogQError, math.MaxFloat64, "q-error gate must be finite and not negative (0 disables the gate)"},
+	} {
+		if err := checkFloat(f.flag, f.x, 0, f.max, f.want); err != nil {
+			return err
 		}
 	}
 	if o.faultResets < 0 {
@@ -108,9 +111,6 @@ func validateOptions(o options) error {
 	}
 	if o.slowlogThreshold < 0 {
 		return fmt.Errorf("-slowlog-threshold: latency gate must not be negative, got %v (0 journals every query)", o.slowlogThreshold)
-	}
-	if !(o.slowlogQError >= 0) {
-		return fmt.Errorf("-slowlog-qerror: q-error gate must not be negative, got %g (0 disables the gate)", o.slowlogQError)
 	}
 	if o.strategy != "all" {
 		if _, err := strategyByName(o.strategy); err != nil {
@@ -149,8 +149,8 @@ func validateOptions(o options) error {
 		if o.serve != "" {
 			return fmt.Errorf("-loadgen: mutually exclusive with -serve")
 		}
-		if o.rate <= 0 {
-			return fmt.Errorf("-rate: arrival rate must be positive, got %g", o.rate)
+		if err := checkFloat("-rate", o.rate, math.SmallestNonzeroFloat64, math.MaxFloat64, "arrival rate must be finite and positive"); err != nil {
+			return err
 		}
 		if o.duration <= 0 {
 			return fmt.Errorf("-duration: run length must be positive, got %v", o.duration)
@@ -158,6 +158,16 @@ func validateOptions(o options) error {
 		if _, err := parseTenantMix(o.tenantMix); err != nil {
 			return fmt.Errorf("-tenant-mix: %w", err)
 		}
+	}
+	return nil
+}
+
+// checkFloat is the one check every float flag goes through: inside
+// [lo, hi], which a NaN — false under every comparison — and, with a finite
+// hi, an infinity are not.
+func checkFloat(flag string, x, lo, hi float64, want string) error {
+	if !(x >= lo && x <= hi) {
+		return fmt.Errorf("%s: %s, got %g", flag, want, x)
 	}
 	return nil
 }

@@ -49,10 +49,10 @@ func TestValidateOptions(t *testing.T) {
 		{"named-query", func(o *options) { o.query = "Q3.3" }, ""},
 		{"tpch-query", func(o *options) { o.bench = "tpch"; o.query = "Q5" }, ""},
 		{"serve", func(o *options) { o.serve = ":0" }, ""},
-		{"zero-sf", func(o *options) { o.sf = 0 }, ""},
 		{"many-kernel-workers", func(o *options) { o.kernelWorkers = 64 }, ""},
 
 		{"unknown-bench", func(o *options) { o.bench = "tpcds" }, "-bench"},
+		{"zero-sf", func(o *options) { o.sf = 0 }, "-sf"},
 		{"negative-sf", func(o *options) { o.sf = -1 }, "-sf"},
 		{"negative-rows", func(o *options) { o.rows = -5 }, "-rows"},
 		{"zero-users", func(o *options) { o.users = 0 }, "-users"},
@@ -60,6 +60,10 @@ func TestValidateOptions(t *testing.T) {
 		{"negative-total", func(o *options) { o.total = -1 }, "-total"},
 		{"negative-cache-frac", func(o *options) { o.cacheFrac = -0.1 }, "-cache-frac"},
 		{"negative-heap-frac", func(o *options) { o.heapFrac = -1 }, "-heap-frac"},
+		{"nan-cache-frac", func(o *options) { o.cacheFrac = math.NaN() }, "-cache-frac"},
+		{"inf-cache-frac", func(o *options) { o.cacheFrac = math.Inf(1) }, "-cache-frac"},
+		{"nan-heap-frac", func(o *options) { o.heapFrac = math.NaN() }, "-heap-frac"},
+		{"inf-heap-frac", func(o *options) { o.heapFrac = math.Inf(1) }, "-heap-frac"},
 		{"zero-kernel-workers", func(o *options) { o.kernelWorkers = 0 }, "-kernel-workers"},
 		{"negative-kernel-workers", func(o *options) { o.kernelWorkers = -2 }, "-kernel-workers"},
 		{"unknown-strategy", func(o *options) { o.strategy = "quantum" }, "-strategy"},
@@ -85,6 +89,7 @@ func TestValidateOptions(t *testing.T) {
 		{"negative-slowlog-capacity", func(o *options) { o.slowlogCap = -1 }, "-slowlog-capacity"},
 		{"negative-slowlog-threshold", func(o *options) { o.slowlogThreshold = -time.Second }, "-slowlog-threshold"},
 		{"negative-slowlog-qerror", func(o *options) { o.slowlogQError = -16 }, "-slowlog-qerror"},
+		{"inf-slowlog-qerror", func(o *options) { o.slowlogQError = math.Inf(1) }, "-slowlog-qerror"},
 
 		{"serve-detector-policy", func(o *options) { o.serve = ":0"; o.admissionPolicy = "detector" }, ""},
 		{"serve-fifo-policy", func(o *options) { o.serve = ":0"; o.admissionPolicy = "fifo" }, ""},
@@ -101,6 +106,8 @@ func TestValidateOptions(t *testing.T) {
 		{"loadgen-tenant-mix", func(o *options) { o.loadgen = "http://x:1"; o.tenantMix = "gold:3:1,bronze:1" }, ""},
 		{"loadgen-with-serve", func(o *options) { o.loadgen = "http://x:1"; o.serve = ":0" }, "-loadgen"},
 		{"loadgen-zero-rate", func(o *options) { o.loadgen = "http://x:1"; o.rate = 0 }, "-rate"},
+		{"loadgen-nan-rate", func(o *options) { o.loadgen = "http://x:1"; o.rate = math.NaN() }, "-rate"},
+		{"loadgen-inf-rate", func(o *options) { o.loadgen = "http://x:1"; o.rate = math.Inf(1) }, "-rate"},
 		{"loadgen-zero-duration", func(o *options) { o.loadgen = "http://x:1"; o.duration = 0 }, "-duration"},
 		{"loadgen-bad-mix", func(o *options) { o.loadgen = "http://x:1"; o.tenantMix = "gold" }, "-tenant-mix"},
 		{"loadgen-bad-mix-share", func(o *options) { o.loadgen = "http://x:1"; o.tenantMix = "gold:0" }, "-tenant-mix"},

@@ -17,7 +17,7 @@ import (
 	"testing"
 )
 
-// goldenExplainSQL joins, filters in the code domain, aggregates over RLE-able
+// goldenExplainSQL joins, filters in the code domain, aggregates over dictionary
 // group keys, and sorts with a limit — one statement that exercises every node
 // kind the document can carry.
 const goldenExplainSQL = "EXPLAIN SELECT c_nation, SUM(lo_revenue) AS rev " +

@@ -48,9 +48,6 @@ const (
 	Detector Policy = "detector"
 )
 
-// Policies lists the selectable policies in documentation order.
-func Policies() []Policy { return []Policy{FIFO, Fair, Detector} }
-
 // ParsePolicy validates a policy name from a flag or config file.
 func ParsePolicy(s string) (Policy, error) {
 	switch Policy(s) {

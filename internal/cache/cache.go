@@ -40,7 +40,7 @@ func (p Policy) String() string {
 	}
 }
 
-// StatCounter is the minimal sink for mirrored cache statistics. It is
+// StatCounter is the minimal sink for cache statistics. It is
 // satisfied by *trace.Counter without making this package depend on the
 // metrics layer; implementations must be safe for concurrent reads (the
 // observability surface scrapes them while the simulator mutates the cache).
@@ -48,22 +48,21 @@ type StatCounter interface {
 	Inc()
 }
 
-// Stats mirrors every cache statistic increment into external counters the
-// moment it happens. Nil fields are skipped, so partial mirroring is fine.
-// The cache's own plain counters stay authoritative for single-threaded
-// inspection; the mirror exists so live monitoring can read the same numbers
-// atomically from another goroutine.
+// Stats is where the cache counts: each statistic is incremented in the
+// external counter installed for it, the moment it happens, and nowhere else
+// — so live monitoring reads the one copy atomically from another goroutine.
+// Nil fields are skipped.
 type Stats struct {
-	// Hits / Misses mirror Lookup outcomes.
+	// Hits / Misses count Lookup outcomes.
 	Hits, Misses StatCounter
-	// Evictions mirrors every entry leaving the cache by replacement,
+	// Evictions counts every entry leaving the cache by replacement,
 	// explicit eviction, or flush.
 	Evictions StatCounter
-	// Readmits mirrors insertions of a column that was evicted earlier in
+	// Readmits counts insertions of a column that was evicted earlier in
 	// the cache's lifetime — the evict-then-readmit churn that defines cache
 	// thrashing (paper §2.3, Figure 2).
 	Readmits StatCounter
-	// FailedInserts mirrors rejected insertions.
+	// FailedInserts counts rejected insertions.
 	FailedInserts StatCounter
 }
 
@@ -94,7 +93,6 @@ type Cache struct {
 	clock    int64
 	seq      int64
 
-	hits, misses, evictions, failedInserts, readmits int64
 	// evictedOnce remembers every column that was ever evicted, so a later
 	// insertion of the same column counts as a readmission. Bounded by the
 	// number of distinct columns in the catalog.
@@ -115,7 +113,7 @@ func New(capacity int64, policy Policy) *Cache {
 	}
 }
 
-// SetStats installs the statistics mirror. Pass the zero Stats to remove it.
+// SetStats installs the statistics counters. Pass the zero Stats to remove them.
 func (c *Cache) SetStats(s Stats) { c.stats = s }
 
 // Capacity returns the cache capacity in bytes.
@@ -130,22 +128,6 @@ func (c *Cache) PolicyKind() Policy { return c.policy }
 // Len returns the number of cached columns.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Hits returns the number of successful lookups.
-func (c *Cache) Hits() int64 { return c.hits }
-
-// Misses returns the number of failed lookups.
-func (c *Cache) Misses() int64 { return c.misses }
-
-// Evictions returns the number of evicted columns.
-func (c *Cache) Evictions() int64 { return c.evictions }
-
-// FailedInserts returns the number of rejected insertions.
-func (c *Cache) FailedInserts() int64 { return c.failedInserts }
-
-// Readmits returns the number of insertions of previously evicted columns
-// (the evict-then-readmit churn of cache thrashing).
-func (c *Cache) Readmits() int64 { return c.readmits }
-
 // Contains reports whether id is cached, without touching statistics.
 func (c *Cache) Contains(id table.ColumnID) bool {
 	e, ok := c.entries[id]
@@ -158,13 +140,11 @@ func (c *Cache) Lookup(id table.ColumnID) bool {
 	c.clock++
 	e, ok := c.entries[id]
 	if !ok || e.condemned {
-		c.misses++
 		statInc(c.stats.Misses)
 		return false
 	}
 	e.lastUsed = c.clock
 	e.freq++
-	c.hits++
 	statInc(c.stats.Hits)
 	return true
 }
@@ -190,19 +170,16 @@ func (c *Cache) Insert(id table.ColumnID, bytes int64) (evicted []table.ColumnID
 		// occupies its bytes until the last unreference; inserting a second
 		// copy under the same id would corrupt the accounting. The caller
 		// streams the column through heap memory instead.
-		c.failedInserts++
 		statInc(c.stats.FailedInserts)
 		return nil, false
 	}
 	if bytes > c.capacity {
-		c.failedInserts++
 		statInc(c.stats.FailedInserts)
 		return nil, false
 	}
 	for c.used+bytes > c.capacity {
 		v := c.victim()
 		if v == nil {
-			c.failedInserts++
 			statInc(c.stats.FailedInserts)
 			return evicted, false
 		}
@@ -214,7 +191,6 @@ func (c *Cache) Insert(id table.ColumnID, bytes int64) (evicted []table.ColumnID
 	c.used += bytes
 	if _, was := c.evictedOnce[id]; was {
 		delete(c.evictedOnce, id)
-		c.readmits++
 		statInc(c.stats.Readmits)
 	}
 	return evicted, true
@@ -254,7 +230,6 @@ func (c *Cache) less(e, f *entry) bool {
 func (c *Cache) remove(e *entry) {
 	delete(c.entries, e.id)
 	c.used -= e.bytes
-	c.evictions++
 	c.evictedOnce[e.id] = struct{}{}
 	statInc(c.stats.Evictions)
 }

@@ -10,6 +10,22 @@ import (
 
 func id(s string) table.ColumnID { return table.ColumnID("t." + s) }
 
+// countingStat is a StatCounter recording increments.
+type countingStat struct{ n int64 }
+
+func (c *countingStat) Inc() { c.n++ }
+
+// counts is a full set of statistics counters, as the engine installs one.
+type counts struct{ hits, misses, evictions, readmits, failedInserts countingStat }
+
+// newCounted returns a cache that counts into n.
+func newCounted(capacity int64, policy Policy) (c *Cache, n *counts) {
+	c, n = New(capacity, policy), new(counts)
+	c.SetStats(Stats{Hits: &n.hits, Misses: &n.misses, Evictions: &n.evictions,
+		Readmits: &n.readmits, FailedInserts: &n.failedInserts})
+	return c, n
+}
+
 func TestPolicyString(t *testing.T) {
 	if LRU.String() != "lru" || LFU.String() != "lfu" || Policy(7).String() != "policy(7)" {
 		t.Fatal("policy labels wrong")
@@ -17,7 +33,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestInsertLookupBasics(t *testing.T) {
-	c := New(100, LRU)
+	c, n := newCounted(100, LRU)
 	if c.Capacity() != 100 || c.PolicyKind() != LRU || c.Len() != 0 {
 		t.Fatal("metadata wrong")
 	}
@@ -33,8 +49,8 @@ func TestInsertLookupBasics(t *testing.T) {
 	if c.Lookup(id("b")) {
 		t.Fatal("lookup b should miss")
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("hit/miss = %d/%d", c.Hits(), c.Misses())
+	if n.hits.n != 1 || n.misses.n != 1 {
+		t.Fatalf("hit/miss = %d/%d", n.hits.n, n.misses.n)
 	}
 	// Re-inserting refreshes, does not duplicate.
 	if _, ok := c.Insert(id("a"), 40); !ok {
@@ -46,7 +62,7 @@ func TestInsertLookupBasics(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := New(100, LRU)
+	c, n := newCounted(100, LRU)
 	c.Insert(id("a"), 40)
 	c.Insert(id("b"), 40)
 	c.Lookup(id("a")) // a is now more recent than b
@@ -57,7 +73,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if !c.Contains(id("a")) || !c.Contains(id("c")) || c.Contains(id("b")) {
 		t.Fatal("cache contents wrong after eviction")
 	}
-	if c.Evictions() != 1 {
+	if n.evictions.n != 1 {
 		t.Fatal("eviction count wrong")
 	}
 }
@@ -86,11 +102,11 @@ func TestEvictionTieBreaksOnInsertionOrder(t *testing.T) {
 }
 
 func TestInsertTooLargeAndAllProtected(t *testing.T) {
-	c := New(50, LRU)
+	c, n := newCounted(50, LRU)
 	if _, ok := c.Insert(id("big"), 60); ok {
 		t.Fatal("oversized insert should fail")
 	}
-	if c.FailedInserts() != 1 {
+	if n.failedInserts.n != 1 {
 		t.Fatal("failed insert not counted")
 	}
 	c.Insert(id("a"), 50)
@@ -316,17 +332,17 @@ func TestFlush(t *testing.T) {
 // Re-inserting a column whose condemned copy is still referenced must fail:
 // a second copy under the same id would corrupt the byte accounting.
 func TestInsertOverCondemnedFails(t *testing.T) {
-	c := New(100, LRU)
+	c, n := newCounted(100, LRU)
 	c.Insert("a", 40)
 	if err := c.Ref("a"); err != nil {
 		t.Fatal(err)
 	}
 	c.Evict("a") // condemned, still referenced
-	failedBefore := c.FailedInserts()
+	failedBefore := n.failedInserts.n
 	if _, ok := c.Insert("a", 40); ok {
 		t.Fatal("insert over a condemned referenced entry must fail")
 	}
-	if c.FailedInserts() != failedBefore+1 {
+	if n.failedInserts.n != failedBefore+1 {
 		t.Fatal("failed insert not counted")
 	}
 	if c.Used() != 40 {
@@ -342,28 +358,23 @@ func TestInsertOverCondemnedFails(t *testing.T) {
 	}
 }
 
-// countingStat is a StatCounter recording increments for the mirror tests.
-type countingStat struct{ n int64 }
-
-func (c *countingStat) Inc() { c.n++ }
-
 func TestReadmitTracking(t *testing.T) {
-	c := New(100, LRU)
+	c, n := newCounted(100, LRU)
 	if _, ok := c.Insert(id("a"), 60); !ok {
 		t.Fatal("insert a")
 	}
 	if _, ok := c.Insert(id("b"), 60); !ok {
 		t.Fatal("insert b (evicts a)")
 	}
-	if c.Evictions() != 1 || c.Readmits() != 0 {
-		t.Fatalf("evictions=%d readmits=%d, want 1/0", c.Evictions(), c.Readmits())
+	if n.evictions.n != 1 || n.readmits.n != 0 {
+		t.Fatalf("evictions=%d readmits=%d, want 1/0", n.evictions.n, n.readmits.n)
 	}
 	// Re-inserting the evicted column is the thrashing signature.
 	if _, ok := c.Insert(id("a"), 60); !ok {
 		t.Fatal("readmit a")
 	}
-	if c.Readmits() != 1 {
-		t.Fatalf("readmits=%d, want 1", c.Readmits())
+	if n.readmits.n != 1 {
+		t.Fatalf("readmits=%d, want 1", n.readmits.n)
 	}
 	// Re-inserting evicted b, then evicted a again: both count — every
 	// round trip through eviction and back is churn.
@@ -373,42 +384,37 @@ func TestReadmitTracking(t *testing.T) {
 	if _, ok := c.Insert(id("a"), 60); !ok {
 		t.Fatal("readmit a again")
 	}
-	if c.Readmits() != 3 {
-		t.Fatalf("readmits=%d, want 3", c.Readmits())
+	if n.readmits.n != 3 {
+		t.Fatalf("readmits=%d, want 3", n.readmits.n)
 	}
 	// A brand-new column is not a readmission.
 	if _, ok := c.Insert(id("c"), 10); !ok {
 		t.Fatal("insert c")
 	}
-	if c.Readmits() != 3 {
-		t.Fatalf("fresh insert counted as readmit: %d", c.Readmits())
+	if n.readmits.n != 3 {
+		t.Fatalf("fresh insert counted as readmit: %d", n.readmits.n)
 	}
 }
 
 func TestStatsMirror(t *testing.T) {
-	var hits, misses, evs, readmits, failed countingStat
-	c := New(100, LRU)
-	c.SetStats(Stats{Hits: &hits, Misses: &misses, Evictions: &evs,
-		Readmits: &readmits, FailedInserts: &failed})
+	c, n := newCounted(100, LRU)
 	c.Insert(id("a"), 60)
 	c.Lookup(id("a"))      // hit
 	c.Lookup(id("x"))      // miss
 	c.Insert(id("b"), 60)  // evicts a
 	c.Insert(id("a"), 60)  // readmits a, evicts b
 	c.Insert(id("z"), 200) // too large: failed insert
-	if hits.n != c.Hits() || misses.n != c.Misses() || evs.n != c.Evictions() ||
-		readmits.n != c.Readmits() || failed.n != c.FailedInserts() {
-		t.Fatalf("mirror diverged: hits %d/%d misses %d/%d evictions %d/%d readmits %d/%d failed %d/%d",
-			hits.n, c.Hits(), misses.n, c.Misses(), evs.n, c.Evictions(),
-			readmits.n, c.Readmits(), failed.n, c.FailedInserts())
+	if n.hits.n != 1 || n.misses.n != 1 || n.evictions.n != 2 || n.readmits.n != 1 || n.failedInserts.n != 1 {
+		t.Fatalf("unexpected counts: %+v", *n)
 	}
-	if hits.n != 1 || misses.n != 1 || evs.n != 2 || readmits.n != 1 || failed.n != 1 {
-		t.Fatalf("unexpected mirror values: %d %d %d %d %d", hits.n, misses.n, evs.n, readmits.n, failed.n)
-	}
-	// The zero Stats removes the mirror without disturbing the cache.
+	// Nil fields are skipped: the zero Stats stops the counting without
+	// disturbing the cache.
 	c.SetStats(Stats{})
 	c.Lookup(id("a"))
-	if hits.n != 1 {
-		t.Fatal("mirror still active after removal")
+	c.Lookup(id("x"))
+	c.Insert(id("b"), 60)
+	c.Insert(id("z"), 200)
+	if n.hits.n != 1 || n.misses.n != 1 || n.evictions.n != 2 || n.readmits.n != 1 || n.failedInserts.n != 1 {
+		t.Fatalf("counters still installed after removal: %+v", *n)
 	}
 }

@@ -20,8 +20,6 @@ func GatherRange(c Column, lo, hi int) (Column, bool) {
 		return NewDate(c.name, c.Values[lo:hi:hi]), true
 	case *StringColumn:
 		return NewStringFromDict(c.name, c.Dict, c.Codes[lo:hi:hi]), true
-	case *RLEInt64Column:
-		return c.Slice(lo, hi), true
 	case *CompressedInt64Column:
 		s, ok := c.gatherRange(lo, hi)
 		return &CompressedInt64Column{s}, ok
@@ -54,17 +52,6 @@ func Reader[T int64 | float64](c Column) (read func(lo, hi int, scratch []T) []T
 		return packedReader[T](&c.packed), true
 	case *CompressedDateColumn:
 		return packedReader[T](&c.packed), true
-	case *RLEInt64Column:
-		return func(lo, hi int, scratch []T) []T {
-			dst := grown(scratch, hi-lo)
-			c.Runs(lo, hi, func(v int64, a, b int) {
-				run, tv := dst[a-lo:b-lo], T(v)
-				for i := range run {
-					run[i] = tv
-				}
-			})
-			return dst
-		}, true
 	default:
 		return nil, false
 	}

@@ -10,7 +10,7 @@
 // Immutability: a column is never written to once it has been built. The
 // exported Values, Codes and Dict slices are exported to be read; no code
 // outside a constructor assigns to their elements, and nothing inside this
-// package rewrites packed words or run arrays in place. Zero-copy results
+// package rewrites packed words in place. Zero-copy results
 // rely on it — GatherRange and Reader hand out views that alias a
 // column's storage, base-table storage included, so a write through any of
 // them would change every batch that shares it. The engine's alias-safety

@@ -459,8 +459,6 @@ func Materialized(c Column) Column {
 		return c.Decompress()
 	case *CompressedDateColumn:
 		return c.Decompress()
-	case *RLEInt64Column:
-		return c.Decompress()
 	default:
 		return c
 	}

@@ -162,14 +162,10 @@ func TestSliceBoundsPanic(t *testing.T) {
 	vals := make([]int64, 300)
 	packed := CompressInt64(NewInt64("x", vals))
 	dates := CompressDate(NewDate("d", make([]int32, 300)))
-	rle := CompressRLE("r", vals)
 	for label, slice := range map[string]func(lo, hi int){
-		"rle":   func(lo, hi int) { rle.Slice(lo, hi) },
-		"view":  func(lo, hi int) { rle.Slice(0, 300).Slice(lo, hi) },
 		"range": func(lo, hi int) { GatherRange(packed, lo, hi) },
 		"scan":  func(lo, hi int) { Scan(packed, Interval[int64]{}, Range(lo, hi), nil) },
 		"date":  func(lo, hi int) { Scan(dates, Interval[int64]{}, Range(lo, hi), nil) },
-		"runs":  func(lo, hi int) { Scan(rle, Interval[int64]{}, Range(lo, hi), nil) },
 	} {
 		for _, b := range [][2]int{{-1, 10}, {20, 10}, {0, 301}, {301, 301}} {
 			func() {
@@ -184,9 +180,8 @@ func TestSliceBoundsPanic(t *testing.T) {
 		slice(0, 0)
 		slice(100, 100)
 	}
-	rle.Slice(300, 300)
 	// A list is held to the same bounds as a range, by its ends.
-	for _, c := range []Column{packed, dates, rle, NewInt64("x", vals)} {
+	for _, c := range []Column{packed, dates, NewInt64("x", vals)} {
 		for _, list := range [][]int32{{-1, 5}, {5, 300}, {300}} {
 			func() {
 				defer func() {
@@ -212,5 +207,58 @@ func TestCompressEmptyColumn(t *testing.T) {
 	}
 	if got, ok := Scan(c, Interval[int64]{Lo: 0, Hi: math.MaxInt64}, All(0), nil); !ok || len(got) != 0 {
 		t.Fatalf("scan of an empty column selected %v", got)
+	}
+}
+
+func TestEncodingNames(t *testing.T) {
+	i64 := NewInt64("a", []int64{1, 2})
+	cases := []struct {
+		col  Column
+		want string
+	}{
+		{i64, "plain"},
+		{NewFloat64("f", []float64{1}), "plain"},
+		{NewDate("d", []int32{1}), "plain"},
+		{NewString("s", []string{"x"}), "dict"},
+		{CompressInt64(i64), "bitpack"},
+		{CompressDate(NewDate("d", []int32{1, 2})), "bitpack"},
+	}
+	for _, tc := range cases {
+		if got := Encoding(tc.col); got != tc.want {
+			t.Fatalf("Encoding(%T) = %q, want %q", tc.col, got, tc.want)
+		}
+	}
+}
+
+// TestDecompressedBytesMetering: every Decompress adds the materialized byte
+// count to the process-wide counter; code-domain scans add nothing.
+func TestDecompressedBytesMetering(t *testing.T) {
+	vals := make([]int64, 256)
+	for i := range vals {
+		vals[i] = int64(i / 29) // clustered: real runs of equal values
+	}
+	bp := CompressInt64(NewInt64("k", vals))
+	cd := CompressDate(NewDate("d", []int32{1, 2, 3, 4}))
+
+	before := DecompressedBytes()
+	dense, sparse := make([]int32, 100), []int32{3, 131, 140, 255}
+	for i := range dense {
+		dense[i] = int32(20 + i)
+	}
+	for _, sel := range []PosList{All(len(vals)), Positions(dense), Positions(sparse)} {
+		Scan(bp, Interval[int64]{Lo: 2, Hi: 5}, sel, nil)
+	}
+	if got := DecompressedBytes(); got != before {
+		t.Fatalf("code-domain scans metered %d bytes", got-before)
+	}
+
+	bp.Decompress()
+	if got := DecompressedBytes() - before; got != 256*8 {
+		t.Fatalf("bitpack decompress metered %d bytes, want %d", got, 256*8)
+	}
+	before = DecompressedBytes()
+	cd.Decompress()
+	if got := DecompressedBytes() - before; got != 4*4 {
+		t.Fatalf("date decompress metered %d bytes, want %d", got, 4*4)
 	}
 }

@@ -268,22 +268,5 @@ func FuzzPackedGather(f *testing.F) {
 		}
 		gd := CompressDate(NewDate("d", dates)).Gather(pos).(*CompressedDateColumn)
 		assertEncodes(t, "date Gather", &gd.packed, wantDates)
-
-		// RLE: a contiguous range may be served by Slice only because the
-		// slice weighs what the re-encoded gather weighs.
-		if contiguous {
-			runs := make([]int64, len(window))
-			for i := range runs {
-				runs[i] = window[i/(1+int(mode)%7)] % 3
-			}
-			rle := CompressRLE("r", runs)
-			p0 := int(pos[0])
-			r, ok := GatherRange(rle, p0, p0+len(pos))
-			re := rle.Gather(pos)
-			if !ok || r.Bytes() != re.Bytes() || r.Len() != re.Len() ||
-				!slices.Equal(Materialized(r).(*Int64Column).Values, Materialized(re).(*Int64Column).Values) {
-				t.Fatalf("RLE GatherRange(%d,%d) differs from Gather: %d B vs %d B", p0, p0+len(pos), r.Bytes(), re.Bytes())
-			}
-		}
 	})
 }

@@ -4,10 +4,10 @@ package column
 // an Interval of the column's value domain, and Scan finds the rows of a
 // selection — a row range or an ascending list — whose stored value lies in
 // it, reading the column's encoding in place: a dense array is compared value
-// by value, a run-length column run by run, and a bit-packed column block by
-// block — every frame-of-reference block knows its minimum and (from the bit
-// width) a conservative maximum, so whole blocks are skipped or taken on
-// their header and only straddling blocks are decoded, into a stack buffer.
+// by value and a bit-packed column block by block — every frame-of-reference
+// block knows its minimum and (from the bit width) a conservative maximum, so
+// whole blocks are skipped or taken on their header and only straddling
+// blocks are decoded, into a stack buffer.
 // This is what makes compressed filters faster than decompress-then-filter on
 // clustered data, not merely equal. No kernel branches on a comparison: the
 // candidate row is stored at the output cursor either way and the cursor
@@ -229,14 +229,12 @@ func noteDecompressed(n int64) { decompressedBytes.Add(n) }
 func DecompressedBytes() int64 { return decompressedBytes.Load() }
 
 // Encoding names the physical encoding of a column for plans and traces:
-// "plain", "dict" (order-preserving string dictionary), "bitpack"
-// (frame-of-reference bit packing), or "rle" (run-length encoding).
+// "plain", "dict" (order-preserving string dictionary) or "bitpack"
+// (frame-of-reference bit packing).
 func Encoding(c Column) string {
 	switch c.(type) {
 	case *CompressedInt64Column, *CompressedDateColumn:
 		return "bitpack"
-	case *RLEInt64Column:
-		return "rle"
 	case *StringColumn:
 		return "dict"
 	default:

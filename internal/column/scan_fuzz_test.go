@@ -9,13 +9,14 @@ import (
 // FuzzScan holds the one scan entry point to the value-at-a-time reference
 // (brute) over the decoded values, for every encoding — plain int64, dates,
 // dictionary codes, floats, frame-of-reference blocks of every width from 0
-// to 64 under both packed types, runs and a view of runs — against arbitrary
+// to 64 under both packed types and a view of packed blocks — against arbitrary
 // intervals and their complements (points, ranges, empty, everything, bounds
 // at both ends of int64) over both arms of a selection: an arbitrary row
-// window, which as a rule starts and ends inside a block and inside a run, and
-// an ascending explicit list of rows of that window, drawn by repeating a bit
-// pattern over it — so empty, a single row, every row, sixty rows in a row
-// inside one block and single rows blocks apart are each a few bytes.
+// window, which as a rule starts and ends inside a block and inside a run of
+// equal values, and an ascending explicit list of rows of that window, drawn
+// by repeating a bit pattern over it — so empty, a single row, every row,
+// sixty rows in a row inside one block and single rows blocks apart are each
+// a few bytes.
 func FuzzScan(f *testing.F) {
 	f.Add(int64(1), uint16(1000), uint8(12), int64(0), uint8(0), uint16(0), uint16(1000), int64(100), int64(900), false, []byte{0x55})
 	f.Add(int64(2), uint16(700), uint8(64), int64(math.MinInt64), uint8(3), uint16(130), uint16(650), int64(math.MinInt64), int64(-1), true, []byte{0xff})
@@ -80,8 +81,8 @@ func FuzzScan(f *testing.F) {
 			}
 		}
 		plain := NewInt64("x", vals)
-		rle := CompressInt64RLE(plain)
-		ints := map[string]Column{"plain": plain, "packed": CompressInt64(plain), "runs": rle}
+		packed := CompressInt64(plain)
+		ints := map[string]Column{"plain": plain, "packed": packed}
 		days := map[string]Column{"dates": NewDate("d", dates), "packed dates": CompressDate(NewDate("d", dates))}
 		strs, flts := NewStringFromDict("s", dict, codes), NewFloat64("f", floats)
 		for _, iv := range ivs {
@@ -93,10 +94,13 @@ func FuzzScan(f *testing.F) {
 			}
 			check("codes", strs, codeVals, iv, lo, hi)
 			check("floats", flts, floats, iv, lo, hi)
-			// A view of the runs, and a window inside the view.
-			a := rng.Intn(hi - lo + 1)
-			b := a + rng.Intn(hi-lo-a+1)
-			check("view of runs", rle.Slice(lo, hi), vals[lo:hi], iv, a, b)
+			// A view of the blocks the window overlaps, and a window inside
+			// the view.
+			from := lo - lo%blockSize
+			view, _ := GatherRange(packed, from, hi)
+			a := rng.Intn(hi - from + 1)
+			b := a + rng.Intn(hi-from-a+1)
+			check("view of packed", view, vals[from:hi], iv, a, b)
 		}
 	})
 }

@@ -79,15 +79,6 @@ func (c OpClass) String() string {
 	}
 }
 
-// OpClasses lists all operator classes.
-func OpClasses() []OpClass {
-	out := make([]OpClass, numOpClasses)
-	for i := range out {
-		out[i] = OpClass(i)
-	}
-	return out
-}
-
 // Params holds the calibrated physical constants of the simulated machine.
 type Params struct {
 	// Throughput is processing rate in bytes/second per (class, processor).

@@ -1,9 +1,6 @@
 package cost
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Model is an online-learned linear cost model t = a + b·bytes for one
 // (operator class, processor) pair, the role HyPE's learned models play in
@@ -99,15 +96,4 @@ func (l *Learner) Observe(class OpClass, kind ProcKind, bytes int64, d time.Dura
 // Estimate predicts the execution time of class over bytes on kind.
 func (l *Learner) Estimate(class OpClass, kind ProcKind, bytes int64) time.Duration {
 	return l.Model(class, kind).Estimate(bytes)
-}
-
-// String summarizes the learner's state for diagnostics.
-func (l *Learner) String() string {
-	total := 0
-	for _, byClass := range l.models {
-		for _, m := range byClass {
-			total += m.n
-		}
-	}
-	return fmt.Sprintf("learner(%d observations)", total)
 }

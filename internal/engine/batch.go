@@ -77,7 +77,7 @@ func (c *batchCol) get(ctx *Ctx) column.Column {
 
 // footprint reports what a gather of c weighs, width bytes a row plus extra,
 // where that does not depend on the rows gathered: the four plain layouts.
-// A bit-packed or run-length gather re-encodes, so only doing it tells.
+// A bit-packed gather re-encodes, so only doing it tells.
 func footprint(c column.Column) (width, extra int64, ok bool) {
 	switch c.(type) {
 	case *column.Int64Column, *column.Float64Column, *column.DateColumn, *column.StringColumn:

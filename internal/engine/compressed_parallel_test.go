@@ -4,8 +4,8 @@ package engine
 // that scans, joins, or aggregates encoded columns in place must produce
 // results bit-identical to the decompress-first reference at every pool
 // size — the compressed fast paths are an optimization, never a semantic
-// fork. Values are integer and bounded so the RLE sum fold (v*runLength)
-// is exact and the comparison is equality, not tolerance.
+// fork. Values are integer and bounded so the sum fold is exact and the
+// comparison is equality, not tolerance.
 
 import (
 	"fmt"
@@ -22,8 +22,9 @@ import (
 var raceBuild bool
 
 // compressedPair builds a compressed batch and its decompress-first twin
-// from one seeded value set: a bit-packed key, an RLE grouping column with
-// real runs, a bit-packed date, and a dictionary string column.
+// from one seeded value set: a bit-packed key, a bit-packed grouping column
+// of long runs (blocks a scan decides on their header), a bit-packed date,
+// and a dictionary string column.
 func compressedPair(t *testing.T, seed int64, n int) (comp, plain *Batch) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -34,13 +35,13 @@ func compressedPair(t *testing.T, seed int64, n int) (comp, plain *Batch) {
 	names := []string{"ada", "bern", "caen", "dijon", "essen"}
 	for i := range keys {
 		keys[i] = int64(rng.Intn(500))
-		grps[i] = int64((i >> 6) % 13) // 64-long runs → genuine RLE
+		grps[i] = int64((i >> 6) % 13) // 64-long runs: constant blocks
 		dates[i] = int32(20200101 + rng.Intn(365))
 		cities[i] = names[rng.Intn(len(names))]
 	}
 	comp, err := NewBatch(
 		column.CompressInt64(column.NewInt64("ck", keys)),
-		column.CompressRLE("grp", grps),
+		column.CompressInt64(column.NewInt64("grp", grps)),
 		column.CompressDate(column.NewDate("d", dates)),
 		column.NewString("city", cities),
 	)
@@ -76,8 +77,8 @@ func assertMaterializedEqual(t *testing.T, label string, got, want *Batch) {
 	}
 }
 
-// TestCompressedFilterWorkerInvariance: code-domain scans over bit-packed,
-// RLE, and compressed date columns select exactly the rows the value-domain
+// TestCompressedFilterWorkerInvariance: code-domain scans over bit-packed
+// integer and date columns select exactly the rows the value-domain
 // reference selects, at every worker count.
 func TestCompressedFilterWorkerInvariance(t *testing.T) {
 	n := 3*par.DefaultMorselRows + 123
@@ -124,7 +125,7 @@ func TestCompressedSelectWorkerInvariance(t *testing.T) {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		assertMaterializedEqual(t, fmt.Sprintf("select workers=%d", w), got, want)
-		for name, enc := range map[string]string{"ck": "bitpack", "grp": "rle", "d": "bitpack", "city": "dict"} {
+		for name, enc := range map[string]string{"ck": "bitpack", "grp": "bitpack", "d": "bitpack", "city": "dict"} {
 			if e := column.Encoding(got.MustColumn(name)); e != enc {
 				t.Fatalf("workers=%d: select materialized %s to %q, want stored encoding %q", w, name, e, enc)
 			}
@@ -132,8 +133,8 @@ func TestCompressedSelectWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestCompressedGroupByWorkerInvariance: a group-by reading run-length and
-// bit-packed keys and inputs a block at a time, and its parallel merge,
+// TestCompressedGroupByWorkerInvariance: a group-by reading bit-packed keys
+// and inputs a block at a time, and its parallel merge,
 // produce exactly the reference groups and integer sums at every worker
 // count.
 func TestCompressedGroupByWorkerInvariance(t *testing.T) {

@@ -70,8 +70,8 @@ func sameColumn(a, b column.Column) bool {
 }
 
 // mixedRelation is n random rows in every layout a batch can carry: the four
-// plain ones, whose gathers may wait, and bit-packed and run-length ones,
-// whose gathers may not.
+// plain ones, whose gathers may wait, and bit-packed ones, whose gathers may
+// not.
 func mixedRelation(rng *rand.Rand, n int) []column.Column {
 	ints, runs := make([]int64, n), make([]int64, n)
 	floats := make([]float64, n)
@@ -95,7 +95,7 @@ func mixedRelation(rng *rand.Rand, n int) []column.Column {
 		column.NewString("s", strs),
 		column.CompressInt64(column.NewInt64("packed", ints)),
 		column.CompressDate(column.NewDate("pdate", dates)),
-		column.CompressInt64RLE(column.NewInt64("rle", runs)),
+		column.CompressInt64(column.NewInt64("runs", runs)),
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // filterBatch extends randomBatch (plain int64, float, date and dictionary
 // string columns) to every storage encoding a predicate can meet: the two
-// bit-packed types over the same keys and dates, and a run-length column
-// with runs that straddle morsels.
+// bit-packed types over the same keys and dates, and a bit-packed column of
+// runs that straddle morsels.
 func filterBatch(t *testing.T, seed int64, n int) *Batch {
 	t.Helper()
 	b := randomBatch(t, seed, n)
@@ -23,7 +23,7 @@ func filterBatch(t *testing.T, seed int64, n int) *Batch {
 	return MustNewBatch(append(b.Columns(),
 		column.CompressInt64(column.NewInt64("ck", b.MustColumn("k").(*column.Int64Column).Values)),
 		column.CompressDate(column.NewDate("cd", b.MustColumn("d").(*column.DateColumn).Values)),
-		column.CompressRLE("grp", grps))...)
+		column.CompressInt64(column.NewInt64("grp", grps)))...)
 }
 
 // TestFilterRangePartitions states once the property the morsel scheduler,

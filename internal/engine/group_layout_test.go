@@ -37,11 +37,11 @@ func groupKeyColumn(rng *rand.Rand, kind, name string, n int) groupKey {
 		return intKey(column.NewInt64(name, ints), d)
 	case "packed":
 		return intKey(column.CompressInt64(column.NewInt64(name, ints)), d)
-	case "rle":
+	case "runs": // long runs of equal keys, bit-packed
 		for i := range ints {
 			ints[i] = int64(i / (1 + n/(2*d)) % d)
 		}
-		return intKey(column.CompressRLE(name, ints), d)
+		return intKey(column.CompressInt64(column.NewInt64(name, ints)), d)
 	case "date", "pdate":
 		days := make([]int32, n)
 		for i := range days {
@@ -151,7 +151,7 @@ func refGroupBy(keys []groupKey, vals []float64) (first []int32, aggs [5][]float
 // produce the reference's groups in the reference's order with the
 // reference's float bits, for all five aggregates at every worker count.
 func TestGroupLayoutsAgree(t *testing.T) {
-	kinds := []string{"int", "packed", "rle", "date", "pdate", "string", "ends", "wide", "float"}
+	kinds := []string{"int", "packed", "runs", "date", "pdate", "string", "ends", "wide", "float"}
 	relations := [][]string{{}, {"wide", "wide", "wide"}, {"float", "int"}, {"int", "float", "ends"}, {"ends"}, {"float"}}
 	rng := rand.New(rand.NewSource(21))
 	for len(relations) < 40 {

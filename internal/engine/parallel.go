@@ -127,7 +127,7 @@ func gatherRows[T any](ctx *Ctx, src []T, pos []int32) []T {
 // sharing pos with the others of its kind. A pending column stays pending
 // through the composition of its list with pos, written once for all the
 // columns that shared the list, so its source is still a held column however
-// long the chain. Only a bit-packed or run-length column under a list (or a
+// long the chain. Only a bit-packed column under a list (or a
 // range no view can give) is gathered now, through ctx: the footprint of its
 // re-encoded rows is not known before they are (footprint).
 func (b *Batch) GatherCtx(ctx *Ctx, pos column.PosList) *Batch {

@@ -78,8 +78,6 @@ func comparator(c column.Column) (func(i, j int32) int, error) {
 		return func(i, j int32) int { return cmp64(c.Value(int(i)), c.Value(int(j))) }, nil
 	case *column.CompressedDateColumn:
 		return func(i, j int32) int { return cmp64(int64(c.Value(int(i))), int64(c.Value(int(j)))) }, nil
-	case *column.RLEInt64Column:
-		return func(i, j int32) int { return cmp64(c.Value(int(i)), c.Value(int(j))) }, nil
 	default:
 		return nil, fmt.Errorf("column %s has unsortable type %T", c.Name(), c)
 	}

@@ -260,9 +260,9 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		cfg.Faults.WrapMemory(s, e.Heap)
 		cfg.Faults.WrapBus(s, e.Bus)
 	}
-	// Mirror cache statistics into the atomic registry at mutation time so
-	// live monitoring (and the thrashing detector's windows) can read them
-	// from other goroutines while the simulator runs.
+	// The cache counts straight into the atomic registry, at mutation time,
+	// so live monitoring (and the thrashing detector's windows) can read the
+	// statistics from other goroutines while the simulator runs.
 	e.Cache.SetStats(cache.Stats{
 		Hits:          e.Metrics.CacheHits,
 		Misses:        e.Metrics.CacheMisses,

@@ -219,7 +219,7 @@ func TestTinyCacheStreamsThroughHeap(t *testing.T) {
 	if e.Metrics.GPUOperators.Load() != 3 {
 		t.Fatalf("ops should run on GPU by streaming, got %d", e.Metrics.GPUOperators.Load())
 	}
-	if e.Cache.FailedInserts() == 0 {
+	if e.Metrics.CacheFailedInserts.Load() == 0 {
 		t.Fatal("expected failed cache inserts")
 	}
 	if e.Heap.Used() != 0 {

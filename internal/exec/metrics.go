@@ -64,7 +64,7 @@ type Metrics struct {
 	// merely slower), but the failure must not vanish.
 	PreloadErrors *trace.Counter
 
-	// Cache statistics, mirrored from the column cache at mutation time so
+	// Cache statistics, counted here by the column cache at mutation time so
 	// the live observability surface reads them atomically while the
 	// simulator runs (the cache itself is single-threaded).
 

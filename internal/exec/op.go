@@ -3,8 +3,6 @@ package exec
 import (
 	"fmt"
 	"log/slog"
-	"sort"
-	"strings"
 	"time"
 
 	"robustdb/internal/bus"
@@ -168,29 +166,19 @@ func (e *Engine) traceOp(q *query, n *plan.Node, kind cost.ProcKind, attempt int
 	})
 }
 
-// compressionModes summarizes the compressed encodings of the base columns
-// the operator reads ("bitpack", "rle", "bitpack+rle"). Plain and
-// dictionary storage report nothing: dictionaries predate compressed
-// execution, so only genuinely compressed scans annotate their spans (and
-// goldens from uncompressed databases stay stable).
+// compressionModes is "bitpack" when a base column the operator reads is
+// bit-packed. Plain and dictionary storage report nothing: dictionaries
+// predate compressed execution, so only genuinely compressed scans annotate
+// their spans (and goldens from uncompressed databases stay stable).
 func (e *Engine) compressionModes(n *plan.Node) string {
-	var modes []string
-	seen := make(map[string]bool)
 	for _, id := range n.Op.BaseColumns() {
-		c, err := e.Cat.Column(id)
-		if err != nil {
-			continue // placement-level concern; traceOp stays best-effort
-		}
-		switch enc := column.Encoding(c); enc {
-		case "bitpack", "rle":
-			if !seen[enc] {
-				seen[enc] = true
-				modes = append(modes, enc)
-			}
+		// A column the catalog cannot resolve is a placement-level concern;
+		// traceOp stays best-effort.
+		if c, err := e.Cat.Column(id); err == nil && column.Encoding(c) == "bitpack" {
+			return "bitpack"
 		}
 	}
-	sort.Strings(modes)
-	return strings.Join(modes, "+")
+	return ""
 }
 
 // runOnGPU executes n on the co-processor. A non-abortNone return means the

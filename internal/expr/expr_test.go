@@ -434,7 +434,7 @@ func TestIntegerComparisonsAtTheExtremes(t *testing.T) {
 	dates := []int32{math.MinInt32, -1, 0, 7, math.MaxInt32}
 	ints := column.NewInt64("x", vals)
 	days := column.NewDate("x", dates)
-	for _, col := range []column.Column{ints, column.Compress(ints), column.CompressInt64RLE(ints), days, column.Compress(days)} {
+	for _, col := range []column.Column{ints, column.Compress(ints), days, column.Compress(days)} {
 		r := resolver(col)
 		for _, v := range []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt32 - 1, math.MinInt32, 0, 7,
 			math.MaxInt32, math.MaxInt32 + 1, math.MaxInt64 - 1, math.MaxInt64} {
@@ -491,7 +491,7 @@ func TestEvalOverRowRanges(t *testing.T) {
 	}
 	ints := column.NewInt64("i", vals)
 	resolve, _ := resolver(ints, column.NewString("s", strs), column.NewFloat64("f", flts),
-		column.CompressInt64(column.NewInt64("p", vals)), column.CompressInt64RLE(column.NewInt64("r", vals))).all()
+		column.CompressInt64(column.NewInt64("p", vals)), column.CompressInt64(column.NewInt64("r", vals))).all()
 	for _, p := range []Predicate{
 		NewCmp("i", LT, 20), NewCmp("s", GE, "k"), NewCmp("s", NE, "kk"), NewCmp("f", GT, 0.5), NewCmp("p", NE, 7),
 		NewBetween("r", 10, 30), NewBetween("s", "c", "m"), NewIn("p", 1, 2, 3), NewCmpCols("i", LE, "f"),

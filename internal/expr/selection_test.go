@@ -42,7 +42,7 @@ func randomRelation(rng *rand.Rand, n int) *relation {
 	}
 	r.cols = resolver(
 		column.NewInt64("i", r.ints["i"]), column.NewInt64("g", r.ints["g"]),
-		column.CompressInt64(column.NewInt64("p", r.ints["p"])), column.CompressRLE("r", r.ints["r"]),
+		column.CompressInt64(column.NewInt64("p", r.ints["p"])), column.CompressInt64(column.NewInt64("r", r.ints["r"])),
 		column.NewDate("d", days), column.CompressDate(column.NewDate("e", days)),
 		column.NewFloat64("f", r.floats["f"]), column.NewFloat64("h", r.floats["h"]), column.NewString("s", r.strs))
 	return r
@@ -232,7 +232,6 @@ func TestCmpColsComparesIntegersExactly(t *testing.T) {
 	for label, cols := range map[string]testCols{
 		"plain":      resolver(plainA, plainB),
 		"bit-packed": resolver(column.Compress(plainA), column.Compress(plainB)),
-		"runs":       resolver(column.CompressInt64RLE(plainA), column.CompressInt64RLE(plainB)),
 		"mixed":      resolver(plainA, column.Compress(plainB)),
 	} {
 		for op := EQ; op <= GE; op++ {

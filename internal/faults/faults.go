@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"math/rand"
 	"time"
 )
@@ -127,9 +126,6 @@ func sortDurations(ds []time.Duration) {
 		}
 	}
 }
-
-// Config returns the schedule the injector was built from.
-func (i *Injector) Config() Config { return i.cfg }
 
 // logInject emits one debug record for an injected fault; a nil or
 // level-gated logger makes it a cheap no-op.
@@ -240,12 +236,3 @@ func (i *Injector) Counters() Counters {
 
 // PendingResets returns how many scheduled resets have not fired yet.
 func (i *Injector) PendingResets() int { return len(i.resets) }
-
-// ExpectedFaultsPerOp is a rough planning helper: the expected number of
-// injected faults a GPU operator with a allocations and x transfers suffers
-// per attempt. Figures use it to label fault-rate sweeps.
-func (i *Injector) ExpectedFaultsPerOp(allocs, transfers int) float64 {
-	a := 1 - math.Pow(1-i.cfg.AllocFailRate, float64(allocs))
-	x := 1 - math.Pow(1-i.cfg.TransferFailRate, float64(transfers))
-	return a + x
-}

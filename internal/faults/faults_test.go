@@ -195,15 +195,3 @@ func TestOpDelayDefaults(t *testing.T) {
 		t.Fatalf("stuck counter = %d", c.StuckOps)
 	}
 }
-
-func TestExpectedFaultsPerOp(t *testing.T) {
-	i := New(Config{Seed: 1, AllocFailRate: 0.5, TransferFailRate: 0.5})
-	got := i.ExpectedFaultsPerOp(1, 1)
-	if got != 1.0 { // 0.5 + 0.5
-		t.Fatalf("expected faults = %v, want 1.0", got)
-	}
-	zero := New(Config{Seed: 1})
-	if zero.ExpectedFaultsPerOp(10, 10) != 0 {
-		t.Fatal("zero-rate injector must expect zero faults")
-	}
-}

@@ -32,60 +32,70 @@ func macroDeviceConfig(o Options, ssbm bool) exec.Config {
 	return exec.Config{CacheBytes: footprint, HeapBytes: footprint * 2}
 }
 
-type sweepResult struct {
-	xs      []string
-	labels  []string
-	results [][]workload.Result
+// sweepKey names one sweep: which one, over which variant of it (a benchmark,
+// a strategy's label), under which options.
+type sweepKey struct {
+	sweep, variant string
+	o              Options
 }
 
-// Sweeps are deterministic in their options, so figures sharing a sweep
-// (14/15, 18/19/20) reuse one run.
-var sweepCache = map[string]sweepResult{}
+// A sweep is deterministic in its key, so the figures that share one (2/5/6,
+// 3/7/9/12/13, 14/15/16, 18/19/20) run it once.
+var sweeps = map[sweepKey]any{}
 
-func sweepKey(kind string, o Options, ssbm bool) string {
-	return fmt.Sprintf("%s/%d/%d/%d/%v", kind, o.rowsPerSF(macroRowsPerSF), o.reps(0), o.Seed, ssbm)
+// memo returns what run returned the first time the sweep was asked for.
+func memo[T any](key sweepKey, run func() T) T {
+	if v, ok := sweeps[key]; ok {
+		return v.(T)
+	}
+	v := run()
+	sweeps[key] = v
+	return v
+}
+
+// macroSweepRun is a sweep of a full benchmark over xs under every strategy:
+// results[i][j] is run(strategy i, xs[j]).
+func macroSweepRun(sweep string, o Options, ssbm bool, xs []int,
+	run func(strat workload.Strategy, x int) workload.Result) ([]string, []string, [][]workload.Result) {
+	strategies := workload.AllStrategies()
+	labels := make([]string, len(strategies))
+	for i, strat := range strategies {
+		labels[i] = strat.Label
+	}
+	xLabels := make([]string, len(xs))
+	for j, x := range xs {
+		xLabels[j] = fmt.Sprintf("%d", x)
+	}
+	return xLabels, labels, memo(sweepKey{sweep, fmt.Sprint(ssbm), o}, func() [][]workload.Result {
+		results := make([][]workload.Result, len(strategies))
+		for i, strat := range strategies {
+			for _, x := range xs {
+				results[i] = append(results[i], run(strat, x))
+			}
+		}
+		return results
+	})
 }
 
 // sfSweepRun executes the full benchmark workload single-user across the
 // scale-factor sweep for every strategy.
 func sfSweepRun(o Options, ssbm bool) ([]string, []string, [][]workload.Result) {
-	key := sweepKey("sf", o, ssbm)
-	if c, ok := sweepCache[key]; ok {
-		return c.xs, c.labels, c.results
-	}
-	xs, labels, results := sfSweepRunUncached(o, ssbm)
-	sweepCache[key] = sweepResult{xs, labels, results}
-	return xs, labels, results
-}
-
-func sfSweepRunUncached(o Options, ssbm bool) ([]string, []string, [][]workload.Result) {
 	cfg := macroDeviceConfig(o, ssbm)
 	rows := o.rowsPerSF(macroRowsPerSF)
-	strategies := workload.AllStrategies()
-	labels := make([]string, len(strategies))
-	results := make([][]workload.Result, len(strategies))
-	var xs []string
-	for _, sf := range sfSweep {
-		xs = append(xs, fmt.Sprintf("%d", sf))
-	}
-	for i, strat := range strategies {
-		labels[i] = strat.Label
-		for _, sf := range sfSweep {
-			var cat = ssbCatalog(sf, rows, o.Seed)
-			queries := ssbWorkload()
-			if !ssbm {
-				cat = tpchCatalog(sf, rows, o.Seed)
-				queries = tpchWorkload()
-			}
-			spec := workload.Spec{
-				Queries:      queries,
-				Users:        1,
-				TotalQueries: len(queries) * o.reps(2),
-			}
-			results[i] = append(results[i], mustRun(cat, cfg, strat, spec))
+	return macroSweepRun("sf", o, ssbm, sfSweep, func(strat workload.Strategy, sf int) workload.Result {
+		var cat = ssbCatalog(sf, rows, o.Seed)
+		queries := ssbWorkload()
+		if !ssbm {
+			cat = tpchCatalog(sf, rows, o.Seed)
+			queries = tpchWorkload()
 		}
-	}
-	return xs, labels, results
+		spec := workload.Spec{
+			Queries:      queries,
+			Users:        1,
+			TotalQueries: len(queries) * o.reps(2),
+		}
+		return mustRun(cat, cfg, strat, spec)
+	})
 }
 
 func figureFromResults(id, title, xlabel, ylabel string, xs, labels []string,
@@ -213,16 +223,6 @@ var userSweep = []int{1, 2, 5, 10, 15, 20}
 // userSweepRun executes the full workload at SF 10 with a fixed total of
 // 100 queries distributed over a growing number of users.
 func userSweepRun(o Options, ssbm bool) ([]string, []string, [][]workload.Result) {
-	key := sweepKey("user", o, ssbm)
-	if c, ok := sweepCache[key]; ok {
-		return c.xs, c.labels, c.results
-	}
-	xs, labels, results := userSweepRunUncached(o, ssbm)
-	sweepCache[key] = sweepResult{xs, labels, results}
-	return xs, labels, results
-}
-
-func userSweepRunUncached(o Options, ssbm bool) ([]string, []string, [][]workload.Result) {
 	rows := o.rowsPerSF(macroRowsPerSF)
 	cfg := macroDeviceConfig(o, ssbm)
 	var cat = ssbCatalog(10, rows, o.Seed)
@@ -231,22 +231,10 @@ func userSweepRunUncached(o Options, ssbm bool) ([]string, []string, [][]workloa
 		cat = tpchCatalog(10, rows, o.Seed)
 		queries = tpchWorkload()
 	}
-	strategies := workload.AllStrategies()
-	labels := make([]string, len(strategies))
-	results := make([][]workload.Result, len(strategies))
-	var xs []string
-	for _, u := range userSweep {
-		xs = append(xs, fmt.Sprintf("%d", u))
-	}
 	total := o.reps(1) * 100
-	for i, strat := range strategies {
-		labels[i] = strat.Label
-		for _, users := range userSweep {
-			spec := workload.Spec{Queries: queries, Users: users, TotalQueries: total}
-			results[i] = append(results[i], mustRun(cat, cfg, strat, spec))
-		}
-	}
-	return xs, labels, results
+	return macroSweepRun("user", o, ssbm, userSweep, func(strat workload.Strategy, users int) workload.Result {
+		return mustRun(cat, cfg, strat, workload.Spec{Queries: queries, Users: users, TotalQueries: total})
+	})
 }
 
 // Fig18 reproduces Figure 18: workload time versus parallel users (SF 10).

@@ -36,19 +36,24 @@ func cacheSweep(o Options, strat workload.Strategy) ([]string, []float64, []floa
 	cat := ssbCatalog(microSF, rows, o.Seed)
 	spec := serialSelectionSpec(o.reps(10))
 	fractions := []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0, 1.125}
+	results := memo(sweepKey{"cache", strat.Label, o}, func() (results []workload.Result) {
+		for _, f := range fractions {
+			cfg := exec.Config{
+				CacheBytes: int64(f * float64(workingSet)),
+				// The heap is not the contended resource in this experiment:
+				// size it for the streaming fallback of a single operator.
+				HeapBytes: workingSet * 8,
+			}
+			results = append(results, mustRun(cat, cfg, strat, spec))
+		}
+		return results
+	})
 	var xs []string
 	var times, transfers []float64
-	for _, f := range fractions {
-		cfg := exec.Config{
-			CacheBytes: int64(f * float64(workingSet)),
-			// The heap is not the contended resource in this experiment:
-			// size it for the streaming fallback of a single operator.
-			HeapBytes: workingSet * 8,
-		}
-		res := mustRun(cat, cfg, strat, spec)
+	for i, f := range fractions {
 		xs = append(xs, fmt.Sprintf("%.3f", f))
-		times = append(times, ms(res.WorkloadTime))
-		transfers = append(transfers, ms(res.H2DTime))
+		times = append(times, ms(results[i].WorkloadTime))
+		transfers = append(transfers, ms(results[i].H2DTime))
 	}
 	return xs, times, transfers
 }
@@ -171,14 +176,16 @@ func parallelSelectionRun(o Options, strat workload.Strategy) ([]string, []workl
 	}
 	total := o.reps(1) * 100
 	var xs []string
-	var results []workload.Result
 	for _, users := range parallelUsers {
-		spec := workload.Spec{Queries: queries, Users: users, TotalQueries: total}
-		res := mustRun(cat, params, strat, spec)
 		xs = append(xs, fmt.Sprintf("%d", users))
-		results = append(results, res)
 	}
-	return xs, results
+	return xs, memo(sweepKey{"parallel-selection", strat.Label, o}, func() (results []workload.Result) {
+		for _, users := range parallelUsers {
+			spec := workload.Spec{Queries: queries, Users: users, TotalQueries: total}
+			results = append(results, mustRun(cat, params, strat, spec))
+		}
+		return results
+	})
 }
 
 func timesOf(results []workload.Result) []float64 {

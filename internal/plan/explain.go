@@ -19,7 +19,7 @@ const ExplainVersion = 1
 // ExplainColumn is one base column a node reads, with its stored encoding.
 type ExplainColumn struct {
 	Name     string `json:"name"`
-	Encoding string `json:"encoding"` // plain | dict | bitpack | rle
+	Encoding string `json:"encoding"` // plain | dict | bitpack
 	Bytes    int64  `json:"bytes"`
 }
 

@@ -152,8 +152,8 @@ func (o *ScanOp) FilterChunk(ectx *engine.Ctx, cat *table.Catalog, lo, hi int) (
 		return column.Range(lo, hi), nil
 	}
 	// The filter kernel reads the table's columns in their stored encoding:
-	// compressed columns are scanned in the code domain (block skipping, run
-	// comparisons) over the chunk's rows without ever materializing.
+	// compressed columns are scanned in the code domain (block skipping)
+	// over the chunk's rows without ever materializing.
 	return engine.FilterRange(ectx, t, o.Pred, lo, hi)
 }
 

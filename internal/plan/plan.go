@@ -8,6 +8,7 @@ package plan
 import (
 	"fmt"
 
+	"robustdb/internal/column"
 	"robustdb/internal/cost"
 	"robustdb/internal/engine"
 	"robustdb/internal/table"
@@ -99,18 +100,6 @@ func (p *Plan) Leaves() []*Node {
 	return out
 }
 
-// Parent returns the parent of n in the plan (nil for the root).
-func (p *Plan) Parent(n *Node) *Node {
-	for _, cand := range p.nodes {
-		for _, c := range cand.Children {
-			if c == n {
-				return cand
-			}
-		}
-	}
-	return nil
-}
-
 // BaseColumns returns the set of base columns the whole plan reads, in
 // first-use order.
 func (p *Plan) BaseColumns() []table.ColumnID {
@@ -125,6 +114,37 @@ func (p *Plan) BaseColumns() []table.ColumnID {
 		}
 	}
 	return out
+}
+
+// CheckOnEmpty runs the plan once over no rows — each leaf scan filters the
+// empty row range and materializes the empty selection, every other operator
+// executes on its children's empty batches — and returns the first error. The
+// kernels hold every type rule and check it before they touch a row (an
+// operand handed the empty selection scans nothing but still resolves its
+// column and checks its constant, expr.And), so a statement that fails here
+// is one that would fail on the data, and the planner keeps no second copy
+// of the rules.
+func (p *Plan) CheckOnEmpty(cat *table.Catalog) error {
+	out := make([]*engine.Batch, len(p.nodes))
+	for _, n := range p.nodes { // post-order: children first
+		var err error
+		if leaf, ok := n.Op.(ChunkableOp); ok {
+			var none column.PosList
+			if none, err = leaf.FilterChunk(nil, cat, 0, 0); err == nil {
+				out[n.id], err = leaf.MaterializeResult(nil, cat, none)
+			}
+		} else {
+			inputs := make([]*engine.Batch, len(n.Children))
+			for i, c := range n.Children {
+				inputs[i] = out[c.id]
+			}
+			out[n.id], err = n.Op.Execute(nil, cat, inputs)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // String renders the plan as an indented tree.

@@ -750,8 +750,6 @@ func cellValue(c column.Column, i int) any {
 		return col.Value(i)
 	case *column.CompressedDateColumn:
 		return col.Value(i)
-	case *column.RLEInt64Column:
-		return col.Value(i)
 	default:
 		// Materialized flattens any remaining encoding into its dense form.
 		return cellValue(column.Materialized(c), i)

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -159,6 +160,42 @@ func TestHTTPWireStatuses(t *testing.T) {
 
 	wantStatus(post(`{"sql":"SELECT FROM"}`), http.StatusBadRequest, "bad-request")
 	wantStatus(post(`{}`), http.StatusBadRequest, "bad-request")
+
+	// Statements that parse but that the kernels would refuse — and one that
+	// names a column no group has one value of — are the client's fault: 400
+	// on every surface, before admission, and never cached.
+	reg := s.Engine().Metrics.Registry()
+	admitted, failed, hits := reg.Counter("ServerAdmitted"), reg.Counter("ServerQueryErrors"), reg.Counter("PlancacheHits")
+	admitted0, failed0, hits0 := admitted.Load(), failed.Load(), hits.Load()
+	for _, q := range []string{
+		"SELECT SUM(lo_revenue/0) FROM lineorder",
+		"SELECT MIN(c_city) FROM customer",
+		"SELECT SUM(c_city) FROM customer",
+		"SELECT SUM(lo_revenue * c_city) FROM lineorder, customer WHERE lo_custkey = c_custkey",
+		"SELECT COUNT(*) FROM customer WHERE c_city BETWEEN 5 AND 7",
+		"SELECT COUNT(*) FROM customer WHERE c_city = 5",
+		"SELECT COUNT(*) FROM lineorder WHERE lo_quantity = 'x'",
+		"SELECT COUNT(*) FROM lineorder WHERE lo_quantity IN (1, 'a')",
+		"SELECT COUNT(*) FROM lineorder WHERE lo_orderdate < 2.5",
+		"SELECT COUNT(*) FROM lineorder, customer WHERE lo_custkey = c_city",
+		"SELECT COUNT(*) FROM lineorder ORDER BY nope",
+		"SELECT lo_quantity, COUNT(*) FROM lineorder GROUP BY lo_quantity ORDER BY zzz LIMIT 2",
+		"SELECT c_city, SUM(lo_revenue) FROM lineorder, customer WHERE lo_custkey = c_custkey GROUP BY c_nation",
+	} {
+		body, _ := json.Marshal(server.QueryRequest{SQL: q})
+		for _, path := range []string{"/v1/query", "/v1/explain", "/v1/explain?analyze=1"} {
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+			t.Log(path, q)
+			wantStatus(resp, http.StatusBadRequest, "bad-request")
+		}
+	}
+	if admitted.Load() != admitted0 || failed.Load() != failed0 || hits.Load() != hits0 {
+		t.Fatalf("refused statements moved admitted %d → %d, query errors %d → %d, plan-cache hits %d → %d",
+			admitted0, admitted.Load(), failed0, failed.Load(), hits0, hits.Load())
+	}
 
 	// A body past the 1 MiB limit is cut off, not buffered: typed 413 on both
 	// endpoints that read one.

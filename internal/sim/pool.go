@@ -45,15 +45,6 @@ func (r *Pool) Acquire(p *Proc) {
 	// Token was transferred by Release; inUse is unchanged.
 }
 
-// TryAcquire takes a token if one is free and reports whether it did.
-func (r *Pool) TryAcquire() bool {
-	if r.inUse < r.capacity {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns a token. If processes are waiting, the token transfers to
 // the head of the queue, which resumes at the current virtual time.
 func (r *Pool) Release() {
@@ -70,11 +61,4 @@ func (r *Pool) Release() {
 		return
 	}
 	r.inUse--
-}
-
-// Use runs fn while holding one token: acquire, fn, release.
-func (r *Pool) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
 }

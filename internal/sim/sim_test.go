@@ -157,40 +157,6 @@ func TestPoolFIFOAndCounts(t *testing.T) {
 	}
 }
 
-func TestPoolTryAcquire(t *testing.T) {
-	s := New()
-	pool := NewPool(s, "p", 1)
-	if !pool.TryAcquire() {
-		t.Fatal("first TryAcquire should succeed")
-	}
-	if pool.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
-	}
-	pool.Release()
-	if !pool.TryAcquire() {
-		t.Fatal("TryAcquire after release should succeed")
-	}
-	pool.Release()
-}
-
-func TestPoolUse(t *testing.T) {
-	s := New()
-	pool := NewPool(s, "p", 1)
-	ran := false
-	s.Spawn("u", func(p *Proc) {
-		pool.Use(p, func() {
-			if pool.InUse() != 1 {
-				t.Error("token not held inside Use")
-			}
-			ran = true
-		})
-	})
-	s.Run()
-	if !ran || pool.InUse() != 0 {
-		t.Fatal("Use did not run or leak")
-	}
-}
-
 func TestPoolPanics(t *testing.T) {
 	s := New()
 	func() {

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"robustdb/internal/engine"
@@ -23,10 +24,20 @@ func PlanQuery(cat *table.Catalog, query string) (*plan.Plan, error) {
 	return Compile(cat, st)
 }
 
-// Compile turns a parsed statement into a physical plan.
+// Compile turns a parsed statement into a physical plan that has run once
+// over no rows (plan.CheckOnEmpty): a statement the kernels would refuse on
+// the data — a string summed, a number compared with a string, a division by
+// zero, a sort key the result does not have — is refused here.
 func Compile(cat *table.Catalog, st *Statement) (*plan.Plan, error) {
 	c := &compiler{cat: cat, st: st, owner: make(map[string]string)}
-	return c.compile()
+	p, err := c.compile()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.CheckOnEmpty(cat); err != nil {
+		return nil, fmt.Errorf("sql: %w", err)
+	}
+	return p, nil
 }
 
 // joinCond is one equi-join condition between two tables' columns.
@@ -107,7 +118,14 @@ func (c *compiler) compile() (*plan.Plan, error) {
 		needed[tbl][col] = true
 		return nil
 	}
+	// Beside an aggregate or under GROUP BY, a bare column has one value a
+	// group only when the group is keyed by it.
+	aggregated := len(c.st.GroupBy) > 0 ||
+		slices.ContainsFunc(c.st.Items, func(item SelectItem) bool { return item.Agg != "" })
 	for _, item := range c.st.Items {
+		if aggregated && item.Agg == "" && !slices.Contains(c.st.GroupBy, item.Column) {
+			return nil, fmt.Errorf("sql: column %q must appear in GROUP BY or inside an aggregate", item.Column)
+		}
 		cols := item.columns()
 		if item.Agg != "" && item.Agg != "count" && len(cols) == 0 {
 			return nil, fmt.Errorf("sql: %s over a literal is not supported", item.Agg)
@@ -180,7 +198,7 @@ func (c *compiler) compile() (*plan.Plan, error) {
 	if len(c.st.OrderBy) > 0 {
 		keys := make([]engine.SortKey, len(c.st.OrderBy))
 		for i, k := range c.st.OrderBy {
-			keys[i] = engine.SortKey{Col: c.outputName(k.Column), Desc: k.Desc}
+			keys[i] = engine.SortKey{Col: k.Column, Desc: k.Desc}
 		}
 		if c.st.Limit > 0 {
 			current = plan.TopN(current, c.st.Limit, keys...)
@@ -318,17 +336,6 @@ func (c *compiler) compileExpr(current *plan.Node, e Expr, tmp int) (string, *pl
 	default:
 		return name, plan.Compute(current, name, e.Left.Column, op, e.Right.Column), tmp, nil
 	}
-}
-
-// outputName maps an ORDER BY column to the name it has after aggregation
-// (an alias of a select item, or the column itself).
-func (c *compiler) outputName(col string) string {
-	for _, item := range c.st.Items {
-		if item.Alias == col {
-			return col
-		}
-	}
-	return col
 }
 
 // columns lists the columns a select item reads from its input.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,54 +125,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the accumulated observed time.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
-
-// Mean returns the mean observation (0 with no observations).
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sumNS.Load() / n)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) from the
-// bucket boundaries: the smallest bucket upper edge covering q of the
-// observations.
-//
-// Edge semantics, pinned by TestHistogramQuantileEdges:
-//
-//   - No observations: 0, for any q.
-//   - q = 0 (or q < 1/n): the rank target clamps to the first observation,
-//     so the result is the upper edge of the lowest non-empty bucket — a
-//     bound on the minimum, not a degenerate 0.
-//   - q = 1: the upper edge of the highest non-empty bucket — a bound on
-//     the maximum.
-//   - Single observation: every q returns the same edge.
-//   - Saturated top bucket: observations ≥ 2^(histBuckets-2) µs (≈ 18 min
-//     of virtual time) clamp into the last bucket, and any quantile that
-//     lands there reports the top edge, 2^(histBuckets-1) µs. The true
-//     value may be larger; the exporter renders this bucket as +Inf.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	target := int64(q * float64(n))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= target {
-			if i == 0 {
-				return time.Microsecond
-			}
-			return time.Duration(1<<uint(i)) * time.Microsecond
-		}
-	}
-	return time.Duration(1<<uint(histBuckets-1)) * time.Microsecond
-}
 
 // ratioCenter is the bucket index a ratio of exactly 1.0 falls just above:
 // RatioHistogram bucket i covers [2^(i-1-ratioCenter), 2^(i-ratioCenter)),
@@ -494,34 +445,6 @@ func (r *Registry) checkFresh(name, kind string) {
 			panic(fmt.Sprintf("trace: metric %q already registered as a %s", name, k.label))
 		}
 	}
-}
-
-// Names returns every registered metric name, sorted, for diagnostics.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.durations)+len(r.gauges)+
-		len(r.floatGauges)+len(r.histograms)+len(r.ratios))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.durations {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.floatGauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	for n := range r.ratios {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot freezes the current registry state.

@@ -68,10 +68,9 @@ type Span struct {
 	// decode meter is process-wide, so concurrent engines in one process
 	// may cross-attribute; within one engine the attribution is exact).
 	DecompressBytes int64
-	// Compression lists the compressed encodings ("bitpack", "rle",
-	// "bitpack+rle") of the base columns the operator scanned; empty when
-	// the operator read no compressed base columns, so traces from
-	// uncompressed databases keep the earlier format byte-identical.
+	// Compression is "bitpack" when the operator scanned a bit-packed base
+	// column; empty when it read no compressed base columns, so traces
+	// from uncompressed databases keep the earlier format byte-identical.
 	Compression string
 	// PipelineDepth is the buffered-chunk bound of a pipelined operator
 	// attempt (0 for serial attempts, chunk-stage spans, and query spans, so

@@ -320,8 +320,6 @@ func concatBatches(pieces []*engine.Batch) (*engine.Batch, error) {
 				vals = append(vals, column.Materialized(p.Columns()[ci]).(*column.DateColumn).Values...)
 			}
 			cols[ci] = column.CompressDate(column.NewDate(proto.Name(), vals))
-		case *column.RLEInt64Column:
-			cols[ci] = column.CompressInt64RLE(concatInt64(proto.Name(), pieces, ci))
 		default:
 			return nil, fmt.Errorf("vecengine: cannot concatenate column type %T", proto)
 		}
