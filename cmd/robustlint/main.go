@@ -1,37 +1,29 @@
-// Command robustlint runs robustdb's static-analysis pass: repo-specific
-// analyzers that enforce the engine invariants behind the paper's robustness
-// claims — heap balance, virtual-time determinism, surfaced errors, lock
-// discipline, health-guarded GPU placement, and the request-path lifecycle
-// rules (context threading, goroutine joins). It uses only the standard
-// library (go/parser, go/ast, go/types) and is wired into CI.
+// Command robustlint runs robustdb's static-analysis pass: the repo-specific
+// analyzers that each flag a defect go vet, the race detector and the test
+// suite all pass (DESIGN.md §25) — virtual-time determinism, surfaced errors,
+// pool-bounded kernel goroutines, and the request-path lifecycle rules
+// (context threading, goroutine joins). It uses only the standard library
+// (go/parser, go/ast, go/types) and is wired into CI.
 //
-// The run is whole-program: every matched package is loaded into one
-// Program (dependency-ordered, with a CHA call graph and cross-package
-// facts), so interprocedural analyzers see flows that span packages —
-// including robustlint linting its own sources under cmd/... and
+// The run is whole-program: every matched package is loaded into one Program
+// with a CHA call graph, so the interprocedural analyzers see flows that span
+// packages — including robustlint linting its own sources under cmd/... and
 // internal/lint.
 //
 // Usage:
 //
-//	go run ./cmd/robustlint [flags] [packages]
+//	go run ./cmd/robustlint [-github] [packages]
 //
-// Packages default to ./... (all module packages, testdata excluded). Flags:
-//
-//	-json            emit diagnostics as a JSON array
-//	-github          also emit GitHub Actions ::error annotations
-//	-list            list registered analyzers and exit
-//	-enable  a,b,c   run only the named analyzers
-//	-disable a,b,c   run all but the named analyzers
-//	-stale=false     skip the stale-suppression audit
+// Packages default to ./... (all module packages, testdata excluded).
+// -github also emits GitHub Actions ::error annotations.
 //
 // A diagnostic can be suppressed with a justified directive on its line or
 // the line above:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// A directive that suppresses nothing while every analyzer it names is
-// running is itself reported (the stale-suppression audit; disable with
-// -stale=false during refactors that move code under directives around).
+// A directive that suppresses nothing, or names no registered analyzer, is
+// itself reported.
 //
 // Exit status is 0 with no diagnostics, 1 with diagnostics, 2 on usage or
 // load errors.
@@ -48,33 +40,15 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	github := flag.Bool("github", false, "also emit GitHub Actions ::error annotations")
-	list := flag.Bool("list", false, "list registered analyzers and exit")
-	enable := flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := flag.String("disable", "", "comma-separated analyzers to skip")
-	stale := flag.Bool("stale", true, "audit //lint:ignore directives that suppress nothing")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: robustlint [flags] [packages]\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: robustlint [-github] [packages]\nanalyzers:\n")
 		for _, a := range lint.Analyzers {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range lint.Analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers, err := selectAnalyzers(*enable, *disable)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "robustlint: %v\n", err)
-		os.Exit(2)
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -96,15 +70,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := lint.RunWith(pkgs, analyzers, lint.Options{NoStaleCheck: !*stale})
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "robustlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		lint.WriteText(os.Stdout, diags)
-	}
+	diags := lint.Run(pkgs, lint.Analyzers)
+	lint.WriteText(os.Stdout, diags)
 	if *github {
 		writeGitHubAnnotations(os.Stdout, cwd, diags)
 	}
@@ -135,37 +102,4 @@ func escapeAnnotation(s string) string {
 	s = strings.ReplaceAll(s, "\r", "%0D")
 	s = strings.ReplaceAll(s, "\n", "%0A")
 	return s
-}
-
-// selectAnalyzers applies -enable / -disable to the registry.
-func selectAnalyzers(enable, disable string) ([]*lint.Analyzer, error) {
-	selected := lint.Analyzers
-	if enable != "" {
-		selected = nil
-		for _, name := range strings.Split(enable, ",") {
-			a := lint.ByName(strings.TrimSpace(name))
-			if a == nil {
-				return nil, fmt.Errorf("unknown analyzer %q", name)
-			}
-			selected = append(selected, a)
-		}
-	}
-	if disable == "" {
-		return selected, nil
-	}
-	skip := map[string]bool{}
-	for _, name := range strings.Split(disable, ",") {
-		name = strings.TrimSpace(name)
-		if lint.ByName(name) == nil {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		skip[name] = true
-	}
-	var kept []*lint.Analyzer
-	for _, a := range selected {
-		if !skip[a.Name] {
-			kept = append(kept, a)
-		}
-	}
-	return kept, nil
 }

@@ -543,8 +543,8 @@ func (c *Controller) shedError(tenant string, code Code, reason string) *Error {
 
 // grantLocked admits queued tickets while slots are free, returning the
 // granted tickets for delivery outside the lock (their channels are buffered;
-// delivery never blocks, but the lockhold discipline keeps communication out
-// of critical sections anyway).
+// delivery never blocks, but communication is kept out of critical sections
+// anyway).
 func (c *Controller) grantLocked() []*Ticket {
 	var granted []*Ticket
 	for c.inFlight < c.limit {

@@ -11,11 +11,11 @@ import (
 // ladder reacts to, so discarding one with `_ =` or a bare call hides a
 // failure the way the pre-PR-1 Metrics.CatalogErrors bug did. The walk
 // covers every statement position an error can vanish from — expression
-// statements, all-blank assignments (inside goroutine closures too),
-// `defer f()`, and `go f()`. Errors must be handled, propagated, or counted
-// (NoteCatalogError / NotePreloadError); a deliberate drop needs a
-// //lint:ignore errdrop with its justification, and `defer x.Close()` is
-// exempt as the one conventional cleanup idiom.
+// statements, assignments that bind it to `_` (alone or beside a kept value,
+// inside goroutine closures too), `defer f()`, and `go f()`. Errors must be
+// handled, propagated, or counted (NoteCatalogError / NotePreloadError); a
+// deliberate drop needs a //lint:ignore errdrop with its justification, and
+// `defer x.Close()` is exempt as the one conventional cleanup idiom.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc:  "forbid discarded error returns (`_ =`, bare, deferred, and go-spawned calls) in engine paths",
@@ -63,14 +63,8 @@ func runErrDrop(p *Pass) {
 					p.Reportf(s.Pos(), "error return of %s is unobservable from a go statement; run it in a closure that handles or counts the error", calleeName(info, s.Call))
 				}
 			case *ast.AssignStmt:
-				if !allBlank(s.Lhs) {
-					return true
-				}
-				for _, rhs := range s.Rhs {
-					if discardsError(info, rhs) {
-						p.Reportf(s.Pos(), "error assigned to _; handle, propagate, or count it")
-						break
-					}
+				if blanksError(info, s) {
+					p.Reportf(s.Pos(), "error assigned to _; handle, propagate, or count it")
 				}
 			}
 			return true
@@ -116,18 +110,39 @@ func calleeName(info *types.Info, call *ast.CallExpr) string {
 	return "call"
 }
 
-func allBlank(exprs []ast.Expr) bool {
-	for _, e := range exprs {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name != "_" {
+// blanksError reports whether the assignment binds an error to the blank
+// identifier, beside named results (`v, _ := f()`) as much as alone.
+func blanksError(info *types.Info, s *ast.AssignStmt) bool {
+	if len(s.Lhs) > 1 && len(s.Rhs) == 1 {
+		// One call spread over several names: the error is the result in a
+		// blank's position. (A comma-ok form yields no error.)
+		call, _ := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
+		if call == nil || errDropExempt(info, call) {
 			return false
 		}
+		results, _ := info.Types[call].Type.(*types.Tuple)
+		for i, lhs := range s.Lhs {
+			if isBlank(lhs) && results != nil && isErrorType(results.At(i).Type()) {
+				return true
+			}
+		}
+		return false
 	}
-	return len(exprs) > 0
+	for i, lhs := range s.Lhs {
+		if isBlank(lhs) && discardsError(info, s.Rhs[i]) {
+			return true
+		}
+	}
+	return false
 }
 
-// discardsError reports whether assigning e to blanks loses an error: either
-// e itself is an error value, or it is a call whose result tuple ends in one.
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
+}
+
+// discardsError reports whether assigning e to a blank loses an error: either
+// e itself is an error value, or it is a call whose result ends in one.
 func discardsError(info *types.Info, e ast.Expr) bool {
 	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
 		return resultsError(info, call) && !errDropExempt(info, call)

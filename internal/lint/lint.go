@@ -1,21 +1,17 @@
 // Package lint is robustdb's static-analysis framework: a small,
 // standard-library-only analogue of golang.org/x/tools/go/analysis that
-// enforces the engine invariants the compiler cannot see — device-heap
-// balance, virtual-time determinism, surfaced errors, lock discipline,
-// health-guarded GPU placement, and the request-path lifecycle rules behind
-// the serving layer. The paper's robustness claims (never slower than
-// CPU-only, clean recovery from aborts) rest on exactly these invariants;
-// catching a violation at analysis time is cheaper than finding it in a
-// chaos run.
+// enforces the invariants neither the compiler, go vet, the race detector
+// nor the test suite can see — virtual-time determinism, surfaced errors,
+// pool-bounded kernel goroutines, and the request-path lifecycle rules behind
+// the serving layer (context threading, goroutine joins). An analyzer is kept
+// only while it flags a seeded defect everything else passes (DESIGN.md §25
+// has the table); what a running test already fails on is left to that test.
 //
 // The framework is whole-program: Run assembles every loaded package into a
-// Program — dependency-ordered packages, a CHA call graph, and a
-// cross-package fact store — so analyzers come in three shapes:
+// Program — the packages and a CHA call graph over them — so analyzers come
+// in two shapes:
 //
-//   - Run: intra-procedural, one package at a time (the original shape).
-//   - Facts: a dependency-ordered pass that exports per-function summaries
-//     ("this helper releases its reservation argument") other packages'
-//     passes import — the interprocedural heapbalance extension.
+//   - Run: intra-procedural, one package at a time.
 //   - RunProgram: one pass over the whole Program with the call graph in
 //     hand — ctxflow's request-path reachability and leakcheck's
 //     goroutine-join search.
@@ -23,13 +19,11 @@
 // Analyzers are table-registered in Analyzers; adding one is ~50 lines: a
 // declaration with a Run (or RunProgram) func, plus a golden test fixture
 // under testdata/src. The framework supplies package loading and type
-// checking (load.go), `file:line:col` diagnostics, per-line
-// `//lint:ignore <analyzer> <reason>` suppression with a staleness audit,
-// and JSON output for tooling.
+// checking (load.go), `file:line:col` diagnostics, and per-line
+// `//lint:ignore <analyzer> <reason>` suppression, audited on every run.
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -39,34 +33,26 @@ import (
 )
 
 // Analyzer is one named invariant check. At least one of Run and RunProgram
-// must be set; Facts is optional and runs before either.
+// must be set.
 type Analyzer struct {
-	// Name is the identifier used on the command line and in
-	// //lint:ignore directives.
+	// Name is the identifier diagnostics carry and //lint:ignore directives
+	// name.
 	Name string
 	// Doc is a one-line description of the guarded invariant.
 	Doc string
 	// Run executes the analyzer over one package (intra-procedural).
 	Run func(*Pass)
-	// Facts, when set, runs over every program package in dependency order
-	// before any Run/RunProgram pass, exporting per-object summaries through
-	// Pass.Prog. Facts passes must not report diagnostics.
-	Facts func(*Pass)
 	// RunProgram executes the analyzer once over the whole program
-	// (interprocedural; the call graph and all facts are available).
+	// (interprocedural; the call graph is available).
 	RunProgram func(*ProgramPass)
 }
 
 // Analyzers is the registry of all shipped analyzers, in reporting order.
 // Future analyzers register here.
 var Analyzers = []*Analyzer{
-	HeapBalance,
 	VirtualTime,
 	ErrDrop,
-	LockHold,
-	PlacementGuard,
 	KernelPar,
-	WireStatus,
 	CtxFlow,
 	LeakCheck,
 }
@@ -85,10 +71,7 @@ func ByName(name string) *Analyzer {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Prog is the whole-program view (always set by Run; analyzers degrade
-	// to intra-procedural behavior when facts or graph edges are absent).
-	Prog   *Program
-	report func(Diagnostic)
+	report   func(Diagnostic)
 }
 
 // Reportf records a diagnostic at pos.
@@ -126,11 +109,11 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Diagnostic is one reported invariant violation.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String formats the diagnostic in the conventional file:line:col form.
@@ -138,27 +121,13 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.File, d.Line, d.Col, d.Message, d.Analyzer)
 }
 
-// Options tunes a Run.
-type Options struct {
-	// NoStaleCheck disables the stale-suppression audit (a //lint:ignore
-	// directive that suppresses nothing is normally itself a diagnostic).
-	NoStaleCheck bool
-}
-
-// Run executes the analyzers over the packages with default options. See
-// RunWith.
+// Run assembles the packages into a Program, executes every analyzer's
+// per-package and whole-program pass, and returns the surviving diagnostics
+// sorted by position. Diagnostics on a line carrying (or directly below) a
+// matching //lint:ignore directive are suppressed; a directive that is
+// malformed, names no registered analyzer, or suppressed nothing is itself
+// reported.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunWith(pkgs, analyzers, Options{})
-}
-
-// RunWith assembles the packages into a Program, executes every fact pass in
-// dependency order, then every per-package and whole-program pass, and
-// returns the surviving diagnostics sorted by position. Diagnostics on a
-// line carrying (or directly below) a matching //lint:ignore directive are
-// suppressed; malformed directives, and directives that suppressed nothing
-// while every analyzer they name was running (stale suppressions), are
-// themselves reported.
-func RunWith(pkgs []*Package, analyzers []*Analyzer, opts Options) []Diagnostic {
 	prog := NewProgram(pkgs)
 	ignores := ignoreSet{}
 	var diags []Diagnostic
@@ -170,28 +139,17 @@ func RunWith(pkgs []*Package, analyzers []*Analyzer, opts Options) []Diagnostic 
 			diags = append(diags, d)
 		}
 	}
-	discard := func(Diagnostic) {}
-	for _, a := range analyzers {
-		if a.Facts == nil {
-			continue
-		}
-		for _, pkg := range prog.Packages {
-			a.Facts(&Pass{Analyzer: a, Pkg: pkg, Prog: prog, report: discard})
-		}
-	}
 	for _, a := range analyzers {
 		if a.Run != nil {
 			for _, pkg := range prog.Packages {
-				a.Run(&Pass{Analyzer: a, Pkg: pkg, Prog: prog, report: report})
+				a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
 			}
 		}
 		if a.RunProgram != nil {
 			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, Fset: fsetOf(prog), report: report})
 		}
 	}
-	if !opts.NoStaleCheck {
-		diags = append(diags, ignores.stale(analyzers)...)
-	}
+	diags = append(diags, ignores.stale()...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -221,16 +179,6 @@ func WriteText(w io.Writer, diags []Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintln(w, d)
 	}
-}
-
-// WriteJSON prints diagnostics as a JSON array.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
 }
 
 // ignoreDirective is one //lint:ignore comment: the analyzers it names and
@@ -267,35 +215,16 @@ func (s ignoreSet) suppress(d Diagnostic) bool {
 	return false
 }
 
-// stale reports every directive that suppressed nothing even though each
-// analyzer it names was running — the suppression ledger's honesty check: as
-// analyzers improve (or the code under them gets fixed), an ignore without a
-// matching finding is dead weight that would silently mask a future
-// regression. Directives naming an analyzer outside the running set are
-// skipped (a partial -enable run cannot judge them); "all" is judged only
-// when the full registry ran.
-func (s ignoreSet) stale(running []*Analyzer) []Diagnostic {
-	names := map[string]bool{}
-	for _, a := range running {
-		names[a.Name] = true
-	}
-	full := len(running) == len(Analyzers)
+// stale reports every directive that suppressed nothing — the suppression
+// ledger's honesty check: as analyzers improve (or the code under them gets
+// fixed), an ignore without a matching finding is dead weight that would
+// silently mask a future regression.
+func (s ignoreSet) stale() []Diagnostic {
 	var diags []Diagnostic
 	for _, lines := range s {
 		for _, dirs := range lines {
 			for _, dir := range dirs {
 				if dir.used {
-					continue
-				}
-				auditable := true
-				for _, name := range dir.names {
-					if name == "all" {
-						auditable = auditable && full
-					} else if !names[name] {
-						auditable = false
-					}
-				}
-				if !auditable {
 					continue
 				}
 				diags = append(diags, Diagnostic{
@@ -315,9 +244,11 @@ func (s ignoreSet) stale(running []*Analyzer) []Diagnostic {
 const ignorePrefix = "lint:ignore"
 
 // collectIgnores scans a package's comments for //lint:ignore directives,
-// adding them to the set. A directive names one analyzer (or a comma list,
-// or "all") and must give a reason; directives without a reason are reported
-// as diagnostics so a suppression can never silently lose its justification.
+// adding them to the set. A directive names one registered analyzer (or a
+// comma list, or "all") and must give a reason; a directive without a reason,
+// or naming an analyzer that does not exist (a typo, or one since deleted),
+// is reported and suppresses nothing, so a suppression can never silently
+// lose its justification or its target.
 func collectIgnores(pkg *Package, set ignoreSet) []Diagnostic {
 	var bad []Diagnostic
 	for _, f := range pkg.Files {
@@ -329,14 +260,14 @@ func collectIgnores(pkg *Package, set ignoreSet) []Diagnostic {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				fields := strings.Fields(strings.TrimPrefix(text, ignorePrefix))
-				if len(fields) < 2 {
+				names, problem := parseDirective(strings.Fields(strings.TrimPrefix(text, ignorePrefix)))
+				if problem != "" {
 					bad = append(bad, Diagnostic{
 						Analyzer: "lint",
 						File:     pos.Filename,
 						Line:     pos.Line,
 						Col:      pos.Column,
-						Message:  "malformed //lint:ignore directive: want `//lint:ignore <analyzer> <reason>`",
+						Message:  problem,
 					})
 					continue
 				}
@@ -346,7 +277,7 @@ func collectIgnores(pkg *Package, set ignoreSet) []Diagnostic {
 					set[pos.Filename] = lines
 				}
 				lines[pos.Line] = append(lines[pos.Line], &ignoreDirective{
-					names: strings.Split(fields[0], ","),
+					names: names,
 					file:  pos.Filename,
 					line:  pos.Line,
 					col:   pos.Column,
@@ -355,6 +286,21 @@ func collectIgnores(pkg *Package, set ignoreSet) []Diagnostic {
 		}
 	}
 	return bad
+}
+
+// parseDirective returns the analyzers a directive's fields name, or what is
+// wrong with the directive.
+func parseDirective(fields []string) (names []string, problem string) {
+	if len(fields) < 2 {
+		return nil, "malformed //lint:ignore directive: want `//lint:ignore <analyzer> <reason>`"
+	}
+	names = strings.Split(fields[0], ",")
+	for _, name := range names {
+		if name != "all" && ByName(name) == nil {
+			return nil, fmt.Sprintf("//lint:ignore names unknown analyzer %q: it can suppress nothing", name)
+		}
+	}
+	return names, ""
 }
 
 // walkFiles applies fn to every file of the package.

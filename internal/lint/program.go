@@ -1,97 +1,24 @@
 package lint
 
-import (
-	"go/types"
-	"reflect"
-)
-
 // Program is the whole-program view the interprocedural analyzers run over:
-// every package handed to Run, sorted into dependency order, plus the
-// CHA-style call graph spanning them and the cross-package fact store.
+// every package handed to Run, in the caller's order, plus the CHA-style
+// call graph spanning them.
 //
 // A Program is as large as the package set it was built from. Golden-test
 // fixtures form single-package programs (every interprocedural edge stays
 // inside the fixture); CI builds one Program from ./... so invariants that
 // span the server → admission → exec → device layering become visible.
 type Program struct {
-	// Packages are the analyzed packages in dependency order: every
-	// program-internal import of a package precedes it. Facts passes walk
-	// this order so callee summaries exist before their callers are visited.
+	// Packages are the analyzed packages, in the order they were handed in
+	// (the loader's sorted-path order).
 	Packages []*Package
 	// CallGraph is the CHA call graph over all Packages.
 	CallGraph *CallGraph
-
-	byTypes map[*types.Package]*Package
-	facts   map[factKey]any
-}
-
-// factKey identifies one exported fact: the object it describes plus the
-// concrete fact type, so independent analyzers can annotate the same object
-// without colliding.
-type factKey struct {
-	obj types.Object
-	typ reflect.Type
 }
 
 // NewProgram assembles the whole-program view from the loaded packages.
 func NewProgram(pkgs []*Package) *Program {
-	prog := &Program{
-		byTypes: make(map[*types.Package]*Package, len(pkgs)),
-		facts:   map[factKey]any{},
-	}
-	for _, pkg := range pkgs {
-		prog.byTypes[pkg.Types] = pkg
-	}
-	prog.Packages = sortByDeps(pkgs, prog.byTypes)
+	prog := &Program{Packages: pkgs}
 	prog.CallGraph = buildCallGraph(prog)
 	return prog
-}
-
-// Package maps a type-checker package back to its loaded source package, or
-// nil when the package is outside the program (standard library, or a module
-// package not covered by the current patterns).
-func (p *Program) Package(tp *types.Package) *Package { return p.byTypes[tp] }
-
-// ExportFact records a fact about obj (typically a *types.Func summary
-// computed by an analyzer's Facts pass). The fact must be a pointer type;
-// one fact per (object, fact type) pair, last write wins.
-func (p *Program) ExportFact(obj types.Object, fact any) {
-	p.facts[factKey{obj: obj, typ: reflect.TypeOf(fact)}] = fact
-}
-
-// ImportFact loads the fact of ptr's type about obj into ptr, reporting
-// whether one was exported. ptr must be a non-nil pointer of the same
-// concrete type that was exported.
-func (p *Program) ImportFact(obj types.Object, ptr any) bool {
-	fact, ok := p.facts[factKey{obj: obj, typ: reflect.TypeOf(ptr)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(fact).Elem())
-	return true
-}
-
-// sortByDeps orders packages so program-internal imports come before their
-// importers (stable: ties keep the caller's sorted-path order). Import
-// cycles cannot occur — the loader rejects them — so the walk terminates.
-func sortByDeps(pkgs []*Package, byTypes map[*types.Package]*Package) []*Package {
-	ordered := make([]*Package, 0, len(pkgs))
-	visited := map[*Package]bool{}
-	var visit func(pkg *Package)
-	visit = func(pkg *Package) {
-		if visited[pkg] {
-			return
-		}
-		visited[pkg] = true
-		for _, imp := range pkg.Types.Imports() {
-			if dep := byTypes[imp]; dep != nil {
-				visit(dep)
-			}
-		}
-		ordered = append(ordered, pkg)
-	}
-	for _, pkg := range pkgs {
-		visit(pkg)
-	}
-	return ordered
 }

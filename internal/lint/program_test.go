@@ -2,105 +2,52 @@ package lint
 
 import (
 	"go/types"
-	"strings"
 	"testing"
 )
 
-// TestProgramDepOrder pins the program assembly invariant every facts pass
-// relies on: a package's module-internal imports always precede it in
-// Program.Packages.
-func TestProgramDepOrder(t *testing.T) {
-	pkgs, err := fixtureLoader(t).Load("./...")
+// TestCallGraphCrossPackage asserts the call graph carries edges across
+// package boundaries and that reachability follows them — what ctxflow's
+// request path (server → admission → exec) is built on.
+func TestCallGraphCrossPackage(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"helper/helper.go": "package helper\n\nfunc Leaf() {}\n",
+		"user/user.go":     "package user\n\nimport \"example.com/m/helper\"\n\nfunc Entry() { helper.Leaf() }\n",
+	})
+	loader, err := NewLoader(root)
 	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
+		t.Fatalf("NewLoader: %v", err)
 	}
-	prog := NewProgram(pkgs)
-	index := map[string]int{}
-	for i, pkg := range prog.Packages {
-		index[pkg.Path] = i
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
 	}
-	for i, pkg := range prog.Packages {
-		for _, imp := range pkg.Types.Imports() {
-			j, inProgram := index[imp.Path()]
-			if inProgram && j >= i {
-				t.Errorf("package %s (index %d) imports %s (index %d): dependency not ordered first", pkg.Path, i, imp.Path(), j)
+	funcs := map[string]*types.Func{}
+	for _, pkg := range pkgs {
+		for _, name := range pkg.Types.Scope().Names() {
+			if fn, ok := pkg.Types.Scope().Lookup(name).(*types.Func); ok {
+				funcs[name] = fn
 			}
 		}
 	}
-}
-
-// TestCrossPackageFacts runs heapbalance over a consumer package whose every
-// release flows through helpers in another package: the leak verdict on the
-// error path and the clean verdict on the deferred-helper path both require
-// facts imported across the package boundary.
-func TestCrossPackageFacts(t *testing.T) {
-	user := loadFixture(t, "hbfacts_user")
-	helper := loadFixture(t, "hbfacts_helper")
-	// Deliberately pass the consumer first: NewProgram must reorder.
-	diags := Run([]*Package{user, helper}, []*Analyzer{HeapBalance})
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 cross-package leak diagnostic, got %d: %v", len(diags), diags)
+	entry, leaf := funcs["Entry"], funcs["Leaf"]
+	if entry == nil || leaf == nil {
+		t.Fatalf("Entry/Leaf not found in %v", funcs)
 	}
-	d := diags[0]
-	if !strings.Contains(d.File, "hbfacts_user.go") {
-		t.Errorf("diagnostic anchored in wrong file: %s", d)
-	}
-	if !strings.Contains(d.Message, `device reservation "res" leaks: this return path`) {
-		t.Errorf("unexpected diagnostic message: %s", d)
-	}
-}
-
-// TestFactStore pins the reflect-typed fact round trip on a real object.
-func TestFactStore(t *testing.T) {
-	helper := loadFixture(t, "hbfacts_helper")
-	prog := NewProgram([]*Package{helper})
-	fn, ok := helper.Types.Scope().Lookup("ReleaseVia").(*types.Func)
-	if !ok {
-		t.Fatal("ReleaseVia not found in hbfacts_helper")
-	}
-	var absent releasesParamsFact
-	if prog.ImportFact(fn, &absent) {
-		t.Error("ImportFact returned true before any export")
-	}
-	prog.ExportFact(fn, &releasesParamsFact{Params: []int{0}})
-	var got releasesParamsFact
-	if !prog.ImportFact(fn, &got) {
-		t.Fatal("ImportFact returned false after export")
-	}
-	if len(got.Params) != 1 || got.Params[0] != 0 {
-		t.Errorf("fact round trip corrupted payload: %+v", got)
-	}
-}
-
-// TestCallGraphCrossPackage asserts the call graph carries edges across
-// package boundaries and that reachability follows them.
-func TestCallGraphCrossPackage(t *testing.T) {
-	user := loadFixture(t, "hbfacts_user")
-	helper := loadFixture(t, "hbfacts_helper")
-	prog := NewProgram([]*Package{user, helper})
-	leak, ok := user.Types.Scope().Lookup("LeakAcrossPackages").(*types.Func)
-	if !ok {
-		t.Fatal("LeakAcrossPackages not found")
-	}
-	newScratch, ok := helper.Types.Scope().Lookup("NewScratch").(*types.Func)
-	if !ok {
-		t.Fatal("NewScratch not found")
-	}
-	node := prog.CallGraph.Nodes[leak]
+	prog := NewProgram(pkgs)
+	node := prog.CallGraph.Nodes[entry]
 	if node == nil {
-		t.Fatal("no call-graph node for LeakAcrossPackages")
+		t.Fatal("no call-graph node for Entry")
 	}
 	foundEdge := false
 	for _, e := range node.Out {
-		if e.Callee.Func == newScratch {
+		if e.Callee.Func == leaf {
 			foundEdge = true
 		}
 	}
 	if !foundEdge {
-		t.Error("missing cross-package call edge LeakAcrossPackages -> NewScratch")
+		t.Error("missing cross-package call edge Entry -> Leaf")
 	}
-	reach := prog.CallGraph.Reachable([]*types.Func{leak})
-	if !reach[newScratch] {
+	if !prog.CallGraph.Reachable([]*types.Func{entry})[leaf] {
 		t.Error("Reachable does not cross the package boundary")
 	}
 }

@@ -25,6 +25,13 @@ func DropPair() {
 	_, _ = falliblePair() // want `error assigned to _`
 }
 
+// DropBesideValue keeps the value and blanks the error — the shape that lets
+// a nil or zero value travel on as if the call had succeeded.
+func DropBesideValue() int {
+	n, _ := falliblePair() // want `error assigned to _`
+	return n
+}
+
 // DropVariable launders an already-bound error into the blank identifier.
 func DropVariable() {
 	err := fallible()

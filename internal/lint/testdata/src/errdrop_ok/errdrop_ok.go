@@ -12,6 +12,17 @@ var errBoom = errors.New("boom")
 
 func fallible() error { return errBoom }
 
+func lookup() (int, bool) { return 0, false }
+
+// BlankBesideValue blanks a result that is not an error: the comma-ok of a
+// call, a map read and a type assertion (whose kept value is an error).
+func BlankBesideValue(m map[string]int, v any) (int, error) {
+	n, _ := lookup()
+	k, _ := m["k"]
+	err, _ := v.(error)
+	return n + k, err
+}
+
 // Propagate handles the error by wrapping and returning it.
 func Propagate() error {
 	if err := fallible(); err != nil {

@@ -101,3 +101,31 @@ func funcBodies(f *ast.File, fn func(name string, ftype *ast.FuncType, body *ast
 		return true
 	})
 }
+
+// isResponseWriter reports whether t is net/http.ResponseWriter.
+func isResponseWriter(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "ResponseWriter" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
+}
+
+// parentMap records the parent of every node under root.
+func parentMap(root ast.Node) map[ast.Node]ast.Node {
+	m := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			m[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return m
+}

@@ -470,7 +470,8 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	//lint:ignore wirestatus the status header is already committed above; a mid-stream encode failure means the connection broke
+	// The status header is already committed above; a mid-stream encode
+	// failure means the connection broke.
 	if err := s.journal.WriteJSONL(w); err != nil {
 		return
 	}
@@ -578,7 +579,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery is the wire entry point. Every error path maps to a typed
-// wire status via writeError — the wirestatus lint rule pins this property.
+// wire status via writeError — TestHTTPWireStatuses pins this property.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "bad-request", errors.New("server: POST only"), 0)
@@ -705,7 +706,6 @@ func writeError(w http.ResponseWriter, status int, code string, err error, retry
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	//lint:ignore wirestatus the status header is already committed above; an encode failure here means the connection broke and no further wire response is possible
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		return
 	}

@@ -181,6 +181,7 @@ func TestHTTPWireStatuses(t *testing.T) {
 		"SELECT COUNT(*) FROM lineorder ORDER BY nope",
 		"SELECT lo_quantity, COUNT(*) FROM lineorder GROUP BY lo_quantity ORDER BY zzz LIMIT 2",
 		"SELECT c_city, SUM(lo_revenue) FROM lineorder, customer WHERE lo_custkey = c_custkey GROUP BY c_nation",
+		"SELECT COUNT(*) FROM lineorder, nosuch WHERE lo_custkey = c_custkey",
 	} {
 		body, _ := json.Marshal(server.QueryRequest{SQL: q})
 		for _, path := range []string{"/v1/query", "/v1/explain", "/v1/explain?analyze=1"} {
@@ -243,7 +244,13 @@ func TestHTTPWireStatuses(t *testing.T) {
 
 	// Drain, then verify the typed draining status.
 	drain(t, s)
-	wantStatus(post(`{"sql":"SELECT SUM(lo_revenue) AS rev FROM lineorder"}`), http.StatusServiceUnavailable, "draining")
+	const stmt = `{"sql":"SELECT SUM(lo_revenue) AS rev FROM lineorder"}`
+	wantStatus(post(stmt), http.StatusServiceUnavailable, "draining")
+	resp, err := http.Post(ts.URL+"/v1/explain?analyze=1", "application/json", strings.NewReader(stmt))
+	if err != nil {
+		t.Fatalf("POST /v1/explain?analyze=1: %v", err)
+	}
+	wantStatus(resp, http.StatusServiceUnavailable, "draining")
 }
 
 // TestDrainNoSilentDrops is the shutdown regression test: a drain racing a

@@ -219,12 +219,14 @@ func (c *compiler) joinChain(scans map[string]*plan.Node,
 		return scans[c.st.Tables[0]], nil
 	}
 	// Pick the fact side: the table with the most rows.
-	fact := c.st.Tables[0]
-	for _, tbl := range c.st.Tables[1:] {
-		a, _ := c.cat.Table(fact)
-		b, _ := c.cat.Table(tbl)
-		if b.NumRows() > a.NumRows() {
-			fact = tbl
+	fact, most := "", -1
+	for _, tbl := range c.st.Tables {
+		t, err := c.cat.Table(tbl)
+		if err != nil {
+			return nil, fmt.Errorf("sql: %w", err)
+		}
+		if t.NumRows() > most {
+			fact, most = tbl, t.NumRows()
 		}
 	}
 	current := scans[fact]

@@ -266,6 +266,7 @@ func TestSQLErrors(t *testing.T) {
 		{"selec x from t", `expected "select"`},
 		{"select from lineorder", "keyword"},
 		{"select lo_revenue from nope", "no table"},
+		{"select count(*) from lineorder, nope where lo_custkey = c_custkey", `sql: catalog: no table "nope"`},
 		{"select nope from lineorder", "unknown column"},
 		{"select lo_revenue from lineorder where nope = 1", "unknown column"},
 		{"select lo_revenue from lineorder where lo_revenue", "comparison"},

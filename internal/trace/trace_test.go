@@ -125,8 +125,11 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
-func TestChromeRoundTrip(t *testing.T) {
-	spans := []Span{
+// roundTripSpans and roundTripEvents are one query's trace — a GPU abort and
+// its CPU retry included — that TestChromeRoundTrip holds to an exact round
+// trip and FuzzReadChrome mutates from.
+var (
+	roundTripSpans = []Span{
 		{Query: "q0001", Name: "q0001", Class: "query", Node: -1,
 			Start: 0, End: 3 * time.Millisecond},
 		{Query: "q0001", Name: "q0001/op001", Op: "scan(lineorder)", Class: "selection",
@@ -140,10 +143,14 @@ func TestChromeRoundTrip(t *testing.T) {
 			Proc: "cpu", Node: 2, Start: 1500 * time.Microsecond, End: 3 * time.Millisecond,
 			Attempt: 1},
 	}
-	events := []Event{
+	roundTripEvents = []Event{
 		{At: 5 * time.Microsecond, Kind: "admit", Subject: "lineorder.lo_custkey", Reason: "operator-demand"},
 		{At: time.Millisecond, Kind: "evict", Subject: "date.d_year", Reason: "replacement"},
 	}
+)
+
+func TestChromeRoundTrip(t *testing.T) {
+	spans, events := roundTripSpans, roundTripEvents
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, spans, events); err != nil {
 		t.Fatal(err)
