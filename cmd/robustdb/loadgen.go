@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -25,55 +26,44 @@ var loadgenSQL = []string{
 	"SELECT d_year, SUM(lo_revenue) AS revenue FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year",
 }
 
-// loadgenConfig drives one open-loop run against a remote front door.
-type loadgenConfig struct {
-	url       string
-	rate      float64
-	duration  time.Duration
-	deadline  time.Duration
-	tenantMix string
-	seed      int64
-	log       *slog.Logger
-}
-
 // runLoadgen offers open-loop load at the configured rate against the front
 // door at url and prints the outcome: arrivals are scheduled by rate
 // regardless of completions, so offered load can exceed capacity — the
 // regime the admission controller exists for. SIGINT/SIGTERM ends the run
 // early; outstanding requests still complete and are counted.
-func runLoadgen(cfg loadgenConfig) error {
-	tenants, err := parseTenantMix(cfg.tenantMix)
+func runLoadgen(o *options, log *slog.Logger, stdout io.Writer) error {
+	tenants, err := parseTenantMix(o.tenantMix)
 	if err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	cfg.log.LogAttrs(ctx, slog.LevelInfo, "offering load",
+	log.LogAttrs(ctx, slog.LevelInfo, "offering load",
 		slog.String("component", "loadgen"),
-		slog.String("url", cfg.url),
-		slog.Float64("rate_qps", cfg.rate),
-		slog.Duration("duration", cfg.duration),
+		slog.String("url", o.loadgen),
+		slog.Float64("rate_qps", o.rate),
+		slog.Duration("duration", o.duration),
 		slog.Int("tenants", len(tenants)))
 	res, err := server.RunLoadgen(ctx, server.LoadgenConfig{
-		URL:        cfg.url,
+		URL:        o.loadgen,
 		SQL:        loadgenSQL,
 		Tenants:    tenants,
-		Rate:       cfg.rate,
-		Duration:   cfg.duration,
-		DeadlineMS: cfg.deadline.Milliseconds(),
-		Seed:       cfg.seed,
+		Rate:       o.rate,
+		Duration:   o.duration,
+		DeadlineMS: o.deadline.Milliseconds(),
+		Seed:       o.seed,
 	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("%-14s %10s %10s %10s %10s %12s\n",
+	fmt.Fprintf(stdout, "%-14s %10s %10s %10s %10s %12s\n",
 		"offered", "skipped", "admitted", "shed", "failed", "bad-request")
-	fmt.Printf("%-14d %10d %10d %10d %10d %12d\n",
+	fmt.Fprintf(stdout, "%-14d %10d %10d %10d %10d %12d\n",
 		res.Offered, res.Skipped, res.Admitted, res.Shed, res.Failed, res.BadRequest)
-	fmt.Printf("wall latency of admitted:    p50=%v p99=%v\n",
+	fmt.Fprintf(stdout, "wall latency of admitted:    p50=%v p99=%v\n",
 		res.WallP50.Round(10*time.Microsecond), res.WallP99.Round(10*time.Microsecond))
-	fmt.Printf("virtual latency of admitted: p50=%v p99=%v\n",
+	fmt.Fprintf(stdout, "virtual latency of admitted: p50=%v p99=%v\n",
 		res.VirtualP50.Round(10*time.Microsecond), res.VirtualP99.Round(10*time.Microsecond))
 	if len(res.ShedByCode) > 0 {
 		codes := make([]string, 0, len(res.ShedByCode))
@@ -81,14 +71,14 @@ func runLoadgen(cfg loadgenConfig) error {
 			codes = append(codes, code)
 		}
 		sort.Strings(codes)
-		fmt.Printf("shed by code:")
+		fmt.Fprintf(stdout, "shed by code:")
 		for _, code := range codes {
-			fmt.Printf(" %s=%d", code, res.ShedByCode[code])
+			fmt.Fprintf(stdout, " %s=%d", code, res.ShedByCode[code])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	// One machine-readable line for scripts and the CI smoke job.
-	fmt.Printf("loadgen: offered=%d skipped=%d admitted=%d shed=%d failed=%d bad_request=%d shed_rate=%.3f\n",
+	fmt.Fprintf(stdout, "loadgen: offered=%d skipped=%d admitted=%d shed=%d failed=%d bad_request=%d shed_rate=%.3f\n",
 		res.Offered, res.Skipped, res.Admitted, res.Shed, res.Failed, res.BadRequest, res.ShedRate())
 	return nil
 }

@@ -22,28 +22,6 @@ import (
 	"robustdb/internal/workload"
 )
 
-// serveConfig wires the multi-tenant front door to one persistent engine and
-// the live observability surface.
-type serveConfig struct {
-	addr         string
-	window       time.Duration // detector sampling + backpressure interval (wall clock)
-	cooldown     time.Duration // idle gap between background workload passes (wall clock)
-	db           *robustdb.DB
-	dev          robustdb.Device
-	strat        robustdb.Strategy
-	queries      []robustdb.WorkloadQuery
-	admission    admission.Config
-	maxDeadline  time.Duration // ceiling on client-requested deadlines (0 = server default)
-	maxConns     int
-	drainTimeout time.Duration
-	log          *slog.Logger
-
-	// Slow-query journal (always on by default; slowlogCap 0 disables).
-	slowlogCap       int
-	slowlogThreshold time.Duration // virtual latency gate
-	slowlogQError    float64       // q-error gate (0 disables)
-}
-
 // runServe runs the query front door on addr: POST /v1/query admits
 // tenant-tagged SQL into the engine under the configured admission policy,
 // POST /v1/explain describes a statement's plan without running it,
@@ -54,27 +32,35 @@ type serveConfig struct {
 // admission backpressure loop runs on the sampling window. SIGINT/SIGTERM
 // triggers the orderly drain: stop admitting, finish or shed in-flight work
 // within -drain-timeout, flush a final stats line, exit 0.
-func runServe(cfg serveConfig) error {
+func runServe(o *options, log *slog.Logger) error {
 	//lint:ignore virtualtime process uptime on /metrics is wall-clock by definition, outside any deterministic run
 	start := time.Now()
-	tracer := robustdb.NewTracer(0)
-	cfg.dev.Tracer = tracer
-	engine, err := workload.NewEngine(cfg.db.Catalog(), cfg.dev, cfg.strat, cfg.queries)
+	db, queries, dev := o.start(log)
+	dev.Faults = o.faults(log)
+	dev.Tracer = robustdb.NewTracer(0)
+	strat := strategiesFor(o.strategy)[0]
+	engine, err := workload.NewEngine(db.Catalog(), dev, strat, queries)
 	if err != nil {
 		return err
 	}
 	var slowlog *journal.Journal
-	if cfg.slowlogCap != 0 {
-		slowlog = journal.New(cfg.slowlogCap, cfg.slowlogThreshold, cfg.slowlogQError)
+	if o.slowlogCap != 0 {
+		slowlog = journal.New(o.slowlogCap, o.slowlogThreshold, o.slowlogQError)
 	}
 	front, err := server.New(server.Config{
-		Engine:           engine,
-		Placer:           cfg.strat.Placer,
-		Catalog:          cfg.db.Catalog(),
-		Admission:        cfg.admission,
-		MaxQueryDeadline: cfg.maxDeadline,
+		Engine:  engine,
+		Placer:  strat.Placer,
+		Catalog: db.Catalog(),
+		Admission: admission.Config{ // zero fields keep the controller's defaults
+			Policy:        admission.Policy(o.admissionPolicy),
+			MaxConcurrent: o.admit,
+			MaxQueue:      o.queueDepth,
+			QueueTimeout:  o.queueTimeout,
+			DefaultTenant: admission.TenantConfig{MaxInFlight: o.tenantInflight},
+		},
+		MaxQueryDeadline: o.deadline, // the ceiling on what a client may ask for
 		Journal:          slowlog,
-		Log:              cfg.log,
+		Log:              log,
 	})
 	if err != nil {
 		return err
@@ -84,13 +70,13 @@ func runServe(cfg serveConfig) error {
 		obs.NewThrashingDetector(obs.ThrashingConfig{}),
 		obs.NewContentionDetector(obs.ContentionConfig{}),
 	}
-	sampler := obs.NewSampler(reg, detectors, cfg.log)
-	stopPressure := server.StartPressureLoop(front, sampler, cfg.window)
+	sampler := obs.NewSampler(reg, detectors, log)
+	stopPressure := server.StartPressureLoop(front, sampler, o.serveWindow)
 	obsMux := obs.NewMux(obs.ServerConfig{
 		Registry:  reg,
-		Tracer:    tracer,
+		Tracer:    dev.Tracer,
 		Detectors: detectors,
-		Log:       cfg.log,
+		Log:       log,
 		Build:     obs.ReadBuildInfo(),
 		//lint:ignore virtualtime process uptime on /metrics is wall-clock by definition, outside any deterministic run
 		Uptime: func() time.Duration { return time.Since(start) },
@@ -102,14 +88,12 @@ func runServe(cfg serveConfig) error {
 	root.Handle("/debug/slowlog", front.Handler())
 	root.Handle("/", obsMux)
 
-	ln, err := net.Listen("tcp", cfg.addr)
+	ln, err := net.Listen("tcp", o.serve)
 	if err != nil {
 		stopPressure()
 		return err
 	}
-	if cfg.maxConns > 0 {
-		ln = server.LimitListener(ln, cfg.maxConns)
-	}
+	ln = server.LimitListener(ln, o.maxConns)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -118,20 +102,20 @@ func runServe(cfg serveConfig) error {
 	// server that answers /healthz has run the whole query mix once — learned
 	// cost models and detector baselines included — and a client's first
 	// requests never share the engine with it.
-	backgroundPass(ctx, front, cfg)
+	backgroundPass(ctx, front, queries, log)
 	defer setGCHeadroom()()
 
 	srv := newHTTPServer(root)
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- srv.Serve(ln) }()
-	cfg.log.LogAttrs(context.Background(), slog.LevelInfo, "serving",
+	log.LogAttrs(context.Background(), slog.LevelInfo, "serving",
 		slog.String("component", "serve"),
 		slog.String("addr", ln.Addr().String()),
-		slog.String("strategy", cfg.strat.Label),
-		slog.String("policy", string(cfg.admission.Policy)),
-		slog.Int("admit", cfg.admission.MaxConcurrent),
-		slog.Int("max_conns", cfg.maxConns),
-		slog.Duration("window", cfg.window))
+		slog.String("strategy", strat.Label),
+		slog.String("policy", o.admissionPolicy),
+		slog.Int("admit", o.admit),
+		slog.Int("max_conns", o.maxConns),
+		slog.Duration("window", o.serveWindow))
 
 	// The background tenant from here on: a wall-clock cooldown, then one
 	// pass over the query mix through the front door. It shares the admission
@@ -141,23 +125,23 @@ func runServe(cfg serveConfig) error {
 	bgDone := make(chan struct{})
 	go func() {
 		defer close(bgDone)
-		backgroundLoad(bgCtx, front, cfg)
+		backgroundLoad(bgCtx, front, queries, o.serveCooldown, log)
 	}()
 
 	var runErr error
 	select {
 	case <-ctx.Done():
 	case err := <-httpErr:
-		runErr = fmt.Errorf("robustdb: http server: %w", err)
+		runErr = fmt.Errorf("http server: %w", err)
 	}
 	stop()
 	bgCancel()
 	<-bgDone
 
-	cfg.log.LogAttrs(context.Background(), slog.LevelInfo, "draining",
+	log.LogAttrs(context.Background(), slog.LevelInfo, "draining",
 		slog.String("component", "serve"),
-		slog.Duration("timeout", cfg.drainTimeout))
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), cfg.drainTimeout)
+		slog.Duration("timeout", o.drainTimeout))
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancelDrain()
 	drainErr := front.Drain(drainCtx)
 	stopPressure()
@@ -169,7 +153,7 @@ func runServe(cfg serveConfig) error {
 
 	// Flush the final state so operators see what the drain disposed of.
 	stats := front.Admission().Stats()
-	cfg.log.LogAttrs(context.Background(), slog.LevelInfo, "drained",
+	log.LogAttrs(context.Background(), slog.LevelInfo, "drained",
 		slog.String("component", "serve"),
 		slog.Int("in_flight", stats.InFlight),
 		slog.Int("queued", stats.Queued),
@@ -233,15 +217,15 @@ func setGCHeadroom() (restore func()) {
 // backgroundLoad cycles the query mix through the front door as the
 // low-priority "background" tenant until the context ends: cooldown, pass,
 // repeat (the first pass ran before the listener opened).
-func backgroundLoad(ctx context.Context, front *server.Server, cfg serveConfig) {
+func backgroundLoad(ctx context.Context, front *server.Server, queries []robustdb.WorkloadQuery, cooldown time.Duration, log *slog.Logger) {
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		//lint:ignore virtualtime the cooldown between background passes is wall-clock idle time, outside any deterministic run
-		case <-time.After(cfg.cooldown):
+		case <-time.After(cooldown):
 		}
-		backgroundPass(ctx, front, cfg)
+		backgroundPass(ctx, front, queries, log)
 	}
 }
 
@@ -249,8 +233,8 @@ func backgroundLoad(ctx context.Context, front *server.Server, cfg serveConfig) 
 // admission controller doing its job under load; anything untyped is logged
 // loudly but does not kill the server — serving real tenants takes precedence
 // over the synthetic load.
-func backgroundPass(ctx context.Context, front *server.Server, cfg serveConfig) {
-	for _, q := range cfg.queries {
+func backgroundPass(ctx context.Context, front *server.Server, queries []robustdb.WorkloadQuery, log *slog.Logger) {
+	for _, q := range queries {
 		if ctx.Err() != nil {
 			return
 		}
@@ -259,12 +243,12 @@ func backgroundPass(ctx context.Context, front *server.Server, cfg serveConfig) 
 		switch {
 		case err == nil || errors.Is(err, context.Canceled):
 		case errors.As(err, &ae):
-			cfg.log.LogAttrs(ctx, slog.LevelDebug, "background query shed",
+			log.LogAttrs(ctx, slog.LevelDebug, "background query shed",
 				slog.String("component", "serve"),
 				slog.String("query", q.Name),
 				slog.String("code", string(ae.Code)))
 		default:
-			cfg.log.LogAttrs(ctx, slog.LevelWarn, "background query failed",
+			log.LogAttrs(ctx, slog.LevelWarn, "background query failed",
 				slog.String("component", "serve"),
 				slog.String("query", q.Name),
 				slog.String("error", err.Error()))

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,65 +15,83 @@ import (
 	"robustdb"
 )
 
+// startServe runs the command in serve mode on a free local port, through
+// run like a shell would, and returns once /healthz answers. stop sends the
+// process SIGTERM and returns the exit status of the orderly drain.
+func startServe(t *testing.T, args ...string) (addr string, stop func() int) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr = ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan int, 1)
+	var stderr bytes.Buffer
+	go func() { served <- run(append(args, "-serve", addr), io.Discard, &stderr) }()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		select {
+		case status := <-served:
+			t.Fatalf("serve mode exited %d before /healthz answered: %s", status, &stderr)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz: %v", err)
+		}
+	}
+	return addr, func() int {
+		t.Helper()
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case status := <-served:
+			if status != 0 {
+				t.Logf("stderr: %s", &stderr)
+			}
+			return status
+		case <-time.After(30 * time.Second):
+			t.Fatal("serve mode did not return after SIGTERM")
+			return -1
+		}
+	}
+}
+
 // TestFirstBackgroundPassPrecedesServing pins the serve mode's start-up
 // order: whatever a client reads first already counts the background
 // tenant's whole first pass, and with a long cooldown nothing is added to it
 // afterwards — so a client that brackets its own requests with two /metrics
 // scrapes counts exactly those requests.
 func TestFirstBackgroundPassPrecedesServing(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	if err := ln.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db := robustdb.OpenSSB(robustdb.SSBConfig{SF: 1, RowsPerSF: 2000, Seed: 1})
-	queries := robustdb.SSBQueries()
-	strat, err := strategyByName("data-driven-chopping")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() {
-		served <- runServe(serveConfig{
-			addr:         addr,
-			window:       time.Hour,
-			cooldown:     time.Hour,
-			db:           db,
-			dev:          robustdb.Device{CacheBytes: db.TotalBytes(), HeapBytes: db.TotalBytes()},
-			strat:        strat,
-			queries:      queries,
-			drainTimeout: 10 * time.Second,
-			log:          slog.New(slog.NewTextHandler(io.Discard, nil)),
-			slowlogCap:   16,
-		})
-	}()
+	addr, stop := startServe(t, "-sf", "1", "-rows", "2000", "-seed", "1", "-cache-frac", "1",
+		"-serve-window", "1h", "-serve-cooldown", "1h", "-slowlog-capacity", "16", "-log-level", "error")
 	requests := func() string {
 		t.Helper()
-		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			resp, err := http.Get("http://" + addr + "/metrics")
-			if err != nil {
-				if time.Now().After(deadline) {
-					t.Fatalf("/metrics: %v", err)
-				}
-				continue // not listening yet
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, line := range strings.Split(string(body), "\n") {
-				if v, ok := strings.CutPrefix(line, "robustdb_server_requests_total "); ok {
-					return v
-				}
-			}
-			t.Fatal("/metrics has no robustdb_server_requests_total")
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatalf("/metrics: %v", err)
 		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "robustdb_server_requests_total "); ok {
+				return v
+			}
+		}
+		t.Fatal("/metrics has no robustdb_server_requests_total")
+		return ""
 	}
-	want := fmt.Sprint(len(queries))
+	want := fmt.Sprint(len(robustdb.SSBQueries()))
 	if got := requests(); got != want {
 		t.Errorf("first scrape: %s requests, want the whole background pass (%s)", got, want)
 	}
@@ -81,17 +99,9 @@ func TestFirstBackgroundPassPrecedesServing(t *testing.T) {
 	if got := requests(); got != want {
 		t.Errorf("second scrape: %s requests, want still %s", got, want)
 	}
-	// The orderly drain is part of the contract: SIGTERM, exit nil.
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("runServe: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("runServe did not return after SIGTERM")
+	// The orderly drain is part of the contract: SIGTERM, exit 0.
+	if status := stop(); status != 0 {
+		t.Fatalf("exit status %d after SIGTERM", status)
 	}
 }
 

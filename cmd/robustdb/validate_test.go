@@ -116,7 +116,7 @@ func TestValidateOptions(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			o := validOptions()
 			c.mutate(&o)
-			err := validateOptions(o)
+			_, err := validateOptions(o)
 			if c.wantFlag == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 )
@@ -84,6 +85,12 @@ type chromeFile struct {
 }
 
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
+// fromMicros reads back what micros wrote, to the nearest nanosecond: a whole
+// nanosecond is not a whole microsecond, so truncating lost one in a hundred.
+func fromMicros(us float64) time.Duration {
+	return time.Duration(math.Round(us * float64(time.Microsecond)))
+}
 
 // WriteChrome serializes spans and events as Chrome trace_event JSON.
 func WriteChrome(w io.Writer, spans []Span, events []Event) error {
@@ -185,7 +192,7 @@ func ReadChrome(r io.Reader) ([]Span, []Event, error) {
 			if ce.Dur != nil {
 				dur = *ce.Dur
 			}
-			start := time.Duration(ce.Ts * float64(time.Microsecond))
+			start := fromMicros(ce.Ts)
 			spans = append(spans, Span{
 				Query:           args.Query,
 				Name:            ce.Name,
@@ -194,9 +201,9 @@ func ReadChrome(r io.Reader) ([]Span, []Event, error) {
 				Proc:            args.Proc,
 				Node:            args.Node,
 				Start:           start,
-				End:             start + time.Duration(dur*float64(time.Microsecond)),
-				QueueWait:       time.Duration(args.QueueWaitUS * float64(time.Microsecond)),
-				Transfer:        time.Duration(args.TransferUS * float64(time.Microsecond)),
+				End:             start + fromMicros(dur),
+				QueueWait:       fromMicros(args.QueueWaitUS),
+				Transfer:        fromMicros(args.TransferUS),
 				Abort:           args.Abort,
 				Attempt:         args.Attempt,
 				HeapHighWater:   args.HeapHighWater,
@@ -218,7 +225,7 @@ func ReadChrome(r io.Reader) ([]Span, []Event, error) {
 				return nil, nil, fmt.Errorf("trace: event %q: %w", ce.Name, err)
 			}
 			events = append(events, Event{
-				At:      time.Duration(ce.Ts * float64(time.Microsecond)),
+				At:      fromMicros(ce.Ts),
 				Kind:    ce.Name,
 				Subject: args.Subject,
 				Reason:  args.Reason,

@@ -6,16 +6,15 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 )
 
 // FuzzReadChrome holds the trace reader to its contract on arbitrary bytes:
 // ReadChrome never panics; what it accepts WriteChrome writes again and
 // ReadChrome reads back with as many spans and events, each with every field
-// that is not a clock reading intact, and both reads come out in the one
-// documented order (spans by start, ties by name; events by time). Clock
-// readings are left out of the comparison because a read truncates to the
-// nanosecond what the file holds in microseconds, so a second read may lose
-// one more and turn two neighbours into a tie.
+// intact, and both reads come out in the one documented order (spans by start,
+// ties by name; events by time). A span's or an event's clock readings are
+// part of the comparison unless one of them is beyond roundTripExact.
 func FuzzReadChrome(f *testing.F) {
 	var golden bytes.Buffer
 	if err := WriteChrome(&golden, roundTripSpans, roundTripEvents); err != nil {
@@ -60,20 +59,39 @@ func FuzzReadChrome(f *testing.F) {
 			}
 		}
 		if a, b := spanIdentities(spans), spanIdentities(spans2); !slices.Equal(a, b) {
-			t.Fatalf("round trip changed a span beyond its clock readings:\n%q\n%q", a, b)
+			t.Fatalf("round trip changed a span:\n%q\n%q", a, b)
 		}
 		if a, b := eventIdentities(events), eventIdentities(events2); !slices.Equal(a, b) {
-			t.Fatalf("round trip changed an event beyond its time:\n%q\n%q", a, b)
+			t.Fatalf("round trip changed an event:\n%q\n%q", a, b)
 		}
 	})
 }
 
-// spanIdentities renders every span without its clock readings, sorted, so two
-// reads compare as multisets.
+// roundTripExact bounds the clock readings the identities below compare. The
+// file holds float64 microseconds: a whole nanosecond survives micros →
+// fromMicros below 2⁵¹ (d/1000 runs out of bits after that, and 1–2 % of the
+// readings up to 2⁵³ come back 1 ns off). A reading beyond moves by a few
+// nanoseconds a trip at most, so none crosses a bound one binade lower.
+const roundTripExact = time.Duration(1) << 50
+
+func exact(ds ...time.Duration) bool {
+	for _, d := range ds {
+		if d <= -roundTripExact || d >= roundTripExact {
+			return false
+		}
+	}
+	return true
+}
+
+// spanIdentities renders every span, sorted, so two reads compare as
+// multisets; a span with a reading that is not exact goes without its clock.
 func spanIdentities(spans []Span) []string {
 	out := make([]string, len(spans))
 	for i, s := range spans {
-		s.Start, s.End, s.QueueWait, s.Transfer, s.Overlap = 0, 0, 0, 0, 0
+		if !exact(s.Start, s.End-s.Start, s.QueueWait, s.Transfer) {
+			s.Start, s.End, s.QueueWait, s.Transfer = 0, 0, 0, 0
+		}
+		s.Overlap = 0
 		out[i] = fmt.Sprintf("%+v", s)
 	}
 	slices.Sort(out)
@@ -83,8 +101,22 @@ func spanIdentities(spans []Span) []string {
 func eventIdentities(events []Event) []string {
 	out := make([]string, len(events))
 	for i, ev := range events {
-		out[i] = fmt.Sprintf("%q", []string{ev.Kind, ev.Subject, ev.Reason})
+		if !exact(ev.At) {
+			ev.At = 0
+		}
+		out[i] = fmt.Sprintf("%d %q", ev.At, []string{ev.Kind, ev.Subject, ev.Reason})
 	}
 	slices.Sort(out)
 	return out
+}
+
+// TestMicrosRoundTrip pins the reader's rounding: what micros writes,
+// fromMicros reads back to the nanosecond (truncation read 1 001 ns as 1 000).
+func TestMicrosRoundTrip(t *testing.T) {
+	for _, d := range []time.Duration{0, 1, 999, time.Microsecond, time.Microsecond + 1, -1, -999,
+		-time.Microsecond - 1, roundTripExact - 1, 1<<51 - 1, 1 << 52} {
+		if got := fromMicros(micros(d)); got != d {
+			t.Errorf("fromMicros(micros(%d ns)) = %d ns", d, got)
+		}
+	}
 }
