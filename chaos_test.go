@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"robustdb/internal/exec"
-	"robustdb/internal/placer"
 	"robustdb/internal/sim"
 )
 
@@ -65,7 +64,7 @@ func TestChaosQueriesExactOrFailClean(t *testing.T) {
 			var records []exec.QueryStats
 			e.Sim.Spawn("chaos", func(p *sim.Proc) {
 				for _, q := range queries {
-					v, st, err := e.RunQuery(p, q.Plan, placer.GPUPreferred{})
+					v, st, err := e.RunQuery(p, q.Plan, GPUOnly().Placer)
 					records = append(records, st)
 					if err != nil {
 						failed++ // clean failure is acceptable; leaks are not

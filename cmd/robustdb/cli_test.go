@@ -50,6 +50,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"analyze-all-strategies", []string{"-strategy", "all", "-analyze", "-explain", q}, 2, "-explain: needs a single -strategy"},
 		{"serve-all-strategies", []string{"-strategy", "all", "-serve", ":0"}, 2, "-serve: needs a single -strategy"},
 		{"out-of-range", []string{"-cache-frac", "NaN"}, 2, "-cache-frac: must be finite and at least 0, got NaN"},
+		{"zero-queue-timeout", []string{"-serve", ":0", "-queue-timeout", "0"}, 2, "-queue-timeout: must be above 0, got 0s"},
+		{"negative-queue-timeout", []string{"-serve", ":0", "-queue-timeout", "-1s"}, 2, "-queue-timeout: must be above 0, got -1s"},
 		{"not-enumerated", []string{"-strategy", "quantum"}, 2, "-strategy: must be one of "},
 		{"undefined-flag", []string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
 		{"unparsable-value", []string{"-users", "two"}, 2, `invalid value "two" for flag -users`},

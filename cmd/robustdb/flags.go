@@ -13,6 +13,7 @@ import (
 
 	"robustdb"
 	"robustdb/internal/admission"
+	"robustdb/internal/workload"
 )
 
 // options is the command's whole configuration: one field a flag, bound,
@@ -133,7 +134,7 @@ func flagDefs(o *options) []flagDef {
 		{"bench", &o.bench, "ssb", keys(benchmarks), dataset, "benchmark database"},
 		{"sf", &o.sf, 10, span{1, inf}, dataset, "scale factor"},
 		{"rows", &o.rows, 0, span{0, inf}, dataset, "rows per scale factor (0 = the generator's own)"},
-		{"strategy", &o.strategy, "data-driven-chopping", append(keys(strategies), "all"), dataset, "execution strategy; all runs six in turn and is for a batch run only"},
+		{"strategy", &o.strategy, workload.NameOf(robustdb.DataDrivenChopping()), oneOf(workload.Names()), dataset, "execution strategy; all runs six in turn and is for a batch run only"},
 		{"cache-frac", &o.cacheFrac, 0.5, span{0, maxF}, dataset, "device cache as a fraction of the database"},
 		{"heap-frac", &o.heapFrac, 1.0, span{0, maxF}, dataset, "device heap as a fraction of the database"},
 		{"kernel-workers", &o.kernelWorkers, runtime.GOMAXPROCS(0), span{1, inf}, dataset, "worker threads per operator kernel, GOMAXPROCS unless set (results are bit-identical at any setting; 1 is serial)"},
@@ -161,7 +162,7 @@ func flagDefs(o *options) []flagDef {
 		{"admission-policy", &o.admissionPolicy, string(admission.Fair), oneOf{string(admission.FIFO), string(admission.Fair), string(admission.Detector)}, serve, "admission policy; detector couples admitted concurrency to the thrashing/contention detectors"},
 		{"admit", &o.admit, 0, span{0, inf}, serve, "queries admitted into the engine at once (0 = derived from the strategy's chopping pool bounds)"},
 		{"queue-depth", &o.queueDepth, 64, span{1, inf}, serve, "bounded admission queue length"},
-		{"queue-timeout", &o.queueTimeout, 5 * time.Second, nil, serve, "queue wait after which a queued query is shed"},
+		{"queue-timeout", &o.queueTimeout, 5 * time.Second, span{tiny, inf}, serve, "queue wait after which a queued query is shed"},
 		{"tenant-inflight", &o.tenantInflight, 0, span{0, inf}, serve, "per-tenant in-flight cap (0 = same as -admit)"},
 		{"max-conns", &o.maxConns, 256, span{1, inf}, serve, "accepted TCP connection limit"},
 		{"drain-timeout", &o.drainTimeout, 10 * time.Second, span{tiny, inf}, serve, "bound on the SIGTERM drain"},

@@ -20,6 +20,7 @@ import (
 
 	"robustdb"
 	"robustdb/internal/obs"
+	"robustdb/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -66,26 +67,6 @@ var benchmarks = map[string]struct {
 }{
 	"ssb":  {robustdb.OpenSSB, robustdb.SSBQueries},
 	"tpch": {func(c robustdb.SSBConfig) *robustdb.DB { return robustdb.OpenTPCH(robustdb.TPCHConfig(c)) }, robustdb.TPCHQueries},
-}
-
-// strategies are the names -strategy takes beside "all", the six of the
-// paper's plots in turn.
-var strategies = map[string]func() robustdb.Strategy{
-	"cpu-only":             robustdb.CPUOnly,
-	"gpu-only":             robustdb.GPUOnly,
-	"critical-path":        robustdb.CriticalPath,
-	"data-driven":          robustdb.DataDriven,
-	"runtime":              robustdb.RunTime,
-	"chopping":             robustdb.Chopping,
-	"data-driven-chopping": robustdb.DataDrivenChopping,
-}
-
-// strategiesFor resolves a validated -strategy.
-func strategiesFor(name string) []robustdb.Strategy {
-	if strat, ok := strategies[name]; ok {
-		return []robustdb.Strategy{strat()}
-	}
-	return robustdb.AllStrategies()
 }
 
 // chaos reports whether any fault is to be injected.
@@ -145,7 +126,7 @@ func runExplain(o *options, log *slog.Logger, stdout io.Writer) error {
 	var payload *robustdb.ExplainPayload
 	var err error
 	if o.analyze {
-		payload, err = db.ExplainAnalyzeSQL(dev, strategiesFor(o.strategy)[0], o.explain)
+		payload, err = db.ExplainAnalyzeSQL(dev, workload.Select(o.strategy)[0], o.explain)
 	} else {
 		payload, err = db.ExplainSQL(o.explain)
 	}
@@ -172,7 +153,7 @@ func runBatch(o *options, log *slog.Logger, stdout io.Writer) error {
 		AdmissionControl: o.admission,
 		ContinueOnError:  o.chaos() || o.deadline > 0,
 	}
-	strats := strategiesFor(o.strategy)
+	strats := workload.Select(o.strategy)
 	fmt.Fprintf(stdout, "%-22s %12s %10s %10s %8s %12s\n",
 		"strategy", "time", "H2D", "D2H", "aborts", "wasted")
 	for _, strat := range strats {
@@ -202,7 +183,8 @@ func runBatch(o *options, log *slog.Logger, stdout io.Writer) error {
 		if dev.Tracer != nil {
 			path := o.trace
 			if len(strats) > 1 {
-				path = traceFileName(path, strat.Label)
+				ext := filepath.Ext(path) // out.json → out-data-driven-chopping.json
+				path = strings.TrimSuffix(path, ext) + "-" + workload.NameOf(strat) + ext
 			}
 			if err := writeTrace(path, dev.Tracer); err != nil {
 				return err
@@ -215,14 +197,6 @@ func runBatch(o *options, log *slog.Logger, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// traceFileName derives a per-strategy trace path: "out.json" + "Data-Driven
-// Chopping" → "out-data-driven-chopping.json".
-func traceFileName(path, label string) string {
-	slug := strings.ReplaceAll(strings.ToLower(label), " ", "-")
-	ext := filepath.Ext(path)
-	return path[:len(path)-len(ext)] + "-" + slug + ext
 }
 
 // writeTrace exports the tracer's contents as Chrome trace_event JSON.

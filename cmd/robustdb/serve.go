@@ -38,7 +38,7 @@ func runServe(o *options, log *slog.Logger) error {
 	db, queries, dev := o.start(log)
 	dev.Faults = o.faults(log)
 	dev.Tracer = robustdb.NewTracer(0)
-	strat := strategiesFor(o.strategy)[0]
+	strat := workload.Select(o.strategy)[0]
 	engine, err := workload.NewEngine(db.Catalog(), dev, strat, queries)
 	if err != nil {
 		return err

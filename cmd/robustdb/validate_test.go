@@ -25,6 +25,7 @@ func validOptions() options {
 		admissionPolicy: "fair",
 		admit:           8,
 		queueDepth:      64,
+		queueTimeout:    5 * time.Second,
 		maxConns:        256,
 		drainTimeout:    10 * time.Second,
 
@@ -98,6 +99,7 @@ func TestValidateOptions(t *testing.T) {
 		{"serve-derived-admit", func(o *options) { o.serve = ":0"; o.admit = 0 }, ""},
 		{"serve-negative-admit", func(o *options) { o.serve = ":0"; o.admit = -1 }, "-admit"},
 		{"serve-zero-queue-depth", func(o *options) { o.serve = ":0"; o.queueDepth = 0 }, "-queue-depth"},
+		{"serve-zero-queue-timeout", func(o *options) { o.serve = ":0"; o.queueTimeout = 0 }, "-queue-timeout"},
 		{"serve-negative-tenant-inflight", func(o *options) { o.serve = ":0"; o.tenantInflight = -1 }, "-tenant-inflight"},
 		{"serve-zero-max-conns", func(o *options) { o.serve = ":0"; o.maxConns = 0 }, "-max-conns"},
 		{"serve-zero-drain-timeout", func(o *options) { o.serve = ":0"; o.drainTimeout = 0 }, "-drain-timeout"},

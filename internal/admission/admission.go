@@ -48,15 +48,6 @@ const (
 	Detector Policy = "detector"
 )
 
-// ParsePolicy validates a policy name from a flag or config file.
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case FIFO, Fair, Detector:
-		return Policy(s), nil
-	}
-	return "", fmt.Errorf("admission: unknown policy %q (have fifo, fair, detector)", s)
-}
-
 // Code classifies a typed admission failure.
 type Code string
 

@@ -411,18 +411,6 @@ func TestErrorFormattingAndIs(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{FIFO, Fair, Detector} {
-		got, err := ParsePolicy(string(p))
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("lifo"); err == nil {
-		t.Fatal("ParsePolicy must reject unknown policies")
-	}
-}
-
 // TestConcurrentChurn hammers the controller from many goroutines to give
 // the race detector surface area over the grant/shed/cancel paths.
 func TestConcurrentChurn(t *testing.T) {

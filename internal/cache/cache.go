@@ -2,12 +2,13 @@
 // device memory that holds copies of base columns so operators find their
 // inputs locally (paper §2.1).
 //
-// The cache supports the two replacement policies the paper studies (LRU and
-// LFU, Appendix E), pinning for the data-placement manager (§3.2), and
-// reference counts so running queries never lose a column under their feet —
-// condemned entries are evicted as soon as the last reference drops
-// (paper §3.2: "we use reference counters for access structures ... and can
-// clean up evicted data when it is no longer used").
+// The cache replaces the least recently used column (the paper's LFU-versus-
+// LRU comparison of Appendix E is Algorithm 1's ranking, internal/placement),
+// pins for the data-placement manager (§3.2), and counts references so
+// running queries never lose a column under their feet — condemned entries
+// are evicted as soon as the last reference drops (paper §3.2: "we use
+// reference counters for access structures ... and can clean up evicted data
+// when it is no longer used").
 package cache
 
 import (
@@ -16,29 +17,6 @@ import (
 
 	"robustdb/internal/table"
 )
-
-// Policy is a replacement policy.
-type Policy uint8
-
-// Replacement policies.
-const (
-	// LRU evicts the least recently used unpinned, unreferenced column.
-	LRU Policy = iota
-	// LFU evicts the least frequently used unpinned, unreferenced column.
-	LFU
-)
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case LFU:
-		return "lfu"
-	default:
-		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
 
 // StatCounter is the minimal sink for cache statistics. It is
 // satisfied by *trace.Counter without making this package depend on the
@@ -78,9 +56,7 @@ type entry struct {
 	pinned    bool
 	refs      int
 	condemned bool
-	lastUsed  int64 // logical clock of last access
-	freq      int64 // access count while cached
-	seq       int64 // insertion order, for deterministic ties
+	lastUsed  int64 // logical clock of last access: no two entries share one
 }
 
 // Cache is a device column cache. It is not safe for concurrent use; the
@@ -88,10 +64,8 @@ type entry struct {
 type Cache struct {
 	capacity int64
 	used     int64
-	policy   Policy
 	entries  map[table.ColumnID]*entry
 	clock    int64
-	seq      int64
 
 	// evictedOnce remembers every column that was ever evicted, so a later
 	// insertion of the same column counts as a readmission. Bounded by the
@@ -100,14 +74,13 @@ type Cache struct {
 	stats       Stats
 }
 
-// New creates a cache of the given byte capacity and policy.
-func New(capacity int64, policy Policy) *Cache {
+// New creates a cache of the given byte capacity.
+func New(capacity int64) *Cache {
 	if capacity < 0 {
 		panic(fmt.Sprintf("cache: negative capacity %d", capacity))
 	}
 	return &Cache{
 		capacity:    capacity,
-		policy:      policy,
 		entries:     make(map[table.ColumnID]*entry),
 		evictedOnce: make(map[table.ColumnID]struct{}),
 	}
@@ -122,9 +95,6 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 // Used returns the cached bytes.
 func (c *Cache) Used() int64 { return c.used }
 
-// Policy returns the replacement policy.
-func (c *Cache) PolicyKind() Policy { return c.policy }
-
 // Len returns the number of cached columns.
 func (c *Cache) Len() int { return len(c.entries) }
 
@@ -134,8 +104,8 @@ func (c *Cache) Contains(id table.ColumnID) bool {
 	return ok && !e.condemned
 }
 
-// Lookup reports whether id is cached and records the access (recency and
-// frequency for the replacement policy, hit/miss counters).
+// Lookup reports whether id is cached and records the access (recency for
+// replacement, hit/miss counters).
 func (c *Cache) Lookup(id table.ColumnID) bool {
 	c.clock++
 	e, ok := c.entries[id]
@@ -144,17 +114,16 @@ func (c *Cache) Lookup(id table.ColumnID) bool {
 		return false
 	}
 	e.lastUsed = c.clock
-	e.freq++
 	statInc(c.stats.Hits)
 	return true
 }
 
-// Insert caches id with the given size, evicting victims per policy as
-// needed. It reports whether the insertion succeeded and the evicted ids.
-// Insertion fails when the column cannot fit even after evicting every
-// unpinned, unreferenced entry — the caller then streams the data through
-// heap memory instead of caching it. Inserting an already cached id only
-// refreshes its statistics.
+// Insert caches id with the given size, evicting least recently used
+// victims as needed. It reports whether the insertion succeeded and the
+// evicted ids. Insertion fails when the column cannot fit even after
+// evicting every unpinned, unreferenced entry — the caller then streams the
+// data through heap memory instead of caching it. Inserting an already
+// cached id only refreshes its recency.
 func (c *Cache) Insert(id table.ColumnID, bytes int64) (evicted []table.ColumnID, ok bool) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("cache: negative size for %s", id))
@@ -163,7 +132,6 @@ func (c *Cache) Insert(id table.ColumnID, bytes int64) (evicted []table.ColumnID
 	if e, exists := c.entries[id]; exists {
 		if !e.condemned {
 			e.lastUsed = c.clock
-			e.freq++
 			return nil, true
 		}
 		// A condemned copy is still referenced by a running operator and
@@ -186,8 +154,7 @@ func (c *Cache) Insert(id table.ColumnID, bytes int64) (evicted []table.ColumnID
 		c.remove(v)
 		evicted = append(evicted, v.id)
 	}
-	c.seq++
-	c.entries[id] = &entry{id: id, bytes: bytes, lastUsed: c.clock, freq: 1, seq: c.seq}
+	c.entries[id] = &entry{id: id, bytes: bytes, lastUsed: c.clock}
 	c.used += bytes
 	if _, was := c.evictedOnce[id]; was {
 		delete(c.evictedOnce, id)
@@ -196,35 +163,20 @@ func (c *Cache) Insert(id table.ColumnID, bytes int64) (evicted []table.ColumnID
 	return evicted, true
 }
 
-// victim selects the next eviction candidate per policy, or nil if every
-// entry is pinned or referenced.
+// victim selects the least recently used entry that is neither pinned nor
+// referenced, or nil if there is none. Every access ticks the clock, so the
+// choice is unique whatever order the map iterates in.
 func (c *Cache) victim() *entry {
 	var best *entry
 	for _, e := range c.entries {
 		if e.pinned || e.refs > 0 || e.condemned {
 			continue
 		}
-		if best == nil || c.less(e, best) {
+		if best == nil || e.lastUsed < best.lastUsed {
 			best = e
 		}
 	}
 	return best
-}
-
-// less orders eviction candidates: true means e evicts before f.
-func (c *Cache) less(e, f *entry) bool {
-	switch c.policy {
-	case LFU:
-		if e.freq != f.freq {
-			return e.freq < f.freq
-		}
-	default: // LRU
-		if e.lastUsed != f.lastUsed {
-			return e.lastUsed < f.lastUsed
-		}
-	}
-	// Deterministic tie-break: older insertion evicts first.
-	return e.seq < f.seq
 }
 
 func (c *Cache) remove(e *entry) {

@@ -19,22 +19,16 @@ func (c *countingStat) Inc() { c.n++ }
 type counts struct{ hits, misses, evictions, readmits, failedInserts countingStat }
 
 // newCounted returns a cache that counts into n.
-func newCounted(capacity int64, policy Policy) (c *Cache, n *counts) {
-	c, n = New(capacity, policy), new(counts)
+func newCounted(capacity int64) (c *Cache, n *counts) {
+	c, n = New(capacity), new(counts)
 	c.SetStats(Stats{Hits: &n.hits, Misses: &n.misses, Evictions: &n.evictions,
 		Readmits: &n.readmits, FailedInserts: &n.failedInserts})
 	return c, n
 }
 
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "lru" || LFU.String() != "lfu" || Policy(7).String() != "policy(7)" {
-		t.Fatal("policy labels wrong")
-	}
-}
-
 func TestInsertLookupBasics(t *testing.T) {
-	c, n := newCounted(100, LRU)
-	if c.Capacity() != 100 || c.PolicyKind() != LRU || c.Len() != 0 {
+	c, n := newCounted(100)
+	if c.Capacity() != 100 || c.Len() != 0 {
 		t.Fatal("metadata wrong")
 	}
 	if ev, ok := c.Insert(id("a"), 40); !ok || len(ev) != 0 {
@@ -62,7 +56,7 @@ func TestInsertLookupBasics(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c, n := newCounted(100, LRU)
+	c, n := newCounted(100)
 	c.Insert(id("a"), 40)
 	c.Insert(id("b"), 40)
 	c.Lookup(id("a")) // a is now more recent than b
@@ -78,23 +72,11 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestLFUEvictionOrder(t *testing.T) {
-	c := New(100, LFU)
-	c.Insert(id("a"), 40)
-	c.Insert(id("b"), 40)
-	c.Lookup(id("a"))
-	c.Lookup(id("a"))
-	c.Lookup(id("b")) // freq: a=3, b=2
-	ev, ok := c.Insert(id("c"), 40)
-	if !ok || len(ev) != 1 || ev[0] != id("b") {
-		t.Fatalf("LFU should evict b, got %v", ev)
-	}
-}
-
+// Without lookups the older insertion is the least recently used.
 func TestEvictionTieBreaksOnInsertionOrder(t *testing.T) {
-	c := New(80, LFU)
-	c.Insert(id("a"), 40) // freq 1, older
-	c.Insert(id("b"), 40) // freq 1, newer
+	c := New(80)
+	c.Insert(id("a"), 40) // older
+	c.Insert(id("b"), 40) // newer
 	ev, ok := c.Insert(id("c"), 40)
 	if !ok || len(ev) != 1 || ev[0] != id("a") {
 		t.Fatalf("tie should evict older insertion a, got %v", ev)
@@ -102,7 +84,7 @@ func TestEvictionTieBreaksOnInsertionOrder(t *testing.T) {
 }
 
 func TestInsertTooLargeAndAllProtected(t *testing.T) {
-	c, n := newCounted(50, LRU)
+	c, n := newCounted(50)
 	if _, ok := c.Insert(id("big"), 60); ok {
 		t.Fatal("oversized insert should fail")
 	}
@@ -125,7 +107,7 @@ func TestInsertTooLargeAndAllProtected(t *testing.T) {
 }
 
 func TestRefBlocksEviction(t *testing.T) {
-	c := New(50, LRU)
+	c := New(50)
 	c.Insert(id("a"), 50)
 	if err := c.Ref(id("a")); err != nil {
 		t.Fatal(err)
@@ -140,7 +122,7 @@ func TestRefBlocksEviction(t *testing.T) {
 }
 
 func TestCondemnedEvictionDeferred(t *testing.T) {
-	c := New(100, LRU)
+	c := New(100)
 	c.Insert(id("a"), 40)
 	c.Ref(id("a"))
 	if c.Evict(id("a")) {
@@ -165,7 +147,7 @@ func TestCondemnedEvictionDeferred(t *testing.T) {
 }
 
 func TestEvictImmediate(t *testing.T) {
-	c := New(100, LRU)
+	c := New(100)
 	c.Insert(id("a"), 40)
 	if !c.Evict(id("a")) {
 		t.Fatal("unreferenced evict should be immediate")
@@ -176,7 +158,7 @@ func TestEvictImmediate(t *testing.T) {
 }
 
 func TestPinErrors(t *testing.T) {
-	c := New(10, LRU)
+	c := New(10)
 	if err := c.Pin(id("zz")); err == nil {
 		t.Fatal("pin absent should error")
 	}
@@ -205,11 +187,11 @@ func TestNegativeSizesPanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(-1, LRU)
+	New(-1)
 }
 
 func TestInsertNegativePanics(t *testing.T) {
-	c := New(10, LRU)
+	c := New(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -219,7 +201,7 @@ func TestInsertNegativePanics(t *testing.T) {
 }
 
 func TestContents(t *testing.T) {
-	c := New(100, LRU)
+	c := New(100)
 	c.Insert(id("b"), 10)
 	c.Insert(id("a"), 10)
 	got := c.Contents()
@@ -231,9 +213,9 @@ func TestContents(t *testing.T) {
 // Property: used never exceeds capacity, and pinned entries survive any
 // insertion sequence.
 func TestCacheInvariants(t *testing.T) {
-	f := func(seed int64, pol uint8) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := New(1000, Policy(pol%2))
+		c := New(1000)
 		c.Insert(id("pinned"), 100)
 		c.Pin(id("pinned"))
 		for i := 0; i < 400; i++ {
@@ -268,7 +250,7 @@ func TestCacheInvariants(t *testing.T) {
 func TestLRUNeverEvictsMostRecent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := New(300, LRU)
+		c := New(300)
 		names := []string{"a", "b", "c", "d"}
 		for _, n := range names {
 			c.Insert(id(n), 100) // only 3 fit
@@ -300,7 +282,7 @@ func TestLRUNeverEvictsMostRecent(t *testing.T) {
 // Flush empties the cache like a device reset: pins are dropped, referenced
 // entries are condemned and leave at their last unreference.
 func TestFlush(t *testing.T) {
-	c := New(100, LRU)
+	c := New(100)
 	c.Insert("a", 30)
 	c.Insert("b", 30)
 	c.Insert("c", 30)
@@ -332,7 +314,7 @@ func TestFlush(t *testing.T) {
 // Re-inserting a column whose condemned copy is still referenced must fail:
 // a second copy under the same id would corrupt the byte accounting.
 func TestInsertOverCondemnedFails(t *testing.T) {
-	c, n := newCounted(100, LRU)
+	c, n := newCounted(100)
 	c.Insert("a", 40)
 	if err := c.Ref("a"); err != nil {
 		t.Fatal(err)
@@ -359,7 +341,7 @@ func TestInsertOverCondemnedFails(t *testing.T) {
 }
 
 func TestReadmitTracking(t *testing.T) {
-	c, n := newCounted(100, LRU)
+	c, n := newCounted(100)
 	if _, ok := c.Insert(id("a"), 60); !ok {
 		t.Fatal("insert a")
 	}
@@ -397,7 +379,7 @@ func TestReadmitTracking(t *testing.T) {
 }
 
 func TestStatsMirror(t *testing.T) {
-	c, n := newCounted(100, LRU)
+	c, n := newCounted(100)
 	c.Insert(id("a"), 60)
 	c.Lookup(id("a"))      // hit
 	c.Lookup(id("x"))      // miss

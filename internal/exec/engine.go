@@ -46,8 +46,6 @@ type Config struct {
 	CacheBytes int64
 	// HeapBytes is the device heap capacity for operator intermediates.
 	HeapBytes int64
-	// CachePolicy selects LRU or LFU replacement (Appendix E).
-	CachePolicy cache.Policy
 	// CPUWorkers and GPUWorkers bound operator concurrency per processor;
 	// 0 means UnboundedWorkers. Query chopping sets small bounds.
 	CPUWorkers int
@@ -163,7 +161,7 @@ type Engine struct {
 	// decisions through it.
 	Tracer *trace.Tracer
 	// Log receives structured engine events; nil disables logging at a
-	// single nil-check per hook (see Config.Log). The chopping placers and
+	// single nil-check per hook (see Config.Log). The run-time placers and
 	// the data-placement manager share it.
 	Log *slog.Logger
 	// Health is the device circuit breaker; every placement decision
@@ -223,7 +221,7 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		Params:  params,
 		Learner: cost.NewLearner(params),
 		Bus:     bus.New(s, bus.Config{Bandwidth: params.BusBandwidth, Latency: params.BusLatency}),
-		Cache:   cache.New(cfg.CacheBytes, cfg.CachePolicy),
+		Cache:   cache.New(cfg.CacheBytes),
 		Heap:    device.NewMemory("gpu-heap", cfg.HeapBytes),
 		CPU: &Processor{
 			Kind:    cost.CPU,
@@ -373,11 +371,9 @@ func (e *Engine) removeLoad(kind cost.ProcKind, seconds float64) {
 	}
 }
 
-// Placer decides where operators run. Implementations live in the placer
-// (compile-time heuristics) and chopping (run-time heuristics) packages.
+// Placer decides where operators run. The strategy catalogue in
+// internal/workload adapts its compile-time and run-time rules to it.
 type Placer interface {
-	// Name returns the strategy label used in experiment output.
-	Name() string
 	// CompileTime returns a full node-id → processor placement decided
 	// before execution, or nil for run-time strategies.
 	CompileTime(e *Engine, p *plan.Plan) map[int]cost.ProcKind
@@ -487,7 +483,8 @@ func (e *Engine) logEvent(level slog.Level, msg string, attrs ...slog.Attr) {
 }
 
 // LogPlacement emits one placement decision at debug level on behalf of a
-// run-time placer (the chopping package calls it alongside its trace event).
+// run-time placer (workload's run-time adapter calls it beside its trace
+// event).
 // With no logger, or debug disabled, it is a nil-check no-op; the operator
 // name is only formatted past the gate, keeping the decision path
 // allocation-free when logging is off.

@@ -221,8 +221,8 @@ func AblateAbortSync(o Options) *Figure {
 	footprint := WorkloadFootprint(cat, queries)
 	syncs := []time.Duration{0, 200 * time.Microsecond, 1500 * time.Microsecond, 5 * time.Millisecond}
 	var xs []string
-	naive := Series{Label: "GPU Only"}
-	chop := Series{Label: "Chopping"}
+	naive := Series{Label: workload.GPUOnly().Label}
+	chop := Series{Label: workload.Chopping().Label}
 	for _, sync := range syncs {
 		xs = append(xs, sync.String())
 		params := cost.DefaultParams()

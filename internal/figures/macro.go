@@ -193,8 +193,8 @@ func Fig17(o Options) *Figure {
 		panic("figures: SF 30 missing from the scale-factor sweep")
 	}
 	keep := map[string]bool{
-		"CPU Only": true, "GPU Only": true,
-		"Critical Path": true, "Data-Driven Chopping": true,
+		workload.CPUOnly().Label: true, workload.GPUOnly().Label: true,
+		workload.CriticalPath().Label: true, workload.DataDrivenChopping().Label: true,
 	}
 	f := &Figure{
 		ID:     "fig17",
@@ -292,9 +292,9 @@ func Fig21(o Options) *Figure {
 	}
 	variants := []variant{
 		{"GPU+Admission", workload.GPUOnly(), true},
-		{"GPU Only", workload.GPUOnly(), false},
-		{"Chopping", workload.Chopping(), false},
-		{"Data-Driven Chopping", workload.DataDrivenChopping(), false},
+		{workload.GPUOnly().Label, workload.GPUOnly(), false},
+		{workload.Chopping().Label, workload.Chopping(), false},
+		{workload.DataDrivenChopping().Label, workload.DataDrivenChopping(), false},
 	}
 	f := &Figure{
 		ID:     "fig21",

@@ -131,7 +131,7 @@ func Fig5(o Options) *Figure {
 		XLabel: "cache size / working set",
 		YLabel: "workload execution time [ms]",
 		X:      xs,
-		Series: []Series{{Label: "Data-Driven", Y: times}},
+		Series: []Series{{Label: workload.DataDriven().Label, Y: times}},
 	}
 }
 
@@ -149,7 +149,7 @@ func Fig6(o Options) *Figure {
 		X:      xs,
 		Series: []Series{
 			{Label: "operator-driven", Y: opDriven},
-			{Label: "Data-Driven", Y: dataDriven},
+			{Label: workload.DataDriven().Label, Y: dataDriven},
 		},
 	}
 }
@@ -222,7 +222,7 @@ func Fig7(o Options) *Figure {
 		XLabel: "parallel users",
 		YLabel: "workload execution time [ms]",
 		X:      xs,
-		Series: []Series{{Label: "Data-Driven", Y: timesOf(results)}},
+		Series: []Series{{Label: workload.DataDriven().Label, Y: timesOf(results)}},
 	}
 }
 
@@ -237,7 +237,7 @@ func Fig9(o Options) *Figure {
 		XLabel: "parallel users",
 		YLabel: "workload execution time [ms]",
 		X:      xs,
-		Series: []Series{{Label: "Run-Time", Y: timesOf(results)}},
+		Series: []Series{{Label: workload.RunTime().Label, Y: timesOf(results)}},
 	}
 }
 
@@ -254,8 +254,8 @@ func Fig12(o Options) *Figure {
 		YLabel: "workload execution time [ms]",
 		X:      xs,
 		Series: []Series{
-			{Label: "Chopping", Y: timesOf(results)},
-			{Label: "Data-Driven Chopping", Y: timesOf(ddcResults)},
+			{Label: workload.Chopping().Label, Y: timesOf(results)},
+			{Label: ddc.Label, Y: timesOf(ddcResults)},
 		},
 	}
 }
@@ -282,8 +282,8 @@ func Fig13(o Options) *Figure {
 		X:      xs,
 		Series: []Series{
 			{Label: "GPU (compile-time)", Y: abortsOf(gpuOnly)},
-			{Label: "Run-Time", Y: abortsOf(runTime)},
-			{Label: "Chopping", Y: abortsOf(chop)},
+			{Label: workload.RunTime().Label, Y: abortsOf(runTime)},
+			{Label: workload.Chopping().Label, Y: abortsOf(chop)},
 		},
 	}
 }

@@ -8,11 +8,12 @@ import (
 // VirtualTime enforces the engine's determinism invariant: chaos runs replay
 // bit-for-bit from a seed, so deterministic code (the virtual-time simulator
 // and everything scheduled on it — internal/exec, internal/faults,
-// internal/sim, internal/workload, internal/chopping, internal/cache) must
-// never read the wall clock or draw from unseeded randomness. The analyzer
-// is enforced repo-wide so nothing non-deterministic creeps in behind a
-// package boundary; the one legitimate wall-clock consumer (benchfig's
-// operator-facing progress timing) carries //lint:ignore annotations.
+// internal/sim, internal/workload and its placement rules, internal/cache)
+// must never read the wall clock or draw from unseeded randomness. The
+// analyzer is enforced repo-wide so nothing non-deterministic creeps in
+// behind a package boundary; the one legitimate wall-clock consumer
+// (benchfig's operator-facing progress timing) carries //lint:ignore
+// annotations.
 // _test.go files are never loaded, so tests are exempt by construction.
 //
 // The real-time serving layer — internal/server and internal/admission —

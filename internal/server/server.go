@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"robustdb/internal/admission"
-	"robustdb/internal/chopping"
 	"robustdb/internal/column"
 	"robustdb/internal/engine"
 	"robustdb/internal/exec"
@@ -23,6 +22,7 @@ import (
 	"robustdb/internal/sql"
 	"robustdb/internal/table"
 	"robustdb/internal/trace"
+	"robustdb/internal/workload"
 )
 
 // ErrDrainTimeout marks a drain that hit its bound with queries still in
@@ -177,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 		// Default the admitted concurrency to the engine's chopping pool
 		// bounds: past one query per worker slot (plus headroom) additional
 		// admissions only queue inside the operator stream.
-		cfg.Admission.MaxConcurrent = chopping.AdmittedBound(
+		cfg.Admission.MaxConcurrent = workload.AdmittedBound(
 			cfg.Engine.GPU.Workers.Capacity(), cfg.Engine.CPU.Workers.Capacity())
 	}
 	s := &Server{

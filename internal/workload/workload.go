@@ -1,10 +1,8 @@
-// Package workload runs benchmark workloads through the execution engine
-// exactly the way the paper's evaluation does (§6.1): a fixed total number
-// of queries is distributed over a configurable number of parallel user
-// sessions (closed loop — every session issues its next query when the
-// previous one finishes), the cache is pre-loaded before the measured run,
-// and the run reports the workload execution time together with the
-// transfer, abort, and wasted-time metrics the figures plot.
+// Package workload holds the strategy catalogue (strategies.go) and runs
+// benchmark workloads under it the way the paper's evaluation does (§6.1): a
+// fixed total of queries spread over closed-loop user sessions, the cache
+// pre-loaded before the measured run, and the makespan reported with the
+// transfer, abort and wasted-time metrics the figures plot.
 package workload
 
 import (
@@ -106,10 +104,8 @@ func (r *Result) MeanLatency(name string) time.Duration {
 	return sum / time.Duration(len(ls))
 }
 
-// Strategy bundles everything that distinguishes the paper's execution
-// strategies: the placement heuristic, the per-processor thread-pool bounds
-// (chopping), whether the data placement manager drives the cache, and the
-// cache-preload behaviour.
+// Strategy is an execution strategy, a row of the catalogue (strategies.go):
+// the placement rule, chopping's pool bounds and the data placement.
 type Strategy struct {
 	// Label is the name used in experiment output ("Data-Driven Chopping").
 	Label string
@@ -117,14 +113,13 @@ type Strategy struct {
 	Placer exec.Placer
 	// GPUWorkers / CPUWorkers bound operator concurrency; 0 = unbounded.
 	GPUWorkers, CPUWorkers int
-	// DataDriven runs Algorithm 1 before the measured run and pins the
-	// chosen columns (the data-driven data placement of §3).
-	DataDriven bool
-	// PlacementPolicy selects LFU or LRU ranking for Algorithm 1.
+	// DataDriven runs Algorithm 1, ranking by PlacementPolicy, before the
+	// measured run and pins the chosen columns (§3).
+	DataDriven      bool
 	PlacementPolicy placement.Policy
-	// Preload fills the cache before the run even for operator-driven
-	// strategies (the paper pre-loads access structures "until the GPU
-	// buffer size is reached", §6.1). Ignored when DataDriven is set.
+	// Preload fills the cache the same way, unpinned, for operator-driven
+	// strategies (the paper pre-loads "until the GPU buffer size is
+	// reached", §6.1); ignored when DataDriven is set.
 	Preload bool
 }
 
