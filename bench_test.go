@@ -1,10 +1,10 @@
 package robustdb
 
-// One benchmark per table/figure of the paper's evaluation. Each benchmark
-// regenerates its figure on the simulated machine and logs the series the
-// paper plots (visible with `go test -bench=Fig -benchmem -v`); benchmark
-// time is the cost of reproducing the experiment end to end, including data
-// generation and every simulated run.
+// One sub-benchmark of BenchmarkFig per figure of the paper's evaluation and
+// per ablation. Each regenerates its figure on the simulated machine and logs
+// the series the paper plots (visible with `go test -bench=Fig -benchmem -v`);
+// benchmark time is the cost of reproducing the experiment end to end,
+// including data generation and every simulated run.
 //
 // The options keep the default `go test -bench=.` affordable; raise
 // RowsPerSF/Reps (see cmd/benchfig) for sharper steady-state numbers.
@@ -33,98 +33,24 @@ import (
 // benchOpts is a reduced-scale configuration for the benchmark suite.
 var benchOpts = figures.Options{RowsPerSF: 6000, Reps: 1, Seed: 0}
 
-func benchmarkFigure(b *testing.B, id string) {
-	builder, ok := figures.All()[id]
-	if !ok {
-		b.Fatalf("unknown figure %s", id)
-	}
-	logged := false
-	for i := 0; i < b.N; i++ {
-		figs := builder(benchOpts)
-		if !logged {
-			for _, f := range figs {
-				b.Log("\n" + f.String())
+// BenchmarkFig regenerates every figure and ablation of figures.IDs(), one
+// sub-benchmark each (BenchmarkFig/fig1 …), and logs its series at
+// benchOpts' scale.
+func BenchmarkFig(b *testing.B) {
+	for _, id := range figures.IDs() {
+		build := figures.All()[id]
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				figs := build(benchOpts)
+				if i == 0 {
+					for _, f := range figs {
+						b.Log("\n" + f.String())
+					}
+				}
 			}
-			logged = true
-		}
+		})
 	}
 }
-
-// BenchmarkFig01 regenerates Figure 1: Q3.3 CPU vs cold GPU vs hot GPU.
-func BenchmarkFig01(b *testing.B) { benchmarkFigure(b, "fig1") }
-
-// BenchmarkFig02 regenerates Figure 2: cache thrashing in the serial
-// selection workload.
-func BenchmarkFig02(b *testing.B) { benchmarkFigure(b, "fig2") }
-
-// BenchmarkFig03 regenerates Figure 3: heap contention under parallel users.
-func BenchmarkFig03(b *testing.B) { benchmarkFigure(b, "fig3") }
-
-// BenchmarkFig05 regenerates Figure 5: the Figure 2 sweep under Data-Driven
-// placement.
-func BenchmarkFig05(b *testing.B) { benchmarkFigure(b, "fig5") }
-
-// BenchmarkFig06 regenerates Figure 6: transfer times of the cache sweep.
-func BenchmarkFig06(b *testing.B) { benchmarkFigure(b, "fig6") }
-
-// BenchmarkFig07 regenerates Figure 7: Data-Driven does not fix contention.
-func BenchmarkFig07(b *testing.B) { benchmarkFigure(b, "fig7") }
-
-// BenchmarkFig09 regenerates Figure 9: run-time placement under contention.
-func BenchmarkFig09(b *testing.B) { benchmarkFigure(b, "fig9") }
-
-// BenchmarkFig12 regenerates Figure 12: query chopping is near optimal.
-func BenchmarkFig12(b *testing.B) { benchmarkFigure(b, "fig12") }
-
-// BenchmarkFig13 regenerates Figure 13: operator aborts per strategy.
-func BenchmarkFig13(b *testing.B) { benchmarkFigure(b, "fig13") }
-
-// BenchmarkFig14 regenerates Figure 14: SSBM/TPC-H time vs scale factor.
-func BenchmarkFig14(b *testing.B) { benchmarkFigure(b, "fig14") }
-
-// BenchmarkFig15 regenerates Figure 15: transfer time vs scale factor.
-func BenchmarkFig15(b *testing.B) { benchmarkFigure(b, "fig15") }
-
-// BenchmarkFig16 regenerates Figure 16: workload footprints vs scale factor.
-func BenchmarkFig16(b *testing.B) { benchmarkFigure(b, "fig16") }
-
-// BenchmarkFig17 regenerates Figure 17: selected SSB queries at SF 30.
-func BenchmarkFig17(b *testing.B) { benchmarkFigure(b, "fig17") }
-
-// BenchmarkFig18 regenerates Figure 18: workload time vs parallel users.
-func BenchmarkFig18(b *testing.B) { benchmarkFigure(b, "fig18") }
-
-// BenchmarkFig19 regenerates Figure 19: transfer time vs parallel users.
-func BenchmarkFig19(b *testing.B) { benchmarkFigure(b, "fig19") }
-
-// BenchmarkFig20 regenerates Figure 20: wasted time of aborted operators.
-func BenchmarkFig20(b *testing.B) { benchmarkFigure(b, "fig20") }
-
-// BenchmarkFig21 regenerates Figure 21: query latencies at 20 users,
-// including the admission-control baseline.
-func BenchmarkFig21(b *testing.B) { benchmarkFigure(b, "fig21") }
-
-// BenchmarkFig22 regenerates Figure 22 (Appendix A): TPC-H comparator runs.
-func BenchmarkFig22(b *testing.B) { benchmarkFigure(b, "fig22") }
-
-// BenchmarkFig23 regenerates Figure 23 (Appendix A): SSB comparator runs.
-func BenchmarkFig23(b *testing.B) { benchmarkFigure(b, "fig23") }
-
-// BenchmarkFig24 regenerates Figure 24 (Appendix E): LFU vs LRU placement.
-func BenchmarkFig24(b *testing.B) { benchmarkFigure(b, "fig24") }
-
-// BenchmarkFig25 regenerates Figure 25 (appendix): all SSB latencies vs
-// users.
-func BenchmarkFig25(b *testing.B) { benchmarkFigure(b, "fig25") }
-
-// BenchmarkAblateCompression regenerates the compression ablation (§6.3).
-func BenchmarkAblateCompression(b *testing.B) { benchmarkFigure(b, "ablate-compression") }
-
-// BenchmarkAblatePoolSize regenerates the thread-pool-bound ablation (§5.2).
-func BenchmarkAblatePoolSize(b *testing.B) { benchmarkFigure(b, "ablate-poolsize") }
-
-// BenchmarkAblateAbortSync regenerates the abort-stall sensitivity ablation.
-func BenchmarkAblateAbortSync(b *testing.B) { benchmarkFigure(b, "ablate-abortsync") }
 
 // BenchmarkQueryChopping measures the core engine path end to end: one
 // Data-Driven Chopping execution of SSB Q3.3 per iteration, real kernels

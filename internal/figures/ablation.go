@@ -13,40 +13,32 @@ import (
 	"robustdb/internal/workload"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out: the
-// paper's compression discussion (§6.3), the chopping thread-pool bound
-// (§5.2), and the abort-synchronization stall of the device model
-// (DESIGN.md §4). They run through cmd/benchfig and bench_test.go like the
-// paper's figures.
+// Ablation experiments for the design choices DESIGN.md calls out; they run
+// through cmd/benchfig and bench_test.go like the paper's figures.
 
-// AblateCompression reproduces the §6.3 claim: compressing the database
-// shifts the scale factor at which GPU-only execution breaks down, without
-// removing the breakdown itself. Same device, same queries — only the
-// storage format changes.
-func AblateCompression(o Options) *Figure {
+// ablateCompression runs GPU-only over the SSBM scale-factor sweep on the
+// Figure 14 device (sized on the raw SF-15 working set), once over the raw
+// and once over the bit-packed database (§6.3).
+func ablateCompression(o Options) *Figure {
 	rows := o.rowsPerSF(macroRowsPerSF)
-	cfg := macroDeviceConfig(o, true) // fixed hardware, sized on RAW SF 15
-	var xs []string
+	cfg := macroDeviceConfig(o, ssbBench)
 	var raw, compressed []float64
-	for _, sf := range sfSweep {
-		xs = append(xs, fmt.Sprintf("%d", sf))
+	for _, sf := range scaleFactors {
 		cat := ssbCatalog(sf, rows, o.Seed)
 		spec := workload.Spec{
 			Queries:      ssbWorkload(),
 			Users:        1,
 			TotalQueries: 13 * o.reps(2),
 		}
-		rawRes := mustRun(cat, cfg, workload.GPUOnly(), spec)
-		compRes := mustRun(cat.Compressed(), cfg, workload.GPUOnly(), spec)
-		raw = append(raw, ms(rawRes.WorkloadTime))
-		compressed = append(compressed, ms(compRes.WorkloadTime))
+		raw = append(raw, ms(mustRun(cat, cfg, workload.GPUOnly(), spec).WorkloadTime))
+		compressed = append(compressed, ms(mustRun(cat.Compressed(), cfg, workload.GPUOnly(), spec).WorkloadTime))
 	}
 	return &Figure{
 		ID:     "ablate-compression",
 		Title:  "Compression shifts the GPU-only breakdown to larger scale factors (§6.3)",
 		XLabel: "scale factor",
 		YLabel: "workload execution time [ms]",
-		X:      xs,
+		X:      format("%d", scaleFactors...),
 		Series: []Series{
 			{Label: "GPU Only (raw)", Y: raw},
 			{Label: "GPU Only (bit-packed)", Y: compressed},
@@ -54,70 +46,50 @@ func AblateCompression(o Options) *Figure {
 	}
 }
 
-// AblatePoolSize sweeps the chopping thread-pool bound on the parallel
-// selection workload at 20 users: one worker under-uses the device, a few
-// workers keep it busy without contention, unbounded workers recreate heap
-// contention — the reasoning behind §5.2's "moderate parallel execution".
-func AblatePoolSize(o Options) *Figure {
-	rows := o.rowsPerSF(ssb.DefaultRowsPerSF)
-	cat := ssbCatalog(microSF, rows, o.Seed)
-	q := ssb.ParallelSelectionQuery()
-	queries := []workload.Query{{Name: q.Name, Plan: q.Plan}}
-	footprint := WorkloadFootprint(cat, queries)
-	cfg := exec.Config{
-		CacheBytes: footprint * 2,
-		HeapBytes:  int64(8.5 * float64(footprint)),
-	}
-	pools := []int{1, 2, 4, 8, 16, exec.UnboundedWorkers}
-	var xs []string
-	times := Series{Label: "workload time"}
-	aborts := Series{Label: "aborts"}
-	for _, workers := range pools {
-		label := fmt.Sprintf("%d", workers)
-		if workers == exec.UnboundedWorkers {
-			label = "unbounded"
-		}
-		xs = append(xs, label)
-		strat := workload.Chopping()
-		strat.GPUWorkers = workers
-		spec := workload.Spec{Queries: queries, Users: 20, TotalQueries: o.reps(1) * 100}
-		res := mustRun(cat, cfg, strat, spec)
-		times.Y = append(times.Y, ms(res.WorkloadTime))
-		aborts.Y = append(aborts.Y, float64(res.Aborts))
-	}
-	return &Figure{
+// ablatePoolSize runs Chopping on the parallel selection workload at 20
+// users with the GPU worker pool bounded at 1 … 16 workers and unbounded
+// (§5.2).
+func ablatePoolSize(o Options) *Figure {
+	p := newParallelSelection(o)
+	f := &Figure{
 		ID:     "ablate-poolsize",
 		Title:  "Chopping thread-pool bound vs contention (20 users, Appendix B.2)",
 		XLabel: "GPU worker-pool size",
 		YLabel: "workload time [ms] / aborts",
-		X:      xs,
-		Series: []Series{times, aborts},
+		Series: []Series{{Label: "workload time"}, {Label: "aborts"}},
 	}
+	for _, workers := range []int{1, 2, 4, 8, 16, exec.UnboundedWorkers} {
+		label := fmt.Sprintf("%d", workers)
+		if workers == exec.UnboundedWorkers {
+			label = "unbounded"
+		}
+		f.X = append(f.X, label)
+		strat := workload.Chopping()
+		strat.GPUWorkers = workers
+		res := p.run(p.cfg, strat, 20)
+		f.Series[0].Y = append(f.Series[0].Y, ms(res.WorkloadTime))
+		f.Series[1].Y = append(f.Series[1].Y, float64(res.Aborts))
+	}
+	return f
 }
 
-// AblateFaultRate sweeps the injected infrastructure-fault rate (transient
-// device allocation and bus transfer failures, same rate for both) over the
-// SSB mix and compares how the strategies degrade. CPU Only is the flat
-// reference — faults only hit the device path. The robustness claim mirrors
-// the paper's: data-driven chopping degrades gracefully towards the CPU-only
-// line (retry absorbs isolated faults, the circuit breaker caps the damage
-// of bursts) instead of collapsing.
-func AblateFaultRate(o Options) *Figure {
-	rows := o.rowsPerSF(ssb.DefaultRowsPerSF)
-	cat := ssbCatalog(microSF, rows, o.Seed)
+// ablateFaultRate runs the SSB mix at SF 10 with 4 users under CPU Only,
+// GPU Only and Data-Driven Chopping as the injected rate of transient device
+// allocation and bus transfer failures (the same for both) grows.
+func ablateFaultRate(o Options) *Figure {
+	cat := ssbCatalog(microSF, o.rowsPerSF(ssb.DefaultRowsPerSF), o.Seed)
 	queries := ssbWorkload()
 	footprint := WorkloadFootprint(cat, queries)
-	rates := []float64{0, 0.02, 0.05, 0.1, 0.2}
-	strategies := []workload.Strategy{
-		workload.CPUOnly(), workload.GPUOnly(), workload.DataDrivenChopping(),
+	strategies := []workload.Strategy{workload.CPUOnly(), workload.GPUOnly(), workload.DataDrivenChopping()}
+	f := &Figure{
+		ID:     "ablate-faultrate",
+		Title:  "Graceful degradation under injected device faults (SSB mix, 4 users)",
+		XLabel: "injected fault rate",
+		YLabel: "workload execution time [ms]",
+		Series: seriesOf(strategies),
 	}
-	var xs []string
-	series := make([]Series, len(strategies))
-	for i, strat := range strategies {
-		series[i].Label = strat.Label
-	}
-	for _, rate := range rates {
-		xs = append(xs, fmt.Sprintf("%.0f%%", rate*100))
+	for _, rate := range []float64{0, 0.02, 0.05, 0.1, 0.2} {
+		f.X = append(f.X, fmt.Sprintf("%.0f%%", rate*100))
 		for i, strat := range strategies {
 			cfg := exec.Config{
 				CacheBytes: footprint * 2,
@@ -138,33 +110,20 @@ func AblateFaultRate(o Options) *Figure {
 				TotalQueries:    13 * o.reps(2),
 				ContinueOnError: true,
 			}
-			res := mustRun(cat, cfg, strat, spec)
-			series[i].Y = append(series[i].Y, ms(res.WorkloadTime))
+			f.Series[i].Y = append(f.Series[i].Y, ms(mustRun(cat, cfg, strat, spec).WorkloadTime))
 		}
 	}
-	return &Figure{
-		ID:     "ablate-faultrate",
-		Title:  "Graceful degradation under injected device faults (SSB mix, 4 users)",
-		XLabel: "injected fault rate",
-		YLabel: "workload execution time [ms]",
-		X:      xs,
-		Series: series,
-	}
+	return f
 }
 
-// AblateOverlap sweeps the pipelined chunk executor's in-flight bound on a
-// transfer-bound GPU-only scan over an almost-cold cache (2% of the working
-// set). The query is a terminal wide selection — its result returns to the
-// host either way, so the serial and pipelined paths move the same bytes and
-// the sweep isolates the scheduling. Depth 0 is the serial
-// transfer-then-compute baseline; depth 1 double-buffers the upload of chunk
-// i+1 under the compute of chunk i; deeper schedules add little because one
-// extra in-flight chunk already hides the (dominant) transfer stage. Three
-// variants per depth: learner-sized chunks, learner-sized chunks plus CPU
-// co-execution of trailing chunks, and two coarse half-table chunks — coarse
-// chunks cap the hideable fraction at one stage boundary, which is why the
-// sizer aims for several chunks per table.
-func AblateOverlap(o Options) *Figure {
+// ablateOverlap runs a transfer-bound GPU-only scan over an almost-cold cache
+// (2% of the working set) as the pipelined chunk executor's in-flight bound
+// grows from 0 (serial transfer-then-compute) to 8, with learner-sized
+// chunks, with those plus CPU co-execution of trailing chunks, and with two
+// coarse half-table chunks. The query is a terminal wide selection: its
+// result returns to the host either way, so the serial and pipelined paths
+// move the same bytes and the sweep isolates the scheduling.
+func ablateOverlap(o Options) *Figure {
 	rows := o.rowsPerSF(ssb.DefaultRowsPerSF)
 	cat := ssbCatalog(microSF, rows, o.Seed)
 	scan := plan.Scan("lineorder",
@@ -209,39 +168,27 @@ func AblateOverlap(o Options) *Figure {
 	}
 }
 
-// AblateAbortSync sweeps the device-synchronization stall charged per abort
-// (the cudaFree-semantics constant of the machine model, DESIGN.md §4) on
-// the naive strategy at 20 users. The contention penalty scales with it;
-// chopping is immune at every setting because it never aborts.
-func AblateAbortSync(o Options) *Figure {
-	rows := o.rowsPerSF(ssb.DefaultRowsPerSF)
-	cat := ssbCatalog(microSF, rows, o.Seed)
-	q := ssb.ParallelSelectionQuery()
-	queries := []workload.Query{{Name: q.Name, Plan: q.Plan}}
-	footprint := WorkloadFootprint(cat, queries)
-	syncs := []time.Duration{0, 200 * time.Microsecond, 1500 * time.Microsecond, 5 * time.Millisecond}
-	var xs []string
-	naive := Series{Label: workload.GPUOnly().Label}
-	chop := Series{Label: workload.Chopping().Label}
-	for _, sync := range syncs {
-		xs = append(xs, sync.String())
-		params := cost.DefaultParams()
-		params.AbortSync = sync
-		cfg := exec.Config{
-			Params:     params,
-			CacheBytes: footprint * 2,
-			HeapBytes:  int64(8.5 * float64(footprint)),
-		}
-		spec := workload.Spec{Queries: queries, Users: 20, TotalQueries: o.reps(1) * 100}
-		naive.Y = append(naive.Y, ms(mustRun(cat, cfg, workload.GPUOnly(), spec).WorkloadTime))
-		chop.Y = append(chop.Y, ms(mustRun(cat, cfg, workload.Chopping(), spec).WorkloadTime))
-	}
-	return &Figure{
+// ablateAbortSync runs GPU-only and Chopping on the parallel selection
+// workload at 20 users as the device-synchronization stall charged per abort
+// (the cudaFree-semantics constant of the machine model, DESIGN.md §4) grows.
+func ablateAbortSync(o Options) *Figure {
+	p := newParallelSelection(o)
+	strategies := []workload.Strategy{workload.GPUOnly(), workload.Chopping()}
+	f := &Figure{
 		ID:     "ablate-abortsync",
 		Title:  "Sensitivity to the abort-synchronization stall (20 users, Appendix B.2)",
 		XLabel: "abort sync stall",
 		YLabel: "workload execution time [ms]",
-		X:      xs,
-		Series: []Series{naive, chop},
+		Series: seriesOf(strategies),
 	}
+	for _, sync := range []time.Duration{0, 200 * time.Microsecond, 1500 * time.Microsecond, 5 * time.Millisecond} {
+		f.X = append(f.X, sync.String())
+		cfg := p.cfg
+		cfg.Params = cost.DefaultParams()
+		cfg.Params.AbortSync = sync
+		for i, s := range strategies {
+			f.Series[i].Y = append(f.Series[i].Y, ms(p.run(cfg, s, 20).WorkloadTime))
+		}
+	}
+	return f
 }

@@ -4,90 +4,50 @@ import (
 	"fmt"
 
 	"robustdb/internal/cost"
-	"robustdb/internal/exec"
-	"robustdb/internal/par"
-	"robustdb/internal/table"
 	"robustdb/internal/vecengine"
 	"robustdb/internal/workload"
 )
 
-// comparatorRun builds the Appendix A comparison (Figures 22/23): the
-// operator-at-a-time engine ("CoGaDB") against the vectorized backend
-// ("Ocelot*", the comparator substitute of DESIGN.md §2), each with a CPU
-// and a hot-cache GPU configuration, single user, SF 10.
-func comparatorRun(o Options, cat *table.Catalog, cfg exec.Config,
-	queries []workload.Query, omit map[string]bool) *Figure {
-	var xs []string
-	cogadbCPU := Series{Label: "CoGaDB CPU"}
-	cogadbGPU := Series{Label: "CoGaDB GPU"}
-	ocelotCPU := Series{Label: "Ocelot* CPU"}
-	ocelotGPU := Series{Label: "Ocelot* GPU"}
-	params := cost.DefaultParams()
-	vec := vecengine.New(cat, 0)
-	if cfg.KernelWorkers > 1 {
-		// Same morsel pool as the bulk engine; results are bit-identical, so
-		// the figure goldens do not depend on the worker count.
-		vec.SetPool(par.New(cfg.KernelWorkers))
+// comparator builds the Appendix A comparison (Figures 22/23): each of the
+// benchmark's queries at SF 10, single user, on the operator-at-a-time engine
+// ("CoGaDB") and on the vectorized backend ("Ocelot*", the comparator
+// substitute of DESIGN.md §2), each with a CPU and a hot-cache GPU
+// configuration. The omitted query is the one the paper omits because Ocelot
+// does not support it.
+func comparator(id, title string, b benchmark, omit string) func(Options) *Figure {
+	return func(o Options) *Figure {
+		cat := b.catalog(10, o.rowsPerSF(macroRowsPerSF), o.Seed)
+		cfg := macroDeviceConfig(o, b)
+		f := &Figure{
+			ID:     id,
+			Title:  title,
+			XLabel: "query",
+			YLabel: "mean query time [ms]",
+			Series: []Series{{Label: "CoGaDB CPU"}, {Label: "CoGaDB GPU"}, {Label: "Ocelot* CPU"}, {Label: "Ocelot* GPU"}},
+		}
+		params := cost.DefaultParams()
+		vec := vecengine.New(cat, 0)
+		for _, q := range b.queries() {
+			if q.Name == omit {
+				continue
+			}
+			f.X = append(f.X, q.Name)
+			spec := workload.Spec{Queries: []workload.Query{q}, Users: 1, TotalQueries: o.reps(2)}
+			for i, s := range []workload.Strategy{workload.CPUOnly(), workload.GPUOnly()} {
+				res := mustRun(cat, cfg, s, spec)
+				f.Series[i].Y = append(f.Series[i].Y, ms(res.MeanLatency(q.Name)))
+			}
+			if err := q.Plan.EstimateSizes(cat); err != nil {
+				panic(fmt.Sprintf("figures: estimate %s: %v", q.Name, err))
+			}
+			_, stats, err := vec.Execute(q.Plan)
+			if err != nil {
+				panic(fmt.Sprintf("figures: vectorized %s: %v", q.Name, err))
+			}
+			for i, proc := range []cost.ProcKind{cost.CPU, cost.GPU} {
+				f.Series[2+i].Y = append(f.Series[2+i].Y, ms(vecengine.EstimateTime(q.Plan, stats, params, proc, cat)))
+			}
+		}
+		return f
 	}
-	for _, q := range queries {
-		if omit[q.Name] {
-			// The paper omits queries the comparator does not support
-			// (SSB Q2.2 and TPC-H Q2 for Ocelot).
-			continue
-		}
-		xs = append(xs, q.Name)
-		spec := workload.Spec{
-			Queries:      []workload.Query{q},
-			Users:        1,
-			TotalQueries: o.reps(2),
-		}
-		cpuRes := mustRun(cat, cfg, workload.CPUOnly(), spec)
-		gpuRes := mustRun(cat, cfg, workload.GPUOnly(), spec)
-		cogadbCPU.Y = append(cogadbCPU.Y, ms(cpuRes.MeanLatency(q.Name)))
-		cogadbGPU.Y = append(cogadbGPU.Y, ms(gpuRes.MeanLatency(q.Name)))
-
-		if err := q.Plan.EstimateSizes(cat); err != nil {
-			panic(fmt.Sprintf("figures: estimate %s: %v", q.Name, err))
-		}
-		_, stats, err := vec.Execute(q.Plan)
-		if err != nil {
-			panic(fmt.Sprintf("figures: vectorized %s: %v", q.Name, err))
-		}
-		ocelotCPU.Y = append(ocelotCPU.Y,
-			ms(vecengine.EstimateTime(q.Plan, stats, params, cost.CPU, cat)))
-		ocelotGPU.Y = append(ocelotGPU.Y,
-			ms(vecengine.EstimateTime(q.Plan, stats, params, cost.GPU, cat)))
-	}
-	return &Figure{
-		XLabel: "query",
-		YLabel: "mean query time [ms]",
-		X:      xs,
-		Series: []Series{cogadbCPU, cogadbGPU, ocelotCPU, ocelotGPU},
-	}
-}
-
-// Fig22 reproduces Figure 22 (Appendix A): selected TPC-H queries at SF 10,
-// single user, CoGaDB vs the vectorized comparator, CPU and GPU backends.
-// TPC-H Q2 is omitted for the comparator like the paper omits it for Ocelot.
-func Fig22(o Options) *Figure {
-	rows := o.rowsPerSF(macroRowsPerSF)
-	cat := tpchCatalog(10, rows, o.Seed)
-	f := comparatorRun(o, cat, macroDeviceConfig(o, false), tpchWorkload(),
-		map[string]bool{"Q2": true})
-	f.ID = "fig22"
-	f.Title = "TPC-H queries: operator-at-a-time vs vectorized backend (SF 10)"
-	return f
-}
-
-// Fig23 reproduces Figure 23 (Appendix A): the SSB queries at SF 10,
-// CoGaDB vs the vectorized comparator. SSB Q2.2 is omitted like the paper
-// omits it for Ocelot.
-func Fig23(o Options) *Figure {
-	rows := o.rowsPerSF(macroRowsPerSF)
-	cat := ssbCatalog(10, rows, o.Seed)
-	f := comparatorRun(o, cat, macroDeviceConfig(o, true), ssbWorkload(),
-		map[string]bool{"Q2.2": true})
-	f.ID = "fig23"
-	f.Title = "SSB queries: operator-at-a-time vs vectorized backend (SF 10)"
-	return f
 }

@@ -1,11 +1,11 @@
 // Package figures regenerates every figure of the paper's evaluation.
 //
-// Each FigNN function runs the corresponding experiment on the simulated
+// Each row of the experiment table runs one experiment on the simulated
 // machine and returns the series the paper plots. The absolute numbers
 // differ from the paper (its testbed was a physical Xeon + GTX 770; ours is
-// the calibrated simulator, cf. DESIGN.md §2), but the *shape* of every
-// curve — who wins, where the knees fall, the rough degradation factors —
-// is the reproduction target recorded in EXPERIMENTS.md.
+// the calibrated simulator, cf. DESIGN.md §2); what the paper claims about
+// the curves is checked over the pinned series by the claim table of
+// claims_test.go (DESIGN.md §28).
 //
 // Device sizing: all experiments size the simulated co-processor relative
 // to the scaled database exactly as the paper's GTX 770 (4 GB) related to
@@ -16,8 +16,8 @@ package figures
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"robustdb/internal/exec"
@@ -33,7 +33,8 @@ type Series struct {
 	Y     []float64
 }
 
-// Figure is the data behind one figure of the paper.
+// Figure is the data behind one figure of the paper. Every series has a y
+// value per x position.
 type Figure struct {
 	ID     string
 	Title  string
@@ -73,11 +74,7 @@ func (f *Figure) Render(w io.Writer) {
 	for j, x := range f.X {
 		fmt.Fprintf(w, "%-*s", widths[0], x)
 		for i := range f.Series {
-			v := ""
-			if j < len(cells[i]) {
-				v = cells[i][j]
-			}
-			fmt.Fprintf(w, "  %*s", widths[i+1], v)
+			fmt.Fprintf(w, "  %*s", widths[i+1], cells[i][j])
 		}
 		fmt.Fprintln(w)
 	}
@@ -134,29 +131,41 @@ func (o Options) reps(def int) int {
 	return def
 }
 
-// ssbCatalog generates (and memoizes per-process) an SSB catalog.
-var ssbCache = map[string]*table.Catalog{}
+// memos holds every generated catalog and every run sweep of the process.
+var memos sync.Map // comparable key → *memoEntry
 
-func ssbCatalog(sf, rowsPerSF int, seed int64) *table.Catalog {
-	key := fmt.Sprintf("ssb/%d/%d/%d", sf, rowsPerSF, seed)
-	if c, ok := ssbCache[key]; ok {
-		return c
-	}
-	c := ssb.Generate(ssb.Config{SF: sf, RowsPerSF: rowsPerSF, Seed: seed})
-	ssbCache[key] = c
-	return c
+type memoEntry struct {
+	once sync.Once
+	v    any
 }
 
-var tpchCache = map[string]*table.Catalog{}
+// memo returns what run returned the first time key was asked for; callers
+// asking for the same key meanwhile wait for that run. No lock is held while
+// run executes, so a run may ask the memo for another key (a sweep for its
+// catalogs).
+func memo[T any](key any, run func() T) T {
+	e, _ := memos.LoadOrStore(key, new(memoEntry))
+	m := e.(*memoEntry)
+	m.once.Do(func() { m.v = run() })
+	return m.v.(T)
+}
+
+type catalogKey struct {
+	benchmark string
+	sf, rows  int
+	seed      int64
+}
+
+func ssbCatalog(sf, rowsPerSF int, seed int64) *table.Catalog {
+	return memo(catalogKey{"ssb", sf, rowsPerSF, seed}, func() *table.Catalog {
+		return ssb.Generate(ssb.Config{SF: sf, RowsPerSF: rowsPerSF, Seed: seed})
+	})
+}
 
 func tpchCatalog(sf, rowsPerSF int, seed int64) *table.Catalog {
-	key := fmt.Sprintf("tpch/%d/%d/%d", sf, rowsPerSF, seed)
-	if c, ok := tpchCache[key]; ok {
-		return c
-	}
-	c := tpch.Generate(tpch.Config{SF: sf, RowsPerSF: rowsPerSF, Seed: seed})
-	tpchCache[key] = c
-	return c
+	return memo(catalogKey{"tpch", sf, rowsPerSF, seed}, func() *table.Catalog {
+		return tpch.Generate(tpch.Config{SF: sf, RowsPerSF: rowsPerSF, Seed: seed})
+	})
 }
 
 // ssbWorkload adapts the SSB query list to the workload runner.
@@ -205,60 +214,78 @@ func mustRun(cat *table.Catalog, cfg exec.Config, strat workload.Strategy, spec 
 	return res
 }
 
+// experiments is every regenerable figure in paper order, the ablations after
+// the figures and the front-door extension last; benchfig all prints them in
+// this order. A figure that plots one metric of a sweep per strategy is a
+// panel (sweep.go); the others are functions.
+var experiments = []struct {
+	id    string
+	build func(Options) []*Figure
+}{
+	{"fig1", one(fig1)},
+	{"fig2", plot(panel{"fig2", "Serial selection workload, operator-driven placement (cache thrashing)",
+		cacheSweep, workloadTime, []plotted{{"GPU (operator-driven)", workload.GPUOnly()}}})},
+	{"fig3", plot(panel{"fig3", "Parallel selection workload, naive GPU execution (heap contention)",
+		parallelSweep, workloadTime, []plotted{{"GPU (operator-driven)", workload.GPUOnly()}}})},
+	{"fig5", plot(panel{"fig5", "Serial selection workload, data-driven placement",
+		cacheSweep, workloadTime, labelled(workload.DataDriven())})},
+	{"fig6", plot(panel{"fig6", "Serial selection workload: CPU→GPU transfer time",
+		cacheSweep, transferTime, append([]plotted{{"operator-driven", workload.GPUOnly()}}, labelled(workload.DataDriven())...)})},
+	{"fig7", plot(panel{"fig7", "Parallel selection workload, data-driven placement (contention remains)",
+		parallelSweep, workloadTime, labelled(workload.DataDriven())})},
+	{"fig9", plot(panel{"fig9", "Parallel selection workload, run-time placement",
+		parallelSweep, workloadTime, labelled(workload.RunTime())})},
+	{"fig12", plot(panel{"fig12", "Parallel selection workload, query chopping (near optimal)",
+		parallelSweep, workloadTime, labelled(workload.Chopping(), workload.DataDrivenChopping())})},
+	{"fig13", plot(panel{"fig13", "Aborted GPU operators by strategy", parallelSweep, aborts,
+		append([]plotted{{"GPU (compile-time)", workload.GPUOnly()}}, labelled(workload.RunTime(), workload.Chopping())...)})},
+	{"fig14", plot(
+		panel{"fig14a", "SSBM workload time vs scale factor", sfSweep(ssbBench), workloadTime, everyStrategy},
+		panel{"fig14b", "TPC-H (Q2–Q7) workload time vs scale factor", sfSweep(tpchBench), workloadTime, everyStrategy})},
+	{"fig15", plot(
+		panel{"fig15a", "SSBM CPU→GPU transfer time vs scale factor", sfSweep(ssbBench), transferTime, everyStrategy},
+		panel{"fig15b", "TPC-H CPU→GPU transfer time vs scale factor", sfSweep(tpchBench), transferTime, everyStrategy})},
+	{"fig16", one(fig16)},
+	{"fig17", one(fig17)},
+	{"fig18", plot(
+		panel{"fig18a", "SSBM workload time vs parallel users (SF 10)", usersSweep(ssbBench), workloadTime, everyStrategy},
+		panel{"fig18b", "TPC-H workload time vs parallel users (SF 10)", usersSweep(tpchBench), workloadTime, everyStrategy})},
+	{"fig19", plot(
+		panel{"fig19a", "SSBM CPU→GPU transfer time vs parallel users", usersSweep(ssbBench), transferTime, everyStrategy},
+		panel{"fig19b", "TPC-H CPU→GPU transfer time vs parallel users", usersSweep(tpchBench), transferTime, everyStrategy})},
+	{"fig20", plot(panel{"fig20", "SSBM wasted time by aborted GPU operators", usersSweep(ssbBench), wastedTime, everyStrategy})},
+	{"fig21", one(fig21)},
+	{"fig22", one(comparator("fig22", "TPC-H queries: operator-at-a-time vs vectorized backend (SF 10)", tpchBench, "Q2"))},
+	{"fig23", one(comparator("fig23", "SSB queries: operator-at-a-time vs vectorized backend (SF 10)", ssbBench, "Q2.2"))},
+	{"fig24", one(fig24)},
+	{"fig25", one(fig25)},
+	{"ablate-abortsync", one(ablateAbortSync)},
+	{"ablate-compression", one(ablateCompression)},
+	{"ablate-faultrate", one(ablateFaultRate)},
+	{"ablate-overlap", one(ablateOverlap)},
+	{"ablate-poolsize", one(ablatePoolSize)},
+	{"admission-overload", AdmissionOverload},
+}
+
+func one(build func(Options) *Figure) func(Options) []*Figure {
+	return func(o Options) []*Figure { return []*Figure{build(o)} }
+}
+
 // All returns every figure regenerator keyed by id, for cmd/benchfig.
 func All() map[string]func(Options) []*Figure {
-	return map[string]func(Options) []*Figure{
-		"fig1":               func(o Options) []*Figure { return []*Figure{Fig1(o)} },
-		"fig2":               func(o Options) []*Figure { return []*Figure{Fig2(o)} },
-		"fig3":               func(o Options) []*Figure { return []*Figure{Fig3(o)} },
-		"fig5":               func(o Options) []*Figure { return []*Figure{Fig5(o)} },
-		"fig6":               func(o Options) []*Figure { return []*Figure{Fig6(o)} },
-		"fig7":               func(o Options) []*Figure { return []*Figure{Fig7(o)} },
-		"fig9":               func(o Options) []*Figure { return []*Figure{Fig9(o)} },
-		"fig12":              func(o Options) []*Figure { return []*Figure{Fig12(o)} },
-		"fig13":              func(o Options) []*Figure { return []*Figure{Fig13(o)} },
-		"fig14":              func(o Options) []*Figure { return Fig14(o) },
-		"fig15":              func(o Options) []*Figure { return Fig15(o) },
-		"fig16":              func(o Options) []*Figure { return []*Figure{Fig16(o)} },
-		"fig17":              func(o Options) []*Figure { return []*Figure{Fig17(o)} },
-		"fig18":              func(o Options) []*Figure { return Fig18(o) },
-		"fig19":              func(o Options) []*Figure { return Fig19(o) },
-		"fig20":              func(o Options) []*Figure { return []*Figure{Fig20(o)} },
-		"fig21":              func(o Options) []*Figure { return []*Figure{Fig21(o)} },
-		"fig22":              func(o Options) []*Figure { return []*Figure{Fig22(o)} },
-		"fig23":              func(o Options) []*Figure { return []*Figure{Fig23(o)} },
-		"fig24":              func(o Options) []*Figure { return []*Figure{Fig24(o)} },
-		"fig25":              func(o Options) []*Figure { return []*Figure{Fig25(o)} },
-		"admission-overload": func(o Options) []*Figure { return AdmissionOverload(o) },
-		"ablate-compression": func(o Options) []*Figure { return []*Figure{AblateCompression(o)} },
-		"ablate-faultrate":   func(o Options) []*Figure { return []*Figure{AblateFaultRate(o)} },
-		"ablate-overlap":     func(o Options) []*Figure { return []*Figure{AblateOverlap(o)} },
-		"ablate-poolsize":    func(o Options) []*Figure { return []*Figure{AblatePoolSize(o)} },
-		"ablate-abortsync":   func(o Options) []*Figure { return []*Figure{AblateAbortSync(o)} },
+	all := make(map[string]func(Options) []*Figure, len(experiments))
+	for _, e := range experiments {
+		all[e.id] = e.build
 	}
+	return all
 }
 
 // IDs returns the figure ids in paper order, with the ablation experiments
 // after the figures.
 func IDs() []string {
-	m := All()
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	num := func(id string) int {
-		var n int
-		if _, err := fmt.Sscanf(id, "fig%d", &n); err != nil {
-			return 1 << 20 // ablations sort after the figures, by name
-		}
-		return n
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := num(ids[i]), num(ids[j])
-		if a != b {
-			return a < b
-		}
-		return ids[i] < ids[j]
-	})
 	return ids
 }

@@ -1,6 +1,7 @@
 package robustdb
 
 import (
+	"sync"
 	"testing"
 
 	"robustdb/internal/column"
@@ -193,5 +194,32 @@ func TestRegenerateFigureFacade(t *testing.T) {
 	}
 	if len(FigureIDs()) != 27 {
 		t.Fatalf("figure ids = %d", len(FigureIDs()))
+	}
+}
+
+// TestRegenerateFigureConcurrent regenerates figures that share catalogs and
+// sweeps from several goroutines at once (run it under -race); a figure asked
+// for twice renders the same both times.
+func TestRegenerateFigureConcurrent(t *testing.T) {
+	ids := []string{"fig16", "fig2", "fig3", "fig5", "fig7", "fig24", "fig2", "fig3"}
+	out := make([]string, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			figs, err := RegenerateFigure(id, FigureOptions{RowsPerSF: 1500, Reps: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, f := range figs {
+				out[i] += f.String()
+			}
+		}()
+	}
+	wg.Wait()
+	if out[1] != out[6] || out[2] != out[7] {
+		t.Error("a figure regenerated concurrently twice rendered differently")
 	}
 }
