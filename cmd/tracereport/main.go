@@ -11,11 +11,12 @@
 // With no mode flag both text reports are printed, summary first. -json
 // emits the per-query summary as JSON Lines (one object per query) for
 // scripting — jq, spreadsheet import, CI assertions. -slowest N prints the
-// N slowest queries by wall time with a per-operator breakdown (rows,
-// bytes, attempts, wall/wait/transfer time per plan node) — the first stop
-// when chasing a slow query out of a recorded trace. -pipeline prints the
-// per-query pipeline view of a pipelined run: chunk schedule, transfer
-// overlap ratio, and the busy fraction of the h2d/compute/d2h lanes.
+// N slowest queries by virtual latency with a per-node breakdown (rows,
+// bytes, attempts, vt/wait/transfer time per plan node — the numbers EXPLAIN
+// ANALYZE attaches) — the first stop when chasing a slow query out of a
+// recorded trace. -pipeline prints the per-query pipeline view of a
+// pipelined run: chunk schedule, transfer overlap ratio, and the busy
+// fraction of the h2d/compute/d2h lanes.
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 	summaryOnly := flag.Bool("summary", false, "print only the per-query aggregate table")
 	waterfallOnly := flag.Bool("waterfall", false, "print only the per-query waterfall")
 	jsonOut := flag.Bool("json", false, "emit the per-query summary as JSON Lines (one object per query)")
-	slowest := flag.Int("slowest", 0, "print the N slowest queries by wall time with per-operator breakdowns")
+	slowest := flag.Int("slowest", 0, "print the N slowest queries by virtual latency with per-node breakdowns")
 	pipeline := flag.Bool("pipeline", false, "print the per-query pipeline view (chunk schedule, overlap, lane utilization)")
 	flag.Parse()
 	modes := 0

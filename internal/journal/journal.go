@@ -1,6 +1,6 @@
 // Package journal is the always-on slow-query journal: a bounded ring of
-// fully analyzed query records — the EXPLAIN ANALYZE payload, the span
-// waterfall, the tenant, and the admission outcome — for every query that
+// fully analyzed query records — the EXPLAIN ANALYZE payload, the query's
+// spans, the tenant, and the admission outcome — for every query that
 // crossed a latency threshold, misestimated past a q-error bound, or failed.
 // The ring bounds memory on long runs (oldest entries drop and are counted),
 // and a nil *Journal is the disabled journal: every method is a nil-check
@@ -19,24 +19,6 @@ import (
 	"robustdb/internal/plan"
 	"robustdb/internal/trace"
 )
-
-// SpanRecord is one operator attempt of a journaled query's waterfall,
-// compact enough to serialize per entry. Times are virtual microseconds.
-type SpanRecord struct {
-	Name            string `json:"name"`
-	Op              string `json:"op,omitempty"`
-	Proc            string `json:"proc,omitempty"`
-	Node            int    `json:"node"`
-	StartUS         int64  `json:"start_us"`
-	DurUS           int64  `json:"dur_us"`
-	QueueWaitUS     int64  `json:"queue_wait_us"`
-	TransferUS      int64  `json:"transfer_us"`
-	Abort           string `json:"abort,omitempty"`
-	Attempt         int    `json:"attempt"`
-	Rows            int64  `json:"rows,omitempty"`
-	OutBytes        int64  `json:"out_bytes,omitempty"`
-	DecompressBytes int64  `json:"decompress_bytes,omitempty"`
-}
 
 // Entry is one journaled query.
 type Entry struct {
@@ -65,9 +47,10 @@ type Entry struct {
 	// Plan is the analyzed EXPLAIN payload (per-node actuals attached); nil
 	// for queries that never compiled.
 	Plan *plan.ExplainPayload `json:"plan,omitempty"`
-	// Spans is the query's span waterfall; nil when tracing was off or the
-	// query never executed.
-	Spans []SpanRecord `json:"spans,omitempty"`
+	// Spans is the query's own record (exec.QueryStats.Spans, ending with
+	// its query span), encoded as /debug/spans encodes spans; nil when
+	// tracing was off or the query never executed.
+	Spans []trace.Span `json:"spans,omitempty"`
 }
 
 // Journal is the bounded ring. Construct with New; the zero value is not
@@ -188,35 +171,4 @@ func (j *Journal) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Waterfall converts a query's trace spans (exec.QueryStats.Spans) into the
-// journal's compact span records, skipping the query-level span (its content
-// lives in the entry fields).
-func Waterfall(spans []trace.Span) []SpanRecord {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]SpanRecord, 0, len(spans))
-	for _, s := range spans {
-		if s.Class == "query" {
-			continue
-		}
-		out = append(out, SpanRecord{
-			Name:            s.Name,
-			Op:              s.Op,
-			Proc:            s.Proc,
-			Node:            s.Node,
-			StartUS:         int64(s.Start / time.Microsecond),
-			DurUS:           int64(s.Duration() / time.Microsecond),
-			QueueWaitUS:     int64(s.QueueWait / time.Microsecond),
-			TransferUS:      int64(s.Transfer / time.Microsecond),
-			Abort:           s.Abort,
-			Attempt:         s.Attempt,
-			Rows:            s.Rows,
-			OutBytes:        s.OutBytes,
-			DecompressBytes: s.DecompressBytes,
-		})
-	}
-	return out
 }

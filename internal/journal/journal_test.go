@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"robustdb/internal/trace"
 )
 
 func TestNilJournalIsDisabled(t *testing.T) {
@@ -120,26 +118,5 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if _, ok := second["query_id"]; ok {
 		t.Fatal("shed entry should omit empty query_id")
-	}
-}
-
-func TestWaterfallSkipsQuerySpan(t *testing.T) {
-	spans := []trace.Span{
-		{Query: "q0001", Name: "q0001", Class: "query", Start: 0, End: 10 * time.Millisecond},
-		{Query: "q0001", Name: "q0001/op000", Op: "scan(t)", Class: "selection",
-			Proc: "gpu", Node: 0, Start: time.Millisecond, End: 3 * time.Millisecond,
-			QueueWait: 100 * time.Microsecond, Rows: 42, OutBytes: 336},
-	}
-	recs := Waterfall(spans)
-	if len(recs) != 1 {
-		t.Fatalf("records = %d, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Node != 0 || r.Rows != 42 || r.OutBytes != 336 ||
-		r.StartUS != 1000 || r.DurUS != 2000 || r.QueueWaitUS != 100 {
-		t.Fatalf("record = %+v", r)
-	}
-	if Waterfall(nil) != nil {
-		t.Fatal("empty input should return nil")
 	}
 }

@@ -7,111 +7,45 @@ import (
 	"robustdb/internal/trace"
 )
 
-// payload builds a two-node document (root 1 ← child 0) with estimates.
-func analyzeTestPayload() *ExplainPayload {
-	child := &ExplainNode{ID: 0, Kind: "scan", EstRows: 100}
-	root := &ExplainNode{ID: 1, Kind: "aggregate", EstRows: 10, Children: []*ExplainNode{child}}
-	return &ExplainPayload{Version: ExplainVersion, Root: root}
-}
-
-func TestAttachActualsCleanRun(t *testing.T) {
-	p := analyzeTestPayload()
-	spans := []trace.Span{
-		{Query: "q0001", Class: "query", Tenant: "acme", Start: 0, End: 90 * time.Microsecond},
-		{Query: "q0001", Class: "selection", Node: 0, Proc: "gpu", Attempt: 0,
+// TestAttachActuals pins what AttachActuals adds to the two folds it renders
+// (their own cases are trace's TestFold*): every node of the tree gets a
+// section — "missing" where no span reached it — the exec summary carries the
+// query id, the query span's latency and tenant, the worst q-error over "ok"
+// nodes, and the server's outcome wins over the span-derived one.
+func TestAttachActuals(t *testing.T) {
+	payload := func() *ExplainPayload {
+		child := &ExplainNode{ID: 0, Kind: "scan", EstRows: 100}
+		return &ExplainPayload{Version: ExplainVersion,
+			Root: &ExplainNode{ID: 1, Kind: "aggregate", EstRows: 10, Children: []*ExplainNode{child}}}
+	}
+	p := payload()
+	AttachActuals(p, "q0001", []trace.Span{
+		{Query: "q0001", Class: "selection", Node: 0, Proc: "gpu",
 			Start: 0, End: 40 * time.Microsecond, Rows: 50, OutBytes: 400},
-		{Query: "q0001", Class: "aggregation", Node: 1, Proc: "cpu", Attempt: 0,
-			Start: 40 * time.Microsecond, End: 90 * time.Microsecond, Rows: 10, OutBytes: 80},
+		{Query: "q0001", Class: "query", Tenant: "acme", Start: 0, End: 90 * time.Microsecond, Abort: "failed"},
+	}, "")
+	if e := p.Exec; e.QueryID != "q0001" || e.Outcome != "failed" || e.Latency != trace.US(90*time.Microsecond) || e.Tenant != "acme" {
+		t.Fatalf("exec = %+v", e)
 	}
-	AttachActuals(p, "q0001", spans, "")
-	if p.Exec == nil || p.Exec.QueryID != "q0001" || p.Exec.Outcome != "ok" {
-		t.Fatalf("exec = %+v", p.Exec)
-	}
-	if p.Exec.LatencyUS != 90 || p.Exec.Tenant != "acme" {
-		t.Fatalf("exec = %+v", p.Exec)
-	}
-	// Worst misestimate is the scan: est 100 vs actual 50 → q-error 2.
+	// The scan is the only "ok" node: est 100 vs actual 50 → q-error 2.
 	if p.Exec.QError != 2 {
 		t.Fatalf("q-error = %v, want 2", p.Exec.QError)
 	}
-	a := p.Root.Children[0].Analyze
-	if a.Status != "ok" || a.ActualRows != 50 || a.ActualBytes != 400 ||
-		a.WallUS != 40 || a.Processor != "gpu" || a.Attempts != 1 {
+	if a := p.Root.Children[0].Analyze; a.Status != "ok" || a.ActualRows != 50 || a.Processor != "gpu" {
 		t.Fatalf("scan analyze = %+v", a)
 	}
-}
-
-// TestAttachActualsShed pins the shed contract: a query that never reached
-// the engine has no spans, so every node reports status "missing" with zero
-// attempts — flagged absence, never fabricated zero-row actuals.
-func TestAttachActualsShed(t *testing.T) {
-	p := analyzeTestPayload()
-	AttachActuals(p, "", nil, "shed")
-	if p.Exec.Outcome != "shed" {
-		t.Fatalf("outcome = %q, want shed", p.Exec.Outcome)
+	if a := p.Root.Analyze; a == nil || a.Status != "missing" || a.Attempts != 0 || a.Processor != "" {
+		t.Fatalf("unreached root analyze = %+v, want missing", a)
 	}
-	for _, n := range []*ExplainNode{p.Root, p.Root.Children[0]} {
-		a := n.Analyze
-		if a == nil || a.Status != "missing" || a.Attempts != 0 || a.ActualRows != 0 || a.Processor != "" {
-			t.Fatalf("node %d analyze = %+v, want missing with no actuals", n.ID, a)
+
+	shed := payload()
+	AttachActuals(shed, "", nil, "shed")
+	if shed.Exec.Outcome != "shed" || shed.Exec.QError != 0 || shed.Exec.Latency != 0 {
+		t.Fatalf("shed exec = %+v", shed.Exec)
+	}
+	for _, n := range []*ExplainNode{shed.Root, shed.Root.Children[0]} {
+		if a := n.Analyze; a == nil || a.Status != "missing" || a.Attempts != 0 || a.ActualRows != 0 {
+			t.Fatalf("shed node %d analyze = %+v, want missing with no actuals", n.ID, a)
 		}
-	}
-	if p.Exec.QError != 0 {
-		t.Fatalf("q-error over missing nodes = %v, want 0", p.Exec.QError)
-	}
-}
-
-// TestAttachActualsDeadlineMidPlan pins the partial contract: a deadline that
-// fires mid-plan leaves completed nodes "ok", started-but-aborted nodes
-// "partial" (real durations, no rows), and unreached nodes "missing".
-func TestAttachActualsDeadlineMidPlan(t *testing.T) {
-	p := analyzeTestPayload()
-	spans := []trace.Span{
-		{Query: "q0002", Class: "query", Start: 0, End: 30 * time.Microsecond, Abort: "failed"},
-		{Query: "q0002", Class: "selection", Node: 0, Proc: "gpu", Attempt: 0,
-			Start: 0, End: 30 * time.Microsecond, Abort: "deadline",
-			QueueWait: 5 * time.Microsecond},
-		// Node 1 never started: no span at all.
-	}
-	AttachActuals(p, "q0002", spans, "deadline")
-	if p.Exec.Outcome != "deadline" {
-		t.Fatalf("outcome = %q, want deadline (server override wins)", p.Exec.Outcome)
-	}
-	scan := p.Root.Children[0].Analyze
-	if scan.Status != "partial" || scan.Attempts != 1 || scan.WallUS != 30 || scan.QueueWaitUS != 5 {
-		t.Fatalf("aborted scan analyze = %+v, want partial with real durations", scan)
-	}
-	if scan.ActualRows != 0 || scan.ActualBytes != 0 {
-		t.Fatalf("aborted scan reports rows/bytes %d/%d, want 0/0 (output rolled back)",
-			scan.ActualRows, scan.ActualBytes)
-	}
-	if root := p.Root.Analyze; root.Status != "missing" || root.Attempts != 0 {
-		t.Fatalf("unreached root analyze = %+v, want missing", root)
-	}
-}
-
-// TestAttachActualsRetries pins attempt folding: durations sum across every
-// attempt, rows/bytes and processor come from the completed attempt only.
-func TestAttachActualsRetries(t *testing.T) {
-	p := analyzeTestPayload()
-	spans := []trace.Span{
-		{Query: "q0003", Class: "query", Start: 0, End: 100 * time.Microsecond},
-		{Query: "q0003", Class: "selection", Node: 0, Proc: "gpu", Attempt: 0,
-			Start: 0, End: 20 * time.Microsecond, Abort: "alloc"},
-		{Query: "q0003", Class: "selection", Node: 0, Proc: "cpu", Attempt: 1,
-			Start: 20 * time.Microsecond, End: 60 * time.Microsecond, Rows: 50, OutBytes: 400},
-		{Query: "q0003", Class: "aggregation", Node: 1, Proc: "cpu", Attempt: 0,
-			Start: 60 * time.Microsecond, End: 100 * time.Microsecond, Rows: 10, OutBytes: 80},
-	}
-	AttachActuals(p, "q0003", spans, "")
-	a := p.Root.Children[0].Analyze
-	if a.Status != "ok" || a.Attempts != 2 {
-		t.Fatalf("retried scan analyze = %+v", a)
-	}
-	if a.WallUS != 60 {
-		t.Fatalf("wall = %dµs, want 60 (summed across attempts)", a.WallUS)
-	}
-	if a.ActualRows != 50 || a.Processor != "cpu" {
-		t.Fatalf("actuals must come from the completed attempt: %+v", a)
 	}
 }

@@ -1,9 +1,10 @@
 package plan
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"robustdb/internal/column"
 	"robustdb/internal/cost"
@@ -13,8 +14,10 @@ import (
 
 // ExplainVersion is the schema version of the EXPLAIN payload. Bump it when
 // field meanings change so downstream consumers (CI smoke, dashboards) can
-// detect drift instead of misreading.
-const ExplainVersion = 1
+// detect drift instead of misreading. Version 2 renamed the analyze
+// section's virtual-time "wall_us" to "vt_us" and sums each node's attempts
+// before truncating to microseconds (trace.US).
+const ExplainVersion = 2
 
 // ExplainColumn is one base column a node reads, with its stored encoding.
 type ExplainColumn struct {
@@ -49,48 +52,11 @@ type ExplainNode struct {
 	Placement string `json:"placement"`
 
 	// Analyze carries the node's execution actuals when the payload was
-	// produced by EXPLAIN ANALYZE (AttachActuals); nil for plain EXPLAIN, so
-	// pre-ANALYZE documents are byte-identical.
-	Analyze *ExplainAnalyze `json:"analyze,omitempty"`
+	// produced by EXPLAIN ANALYZE (AttachActuals): the per-node fold of the
+	// query's spans. Nil for plain EXPLAIN.
+	Analyze *trace.NodeActuals `json:"analyze,omitempty"`
 
 	Children []*ExplainNode `json:"children,omitempty"`
-}
-
-// ExplainAnalyze is the per-node actuals section of EXPLAIN ANALYZE,
-// populated by correlating exec spans back to plan nodes by node id.
-// Durations are virtual microseconds (integral and lossless at simulator
-// resolution) summed across all attempts; rows/bytes come from the completed
-// attempt only, so retries never double-count output.
-type ExplainAnalyze struct {
-	// Status is "ok" (a completed attempt was found), "partial" (the node
-	// ran but every attempt aborted — durations are real, rows/bytes are
-	// not), or "missing" (no span reached the tracer: the query was shed or
-	// failed before this node started).
-	Status string `json:"status"`
-	// Processor is where the final attempt ran ("cpu"/"gpu"); empty when
-	// status is "missing".
-	Processor string `json:"processor,omitempty"`
-	// Attempts counts execution attempts including retries and the CPU
-	// fallback; 0 when status is "missing".
-	Attempts int `json:"attempts"`
-	// ActualRows and ActualBytes are the completed attempt's output; 0 when
-	// no attempt completed (status != "ok" — flagged, not fabricated).
-	ActualRows  int64 `json:"actual_rows"`
-	ActualBytes int64 `json:"actual_bytes"`
-	// WallUS, QueueWaitUS, and TransferUS sum across all attempts.
-	WallUS      int64 `json:"wall_us"`
-	QueueWaitUS int64 `json:"queue_wait_us"`
-	TransferUS  int64 `json:"transfer_us"`
-	// DecompressBytes is the volume materialized by decoding compressed
-	// columns during the node's kernels, summed across attempts.
-	DecompressBytes int64 `json:"decompress_bytes,omitempty"`
-	// Pipeline fields come from the completed attempt of a node the engine
-	// ran through the pipelined chunk executor; all omitted on serial nodes,
-	// so pre-pipeline documents are byte-identical.
-	PipelineDepth  int     `json:"pipeline_depth,omitempty"`
-	PipelineChunks int64   `json:"pipeline_chunks,omitempty"`
-	CPUChunks      int64   `json:"pipeline_cpu_chunks,omitempty"`
-	OverlapPct     float64 `json:"overlap_pct,omitempty"`
 }
 
 // ExplainExec is the query-level execution summary of an EXPLAIN ANALYZE
@@ -99,9 +65,9 @@ type ExplainExec struct {
 	// QueryID is the engine's query id ("q0001") — the span correlation key.
 	QueryID string `json:"query_id"`
 	// Outcome is "ok" or the query span's abort class ("failed", ...).
-	Outcome   string `json:"outcome"`
-	LatencyUS int64  `json:"latency_us"`
-	Tenant    string `json:"tenant,omitempty"`
+	Outcome string   `json:"outcome"`
+	Latency trace.US `json:"latency_us"`
+	Tenant  string   `json:"tenant,omitempty"`
 	// QError is the worst per-node cardinality misestimate:
 	// max(est/actual, actual/est) over nodes with both sides known. 0 when
 	// no node had both.
@@ -236,41 +202,34 @@ func explainBaseColumns(op Operator, cat *table.Catalog, en *ExplainNode) error 
 	return nil
 }
 
-// AttachActuals upgrades a plain EXPLAIN payload to EXPLAIN ANALYZE by
-// correlating the query's exec spans back to plan nodes: every node gains an
-// Analyze section (status "missing" when no span reached it — shed queries
-// and nodes past a mid-plan failure report missing, never fabricated zeros),
-// and the payload gains an Exec summary from the query-level span. spans is
-// the query's own record (exec.QueryStats.Spans); outcome overrides the
-// span-derived outcome when non-empty (the server knows shed/deadline
+// AttachActuals upgrades a plain EXPLAIN payload to EXPLAIN ANALYZE from the
+// query's own record (exec.QueryStats.Spans): every node gains its per-node
+// fold (status "missing" when no span reached it — shed queries and nodes
+// past a mid-plan failure report missing, never fabricated zeros), and the
+// payload gains an Exec summary from the per-query fold. outcome overrides
+// the span-derived outcome when non-empty (the server knows shed/deadline
 // classifications the engine cannot see).
 func AttachActuals(payload *ExplainPayload, queryID string, spans []trace.Span, outcome string) {
 	exec := &ExplainExec{QueryID: queryID, Outcome: "ok"}
-	byNode := make(map[int][]trace.Span, len(spans))
-	for _, s := range spans {
-		if s.Class == "query" {
-			exec.LatencyUS = int64(s.Duration() / time.Microsecond)
-			exec.Tenant = s.Tenant
-			if s.Abort != "" {
-				exec.Outcome = s.Abort
-			}
-			continue
+	for _, q := range trace.FoldQueries(spans) { // one query: its own record
+		exec.Latency, exec.Tenant = q.Latency, q.Tenant
+		if q.Failed != "" {
+			exec.Outcome = q.Failed
 		}
-		if s.Class == "chunk" {
-			// Pipeline-stage spans are sub-attempt detail: counting them as
-			// attempts would corrupt the retry accounting. The attempt span of
-			// the pipelined operator already aggregates them.
-			continue
-		}
-		byNode[s.Node] = append(byNode[s.Node], s)
 	}
 	if outcome != "" {
 		exec.Outcome = outcome
 	}
+	actuals := trace.FoldNodes(spans) // in node id order
 
 	var walk func(en *ExplainNode)
 	walk = func(en *ExplainNode) {
-		en.Analyze = analyzeNode(byNode[en.ID])
+		i, ok := slices.BinarySearchFunc(actuals, en.ID, func(a trace.NodeActuals, id int) int { return cmp.Compare(a.Node, id) })
+		if ok {
+			en.Analyze = &actuals[i]
+		} else {
+			en.Analyze = &trace.NodeActuals{Node: en.ID, Status: "missing"}
+		}
 		if a := en.Analyze; a.Status == "ok" && en.EstRows > 0 && a.ActualRows > 0 {
 			q := float64(en.EstRows) / float64(a.ActualRows)
 			if q < 1 {
@@ -288,35 +247,4 @@ func AttachActuals(payload *ExplainPayload, queryID string, spans []trace.Span, 
 		walk(payload.Root)
 	}
 	payload.Exec = exec
-}
-
-// analyzeNode folds one node's attempt spans into its Analyze section.
-func analyzeNode(spans []trace.Span) *ExplainAnalyze {
-	a := &ExplainAnalyze{Status: "missing"}
-	final := -1
-	for _, s := range spans {
-		a.Attempts++
-		a.WallUS += int64(s.Duration() / time.Microsecond)
-		a.QueueWaitUS += int64(s.QueueWait / time.Microsecond)
-		a.TransferUS += int64(s.Transfer / time.Microsecond)
-		a.DecompressBytes += s.DecompressBytes
-		if s.Attempt >= final {
-			final = s.Attempt
-			a.Processor = s.Proc
-		}
-		if s.Abort == "" {
-			a.Status = "ok"
-			a.ActualRows = s.Rows
-			a.ActualBytes = s.OutBytes
-			if s.ChunkCount > 0 {
-				a.PipelineDepth = s.PipelineDepth
-				a.PipelineChunks = s.ChunkCount
-				a.CPUChunks = s.CPUChunks
-				a.OverlapPct = s.Overlap * 100
-			}
-		} else if a.Status == "missing" {
-			a.Status = "partial"
-		}
-	}
-	return a
 }

@@ -5,8 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,7 +67,7 @@ func TestExplainAnalyzeHTTP(t *testing.T) {
 		if n.Analyze == nil {
 			t.Fatalf("node %d has no analyze section", n.ID)
 		}
-		if n.Analyze.Status != "ok" || n.Analyze.Attempts < 1 || n.Analyze.WallUS <= 0 {
+		if n.Analyze.Status != "ok" || n.Analyze.Attempts < 1 || n.Analyze.VT <= 0 {
 			t.Fatalf("node %d analyze = %+v", n.ID, n.Analyze)
 		}
 		for _, c := range n.Children {
@@ -376,7 +380,11 @@ func TestJournaledRequestRedoesNothing(t *testing.T) {
 // of that same query carry byte-identical plan trees, the tree reports the
 // placement the query ran under, and the library's DB.ExplainAnalyzeSQL of
 // the statement on an identically built machine agrees with both on every
-// field that does not depend on virtual time.
+// field that does not depend on virtual time. It also holds the surfaces to
+// one fold of the query's spans: the slow-log entry's spans are the query's
+// own record as the span ring received it, and tracereport -slowest over them
+// prints every node's attempts, processor, rows, bytes and vt/wait/transfer
+// exactly as the document carries them.
 func TestOneAnalyzeFunctionThreeSurfaces(t *testing.T) {
 	cat := catalog(t)
 	// A compile-time strategy, so the document has real placements to report;
@@ -387,7 +395,8 @@ func TestOneAnalyzeFunctionThreeSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := journal.New(16, 0, 0)
-	s := newServerUnder(t, cat, exec.Config{Tracer: trace.New(0)}, strat,
+	tracer := trace.New(0)
+	s := newServerUnder(t, cat, exec.Config{Tracer: tracer}, strat,
 		[]workload.Query{{Name: "analyze", Plan: pl}}, func(cfg *server.Config) { cfg.Journal = j })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -415,20 +424,45 @@ func TestOneAnalyzeFunctionThreeSurfaces(t *testing.T) {
 	}
 	defer slow.Body.Close()
 	var logged wireDoc
+	var spans []trace.Span
 	for dec := json.NewDecoder(slow.Body); dec.More(); {
 		var entry struct {
-			QueryID string  `json:"query_id"`
-			Plan    wireDoc `json:"plan"`
+			QueryID string       `json:"query_id"`
+			Plan    wireDoc      `json:"plan"`
+			Spans   []trace.Span `json:"spans"`
 		}
 		if err := dec.Decode(&entry); err != nil {
 			t.Fatalf("decode slowlog: %v", err)
 		}
 		if entry.QueryID == served.Exec.QueryID {
-			logged = entry.Plan
+			logged, spans = entry.Plan, entry.Spans
 		}
 	}
 	if logged.Root == nil {
 		t.Fatalf("query %s not in /debug/slowlog", served.Exec.QueryID)
+	}
+	var ring []trace.Span
+	for _, sp := range tracer.Spans() {
+		if sp.Query == served.Exec.QueryID {
+			ring = append(ring, sp)
+		}
+	}
+	if len(spans) == 0 || !reflect.DeepEqual(spans, ring) {
+		t.Fatalf("slow-log spans are not the query's record:\nentry: %+v\nring:  %+v", spans, ring)
+	}
+	var slowest bytes.Buffer
+	if err := robustdb.TraceSlowest(&slowest, spans, 1); err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[int][]string) // node id → proc vt= wait= xfer= attempts= rows= bytes=
+	for _, line := range strings.Split(slowest.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 8 && strings.HasPrefix(f[0], "node=") {
+			id, err := strconv.Atoi(strings.TrimPrefix(f[0], "node="))
+			if err != nil {
+				t.Fatalf("-slowest row %q: %v", line, err)
+			}
+			rows[id] = f[1:8]
+		}
 	}
 	if !bytes.Equal(served.Root, logged.Root) {
 		t.Fatalf("plan trees differ between the two surfaces:\n/v1/explain:    %s\n/debug/slowlog: %s", served.Root, logged.Root)
@@ -456,6 +490,12 @@ func TestOneAnalyzeFunctionThreeSurfaces(t *testing.T) {
 		}
 		if got.Placement == "gpu" {
 			gpu++
+		}
+		printed := []string{a.Processor, "vt=" + a.VT.String(), "wait=" + a.QueueWait.String(),
+			"xfer=" + a.Transfer.String(), fmt.Sprint("attempts=", a.Attempts),
+			fmt.Sprint("rows=", a.ActualRows), fmt.Sprint("bytes=", a.ActualBytes)}
+		if !slices.Equal(rows[got.ID], printed) {
+			t.Fatalf("node %d: -slowest prints %q, the document carries %q", got.ID, rows[got.ID], printed)
 		}
 		if got.Placement != want.Placement || a.Status != b.Status || a.Processor != b.Processor ||
 			a.Attempts != b.Attempts || a.ActualRows != b.ActualRows || a.ActualBytes != b.ActualBytes {

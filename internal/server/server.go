@@ -342,7 +342,7 @@ func (s *Server) journalQuery(prep *prepared, tenant, outcome string, stats exec
 		LatencyUS: stats.Latency.Microseconds(),
 		QError:    stats.QError,
 		WallTime:  time.Now().UTC().Format(time.RFC3339Nano),
-		Spans:     journal.Waterfall(stats.Spans),
+		Spans:     stats.Spans,
 	}
 	if prep.text != "" && len(stats.Spans) > 0 {
 		if payload, err := stats.Analyze(prep.plan, s.cat, prep.text, outcome); err == nil {

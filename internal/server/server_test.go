@@ -574,7 +574,7 @@ func TestHTTPExplainEndpoint(t *testing.T) {
 	}
 
 	out := fetch(ts.URL+"/v1/explain", fmt.Sprintf("{%q:%q}", "sql", sql))
-	if out["version"] != float64(1) {
+	if out["version"] != float64(2) {
 		t.Fatalf("version = %v", out["version"])
 	}
 	root, ok := out["root"].(map[string]any)
@@ -614,7 +614,7 @@ func TestHTTPExplainEndpoint(t *testing.T) {
 	// The EXPLAIN-prefixed spelling on /v1/query serves the same document
 	// instead of executing the statement.
 	out2 := fetch(ts.URL+"/v1/query", fmt.Sprintf("{%q:%q}", "sql", "EXPLAIN "+sql))
-	if out2["version"] != float64(1) || out2["root"] == nil {
+	if out2["version"] != float64(2) || out2["root"] == nil {
 		t.Fatalf("EXPLAIN via /v1/query did not return a plan document: %v", out2)
 	}
 

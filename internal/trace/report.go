@@ -22,72 +22,43 @@ func (ew *errWriter) printf(format string, args ...any) {
 	_, ew.err = fmt.Fprintf(ew.w, format, args...)
 }
 
-// Waterfall prints a per-query waterfall of the trace: one block per query,
-// one bar per operator attempt, offset and scaled inside the query's time
-// window — the textual rendering of what chrome://tracing shows graphically.
-// Output is deterministic for a deterministic trace. The returned error is
-// the first write error, if any.
+// Waterfall prints a per-query waterfall of the trace: one block per query in
+// start order, one bar per operator attempt, offset and scaled inside the
+// query's time window — the textual rendering of what chrome://tracing shows
+// graphically. Output is deterministic for a deterministic trace. The
+// returned error is the first write error, if any.
 func Waterfall(w io.Writer, spans []Span, events []Event) error {
 	ew := &errWriter{w: w}
-	queries, ops, _ := splitSpans(spans)
-	if len(queries) == 0 && len(ops) == 0 {
+	queries := FoldQueries(spans)
+	if len(queries) == 0 {
 		ew.printf("trace: no spans\n")
 		return ew.err
 	}
-
-	// Queries in start order; operator spans attach to their query id.
-	sort.SliceStable(queries, func(i, j int) bool {
-		if queries[i].Start != queries[j].Start {
-			return queries[i].Start < queries[j].Start
-		}
-		return queries[i].Query < queries[j].Query
-	})
-	byQuery := make(map[string][]Span)
-	for _, s := range ops {
-		byQuery[s.Query] = append(byQuery[s.Query], s)
-	}
-	// Operator spans whose query span fell out of the ring still get a
-	// synthetic block so nothing silently disappears.
-	for q, list := range byQuery {
-		if !hasQuery(queries, q) {
-			syn := Span{Query: q, Name: q, Class: "query", Start: list[0].Start}
-			for _, s := range list {
-				if s.End > syn.End {
-					syn.End = s.End
-				}
-			}
-			queries = append(queries, syn)
-		}
-	}
+	sort.SliceStable(queries, func(i, j int) bool { return queries[i].Start < queries[j].Start })
 
 	const barWidth = 32
 	for _, q := range queries {
-		list := byQuery[q.Query]
+		var list []Span
+		for _, s := range q.Spans {
+			if s.Class != "chunk" {
+				list = append(list, s)
+			}
+		}
 		sort.SliceStable(list, func(i, j int) bool {
 			if list[i].Start != list[j].Start {
 				return list[i].Start < list[j].Start
 			}
 			return list[i].Name < list[j].Name
 		})
-		var gpu, cpu, aborts int
-		for _, s := range list {
-			if s.Abort != "" {
-				aborts++
-			} else if s.Proc == "gpu" {
-				gpu++
-			} else {
-				cpu++
-			}
-		}
 		status := ""
-		if q.Abort != "" {
-			status = "  FAILED(" + q.Abort + ")"
+		if q.Failed != "" {
+			status = "  FAILED(" + q.Failed + ")"
 		}
+		start, window := time.Duration(q.Start), time.Duration(q.Latency)
 		ew.printf("%s  start=%s  latency=%s  ops=%d (gpu=%d cpu=%d aborted=%d)%s\n",
-			q.Query, fmtDur(q.Start), fmtDur(q.Duration()), len(list), gpu, cpu, aborts, status)
-		window := q.Duration()
+			q.Query, fmtDur(start), fmtDur(window), q.Ops, q.GPUOps, q.CPUOps, q.AbortedOps, status)
 		for _, s := range list {
-			bar := renderBar(s.Start-q.Start, s.Duration(), window, barWidth)
+			bar := renderBar(s.Start-start, s.Duration(), window, barWidth)
 			mark := s.Proc
 			if s.Abort != "" {
 				mark = s.Proc + "!" + s.Abort
@@ -105,7 +76,7 @@ func Waterfall(w io.Writer, spans []Span, events []Event) error {
 					s.PipelineDepth, s.ChunkCount, s.CPUChunks, s.Overlap*100)
 			}
 			ew.printf("  %-7s |%s| %-9s +%-9s %-9s wait=%-9s xfer=%-9s %s%s\n",
-				trimQuery(s.Name, s.Query), bar, mark, fmtDur(s.Start-q.Start),
+				trimQuery(s.Name, s.Query), bar, mark, fmtDur(s.Start-start),
 				fmtDur(s.Duration()), fmtDur(s.QueueWait), fmtDur(s.Transfer), s.Op, par)
 		}
 	}
@@ -127,33 +98,6 @@ func Waterfall(w io.Writer, spans []Span, events []Event) error {
 		ew.printf("\n")
 	}
 	return ew.err
-}
-
-// splitSpans separates query-level spans from operator spans. Pipeline chunk
-// stage spans (Class "chunk") are sub-attempt detail — counting them as
-// operator attempts would corrupt per-node accounting — so they come back in
-// their own slice; only the pipeline view reads them.
-func splitSpans(spans []Span) (queries, ops, chunks []Span) {
-	for _, s := range spans {
-		switch s.Class {
-		case "query":
-			queries = append(queries, s)
-		case "chunk":
-			chunks = append(chunks, s)
-		default:
-			ops = append(ops, s)
-		}
-	}
-	return queries, ops, chunks
-}
-
-func hasQuery(queries []Span, id string) bool {
-	for _, q := range queries {
-		if q.Query == id {
-			return true
-		}
-	}
-	return false
 }
 
 // trimQuery shortens "q0001/op003" to "op003" inside its query block.
@@ -200,208 +144,71 @@ func fmtDur(d time.Duration) string {
 	return d.Round(100 * time.Nanosecond).String()
 }
 
-// Summary prints per-query aggregates of the trace (count, mean latency) —
-// the quick textual overview tracereport leads with. The returned error is
-// the first write error, if any.
+// Summary prints per-query aggregates of the trace (count, latency to the
+// microsecond, as Slowest and SummaryJSON print it) — the quick textual
+// overview tracereport leads with. The returned error is the first write
+// error, if any.
 func Summary(w io.Writer, spans []Span) error {
 	ew := &errWriter{w: w}
-	queries, ops, _ := splitSpans(spans)
-	type agg struct {
-		name    string
-		total   time.Duration
-		ops     int
-		aborted int
-	}
-	opsByQuery := make(map[string][]Span)
-	for _, s := range ops {
-		opsByQuery[s.Query] = append(opsByQuery[s.Query], s)
-	}
-	ew.printf("queries=%d operator-spans=%d\n", len(queries), len(ops))
-	var rows []agg
+	queries := FoldQueries(spans)
+	ops := 0
 	for _, q := range queries {
-		a := agg{name: q.Query, total: q.Duration()}
-		for _, s := range opsByQuery[q.Query] {
-			a.ops++
-			if s.Abort != "" {
-				a.aborted++
-			}
-		}
-		rows = append(rows, a)
+		ops += q.Ops
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	for _, a := range rows {
+	ew.printf("queries=%d operator-spans=%d\n", len(queries), ops)
+	for _, q := range queries {
 		ew.printf("  %-8s latency=%-12s ops=%-4d aborted=%d\n",
-			a.name, fmtDur(a.total), a.ops, a.aborted)
+			q.Query, q.Latency, q.Ops, q.AbortedOps)
 	}
 	return ew.err
 }
 
-// Slowest prints the top-N queries by wall time, each with a per-operator
-// breakdown: for every plan node, the summed wall/queue/transfer time across
-// attempts, the processor of the final attempt, and the actual rows/bytes it
-// produced — the offline twin of EXPLAIN ANALYZE, driven purely from spans.
-// n <= 0 means all queries. The returned error is the first write error.
+// Slowest prints the top-N queries by virtual latency, each with its per-node
+// fold: summed vt/queue/transfer time across attempts, the processor of the
+// final attempt ("!partial" when every attempt aborted), and the actual rows
+// and bytes it produced — the offline twin of EXPLAIN ANALYZE, with the same
+// numbers. n <= 0 means all queries. The returned error is the first write
+// error.
 func Slowest(w io.Writer, spans []Span, n int) error {
 	ew := &errWriter{w: w}
-	queries, ops, _ := splitSpans(spans)
+	queries := FoldQueries(spans)
 	if len(queries) == 0 {
-		ew.printf("trace: no query spans\n")
+		ew.printf("trace: no spans\n")
 		return ew.err
 	}
-	sort.SliceStable(queries, func(i, j int) bool {
-		if queries[i].Duration() != queries[j].Duration() {
-			return queries[i].Duration() > queries[j].Duration()
-		}
-		return queries[i].Query < queries[j].Query
-	})
+	sort.SliceStable(queries, func(i, j int) bool { return queries[i].Latency > queries[j].Latency })
 	if n > 0 && n < len(queries) {
 		queries = queries[:n]
 	}
-	opsByQuery := make(map[string][]Span)
-	for _, s := range ops {
-		opsByQuery[s.Query] = append(opsByQuery[s.Query], s)
-	}
 	for rank, q := range queries {
 		status := "ok"
-		if q.Abort != "" {
-			status = "FAILED(" + q.Abort + ")"
+		if q.Failed != "" {
+			status = "FAILED(" + q.Failed + ")"
 		}
 		tenant := ""
 		if q.Tenant != "" {
 			tenant = "  tenant=" + q.Tenant
 		}
-		ew.printf("#%d %s  latency=%s  status=%s%s\n",
-			rank+1, q.Query, fmtDur(q.Duration()), status, tenant)
-		for _, row := range perNodeBreakdown(opsByQuery[q.Query]) {
-			ew.printf("  node=%-3d %-7s wall=%-9s wait=%-9s xfer=%-9s attempts=%d rows=%-8d bytes=%-10d %s\n",
-				row.Node, row.Proc, fmtDur(row.Wall), fmtDur(row.QueueWait),
-				fmtDur(row.Transfer), row.Attempts, row.Rows, row.OutBytes, row.Op)
+		ew.printf("#%d %s  latency=%s  status=%s%s\n", rank+1, q.Query, q.Latency, status, tenant)
+		for _, a := range FoldNodes(q.Spans) {
+			proc := a.Processor
+			if a.Status != "ok" {
+				proc += "!" + a.Status
+			}
+			ew.printf("  node=%-3d %-7s vt=%-9s wait=%-9s xfer=%-9s attempts=%d rows=%-8d bytes=%-10d %s\n",
+				a.Node, proc, a.VT, a.QueueWait, a.Transfer, a.Attempts, a.ActualRows, a.ActualBytes, a.Op)
 		}
 	}
 	return ew.err
 }
 
-// NodeBreakdown aggregates one plan node's operator attempts within a query:
-// durations sum across attempts; processor and actuals come from the final
-// attempt (the one that completed, or the last to abort).
-type NodeBreakdown struct {
-	Node      int
-	Op        string
-	Proc      string
-	Attempts  int
-	Wall      time.Duration
-	QueueWait time.Duration
-	Transfer  time.Duration
-	Rows      int64
-	OutBytes  int64
-}
-
-// perNodeBreakdown folds one query's operator spans into per-node rows,
-// ordered by node id. Spans are grouped by plan node id, so retries and the
-// CPU fallback collapse into one row with attempts > 1.
-func perNodeBreakdown(ops []Span) []NodeBreakdown {
-	byNode := make(map[int]*NodeBreakdown)
-	lastAttempt := make(map[int]int)
-	var order []int
-	for _, s := range ops {
-		row := byNode[s.Node]
-		if row == nil {
-			row = &NodeBreakdown{Node: s.Node}
-			byNode[s.Node] = row
-			lastAttempt[s.Node] = -1
-			order = append(order, s.Node)
-		}
-		row.Attempts++
-		row.Wall += s.Duration()
-		row.QueueWait += s.QueueWait
-		row.Transfer += s.Transfer
-		// The highest-numbered attempt is the final one and carries the
-		// authoritative processor and actuals (aborted attempts record zero
-		// rows by construction).
-		if s.Attempt >= lastAttempt[s.Node] {
-			lastAttempt[s.Node] = s.Attempt
-			row.Op = s.Op
-			row.Proc = s.Proc
-			if s.Abort != "" {
-				row.Proc = s.Proc + "!" + s.Abort
-			}
-			row.Rows = s.Rows
-			row.OutBytes = s.OutBytes
-		}
-	}
-	sort.Ints(order)
-	out := make([]NodeBreakdown, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byNode[id])
-	}
-	return out
-}
-
-// QuerySummary is the machine-readable per-query aggregate emitted by
-// SummaryJSON (tracereport -json). Virtual times are reported in
-// microseconds: integral, lossless for the simulator's resolutions, and
-// directly comparable with the histogram bucket edges.
-type QuerySummary struct {
-	Query      string `json:"query"`
-	StartUS    int64  `json:"start_us"`
-	LatencyUS  int64  `json:"latency_us"`
-	Ops        int    `json:"ops"`
-	GPUOps     int    `json:"gpu_ops"`
-	CPUOps     int    `json:"cpu_ops"`
-	AbortedOps int    `json:"aborted_ops"`
-	// KernelWorkers is the largest kernel pool observed among the query's
-	// operators and Morsels the total morsel count; both are omitted for
-	// serial traces so existing goldens and consumers are unaffected.
-	KernelWorkers int   `json:"kernel_workers,omitempty"`
-	Morsels       int64 `json:"morsels,omitempty"`
-	// Pipeline fields sum across the query's pipelined operator attempts;
-	// OverlapPct is the query span's transfer-overlap ratio. All omitted for
-	// non-pipelined traces so existing goldens are unaffected.
-	PipelineChunks    int64   `json:"pipeline_chunks,omitempty"`
-	PipelineCPUChunks int64   `json:"pipeline_cpu_chunks,omitempty"`
-	OverlapPct        float64 `json:"overlap_pct,omitempty"`
-	Failed            string  `json:"failed,omitempty"`
-}
-
-// SummaryJSON writes the per-query aggregates as JSON Lines: one object per
-// query, sorted by query id, deterministic for a deterministic trace. The
-// returned error is the first write or encode error, if any.
+// SummaryJSON writes the per-query folds as JSON Lines: one object per query,
+// sorted by query id, deterministic for a deterministic trace. The returned
+// error is the first write or encode error, if any.
 func SummaryJSON(w io.Writer, spans []Span) error {
-	queries, ops, _ := splitSpans(spans)
-	opsByQuery := make(map[string][]Span)
-	for _, s := range ops {
-		opsByQuery[s.Query] = append(opsByQuery[s.Query], s)
-	}
-	sort.SliceStable(queries, func(i, j int) bool { return queries[i].Query < queries[j].Query })
 	enc := json.NewEncoder(w)
-	for _, q := range queries {
-		row := QuerySummary{
-			Query:     q.Query,
-			StartUS:   int64(q.Start / time.Microsecond),
-			LatencyUS: int64(q.Duration() / time.Microsecond),
-			Failed:    q.Abort,
-		}
-		for _, s := range opsByQuery[q.Query] {
-			row.Ops++
-			switch {
-			case s.Abort != "":
-				row.AbortedOps++
-			case s.Proc == "gpu":
-				row.GPUOps++
-			default:
-				row.CPUOps++
-			}
-			if s.KernelWorkers > row.KernelWorkers {
-				row.KernelWorkers = s.KernelWorkers
-			}
-			row.Morsels += s.MorselCount
-			row.PipelineChunks += s.ChunkCount
-			row.PipelineCPUChunks += s.CPUChunks
-		}
-		if q.Overlap > 0 {
-			row.OverlapPct = q.Overlap * 100
-		}
-		if err := enc.Encode(row); err != nil {
+	for _, q := range FoldQueries(spans) {
+		if err := enc.Encode(q); err != nil {
 			return err
 		}
 	}
@@ -418,69 +225,40 @@ func SummaryJSON(w io.Writer, spans []Span) error {
 // error, if any.
 func PipelineView(w io.Writer, spans []Span) error {
 	ew := &errWriter{w: w}
-	queries, ops, chunks := splitSpans(spans)
-	if len(chunks) == 0 {
-		ew.printf("trace: no pipelined operators\n")
-		return ew.err
-	}
-	chunksByQuery := make(map[string][]Span)
-	for _, s := range chunks {
-		chunksByQuery[s.Query] = append(chunksByQuery[s.Query], s)
-	}
-	opsByQuery := make(map[string][]Span)
-	for _, s := range ops {
-		opsByQuery[s.Query] = append(opsByQuery[s.Query], s)
-	}
-	sort.SliceStable(queries, func(i, j int) bool { return queries[i].Query < queries[j].Query })
-	for _, q := range queries {
-		cs := chunksByQuery[q.Query]
-		if len(cs) == 0 {
+	pipelined := false
+	for _, q := range FoldQueries(spans) {
+		if q.PipelineChunks == 0 {
 			continue
 		}
-		var depth int
-		var chunkCount, cpuChunks int64
-		for _, s := range opsByQuery[q.Query] {
-			if s.ChunkCount == 0 {
-				continue
-			}
-			chunkCount += s.ChunkCount
-			cpuChunks += s.CPUChunks
-			if s.PipelineDepth > depth {
-				depth = s.PipelineDepth
-			}
-		}
-		var up, comp, down []Span
-		for _, s := range cs {
-			switch s.Op {
-			case "upload":
-				up = append(up, s)
-			case "download":
-				down = append(down, s)
-			case "compute":
-				if s.Proc == "gpu" {
-					comp = append(comp, s)
-				}
-			}
-		}
-		window := q.Duration()
+		pipelined = true
+		window := time.Duration(q.Latency)
 		ew.printf("%s  latency=%s  depth=%d  chunks=%d (cpu=%d)  overlap=%.0f%%\n",
-			q.Query, fmtDur(window), depth, chunkCount, cpuChunks, q.Overlap*100)
-		ew.printf("  h2d     busy=%-9s util=%s\n", fmtDur(unionDuration(up)), fmtPct(unionDuration(up), window))
-		ew.printf("  compute busy=%-9s util=%s\n", fmtDur(unionDuration(comp)), fmtPct(unionDuration(comp), window))
-		ew.printf("  d2h     busy=%-9s util=%s\n", fmtDur(unionDuration(down)), fmtPct(unionDuration(down), window))
+			q.Query, fmtDur(window), q.PipelineDepth, q.PipelineChunks, q.PipelineCPUChunks, q.OverlapPct)
+		for _, lane := range [...][2]string{{"h2d", "upload"}, {"compute", "compute"}, {"d2h", "download"}} {
+			busy := busyTime(q.Spans, lane[1])
+			ew.printf("  %-7s busy=%-9s util=%s\n", lane[0], fmtDur(busy), fmtPct(busy, window))
+		}
+	}
+	if !pipelined {
+		ew.printf("trace: no pipelined operators\n")
 	}
 	return ew.err
 }
 
-// unionDuration returns the total length of the interval union of the spans —
-// wall time during which at least one of them was active. Overlapping chunk
-// stages (concurrent links, parallel CPU chunks) are counted once.
-func unionDuration(spans []Span) time.Duration {
-	if len(spans) == 0 {
+// busyTime returns the length of the interval union of the query's chunk
+// stages of one kind ("upload", "download", or "compute" on the device) —
+// the time during which at least one of them was active. Overlapping stages
+// (concurrent links, parallel chunks) are counted once.
+func busyTime(spans []Span, stage string) time.Duration {
+	var iv []Span
+	for _, s := range spans {
+		if s.Class == "chunk" && s.Op == stage && (stage != "compute" || s.Proc == "gpu") {
+			iv = append(iv, s)
+		}
+	}
+	if len(iv) == 0 {
 		return 0
 	}
-	iv := make([]Span, len(spans))
-	copy(iv, spans)
 	sort.SliceStable(iv, func(i, j int) bool { return iv[i].Start < iv[j].Start })
 	var total time.Duration
 	curStart, curEnd := iv[0].Start, iv[0].End

@@ -102,8 +102,8 @@ var (
 	// schedule, transfer-overlap ratio, and per-lane (h2d/compute/d2h) busy
 	// fractions of every query that ran pipelined operators.
 	TracePipeline = trace.PipelineView
-	// TraceSlowest renders the N slowest queries of a trace by wall time,
-	// each with a per-operator breakdown.
+	// TraceSlowest renders the N slowest queries of a trace by virtual
+	// latency, each with the per-node fold EXPLAIN ANALYZE attaches.
 	TraceSlowest = trace.Slowest
 )
 
@@ -256,7 +256,7 @@ func (db *DB) ExplainSQL(query string) (*ExplainPayload, error) {
 
 // ExplainAnalyzeSQL compiles the statement, executes it once on a fresh
 // simulated machine under the strategy, and returns the plan document with
-// per-node actuals attached (rows, bytes, virtual wall/queue/transfer time,
+// per-node actuals attached (rows, bytes, virtual run/queue/transfer time,
 // attempts, processor) — the library form of EXPLAIN ANALYZE, rendered by the
 // same function as the server's. The actuals are folded from the query's
 // spans, which only a tracer records; one is attached when dev.Tracer is nil.
@@ -265,17 +265,25 @@ func (db *DB) ExplainAnalyzeSQL(dev Device, strat Strategy, query string) (*Expl
 	if err != nil {
 		return nil, err
 	}
+	payload, _, err := db.explainAnalyze(dev, strat, query, pl)
+	return payload, err
+}
+
+// explainAnalyze is ExplainAnalyzeSQL over a compiled plan; it also returns
+// the engine's record of the query the document was folded from.
+func (db *DB) explainAnalyze(dev Device, strat Strategy, query string, pl *Plan) (*ExplainPayload, exec.QueryStats, error) {
 	if err := pl.EstimateSizes(db.cat); err != nil {
-		return nil, err
+		return nil, exec.QueryStats{}, err
 	}
 	if dev.Tracer == nil {
 		dev.Tracer = trace.New(0)
 	}
 	_, _, stats, err := db.runOne(dev, strat, "analyze", pl)
 	if err != nil {
-		return nil, fmt.Errorf("robustdb: explain analyze: %w", err)
+		return nil, stats, fmt.Errorf("robustdb: explain analyze: %w", err)
 	}
-	return stats.Analyze(pl, db.cat, query, "")
+	payload, err := stats.Analyze(pl, db.cat, query, "")
+	return payload, stats, err
 }
 
 // SSBQueries returns all 13 SSB queries as workload queries.
