@@ -15,11 +15,13 @@ import (
 type Metrics struct {
 	reg *trace.Registry
 
-	// Aborts counts GPU operators that failed a device allocation and were
-	// restarted on the CPU (Figure 13).
+	// Aborts counts aborted whole-operator GPU attempts (Figure 13). It counts
+	// operators only: a rolled-back chunk of a pipelined operator is not one.
 	Aborts *trace.Counter
-	// WastedTime sums, over all aborted GPU operators, the virtual time from
-	// operator begin to abort (Figure 20).
+	// WastedTime sums the virtual time from begin to abort of every aborted
+	// whole-operator GPU attempt (its queue wait excluded) and of every
+	// rolled-back pipelined chunk, whose span is the chunk stage "abort"
+	// (Figure 20).
 	WastedTime *trace.DurationCounter
 	// OperatorRuns counts successfully completed operator executions.
 	OperatorRuns *trace.Counter

@@ -255,10 +255,12 @@ func (r *pipeRun) complete() {
 	}
 }
 
-// chunkSpan emits one pipeline-stage span (Class "chunk"). EXPLAIN ANALYZE
-// and the per-node report breakdowns filter this class; the Chrome export
-// shows the stage bars overlapping inside the query lane.
-func (r *pipeRun) chunkSpan(i int, stage, proc string, start, end time.Duration) {
+// chunkSpan emits one pipeline-stage span (Class "chunk"), or with a non-empty
+// abort class the span of a rolled-back device chunk (stage "abort"), whose
+// time the engine counts as wasted. EXPLAIN ANALYZE and the per-node report
+// breakdowns filter this class; the Chrome export shows the stage bars
+// overlapping inside the query lane.
+func (r *pipeRun) chunkSpan(i int, stage, proc, abort string, start, end time.Duration) {
 	if r.e.Tracer == nil {
 		return
 	}
@@ -271,6 +273,7 @@ func (r *pipeRun) chunkSpan(i int, stage, proc string, start, end time.Duration)
 		Node:  r.n.ID(),
 		Start: start,
 		End:   end,
+		Abort: abort,
 	})
 }
 
@@ -362,6 +365,7 @@ func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 		r.curHeld -= held
 		if aborted.rolledBack() {
 			e.Metrics.WastedTime.Add(p.Now() - chunkStart)
+			r.chunkSpan(i, "abort", "gpu", abortLabel(aborted, nil), chunkStart, p.Now())
 		}
 	}()
 	footprint := e.Params.HeapFootprint(r.class, chunkIn, outMax)
@@ -379,7 +383,7 @@ func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 	if kind, terr := e.transferRetried(p, bus.HostToDevice, chunkIn, &r.transfer, &r.faulted, r.bail); kind != abortNone {
 		return r.ended(kind, terr)
 	}
-	r.chunkSpan(i, "upload", "gpu", t0, p.Now())
+	r.chunkSpan(i, "upload", "gpu", "", t0, p.Now())
 	r.stageTime += e.Bus.Duration(bus.HostToDevice, chunkIn)
 	if e.pollReset(p.Now()) || !res.Valid() {
 		return abortReset
@@ -407,7 +411,7 @@ func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 	r.anySlow = r.anySlow || slow
 	e.GPU.Server.Execute(p, dur.Seconds())
 	r.kexec.Release()
-	r.chunkSpan(i, "compute", "gpu", t0, p.Now())
+	r.chunkSpan(i, "compute", "gpu", "", t0, p.Now())
 	r.stageTime += dur
 	r.gpuWork += work
 	r.gpuCompute += p.Now() - t0
@@ -422,7 +426,7 @@ func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 		if kind, terr := e.transferRetried(p, bus.DeviceToHost, chunkOut, &r.transfer, &r.faulted, r.bail); kind != abortNone {
 			return r.ended(kind, terr)
 		}
-		r.chunkSpan(i, "download", "gpu", t0, p.Now())
+		r.chunkSpan(i, "download", "gpu", "", t0, p.Now())
 		r.stageTime += e.Bus.Duration(bus.DeviceToHost, chunkOut)
 	}
 	r.results[i] = pos
@@ -449,7 +453,7 @@ func (r *pipeRun) runChunkCPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64)
 	chunkOut := int64(float64(pos.Len()) * r.info.OutRowBytes)
 	dur := e.Params.OpDuration(r.class, cost.CPU, cost.Work(chunkIn, chunkOut))
 	e.CPU.Server.Execute(p, dur.Seconds())
-	r.chunkSpan(i, "compute", "cpu", t0, p.Now())
+	r.chunkSpan(i, "compute", "cpu", "", t0, p.Now())
 	r.stageTime += dur
 	r.results[i] = pos
 	r.cpuChunks++

@@ -60,27 +60,19 @@ func TestRegisterCustomTable(t *testing.T) {
 	}
 }
 
-func TestQueryAcrossStrategies(t *testing.T) {
-	db := testDB()
-	p, err := SSBQuery("Q1.1")
-	if err != nil {
-		t.Fatal(err)
+// Compressed working sets shrink, which is the mechanism behind the
+// ablate-compression knee shift: SSB packs to under two thirds of its plain
+// size. Results on bit-packed catalogs are TestJudge's compression axis.
+func TestCompressedWorkingSetShrinks(t *testing.T) {
+	raw := OpenSSB(SSBConfig{SF: 1, RowsPerSF: 4000, Seed: 7})
+	comp := raw.Compressed()
+	if ratio := float64(raw.TotalBytes()) / float64(comp.TotalBytes()); ratio < 1.5 {
+		t.Fatalf("SSB should compress well, got ratio %.2f", ratio)
 	}
-	dev := db.DeviceForWorkingSet(1)
-	var want float64
-	for i, strat := range AllStrategies() {
-		out, _, err := db.Query(dev, strat, p)
-		if err != nil {
-			t.Fatalf("%s: %v", strat.Label, err)
-		}
-		got := out.MustColumn("revenue").(*column.Float64Column).Values[0]
-		if i == 0 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("%s: revenue %v, want %v", strat.Label, got, want)
-		}
+	rawWS := raw.WorkingSet(SSBQueries())
+	compWS := comp.WorkingSet(SSBQueries())
+	if compWS >= rawWS {
+		t.Fatalf("working set did not shrink: %d vs %d", compWS, rawWS)
 	}
 }
 
