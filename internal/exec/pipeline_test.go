@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,6 +25,62 @@ func requireSameBatch(t *testing.T, want, got *Value) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Batch.Columns(), got.Batch.Columns()) {
 		t.Fatal("pipelined result differs from the serial one")
+	}
+}
+
+// TestPipelinedBitIdenticalToSerial is the core exactness property: across
+// pipeline depths, kernel worker counts, co-execution, and fault injection,
+// the pipelined executor returns exactly the serial result — and leaks no
+// device heap. The root package's TestJudge crosses the same axes over whole
+// benchmarks; this is the one-operator case, with no plan around it.
+func TestPipelinedBitIdenticalToSerial(t *testing.T) {
+	cat := testCatalog(65536)
+	serial := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})
+	want, _ := runQueryOnce(t, serial, scanPlan(), fixedPlacer{cost.GPU})
+	for _, depth := range []int{1, 2, 4} {
+		for _, kw := range []int{0, 2, runtime.GOMAXPROCS(0)} {
+			for _, coexec := range []bool{false, true} {
+				for _, withFaults := range []bool{false, true} {
+					cfg := Config{
+						CacheBytes: 1 << 30, HeapBytes: 1 << 30,
+						KernelWorkers: kw, PipelineDepth: depth, PipelineCoExec: coexec, PipelineChunkRows: 4096,
+						// Traced, so runQueryOnce checks span completeness on
+						// every cell: chunk, retry and CPU-redo spans included.
+						Tracer: trace.New(0),
+					}
+					if withFaults {
+						cfg.Faults = faults.New(faults.Config{Seed: 7, TransferFailRate: 0.2, AllocFailRate: 0.1, Stop: 2 * time.Millisecond})
+					}
+					e := New(cat, cfg)
+					got, _ := runQueryOnce(t, e, scanPlan(), fixedPlacer{cost.GPU})
+					requireSameBatch(t, want, got)
+					if used := e.Heap.Used(); used != 0 {
+						t.Fatalf("depth=%d kw=%d coexec=%v faults=%v: heap leak of %d bytes", depth, kw, coexec, withFaults, used)
+					}
+					if chunks := e.Metrics.PipelineChunks.Load(); e.Metrics.PipelinedOps.Load() == 0 || chunks < 2 {
+						t.Fatalf("depth=%d: operator did not run pipelined (%d chunks)", depth, chunks)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPipelinedDeterministic: two identical pipelined runs produce identical
+// virtual latency and metrics — the simulator's reproducibility contract
+// extends to the chunk schedule.
+func TestPipelinedDeterministic(t *testing.T) {
+	cat := testCatalog(65536)
+	run := func() (time.Duration, trace.Snapshot) {
+		e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30,
+			PipelineDepth: 2, PipelineCoExec: true, PipelineChunkRows: 4096})
+		_, st := runQueryOnce(t, e, scanPlan(), fixedPlacer{cost.GPU})
+		return st.Latency, e.Metrics.Snapshot()
+	}
+	l1, m1 := run()
+	l2, m2 := run()
+	if l1 != l2 || !reflect.DeepEqual(m1, m2) {
+		t.Fatalf("non-deterministic pipelined run: latency %v vs %v, metrics\n%+v\n%+v", l1, l2, m1, m2)
 	}
 }
 
