@@ -67,8 +67,8 @@ func runServe(o *options, log *slog.Logger) error {
 	}
 	reg := engine.Metrics.Registry()
 	detectors := []*obs.Detector{
-		obs.NewThrashingDetector(obs.ThrashingConfig{}),
-		obs.NewContentionDetector(obs.ContentionConfig{}),
+		obs.NewThrashingDetector(),
+		obs.NewContentionDetector(),
 	}
 	sampler := obs.NewSampler(reg, detectors, log)
 	stopPressure := server.StartPressureLoop(front, sampler, o.serveWindow)

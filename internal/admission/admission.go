@@ -37,8 +37,8 @@ const (
 	// FIFO admits strictly in arrival order and rejects new arrivals when
 	// the queue is full. Simple, but one aggressive tenant starves the rest.
 	FIFO Policy = "fifo"
-	// Fair admits by weighted priority with aging: a ticket's effective
-	// priority grows with its queue wait, so heavy tenants cannot starve
+	// Fair admits by priority with aging: a ticket's effective priority
+	// grows with its queue wait, so heavy tenants cannot starve
 	// light ones, and a full queue sheds the lowest-priority tail rather
 	// than the newest arrival.
 	Fair Policy = "fair"
@@ -107,32 +107,21 @@ var (
 	ErrCanceled = &Error{Code: CodeCanceled}
 )
 
-// TenantConfig bounds and weighs one tenant.
+// TenantConfig bounds one tenant.
 type TenantConfig struct {
-	// Weight is the fair-share weight (≥1; higher ages faster and therefore
-	// gets a larger share of admissions under load).
-	Weight int
-	// Priority is the base priority added to every query of the tenant.
-	Priority int
-	// MaxInFlight caps the tenant's concurrently admitted queries
-	// (0 = the controller-wide default).
+	// MaxInFlight caps the tenant's concurrently admitted queries.
 	MaxInFlight int
-	// MaxQueue caps the tenant's queued queries (0 = default).
+	// MaxQueue caps the tenant's queued queries.
 	MaxQueue int
 }
 
-func (t TenantConfig) withDefaults(d TenantConfig) TenantConfig {
-	if t.Weight <= 0 {
-		t.Weight = d.Weight
-	}
-	if t.MaxInFlight <= 0 {
-		t.MaxInFlight = d.MaxInFlight
-	}
-	if t.MaxQueue <= 0 {
-		t.MaxQueue = d.MaxQueue
-	}
-	return t
-}
+const (
+	// agingStep is the queue wait that earns a ticket one effective
+	// priority point.
+	agingStep = 100 * time.Millisecond
+	// retryAfter is the backoff hint attached to shed errors.
+	retryAfter = time.Second
+)
 
 // Config tunes a Controller. The zero value is usable: every field below
 // documents its default.
@@ -147,21 +136,14 @@ type Config struct {
 	// MaxQueue bounds the global queue (default 64).
 	MaxQueue int
 	// QueueTimeout bounds how long a query may wait for admission when the
-	// submitter gives no deadline (default 5s; negative disables).
+	// submitter gives no deadline (default 5s).
 	QueueTimeout time.Duration
-	// AgingStep is the queue wait that earns one effective priority point
-	// per weight unit (default 100ms). Smaller steps age faster.
-	AgingStep time.Duration
-	// RetryAfter is the backoff hint attached to shed errors (default 1s).
-	RetryAfter time.Duration
-	// DefaultTenant fills unset per-tenant bounds (default: weight 1,
-	// priority 0, MaxInFlight = MaxConcurrent, MaxQueue = MaxQueue/4+1).
+	// DefaultTenant bounds every tenant (default: MaxInFlight =
+	// MaxConcurrent, MaxQueue = MaxQueue/4+1).
 	DefaultTenant TenantConfig
-	// Tenants pre-registers per-tenant configs; unknown tenants get
-	// DefaultTenant on first contact.
-	Tenants map[string]TenantConfig
-	// Registry, when non-nil, receives the controller's metrics series
-	// (Admission* counters/gauges and the AdmissionQueueWait histogram).
+	// Registry receives the controller's metrics series (Admission*
+	// counters/gauges and the AdmissionQueueWait histogram); nil gets a
+	// private one.
 	Registry *trace.Registry
 	// now is the clock hook for tests; nil uses the wall clock.
 	now func() time.Time
@@ -177,23 +159,17 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.QueueTimeout == 0 {
+	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 5 * time.Second
-	}
-	if c.AgingStep <= 0 {
-		c.AgingStep = 100 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.DefaultTenant.Weight <= 0 {
-		c.DefaultTenant.Weight = 1
 	}
 	if c.DefaultTenant.MaxInFlight <= 0 {
 		c.DefaultTenant.MaxInFlight = c.MaxConcurrent
 	}
 	if c.DefaultTenant.MaxQueue <= 0 {
 		c.DefaultTenant.MaxQueue = c.MaxQueue/4 + 1
+	}
+	if c.Registry == nil {
+		c.Registry = trace.NewRegistry()
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -248,15 +224,13 @@ func (t *Ticket) QueueWait() time.Duration {
 // tenantState is the controller's per-tenant bookkeeping.
 type tenantState struct {
 	name     string
-	cfg      TenantConfig
 	queue    []*Ticket
 	inFlight int
 	admitted int64
 	shed     int64
 }
 
-// metrics is the controller's registry-backed series; nil fields when no
-// registry is configured.
+// metrics is the controller's registry-backed series.
 type metrics struct {
 	admitted   *trace.Counter
 	queued     *trace.Counter
@@ -276,14 +250,7 @@ type metrics struct {
 	tenantPool *trace.LabelPool
 }
 
-// maxTenantSeries bounds distinct tenant labels on the exposition surface;
-// later tenants fold into "other".
-const maxTenantSeries = 16
-
 func newMetrics(reg *trace.Registry) *metrics {
-	if reg == nil {
-		return nil
-	}
 	m := &metrics{
 		admitted:   reg.Counter("AdmissionAdmitted"),
 		queued:     reg.Counter("AdmissionQueued"),
@@ -295,7 +262,7 @@ func newMetrics(reg *trace.Registry) *metrics {
 		queueWait:  reg.Histogram("AdmissionQueueWait"),
 		shedByCode: make(map[Code]*trace.Counter),
 		reg:        reg,
-		tenantPool: trace.NewLabelPool(maxTenantSeries),
+		tenantPool: trace.NewLabelPool(),
 	}
 	for _, code := range []Code{CodeOverloaded, CodeTenantLimit, CodeQueueTimeout, CodeDraining, CodeCanceled} {
 		m.shedByCode[code] = reg.Counter("AdmissionShed" + metricSuffix(code))
@@ -361,9 +328,7 @@ func New(cfg Config) *Controller {
 		drained: make(chan struct{}),
 		m:       newMetrics(cfg.Registry),
 	}
-	if c.m != nil {
-		c.m.limit.Set(int64(c.limit))
-	}
+	c.m.limit.Set(int64(c.limit))
 	return c
 }
 
@@ -374,32 +339,29 @@ func (c *Controller) Policy() Policy { return c.cfg.Policy }
 func (c *Controller) tenant(name string) *tenantState {
 	ts, ok := c.tenants[name]
 	if !ok {
-		cfg := c.cfg.DefaultTenant
-		if override, ok := c.cfg.Tenants[name]; ok {
-			cfg = override.withDefaults(c.cfg.DefaultTenant)
-		}
-		ts = &tenantState{name: name, cfg: cfg}
+		ts = &tenantState{name: name}
 		c.tenants[name] = ts
 	}
 	return ts
 }
 
-// Submit asks for admission of one query. prio adds to the tenant's base
-// priority; timeout bounds the queue wait (0 = Config.QueueTimeout). The
+// Submit asks for admission of one query. prio is its priority before aging;
+// timeout bounds the queue wait (≤ 0 = Config.QueueTimeout). The
 // returned error, when non-nil, is a typed *Error (the query was shed
 // immediately); otherwise the caller must Wait on the ticket and, if Wait
 // returns nil, Release it after the query finishes.
 func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ticket, error) {
 	c.mu.Lock()
+	ts := c.tenant(tenant)
 	if c.draining {
+		ts.shed++
 		c.mu.Unlock()
 		return nil, c.shedError(tenant, CodeDraining, "server draining")
 	}
-	ts := c.tenant(tenant)
 	t := &Ticket{
 		ctrl:     c,
 		Tenant:   tenant,
-		prio:     ts.cfg.Priority + prio,
+		prio:     prio,
 		seq:      c.nextSeq(),
 		enqueued: c.cfg.now(),
 		decided:  make(chan error, 1),
@@ -410,12 +372,12 @@ func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ti
 	// stale low-priority work.
 	var victim *Ticket
 	victimCode := CodeOverloaded
-	if ts.cfg.MaxQueue > 0 && len(ts.queue) >= ts.cfg.MaxQueue {
-		victim = c.boundVictim(t, ts.queue)
+	if maxQueue := c.cfg.DefaultTenant.MaxQueue; len(ts.queue) >= maxQueue {
+		victim = c.boundVictim(t, ts)
 		if victim == nil {
 			ts.shed++
 			c.mu.Unlock()
-			return nil, c.shedError(tenant, CodeTenantLimit, fmt.Sprintf("tenant queue full (%d)", ts.cfg.MaxQueue))
+			return nil, c.shedError(tenant, CodeTenantLimit, fmt.Sprintf("tenant queue full (%d)", maxQueue))
 		}
 		// The displaced ticket hit its own tenant's bound, not global
 		// overload: signal the tenant-local condition so clients (and the
@@ -434,16 +396,12 @@ func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ti
 	}
 	ts.queue = append(ts.queue, t)
 	c.queued++
-	if c.m != nil {
-		c.m.queued.Inc()
-		c.m.queueDepth.Set(int64(c.queued))
-	}
-	if timeout == 0 {
+	c.m.queued.Inc()
+	c.m.queueDepth.Set(int64(c.queued))
+	if timeout <= 0 {
 		timeout = c.cfg.QueueTimeout
 	}
-	if timeout > 0 {
-		t.timer = time.AfterFunc(timeout, func() { c.expire(t) })
-	}
+	t.timer = time.AfterFunc(timeout, func() { c.expire(t) })
 	granted := c.grantLocked()
 	c.mu.Unlock()
 	deliver(granted)
@@ -464,47 +422,48 @@ func (c *Controller) queueBound() int {
 
 // boundVictim picks the queued ticket the newcomer may displace: the
 // lowest-scoring queued ticket, and only if the newcomer strictly outranks
-// it. FIFO never displaces. When tenantQueue is non-nil the search is
-// restricted to that queue (per-tenant bound).
-func (c *Controller) boundVictim(newcomer *Ticket, tenantQueue []*Ticket) *Ticket {
+// it. FIFO never displaces. When ts is non-nil the search is restricted to
+// that tenant's queue (per-tenant bound).
+func (c *Controller) boundVictim(newcomer *Ticket, ts *tenantState) *Ticket {
 	if c.cfg.Policy == FIFO {
 		return nil
 	}
 	now := c.cfg.now()
-	var worst *Ticket
-	worstScore := 0.0
-	consider := func(q []*Ticket) {
-		for _, qt := range q {
-			s := c.score(qt, now)
-			if worst == nil || s < worstScore || (s == worstScore && qt.seq > worst.seq) {
-				worst, worstScore = qt, s
-			}
-		}
-	}
-	if tenantQueue != nil {
-		consider(tenantQueue)
-	} else {
-		for _, ts := range c.tenants {
-			consider(ts.queue)
-		}
-	}
-	if worst == nil || c.score(newcomer, now) <= worstScore {
+	worst, worstScore := c.lowestQueued(ts, now)
+	if worst == nil || score(newcomer, now) <= worstScore {
 		return nil
 	}
 	return worst
 }
 
-// score is the effective priority of a queued ticket: base priority plus
-// weight-scaled aging. Aging grows without bound, so every queued ticket
-// eventually outranks fresh arrivals of any priority — no tenant starves.
-func (c *Controller) score(t *Ticket, now time.Time) float64 {
-	ts := c.tenants[t.Tenant]
-	weight := 1
-	if ts != nil && ts.cfg.Weight > 0 {
-		weight = ts.cfg.Weight
+// lowestQueued returns the lowest-scoring queued ticket at now and its
+// score — of ts's queue when ts is non-nil, else of every queue — the newest
+// arrival winning a tie; nil when nothing is queued there.
+func (c *Controller) lowestQueued(ts *tenantState, now time.Time) (worst *Ticket, worstScore float64) {
+	consider := func(q []*Ticket) {
+		for _, qt := range q {
+			s := score(qt, now)
+			if worst == nil || s < worstScore || (s == worstScore && qt.seq > worst.seq) {
+				worst, worstScore = qt, s
+			}
+		}
 	}
-	waited := now.Sub(t.enqueued)
-	return float64(t.prio) + float64(weight)*(float64(waited)/float64(c.cfg.AgingStep))
+	if ts != nil {
+		consider(ts.queue)
+	} else {
+		for _, ts := range c.tenants {
+			consider(ts.queue)
+		}
+	}
+	return worst, worstScore
+}
+
+// score is the effective priority of a queued ticket: its priority plus one
+// point per agingStep waited. Aging grows without bound, so every queued
+// ticket eventually outranks fresh arrivals of any priority — no tenant
+// starves.
+func score(t *Ticket, now time.Time) float64 {
+	return float64(t.prio) + float64(now.Sub(t.enqueued))/float64(agingStep)
 }
 
 func (c *Controller) nextSeq() int64 {
@@ -515,17 +474,15 @@ func (c *Controller) nextSeq() int64 {
 // shedError builds the typed error for a shed decision and counts it, on the
 // global series and on the tenant's labeled attribution series.
 func (c *Controller) shedError(tenant string, code Code, reason string) *Error {
-	if c.m != nil {
-		c.m.shed.Inc()
-		if ctr := c.m.shedByCode[code]; ctr != nil {
-			ctr.Inc()
-		}
-		if code == CodeQueueTimeout {
-			c.m.timeouts.Inc()
-		}
-		c.m.tenantShed(tenant, code)
+	c.m.shed.Inc()
+	if ctr := c.m.shedByCode[code]; ctr != nil {
+		ctr.Inc()
 	}
-	retry := c.cfg.RetryAfter
+	if code == CodeQueueTimeout {
+		c.m.timeouts.Inc()
+	}
+	c.m.tenantShed(tenant, code)
+	retry := retryAfter
 	if code == CodeQueueTimeout || code == CodeCanceled {
 		retry = 0
 	}
@@ -546,19 +503,15 @@ func (c *Controller) grantLocked() []*Ticket {
 		ts := c.tenants[t.Tenant]
 		c.removeFromQueue(ts, t)
 		t.state = stateGranted
-		if t.timer != nil {
-			t.timer.Stop()
-		}
+		t.timer.Stop()
 		ts.inFlight++
 		ts.admitted++
 		c.inFlight++
-		if c.m != nil {
-			c.m.admitted.Inc()
-			c.m.inFlight.Set(int64(c.inFlight))
-			c.m.queueDepth.Set(int64(c.queued))
-			c.m.queueWait.Observe(c.cfg.now().Sub(t.enqueued))
-			c.m.tenantAdmitted(t.Tenant)
-		}
+		c.m.admitted.Inc()
+		c.m.inFlight.Set(int64(c.inFlight))
+		c.m.queueDepth.Set(int64(c.queued))
+		c.m.queueWait.Observe(c.cfg.now().Sub(t.enqueued))
+		c.m.tenantAdmitted(t.Tenant)
 		granted = append(granted, t)
 	}
 	return granted
@@ -572,7 +525,7 @@ func (c *Controller) nextLocked() *Ticket {
 	var best *Ticket
 	bestScore := 0.0
 	for _, ts := range c.tenants {
-		if len(ts.queue) == 0 || ts.inFlight >= ts.cfg.MaxInFlight {
+		if len(ts.queue) == 0 || ts.inFlight >= c.cfg.DefaultTenant.MaxInFlight {
 			continue
 		}
 		head := ts.queue[0] // per-tenant FIFO: the head is the oldest
@@ -582,7 +535,7 @@ func (c *Controller) nextLocked() *Ticket {
 				best = head
 			}
 		default: // Fair, Detector
-			s := c.score(head, now)
+			s := score(head, now)
 			if best == nil || s > bestScore || (s == bestScore && head.seq < best.seq) {
 				best, bestScore = head, s
 			}
@@ -612,13 +565,9 @@ func (c *Controller) shedLocked(t *Ticket, code Code, reason string) {
 	c.removeFromQueue(ts, t)
 	ts.shed++
 	t.state = stateShed
-	if t.timer != nil {
-		t.timer.Stop()
-	}
+	t.timer.Stop()
 	err := c.shedError(t.Tenant, code, reason)
-	if c.m != nil {
-		c.m.queueDepth.Set(int64(c.queued))
-	}
+	c.m.queueDepth.Set(int64(c.queued))
 	t.decided <- err // buffered(1), single send by state machine
 }
 
@@ -678,9 +627,7 @@ func (c *Controller) Release(t *Ticket) {
 	ts.inFlight--
 	c.inFlight--
 	granted := c.grantLocked()
-	if c.m != nil {
-		c.m.inFlight.Set(int64(c.inFlight))
-	}
+	c.m.inFlight.Set(int64(c.inFlight))
 	idle := c.draining && c.inFlight == 0 && c.queued == 0
 	c.mu.Unlock()
 	deliver(granted)
@@ -714,23 +661,12 @@ func (c *Controller) SetPressure(level int) {
 			limit = 1
 		}
 		c.limit = limit
-		if c.m != nil {
-			c.m.limit.Set(int64(c.limit))
-		}
+		c.m.limit.Set(int64(c.limit))
 		// Shed the lowest-priority queue tail beyond the shrunken bound.
 		bound := c.queueBound()
 		now := c.cfg.now()
 		for c.queued > bound {
-			var worst *Ticket
-			worstScore := 0.0
-			for _, ts := range c.tenants {
-				for _, qt := range ts.queue {
-					s := c.score(qt, now)
-					if worst == nil || s < worstScore || (s == worstScore && qt.seq > worst.seq) {
-						worst, worstScore = qt, s
-					}
-				}
-			}
+			worst, _ := c.lowestQueued(nil, now)
 			if worst == nil {
 				break
 			}

@@ -38,7 +38,6 @@ func testConfig(clk *fakeClock, mut func(*Config)) Config {
 		Policy:        Fair,
 		MaxConcurrent: 2,
 		MaxQueue:      8,
-		QueueTimeout:  -1, // disabled unless a test opts in
 		now:           clk.Now,
 	}
 	if mut != nil {
@@ -161,11 +160,10 @@ func TestAgingPreventsStarvation(t *testing.T) {
 	clk := newFakeClock()
 	c := New(testConfig(clk, func(cfg *Config) {
 		cfg.MaxConcurrent = 1
-		cfg.AgingStep = 10 * time.Millisecond
 	}))
 	running := admit(t, c, "light")
 	old := queued(t, c, "light", 0)
-	clk.Advance(time.Second) // old ticket ages 100 points
+	clk.Advance(100 * agingStep) // old ticket ages 100 points
 	fresh := queued(t, c, "heavy", 50)
 	c.Release(running)
 	if err := old.Wait(context.Background()); err != nil {
@@ -181,7 +179,7 @@ func TestTenantInFlightCapIsWorkConserving(t *testing.T) {
 	clk := newFakeClock()
 	c := New(testConfig(clk, func(cfg *Config) {
 		cfg.MaxConcurrent = 4
-		cfg.Tenants = map[string]TenantConfig{"capped": {MaxInFlight: 1}}
+		cfg.DefaultTenant.MaxInFlight = 1
 	}))
 	admit(t, c, "capped")
 	blocked := queued(t, c, "capped", 0)
@@ -336,8 +334,10 @@ func TestFairPolicyIgnoresPressureLimit(t *testing.T) {
 
 func TestDrainShedsQueuedAndSignalsIdle(t *testing.T) {
 	clk := newFakeClock()
+	reg := trace.NewRegistry()
 	c := New(testConfig(clk, func(cfg *Config) {
 		cfg.MaxConcurrent = 1
+		cfg.Registry = reg
 	}))
 	running := admit(t, c, "a")
 	waiting := queued(t, c, "a", 0)
@@ -345,8 +345,26 @@ func TestDrainShedsQueuedAndSignalsIdle(t *testing.T) {
 	if err := waiting.Wait(context.Background()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("queued at drain: want ErrDraining, got %v", err)
 	}
-	if _, err := c.Submit("a", 0, 0); !errors.Is(err, ErrDraining) {
-		t.Fatalf("submit after drain: want ErrDraining, got %v", err)
+	for _, tenant := range []string{"a", "late"} {
+		if _, err := c.Submit(tenant, 0, 0); !errors.Is(err, ErrDraining) {
+			t.Fatalf("submit by %s after drain: want ErrDraining, got %v", tenant, err)
+		}
+	}
+	// An arrival turned away while draining counts on its tenant, as the
+	// queue-full refusals do: /debug/admission's per-tenant shed equals the
+	// tenant's labeled draining counter.
+	shed := map[string]int64{}
+	for _, ts := range c.Stats().Tenants {
+		shed[ts.Tenant] = ts.Shed
+	}
+	snap := reg.Snapshot()
+	for tenant, want := range map[string]int64{"a": 2, "late": 1} {
+		counter := snap.Counters[trace.LabeledName("AdmissionTenantShed",
+			"tenant", tenant, "code", string(CodeDraining))]
+		if shed[tenant] != want || counter != want {
+			t.Errorf("tenant %s: Stats shed %d, labeled draining counter %d, want both %d",
+				tenant, shed[tenant], counter, want)
+		}
 	}
 	select {
 	case <-c.Drained():

@@ -129,11 +129,11 @@ func (e *Engine) transferRetried(p *sim.Proc, d bus.Direction, n int64, acc *tim
 			return abortNone, nil
 		}
 		kind := e.classify(err, p.Now(), hit)
-		if kind != abortFault || attempt+1 >= e.retry.MaxAttempts {
+		if kind != abortFault || attempt+1 >= retryMaxAttempts {
 			return kind, err
 		}
 		e.Metrics.Retries.Inc()
-		p.Hold(e.retry.backoff(attempt))
+		p.Hold(retryBackoff(attempt))
 		if stop() {
 			return abortStopped, nil
 		}

@@ -67,14 +67,6 @@ type Config struct {
 	// run: the injector's hooks wrap the device heap and the bus, and the
 	// engine polls it for device resets and operator slowdowns.
 	Faults *faults.Injector
-	// Health tunes the device circuit breaker; the zero value uses defaults.
-	// The breaker only reacts to infrastructure faults, so it never trips in
-	// fault-free runs.
-	Health HealthConfig
-	// Retry bounds the per-operator retry of transient device faults; the
-	// zero value uses defaults. Capacity (OOM) aborts are never retried —
-	// they fall back to the CPU immediately, as in the paper.
-	Retry RetryConfig
 	// QueryDeadline fails any query still running after this much virtual
 	// time, releasing its device reservations (0 = no deadline).
 	QueryDeadline time.Duration
@@ -106,30 +98,20 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// RetryConfig bounds the engine's retry of transient device faults.
-type RetryConfig struct {
-	// MaxAttempts is the total number of device attempts per operator
-	// (default 3). 1 disables retry.
-	MaxAttempts int
-	// BackoffBase is the virtual-time backoff before the first retry; each
-	// further retry doubles it (default 100µs).
-	BackoffBase time.Duration
-}
+// The retry of transient device faults. Capacity (OOM) aborts are never
+// retried — they fall back to the CPU immediately, as in the paper.
+const (
+	// retryMaxAttempts is the total number of device attempts per operator.
+	retryMaxAttempts = 3
+	// retryBackoffBase is the virtual-time backoff before the first retry;
+	// each further retry doubles it.
+	retryBackoffBase = 100 * time.Microsecond
+)
 
-func (r RetryConfig) withDefaults() RetryConfig {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.BackoffBase <= 0 {
-		r.BackoffBase = 100 * time.Microsecond
-	}
-	return r
-}
-
-// backoff returns the hold before retry number attempt+1 (attempt counts
-// from 0): base, 2×base, 4×base, …
-func (r RetryConfig) backoff(attempt int) time.Duration {
-	d := r.BackoffBase
+// retryBackoff returns the hold before retry number attempt+1 (attempt
+// counts from 0): base, 2×base, 4×base, …
+func retryBackoff(attempt int) time.Duration {
+	d := retryBackoffBase
 	for ; attempt > 0 && d < time.Second; attempt-- {
 		d *= 2
 	}
@@ -178,7 +160,6 @@ type Engine struct {
 	queryCount    int
 	forceCopyBack bool
 	injector      *faults.Injector
-	retry         RetryConfig
 	deadline      time.Duration
 	pipeDepth     int
 	pipeCoExec    bool
@@ -236,11 +217,10 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		Metrics:       NewMetrics(),
 		Tracer:        cfg.Tracer,
 		Log:           cfg.Log,
-		Health:        NewHealth(cfg.Health),
+		Health:        NewHealth(),
 		outstanding:   make(map[cost.ProcKind]float64),
 		forceCopyBack: cfg.ForceCopyBack,
 		injector:      cfg.Faults,
-		retry:         cfg.Retry.withDefaults(),
 		deadline:      cfg.QueryDeadline,
 		pipeDepth:     cfg.PipelineDepth,
 		pipeCoExec:    cfg.PipelineCoExec,

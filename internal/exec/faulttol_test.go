@@ -73,7 +73,6 @@ func TestRetryExhaustionDegradesToCPU(t *testing.T) {
 	e := New(cat, Config{
 		CacheBytes: 1 << 30, HeapBytes: 1 << 30,
 		Faults: faults.New(faults.Config{Seed: 1, TransferFailRate: 1}),
-		Health: HealthConfig{Window: 8, MinSamples: 4, TripRate: 0.5},
 	})
 	v, _ := runQueryOnce(t, e, testPlan(), fixedPlacer{cost.GPU})
 	got := v.Batch.MustColumn("s").(*column.Float64Column).Values[0]
@@ -117,18 +116,14 @@ func TestAllocFaultRetry(t *testing.T) {
 // placement to the CPU; once the burst clears and the cooldown elapses, probe
 // operators bring the device back.
 func TestBreakerDegradesAndRecovers(t *testing.T) {
-	L := faultFreeLatency(t, 10000)
-	cooldown := 500 * time.Microsecond
+	// The fault condition lasts 10 fault-free query latencies plus 10
+	// breaker cooldowns — far beyond the first query with its retries and
+	// backoffs — then clears.
+	burst := 10*faultFreeLatency(t, 10000) + 10*healthCooldown
 	cat := testCatalog(10000)
 	e := New(cat, Config{
 		CacheBytes: 1 << 30, HeapBytes: 1 << 30,
-		// The fault condition lasts 10 fault-free query latencies — far
-		// beyond the first query — then clears.
-		Faults: faults.New(faults.Config{Seed: 1, TransferFailRate: 1, Stop: 10 * L}),
-		Health: HealthConfig{
-			Window: 4, MinSamples: 2, TripRate: 0.5,
-			Cooldown: cooldown, ProbeSuccesses: 1,
-		},
+		Faults: faults.New(faults.Config{Seed: 1, TransferFailRate: 1, Stop: burst}),
 	})
 	pl := testPlan()
 	want := expectSum(10000)
@@ -156,8 +151,10 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 		if e.Metrics.DegradedPlacements.Load() == 0 {
 			t.Error("no degraded placements recorded")
 		}
-		// Wait out the fault condition and the breaker cooldown.
-		p.Hold(10*L + cooldown)
+		// Wait out the fault condition and the breaker cooldown; the plan's
+		// three operators are then the healthProbeSuccesses probes that
+		// close the breaker again.
+		p.Hold(burst + healthCooldown)
 		v, _, err = e.RunQuery(p, pl, fixedPlacer{cost.GPU})
 		if err != nil {
 			t.Errorf("query 2: %v", err)

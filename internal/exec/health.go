@@ -32,45 +32,23 @@ func (s BreakerState) String() string {
 	}
 }
 
-// HealthConfig tunes the device health tracker. The zero value selects the
-// defaults below.
-type HealthConfig struct {
-	// Window is the number of recent device outcomes the fault rate is
-	// computed over (default 16).
-	Window int
-	// MinSamples is the minimum number of windowed outcomes before the
-	// breaker may trip (default 6) — a single early fault must not demote
-	// the device.
-	MinSamples int
-	// TripRate is the windowed fault rate at which the breaker opens
-	// (default 0.5).
-	TripRate float64
-	// Cooldown is the virtual time the breaker stays open before admitting
-	// probes (default 2ms — a few operator durations).
-	Cooldown time.Duration
-	// ProbeSuccesses is the number of consecutive successful probes that
-	// close a half-open breaker (default 3).
-	ProbeSuccesses int
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 6
-	}
-	if c.TripRate <= 0 {
-		c.TripRate = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Millisecond
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 3
-	}
-	return c
-}
+// The breaker's thresholds.
+const (
+	// healthWindow is the number of recent device outcomes the fault rate is
+	// computed over.
+	healthWindow = 16
+	// healthMinSamples is the minimum number of windowed outcomes before the
+	// breaker may trip — a single early fault must not demote the device.
+	healthMinSamples = 6
+	// healthTripRate is the windowed fault rate at which the breaker opens.
+	healthTripRate = 0.5
+	// healthCooldown is the virtual time the breaker stays open before
+	// admitting probes — a few operator durations.
+	healthCooldown = 2 * time.Millisecond
+	// healthProbeSuccesses is the number of consecutive successful probes
+	// that close a half-open breaker.
+	healthProbeSuccesses = 3
+)
 
 // Health is the device health tracker: a sliding-window fault counter with
 // circuit-breaker semantics. Infrastructure faults (injected allocator
@@ -85,9 +63,8 @@ func (c HealthConfig) withDefaults() HealthConfig {
 // keeps faulting is taken out of service and query processing continues
 // CPU-only, never blocked on broken hardware.
 type Health struct {
-	cfg      HealthConfig
 	state    BreakerState
-	window   []bool // true = fault
+	window   [healthWindow]bool // true = fault
 	next     int
 	filled   int
 	faults   int // faults currently inside the window
@@ -98,10 +75,7 @@ type Health struct {
 }
 
 // NewHealth creates a closed-breaker tracker.
-func NewHealth(cfg HealthConfig) *Health {
-	cfg = cfg.withDefaults()
-	return &Health{cfg: cfg, window: make([]bool, cfg.Window)}
-}
+func NewHealth() *Health { return &Health{} }
 
 // State returns the breaker state as of the last recorded event. It does not
 // apply the cooldown transition; AllowGPU does.
@@ -126,7 +100,7 @@ func (h *Health) FaultRate() float64 {
 func (h *Health) AllowGPU(now time.Duration) bool {
 	switch h.state {
 	case BreakerOpen:
-		if now-h.openedAt < h.cfg.Cooldown {
+		if now-h.openedAt < healthCooldown {
 			return false
 		}
 		h.state = BreakerHalfOpen
@@ -154,7 +128,7 @@ func (h *Health) RecordSuccess(now time.Duration) {
 	h.endAttempt()
 	if h.state == BreakerHalfOpen {
 		h.probeOK++
-		if h.probeOK >= h.cfg.ProbeSuccesses {
+		if h.probeOK >= healthProbeSuccesses {
 			h.close()
 		}
 		return
@@ -178,7 +152,7 @@ func (h *Health) RecordFault(now time.Duration) {
 		h.openedAt = now // faults during the outage prolong it
 	default:
 		h.observe(true)
-		if h.filled >= h.cfg.MinSamples && h.FaultRate() >= h.cfg.TripRate {
+		if h.filled >= healthMinSamples && h.FaultRate() >= healthTripRate {
 			h.trip(now)
 		}
 	}
@@ -221,8 +195,6 @@ func (h *Health) close() {
 }
 
 func (h *Health) clearWindow() {
-	for i := range h.window {
-		h.window[i] = false
-	}
+	h.window = [healthWindow]bool{}
 	h.next, h.filled, h.faults = 0, 0, 0
 }

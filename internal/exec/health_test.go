@@ -12,28 +12,36 @@ func TestBreakerStateString(t *testing.T) {
 	}
 }
 
+// trip records healthMinSamples faults at now: the fewest that open the
+// breaker.
+func trip(h *Health, now time.Duration) {
+	for i := 0; i < healthMinSamples; i++ {
+		h.BeginAttempt()
+		h.RecordFault(now)
+	}
+}
+
 // The full deterministic breaker life cycle: closed → (fault burst) open →
 // (cooldown) half-open → (probe successes) closed.
 func TestBreakerTripAndRecover(t *testing.T) {
-	h := NewHealth(HealthConfig{
-		Window: 8, MinSamples: 4, TripRate: 0.5,
-		Cooldown: time.Millisecond, ProbeSuccesses: 2,
-	})
+	h := NewHealth()
 	now := time.Duration(0)
 	if !h.AllowGPU(now) || h.State() != BreakerClosed {
 		t.Fatal("fresh breaker must be closed")
 	}
 
-	// Two successes, then faults. After 4 samples with 2 faults the rate hits
-	// 0.5 — the breaker trips exactly on the MinSamples'th outcome.
-	for i := 0; i < 2; i++ {
+	// Successes, then faults. The rate reaches healthTripRate (one half) on
+	// the healthMinSamples'th outcome, and the breaker trips exactly then.
+	for i := 0; i < healthMinSamples/2; i++ {
 		h.BeginAttempt()
 		h.RecordSuccess(now)
 	}
-	h.BeginAttempt()
-	h.RecordFault(now)
+	for i := 0; i < healthMinSamples/2-1; i++ {
+		h.BeginAttempt()
+		h.RecordFault(now)
+	}
 	if h.State() != BreakerClosed {
-		t.Fatal("tripped below MinSamples")
+		t.Fatal("tripped below healthMinSamples")
 	}
 	h.BeginAttempt()
 	h.RecordFault(now)
@@ -45,11 +53,11 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 
 	// Before the cooldown elapses the device stays out of service.
-	if h.AllowGPU(now + 999*time.Microsecond) {
+	if h.AllowGPU(now + healthCooldown - time.Microsecond) {
 		t.Fatal("breaker half-opened before the cooldown")
 	}
 	// After the cooldown one probe is admitted at a time.
-	now += time.Millisecond
+	now += healthCooldown
 	if !h.AllowGPU(now) || h.State() != BreakerHalfOpen {
 		t.Fatalf("state=%v, want half-open probe admitted", h.State())
 	}
@@ -58,16 +66,18 @@ func TestBreakerTripAndRecover(t *testing.T) {
 		t.Fatal("second concurrent probe admitted")
 	}
 	h.RecordSuccess(now)
-	if h.State() != BreakerHalfOpen {
-		t.Fatal("one probe success must not close the breaker yet")
+	for i := 1; i < healthProbeSuccesses; i++ {
+		if h.State() != BreakerHalfOpen {
+			t.Fatalf("%d probe successes closed the breaker, want %d", i, healthProbeSuccesses)
+		}
+		if !h.AllowGPU(now) {
+			t.Fatal("next probe refused")
+		}
+		h.BeginAttempt()
+		h.RecordSuccess(now)
 	}
-	if !h.AllowGPU(now) {
-		t.Fatal("next probe refused")
-	}
-	h.BeginAttempt()
-	h.RecordSuccess(now)
 	if h.State() != BreakerClosed {
-		t.Fatalf("state=%v after %d probe successes, want closed", h.State(), 2)
+		t.Fatalf("state=%v after %d probe successes, want closed", h.State(), healthProbeSuccesses)
 	}
 	if h.FaultRate() != 0 {
 		t.Fatal("window must be clear after recovery")
@@ -77,19 +87,13 @@ func TestBreakerTripAndRecover(t *testing.T) {
 // A fault during a half-open probe re-opens the breaker and restarts the
 // cooldown; faults while open prolong the outage.
 func TestBreakerProbeFailure(t *testing.T) {
-	h := NewHealth(HealthConfig{
-		Window: 4, MinSamples: 2, TripRate: 0.5,
-		Cooldown: time.Millisecond, ProbeSuccesses: 2,
-	})
+	h := NewHealth()
 	now := time.Duration(0)
-	for i := 0; i < 2; i++ {
-		h.BeginAttempt()
-		h.RecordFault(now)
-	}
+	trip(h, now)
 	if h.State() != BreakerOpen {
 		t.Fatal("did not trip")
 	}
-	now += time.Millisecond
+	now += healthCooldown
 	if !h.AllowGPU(now) {
 		t.Fatal("probe refused after cooldown")
 	}
@@ -99,19 +103,19 @@ func TestBreakerProbeFailure(t *testing.T) {
 		t.Fatalf("state=%v trips=%d after failed probe, want open/2", h.State(), h.Trips())
 	}
 	// A standalone fault (device reset) during the outage pushes openedAt.
-	now += 500 * time.Microsecond
+	now += healthCooldown / 2
 	h.NoteFault(now)
-	if h.AllowGPU(now + 999*time.Microsecond) {
+	if h.AllowGPU(now + healthCooldown - time.Microsecond) {
 		t.Fatal("outage must be prolonged by faults while open")
 	}
-	if !h.AllowGPU(now + time.Millisecond) {
+	if !h.AllowGPU(now + healthCooldown) {
 		t.Fatal("probe refused after the prolonged cooldown")
 	}
 }
 
 // Capacity OOM aborts are neutral: a device that is merely busy never trips.
 func TestBreakerIgnoresNeutralOutcomes(t *testing.T) {
-	h := NewHealth(HealthConfig{Window: 4, MinSamples: 2, TripRate: 0.5})
+	h := NewHealth()
 	for i := 0; i < 100; i++ {
 		h.BeginAttempt()
 		h.RecordNeutral()
@@ -124,14 +128,19 @@ func TestBreakerIgnoresNeutralOutcomes(t *testing.T) {
 // The sliding window forgets old faults: steady successes after a burst keep
 // the breaker closed.
 func TestBreakerWindowSlides(t *testing.T) {
-	h := NewHealth(HealthConfig{Window: 4, MinSamples: 4, TripRate: 0.75})
+	h := NewHealth()
 	now := time.Duration(0)
 	h.BeginAttempt()
 	h.RecordFault(now) // 1/1
-	for i := 0; i < 10; i++ {
+	for i := 0; i < healthWindow-1; i++ {
 		h.BeginAttempt()
 		h.RecordSuccess(now)
 	}
+	if got, want := h.FaultRate(), 1.0/healthWindow; got != want {
+		t.Fatalf("fault rate %v with the fault in a full window, want %v", got, want)
+	}
+	h.BeginAttempt()
+	h.RecordSuccess(now)
 	if h.State() != BreakerClosed {
 		t.Fatal("breaker tripped on a stale fault")
 	}
@@ -143,16 +152,10 @@ func TestBreakerWindowSlides(t *testing.T) {
 // AllowGPU is idempotent: consulting it repeatedly for one decision must not
 // change the admitted outcome.
 func TestAllowGPUIdempotent(t *testing.T) {
-	h := NewHealth(HealthConfig{
-		Window: 4, MinSamples: 2, TripRate: 0.5,
-		Cooldown: time.Millisecond, ProbeSuccesses: 1,
-	})
+	h := NewHealth()
 	now := time.Duration(0)
-	for i := 0; i < 2; i++ {
-		h.BeginAttempt()
-		h.RecordFault(now)
-	}
-	now += time.Millisecond
+	trip(h, now)
+	now += healthCooldown
 	for i := 0; i < 5; i++ {
 		if !h.AllowGPU(now) {
 			t.Fatalf("consultation %d flipped the decision", i)

@@ -112,12 +112,12 @@ func (e *Engine) execOp(p *sim.Proc, q *query, n *plan.Node, kind cost.ProcKind,
 			default: // abortFault, abortReset
 				e.Health.RecordFault(p.Now())
 			}
-			if abort == abortOOM || attempt+1 >= e.retry.MaxAttempts {
+			if abort == abortOOM || attempt+1 >= retryMaxAttempts {
 				attempt++
 				break // out of patience: degrade to the CPU
 			}
 			e.Metrics.Retries.Inc()
-			p.Hold(e.retry.backoff(attempt))
+			p.Hold(retryBackoff(attempt))
 		}
 	}
 	start := p.Now()

@@ -127,8 +127,8 @@ func admissionRun(c *table.Catalog, policy admission.Policy, capacity, clients, 
 		panic(fmt.Sprintf("figures: admission server: %v", err))
 	}
 	sampler := obs.NewSampler(reg, []*obs.Detector{
-		obs.NewThrashingDetector(obs.ThrashingConfig{}),
-		obs.NewContentionDetector(obs.ContentionConfig{}),
+		obs.NewThrashingDetector(),
+		obs.NewContentionDetector(),
 	}, nil)
 	stopPressure := server.StartPressureLoop(s, sampler, 20*time.Millisecond)
 

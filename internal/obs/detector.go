@@ -20,9 +20,12 @@ type Verdict struct {
 // Detector's hysteresis decides what the stream of verdicts means.
 type Classifier func(delta trace.Snapshot) Verdict
 
+// hysteresis is every detector's width in windows, on both edges.
+const hysteresis = 2
+
 // Detector turns a per-window Classifier into a stable health state with
-// hysteresis: Enter consecutive degraded windows flip it degraded, Exit
-// consecutive healthy windows flip it back. A single outlier window — in
+// hysteresis: that many consecutive degraded windows flip it degraded, as
+// many consecutive healthy windows flip it back. A single outlier window — in
 // either direction — never changes the state, so a flapping signal cannot
 // flap the health endpoint.
 //
@@ -31,8 +34,6 @@ type Classifier func(delta trace.Snapshot) Verdict
 type Detector struct {
 	name     string
 	classify Classifier
-	enter    int
-	exit     int
 
 	gauge       *trace.Gauge   // 1 degraded / 0 healthy; nil until Bind
 	transitions *trace.Counter // state flips; nil until Bind
@@ -45,16 +46,9 @@ type Detector struct {
 	detail   string
 }
 
-// NewDetector creates a detector. enter and exit are the hysteresis widths
-// in windows; values below 1 clamp to 1 (no hysteresis on that edge).
-func NewDetector(name string, enter, exit int, classify Classifier) *Detector {
-	if enter < 1 {
-		enter = 1
-	}
-	if exit < 1 {
-		exit = 1
-	}
-	return &Detector{name: name, classify: classify, enter: enter, exit: exit, detail: "no windows observed"}
+// NewDetector creates a detector.
+func NewDetector(name string, classify Classifier) *Detector {
+	return &Detector{name: name, classify: classify, detail: "no windows observed"}
 }
 
 // Name returns the detector name ("Thrashing", "Contention").
@@ -83,11 +77,7 @@ func (d *Detector) Observe(delta trace.Snapshot) (changed bool) {
 		return false
 	}
 	d.streak++
-	need := d.enter
-	if d.degraded {
-		need = d.exit
-	}
-	if d.streak < need {
+	if d.streak < hysteresis {
 		return false
 	}
 	d.degraded = !d.degraded
@@ -128,60 +118,43 @@ func (d *Detector) State() DetectorState {
 	}
 }
 
-// ThrashingConfig tunes the cache-thrashing detector. The zero value uses
-// the defaults given on each field.
-type ThrashingConfig struct {
-	// ReadmitsPerQuery is the evict-then-readmit churn threshold: a window
-	// whose CacheReadmits / queries reaches it is thrashing-suspect.
-	// Default 0.5.
-	ReadmitsPerQuery float64
-	// BytesPerQuery is the transfer-volume threshold (H2D + D2H payload
-	// bytes per query). Thrashing shows up as repeated re-staging of the
-	// same columns, i.e. high transfer volume per unit of work.
-	// Default 256 KiB.
-	BytesPerQuery float64
-	// MaxHitRate is the cache hit-rate ceiling: a window is only
-	// thrashing-suspect while the hit rate is at or below it. Default 0.5.
-	MaxHitRate float64
-	// MinQueries guards against idle or near-idle windows: below it the
-	// window classifies healthy regardless of rates. Default 1.
-	MinQueries int64
-	// Enter and Exit are the hysteresis widths in windows. Default 2 each.
-	Enter, Exit int
-}
+// The detectors' thresholds.
+const (
+	// minWindowQueries guards against idle or near-idle windows: below it a
+	// window classifies healthy regardless of rates.
+	minWindowQueries = 1
+	// thrashReadmitsPerQuery is the evict-then-readmit churn threshold: a
+	// window whose CacheReadmits / queries reaches it is thrashing-suspect.
+	thrashReadmitsPerQuery = 0.5
+	// thrashBytesPerQuery is the transfer-volume threshold (H2D + D2H
+	// payload bytes per query). Thrashing shows up as repeated re-staging of
+	// the same columns, i.e. high transfer volume per unit of work.
+	thrashBytesPerQuery float64 = 256 << 10
+	// thrashMaxHitRate is the cache hit-rate ceiling: a window is only
+	// thrashing-suspect while the hit rate is at or below it.
+	thrashMaxHitRate = 0.5
+	// contentionFailuresPerQuery is the degraded threshold on (Aborts +
+	// AllocFaults + TransferFaults) / queries: device memory pressure and
+	// injected fault pressure both surface as operators failing to hold
+	// their allocations.
+	contentionFailuresPerQuery = 1.0
+)
 
-func (c *ThrashingConfig) defaults() {
-	if c.ReadmitsPerQuery <= 0 {
-		c.ReadmitsPerQuery = 0.5
-	}
-	if c.BytesPerQuery <= 0 {
-		c.BytesPerQuery = 256 << 10
-	}
-	if c.MaxHitRate <= 0 {
-		c.MaxHitRate = 0.5
-	}
-	if c.MinQueries <= 0 {
-		c.MinQueries = 1
-	}
-	if c.Enter <= 0 {
-		c.Enter = 2
-	}
-	if c.Exit <= 0 {
-		c.Exit = 2
-	}
+// idleVerdict classifies a window with fewer than minWindowQueries queries.
+func idleVerdict(queries int64) Verdict {
+	return Verdict{Detail: fmt.Sprintf("idle window (%d queries < %d)", queries, minWindowQueries)}
 }
 
 // NewThrashingDetector builds the online cache-thrashing detector of the
 // paper's §2.3 failure mode: operator-driven data placement evicting and
 // re-admitting the same columns query after query. A window is degraded
 // when readmit churn AND transfer volume per query exceed their thresholds
-// while the cache hit rate has fallen to MaxHitRate or below.
-func NewThrashingDetector(cfg ThrashingConfig) *Detector {
-	cfg.defaults()
-	classify := func(delta trace.Snapshot) Verdict {
+// while the cache hit rate has fallen to thrashMaxHitRate or below.
+func NewThrashingDetector() *Detector {
+	return NewDetector("Thrashing", func(delta trace.Snapshot) Verdict {
 		queries := delta.Counters["QueriesCompleted"] + delta.Counters["QueriesFailed"]
-		if queries < cfg.MinQueries {
-			return Verdict{Detail: fmt.Sprintf("idle window (%d queries < %d)", queries, cfg.MinQueries)}
+		if queries < minWindowQueries {
+			return idleVerdict(queries)
 		}
 		readmits := delta.Counters["CacheReadmits"]
 		bytes := delta.Counters["H2DBytes"] + delta.Counters["D2HBytes"]
@@ -193,67 +166,35 @@ func NewThrashingDetector(cfg ThrashingConfig) *Detector {
 		}
 		readmitRate := float64(readmits) / float64(queries)
 		bytesRate := float64(bytes) / float64(queries)
-		degraded := readmitRate >= cfg.ReadmitsPerQuery &&
-			bytesRate >= cfg.BytesPerQuery &&
-			hitRate <= cfg.MaxHitRate
+		degraded := readmitRate >= thrashReadmitsPerQuery &&
+			bytesRate >= thrashBytesPerQuery &&
+			hitRate <= thrashMaxHitRate
 		return Verdict{
 			Degraded: degraded,
 			Detail: fmt.Sprintf(
 				"readmits/query=%.2f (≥%.2f) bytes/query=%.0f (≥%.0f) hit-rate=%.2f (≤%.2f) queries=%d",
-				readmitRate, cfg.ReadmitsPerQuery, bytesRate, cfg.BytesPerQuery,
-				hitRate, cfg.MaxHitRate, queries),
+				readmitRate, thrashReadmitsPerQuery, bytesRate, thrashBytesPerQuery,
+				hitRate, thrashMaxHitRate, queries),
 		}
-	}
-	return NewDetector("Thrashing", cfg.Enter, cfg.Exit, classify)
-}
-
-// ContentionConfig tunes the device-contention detector. The zero value
-// uses the defaults given on each field.
-type ContentionConfig struct {
-	// FailuresPerQuery is the degraded threshold on (Aborts + AllocFaults +
-	// TransferFaults) / queries: device memory pressure and injected fault
-	// pressure both surface as operators failing to hold their allocations.
-	// Default 1.0.
-	FailuresPerQuery float64
-	// MinQueries guards idle windows, as in ThrashingConfig. Default 1.
-	MinQueries int64
-	// Enter and Exit are the hysteresis widths in windows. Default 2 each.
-	Enter, Exit int
-}
-
-func (c *ContentionConfig) defaults() {
-	if c.FailuresPerQuery <= 0 {
-		c.FailuresPerQuery = 1.0
-	}
-	if c.MinQueries <= 0 {
-		c.MinQueries = 1
-	}
-	if c.Enter <= 0 {
-		c.Enter = 2
-	}
-	if c.Exit <= 0 {
-		c.Exit = 2
-	}
+	})
 }
 
 // NewContentionDetector builds the device-contention detector: a window is
 // degraded when operator aborts plus injected allocation/transfer faults
 // per query reach the threshold — the heap-contention regime of Figure 13,
 // where concurrent operators evict and abort each other.
-func NewContentionDetector(cfg ContentionConfig) *Detector {
-	cfg.defaults()
-	classify := func(delta trace.Snapshot) Verdict {
+func NewContentionDetector() *Detector {
+	return NewDetector("Contention", func(delta trace.Snapshot) Verdict {
 		queries := delta.Counters["QueriesCompleted"] + delta.Counters["QueriesFailed"]
-		if queries < cfg.MinQueries {
-			return Verdict{Detail: fmt.Sprintf("idle window (%d queries < %d)", queries, cfg.MinQueries)}
+		if queries < minWindowQueries {
+			return idleVerdict(queries)
 		}
 		failures := delta.Counters["Aborts"] + delta.Counters["AllocFaults"] + delta.Counters["TransferFaults"]
 		rate := float64(failures) / float64(queries)
 		return Verdict{
-			Degraded: rate >= cfg.FailuresPerQuery,
+			Degraded: rate >= contentionFailuresPerQuery,
 			Detail: fmt.Sprintf("failures/query=%.2f (≥%.2f) queries=%d",
-				rate, cfg.FailuresPerQuery, queries),
+				rate, contentionFailuresPerQuery, queries),
 		}
-	}
-	return NewDetector("Contention", cfg.Enter, cfg.Exit, classify)
+	})
 }

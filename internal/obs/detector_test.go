@@ -17,16 +17,20 @@ func verdictSeq(degraded ...bool) Classifier {
 	}
 }
 
+// Both edges are hysteresis (2) windows wide. The asymmetric case (enter
+// after 2, exit after 3) went with the per-edge widths: every detector uses
+// one width.
 func TestDetectorHysteresisEnterExit(t *testing.T) {
-	d := NewDetector("T", 2, 3, verdictSeq(
-		true,         // streak 1: no flip yet
-		true,         // streak 2: enter degraded
-		false, false, // two healthy windows: not enough to exit (need 3)
-		true,                // degraded again: streak resets
-		false, false, false, // three healthy windows: exit
+	d := NewDetector("T", verdictSeq(
+		true,  // streak 1: no flip yet
+		true,  // streak 2: enter degraded
+		false, // one healthy window: not enough to exit
+		true,  // degraded again: streak resets
+		false, // streak 1
+		false, // streak 2: exit
 	))
 	var flips []bool
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 6; i++ {
 		if d.Observe(trace.Snapshot{}) {
 			flips = append(flips, d.State().Degraded)
 		}
@@ -35,7 +39,7 @@ func TestDetectorHysteresisEnterExit(t *testing.T) {
 		t.Fatalf("flips = %v, want [true false]", flips)
 	}
 	st := d.State()
-	if st.Transitions != 2 || st.Windows != 8 {
+	if st.Transitions != 2 || st.Windows != 6 {
 		t.Fatalf("state = %+v", st)
 	}
 }
@@ -44,7 +48,7 @@ func TestDetectorHysteresisEnterExit(t *testing.T) {
 // a signal alternating every window must never change the health state,
 // because no streak of agreeing windows reaches the hysteresis width.
 func TestDetectorFlappingInputDoesNotFlapState(t *testing.T) {
-	d := NewDetector("T", 2, 2, verdictSeq(true, false))
+	d := NewDetector("T", verdictSeq(true, false))
 	for i := 0; i < 1000; i++ {
 		if d.Observe(trace.Snapshot{}) {
 			t.Fatalf("flapping input flipped the state at window %d", i)
@@ -57,21 +61,29 @@ func TestDetectorFlappingInputDoesNotFlapState(t *testing.T) {
 
 func TestDetectorGaugeWriteback(t *testing.T) {
 	reg := trace.NewRegistry()
-	d := NewDetector("Thrashing", 1, 1, verdictSeq(true, false))
+	d := NewDetector("Thrashing", verdictSeq(true, true, false, false))
 	d.Bind(reg)
 	if reg.Gauge("DetectorThrashing").Load() != 0 {
 		t.Fatal("gauge must start healthy")
 	}
-	d.Observe(trace.Snapshot{}) // degraded
+	observe(d, trace.Snapshot{}) // degraded
 	if reg.Gauge("DetectorThrashing").Load() != 1 {
 		t.Fatal("gauge must follow the degraded flip")
 	}
-	d.Observe(trace.Snapshot{}) // healthy
+	observe(d, trace.Snapshot{}) // healthy
 	if reg.Gauge("DetectorThrashing").Load() != 0 {
 		t.Fatal("gauge must follow the recovery flip")
 	}
 	if reg.Counter("DetectorThrashingTransitions").Load() != 2 {
 		t.Fatal("transitions counter must count both flips")
+	}
+}
+
+// observe feeds the same window hysteresis times: the fewest that flip a
+// detector whose classifier disagrees with its state.
+func observe(d *Detector, delta trace.Snapshot) {
+	for i := 0; i < hysteresis; i++ {
+		d.Observe(delta)
 	}
 }
 
@@ -81,9 +93,9 @@ func window(counters map[string]int64) trace.Snapshot {
 }
 
 func TestThrashingClassifier(t *testing.T) {
-	d := NewThrashingDetector(ThrashingConfig{Enter: 1, Exit: 1})
+	d := NewThrashingDetector()
 	// Thrashing window: heavy churn, heavy transfer, poor hit rate.
-	d.Observe(window(map[string]int64{
+	observe(d, window(map[string]int64{
 		"QueriesCompleted": 10,
 		"CacheReadmits":    20,       // 2.0 per query ≥ 0.5
 		"H2DBytes":         80 << 20, // 8 MiB per query ≥ 256 KiB
@@ -94,7 +106,7 @@ func TestThrashingClassifier(t *testing.T) {
 		t.Fatalf("thrashing window classified healthy: %s", st.Detail)
 	}
 	// Healthy window: same load but the cache holds (hit rate 0.9, no churn).
-	d.Observe(window(map[string]int64{
+	observe(d, window(map[string]int64{
 		"QueriesCompleted": 10,
 		"H2DBytes":         1 << 10,
 		"CacheHits":        18,
@@ -111,8 +123,8 @@ func TestThrashingClassifier(t *testing.T) {
 }
 
 func TestContentionClassifier(t *testing.T) {
-	d := NewContentionDetector(ContentionConfig{Enter: 1, Exit: 1})
-	d.Observe(window(map[string]int64{
+	d := NewContentionDetector()
+	observe(d, window(map[string]int64{
 		"QueriesCompleted": 4,
 		"QueriesFailed":    1,
 		"Aborts":           3,
@@ -122,7 +134,7 @@ func TestContentionClassifier(t *testing.T) {
 	if st := d.State(); !st.Degraded {
 		t.Fatalf("contended window classified healthy: %s", st.Detail)
 	}
-	d.Observe(window(map[string]int64{"QueriesCompleted": 10, "Aborts": 1}))
+	observe(d, window(map[string]int64{"QueriesCompleted": 10, "Aborts": 1}))
 	if st := d.State(); st.Degraded {
 		t.Fatalf("calm window classified contended: %s", st.Detail)
 	}
@@ -141,19 +153,23 @@ func TestSamplerWindowsAreDeltas(t *testing.T) {
 	bytes.Add(1 << 30)
 	misses.Add(1000)
 
-	d := NewThrashingDetector(ThrashingConfig{Enter: 1, Exit: 1})
+	d := NewThrashingDetector()
 	s := NewSampler(reg, []*Detector{d}, nil)
-	// ...but the sampler was primed after it, so the first window is empty.
-	s.Tick()
-	if st := d.State(); st.Degraded {
-		t.Fatalf("sampler leaked cumulative state into the first window: %s", st.Detail)
+	// ...but the sampler was primed after it, so the first windows are empty.
+	for i := 0; i < hysteresis; i++ {
+		s.Tick()
 	}
-	// A genuinely thrashing window flips it.
-	queries.Add(10)
-	readmits.Add(50)
-	bytes.Add(100 << 20)
-	misses.Add(100)
-	s.Tick()
+	if st := d.State(); st.Degraded {
+		t.Fatalf("sampler leaked cumulative state into the first windows: %s", st.Detail)
+	}
+	// Genuinely thrashing windows flip it.
+	for i := 0; i < hysteresis; i++ {
+		queries.Add(10)
+		readmits.Add(50)
+		bytes.Add(100 << 20)
+		misses.Add(100)
+		s.Tick()
+	}
 	if st := d.State(); !st.Degraded {
 		t.Fatalf("thrashing window missed: %s", st.Detail)
 	}

@@ -25,8 +25,8 @@ func TestDetectorWritebackRacesReaders(t *testing.T) {
 	busy := reg.Duration("GPUBusyTime")
 
 	detectors := []*Detector{
-		NewThrashingDetector(ThrashingConfig{}),
-		NewContentionDetector(ContentionConfig{}),
+		NewThrashingDetector(),
+		NewContentionDetector(),
 	}
 	sampler := NewSampler(reg, detectors, nil)
 

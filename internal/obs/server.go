@@ -19,9 +19,6 @@ type ServerConfig struct {
 	Tracer *trace.Tracer
 	// Detectors feed /healthz; empty means /healthz always reports ok.
 	Detectors []*Detector
-	// SpanLimit bounds /debug/spans to the most recent N spans; <= 0 means
-	// DefaultSpanLimit.
-	SpanLimit int
 	// Log, when non-nil, receives one debug record per handled request.
 	Log *slog.Logger
 	// Build identifies the binary on /metrics (robustdb_build_info); the
@@ -33,8 +30,8 @@ type ServerConfig struct {
 	Uptime func() time.Duration
 }
 
-// DefaultSpanLimit is the /debug/spans tail length when none is configured.
-const DefaultSpanLimit = 256
+// spanLimit bounds /debug/spans to the most recent spans.
+const spanLimit = 256
 
 // contentTypeProm is the exposition-format content type Prometheus expects.
 const contentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
@@ -43,16 +40,13 @@ const contentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
 //
 //	/metrics        Prometheus text exposition of the registry
 //	/healthz        JSON detector summary; 200 ok / 503 degraded
-//	/debug/snapshot JSON dump of the raw registry snapshot
+//	/debug/snapshot JSON dump of the raw registry snapshot, all six kinds
 //	/debug/spans    JSON tail of the tracer's span ring
 //	/debug/pprof/   the standard Go profiling handlers
 //
 // The mux is returned (not installed on http.DefaultServeMux) so callers
 // control the listener and shutdown.
 func NewMux(cfg ServerConfig) *http.ServeMux {
-	if cfg.SpanLimit <= 0 {
-		cfg.SpanLimit = DefaultSpanLimit
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", cfg.logged(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", contentTypeProm)
@@ -67,12 +61,12 @@ func NewMux(cfg ServerConfig) *http.ServeMux {
 	}))
 	mux.HandleFunc("/healthz", cfg.logged(cfg.handleHealth))
 	mux.HandleFunc("/debug/snapshot", cfg.logged(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, snapshotView(cfg.Registry.Snapshot()))
+		writeJSON(w, http.StatusOK, cfg.Registry.Snapshot())
 	}))
 	mux.HandleFunc("/debug/spans", cfg.logged(func(w http.ResponseWriter, r *http.Request) {
 		spans := cfg.Tracer.Spans() // nil tracer returns nil
-		if len(spans) > cfg.SpanLimit {
-			spans = spans[len(spans)-cfg.SpanLimit:]
+		if len(spans) > spanLimit {
+			spans = spans[len(spans)-spanLimit:]
 		}
 		if spans == nil {
 			spans = []trace.Span{}
@@ -133,36 +127,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		// The client hung up mid-response; nothing to recover server-side.
 		return
 	}
-}
-
-// SnapshotView is the JSON shape of /debug/snapshot: the raw registry
-// snapshot with durations in explicit nanoseconds.
-type SnapshotView struct {
-	Counters    map[string]int64         `json:"counters"`
-	DurationsNS map[string]int64         `json:"durations_ns"`
-	Gauges      map[string]int64         `json:"gauges"`
-	Histograms  map[string]HistogramView `json:"histograms"`
-}
-
-// HistogramView is one histogram in SnapshotView.
-type HistogramView struct {
-	Count   int64   `json:"count"`
-	SumNS   int64   `json:"sum_ns"`
-	Buckets []int64 `json:"buckets"` // power-of-two µs buckets, index order
-}
-
-func snapshotView(s trace.Snapshot) SnapshotView {
-	v := SnapshotView{
-		Counters:    s.Counters,
-		DurationsNS: make(map[string]int64, len(s.Durations)),
-		Gauges:      s.Gauges,
-		Histograms:  make(map[string]HistogramView, len(s.Histograms)),
-	}
-	for name, d := range s.Durations {
-		v.DurationsNS[name] = int64(d / time.Nanosecond)
-	}
-	for name, h := range s.Histograms {
-		v.Histograms[name] = HistogramView{Count: h.Count, SumNS: int64(h.Sum), Buckets: h.Buckets}
-	}
-	return v
 }

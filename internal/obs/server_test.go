@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,18 +16,17 @@ import (
 func testServer(t *testing.T) (*httptest.Server, *Detector) {
 	t.Helper()
 	reg := goldenRegistry()
-	tr := trace.New(8)
-	for i := 0; i < 12; i++ { // overflow the ring: the tail must survive
+	tr := trace.New(spanLimit + 8)
+	for i := 0; i < spanLimit+12; i++ { // overflow the ring: the tail must survive
 		tr.Span(trace.Span{Query: "q0001", Name: "q0001/op", Class: "selection",
 			Start: time.Duration(i) * time.Millisecond, End: time.Duration(i+1) * time.Millisecond})
 	}
-	det := NewDetector("Thrashing", 1, 1, verdictSeq(true))
+	det := NewDetector("Thrashing", verdictSeq(true))
 	det.Bind(reg)
 	srv := httptest.NewServer(NewMux(ServerConfig{
 		Registry:  reg,
 		Tracer:    tr,
 		Detectors: []*Detector{det},
-		SpanLimit: 4,
 	}))
 	t.Cleanup(srv.Close)
 	return srv, det
@@ -82,7 +82,7 @@ func TestHealthzTransitions(t *testing.T) {
 		t.Fatalf("health = %+v", h)
 	}
 
-	det.Observe(trace.Snapshot{}) // scripted classifier flips it degraded
+	observe(det, trace.Snapshot{}) // scripted classifier flips it degraded
 	code, body, _ = get(t, srv.URL+"/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded status = %d", code)
@@ -95,21 +95,40 @@ func TestHealthzTransitions(t *testing.T) {
 	}
 }
 
+// /debug/snapshot serves the whole registry: every series of all six kinds,
+// under the keys the endpoint has always used for the first four.
 func TestDebugSnapshotEndpoint(t *testing.T) {
-	srv, _ := testServer(t)
+	reg := goldenRegistry()
+	srv := httptest.NewServer(NewMux(ServerConfig{Registry: reg}))
+	defer srv.Close()
 	code, body, hdr := get(t, srv.URL+"/debug/snapshot")
 	if code != http.StatusOK || !strings.Contains(hdr.Get("Content-Type"), "json") {
 		t.Fatalf("status = %d, ct = %q", code, hdr.Get("Content-Type"))
 	}
-	var v SnapshotView
+	var v struct {
+		Counters    map[string]int64 `json:"counters"`
+		DurationsNS map[string]int64 `json:"durations_ns"`
+		Histograms  map[string]struct {
+			Count   int64   `json:"count"`
+			SumNS   int64   `json:"sum_ns"`
+			Buckets []int64 `json:"buckets"`
+		} `json:"histograms"`
+	}
 	if err := json.Unmarshal([]byte(body), &v); err != nil {
 		t.Fatal(err)
 	}
 	if v.Counters["Aborts"] != 7 || v.DurationsNS["WastedTime"] != int64(1500*time.Millisecond) {
 		t.Fatalf("snapshot = %+v", v)
 	}
-	if h := v.Histograms["GPURunTime"]; h.Count != 4 || len(h.Buckets) == 0 {
-		t.Fatalf("histogram view = %+v", h)
+	if h := v.Histograms["GPURunTime"]; h.Count != 4 || h.SumNS == 0 || len(h.Buckets) == 0 {
+		t.Fatalf("histogram = %+v", h)
+	}
+	var got trace.Snapshot
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := reg.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("/debug/snapshot is not the registry snapshot:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -123,11 +142,11 @@ func TestDebugSpansEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &spans); err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 4 { // SpanLimit trims the ring tail
-		t.Fatalf("spans = %d, want 4 (the configured tail)", len(spans))
+	if len(spans) != spanLimit { // spanLimit trims the ring tail
+		t.Fatalf("spans = %d, want %d (the tail)", len(spans), spanLimit)
 	}
-	if spans[3].Start != 11*time.Millisecond {
-		t.Fatalf("tail must be the most recent spans, got last start %v", spans[3].Start)
+	if last := spans[spanLimit-1].Start; last != (spanLimit+11)*time.Millisecond {
+		t.Fatalf("tail must be the most recent spans, got last start %v", last)
 	}
 }
 

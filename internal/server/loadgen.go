@@ -51,22 +51,20 @@ type LoadgenConfig struct {
 	// DeadlineMS is the per-query deadline sent with each request (0 =
 	// server default).
 	DeadlineMS int64
-	// MaxOutstanding caps concurrently outstanding requests so a badly
-	// overloaded target cannot accumulate unbounded goroutines (default
-	// 4×rate, at least 64).
-	MaxOutstanding int
 	// Seed makes tenant/query picks reproducible (default 1).
 	Seed int64
-	// Client is the HTTP client for URL mode (default: 30s timeout).
-	Client *http.Client
 }
+
+// loadgenTimeout bounds one HTTP-mode request.
+const loadgenTimeout = 30 * time.Second
 
 // LoadgenResult aggregates one load-generation run.
 type LoadgenResult struct {
 	// Offered is the number of arrivals the generator produced.
 	Offered int64
-	// Skipped counts arrivals dropped by the MaxOutstanding cap (the target
-	// was so far behind that the generator refused to queue more).
+	// Skipped counts arrivals dropped because 4×rate (at least 64) requests
+	// were already outstanding: the target was so far behind that the
+	// generator refused to accumulate more goroutines.
 	Skipped int64
 	// Admitted / Shed / Failed / BadRequest classify the outcomes: Admitted
 	// queries completed, Shed were rejected with typed admission statuses,
@@ -125,17 +123,8 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenResult, error) 
 		seed = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	maxOut := cfg.MaxOutstanding
-	if maxOut <= 0 {
-		maxOut = int(cfg.Rate * 4)
-		if maxOut < 64 {
-			maxOut = 64
-		}
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	maxOut := max(int(cfg.Rate*4), 64)
+	client := &http.Client{Timeout: loadgenTimeout}
 
 	res := &LoadgenResult{ShedByCode: make(map[string]int64)}
 	var mu sync.Mutex // guards ShedByCode and the latency slices

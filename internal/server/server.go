@@ -104,13 +104,18 @@ type planCache struct {
 	lru   list.List // front = most recently used; values are *prepared
 	byKey map[string]*list.Element
 
-	// Effectiveness counters (robustdb_plancache_*_total); nil without a
-	// registry.
+	// Effectiveness counters (robustdb_plancache_*_total).
 	hits, misses, evictions *trace.Counter
 }
 
-func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, byKey: make(map[string]*list.Element, capacity)}
+func newPlanCache(capacity int, reg *trace.Registry) *planCache {
+	return &planCache{
+		cap:       capacity,
+		byKey:     make(map[string]*list.Element, capacity),
+		hits:      reg.Counter("PlancacheHits"),
+		misses:    reg.Counter("PlancacheMisses"),
+		evictions: reg.Counter("PlancacheEvictions"),
+	}
 }
 
 func (c *planCache) get(key string) (*prepared, bool) {
@@ -118,10 +123,10 @@ func (c *planCache) get(key string) (*prepared, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		inc(c.misses)
+		c.misses.Inc()
 		return nil, false
 	}
-	inc(c.hits)
+	c.hits.Inc()
 	c.lru.MoveToFront(el)
 	return el.Value.(*prepared), true
 }
@@ -139,20 +144,13 @@ func (c *planCache) put(p *prepared) {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*prepared).text)
-		inc(c.evictions)
+		c.evictions.Inc()
 	}
 }
 
-// reqMetrics are the server's registry series; all-nil when no registry is
-// configured.
+// reqMetrics are the server's registry series.
 type reqMetrics struct {
 	total, badRequest, admitted, shed, failed, succeeded *trace.Counter
-}
-
-func inc(c *trace.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }
 
 // New builds the server, starts the host pump, and wires the admission
@@ -180,31 +178,26 @@ func New(cfg Config) (*Server, error) {
 		cfg.Admission.MaxConcurrent = workload.AdmittedBound(
 			cfg.Engine.GPU.Workers.Capacity(), cfg.Engine.CPU.Workers.Capacity())
 	}
-	s := &Server{
+	reg := cfg.Admission.Registry
+	return &Server{
 		host:        NewHost(cfg.Engine, cfg.Placer),
 		ctrl:        admission.New(cfg.Admission),
 		cat:         cfg.Catalog,
 		log:         cfg.Log,
 		maxDeadline: cfg.MaxQueryDeadline,
-		plans:       newPlanCache(planCacheCap),
-		journal:     cfg.Journal,
-		tenantPool:  trace.NewLabelPool(0),
-	}
-	if reg := cfg.Admission.Registry; reg != nil {
-		s.reg = reg
-		s.reqs = reqMetrics{
+		reqs: reqMetrics{
 			total:      reg.Counter("ServerRequests"),
 			badRequest: reg.Counter("ServerBadRequests"),
 			admitted:   reg.Counter("ServerAdmitted"),
 			shed:       reg.Counter("ServerShed"),
 			failed:     reg.Counter("ServerQueryErrors"),
 			succeeded:  reg.Counter("ServerQueriesOK"),
-		}
-		s.plans.hits = reg.Counter("PlancacheHits")
-		s.plans.misses = reg.Counter("PlancacheMisses")
-		s.plans.evictions = reg.Counter("PlancacheEvictions")
-	}
-	return s, nil
+		},
+		plans:      newPlanCache(planCacheCap, reg),
+		journal:    cfg.Journal,
+		reg:        reg,
+		tenantPool: trace.NewLabelPool(),
+	}, nil
 }
 
 // Engine exposes the serving engine for observability wiring.
@@ -245,8 +238,8 @@ const (
 )
 
 // Submit runs one query through the full front-door path — admission,
-// queueing, execution — on behalf of tenant. prio raises the query above
-// the tenant's base priority; deadline bounds both the wall-clock queue
+// queueing, execution — on behalf of tenant. prio is the query's priority
+// in the admission queue; deadline bounds both the wall-clock queue
 // wait and the virtual-time execution (0 = server default). Every error
 // return is typed: *admission.Error for shed queries, exec errors for
 // admitted ones. On engine failure the Result still carries the QueryID so
@@ -260,36 +253,36 @@ func (s *Server) Submit(ctx context.Context, tenant string, prio int, pl *plan.P
 // submit is Submit over a prepared statement; it also returns the engine's
 // record of the query (zero when the query was shed) for EXPLAIN ANALYZE.
 func (s *Server) submit(ctx context.Context, tenant string, prio int, prep *prepared, deadline time.Duration) (Result, exec.QueryStats, error) {
-	inc(s.reqs.total)
+	s.reqs.total.Inc()
 	if deadline <= 0 || deadline > s.maxDeadline {
 		deadline = s.maxDeadline
 	}
 	tk, err := s.ctrl.Submit(tenant, prio, deadline)
 	if err != nil {
-		inc(s.reqs.shed)
+		s.reqs.shed.Inc()
 		s.noteOutcome(tenant, outcomeShed, 0)
 		s.journalQuery(prep, tenant, outcomeShed, exec.QueryStats{})
 		return Result{}, exec.QueryStats{}, err
 	}
 	if err := tk.Wait(ctx); err != nil {
-		inc(s.reqs.shed)
+		s.reqs.shed.Inc()
 		s.noteOutcome(tenant, outcomeShed, tk.QueueWait())
 		s.journalQuery(prep, tenant, outcomeShed, exec.QueryStats{})
 		return Result{}, exec.QueryStats{}, err
 	}
 	queueWait := tk.QueueWait()
 	defer s.ctrl.Release(tk)
-	inc(s.reqs.admitted)
+	s.reqs.admitted.Inc()
 	batch, stats, err := s.host.Run(prep.plan, exec.QueryOpts{Deadline: deadline, Tenant: tenant})
 	outcome := runOutcome(err)
 	s.noteOutcome(tenant, outcome, stats.Latency)
 	s.journalQuery(prep, tenant, outcome, stats)
 	res := Result{QueryID: stats.QueryID, QError: stats.QError, QueueWait: queueWait}
 	if err != nil {
-		inc(s.reqs.failed)
+		s.reqs.failed.Inc()
 		return res, stats, err
 	}
-	inc(s.reqs.succeeded)
+	s.reqs.succeeded.Inc()
 	res.Batch, res.Latency = batch, stats.Latency
 	return res, stats, nil
 }
@@ -315,9 +308,6 @@ func runOutcome(err error) string {
 // it is the wall-clock queue wait (the only latency a shed query has).
 // Registration is idempotent, so the hot path is one registry map lookup.
 func (s *Server) noteOutcome(tenant, outcome string, latency time.Duration) {
-	if s.reg == nil {
-		return
-	}
 	s.reg.Histogram(trace.LabeledName("TenantQueryLatency",
 		"tenant", s.tenantPool.Get(tenant), "outcome", outcome)).Observe(latency)
 }
@@ -389,7 +379,7 @@ func (s *Server) prepare(text string) (*prepared, error) {
 		err = pl.EstimateSizes(s.cat)
 	}
 	if err != nil {
-		inc(s.reqs.badRequest)
+		s.reqs.badRequest.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	prep := &prepared{text: text, plan: pl, explain: st.Explain, analyze: st.Analyze}
@@ -420,7 +410,7 @@ type QueryRequest struct {
 	Tenant string `json:"tenant"`
 	// SQL is the statement to execute.
 	SQL string `json:"sql"`
-	// Priority raises the query above the tenant's base priority.
+	// Priority raises the query in the admission queue (default 0).
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS bounds queue wait + execution in milliseconds (0 = server
 	// default).
@@ -551,7 +541,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	if err == nil {
 		return true
 	}
-	inc(s.reqs.badRequest)
+	s.reqs.badRequest.Inc()
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -599,7 +589,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // document on either endpoint.
 func (s *Server) serveStatement(w http.ResponseWriter, r *http.Request, req QueryRequest, explain, analyze bool) {
 	if req.SQL == "" {
-		inc(s.reqs.badRequest)
+		s.reqs.badRequest.Inc()
 		writeError(w, http.StatusBadRequest, "bad-request", errors.New("server: empty sql"), 0)
 		return
 	}

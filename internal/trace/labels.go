@@ -83,24 +83,22 @@ func SanitizeLabelValue(v string) string {
 	return b.String()
 }
 
+// labelPoolMax is the number of distinct values a LabelPool admits.
+const labelPoolMax = 16
+
 // LabelPool bounds the cardinality of one client-controlled label: the first
-// max distinct raw values map to their sanitized forms, every later value
-// maps to "other". Without the bound, a tenant id is a client-supplied
+// labelPoolMax distinct raw values map to their sanitized forms, every later
+// value maps to "other". Without the bound, a tenant id is a client-supplied
 // string and each new value mints a registry series — an unbounded-memory
 // vector on a public front door.
 type LabelPool struct {
 	mu   sync.Mutex
-	max  int
 	seen map[string]string
 }
 
-// NewLabelPool builds a pool admitting up to max distinct values (max <= 0
-// defaults to 16).
-func NewLabelPool(max int) *LabelPool {
-	if max <= 0 {
-		max = 16
-	}
-	return &LabelPool{max: max, seen: make(map[string]string, max)}
+// NewLabelPool builds an empty pool.
+func NewLabelPool() *LabelPool {
+	return &LabelPool{seen: make(map[string]string, labelPoolMax)}
 }
 
 // Get returns the bounded sanitized label value for raw.
@@ -110,7 +108,7 @@ func (p *LabelPool) Get(raw string) string {
 	if v, ok := p.seen[raw]; ok {
 		return v
 	}
-	if len(p.seen) >= p.max {
+	if len(p.seen) >= labelPoolMax {
 		return "other"
 	}
 	v := SanitizeLabelValue(raw)

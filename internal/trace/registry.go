@@ -241,28 +241,29 @@ func BucketUpperEdge(i int) time.Duration {
 
 // HistogramSnapshot is the frozen state of one histogram.
 type HistogramSnapshot struct {
-	Count   int64
-	Sum     time.Duration
-	Buckets []int64 // len histBuckets, bucket i = [2^(i-1), 2^i) µs
+	Count   int64         `json:"count"`
+	Sum     time.Duration `json:"sum_ns"`
+	Buckets []int64       `json:"buckets"` // len histBuckets, bucket i = [2^(i-1), 2^i) µs
 }
 
 // RatioSnapshot is the frozen state of one ratio histogram.
 type RatioSnapshot struct {
-	Count   int64
-	Sum     float64
-	Buckets []int64 // len histBuckets, edges from RatioBucketUpperEdge
+	Count   int64   `json:"count"`
+	Sum     float64 `json:"sum"`
+	Buckets []int64 `json:"buckets"` // len histBuckets, edges from RatioBucketUpperEdge
 }
 
 // Snapshot is a frozen view of a registry: counters and gauges by name, plus
 // histogram states. Snapshots subtract (Delta) so callers can meter intervals
 // — per query, per phase, per figure point — out of one cumulative registry.
+// Its JSON form is /debug/snapshot; durations encode as integer nanoseconds.
 type Snapshot struct {
-	Counters    map[string]int64
-	Durations   map[string]time.Duration
-	Gauges      map[string]int64
-	FloatGauges map[string]float64
-	Histograms  map[string]HistogramSnapshot
-	Ratios      map[string]RatioSnapshot
+	Counters    map[string]int64             `json:"counters"`
+	Durations   map[string]time.Duration     `json:"durations_ns"`
+	Gauges      map[string]int64             `json:"gauges"`
+	FloatGauges map[string]float64           `json:"float_gauges"`
+	Histograms  map[string]HistogramSnapshot `json:"histograms"`
+	Ratios      map[string]RatioSnapshot     `json:"ratios"`
 }
 
 // Delta returns the change from prev to s: counters, durations, and

@@ -311,17 +311,18 @@ func TestCatalogErrorsSurfaced(t *testing.T) {
 // A tripped device breaker overrides run-time placement to CPU even when the
 // data is device-resident — the degradation ladder's last rung.
 func TestRunTimePlacersConsultBreaker(t *testing.T) {
-	e := exec.New(sumCatalog(), exec.Config{
-		CacheBytes: 1 << 30, HeapBytes: 1 << 30,
-		Health: exec.HealthConfig{Window: 4, MinSamples: 2, TripRate: 0.5},
-	})
+	e := exec.New(sumCatalog(), exec.Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})
 	scan := sumPlan().Leaves()[0]
 	cacheColumns(e, scan.Op.BaseColumns())
 	if loadBalancedRule.RunTime(e, scan, nil) != cost.GPU ||
 		dataResidentRule.RunTime(e, scan, nil) != cost.GPU {
 		t.Fatal("healthy device should win with warm cache")
 	}
-	for i := 0; i < 2; i++ {
+	// Record faults until the breaker's own thresholds trip it.
+	for i := 0; e.Health.State() != exec.BreakerOpen; i++ {
+		if i == 100 {
+			t.Fatal("100 faults in a row did not trip the breaker")
+		}
 		e.Health.BeginAttempt()
 		e.Health.RecordFault(e.Sim.Now())
 	}
