@@ -263,7 +263,10 @@ func httpQuery(ctx context.Context, client *http.Client, base string, q QueryReq
 		return 0, err
 	}
 	if resp.StatusCode == http.StatusOK {
-		var out QueryResponse
+		// Only the latency is read: the rows are not decoded.
+		var out struct {
+			LatencyUS int64 `json:"latency_us"`
+		}
 		if err := json.Unmarshal(raw, &out); err != nil {
 			return 0, fmt.Errorf("loadgen: bad response body: %w", err)
 		}

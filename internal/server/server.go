@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"robustdb/internal/admission"
-	"robustdb/internal/column"
 	"robustdb/internal/engine"
 	"robustdb/internal/exec"
 	"robustdb/internal/journal"
@@ -417,10 +416,13 @@ type QueryRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// QueryResponse is the wire format of a successful query.
+// QueryResponse is the wire format of a successful query, for clients that
+// decode one; the server writes it with appendResult, straight from the
+// result's columns.
 type QueryResponse struct {
 	Columns []string `json:"columns"`
-	// Rows are the result rows; dates are days since 1992-01-01.
+	// Rows are the result rows; dates are days since 1992-01-01, and a
+	// non-finite float is null.
 	Rows [][]any `json:"rows"`
 	// RowCount duplicates len(Rows) for truncation-free clients.
 	RowCount int `json:"row_count"`
@@ -621,7 +623,12 @@ func (s *Server) serveStatement(w http.ResponseWriter, r *http.Request, req Quer
 		s.writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toResponse(res))
+	buf := resultBufs.Get().(*[]byte)
+	*buf = appendResult((*buf)[:0], res)
+	writeBody(w, http.StatusOK, *buf)
+	if cap(*buf) <= maxPooledResult {
+		resultBufs.Put(buf)
+	}
 	if s.log != nil && s.log.Enabled(r.Context(), slog.LevelDebug) {
 		s.log.LogAttrs(r.Context(), slog.LevelDebug, "query served",
 			slog.String("component", "server"),
@@ -690,59 +697,28 @@ func writeError(w http.ResponseWriter, status int, code string, err error, retry
 	})
 }
 
-// writeJSON writes one JSON response. Encoding a materialized response
-// struct cannot fail; a broken connection surfaces on the transport and is
-// not recoverable here.
+// writeJSON writes one JSON response, encoded before the status is sent: a
+// value encoding/json refuses (a non-finite float) answers the typed 500
+// envelope instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", fmt.Errorf("server: encode response: %w", err), 0)
 		return
 	}
+	writeBody(w, status, append(body, '\n'))
 }
 
-// toResponse serializes a result batch into the wire format.
-func toResponse(res Result) QueryResponse {
-	cols := res.Batch.Columns()
-	out := QueryResponse{
-		Columns:   make([]string, len(cols)),
-		LatencyUS: res.Latency.Microseconds(),
-		QueueMS:   float64(res.QueueWait) / float64(time.Millisecond),
-	}
-	n := res.Batch.NumRows()
-	out.RowCount = n
-	for i, c := range cols {
-		out.Columns[i] = c.Name()
-	}
-	out.Rows = make([][]any, n)
-	for r := 0; r < n; r++ {
-		row := make([]any, len(cols))
-		for i, c := range cols {
-			row[i] = cellValue(c, r)
-		}
-		out.Rows[r] = row
-	}
-	return out
-}
-
-// cellValue extracts one cell for JSON encoding.
-func cellValue(c column.Column, i int) any {
-	switch col := c.(type) {
-	case *column.Int64Column:
-		return col.Values[i]
-	case *column.Float64Column:
-		return col.Values[i]
-	case *column.DateColumn:
-		return col.Values[i]
-	case *column.StringColumn:
-		return col.Value(i)
-	case *column.CompressedInt64Column:
-		return col.Value(i)
-	case *column.CompressedDateColumn:
-		return col.Value(i)
-	default:
-		// Materialized flattens any remaining encoding into its dense form.
-		return cellValue(column.Materialized(c), i)
+// writeBody sends status and one JSON document in a single Write, with its
+// Content-Length. A broken connection surfaces on the transport and is not
+// recoverable here.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		return
 	}
 }
 

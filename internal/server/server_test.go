@@ -124,6 +124,37 @@ func TestHTTPQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPNonFiniteCellIsNull: a SUM that overflows float64 is a completed
+// query — 200, with its +Inf cell written as null, not an empty body.
+func TestHTTPNonFiniteCellIsNull(t *testing.T) {
+	cat := catalog(t)
+	s := newServer(t, cat, exec.Config{}, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drain(t, s)
+
+	q := "SELECT SUM(lo_revenue * 1" + strings.Repeat("0", 300) + ") AS x FROM lineorder"
+	body, err := json.Marshal(server.QueryRequest{SQL: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var out server.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(out.Rows) != 1 || len(out.Rows[0]) != 1 || out.Rows[0][0] != nil {
+		t.Fatalf("rows = %v, want [[null]]", out.Rows)
+	}
+}
+
 func TestHTTPWireStatuses(t *testing.T) {
 	cat := catalog(t)
 	s := newServer(t, cat, exec.Config{}, func(cfg *server.Config) {
