@@ -10,6 +10,7 @@ import (
 	"robustdb/internal/engine"
 	"robustdb/internal/faults"
 	"robustdb/internal/sim"
+	"robustdb/internal/trace"
 )
 
 // The mechanism every device attempt shares, whether it is of a whole
@@ -168,7 +169,7 @@ func (e *Engine) injectDelay(p *sim.Proc, dur time.Duration) (_ time.Duration, s
 // so its delta is read only when a tracer will report it; a nil context
 // (serial engine) records no parallelism, keeping serial spans byte-identical
 // to the pre-parallel engine.
-func (e *Engine) runKernel(st *opStats, ectx *engine.Ctx, root bool, kernel func() (*engine.Batch, error)) (*engine.Batch, error) {
+func (e *Engine) runKernel(st *trace.Span, ectx *engine.Ctx, root bool, kernel func() (*engine.Batch, error)) (*engine.Batch, error) {
 	var decodeBase int64
 	if e.Tracer != nil {
 		decodeBase = column.DecompressedBytes()
@@ -178,17 +179,17 @@ func (e *Engine) runKernel(st *opStats, ectx *engine.Ctx, root bool, kernel func
 		result.Force(ectx)
 	}
 	if e.Tracer != nil {
-		st.decompress = column.DecompressedBytes() - decodeBase
+		st.DecompressBytes = column.DecompressedBytes() - decodeBase
 	}
 	if ectx != nil {
-		st.kernelWorkers = ectx.Workers()
-		st.morsels = ectx.Morsels()
-		if st.morsels > 0 {
-			e.Metrics.KernelMorsels.Add(st.morsels)
+		st.KernelWorkers = ectx.Workers()
+		st.MorselCount = ectx.Morsels()
+		if st.MorselCount > 0 {
+			e.Metrics.KernelMorsels.Add(st.MorselCount)
 		}
 	}
 	if err == nil {
-		st.rows, st.outBytes = int64(result.NumRows()), result.Bytes()
+		st.Rows, st.OutBytes = int64(result.NumRows()), result.Bytes()
 	}
 	return result, err
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"robustdb/internal/bus"
-	"robustdb/internal/column"
 	"robustdb/internal/cost"
 	"robustdb/internal/engine"
 	"robustdb/internal/plan"
@@ -27,35 +26,6 @@ var heapPhases = []struct {
 }{
 	{0.85, 0.60},
 	{0.15, 0.40},
-}
-
-// opStats carries the per-attempt observability measurements (queue wait,
-// bus transfer time, heap high-water mark) out of the execution paths. It is
-// passed and returned by value, so measuring costs no allocations and the
-// tracing-disabled path stays free.
-type opStats struct {
-	queueWait time.Duration
-	transfer  time.Duration
-	heapHW    int64
-	// kernelWorkers and morsels record the attempt's intra-operator
-	// parallelism; both stay zero in serial mode so serial trace goldens
-	// are unchanged.
-	kernelWorkers int
-	morsels       int64
-	// rows and outBytes are the kernel's actual output (the "actual" side of
-	// EXPLAIN ANALYZE); decompress is the volume materialized by decoding
-	// compressed columns during the kernel, measured only when tracing is on
-	// (the decode meter is process-global, so the delta is not read on the
-	// disabled path).
-	rows       int64
-	outBytes   int64
-	decompress int64
-	// Pipelined-executor measurements; all zero on the serial paths so serial
-	// trace goldens are unchanged.
-	pipeDepth     int
-	pipeChunks    int64
-	pipeCPUChunks int64
-	overlap       float64
 }
 
 // execOp runs one operator on the chosen processor. A GPU attempt that
@@ -126,69 +96,34 @@ func (e *Engine) execOp(p *sim.Proc, q *query, n *plan.Node, kind cost.ProcKind,
 	return v, err
 }
 
-// traceOp emits one operator-attempt span. With tracing off it is a
-// single nil check — the per-operator cost of the disabled path.
+// traceOp stamps the identity of one operator attempt onto the span its run
+// measured into and emits it. With tracing off it is a single nil check — the
+// per-operator cost of the disabled path.
 func (e *Engine) traceOp(q *query, n *plan.Node, kind cost.ProcKind, attempt int,
-	start time.Duration, st opStats, abort abortKind, err error) {
+	start time.Duration, st trace.Span, abort abortKind, err error) {
 	if e.Tracer == nil {
 		return
 	}
-	rows, outBytes := st.rows, st.outBytes
+	st.Query, st.Name, st.Op = q.name, procName(q.name, n), n.Op.Name()
+	st.Class, st.Proc, st.Node = n.Op.Class().String(), kind.String(), n.ID()
+	st.Start, st.End = start, e.Sim.Now()
+	st.Abort, st.Attempt = abortLabel(abort, err), attempt
 	if abort != abortNone || err != nil {
 		// Aborted attempts report no actuals even when the kernel itself ran
 		// (heap-phase aborts): the output was rolled back, not produced.
-		rows, outBytes = 0, 0
+		st.Rows, st.OutBytes = 0, 0
 	}
-	q.emit(trace.Span{
-		Query:           q.name,
-		Name:            procName(q.name, n),
-		Op:              n.Op.Name(),
-		Class:           n.Op.Class().String(),
-		Proc:            kind.String(),
-		Node:            n.ID(),
-		Start:           start,
-		End:             e.Sim.Now(),
-		QueueWait:       st.queueWait,
-		Transfer:        st.transfer,
-		Abort:           abortLabel(abort, err),
-		Attempt:         attempt,
-		HeapHighWater:   st.heapHW,
-		KernelWorkers:   st.kernelWorkers,
-		MorselCount:     st.morsels,
-		Compression:     e.compressionModes(n),
-		Rows:            rows,
-		OutBytes:        outBytes,
-		DecompressBytes: st.decompress,
-		PipelineDepth:   st.pipeDepth,
-		ChunkCount:      st.pipeChunks,
-		CPUChunks:       st.pipeCPUChunks,
-		Overlap:         st.overlap,
-	})
-}
-
-// compressionModes is "bitpack" when a base column the operator reads is
-// bit-packed. Plain and dictionary storage report nothing: dictionaries
-// predate compressed execution, so only genuinely compressed scans annotate
-// their spans (and goldens from uncompressed databases stay stable).
-func (e *Engine) compressionModes(n *plan.Node) string {
-	for _, id := range n.Op.BaseColumns() {
-		// A column the catalog cannot resolve is a placement-level concern;
-		// traceOp stays best-effort.
-		if c, err := e.Cat.Column(id); err == nil && column.Encoding(c) == "bitpack" {
-			return "bitpack"
-		}
-	}
-	return ""
+	q.emit(st)
 }
 
 // runOnGPU executes n on the co-processor. A non-abortNone return means the
 // attempt was rolled back (partial state released, abort stall charged) and
 // the caller decides between retry, CPU fallback and — abortError, the only
 // class that carries an error — failing the query.
-func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value) (v *Value, st opStats, aborted abortKind, err error) {
+func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value) (v *Value, st trace.Span, aborted abortKind, err error) {
 	tq := p.Now()
 	e.GPU.Workers.Acquire(p)
-	st.queueWait = p.Now() - tq
+	st.QueueWait = p.Now() - tq
 	defer e.GPU.Workers.Release()
 
 	start := p.Now()
@@ -198,7 +133,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 	var refs []table.ColumnID
 	// The rollback every failing exit leaves through, whatever it had staged.
 	defer func() {
-		st.heapHW = res.MaxHeld()
+		st.HeapHighWater = res.MaxHeld()
 		if aborted == abortNone {
 			return
 		}
@@ -217,7 +152,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 		e.Metrics.WastedTime.Add(p.Now() - start)
 	}()
 	// giveUp ends the attempt on the error of an allocation or a transfer.
-	giveUp := func(derr error) (*Value, opStats, abortKind, error) {
+	giveUp := func(derr error) (*Value, trace.Span, abortKind, error) {
 		if kind := e.classify(derr, p.Now(), nil); kind != abortError {
 			return nil, st, kind, nil
 		}
@@ -247,7 +182,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 			if rerr := e.Cache.Ref(id); rerr != nil {
 				return nil, st, abortError, rerr
 			}
-			if terr := e.transferTimed(p, bus.HostToDevice, colBytes, &st.transfer); terr != nil {
+			if terr := e.transferTimed(p, bus.HostToDevice, colBytes, &st.Transfer); terr != nil {
 				// The column never arrived: undo the placement.
 				e.Cache.Unref(id)
 				e.Cache.Evict(id)
@@ -264,7 +199,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 		if aerr := res.Grow(colBytes); aerr != nil {
 			return giveUp(aerr)
 		}
-		if terr := e.transferTimed(p, bus.HostToDevice, colBytes, &st.transfer); terr != nil {
+		if terr := e.transferTimed(p, bus.HostToDevice, colBytes, &st.Transfer); terr != nil {
 			return giveUp(terr)
 		}
 	}
@@ -276,7 +211,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 		if aerr := res.Grow(in.Bytes()); aerr != nil {
 			return giveUp(aerr)
 		}
-		if terr := e.transferTimed(p, bus.HostToDevice, in.Bytes(), &st.transfer); terr != nil {
+		if terr := e.transferTimed(p, bus.HostToDevice, in.Bytes(), &st.Transfer); terr != nil {
 			return giveUp(terr)
 		}
 	}
@@ -293,7 +228,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 	if kerr != nil {
 		return nil, st, abortError, fmt.Errorf("%s on gpu: %w", n.Op.Name(), kerr)
 	}
-	outBytes := st.outBytes
+	outBytes := st.OutBytes
 
 	// Heap phase: scratch + result footprint. Device operators cannot
 	// pre-declare their full demand (no concise upper bound for joins,
@@ -338,7 +273,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 	}
 	if e.forceCopyBack {
 		// UVA-style processing: results travel back after every operator.
-		if terr := e.transferTimed(p, bus.DeviceToHost, outBytes, &st.transfer); terr != nil {
+		if terr := e.transferTimed(p, bus.DeviceToHost, outBytes, &st.Transfer); terr != nil {
 			return giveUp(terr)
 		}
 		res.Release()
@@ -351,11 +286,11 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 // first (the extra transfers the paper attributes to aborted operators and
 // to compile-time placement after faults); a copy-back that keeps faulting
 // after retries fails the query cleanly.
-func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value) (*Value, opStats, error) {
-	var st opStats
+func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value) (*Value, trace.Span, error) {
+	var st trace.Span
 	tq := p.Now()
 	e.CPU.Workers.Acquire(p)
-	st.queueWait = p.Now() - tq
+	st.QueueWait = p.Now() - tq
 	defer e.CPU.Workers.Release()
 
 	inBytes, err := e.InputBytes(n, inputs)
@@ -364,7 +299,7 @@ func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 	}
 	for _, in := range inputs {
 		d, err := e.pullToHost(p, in)
-		st.transfer += d
+		st.Transfer += d
 		if err != nil {
 			return nil, st, err
 		}
@@ -375,10 +310,10 @@ func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, root bool, inputs []*Value)
 	if err != nil {
 		return nil, st, fmt.Errorf("%s on cpu: %w", n.Op.Name(), err)
 	}
-	dur := e.Params.OpDuration(n.Op.Class(), cost.CPU, cost.Work(inBytes, st.outBytes))
+	dur := e.Params.OpDuration(n.Op.Class(), cost.CPU, cost.Work(inBytes, st.OutBytes))
 	t0 := p.Now()
 	e.CPU.Server.Execute(p, dur.Seconds())
-	e.observe(n.Op.Class(), cost.CPU, cost.Work(inBytes, st.outBytes), p.Now()-t0)
+	e.observe(n.Op.Class(), cost.CPU, cost.Work(inBytes, st.OutBytes), p.Now()-t0)
 	e.Metrics.CPUOperators.Inc()
 	return &Value{Batch: result, OnDevice: false}, st, nil
 }

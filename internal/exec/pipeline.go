@@ -159,13 +159,8 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node, chunks chunkP
 	}
 	r.done.Wait(p)
 
-	var st opStats
-	st.queueWait = queueWait
-	st.transfer = r.transfer
-	st.heapHW = r.maxHeld
-	st.pipeDepth = e.pipeDepth
-	st.pipeChunks = int64(r.k)
-	st.pipeCPUChunks = r.cpuChunks
+	st := trace.Span{QueueWait: queueWait, Transfer: r.transfer, HeapHighWater: r.maxHeld,
+		PipelineDepth: e.pipeDepth, ChunkCount: int64(r.k), CPUChunks: r.cpuChunks}
 	kind := cost.GPU
 	if r.gpuChunks == 0 {
 		kind = cost.CPU
@@ -202,10 +197,7 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node, chunks chunkP
 		if hidden < 0 {
 			hidden = 0
 		}
-		st.overlap = float64(hidden) / float64(r.stageTime)
-		if st.overlap > 1 {
-			st.overlap = 1
-		}
+		st.Overlap = min(float64(hidden)/float64(r.stageTime), 1)
 		q.pipeStage += r.stageTime
 		q.pipeHidden += hidden
 	}

@@ -24,7 +24,7 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 	}
 	q := &query{engine: e, name: "q0001"}
 	n := testPlan().Root
-	st := opStats{queueWait: time.Microsecond, transfer: time.Microsecond, heapHW: 64}
+	st := trace.Span{QueueWait: time.Microsecond, Transfer: time.Microsecond, HeapHighWater: 64}
 	if allocs := testing.AllocsPerRun(200, func() {
 		e.traceOp(q, n, cost.GPU, 1, 0, st, abortNone, nil)
 		e.traceCacheAdmit(0, "fact.v", nil, "operator-demand")

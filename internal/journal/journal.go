@@ -13,7 +13,7 @@ package journal
 import (
 	"encoding/json"
 	"io"
-	"sync"
+	"math"
 	"time"
 
 	"robustdb/internal/plan"
@@ -56,12 +56,7 @@ type Entry struct {
 // Journal is the bounded ring. Construct with New; the zero value is not
 // usable (use a nil *Journal for "disabled").
 type Journal struct {
-	mu      sync.Mutex
-	entries []Entry
-	next    int
-	count   int
-	dropped int64
-
+	ring    *trace.Ring[Entry]
 	latency time.Duration
 	qerror  float64
 }
@@ -78,11 +73,7 @@ func New(capacity int, latency time.Duration, qerror float64) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Journal{
-		entries: make([]Entry, capacity),
-		latency: latency,
-		qerror:  qerror,
-	}
+	return &Journal{ring: trace.NewRing[Entry](capacity), latency: latency, qerror: qerror}
 }
 
 // Reason returns why a query with the given outcome would be journaled
@@ -108,18 +99,9 @@ func (j *Journal) Reason(latency time.Duration, qerror float64, failed bool) str
 // Record appends one entry, evicting the oldest when the ring is full. Safe
 // on a nil journal (no-op).
 func (j *Journal) Record(e Entry) {
-	if j == nil {
-		return
+	if j != nil {
+		j.ring.Put(e)
 	}
-	j.mu.Lock()
-	j.entries[j.next] = e
-	j.next = (j.next + 1) % len(j.entries)
-	if j.count < len(j.entries) {
-		j.count++
-	} else {
-		j.dropped++
-	}
-	j.mu.Unlock()
 }
 
 // Entries returns the journaled entries, oldest first. Safe on a nil journal
@@ -128,17 +110,7 @@ func (j *Journal) Entries() []Entry {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Entry, 0, j.count)
-	start := 0
-	if j.count == len(j.entries) {
-		start = j.next
-	}
-	for i := 0; i < j.count; i++ {
-		out = append(out, j.entries[(start+i)%len(j.entries)])
-	}
-	return out
+	return j.ring.Tail(math.MaxInt)
 }
 
 // Len returns the number of journaled entries. Safe on a nil journal (0).
@@ -146,9 +118,7 @@ func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.count
+	return j.ring.Len()
 }
 
 // Dropped returns how many entries the ring evicted. Safe on a nil journal.
@@ -156,9 +126,7 @@ func (j *Journal) Dropped() int64 {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
+	return j.ring.Dropped()
 }
 
 // WriteJSONL serializes the journal as JSON Lines, oldest first — the

@@ -41,7 +41,7 @@ const contentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
 //	/metrics        Prometheus text exposition of the registry
 //	/healthz        JSON detector summary; 200 ok / 503 degraded
 //	/debug/snapshot JSON dump of the raw registry snapshot, all six kinds
-//	/debug/spans    JSON tail of the tracer's span ring
+//	/debug/spans    JSON of the newest spans, copied from the tracer's ring
 //	/debug/pprof/   the standard Go profiling handlers
 //
 // The mux is returned (not installed on http.DefaultServeMux) so callers
@@ -64,10 +64,7 @@ func NewMux(cfg ServerConfig) *http.ServeMux {
 		writeJSON(w, http.StatusOK, cfg.Registry.Snapshot())
 	}))
 	mux.HandleFunc("/debug/spans", cfg.logged(func(w http.ResponseWriter, r *http.Request) {
-		spans := cfg.Tracer.Spans() // nil tracer returns nil
-		if len(spans) > spanLimit {
-			spans = spans[len(spans)-spanLimit:]
-		}
+		spans := cfg.Tracer.Tail(spanLimit) // nil tracer returns nil
 		if spans == nil {
 			spans = []trace.Span{}
 		}

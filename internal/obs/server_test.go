@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -147,6 +148,36 @@ func TestDebugSpansEndpoint(t *testing.T) {
 	}
 	if last := spans[spanLimit-1].Start; last != (spanLimit+11)*time.Millisecond {
 		t.Fatalf("tail must be the most recent spans, got last start %v", last)
+	}
+}
+
+// raceBuild is set by racebuild_test.go when the race detector is compiled in.
+var raceBuild bool
+
+// One /debug/spans request against a full serve-mode ring copies the spans it
+// serves, not the ring (which held 16 MB of them).
+func TestDebugSpansCopiesOnlyTheTail(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	tr := trace.New(trace.DefaultCapacity)
+	for i := 0; i < trace.DefaultCapacity; i++ {
+		tr.Span(trace.Span{Query: "q0001", Name: "q0001/op", Class: "selection"})
+	}
+	mux := NewMux(ServerConfig{Registry: trace.NewRegistry(), Tracer: tr})
+	req := httptest.NewRequest(http.MethodGet, "/debug/spans", nil)
+	runtime.GC()                               // no collection inside the measured request
+	mux.ServeHTTP(httptest.NewRecorder(), req) // fills encoding/json's caches and pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("one /debug/spans request allocated %d bytes, want < 1 MB", alloc)
 	}
 }
 

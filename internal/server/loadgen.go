@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"robustdb/internal/admission"
-	"robustdb/internal/workload"
 )
 
 // TenantMix is one tenant of a load-generator run.
@@ -32,15 +31,10 @@ type TenantMix struct {
 // scheduled by rate, independent of completions, so offered load can exceed
 // capacity — the regime the admission controller exists for.
 type LoadgenConfig struct {
-	// Server drives an in-process front door directly (fastest; used by the
-	// figure and the overload tests). Exactly one of Server and URL is set.
-	Server *Server
-	// URL drives a remote front door over HTTP ("http://host:port").
+	// URL is the front door driven over HTTP ("http://host:port"). Required.
 	URL string
-	// Queries is the mix, picked uniformly per arrival. Required for direct
-	// mode. In HTTP mode SQL strings are required instead.
-	Queries []workload.Query
-	// SQL is the HTTP-mode query mix (statements sent verbatim).
+	// SQL is the query mix, picked uniformly per arrival and sent verbatim.
+	// Required.
 	SQL []string
 	// Tenants is the tenant mix; empty means one "default" tenant.
 	Tenants []TenantMix
@@ -77,7 +71,7 @@ type LoadgenResult struct {
 	// queries (queue wait + execution + transport).
 	WallP50, WallP99 time.Duration
 	// VirtualP50 / VirtualP99 are quantiles of the engine's virtual-time
-	// latency of admitted queries (direct and HTTP mode both report it).
+	// latency of admitted queries, as the responses report it.
 	VirtualP50, VirtualP99 time.Duration
 }
 
@@ -92,17 +86,11 @@ func (r *LoadgenResult) ShedRate() float64 {
 // RunLoadgen drives one open-loop run and aggregates the outcome. The
 // context cancels the run early (outstanding requests still finish).
 func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenResult, error) {
-	if (cfg.Server == nil) == (cfg.URL == "") {
-		return nil, errors.New("loadgen: exactly one of Server (direct) and URL (http) is required")
+	if cfg.URL == "" || len(cfg.SQL) == 0 {
+		return nil, errors.New("loadgen: need a URL and SQL")
 	}
 	if cfg.Rate <= 0 || cfg.Duration <= 0 {
 		return nil, fmt.Errorf("loadgen: need positive rate and duration (got %v, %v)", cfg.Rate, cfg.Duration)
-	}
-	if cfg.Server != nil && len(cfg.Queries) == 0 {
-		return nil, errors.New("loadgen: direct mode needs Queries")
-	}
-	if cfg.URL != "" && len(cfg.SQL) == 0 {
-		return nil, errors.New("loadgen: http mode needs SQL")
 	}
 	tenants := cfg.Tenants
 	if len(tenants) == 0 {
@@ -156,36 +144,19 @@ arrivals:
 			continue
 		}
 		tenant := wheel[rng.Intn(len(wheel))]
-		// Draw from the mix the mode actually indexes: direct mode uses
-		// Queries, HTTP mode uses SQL. A config setting both with different
-		// lengths must not panic the worker goroutine.
-		var qi int
-		if cfg.Server != nil {
-			qi = rng.Intn(len(cfg.Queries))
-		} else {
-			qi = rng.Intn(len(cfg.SQL))
-		}
+		sql := cfg.SQL[rng.Intn(len(cfg.SQL))]
 		outstanding.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer outstanding.Add(-1)
 			start := time.Now()
-			var virt time.Duration
-			var err error
-			if cfg.Server != nil {
-				var r Result
-				r, err = cfg.Server.Submit(ctx, tenant.Name, tenant.Priority,
-					cfg.Queries[qi].Plan, time.Duration(cfg.DeadlineMS)*time.Millisecond)
-				virt = r.Latency
-			} else {
-				virt, err = httpQuery(ctx, client, cfg.URL, QueryRequest{
-					Tenant:     tenant.Name,
-					SQL:        cfg.SQL[qi],
-					Priority:   tenant.Priority,
-					DeadlineMS: cfg.DeadlineMS,
-				})
-			}
+			virt, err := httpQuery(ctx, client, cfg.URL, QueryRequest{
+				Tenant:     tenant.Name,
+				SQL:        sql,
+				Priority:   tenant.Priority,
+				DeadlineMS: cfg.DeadlineMS,
+			})
 			wall := time.Since(start)
 			mu.Lock()
 			defer mu.Unlock()
@@ -241,8 +212,8 @@ func quantiles(samples []time.Duration) (p50, p99 time.Duration) {
 }
 
 // httpQuery submits one query over HTTP and converts typed wire statuses
-// back into the matching admission errors, so HTTP-mode and direct-mode
-// results classify identically.
+// back into the matching admission errors, so results classify by the
+// admission code the server decided.
 func httpQuery(ctx context.Context, client *http.Client, base string, q QueryRequest) (time.Duration, error) {
 	body, err := json.Marshal(q)
 	if err != nil {

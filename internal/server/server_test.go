@@ -461,7 +461,10 @@ func p50p99(samples []time.Duration) (p50, p99 time.Duration) {
 	return sorted[len(sorted)/2], sorted[int(0.99*float64(len(sorted)-1))]
 }
 
-func TestLoadgenDirectOverload(t *testing.T) {
+// TestLoadgenOverload offers 400 q/s of the -loadgen statement mix over HTTP
+// to a front door admitting two at a time: queries are admitted, none of them
+// fails, and each reports its virtual latency.
+func TestLoadgenOverload(t *testing.T) {
 	cat := catalog(t)
 	s := newServer(t, cat, exec.Config{}, func(cfg *server.Config) {
 		cfg.Admission.Policy = admission.Fair
@@ -470,9 +473,16 @@ func TestLoadgenDirectOverload(t *testing.T) {
 		cfg.Admission.DefaultTenant = admission.TenantConfig{MaxQueue: 4}
 		cfg.Admission.QueueTimeout = 500 * time.Millisecond
 	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	res, err := server.RunLoadgen(context.Background(), server.LoadgenConfig{
-		Server:   s,
-		Queries:  queries(),
+		URL: ts.URL,
+		SQL: []string{
+			"SELECT SUM(lo_revenue) AS revenue FROM lineorder",
+			"SELECT SUM(lo_extendedprice * lo_discount) AS revenue FROM lineorder WHERE lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25",
+			"SELECT lo_quantity, COUNT(*) AS orders FROM lineorder GROUP BY lo_quantity",
+			"SELECT d_year, SUM(lo_revenue) AS revenue FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year",
+		},
 		Rate:     400,
 		Duration: 500 * time.Millisecond,
 		Tenants: []TenantMix{

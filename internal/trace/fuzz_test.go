@@ -3,18 +3,15 @@ package trace
 import (
 	"bytes"
 	"cmp"
-	"fmt"
 	"slices"
 	"testing"
-	"time"
 )
 
 // FuzzReadChrome holds the trace reader to its contract on arbitrary bytes:
 // ReadChrome never panics; what it accepts WriteChrome writes again and
-// ReadChrome reads back with as many spans and events, each with every field
-// intact, and both reads come out in the one documented order (spans by start,
-// ties by name; events by time). A span's or an event's clock readings are
-// part of the comparison unless one of them is beyond roundTripExact.
+// ReadChrome reads back equal — every field of every span and event, clock
+// readings included, in the one documented order (spans by start, ties by
+// name; events by time).
 func FuzzReadChrome(f *testing.F) {
 	var golden bytes.Buffer
 	if err := WriteChrome(&golden, roundTripSpans, roundTripEvents); err != nil {
@@ -24,9 +21,9 @@ func FuzzReadChrome(f *testing.F) {
 	f.Add([]byte(`{"traceEvents":[]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"traceEvents":[` +
-		`{"name":"b","ph":"X","ts":1e300,"dur":-1e300,"pid":1,"tid":1,"args":{"query":"q","class":"join","node":0,"queue_wait_us":1e308,"transfer_us":-1e308,"attempt":0,"heap_high_water":0}},` +
-		`{"name":"a","ph":"X","ts":1.0005,"pid":1,"tid":1,"args":{"query":"q","class":"join","node":1,"queue_wait_us":0,"transfer_us":0,"attempt":0,"heap_high_water":0}},` +
-		`{"name":"e","ph":"i","ts":-1e300,"pid":1,"tid":0,"s":"g","args":{"subject":"x"}},` +
+		`{"name":"b","ph":"X","ts":1e300,"dur":-1e300,"pid":1,"tid":1,"args":{"Query":"q","Name":"b","Class":"join","Start":4611686018427387904,"End":-9223372036854775808,"QueueWait":9223372036854775807,"Overlap":1e308}},` +
+		`{"name":"a","ph":"X","ts":1.0005,"pid":1,"tid":1,"args":{"query":"q","name":"a","start":1000,"overlap":0.30000000000000004}},` +
+		`{"name":"e","ph":"i","ts":-1e300,"pid":1,"tid":0,"s":"g","args":{"At":-9223372036854775808,"Kind":"e","Subject":"x"}},` +
 		`{"name":"skipped","ph":"M","pid":1,"tid":1}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -42,81 +39,19 @@ func FuzzReadChrome(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadChrome refuses what WriteChrome wrote: %v", err)
 		}
-		if len(spans2) != len(spans) || len(events2) != len(events) {
-			t.Fatalf("round trip: %d spans %d events → %d spans %d events",
-				len(spans), len(events), len(spans2), len(events2))
+		if !slices.IsSortedFunc(spans, func(a, b Span) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Name, b.Name))
+		}) {
+			t.Fatalf("spans not sorted by start, then name: %+v", spans)
 		}
-		for _, read := range [][]Span{spans, spans2} {
-			if !slices.IsSortedFunc(read, func(a, b Span) int {
-				return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Name, b.Name))
-			}) {
-				t.Fatalf("spans not sorted by start, then name: %+v", read)
-			}
+		if !slices.IsSortedFunc(events, func(a, b Event) int { return cmp.Compare(a.At, b.At) }) {
+			t.Fatalf("events not sorted by time: %+v", events)
 		}
-		for _, read := range [][]Event{events, events2} {
-			if !slices.IsSortedFunc(read, func(a, b Event) int { return cmp.Compare(a.At, b.At) }) {
-				t.Fatalf("events not sorted by time: %+v", read)
-			}
+		if !slices.Equal(spans, spans2) {
+			t.Fatalf("round trip changed the spans:\n%+v\n%+v", spans, spans2)
 		}
-		if a, b := spanIdentities(spans), spanIdentities(spans2); !slices.Equal(a, b) {
-			t.Fatalf("round trip changed a span:\n%q\n%q", a, b)
-		}
-		if a, b := eventIdentities(events), eventIdentities(events2); !slices.Equal(a, b) {
-			t.Fatalf("round trip changed an event:\n%q\n%q", a, b)
+		if !slices.Equal(events, events2) {
+			t.Fatalf("round trip changed the events:\n%+v\n%+v", events, events2)
 		}
 	})
-}
-
-// roundTripExact bounds the clock readings the identities below compare. The
-// file holds float64 microseconds: a whole nanosecond survives micros →
-// fromMicros below 2⁵¹ (d/1000 runs out of bits after that, and 1–2 % of the
-// readings up to 2⁵³ come back 1 ns off). A reading beyond moves by a few
-// nanoseconds a trip at most, so none crosses a bound one binade lower.
-const roundTripExact = time.Duration(1) << 50
-
-func exact(ds ...time.Duration) bool {
-	for _, d := range ds {
-		if d <= -roundTripExact || d >= roundTripExact {
-			return false
-		}
-	}
-	return true
-}
-
-// spanIdentities renders every span, sorted, so two reads compare as
-// multisets; a span with a reading that is not exact goes without its clock.
-func spanIdentities(spans []Span) []string {
-	out := make([]string, len(spans))
-	for i, s := range spans {
-		if !exact(s.Start, s.End-s.Start, s.QueueWait, s.Transfer) {
-			s.Start, s.End, s.QueueWait, s.Transfer = 0, 0, 0, 0
-		}
-		s.Overlap = 0
-		out[i] = fmt.Sprintf("%+v", s)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func eventIdentities(events []Event) []string {
-	out := make([]string, len(events))
-	for i, ev := range events {
-		if !exact(ev.At) {
-			ev.At = 0
-		}
-		out[i] = fmt.Sprintf("%d %q", ev.At, []string{ev.Kind, ev.Subject, ev.Reason})
-	}
-	slices.Sort(out)
-	return out
-}
-
-// TestMicrosRoundTrip pins the reader's rounding: what micros writes,
-// fromMicros reads back to the nanosecond (truncation read 1 001 ns as 1 000).
-func TestMicrosRoundTrip(t *testing.T) {
-	for _, d := range []time.Duration{0, 1, 999, time.Microsecond, time.Microsecond + 1, -1, -999,
-		-time.Microsecond - 1, roundTripExact - 1, 1<<51 - 1, 1 << 52} {
-		if got := fromMicros(micros(d)); got != d {
-			t.Errorf("fromMicros(micros(%d ns)) = %d ns", d, got)
-		}
-	}
 }

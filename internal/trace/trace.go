@@ -1,13 +1,17 @@
 package trace
 
 import (
-	"sync"
+	"math"
 	"time"
 )
 
 // Span is one traced interval of virtual time: an operator execution attempt
 // or a whole query. All timestamps are simulator time — the tracer never
-// reads the wall clock, so traces replay bit-for-bit from a seed.
+// reads the wall clock, so traces replay bit-for-bit from a seed. It is the
+// one declaration of what an attempt records: the executor fills it as it
+// measures, and its encoding/json form (field names as keys, durations in
+// nanoseconds) is what /debug/spans, /debug/slowlog and the Chrome export's
+// args carry.
 type Span struct {
 	// Query is the query id the span belongs to ("q0001"). Query-level spans
 	// carry their own id here too.
@@ -68,13 +72,8 @@ type Span struct {
 	// decode meter is process-wide, so concurrent engines in one process
 	// may cross-attribute; within one engine the attribution is exact).
 	DecompressBytes int64
-	// Compression is "bitpack" when the operator scanned a bit-packed base
-	// column; empty when it read no compressed base columns, so traces
-	// from uncompressed databases keep the earlier format byte-identical.
-	Compression string
 	// PipelineDepth is the buffered-chunk bound of a pipelined operator
-	// attempt (0 for serial attempts, chunk-stage spans, and query spans, so
-	// non-pipelined traces keep the earlier format byte-identical).
+	// attempt (0 for serial attempts, chunk-stage spans, and query spans).
 	PipelineDepth int
 	// ChunkCount is the number of chunks a pipelined attempt executed.
 	ChunkCount int64
@@ -106,21 +105,14 @@ type Event struct {
 	Reason string
 }
 
-// Tracer collects spans and events into preallocated ring buffers. A nil
+// Tracer collects spans and events into two preallocated rings. A nil
 // *Tracer is the disabled tracer: every method is a nil-check no-op, so the
-// tracing-disabled path costs no allocations and no locks. The ring bounds
-// memory on long runs — when it wraps, the oldest entries are dropped and
+// tracing-disabled path costs no allocations and no locks. The rings bound
+// memory on long runs — when one wraps, its oldest entries are dropped and
 // counted.
 type Tracer struct {
-	mu            sync.Mutex
-	spans         []Span
-	spanNext      int
-	spanCount     int
-	spansDropped  int64
-	events        []Event
-	eventNext     int
-	eventCount    int
-	eventsDropped int64
+	spans  *Ring[Span]
+	events *Ring[Event]
 }
 
 // DefaultCapacity is the default ring size (spans and events each).
@@ -132,65 +124,43 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{
-		spans:  make([]Span, capacity),
-		events: make([]Event, capacity),
-	}
+	return &Tracer{spans: NewRing[Span](capacity), events: NewRing[Event](capacity)}
 }
 
 // Span records one span. Safe on a nil tracer (no-op).
 func (t *Tracer) Span(s Span) {
-	if t == nil {
-		return
+	if t != nil {
+		t.spans.Put(s)
 	}
-	t.mu.Lock()
-	t.spans[t.spanNext] = s
-	t.spanNext = (t.spanNext + 1) % len(t.spans)
-	if t.spanCount < len(t.spans) {
-		t.spanCount++
-	} else {
-		t.spansDropped++
-	}
-	t.mu.Unlock()
 }
 
 // Event records one event. Safe on a nil tracer (no-op).
 func (t *Tracer) Event(ev Event) {
-	if t == nil {
-		return
+	if t != nil {
+		t.events.Put(ev)
 	}
-	t.mu.Lock()
-	t.events[t.eventNext] = ev
-	t.eventNext = (t.eventNext + 1) % len(t.events)
-	if t.eventCount < len(t.events) {
-		t.eventCount++
-	} else {
-		t.eventsDropped++
-	}
-	t.mu.Unlock()
 }
 
 // Enabled reports whether the tracer records anything. Callers use it to
 // skip building span inputs (string formatting) when tracing is off.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Spans returns the recorded spans in emission order (oldest first). Safe on
+// Tail returns the newest n spans in emission order (oldest first), copying
+// only those. Safe on a nil tracer (returns nil).
+func (t *Tracer) Tail(n int) []Span {
+	if t == nil {
+		return nil
+	}
+	return t.spans.Tail(n)
+}
+
+// Spans returns every recorded span in emission order (oldest first). Safe on
 // a nil tracer (returns nil).
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, 0, t.spanCount)
-	start := 0
-	if t.spanCount == len(t.spans) {
-		start = t.spanNext
-	}
-	for i := 0; i < t.spanCount; i++ {
-		out = append(out, t.spans[(start+i)%len(t.spans)])
-	}
-	return out
+	return t.spans.Tail(math.MaxInt)
 }
 
 // Events returns the recorded events in emission order (oldest first). Safe
@@ -199,17 +169,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, t.eventCount)
-	start := 0
-	if t.eventCount == len(t.events) {
-		start = t.eventNext
-	}
-	for i := 0; i < t.eventCount; i++ {
-		out = append(out, t.events[(start+i)%len(t.events)])
-	}
-	return out
+	return t.events.Tail(math.MaxInt)
 }
 
 // Dropped returns how many spans and events the rings overwrote.
@@ -217,18 +177,13 @@ func (t *Tracer) Dropped() (spans, events int64) {
 	if t == nil {
 		return 0, 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spansDropped, t.eventsDropped
+	return t.spans.Dropped(), t.events.Dropped()
 }
 
 // Reset clears the rings for reuse between runs.
 func (t *Tracer) Reset() {
-	if t == nil {
-		return
+	if t != nil {
+		t.spans.Reset()
+		t.events.Reset()
 	}
-	t.mu.Lock()
-	t.spanNext, t.spanCount, t.spansDropped = 0, 0, 0
-	t.eventNext, t.eventCount, t.eventsDropped = 0, 0, 0
-	t.mu.Unlock()
 }

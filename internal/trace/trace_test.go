@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,13 @@ func TestTracerRingWraps(t *testing.T) {
 	}
 	if dropped, _ := tr.Dropped(); dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", dropped)
+	}
+	// The tail across the wrap point, and a tail longer than the ring.
+	if tail := tr.Tail(3); len(tail) != 3 || tail[0].Start != 7 || tail[2].Start != 9 {
+		t.Fatalf("Tail(3) = %+v", tail)
+	}
+	if !slices.Equal(tr.Tail(100), spans) {
+		t.Fatal("Tail(n ≥ capacity) must be Spans()")
 	}
 	tr.Reset()
 	if len(tr.Spans()) != 0 {
@@ -126,65 +134,68 @@ func TestTracerConcurrent(t *testing.T) {
 }
 
 // roundTripSpans and roundTripEvents are one query's trace — a GPU abort and
-// its CPU retry included — that TestChromeRoundTrip holds to an exact round
-// trip and FuzzReadChrome mutates from.
+// its CPU retry included — plus a failed query at 1<<62 + 1 ns, a clock no
+// float64 holds, whose span runs backwards. TestChromeRoundTrip holds them to
+// an exact round trip and FuzzReadChrome mutates from them. They are in
+// ReadChrome's order.
 var (
 	roundTripSpans = []Span{
 		{Query: "q0001", Name: "q0001", Class: "query", Node: -1,
-			Start: 0, End: 3 * time.Millisecond},
+			Start: 0, End: 3 * time.Millisecond, Tenant: "gold", Overlap: 0.30000000000000004}, // 0.1 + 0.2
 		{Query: "q0001", Name: "q0001/op001", Op: "scan(lineorder)", Class: "selection",
-			Proc: "gpu", Node: 1, Start: 10 * time.Microsecond, End: time.Millisecond,
-			QueueWait: 2 * time.Microsecond, Transfer: 100 * time.Microsecond,
-			Attempt: 0, HeapHighWater: 4096},
+			Proc: "gpu", Node: 1, Start: 1, End: time.Millisecond + 1,
+			QueueWait: 2*time.Microsecond + 1, Transfer: 100*time.Microsecond + 7,
+			HeapHighWater: 4096, KernelWorkers: 2, MorselCount: 5, Tenant: "gold",
+			Rows: 1234, OutBytes: 9872, DecompressBytes: 640,
+			PipelineDepth: 2, ChunkCount: 4, CPUChunks: 1, Overlap: 1.0 / 3},
 		{Query: "q0001", Name: "q0001/op002", Op: "join(a=b)", Class: "join",
 			Proc: "gpu", Node: 2, Start: time.Millisecond, End: 1500 * time.Microsecond,
 			Abort: "oom", Attempt: 0, HeapHighWater: 8192},
 		{Query: "q0001", Name: "q0001/op002", Op: "join(a=b)", Class: "join",
 			Proc: "cpu", Node: 2, Start: 1500 * time.Microsecond, End: 3 * time.Millisecond,
-			Attempt: 1},
+			Attempt: 1, Rows: 7, OutBytes: 56},
+		{Query: "q0002", Name: "q0002", Class: "query", Node: -1,
+			Start: 1<<62 + 1, End: 1<<62 - time.Millisecond, Abort: "failed"},
 	}
 	roundTripEvents = []Event{
-		{At: 5 * time.Microsecond, Kind: "admit", Subject: "lineorder.lo_custkey", Reason: "operator-demand"},
+		{At: 1, Kind: "admit", Subject: "lineorder.lo_custkey", Reason: "operator-demand"},
 		{At: time.Millisecond, Kind: "evict", Subject: "date.d_year", Reason: "replacement"},
+		{At: 1 << 62, Kind: "reset", Subject: "gpu"},
 	}
 )
 
+// TestChromeRoundTrip: what WriteChrome writes, ReadChrome reads back equal,
+// field for field.
 func TestChromeRoundTrip(t *testing.T) {
-	spans, events := roundTripSpans, roundTripEvents
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, spans, events); err != nil {
-		t.Fatal(err)
-	}
+	check(t, WriteChrome(&buf, roundTripSpans, roundTripEvents))
 	out := buf.String()
 	for _, want := range []string{`"traceEvents"`, `"ph": "X"`, `"ph": "i"`, `"ph": "M"`,
-		`"abort": "oom"`, `"heap_high_water": 8192`, `"thread_name"`} {
+		`"Abort": "oom"`, `"HeapHighWater": 8192`, `"Start": 4611686018427387905`, `"thread_name"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("export missing %s:\n%s", want, out)
 		}
 	}
-
-	gotSpans, gotEvents, err := ReadChrome(&buf)
-	if err != nil {
-		t.Fatal(err)
+	spans, events, err := ReadChrome(&buf)
+	check(t, err)
+	if !slices.Equal(spans, roundTripSpans) {
+		t.Fatalf("spans changed in the round trip:\n got %+v\nwant %+v", spans, roundTripSpans)
 	}
-	if len(gotSpans) != len(spans) || len(gotEvents) != len(events) {
-		t.Fatalf("round trip: %d spans %d events", len(gotSpans), len(gotEvents))
-	}
-	for i, s := range gotSpans {
-		if s != spans[i] {
-			t.Fatalf("span %d round-trip mismatch:\n got %+v\nwant %+v", i, s, spans[i])
-		}
-	}
-	for i, ev := range gotEvents {
-		if ev != events[i] {
-			t.Fatalf("event %d mismatch: got %+v want %+v", i, ev, events[i])
-		}
+	if !slices.Equal(events, roundTripEvents) {
+		t.Fatalf("events changed in the round trip:\n got %+v\nwant %+v", events, roundTripEvents)
 	}
 }
 
 func TestReadChromeRejectsGarbage(t *testing.T) {
 	if _, _, err := ReadChrome(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	// A file whose args hold another shape of span is refused, naming the key
+	// it does not know, instead of read as zeros.
+	old := `{"traceEvents":[{"name":"q0001/op001","ph":"X","ts":10,"dur":990,"pid":1,"tid":1,` +
+		`"args":{"query":"q0001","class":"selection","node":1,"queue_wait_us":2,"transfer_us":100,"attempt":0}}]}`
+	if _, _, err := ReadChrome(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "queue_wait_us") {
+		t.Fatalf("old-shape file: err = %v, want one naming queue_wait_us", err)
 	}
 }
 

@@ -9,9 +9,11 @@ package robustdb
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -67,9 +69,15 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != len(tr.Spans()) || len(events) != len(tr.Events()) {
-		t.Fatalf("round trip: %d/%d spans, %d/%d events",
-			len(spans), len(tr.Spans()), len(events), len(tr.Events()))
+	// ReadChrome returns spans by start, ties by name, and events by time.
+	want, wantEvents := tr.Spans(), tr.Events()
+	slices.SortStableFunc(want, func(a, b TraceSpan) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Name, b.Name))
+	})
+	slices.SortStableFunc(wantEvents, func(a, b TraceEvent) int { return cmp.Compare(a.At, b.At) })
+	if !slices.Equal(spans, want) || !slices.Equal(events, wantEvents) {
+		t.Fatalf("round trip changed the trace: %d/%d spans, %d/%d events",
+			len(spans), len(want), len(events), len(wantEvents))
 	}
 }
 
