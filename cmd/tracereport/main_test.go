@@ -157,11 +157,14 @@ func TestReportTextModes(t *testing.T) {
 // pipelinedTracePath runs a pinned workload with the pipelined chunk executor
 // enabled and a cache too small for the working set (so scans transfer, which
 // is what the pipeline overlaps) and writes its Chrome trace to a temp file.
+// The heap holds two in-flight chunks: like any streaming operator, a chunk
+// holds its input and then its kernel's footprint, 4.25× its input.
 func pipelinedTracePath(t *testing.T) string {
 	t.Helper()
 	db := robustdb.OpenSSB(robustdb.SSBConfig{SF: 1, RowsPerSF: 100000, Seed: 42})
 	tr := robustdb.NewTracer(0)
 	dev := db.DeviceForWorkingSet(0.1)
+	dev.HeapBytes = 4 * dev.CacheBytes
 	dev.Tracer = tr
 	dev.PipelineDepth = 2
 	dev.PipelineCoExec = true

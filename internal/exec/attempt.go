@@ -9,16 +9,26 @@ import (
 	"robustdb/internal/device"
 	"robustdb/internal/engine"
 	"robustdb/internal/faults"
+	"robustdb/internal/plan"
 	"robustdb/internal/sim"
 	"robustdb/internal/trace"
 )
 
-// The mechanism every device attempt shares, whether it is of a whole
-// operator (runOnGPU) or of one chunk (runChunkGPU): classifying the error
-// that ended it, moving data over the bus with in-place retry, applying the
-// fault schedule's kernel delays, and metering the kernel. What an attempt
-// stages and what undoing it costs is policy and stays with its kind — each
-// has one deferred rollback that every failing exit leaves through.
+// The one attempt every placed unit of work runs through, whether it is a
+// whole operator or one chunk of a pipelined operator (DESIGN.md §8): the
+// retry loop (attempts), the device attempt with its one deferred rollback
+// (runOnGPU), the host attempt (runOnCPU), and what they share — classifying
+// the error that ended an attempt, moving data over the bus, applying the
+// fault schedule's kernel delays, and metering the kernel.
+
+// unit is what one attempt runs: a whole operator over its inputs, or — c
+// non-nil — one chunk of a pipelined operator, a range of its rows.
+type unit struct {
+	q      *query
+	n      *plan.Node
+	inputs []*Value
+	c      *chunk
+}
 
 // abortKind classifies why a device attempt gave up. The engine's
 // degradation ladder reacts differently per class: capacity aborts fall back
@@ -41,18 +51,7 @@ const (
 	// abortError: not a device condition at all — a catalog, kernel or
 	// engine error that no retry or fallback cures. It fails the query.
 	abortError
-	// abortStopped: the attempt was overtaken — the query failed under it, or
-	// the device copy a retried transfer was moving vanished while it backed
-	// off; nothing is left to do.
-	abortStopped
 )
-
-// rolledBack reports whether the attempt ended in a device condition —
-// capacity, fault or reset — that another attempt can still get past: on the
-// device after a backoff, or on the CPU at once.
-func (k abortKind) rolledBack() bool {
-	return k == abortOOM || k == abortFault || k == abortReset
-}
 
 // abortLabel is the trace-span cause string per abort kind.
 func abortLabel(k abortKind, err error) string {
@@ -71,12 +70,8 @@ func abortLabel(k abortKind, err error) string {
 }
 
 // classify maps the error of a device allocation or bus transfer to its abort
-// class, counting injected faults as it sees them. hit is nil when the error
-// ends an operator attempt, whose health verdict execOp derives from the
-// class; it is non-nil when the work the fault struck goes on (a chunk of a
-// pipelined operator, a retried transfer), and the fault is then noted
-// against device health at once and flagged in *hit.
-func (e *Engine) classify(err error, now time.Duration, hit *bool) abortKind {
+// class, counting injected faults as it sees them.
+func (e *Engine) classify(err error) abortKind {
 	switch {
 	case errors.Is(err, device.ErrOutOfMemory):
 		return abortOOM
@@ -87,10 +82,6 @@ func (e *Engine) classify(err error, now time.Duration, hit *bool) abortKind {
 			e.Metrics.AllocFaults.Inc()
 		} else {
 			e.Metrics.TransferFaults.Inc()
-		}
-		if hit != nil {
-			e.Health.NoteFault(now)
-			*hit = true
 		}
 		return abortFault
 	default:
@@ -114,31 +105,6 @@ func (e *Engine) transferTimed(p *sim.Proc, d bus.Direction, n int64, acc *time.
 		}
 	}
 	return err
-}
-
-// transferRetried is transferTimed with in-place retry: a try that fails with
-// an injected fault is classified (see classify for hit) and repeated after
-// an exponential virtual-time backoff, up to the retry budget. After every
-// backoff stop is polled; when it reports that the transfer is no longer
-// wanted the result is abortStopped. Otherwise the result is abortNone on
-// success, or the class of the error that ended the retries with that error.
-func (e *Engine) transferRetried(p *sim.Proc, d bus.Direction, n int64, acc *time.Duration,
-	hit *bool, stop func() bool) (abortKind, error) {
-	for attempt := 0; ; attempt++ {
-		err := e.transferTimed(p, d, n, acc)
-		if err == nil {
-			return abortNone, nil
-		}
-		kind := e.classify(err, p.Now(), hit)
-		if kind != abortFault || attempt+1 >= retryMaxAttempts {
-			return kind, err
-		}
-		e.Metrics.Retries.Inc()
-		p.Hold(retryBackoff(attempt))
-		if stop() {
-			return abortStopped, nil
-		}
-	}
 }
 
 // injectDelay applies the fault schedule's kernel degradation to a device

@@ -73,9 +73,9 @@ type Config struct {
 	// PipelineDepth enables the pipelined chunk executor for chunkable
 	// GPU-placed leaf operators: up to this many chunks are buffered in
 	// flight, overlapping the upload of chunk i+1 with the device compute of
-	// chunk i and the download of chunk i−1 over the full-duplex bus.
-	// 0 (the default) disables pipelining — operators run the serial
-	// transfer-then-compute path, bit-identical to the pre-pipeline engine.
+	// chunk i and the download of chunk i−1 over the full-duplex bus; each
+	// chunk is a device attempt like a whole operator. 0 (the default)
+	// disables pipelining: every operator runs whole, transfer then compute.
 	PipelineDepth int
 	// PipelineCoExec lets the pipelined executor hand trailing chunks to the
 	// CPU worker pool when the GPU side is saturated or the circuit breaker
@@ -101,7 +101,8 @@ type Config struct {
 // The retry of transient device faults. Capacity (OOM) aborts are never
 // retried — they fall back to the CPU immediately, as in the paper.
 const (
-	// retryMaxAttempts is the total number of device attempts per operator.
+	// retryMaxAttempts is the total number of device attempts per operator
+	// or chunk.
 	retryMaxAttempts = 3
 	// retryBackoffBase is the virtual-time backoff before the first retry;
 	// each further retry doubles it.

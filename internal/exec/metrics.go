@@ -15,13 +15,12 @@ import (
 type Metrics struct {
 	reg *trace.Registry
 
-	// Aborts counts aborted whole-operator GPU attempts (Figure 13). It counts
-	// operators only: a rolled-back chunk of a pipelined operator is not one.
+	// Aborts counts rolled-back GPU attempts (Figure 13): of a whole operator,
+	// or of one chunk of a pipelined operator, whose span is the chunk stage
+	// "abort".
 	Aborts *trace.Counter
-	// WastedTime sums the virtual time from begin to abort of every aborted
-	// whole-operator GPU attempt (its queue wait excluded) and of every
-	// rolled-back pipelined chunk, whose span is the chunk stage "abort"
-	// (Figure 20).
+	// WastedTime sums the virtual time from begin to abort of every
+	// rolled-back GPU attempt, its queue wait excluded (Figure 20).
 	WastedTime *trace.DurationCounter
 	// OperatorRuns counts successfully completed operator executions.
 	OperatorRuns *trace.Counter

@@ -150,10 +150,11 @@ func TestPipelinedOverlapBeatsSerial(t *testing.T) {
 	}
 }
 
-// TestPipelinedDeadlineCancelsInFlightChunks: a deadline that fires mid-chunk
-// fails the query cleanly — in-flight chunks drain without deadlock and every
-// device reservation is released.
-func TestPipelinedDeadlineCancelsInFlightChunks(t *testing.T) {
+// TestPipelinedDeadlineFailsCleanly: a deadline that fires mid-chunk fails
+// the query cleanly — the pipelined operator, like any operator in flight,
+// runs its chunks to their end without deadlock and every device reservation
+// is released.
+func TestPipelinedDeadlineFailsCleanly(t *testing.T) {
 	cat := testCatalog(262144)
 	e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30,
 		PipelineDepth: 2, PipelineChunkRows: 8192,

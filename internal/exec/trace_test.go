@@ -26,7 +26,7 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 	n := testPlan().Root
 	st := trace.Span{QueueWait: time.Microsecond, Transfer: time.Microsecond, HeapHighWater: 64}
 	if allocs := testing.AllocsPerRun(200, func() {
-		e.traceOp(q, n, cost.GPU, 1, 0, st, abortNone, nil)
+		e.traceOp(unit{q: q, n: n}, cost.GPU, 1, 0, st, abortNone, nil)
 		e.traceCacheAdmit(0, "fact.v", nil, "operator-demand")
 		q.traceQuery(time.Millisecond, "")
 		e.LogPlacement(n, "gpu", "data-resident")

@@ -270,10 +270,11 @@ func checkLaws(t *testing.T, c judgeCell, r *judgeRun) (ooms int, morsels bool) 
 		if s.Abort == "oom" {
 			ooms++
 		}
-		switch {
-		case s.Class == "chunk" && s.Op == "abort":
-			wasted += s.Duration()
-		case s.Class == "query" && s.Abort == "":
+		if s.Proc == "gpu" && s.Abort != "" { // a rolled-back device attempt, of an operator or a chunk
+			gpuAborts++
+			wasted += s.Duration() - s.QueueWait
+		}
+		if s.Class == "query" && s.Abort == "" {
 			covered += s.End - lastEnd[s.Query]
 		}
 		if s.Class == "chunk" || s.Class == "query" {
@@ -286,9 +287,6 @@ func checkLaws(t *testing.T, c judgeCell, r *judgeRun) (ooms int, morsels bool) 
 		covered += s.Duration()
 		if s.Abort == "" {
 			completed++
-		} else if s.Proc == "gpu" && s.PipelineDepth == 0 {
-			gpuAborts++
-			wasted += s.Duration() - s.QueueWait
 		}
 	}
 	h2d, d2h := e.Bus.Link(bus.HostToDevice), e.Bus.Link(bus.DeviceToHost)
@@ -305,7 +303,7 @@ func checkLaws(t *testing.T, c judgeCell, r *judgeRun) (ooms int, morsels bool) 
 	runs := m.OperatorRuns.Load()
 	law("operator runs = completed attempt spans", runs == m.GPUOperators.Load()+m.CPUOperators.Load() && runs == completed,
 		runs, m.GPUOperators.Load(), m.CPUOperators.Load(), completed)
-	law("aborts = aborted GPU operator spans", m.Aborts.Load() == gpuAborts, m.Aborts.Load(), gpuAborts)
+	law("aborts = aborted GPU attempt spans", m.Aborts.Load() == gpuAborts, m.Aborts.Load(), gpuAborts)
 	for _, d := range r.done {
 		got, want := d.st.Spans, ring[d.st.QueryID]
 		if d.err != nil && len(got) < len(want) {
