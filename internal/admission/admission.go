@@ -235,8 +235,6 @@ type metrics struct {
 	admitted   *trace.Counter
 	queued     *trace.Counter
 	shed       *trace.Counter
-	shedByCode map[Code]*trace.Counter
-	timeouts   *trace.Counter
 	queueDepth *trace.Gauge
 	inFlight   *trace.Gauge
 	limit      *trace.Gauge
@@ -251,23 +249,17 @@ type metrics struct {
 }
 
 func newMetrics(reg *trace.Registry) *metrics {
-	m := &metrics{
+	return &metrics{
 		admitted:   reg.Counter("AdmissionAdmitted"),
 		queued:     reg.Counter("AdmissionQueued"),
 		shed:       reg.Counter("AdmissionShed"),
-		timeouts:   reg.Counter("AdmissionQueueTimeouts"),
 		queueDepth: reg.Gauge("AdmissionQueueDepth"),
 		inFlight:   reg.Gauge("AdmissionInFlight"),
 		limit:      reg.Gauge("AdmissionConcurrencyLimit"),
-		queueWait:  reg.Histogram("AdmissionQueueWait"),
-		shedByCode: make(map[Code]*trace.Counter),
+		queueWait:  reg.Histogram("AdmissionQueueWait", trace.Durations),
 		reg:        reg,
 		tenantPool: trace.NewLabelPool(),
 	}
-	for _, code := range []Code{CodeOverloaded, CodeTenantLimit, CodeQueueTimeout, CodeDraining, CodeCanceled} {
-		m.shedByCode[code] = reg.Counter("AdmissionShed" + metricSuffix(code))
-	}
-	return m
 }
 
 // tenantAdmitted counts one admission on the tenant's labeled series.
@@ -282,21 +274,6 @@ func (m *metrics) tenantAdmitted(tenant string) {
 func (m *metrics) tenantShed(tenant string, code Code) {
 	m.reg.Counter(trace.LabeledName("AdmissionTenantShed",
 		"tenant", m.tenantPool.Get(tenant), "code", string(code))).Inc()
-}
-
-func metricSuffix(code Code) string {
-	switch code {
-	case CodeOverloaded:
-		return "Overloaded"
-	case CodeTenantLimit:
-		return "TenantLimit"
-	case CodeQueueTimeout:
-		return "QueueTimeout"
-	case CodeDraining:
-		return "Draining"
-	default:
-		return "Canceled"
-	}
 }
 
 // Controller is the admission state machine. All methods are safe for
@@ -381,7 +358,7 @@ func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ti
 		}
 		// The displaced ticket hit its own tenant's bound, not global
 		// overload: signal the tenant-local condition so clients (and the
-		// ShedByCode breakdown) do not read it as server-wide pressure.
+		// per-code shed series) do not read it as server-wide pressure.
 		victimCode = CodeTenantLimit
 	} else if c.queued >= c.queueBound() {
 		victim = c.boundVictim(t, nil)
@@ -472,15 +449,10 @@ func (c *Controller) nextSeq() int64 {
 }
 
 // shedError builds the typed error for a shed decision and counts it, on the
-// global series and on the tenant's labeled attribution series.
+// global series and on the tenant's labeled series, split by code: a shed
+// count by code or by tenant is a sum over that family.
 func (c *Controller) shedError(tenant string, code Code, reason string) *Error {
 	c.m.shed.Inc()
-	if ctr := c.m.shedByCode[code]; ctr != nil {
-		ctr.Inc()
-	}
-	if code == CodeQueueTimeout {
-		c.m.timeouts.Inc()
-	}
 	c.m.tenantShed(tenant, code)
 	retry := retryAfter
 	if code == CodeQueueTimeout || code == CodeCanceled {
@@ -510,7 +482,7 @@ func (c *Controller) grantLocked() []*Ticket {
 		c.m.admitted.Inc()
 		c.m.inFlight.Set(int64(c.inFlight))
 		c.m.queueDepth.Set(int64(c.queued))
-		c.m.queueWait.Observe(c.cfg.now().Sub(t.enqueued))
+		c.m.queueWait.ObserveDuration(c.cfg.now().Sub(t.enqueued))
 		c.m.tenantAdmitted(t.Tenant)
 		granted = append(granted, t)
 	}

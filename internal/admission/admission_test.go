@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -398,14 +399,21 @@ func TestMetricsSeries(t *testing.T) {
 	c.Release(a)
 	snap := reg.Snapshot()
 	want := map[string]int64{
-		"AdmissionAdmitted":        2,
-		"AdmissionQueued":          2,
-		"AdmissionShed":            1,
-		"AdmissionShedTenantLimit": 1,
+		"AdmissionAdmitted": 2,
+		"AdmissionQueued":   2,
+		"AdmissionShed":     1,
+		trace.LabeledName("AdmissionTenantShed", "tenant", "a", "code", string(CodeTenantLimit)): 1,
 	}
 	for name, v := range want {
 		if got := snap.Counters[name]; got != v {
 			t.Errorf("%s = %d, want %d", name, got, v)
+		}
+	}
+	// A shed is counted once a family: by code and by tenant are sums over
+	// AdmissionTenantShed, not series of their own.
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "AdmissionShed") && name != "AdmissionShed" || name == "AdmissionQueueTimeouts" {
+			t.Errorf("shed counted again under %s", name)
 		}
 	}
 	if got := snap.Gauges["AdmissionConcurrencyLimit"]; got != 1 {

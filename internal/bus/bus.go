@@ -1,10 +1,10 @@
 // Package bus simulates the PCIe link between host and co-processor: a pair
 // of directed channels with latency and bandwidth, FIFO arbitration, and
-// transfer accounting.
+// transfer accounting into the meters its owner installs.
 //
 // The paper identifies this link as the central bottleneck of co-processor
 // query processing (§1, [11]); Figures 6, 15 and 19 plot exactly the
-// per-direction transfer times this package accumulates.
+// per-direction transfer times this package meters.
 package bus
 
 import (
@@ -43,25 +43,37 @@ type Link struct {
 	bandwidth float64 // bytes per second
 	latency   time.Duration
 	slot      *sim.Pool // serializes transfers FIFO
-	bytes     int64
-	busy      time.Duration
+	meters    Meters
 	transfers int64
 	faults    int64
-	// Interval-union busy accounting: service intervals of concurrent
-	// transfers on one link may overlap (the pipelined executor keeps several
-	// chunk transfers in flight), so busy time is accumulated per
-	// busy-interval — first service begin to last service end — not per
-	// transfer. With the capacity-1 slot this is identical to summing service
-	// times; it stays correct if the slot capacity ever grows.
-	active    int
-	busyStart time.Duration
-	onBusy    func(time.Duration)
 }
 
-// TransferHook is consulted before a fallible transfer moves data. Returning
-// a non-nil error fails the transfer with that error after charging only the
-// setup latency (the DMA was programmed but the payload never arrived).
-// Fault injectors install hooks to produce PCIe transfer errors.
+// ByteMeter and TimeMeter are the minimal sinks a link counts into. They are
+// satisfied by *trace.Counter and *trace.DurationCounter without making this
+// package depend on the metrics layer; implementations must be safe for
+// concurrent reads (the observability surface scrapes them while the
+// simulator moves data).
+type (
+	ByteMeter interface{ Add(n int64) }
+	TimeMeter interface{ Add(d time.Duration) }
+)
+
+// Meters is where one link counts: each quantity in the meter installed for
+// it, the moment a transfer ends, and nowhere else. Nil fields are skipped.
+type Meters struct {
+	// Bytes counts the payload of every successful transfer.
+	Bytes ByteMeter
+	// Busy counts the time the link served transfers, queueing excluded: the
+	// whole service time of a successful transfer, the setup latency of a
+	// failed one. The slot serves one transfer at a time, so these never
+	// overlap.
+	Busy TimeMeter
+}
+
+// TransferHook is consulted before a transfer moves data. Returning a non-nil
+// error fails the transfer with that error after charging only the setup
+// latency (the DMA was programmed but the payload never arrived). Fault
+// injectors install hooks to produce PCIe transfer errors.
 type TransferHook func(d Direction, n int64) error
 
 // Bus is the full-duplex interconnect: independent links per direction, the
@@ -80,8 +92,9 @@ type Config struct {
 	Latency time.Duration
 }
 
-// New creates a bus inside the simulation s.
-func New(s *sim.Sim, cfg Config) *Bus {
+// New creates a bus inside the simulation s whose links count into meters,
+// indexed by Direction.
+func New(s *sim.Sim, cfg Config, meters [2]Meters) *Bus {
 	if cfg.Bandwidth <= 0 {
 		panic(fmt.Sprintf("bus: bandwidth must be positive, got %v", cfg.Bandwidth))
 	}
@@ -92,6 +105,7 @@ func New(s *sim.Sim, cfg Config) *Bus {
 			bandwidth: cfg.Bandwidth,
 			latency:   cfg.Latency,
 			slot:      sim.NewPool(s, "bus-"+d.String(), 1),
+			meters:    meters[d],
 		}
 	}
 	return b
@@ -101,30 +115,14 @@ func New(s *sim.Sim, cfg Config) *Bus {
 func (b *Bus) Link(d Direction) *Link { return b.links[d] }
 
 // SetTransferHook installs (or, with nil, removes) the transfer fault hook.
-// Only fallible transfers (TryTransfer) consult it; Transfer always succeeds.
 func (b *Bus) SetTransferHook(h TransferHook) { b.hook = h }
 
-// Transfer moves n bytes in direction d on behalf of process p, blocking in
-// virtual time for queueing + latency + n/bandwidth. Zero-byte transfers are
-// free and do not touch the link. Transfer never fails; operator-path
-// transfers that must react to injected faults use TryTransfer instead.
-func (b *Bus) Transfer(p *sim.Proc, d Direction, n int64) {
-	if err := b.transfer(p, d, n, false); err != nil {
-		// Infallible transfers bypass the fault hook; an error here is a
-		// bus-accounting bug, not an injected fault.
-		panic("bus: infallible transfer failed: " + err.Error())
-	}
-}
-
-// TryTransfer is Transfer for the fault-tolerant operator path: an installed
-// TransferHook may fail the transfer. A failed transfer still occupies the
-// link for its setup latency and counts on the link's fault counter; no
-// payload bytes are accounted.
+// TryTransfer moves n bytes in direction d on behalf of process p, blocking
+// in virtual time for queueing + latency + n/bandwidth. Zero-byte transfers
+// are free and do not touch the link. An installed TransferHook may fail the
+// transfer: it then occupies the link for its setup latency only, counts on
+// the link's fault counter and moves no payload bytes.
 func (b *Bus) TryTransfer(p *sim.Proc, d Direction, n int64) error {
-	return b.transfer(p, d, n, true)
-}
-
-func (b *Bus) transfer(p *sim.Proc, d Direction, n int64, fallible bool) error {
 	if n < 0 {
 		panic(fmt.Sprintf("bus: negative transfer %d", n))
 	}
@@ -134,42 +132,28 @@ func (b *Bus) transfer(p *sim.Proc, d Direction, n int64, fallible bool) error {
 	l := b.links[d]
 	l.slot.Acquire(p)
 	defer l.slot.Release()
-	l.beginService(p.Now())
-	if fallible && b.hook != nil {
+	if b.hook != nil {
 		if err := b.hook(d, n); err != nil {
 			p.Hold(l.latency)
 			l.faults++
-			l.endService(p.Now())
+			l.busy(l.latency)
 			return err
 		}
 	}
-	dur := l.latency + time.Duration(float64(n)/l.bandwidth*float64(time.Second))
+	dur := b.Duration(d, n)
 	p.Hold(dur)
-	l.bytes += n
 	l.transfers++
-	l.endService(p.Now())
+	l.busy(dur)
+	if l.meters.Bytes != nil {
+		l.meters.Bytes.Add(n)
+	}
 	return nil
 }
 
-// beginService marks the start of one transfer's service interval. The first
-// concurrent transfer opens a busy interval.
-func (l *Link) beginService(now time.Duration) {
-	if l.active == 0 {
-		l.busyStart = now
-	}
-	l.active++
-}
-
-// endService marks the end of one transfer's service interval. The last
-// concurrent transfer closes the busy interval and accounts it.
-func (l *Link) endService(now time.Duration) {
-	l.active--
-	if l.active == 0 {
-		d := now - l.busyStart
-		l.busy += d
-		if l.onBusy != nil {
-			l.onBusy(d)
-		}
+// busy counts service time on the link's busy meter.
+func (l *Link) busy(d time.Duration) {
+	if l.meters.Busy != nil {
+		l.meters.Busy.Add(d)
 	}
 }
 
@@ -183,23 +167,8 @@ func (b *Bus) Duration(d Direction, n int64) time.Duration {
 	return l.latency + time.Duration(float64(n)/l.bandwidth*float64(time.Second))
 }
 
-// Bytes returns the total bytes moved on the link.
-func (l *Link) Bytes() int64 { return l.bytes }
-
-// BusyTime returns the accumulated busy time of the link: the union of all
-// service intervals, correct under concurrent transfers (overlapping
-// intervals count once). An interval still open (a transfer in flight) is not
-// included until it closes.
-func (l *Link) BusyTime() time.Duration { return l.busy }
-
-// SetBusyMeter installs (or, with nil, removes) a hook invoked with the
-// duration of every closed busy interval — the engine mirrors link busy time
-// into its atomic metrics registry through it so /metrics sees
-// robustdb_bus_busy_seconds_total per direction as it accumulates.
-func (l *Link) SetBusyMeter(fn func(time.Duration)) { l.onBusy = fn }
-
 // InFlight returns the number of transfers currently in service on the link.
-func (l *Link) InFlight() int { return l.active }
+func (l *Link) InFlight() int { return l.slot.InUse() }
 
 // Waiting returns the number of transfers queued on the link's FIFO slot.
 func (l *Link) Waiting() int { return l.slot.Waiting() }

@@ -6,7 +6,34 @@ import (
 	"time"
 
 	"robustdb/internal/sim"
+	"robustdb/internal/trace"
 )
+
+// meters is one link's installed meters, read back by the tests.
+type meters struct {
+	bytes *trace.Counter
+	busy  *trace.DurationCounter
+}
+
+// newMetered builds a bus whose links count into fresh registry series.
+func newMetered(s *sim.Sim, cfg Config) (*Bus, [2]meters) {
+	reg := trace.NewRegistry()
+	var m [2]meters
+	var installed [2]Meters
+	for _, d := range []Direction{HostToDevice, DeviceToHost} {
+		m[d] = meters{reg.Counter(d.String() + "Bytes"), reg.Duration(d.String() + "Busy")}
+		installed[d] = Meters{Bytes: m[d].bytes, Busy: m[d].busy}
+	}
+	return New(s, cfg, installed), m
+}
+
+// transfer is TryTransfer for a test that installs no hook.
+func transfer(t *testing.T, b *Bus, p *sim.Proc, d Direction, n int64) {
+	t.Helper()
+	if err := b.TryTransfer(p, d, n); err != nil {
+		t.Errorf("hookless transfer failed: %v", err)
+	}
+}
 
 func TestDirectionString(t *testing.T) {
 	if HostToDevice.String() != "H2D" || DeviceToHost.String() != "D2H" {
@@ -19,10 +46,10 @@ func TestDirectionString(t *testing.T) {
 
 func TestTransferTiming(t *testing.T) {
 	s := sim.New()
-	b := New(s, Config{Bandwidth: 1000, Latency: 10 * time.Millisecond}) // 1000 B/s
+	b, m := newMetered(s, Config{Bandwidth: 1000, Latency: 10 * time.Millisecond}) // 1000 B/s
 	var done time.Duration
 	s.Spawn("t", func(p *sim.Proc) {
-		b.Transfer(p, HostToDevice, 500)
+		transfer(t, b, p, HostToDevice, 500)
 		done = p.Now()
 	})
 	s.Run()
@@ -31,45 +58,58 @@ func TestTransferTiming(t *testing.T) {
 		t.Fatalf("done = %v, want %v", done, want)
 	}
 	l := b.Link(HostToDevice)
-	if l.Bytes() != 500 || l.Transfers() != 1 || l.BusyTime() != want {
-		t.Fatalf("accounting: bytes=%d n=%d busy=%v", l.Bytes(), l.Transfers(), l.BusyTime())
+	if bytes, busy := m[HostToDevice].bytes.Load(), m[HostToDevice].busy.Load(); bytes != 500 || l.Transfers() != 1 || busy != want {
+		t.Fatalf("accounting: bytes=%d n=%d busy=%v", bytes, l.Transfers(), busy)
 	}
-	if l.Direction() != HostToDevice {
-		t.Fatal("direction wrong")
+	if l.Direction() != HostToDevice || l.InFlight() != 0 || l.Waiting() != 0 {
+		t.Fatal("direction or slot state wrong")
 	}
-	if b.Link(DeviceToHost).Bytes() != 0 {
+	if m[DeviceToHost].bytes.Load() != 0 || m[DeviceToHost].busy.Load() != 0 {
 		t.Fatal("other direction must be untouched")
 	}
 }
 
+// Transfers on one link queue FIFO, and its busy meter sums their service
+// times: the slot never serves two at once.
 func TestTransferFIFOQueueing(t *testing.T) {
 	s := sim.New()
-	b := New(s, Config{Bandwidth: 1000, Latency: 0})
+	b, m := newMetered(s, Config{Bandwidth: 1000, Latency: 0})
 	var first, second time.Duration
+	var inFlight, waiting int
 	s.Spawn("a", func(p *sim.Proc) {
-		b.Transfer(p, HostToDevice, 1000) // 1s
+		transfer(t, b, p, HostToDevice, 1000) // 1s
 		first = p.Now()
 	})
 	s.Spawn("b", func(p *sim.Proc) {
-		b.Transfer(p, HostToDevice, 1000) // queued behind a
+		transfer(t, b, p, HostToDevice, 1000) // queued behind a
 		second = p.Now()
+	})
+	s.Spawn("probe", func(p *sim.Proc) {
+		p.Hold(time.Second / 2)
+		inFlight, waiting = b.Link(HostToDevice).InFlight(), b.Link(HostToDevice).Waiting()
 	})
 	s.Run()
 	if first != time.Second || second != 2*time.Second {
 		t.Fatalf("first=%v second=%v", first, second)
 	}
+	if inFlight != 1 || waiting != 1 {
+		t.Fatalf("mid-transfer: %d in flight, %d waiting, want 1 and 1", inFlight, waiting)
+	}
+	if busy := m[HostToDevice].busy.Load(); busy != 2*time.Second {
+		t.Fatalf("busy = %v, want 2s", busy)
+	}
 }
 
 func TestDirectionsIndependent(t *testing.T) {
 	s := sim.New()
-	b := New(s, Config{Bandwidth: 1000, Latency: 0})
+	b, m := newMetered(s, Config{Bandwidth: 1000, Latency: 0})
 	var up, down time.Duration
 	s.Spawn("up", func(p *sim.Proc) {
-		b.Transfer(p, HostToDevice, 1000)
+		transfer(t, b, p, HostToDevice, 1000)
 		up = p.Now()
 	})
 	s.Spawn("down", func(p *sim.Proc) {
-		b.Transfer(p, DeviceToHost, 1000)
+		transfer(t, b, p, DeviceToHost, 1000)
 		down = p.Now()
 	})
 	s.Run()
@@ -77,18 +117,23 @@ func TestDirectionsIndependent(t *testing.T) {
 	if up != time.Second || down != time.Second {
 		t.Fatalf("up=%v down=%v, want 1s both", up, down)
 	}
+	for _, d := range []Direction{HostToDevice, DeviceToHost} {
+		if m[d].bytes.Load() != 1000 || m[d].busy.Load() != time.Second {
+			t.Fatalf("%v: bytes=%d busy=%v", d, m[d].bytes.Load(), m[d].busy.Load())
+		}
+	}
 }
 
 func TestZeroAndNegativeTransfers(t *testing.T) {
 	s := sim.New()
-	b := New(s, Config{Bandwidth: 1000, Latency: time.Second})
+	b, m := newMetered(s, Config{Bandwidth: 1000, Latency: time.Second})
 	var done time.Duration
 	var recovered interface{}
 	s.Spawn("t", func(p *sim.Proc) {
-		b.Transfer(p, HostToDevice, 0)
+		transfer(t, b, p, HostToDevice, 0)
 		done = p.Now()
 		defer func() { recovered = recover() }()
-		b.Transfer(p, HostToDevice, -1)
+		_ = b.TryTransfer(p, HostToDevice, -1)
 	})
 	s.Run()
 	if done != 0 {
@@ -97,14 +142,26 @@ func TestZeroAndNegativeTransfers(t *testing.T) {
 	if recovered == nil {
 		t.Fatal("negative transfer should panic")
 	}
-	if b.Link(HostToDevice).Transfers() != 0 {
+	if b.Link(HostToDevice).Transfers() != 0 || m[HostToDevice].busy.Load() != 0 {
 		t.Fatal("zero transfer must not be counted")
+	}
+}
+
+// Without a hook no transfer fails, and without meters a bus moves data all
+// the same.
+func TestTryTransferWithoutHook(t *testing.T) {
+	s := sim.New()
+	b := New(s, Config{Bandwidth: 1000, Latency: 0}, [2]Meters{})
+	s.Spawn("t", func(p *sim.Proc) { transfer(t, b, p, DeviceToHost, 1000) })
+	l := b.Link(DeviceToHost)
+	if end := s.Run(); end != time.Second || l.Transfers() != 1 || l.Faults() != 0 {
+		t.Fatalf("unmetered transfer ended at %v after %d transfers, %d faults", end, l.Transfers(), l.Faults())
 	}
 }
 
 func TestDuration(t *testing.T) {
 	s := sim.New()
-	b := New(s, Config{Bandwidth: 2000, Latency: 5 * time.Millisecond})
+	b, _ := newMetered(s, Config{Bandwidth: 2000, Latency: 5 * time.Millisecond})
 	if d := b.Duration(HostToDevice, 1000); d != 5*time.Millisecond+500*time.Millisecond {
 		t.Fatalf("Duration = %v", d)
 	}
@@ -119,37 +176,14 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(sim.New(), Config{Bandwidth: 0})
+	New(sim.New(), Config{Bandwidth: 0}, [2]Meters{})
 }
 
-// TryTransfer without a hook behaves exactly like Transfer (the fault-free
-// baseline must be untouched by the fault-tolerance plumbing).
-func TestTryTransferWithoutHook(t *testing.T) {
-	s := sim.New()
-	b := New(s, Config{Bandwidth: 1000, Latency: 10 * time.Millisecond})
-	var done time.Duration
-	s.Spawn("t", func(p *sim.Proc) {
-		if err := b.TryTransfer(p, HostToDevice, 500); err != nil {
-			t.Errorf("hookless TryTransfer failed: %v", err)
-		}
-		done = p.Now()
-	})
-	s.Run()
-	want := 10*time.Millisecond + 500*time.Millisecond
-	if done != want {
-		t.Fatalf("done = %v, want %v (same as Transfer)", done, want)
-	}
-	l := b.Link(HostToDevice)
-	if l.Bytes() != 500 || l.Transfers() != 1 || l.Faults() != 0 {
-		t.Fatalf("accounting: bytes=%d n=%d faults=%d", l.Bytes(), l.Transfers(), l.Faults())
-	}
-}
-
-// A hook failure charges only the setup latency, counts a fault, and moves
-// no payload bytes; the infallible Transfer path never consults the hook.
+// A hook failure charges only the setup latency, counts a fault and moves no
+// payload bytes; once the hook passes, the transfer runs in full.
 func TestTransferHookFault(t *testing.T) {
 	s := sim.New()
-	b := New(s, Config{Bandwidth: 1000, Latency: 10 * time.Millisecond})
+	b, m := newMetered(s, Config{Bandwidth: 1000, Latency: 10 * time.Millisecond})
 	fail := true
 	var hookCalls int
 	b.SetTransferHook(func(d Direction, n int64) error {
@@ -163,33 +197,33 @@ func TestTransferHookFault(t *testing.T) {
 		return nil
 	})
 	var failAt, okAt time.Duration
+	var failedBytes int64
 	s.Spawn("t", func(p *sim.Proc) {
 		if err := b.TryTransfer(p, HostToDevice, 500); err == nil {
 			t.Error("hook failure not surfaced")
 		}
-		failAt = p.Now()
+		failAt, failedBytes = p.Now(), m[HostToDevice].bytes.Load()
 		fail = false
 		if err := b.TryTransfer(p, HostToDevice, 500); err != nil {
 			t.Errorf("passing hook failed transfer: %v", err)
 		}
 		okAt = p.Now()
-		b.Transfer(p, HostToDevice, 500) // infallible path skips the hook
 	})
 	s.Run()
-	if failAt != 10*time.Millisecond {
-		t.Fatalf("failed transfer took %v, want latency only", failAt)
+	if failAt != 10*time.Millisecond || failedBytes != 0 {
+		t.Fatalf("failed transfer took %v and counted %d bytes, want latency only and none", failAt, failedBytes)
 	}
 	if okAt != failAt+10*time.Millisecond+500*time.Millisecond {
 		t.Fatalf("retry finished at %v", okAt)
 	}
 	if hookCalls != 2 {
-		t.Fatalf("hook consulted %d times, want 2 (Transfer must skip it)", hookCalls)
+		t.Fatalf("hook consulted %d times, want 2", hookCalls)
 	}
 	l := b.Link(HostToDevice)
-	if l.Faults() != 1 || l.Transfers() != 2 || l.Bytes() != 1000 {
-		t.Fatalf("accounting: faults=%d n=%d bytes=%d", l.Faults(), l.Transfers(), l.Bytes())
+	if bytes := m[HostToDevice].bytes.Load(); l.Faults() != 1 || l.Transfers() != 1 || bytes != 500 {
+		t.Fatalf("accounting: faults=%d n=%d bytes=%d", l.Faults(), l.Transfers(), bytes)
 	}
-	if l.BusyTime() != 10*time.Millisecond+2*(10*time.Millisecond+500*time.Millisecond) {
-		t.Fatalf("busy time %v", l.BusyTime())
+	if busy := m[HostToDevice].busy.Load(); busy != okAt {
+		t.Fatalf("busy time %v, want %v: the failed transfer's latency and the retry's service", busy, okAt)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"robustdb/internal/bus"
-	"robustdb/internal/column"
 	"robustdb/internal/device"
 	"robustdb/internal/engine"
 	"robustdb/internal/faults"
@@ -90,20 +89,12 @@ func (e *Engine) classify(err error) abortKind {
 }
 
 // transferTimed runs one bus transfer and accumulates its virtual duration
-// (successful or faulted) into acc. Successful payload bytes are counted on
-// the per-direction registry counters so the observability windows see
-// transfer volume as it happens.
+// (successful or faulted) into acc. The link itself counts the bytes and busy
+// time into the registry.
 func (e *Engine) transferTimed(p *sim.Proc, d bus.Direction, n int64, acc *time.Duration) error {
 	t0 := p.Now()
 	err := e.Bus.TryTransfer(p, d, n)
 	*acc += p.Now() - t0
-	if err == nil {
-		if d == bus.HostToDevice {
-			e.Metrics.H2DBytes.Add(n)
-		} else {
-			e.Metrics.D2HBytes.Add(n)
-		}
-	}
 	return err
 }
 
@@ -126,26 +117,17 @@ func (e *Engine) injectDelay(p *sim.Proc, dur time.Duration) (_ time.Duration, s
 	return time.Duration(float64(dur) * factor), true
 }
 
-// runKernel makes one metered kernel call: it brackets kernel with the
-// decode meter, folds the context's parallelism into st and the morsel
-// counter, and records the actual output size. The result of the plan's root
-// is forced inside the call: what leaves the executor holds no gather still
-// to do and so no intermediate, while every other result goes to the next
-// operator as it is, whose reads do the copying. The meter is process-global,
-// so its delta is read only when a tracer will report it; a nil context
-// (serial engine) records no parallelism, keeping serial spans byte-identical
-// to the pre-parallel engine.
+// runKernel makes one metered kernel call: it folds the context's
+// parallelism into st and the morsel counter, and records the actual output
+// size. The result of the plan's root is forced inside the call: what leaves
+// the executor holds no gather still to do and so no intermediate, while
+// every other result goes to the next operator as it is, whose reads do the
+// copying. A nil context (serial engine) records no parallelism, keeping
+// serial spans byte-identical to the pre-parallel engine.
 func (e *Engine) runKernel(st *trace.Span, ectx *engine.Ctx, root bool, kernel func() (*engine.Batch, error)) (*engine.Batch, error) {
-	var decodeBase int64
-	if e.Tracer != nil {
-		decodeBase = column.DecompressedBytes()
-	}
 	result, err := kernel()
 	if err == nil && root {
 		result.Force(ectx)
-	}
-	if e.Tracer != nil {
-		st.DecompressBytes = column.DecompressedBytes() - decodeBase
 	}
 	if ectx != nil {
 		st.KernelWorkers = ectx.Workers()

@@ -197,14 +197,20 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		gpuWorkers = UnboundedWorkers
 	}
 	s := sim.New()
+	m := NewMetrics()
 	e := &Engine{
 		Sim:     s,
 		Cat:     cat,
 		Params:  params,
 		Learner: cost.NewLearner(params),
-		Bus:     bus.New(s, bus.Config{Bandwidth: params.BusBandwidth, Latency: params.BusLatency}),
-		Cache:   cache.New(cfg.CacheBytes),
-		Heap:    device.NewMemory("gpu-heap", cfg.HeapBytes),
+		// The links count straight into the atomic registry, as the cache
+		// does below, so /metrics reads transfer volume and busy time live.
+		Bus: bus.New(s, bus.Config{Bandwidth: params.BusBandwidth, Latency: params.BusLatency}, [2]bus.Meters{
+			bus.HostToDevice: {Bytes: m.H2DBytes, Busy: m.BusBusyH2D},
+			bus.DeviceToHost: {Bytes: m.D2HBytes, Busy: m.BusBusyD2H},
+		}),
+		Cache: cache.New(cfg.CacheBytes),
+		Heap:  device.NewMemory("gpu-heap", cfg.HeapBytes),
 		CPU: &Processor{
 			Kind:    cost.CPU,
 			Server:  sim.NewSharedServer(s, "cpu", 1.0),
@@ -215,7 +221,7 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 			Server:  sim.NewSharedServer(s, "gpu", 1.0),
 			Workers: sim.NewPool(s, "gpu-workers", gpuWorkers),
 		},
-		Metrics:       NewMetrics(),
+		Metrics:       m,
 		Tracer:        cfg.Tracer,
 		Log:           cfg.Log,
 		Health:        NewHealth(),
@@ -228,10 +234,6 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		pipeChunkRows: cfg.PipelineChunkRows,
 		deviceValues:  make(map[*Value]struct{}),
 	}
-	// Mirror per-direction link busy time into the atomic metrics registry so
-	// /metrics exposes robustdb_bus_busy_seconds_total{direction=...} live.
-	e.Bus.Link(bus.HostToDevice).SetBusyMeter(func(d time.Duration) { e.Metrics.BusBusyH2D.Add(d) })
-	e.Bus.Link(bus.DeviceToHost).SetBusyMeter(func(d time.Duration) { e.Metrics.BusBusyD2H.Add(d) })
 	if cfg.KernelWorkers > 1 {
 		e.kernels = par.New(cfg.KernelWorkers)
 	}
@@ -440,9 +442,9 @@ func (e *Engine) observe(class cost.OpClass, kind cost.ProcKind, bytes int64, d 
 	e.Learner.Observe(class, kind, bytes, d)
 	e.Metrics.OperatorRuns.Inc()
 	if kind == cost.GPU {
-		e.Metrics.GPURunTime.Observe(d)
+		e.Metrics.GPURunTime.ObserveDuration(d)
 	} else {
-		e.Metrics.CPURunTime.Observe(d)
+		e.Metrics.CPURunTime.ObserveDuration(d)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"robustdb/internal/bus"
 	"robustdb/internal/column"
 	"robustdb/internal/cost"
 	"robustdb/internal/engine"
@@ -131,7 +130,7 @@ func TestCPUOnlyProducesExactResult(t *testing.T) {
 	if e.Metrics.CPUOperators.Load() != 3 || e.Metrics.GPUOperators.Load() != 0 {
 		t.Fatalf("op counts: cpu=%d gpu=%d", e.Metrics.CPUOperators.Load(), e.Metrics.GPUOperators.Load())
 	}
-	if e.Bus.Link(bus.HostToDevice).Bytes() != 0 {
+	if e.Metrics.H2DBytes.Load() != 0 {
 		t.Fatal("CPU-only run must not touch the bus")
 	}
 	if e.Metrics.QueriesCompleted.Load() != 1 {
@@ -157,7 +156,7 @@ func TestGPURunMatchesCPUResult(t *testing.T) {
 	if vGPU.OnDevice {
 		t.Fatal("root result must be host-resident")
 	}
-	if eGPU.Bus.Link(bus.DeviceToHost).Bytes() == 0 {
+	if eGPU.Metrics.D2HBytes.Load() == 0 {
 		t.Fatal("result copy-back missing")
 	}
 	// Device memory fully reclaimed.
@@ -250,7 +249,7 @@ func TestRunTimePlacementAvoidsPingPong(t *testing.T) {
 			e.Cache.Insert(id, b)
 		}
 		runQueryOnce(t, e, pl, placer)
-		return e.Bus.Link(bus.HostToDevice).Bytes()
+		return e.Metrics.H2DBytes.Load()
 	}
 	compileTime := runBytes(fixedPlacer{cost.GPU})
 	runTime := runBytes(hostAwarePlacer{})

@@ -80,10 +80,9 @@ type Metrics struct {
 	// CacheFailedInserts counts rejected cache insertions.
 	CacheFailedInserts *trace.Counter
 
-	// H2DBytes / D2HBytes count payload bytes moved by operator-path bus
-	// transfers per direction (successful transfers only). Unlike the bus
-	// link's own accounting they are atomic, so per-window transfer volume
-	// is available to the online detectors.
+	// H2DBytes / D2HBytes count payload bytes moved over the bus per
+	// direction (successful transfers only), counted by the links themselves;
+	// per-window transfer volume feeds the online detectors.
 	H2DBytes, D2HBytes *trace.Counter
 
 	// GPURunTime and CPURunTime are per-processor histograms of completed
@@ -105,10 +104,10 @@ type Metrics struct {
 
 	// EstimateRowsRatio observes est_rows/actual_rows per completed operator
 	// (robustdb_estimate_rows_ratio; 1.0 = perfect, buckets 2^(i-16)).
-	EstimateRowsRatio *trace.RatioHistogram
+	EstimateRowsRatio *trace.Histogram
 	// EstimateBytesRatio observes est_out_bytes/actual_bytes per completed
 	// operator (robustdb_estimate_bytes_ratio).
-	EstimateBytesRatio *trace.RatioHistogram
+	EstimateBytesRatio *trace.Histogram
 	// QErrorMax is the worst per-operator cardinality q-error —
 	// max(est/actual, actual/est) — seen over the engine's lifetime
 	// (robustdb_q_error_max).
@@ -129,10 +128,10 @@ type Metrics struct {
 	// operators, the fraction of transfer+compute time hidden by overlap:
 	// (sum of stage times − busy wall time) / sum of stage times, clamped to
 	// [0, 1]. 0 = fully serial, →1 = fully hidden.
-	QueryOverlapRatio *trace.RatioHistogram
-	// BusBusyH2D / BusBusyD2H mirror the bus links' interval-union busy time
-	// per direction, as a labeled family: robustdb_bus_busy_seconds_total
-	// {direction="h2d"|"d2h"}.
+	QueryOverlapRatio *trace.Histogram
+	// BusBusyH2D / BusBusyD2H count the bus links' busy time per direction,
+	// counted by the links themselves, as a labeled family:
+	// robustdb_bus_busy_seconds_total{direction="h2d"|"d2h"}.
 	BusBusyH2D *trace.DurationCounter
 	BusBusyD2H *trace.DurationCounter
 }
@@ -166,17 +165,17 @@ func NewMetrics() *Metrics {
 		CacheFailedInserts: reg.Counter("CacheFailedInserts"),
 		H2DBytes:           reg.Counter("H2DBytes"),
 		D2HBytes:           reg.Counter("D2HBytes"),
-		GPURunTime:         reg.Histogram("GPURunTime"),
-		CPURunTime:         reg.Histogram("CPURunTime"),
+		GPURunTime:         reg.Histogram("GPURunTime", trace.Durations),
+		CPURunTime:         reg.Histogram("CPURunTime", trace.Durations),
 		HeapHighWater:      reg.Gauge("HeapHighWater"),
 		KernelMorsels:      reg.Counter("KernelMorsels"),
-		EstimateRowsRatio:  reg.Ratio("EstimateRowsRatio"),
-		EstimateBytesRatio: reg.Ratio("EstimateBytesRatio"),
+		EstimateRowsRatio:  reg.Histogram("EstimateRowsRatio", trace.Ratios),
+		EstimateBytesRatio: reg.Histogram("EstimateBytesRatio", trace.Ratios),
 		QErrorMax:          reg.FloatGauge("QErrorMax"),
 		PipelinedOps:       reg.Counter("PipelinedOps"),
 		PipelineChunks:     reg.Counter("PipelineChunks"),
 		PipelineCPUChunks:  reg.Counter("PipelineCPUChunks"),
-		QueryOverlapRatio:  reg.Ratio("QueryOverlapRatio"),
+		QueryOverlapRatio:  reg.Histogram("QueryOverlapRatio", trace.Ratios),
 		BusBusyH2D:         reg.Duration(trace.LabeledName("BusBusy", "direction", "h2d")),
 		BusBusyD2H:         reg.Duration(trace.LabeledName("BusBusy", "direction", "d2h")),
 	}

@@ -121,7 +121,7 @@ func TestMetricsConcurrentAccess(t *testing.T) {
 				m.Aborts.Inc()
 				m.OperatorRuns.Inc()
 				m.WastedTime.Add(time.Microsecond)
-				m.GPURunTime.Observe(time.Duration(i) * time.Microsecond)
+				m.GPURunTime.ObserveDuration(time.Duration(i) * time.Microsecond)
 				m.HeapHighWater.Max(int64(i))
 				_ = m.Snapshot()
 			}

@@ -15,9 +15,9 @@ func (i *Injector) WrapMemory(s *sim.Sim, m *device.Memory) {
 	})
 }
 
-// WrapBus installs the injector's transfer fault hook on a bus. Only
-// fallible (operator-path) transfers consult it; background placement
-// transfers are not injected.
+// WrapBus installs the injector's transfer fault hook on a bus: every
+// transfer consults it. (The data placement manager fills the cache without
+// the bus, so its preloads are never injected.)
 func (i *Injector) WrapBus(s *sim.Sim, b *bus.Bus) {
 	b.SetTransferHook(func(d bus.Direction, n int64) error {
 		return i.TransferFault(s.Now(), n)

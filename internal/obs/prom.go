@@ -24,17 +24,17 @@ const namePrefix = "robustdb_"
 //   - DurationCounter N    → robustdb_<n>_seconds_total   (TYPE counter)
 //   - Gauge N              → robustdb_<n>                 (TYPE gauge)
 //   - FloatGauge N         → robustdb_<n>                 (TYPE gauge)
-//   - Histogram N          → robustdb_<n>_seconds         (TYPE histogram)
-//   - RatioHistogram N     → robustdb_<n>                 (TYPE histogram)
+//   - Histogram N          → robustdb_<n>_seconds         (TYPE histogram, Durations scale)
+//   - Histogram N          → robustdb_<n>                 (TYPE histogram, Ratios scale)
 //
 // where <n> is SanitizeMetricName(N). Registry keys composed with
 // trace.LabeledName (`Base{k="v"}`) split back into base name + label set:
 // every labeled series of one base renders under a single HELP/TYPE header
-// as one metric family, which is what Prometheus requires. Duration
-// histograms render their power-of-two microsecond buckets as cumulative
-// `_bucket` series with `le` edges in seconds; ratio histograms are
-// dimensionless (no unit suffix) with power-of-two ratio edges; the top
-// bucket absorbs overflow and is exported as +Inf. Output is sorted by
+// as one metric family, which is what Prometheus requires. A histogram
+// renders its power-of-two buckets as cumulative `_bucket` series: on the
+// Durations scale with `le` edges and the sum in seconds, on the Ratios scale
+// dimensionless (no unit suffix); the top bucket absorbs overflow and is
+// exported as +Inf. Output is sorted by
 // family name, then by label set, so equal snapshots render byte-identical
 // text. The returned error is the first write error, if any.
 func WritePrometheus(w io.Writer, s trace.Snapshot) error {
@@ -90,14 +90,12 @@ func WritePrometheus(w io.Writer, s trace.Snapshot) error {
 	}
 	for name, h := range s.Histograms {
 		h := h
-		add(name, "_seconds", "histogram", func(w io.Writer, full, labels string) error {
+		suffix := ""
+		if h.Scale == trace.Durations {
+			suffix = "_seconds"
+		}
+		add(name, suffix, "histogram", func(w io.Writer, full, labels string) error {
 			return writeHistogram(w, full, labels, h)
-		})
-	}
-	for name, h := range s.Ratios {
-		h := h
-		add(name, "", "histogram", func(w io.Writer, full, labels string) error {
-			return writeRatioHistogram(w, full, labels, h)
 		})
 	}
 
@@ -207,17 +205,22 @@ func WriteExposition(w io.Writer, s trace.Snapshot, info BuildInfo, uptime time.
 	return WritePrometheus(w, s)
 }
 
-// writeHistogram emits cumulative buckets, sum, and count for one duration
-// histogram sample. Bucket edges are the registry's power-of-two microsecond
-// edges converted to seconds; the top bucket is +Inf. labels are the sample's
-// own labels, merged with the `le` edge on bucket lines.
+// writeHistogram emits cumulative buckets, sum, and count for one histogram
+// sample: on the Durations scale edges and sum convert from nanoseconds to
+// seconds, on the Ratios scale they are written as they are. The top bucket
+// is +Inf. labels are the sample's own labels, merged with the `le` edge on
+// bucket lines.
 func writeHistogram(w io.Writer, full, labels string, h trace.HistogramSnapshot) error {
+	unit := func(v float64) float64 { return v }
+	if h.Scale == trace.Durations {
+		unit = func(ns float64) float64 { return time.Duration(ns).Seconds() }
+	}
 	var cum int64
 	for i, b := range h.Buckets {
 		cum += b
 		le := "+Inf"
 		if i < len(h.Buckets)-1 {
-			le = formatFloat(trace.BucketUpperEdge(i).Seconds())
+			le = formatFloat(unit(h.Scale.UpperEdge(i)))
 		}
 		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n",
 			full, mergeLabels(labels, `le="`+le+`"`), cum); err != nil {
@@ -225,29 +228,7 @@ func writeHistogram(w io.Writer, full, labels string, h trace.HistogramSnapshot)
 		}
 	}
 	_, err := fmt.Fprintf(w, "%s %s\n%s %d\n",
-		sampleName(full+"_sum", labels), formatFloat(h.Sum.Seconds()),
-		sampleName(full+"_count", labels), h.Count)
-	return err
-}
-
-// writeRatioHistogram is writeHistogram for a dimensionless ratio histogram:
-// edges come from trace.RatioBucketUpperEdge and the sum is the raw ratio
-// mass (no unit conversion).
-func writeRatioHistogram(w io.Writer, full, labels string, h trace.RatioSnapshot) error {
-	var cum int64
-	for i, b := range h.Buckets {
-		cum += b
-		le := "+Inf"
-		if i < len(h.Buckets)-1 {
-			le = formatFloat(trace.RatioBucketUpperEdge(i))
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n",
-			full, mergeLabels(labels, `le="`+le+`"`), cum); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n%s %d\n",
-		sampleName(full+"_sum", labels), formatFloat(h.Sum),
+		sampleName(full+"_sum", labels), formatFloat(unit(h.Sum)),
 		sampleName(full+"_count", labels), h.Count)
 	return err
 }

@@ -15,7 +15,7 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the exposition golden file")
 
 // goldenRegistry builds a deterministic registry exercising every metric
-// kind (including labeled series, ratio histograms, and float gauges) and
+// kind (including labeled series, both histogram scales, and float gauges) and
 // every name-sanitization case (acronyms, digits, plain camel).
 func goldenRegistry() *trace.Registry {
 	reg := trace.NewRegistry()
@@ -31,12 +31,12 @@ func goldenRegistry() *trace.Registry {
 	reg.Gauge("HeapHighWater").Set(65536)
 	reg.Gauge("DetectorThrashing").Set(1)
 	reg.FloatGauge("QErrorMax").Max(7.5)
-	h := reg.Histogram("GPURunTime")
-	h.Observe(500 * time.Nanosecond)  // bucket 0
-	h.Observe(3 * time.Microsecond)   // bucket 2
-	h.Observe(100 * time.Microsecond) // bucket 7
-	h.Observe(time.Hour)              // clamps into the top bucket
-	r := reg.Ratio("EstimateRowsRatio")
+	h := reg.Histogram("GPURunTime", trace.Durations)
+	h.ObserveDuration(500 * time.Nanosecond)  // bucket 0
+	h.ObserveDuration(3 * time.Microsecond)   // bucket 2
+	h.ObserveDuration(100 * time.Microsecond) // bucket 7
+	h.ObserveDuration(time.Hour)              // clamps into the top bucket
+	r := reg.Histogram("EstimateRowsRatio", trace.Ratios)
 	r.Observe(0.25) // underestimate by 4x
 	r.Observe(1)    // exact
 	r.Observe(7.5)  // overestimate
@@ -47,9 +47,9 @@ func goldenRegistry() *trace.Registry {
 	reg.Counter(trace.LabeledName("AdmissionTenantShed",
 		"tenant", "t2", "code", "tenant-limit")).Add(5)
 	reg.Histogram(trace.LabeledName("TenantQueryLatency",
-		"tenant", "t1", "outcome", "ok")).Observe(4 * time.Microsecond)
+		"tenant", "t1", "outcome", "ok"), trace.Durations).ObserveDuration(4 * time.Microsecond)
 	reg.Histogram(trace.LabeledName("TenantQueryLatency",
-		"tenant", "t1", "outcome", "shed")).Observe(90 * time.Microsecond)
+		"tenant", "t1", "outcome", "shed"), trace.Durations).ObserveDuration(90 * time.Microsecond)
 	// Labeled duration family, the shape of the pipelined executor's
 	// per-direction bus busy time.
 	reg.Duration(trace.LabeledName("BusBusy", "direction", "h2d")).Add(250 * time.Millisecond)

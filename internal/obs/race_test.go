@@ -21,7 +21,7 @@ func TestDetectorWritebackRacesReaders(t *testing.T) {
 	readmits := reg.Counter("CacheReadmits")
 	h2d := reg.Counter("H2DPayloadBytes")
 	d2h := reg.Counter("D2HPayloadBytes")
-	queueWait := reg.Histogram("GPUQueueWait")
+	queueWait := reg.Histogram("GPUQueueWait", trace.Durations)
 	busy := reg.Duration("GPUBusyTime")
 
 	detectors := []*Detector{
@@ -63,7 +63,7 @@ func TestDetectorWritebackRacesReaders(t *testing.T) {
 				readmits.Add(2)
 				h2d.Add(1 << 16)
 				d2h.Add(1 << 12)
-				queueWait.Observe(50 * time.Microsecond)
+				queueWait.ObserveDuration(50 * time.Microsecond)
 				busy.Add(10 * time.Microsecond)
 			}
 		}()

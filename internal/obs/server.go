@@ -40,7 +40,7 @@ const contentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
 //
 //	/metrics        Prometheus text exposition of the registry
 //	/healthz        JSON detector summary; 200 ok / 503 degraded
-//	/debug/snapshot JSON dump of the raw registry snapshot, all six kinds
+//	/debug/snapshot JSON dump of the raw registry snapshot, all five kinds
 //	/debug/spans    JSON of the newest spans, copied from the tracer's ring
 //	/debug/pprof/   the standard Go profiling handlers
 //

@@ -96,8 +96,8 @@ func TestHealthzTransitions(t *testing.T) {
 	}
 }
 
-// /debug/snapshot serves the whole registry: every series of all six kinds,
-// under the keys the endpoint has always used for the first four.
+// /debug/snapshot serves the whole registry: every series of all five kinds,
+// a histogram with the scale its edges and sum are in.
 func TestDebugSnapshotEndpoint(t *testing.T) {
 	reg := goldenRegistry()
 	srv := httptest.NewServer(NewMux(ServerConfig{Registry: reg}))
@@ -110,8 +110,9 @@ func TestDebugSnapshotEndpoint(t *testing.T) {
 		Counters    map[string]int64 `json:"counters"`
 		DurationsNS map[string]int64 `json:"durations_ns"`
 		Histograms  map[string]struct {
+			Scale   string  `json:"scale"`
 			Count   int64   `json:"count"`
-			SumNS   int64   `json:"sum_ns"`
+			Sum     float64 `json:"sum"`
 			Buckets []int64 `json:"buckets"`
 		} `json:"histograms"`
 	}
@@ -121,8 +122,11 @@ func TestDebugSnapshotEndpoint(t *testing.T) {
 	if v.Counters["Aborts"] != 7 || v.DurationsNS["WastedTime"] != int64(1500*time.Millisecond) {
 		t.Fatalf("snapshot = %+v", v)
 	}
-	if h := v.Histograms["GPURunTime"]; h.Count != 4 || h.SumNS == 0 || len(h.Buckets) == 0 {
+	if h := v.Histograms["GPURunTime"]; h.Scale != "duration" || h.Count != 4 || h.Sum == 0 || len(h.Buckets) == 0 {
 		t.Fatalf("histogram = %+v", h)
+	}
+	if h := v.Histograms["EstimateRowsRatio"]; h.Scale != "ratio" || h.Count != 3 || h.Sum != 8.75 {
+		t.Fatalf("ratio histogram = %+v", h)
 	}
 	var got trace.Snapshot
 	if err := json.Unmarshal([]byte(body), &got); err != nil {

@@ -308,7 +308,7 @@ func runOutcome(err error) string {
 // Registration is idempotent, so the hot path is one registry map lookup.
 func (s *Server) noteOutcome(tenant, outcome string, latency time.Duration) {
 	s.reg.Histogram(trace.LabeledName("TenantQueryLatency",
-		"tenant", s.tenantPool.Get(tenant), "outcome", outcome)).Observe(latency)
+		"tenant", s.tenantPool.Get(tenant), "outcome", outcome), trace.Durations).ObserveDuration(latency)
 }
 
 // journalQuery records the query in the slow-query journal when it crosses

@@ -59,9 +59,6 @@ type NodeActuals struct {
 	VT        US `json:"vt_us"`
 	QueueWait US `json:"queue_wait_us"`
 	Transfer  US `json:"transfer_us"`
-	// DecompressBytes is what decoding compressed columns materialized,
-	// summed over the attempts.
-	DecompressBytes int64 `json:"decompress_bytes,omitempty"`
 	// Pipeline fields are set only when the completed attempt ran through
 	// the pipelined chunk executor.
 	PipelineDepth  int     `json:"pipeline_depth,omitempty"`
@@ -91,7 +88,6 @@ func FoldNodes(spans []Span) []NodeActuals {
 		a.VT += US(s.Duration())
 		a.QueueWait += US(s.QueueWait)
 		a.Transfer += US(s.Transfer)
-		a.DecompressBytes += s.DecompressBytes
 		if s.Attempt >= a.final {
 			a.final, a.Processor, a.Op = s.Attempt, s.Proc, s.Op
 		}

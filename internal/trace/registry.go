@@ -15,7 +15,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,120 +83,91 @@ func (g *Gauge) Max(v int64) {
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// histBuckets is the number of power-of-two duration buckets: bucket i counts
-// observations in [2^(i-1), 2^i) microseconds, bucket 0 counts < 1µs.
+// histBuckets is the number of power-of-two buckets of every histogram.
 const histBuckets = 32
 
-// Histogram is an exponential-bucket duration histogram (power-of-two
-// microsecond buckets), atomic like the counters.
+// Scale fixes a histogram's unit and bucket edges when it is registered.
+// Bucket i counts observations below UpperEdge(i) and at or above the edge
+// of bucket i-1; bucket 0 also takes zero and below, the top bucket every
+// observation past its lower edge.
+type Scale string
+
+const (
+	// Durations observes time.Duration values in nanoseconds; bucket i's
+	// upper edge is 2^i µs, so bucket 0 counts what took less than 1µs.
+	Durations Scale = "duration"
+	// Ratios observes dimensionless factors such as estimate/actual; bucket
+	// i's upper edge is 2^(i-16), so a perfect cost model piles everything
+	// into bucket 17, [1, 2), and drift shows as mass sliding toward either
+	// tail. Misestimations of 32768× or worse clamp into the edge buckets.
+	Ratios Scale = "ratio"
+)
+
+// base returns the upper edge of bucket 0 in the histogram's unit.
+func (s Scale) base() float64 {
+	if s == Ratios {
+		return 0x1p-16
+	}
+	return float64(time.Microsecond)
+}
+
+// UpperEdge returns the exclusive upper edge of bucket i in the histogram's
+// unit, i clamped to the buckets there are. The top bucket also absorbs every
+// larger observation, so exporters render its edge as +Inf.
+func (s Scale) UpperEdge(i int) float64 {
+	return math.Ldexp(s.base(), min(max(i, 0), histBuckets-1))
+}
+
+// bucket maps an observation to its bucket index.
+func (s Scale) bucket(v float64) int {
+	switch {
+	case !(v > 0):
+		return 0
+	case v >= s.UpperEdge(histBuckets-2):
+		return histBuckets - 1
+	}
+	_, exp := math.Frexp(v / s.base()) // v/base in [2^(exp-1), 2^exp)
+	return max(exp, 0)
+}
+
+// Histogram is a power-of-two bucket histogram on the scale it was
+// registered with, atomic like the counters.
 type Histogram struct {
 	name    string
+	scale   Scale
 	count   atomic.Int64
-	sumNS   atomic.Int64
+	sum     atomic.Uint64 // float64 bits, in the scale's unit; whole nanoseconds add exactly up to 2^53 (104 days)
 	buckets [histBuckets]atomic.Int64
 }
 
 // Name returns the registered name.
 func (h *Histogram) Name() string { return h.name }
 
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
+// Observe records one observation in the histogram's unit. Zero, negative and
+// NaN observations count as zero: in the lowest bucket, adding nothing to
+// the sum.
+func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
-	h.sumNS.Add(int64(d))
-	h.buckets[bucketOf(d)].Add(1)
+	h.buckets[h.scale.bucket(v)].Add(1)
+	if !(v > 0) {
+		return
+	}
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
-// bucketOf maps a duration to its bucket index.
-func bucketOf(d time.Duration) int {
-	us := uint64(d / time.Microsecond)
-	b := bits.Len64(us) // 0 for <1µs, k for [2^(k-1), 2^k)
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
-}
+// ObserveDuration records one duration on a Durations histogram.
+func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d)) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the accumulated observed time.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
-
-// ratioCenter is the bucket index a ratio of exactly 1.0 falls just above:
-// RatioHistogram bucket i covers [2^(i-1-ratioCenter), 2^(i-ratioCenter)),
-// so bucket ratioCenter+1 is [1, 2) and the range spans 2^-16 … 2^15 around
-// a perfect estimate. Misestimations of 32768× or worse clamp into the edge
-// buckets.
-const ratioCenter = 16
-
-// RatioHistogram is a dimensionless exponential-bucket histogram for
-// estimate/actual ratios (and other log-scale factors). Buckets are powers
-// of two centered on 1.0, so a perfect cost model piles everything into the
-// [1, 2) bucket and drift is visible as mass sliding toward either tail.
-// Atomic like the duration histograms.
-type RatioHistogram struct {
-	name     string
-	count    atomic.Int64
-	sumMilli atomic.Int64 // sum in thousandths, atomically accumulable
-	buckets  [histBuckets]atomic.Int64
-}
-
-// Name returns the registered name.
-func (h *RatioHistogram) Name() string { return h.name }
-
-// Observe records one ratio. Non-positive ratios clamp into the lowest
-// bucket (they mean "no meaningful estimate", not a measurement).
-func (h *RatioHistogram) Observe(r float64) {
-	h.count.Add(1)
-	if r > 0 {
-		h.sumMilli.Add(int64(r * 1000))
-	}
-	h.buckets[ratioBucketOf(r)].Add(1)
-}
-
-// ratioBucketOf maps a ratio to its bucket index: the first bucket whose
-// upper edge exceeds it, the top bucket absorbing overflow.
-func ratioBucketOf(r float64) int {
-	if r <= 0 {
-		return 0
-	}
-	for i := 0; i < histBuckets-1; i++ {
-		if r < ratioEdge(i) {
-			return i
-		}
-	}
-	return histBuckets - 1
-}
-
-// ratioEdge returns the exclusive upper edge of ratio bucket i.
-func ratioEdge(i int) float64 {
-	exp := i - ratioCenter
-	if exp >= 0 {
-		return float64(int64(1) << uint(exp))
-	}
-	return 1 / float64(int64(1)<<uint(-exp))
-}
-
-// RatioBucketUpperEdge returns the exclusive upper edge of ratio bucket i;
-// exporters must render the top bucket as +Inf.
-func RatioBucketUpperEdge(i int) float64 {
-	if i < 0 {
-		i = 0
-	}
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return ratioEdge(i)
-}
-
-// Count returns the number of observations.
-func (h *RatioHistogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the accumulated observed ratio mass.
-func (h *RatioHistogram) Sum() float64 { return float64(h.sumMilli.Load()) / 1000 }
+// Sum returns the observations' total in the histogram's unit.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // FloatGauge is an atomic instantaneous float value (q-error of the last
 // completed query, a drift factor). Stored as IEEE-754 bits.
@@ -225,32 +195,12 @@ func (g *FloatGauge) Max(v float64) {
 // Load returns the current value.
 func (g *FloatGauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// BucketUpperEdge returns the exclusive upper edge of histogram bucket i:
-// 1µs for bucket 0, 2^i µs for bucket i ≥ 1. The top bucket
-// (i = len(Buckets)-1) also absorbs every larger observation, so exporters
-// must render its edge as +Inf rather than the value returned here.
-func BucketUpperEdge(i int) time.Duration {
-	if i <= 0 {
-		return time.Microsecond
-	}
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return time.Duration(1<<uint(i)) * time.Microsecond
-}
-
 // HistogramSnapshot is the frozen state of one histogram.
 type HistogramSnapshot struct {
-	Count   int64         `json:"count"`
-	Sum     time.Duration `json:"sum_ns"`
-	Buckets []int64       `json:"buckets"` // len histBuckets, bucket i = [2^(i-1), 2^i) µs
-}
-
-// RatioSnapshot is the frozen state of one ratio histogram.
-type RatioSnapshot struct {
+	Scale   Scale   `json:"scale"`
 	Count   int64   `json:"count"`
-	Sum     float64 `json:"sum"`
-	Buckets []int64 `json:"buckets"` // len histBuckets, edges from RatioBucketUpperEdge
+	Sum     float64 `json:"sum"`     // in the scale's unit
+	Buckets []int64 `json:"buckets"` // len histBuckets, edges from Scale.UpperEdge
 }
 
 // Snapshot is a frozen view of a registry: counters and gauges by name, plus
@@ -263,7 +213,6 @@ type Snapshot struct {
 	Gauges      map[string]int64             `json:"gauges"`
 	FloatGauges map[string]float64           `json:"float_gauges"`
 	Histograms  map[string]HistogramSnapshot `json:"histograms"`
-	Ratios      map[string]RatioSnapshot     `json:"ratios"`
 }
 
 // Delta returns the change from prev to s: counters, durations, and
@@ -276,7 +225,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		Gauges:      make(map[string]int64, len(s.Gauges)),
 		FloatGauges: make(map[string]float64, len(s.FloatGauges)),
 		Histograms:  make(map[string]HistogramSnapshot, len(s.Histograms)),
-		Ratios:      make(map[string]RatioSnapshot, len(s.Ratios)),
 	}
 	for name, v := range s.Counters {
 		out.Counters[name] = v - prev.Counters[name]
@@ -290,24 +238,10 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	for name, v := range s.FloatGauges {
 		out.FloatGauges[name] = v
 	}
-	for name, h := range s.Ratios {
-		p := prev.Ratios[name]
-		d := RatioSnapshot{
-			Count:   h.Count - p.Count,
-			Sum:     h.Sum - p.Sum,
-			Buckets: make([]int64, len(h.Buckets)),
-		}
-		for i, b := range h.Buckets {
-			if i < len(p.Buckets) {
-				b -= p.Buckets[i]
-			}
-			d.Buckets[i] = b
-		}
-		out.Ratios[name] = d
-	}
 	for name, h := range s.Histograms {
 		p := prev.Histograms[name]
 		d := HistogramSnapshot{
+			Scale:   h.Scale,
 			Count:   h.Count - p.Count,
 			Sum:     h.Sum - p.Sum,
 			Buckets: make([]int64, len(h.Buckets)),
@@ -333,7 +267,6 @@ type Registry struct {
 	gauges      map[string]*Gauge
 	floatGauges map[string]*FloatGauge
 	histograms  map[string]*Histogram
-	ratios      map[string]*RatioHistogram
 }
 
 // NewRegistry creates an empty registry.
@@ -344,7 +277,6 @@ func NewRegistry() *Registry {
 		gauges:      make(map[string]*Gauge),
 		floatGauges: make(map[string]*FloatGauge),
 		histograms:  make(map[string]*Histogram),
-		ratios:      make(map[string]*RatioHistogram),
 	}
 }
 
@@ -387,15 +319,20 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, registering it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
+// Histogram returns the named histogram, registering it on first use with
+// the given scale. Asking again under another scale panics, like asking under
+// another kind.
+func (r *Registry) Histogram(name string, scale Scale) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.histograms[name]; ok {
+		if h.scale != scale {
+			panic(fmt.Sprintf("trace: histogram %q already registered on the %s scale", name, h.scale))
+		}
 		return h
 	}
 	r.checkFresh(name, "histogram")
-	h := &Histogram{name: name}
+	h := &Histogram{name: name, scale: scale}
 	r.histograms[name] = h
 	return h
 }
@@ -413,19 +350,6 @@ func (r *Registry) FloatGauge(name string) *FloatGauge {
 	return g
 }
 
-// Ratio returns the named ratio histogram, registering it on first use.
-func (r *Registry) Ratio(name string) *RatioHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.ratios[name]; ok {
-		return h
-	}
-	r.checkFresh(name, "ratio")
-	h := &RatioHistogram{name: name}
-	r.ratios[name] = h
-	return h
-}
-
 // checkFresh panics when name is already registered under a different metric
 // kind — always a naming bug, and silently returning a second metric would
 // split the series.
@@ -439,7 +363,6 @@ func (r *Registry) checkFresh(name, kind string) {
 		{"gauge", r.gauges[name] != nil},
 		{"floatgauge", r.floatGauges[name] != nil},
 		{"histogram", r.histograms[name] != nil},
-		{"ratio", r.ratios[name] != nil},
 	}
 	for _, k := range kinds {
 		if k.has && k.label != kind {
@@ -458,7 +381,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:      make(map[string]int64, len(r.gauges)),
 		FloatGauges: make(map[string]float64, len(r.floatGauges)),
 		Histograms:  make(map[string]HistogramSnapshot, len(r.histograms)),
-		Ratios:      make(map[string]RatioSnapshot, len(r.ratios)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Load()
@@ -473,18 +395,11 @@ func (r *Registry) Snapshot() Snapshot {
 		s.FloatGauges[name] = g.Load()
 	}
 	for name, h := range r.histograms {
-		hs := HistogramSnapshot{Count: h.Count(), Sum: h.Sum(), Buckets: make([]int64, histBuckets)}
+		hs := HistogramSnapshot{Scale: h.scale, Count: h.Count(), Sum: h.Sum(), Buckets: make([]int64, histBuckets)}
 		for i := range h.buckets {
 			hs.Buckets[i] = h.buckets[i].Load()
 		}
 		s.Histograms[name] = hs
-	}
-	for name, h := range r.ratios {
-		rs := RatioSnapshot{Count: h.Count(), Sum: h.Sum(), Buckets: make([]int64, histBuckets)}
-		for i := range h.buckets {
-			rs.Buckets[i] = h.buckets[i].Load()
-		}
-		s.Ratios[name] = rs
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -42,22 +43,38 @@ func TestGaugeMax(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewRegistry().Histogram("OpRuntimeGPU")
+	h := NewRegistry().Histogram("OpRuntimeGPU", Durations)
 	for _, d := range []time.Duration{500 * time.Nanosecond, time.Microsecond,
 		3 * time.Microsecond, 100 * time.Microsecond, 2 * time.Millisecond} {
-		h.Observe(d)
+		h.ObserveDuration(d)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("count = %d", h.Count())
 	}
 	wantSum := 500*time.Nanosecond + time.Microsecond + 3*time.Microsecond +
 		100*time.Microsecond + 2*time.Millisecond
-	if h.Sum() != wantSum {
-		t.Fatalf("sum = %v, want %v", h.Sum(), wantSum)
+	if h.Sum() != float64(wantSum) {
+		t.Fatalf("sum = %v ns, want %v", h.Sum(), wantSum)
 	}
-	h.Observe(-time.Second) // clamps to zero, never a negative bucket
-	if h.Count() != 6 {
-		t.Fatalf("negative observation dropped")
+	h.ObserveDuration(-time.Second) // clamps to zero, never a negative bucket
+	if h.Count() != 6 || h.Sum() != float64(wantSum) {
+		t.Fatalf("negative observation: count %d, sum %v ns", h.Count(), h.Sum())
+	}
+}
+
+// A Ratios histogram sums its observations exactly: three 0.0004 ratios add
+// 0.0012, not the 0 a sum kept in thousandths truncates them to.
+func TestRatiosHistogramSumsExactly(t *testing.T) {
+	h := NewRegistry().Histogram("EstimateRowsRatio", Ratios)
+	var want float64
+	for range 3 {
+		h.Observe(0.0004)
+		want += 0.0004
+	}
+	h.Observe(0)  // no meaningful estimate: counted, adds nothing
+	h.Observe(-1) // likewise
+	if h.Count() != 5 || h.Sum() != want {
+		t.Fatalf("count %d, sum %v, want 5 and %v", h.Count(), h.Sum(), want)
 	}
 }
 
@@ -71,18 +88,18 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	// lowest and highest non-empty buckets, and how many buckets are in use.
 	edges := func(ds ...time.Duration) (lo, hi time.Duration, used int) {
 		r := NewRegistry()
-		h := r.Histogram("h")
+		h := r.Histogram("h", Durations)
 		for _, d := range ds {
-			h.Observe(d)
+			h.ObserveDuration(d)
 		}
 		for i, n := range r.Snapshot().Histograms["h"].Buckets {
 			if n == 0 {
 				continue
 			}
 			if used++; used == 1 {
-				lo = BucketUpperEdge(i)
+				lo = time.Duration(Durations.UpperEdge(i))
 			}
-			hi = BucketUpperEdge(i)
+			hi = time.Duration(Durations.UpperEdge(i))
 		}
 		return lo, hi, used
 	}
@@ -111,38 +128,53 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	})
 	t.Run("saturated-top-bucket", func(t *testing.T) {
 		// Far beyond the largest edge: clamps into the top bucket.
-		if lo, _, _ := edges(1 << 62); lo != BucketUpperEdge(histBuckets-1) {
-			t.Fatalf("edge = %v, want the clamped top edge %v", lo, BucketUpperEdge(histBuckets-1))
+		if lo, _, _ := edges(1 << 62); lo != time.Duration(Durations.UpperEdge(histBuckets-1)) {
+			t.Fatalf("edge = %v, want the clamped top edge %v", lo, Durations.UpperEdge(histBuckets-1))
 		}
 	})
 }
 
 func TestBucketUpperEdge(t *testing.T) {
 	cases := []struct {
+		s    Scale
 		i    int
-		want time.Duration
+		want float64
 	}{
-		{-1, time.Microsecond},
-		{0, time.Microsecond},
-		{1, 2 * time.Microsecond},
-		{7, 128 * time.Microsecond},
-		{histBuckets - 1, time.Duration(1<<uint(histBuckets-1)) * time.Microsecond},
-		{histBuckets + 5, time.Duration(1<<uint(histBuckets-1)) * time.Microsecond},
+		{Durations, -1, float64(time.Microsecond)},
+		{Durations, 0, float64(time.Microsecond)},
+		{Durations, 1, float64(2 * time.Microsecond)},
+		{Durations, 7, float64(128 * time.Microsecond)},
+		{Durations, histBuckets - 1, float64(time.Duration(1<<uint(histBuckets-1)) * time.Microsecond)},
+		{Durations, histBuckets + 5, float64(time.Duration(1<<uint(histBuckets-1)) * time.Microsecond)},
+		{Ratios, 0, 1.0 / 65536},
+		{Ratios, 16, 1}, // bucket 17 is [1, 2): a perfect estimate
+		{Ratios, 17, 2},
+		{Ratios, histBuckets - 1, 32768},
 	}
 	for _, c := range cases {
-		if got := BucketUpperEdge(c.i); got != c.want {
-			t.Fatalf("BucketUpperEdge(%d) = %v, want %v", c.i, got, c.want)
+		if got := c.s.UpperEdge(c.i); got != c.want {
+			t.Fatalf("%s UpperEdge(%d) = %v, want %v", c.s, c.i, got, c.want)
 		}
 	}
-	// Edges must agree with bucketOf: an observation just below the edge
-	// lands in the bucket, one at the edge lands in the next.
-	for i := 0; i < histBuckets-1; i++ {
-		edge := BucketUpperEdge(i)
-		if got := bucketOf(edge - time.Microsecond); got > i {
-			t.Fatalf("bucketOf(edge-1µs) = %d for bucket %d", got, i)
+	// Edges must agree with bucket: an observation just below the edge lands
+	// in the bucket, one at the edge in the next.
+	for _, s := range []Scale{Durations, Ratios} {
+		for i := 0; i < histBuckets-1; i++ {
+			edge := s.UpperEdge(i)
+			if got := s.bucket(math.Nextafter(edge, 0)); got != i {
+				t.Fatalf("%s: bucket(just below edge %d) = %d", s, i, got)
+			}
+			if got := s.bucket(edge); got != i+1 {
+				t.Fatalf("%s: bucket(edge %d) = %d, want %d", s, i, got, i+1)
+			}
 		}
-		if got := bucketOf(edge); got != i+1 {
-			t.Fatalf("bucketOf(edge) = %d, want %d", got, i+1)
+		for _, v := range []float64{0, -1, math.NaN()} {
+			if got := s.bucket(v); got != 0 {
+				t.Fatalf("%s: bucket(%v) = %d, want 0", s, v, got)
+			}
+		}
+		if got := s.bucket(math.Inf(1)); got != histBuckets-1 {
+			t.Fatalf("%s: bucket(+Inf) = %d, want the top bucket", s, got)
 		}
 	}
 }
@@ -152,18 +184,18 @@ func TestSnapshotDelta(t *testing.T) {
 	c := r.Counter("ops")
 	d := r.Duration("busy")
 	g := r.Gauge("depth")
-	h := r.Histogram("lat")
+	h := r.Histogram("lat", Durations)
 
 	c.Add(3)
 	d.Add(time.Millisecond)
 	g.Set(7)
-	h.Observe(time.Microsecond)
+	h.ObserveDuration(time.Microsecond)
 	before := r.Snapshot()
 
 	c.Add(2)
 	d.Add(time.Millisecond)
 	g.Set(9)
-	h.Observe(2 * time.Microsecond)
+	h.ObserveDuration(2 * time.Microsecond)
 	after := r.Snapshot()
 
 	delta := after.Delta(before)
@@ -177,7 +209,7 @@ func TestSnapshotDelta(t *testing.T) {
 		t.Fatalf("gauge delta must be instantaneous, got %d", delta.Gauges["depth"])
 	}
 	hd := delta.Histograms["lat"]
-	if hd.Count != 1 || hd.Sum != 2*time.Microsecond {
+	if hd.Scale != Durations || hd.Count != 1 || hd.Sum != float64(2*time.Microsecond) {
 		t.Fatalf("hist delta count=%d sum=%v", hd.Count, hd.Sum)
 	}
 	var buckets int64
@@ -200,6 +232,17 @@ func TestRegistryKindClash(t *testing.T) {
 	r.Gauge("x")
 }
 
+func TestRegistryScaleClash(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("x", Durations)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a histogram under another scale must panic")
+		}
+	}()
+	r.Histogram("x", Ratios)
+}
+
 // TestRegistryConcurrent exercises every metric kind from parallel
 // goroutines; under -race this pins the atomicity the chaos suite relies on
 // when it runs engines from test goroutines.
@@ -214,12 +257,12 @@ func TestRegistryConcurrent(t *testing.T) {
 			c := r.Counter("ops")
 			d := r.Duration("busy")
 			g := r.Gauge("hw")
-			h := r.Histogram("lat")
+			h := r.Histogram("lat", Durations)
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				d.Add(time.Microsecond)
 				g.Max(int64(i))
-				h.Observe(time.Duration(i) * time.Microsecond)
+				h.ObserveDuration(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
 					_ = r.Snapshot()
 				}
@@ -236,7 +279,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Gauge("hw").Load(); got != perWorker-1 {
 		t.Fatalf("gauge max = %d, want %d", got, perWorker-1)
 	}
-	if got := r.Histogram("lat").Count(); got != workers*perWorker {
+	if got := r.Histogram("lat", Durations).Count(); got != workers*perWorker {
 		t.Fatalf("hist count = %d", got)
 	}
 }

@@ -67,11 +67,6 @@ type Span struct {
 	// OutBytes is the actual output byte footprint of a completed attempt
 	// (0 for aborted attempts and query-level spans).
 	OutBytes int64
-	// DecompressBytes is the number of bytes materialized by decoding
-	// compressed columns during the attempt's kernel (best-effort: the
-	// decode meter is process-wide, so concurrent engines in one process
-	// may cross-attribute; within one engine the attribution is exact).
-	DecompressBytes int64
 	// PipelineDepth is the buffered-chunk bound of a pipelined operator
 	// attempt (0 for serial attempts, chunk-stage spans, and query spans).
 	PipelineDepth int

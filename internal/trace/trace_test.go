@@ -146,7 +146,7 @@ var (
 			Proc: "gpu", Node: 1, Start: 1, End: time.Millisecond + 1,
 			QueueWait: 2*time.Microsecond + 1, Transfer: 100*time.Microsecond + 7,
 			HeapHighWater: 4096, KernelWorkers: 2, MorselCount: 5, Tenant: "gold",
-			Rows: 1234, OutBytes: 9872, DecompressBytes: 640,
+			Rows: 1234, OutBytes: 9872,
 			PipelineDepth: 2, ChunkCount: 4, CPUChunks: 1, Overlap: 1.0 / 3},
 		{Query: "q0001", Name: "q0001/op002", Op: "join(a=b)", Class: "join",
 			Proc: "gpu", Node: 2, Start: time.Millisecond, End: 1500 * time.Microsecond,

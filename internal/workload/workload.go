@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"robustdb/internal/bus"
 	"robustdb/internal/exec"
 	"robustdb/internal/placement"
 	"robustdb/internal/plan"
@@ -232,10 +231,10 @@ func Run(cat *table.Catalog, cfg exec.Config, strat Strategy, spec Spec) (*exec.
 	if runErr != nil {
 		return e, Result{}, runErr
 	}
-	result.H2DTime = e.Bus.Link(bus.HostToDevice).BusyTime()
-	result.D2HTime = e.Bus.Link(bus.DeviceToHost).BusyTime()
-	result.H2DBytes = e.Bus.Link(bus.HostToDevice).Bytes()
-	result.D2HBytes = e.Bus.Link(bus.DeviceToHost).Bytes()
+	result.H2DTime = e.Metrics.BusBusyH2D.Load()
+	result.D2HTime = e.Metrics.BusBusyD2H.Load()
+	result.H2DBytes = e.Metrics.H2DBytes.Load()
+	result.D2HBytes = e.Metrics.D2HBytes.Load()
 	result.Aborts = e.Metrics.Aborts.Load()
 	result.WastedTime = e.Metrics.WastedTime.Load()
 	result.GPUOperators = e.Metrics.GPUOperators.Load()

@@ -20,10 +20,10 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
-	"robustdb/internal/bus"
 	"robustdb/internal/column"
 	"robustdb/internal/exec"
 	"robustdb/internal/faults"
@@ -289,12 +289,9 @@ func checkLaws(t *testing.T, c judgeCell, r *judgeRun) (ooms int, morsels bool) 
 			completed++
 		}
 	}
-	h2d, d2h := e.Bus.Link(bus.HostToDevice), e.Bus.Link(bus.DeviceToHost)
-	busiest := max(e.GPU.Server.BusyTime()+e.GPU.Server.StalledTime(), e.CPU.Server.BusyTime(), h2d.BusyTime(), d2h.BusyTime())
+	busiest := max(e.GPU.Server.BusyTime()+e.GPU.Server.StalledTime(), e.CPU.Server.BusyTime(), m.BusBusyH2D.Load(), m.BusBusyD2H.Load())
 	law("makespan ≥ busiest resource", r.makespan >= busiest, r.makespan, busiest)
 	law("makespan ≤ Σ attempts, backoffs and copy-backs", r.makespan <= covered, r.makespan, covered)
-	law("link bytes = metered bytes", h2d.Bytes() == m.H2DBytes.Load() && d2h.Bytes() == m.D2HBytes.Load(),
-		h2d.Bytes(), d2h.Bytes(), m.H2DBytes.Load(), m.D2HBytes.Load())
 	law("heap within capacity, empty at the end", e.Heap.HighWater() <= e.Heap.Capacity() && e.Heap.Used() == 0,
 		e.Heap.HighWater(), e.Heap.Capacity(), e.Heap.Used())
 	law("wasted time = Σ aborted spans", m.WastedTime.Load() == wasted, m.WastedTime.Load(), wasted)
@@ -360,8 +357,9 @@ func catalogChecksums(cat *table.Catalog) map[string]uint64 {
 
 // TestJudge runs the grid. vecengine, the independent implementation figs
 // 22–23 compare against, must equal the reference on every catalog, and no
-// base column may change under the cells run over it. The cells run one at a
-// time: the decode meter behind a span's decompressed bytes is process-wide.
+// base column may change under the cells run over it. The catalogs run side
+// by side, each catalog's cells one after another: they share its plan
+// objects, which Critical Path estimates in place.
 func TestJudge(t *testing.T) {
 	cats := judgeCatalogs(t, *judgeSeed)
 	cells, sample := judgeGrid(cats), testing.Short() || raceBuild
@@ -380,13 +378,26 @@ func TestJudge(t *testing.T) {
 		}
 		before[jc] = catalogChecksums(jc.db.cat)
 	}
+	var mu sync.Mutex
 	ooms := map[string]int{} // of the eight-user cells, by catalog and fault schedule
-	for i, c := range cells {
-		c.replay = c.replay || i%5 == 0
-		if n := c.judge(t); c.users > 1 {
-			ooms[fmt.Sprintf("%s/faults=%q", c.cat.name, c.fault)] += n
+	t.Run("cells", func(t *testing.T) {
+		for _, jc := range cats {
+			t.Run(jc.name, func(t *testing.T) {
+				t.Parallel()
+				for i, c := range cells {
+					if c.cat != jc {
+						continue
+					}
+					c.replay = c.replay || i%5 == 0
+					if n := c.judge(t); c.users > 1 {
+						mu.Lock()
+						ooms[fmt.Sprintf("%s/faults=%q", c.cat.name, c.fault)] += n
+						mu.Unlock()
+					}
+				}
+			})
 		}
-	}
+	})
 	for group, n := range ooms {
 		if n == 0 && !sample { // eight users on the half-size device must contend for the heap
 			t.Errorf("%s: vacuous: no out-of-memory abort in its eight-user cells", group)

@@ -42,8 +42,6 @@ type pinnedPlan struct {
 
 // pinnedPlans analyzes every pinned query, each once on a fresh machine with
 // the given kernel workers (half the database cached, the heap twice that).
-// The runs are serial: the decode meter behind decompress_bytes is
-// process-wide, so concurrent runs would cross-attribute it.
 func pinnedPlans(t *testing.T, workers int) []pinnedPlan {
 	t.Helper()
 	var out []pinnedPlan
