@@ -1,8 +1,12 @@
 package robustdb
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"robustdb/internal/sim"
+	"robustdb/internal/workload"
 )
 
 // chaosDB is the SSB database the chaos suite runs against — small enough
@@ -12,19 +16,16 @@ func chaosDB() *DB {
 	return OpenSSB(SSBConfig{SF: 1, RowsPerSF: 4000, Seed: 2})
 }
 
-// chaosSchedules is the fault matrix: each injector kind alone, then all of
-// them combined. Every schedule is seeded, so a failure reproduces exactly.
+// chaosSchedules is the fault matrix: allocator, transfer and reset faults
+// alone, then all three combined (a stuck kernel only a deadline ends; its
+// tests are internal/exec's). Every schedule is seeded, so a failure
+// reproduces exactly.
 func chaosSchedules() map[string]FaultConfig {
 	return map[string]FaultConfig{
 		"alloc-faults":    {Seed: 101, AllocFailRate: 0.3},
 		"transfer-faults": {Seed: 102, TransferFailRate: 0.3},
-		"device-resets":   {Seed: 103, ResetCount: 4, ResetMeanInterval: 500 * time.Microsecond},
-		"slow-kernels":    {Seed: 104, SlowRate: 0.5, SlowFactor: 6},
-		"combined": {
-			Seed: 105, AllocFailRate: 0.15, TransferFailRate: 0.15,
-			ResetCount: 2, ResetMeanInterval: time.Millisecond,
-			SlowRate: 0.2,
-		},
+		"device-resets":   {Seed: 103, ResetCount: 4},
+		"combined":        {Seed: 105, AllocFailRate: 0.15, TransferFailRate: 0.15, ResetCount: 2},
 	}
 }
 
@@ -73,8 +74,7 @@ func TestChaosDegradationBounded(t *testing.T) {
 	chaosSpec.ContinueOnError = true
 	run := dev
 	run.Faults = NewFaultInjector(FaultConfig{
-		Seed: 7, AllocFailRate: 0.2, TransferFailRate: 0.2,
-		ResetCount: 3, ResetMeanInterval: time.Millisecond,
+		Seed: 7, AllocFailRate: 0.2, TransferFailRate: 0.2, ResetCount: 3,
 	})
 	_, ddc, err := db.RunWorkload(run, DataDrivenChopping(), chaosSpec)
 	if err != nil {
@@ -94,31 +94,36 @@ func TestChaosDegradationBounded(t *testing.T) {
 
 // Device resets against the data-driven strategies: the OnReset hook re-pins
 // the placement-managed columns, so the strategy keeps using the device after
-// recovery instead of silently degrading to CPU-only forever.
+// recovery instead of silently degrading to CPU-only forever. The reset comes
+// from a process of its own, mid-run, the way the fault schedule's does.
 func TestChaosResetRepinsDataPlacement(t *testing.T) {
 	db := chaosDB()
-	dev := db.DeviceForWorkingSet(1.0)
-	run := dev
-	run.Faults = NewFaultInjector(FaultConfig{
-		Seed:    11,
-		ResetAt: []time.Duration{2 * time.Millisecond},
-	})
-	e, res, err := db.RunWorkload(run, DataDrivenChopping(), Workload{
-		Queries:         SSBQueries(),
-		Users:           2,
-		TotalQueries:    52, // long enough to straddle the reset
-		ContinueOnError: true,
-	})
+	queries, strat := SSBQueries(), DataDrivenChopping()
+	e, err := workload.NewEngine(db.cat, db.DeviceForWorkingSet(1.0), strat, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DeviceResets != 1 {
-		t.Fatalf("resets = %d, want 1 (run too short to reach the reset?)", res.DeviceResets)
+	const resetAt = 2 * time.Millisecond
+	var gpuBefore int64
+	e.Sim.Spawn("reset", func(p *sim.Proc) {
+		p.Hold(resetAt)
+		gpuBefore = e.Metrics.GPUOperators.Load()
+		e.DeviceReset()
+	})
+	for u := range 2 {
+		e.Sim.Spawn(fmt.Sprintf("user%02d", u), func(p *sim.Proc) {
+			for i := u; i < 52; i += 2 { // long enough to straddle the reset
+				_, _, _ = e.RunQuery(p, queries[i%len(queries)].Plan, strat.Placer)
+			}
+		})
+	}
+	if end := e.Sim.Run(); end <= resetAt {
+		t.Fatalf("the run ended at %v, before the reset", end)
 	}
 	if e.Cache.Len() == 0 {
 		t.Fatal("cache empty after reset: OnReset re-pin did not run")
 	}
-	if res.GPUOperators == 0 {
+	if e.Metrics.GPUOperators.Load() == gpuBefore {
 		t.Fatal("no GPU operators after reset: device never came back")
 	}
 }

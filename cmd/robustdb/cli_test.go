@@ -151,7 +151,7 @@ func TestFlagTable(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update-golden", false, "rewrite testdata/usage.golden")
+var update = flag.Bool("update-golden", false, "rewrite the goldens under testdata")
 
 // TestUsageGolden pins -h. The one machine-dependent default is made
 // constant first.
@@ -173,5 +173,32 @@ func TestUsageGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("-h differs from %s (go test ./cmd/robustdb -run TestUsageGolden -update-golden rewrites it):\n%s", golden, got)
+	}
+}
+
+// TestChaosGolden pins the seeded fault schedule of a batch run: every
+// strategy's line under alloc, transfer, reset and stuck faults at once. A
+// change that moves one fault draw, or what the engine does with it, moves a
+// digit here.
+func TestChaosGolden(t *testing.T) {
+	args := []string{"-bench", "ssb", "-sf", "1", "-rows", "3000", "-strategy", "all", "-users", "4", "-total", "26",
+		"-fault-seed", "7", "-fault-alloc", "0.1", "-fault-transfer", "0.1", "-fault-resets", "3", "-fault-stuck", "0.05",
+		"-deadline", "200ms", "-log-level", "error"}
+	var stdout, stderr bytes.Buffer
+	if status := run(args, &stdout, &stderr); status != 0 {
+		t.Fatalf("exit status %d\nstderr: %s", status, &stderr)
+	}
+	golden := filepath.Join("testdata", "chaos.golden")
+	if *update {
+		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("the chaos run differs from %s (go test ./cmd/robustdb -run TestChaosGolden -update-golden rewrites it):\n%s", golden, &stdout)
 	}
 }

@@ -312,6 +312,11 @@ func New(cfg Config) *Controller {
 // Policy returns the configured policy.
 func (c *Controller) Policy() Policy { return c.cfg.Policy }
 
+// TenantLabel returns the bounded label value that names tenant in the
+// controller's per-tenant series. A front door that labels its own
+// per-tenant series with it names each tenant alike in every family.
+func (c *Controller) TenantLabel(tenant string) string { return c.m.tenantPool.Get(tenant) }
+
 // tenant returns (creating on first contact) the tenant's state.
 func (c *Controller) tenant(name string) *tenantState {
 	ts, ok := c.tenants[name]

@@ -44,8 +44,6 @@ type Link struct {
 	latency   time.Duration
 	slot      *sim.Pool // serializes transfers FIFO
 	meters    Meters
-	transfers int64
-	faults    int64
 }
 
 // ByteMeter and TimeMeter are the minimal sinks a link counts into. They are
@@ -120,8 +118,8 @@ func (b *Bus) SetTransferHook(h TransferHook) { b.hook = h }
 // TryTransfer moves n bytes in direction d on behalf of process p, blocking
 // in virtual time for queueing + latency + n/bandwidth. Zero-byte transfers
 // are free and do not touch the link. An installed TransferHook may fail the
-// transfer: it then occupies the link for its setup latency only, counts on
-// the link's fault counter and moves no payload bytes.
+// transfer: it then occupies the link for its setup latency only and moves no
+// payload bytes.
 func (b *Bus) TryTransfer(p *sim.Proc, d Direction, n int64) error {
 	if n < 0 {
 		panic(fmt.Sprintf("bus: negative transfer %d", n))
@@ -135,14 +133,12 @@ func (b *Bus) TryTransfer(p *sim.Proc, d Direction, n int64) error {
 	if b.hook != nil {
 		if err := b.hook(d, n); err != nil {
 			p.Hold(l.latency)
-			l.faults++
 			l.busy(l.latency)
 			return err
 		}
 	}
 	dur := b.Duration(d, n)
 	p.Hold(dur)
-	l.transfers++
 	l.busy(dur)
 	if l.meters.Bytes != nil {
 		l.meters.Bytes.Add(n)
@@ -172,12 +168,6 @@ func (l *Link) InFlight() int { return l.slot.InUse() }
 
 // Waiting returns the number of transfers queued on the link's FIFO slot.
 func (l *Link) Waiting() int { return l.slot.Waiting() }
-
-// Transfers returns the number of transfers served.
-func (l *Link) Transfers() int64 { return l.transfers }
-
-// Faults returns the number of transfers failed by the fault hook.
-func (l *Link) Faults() int64 { return l.faults }
 
 // Direction returns the link's direction.
 func (l *Link) Direction() Direction { return l.dir }

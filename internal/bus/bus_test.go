@@ -58,8 +58,8 @@ func TestTransferTiming(t *testing.T) {
 		t.Fatalf("done = %v, want %v", done, want)
 	}
 	l := b.Link(HostToDevice)
-	if bytes, busy := m[HostToDevice].bytes.Load(), m[HostToDevice].busy.Load(); bytes != 500 || l.Transfers() != 1 || busy != want {
-		t.Fatalf("accounting: bytes=%d n=%d busy=%v", bytes, l.Transfers(), busy)
+	if bytes, busy := m[HostToDevice].bytes.Load(), m[HostToDevice].busy.Load(); bytes != 500 || busy != want {
+		t.Fatalf("accounting: bytes=%d busy=%v", bytes, busy)
 	}
 	if l.Direction() != HostToDevice || l.InFlight() != 0 || l.Waiting() != 0 {
 		t.Fatal("direction or slot state wrong")
@@ -142,7 +142,7 @@ func TestZeroAndNegativeTransfers(t *testing.T) {
 	if recovered == nil {
 		t.Fatal("negative transfer should panic")
 	}
-	if b.Link(HostToDevice).Transfers() != 0 || m[HostToDevice].busy.Load() != 0 {
+	if m[HostToDevice].bytes.Load() != 0 || m[HostToDevice].busy.Load() != 0 {
 		t.Fatal("zero transfer must not be counted")
 	}
 }
@@ -153,9 +153,8 @@ func TestTryTransferWithoutHook(t *testing.T) {
 	s := sim.New()
 	b := New(s, Config{Bandwidth: 1000, Latency: 0}, [2]Meters{})
 	s.Spawn("t", func(p *sim.Proc) { transfer(t, b, p, DeviceToHost, 1000) })
-	l := b.Link(DeviceToHost)
-	if end := s.Run(); end != time.Second || l.Transfers() != 1 || l.Faults() != 0 {
-		t.Fatalf("unmetered transfer ended at %v after %d transfers, %d faults", end, l.Transfers(), l.Faults())
+	if end := s.Run(); end != time.Second {
+		t.Fatalf("unmetered transfer ended at %v", end)
 	}
 }
 
@@ -179,8 +178,8 @@ func TestBadConfigPanics(t *testing.T) {
 	New(sim.New(), Config{Bandwidth: 0}, [2]Meters{})
 }
 
-// A hook failure charges only the setup latency, counts a fault and moves no
-// payload bytes; once the hook passes, the transfer runs in full.
+// A hook failure charges only the setup latency and moves no payload bytes;
+// once the hook passes, the transfer runs in full.
 func TestTransferHookFault(t *testing.T) {
 	s := sim.New()
 	b, m := newMetered(s, Config{Bandwidth: 1000, Latency: 10 * time.Millisecond})
@@ -219,9 +218,8 @@ func TestTransferHookFault(t *testing.T) {
 	if hookCalls != 2 {
 		t.Fatalf("hook consulted %d times, want 2", hookCalls)
 	}
-	l := b.Link(HostToDevice)
-	if bytes := m[HostToDevice].bytes.Load(); l.Faults() != 1 || l.Transfers() != 1 || bytes != 500 {
-		t.Fatalf("accounting: faults=%d n=%d bytes=%d", l.Faults(), l.Transfers(), bytes)
+	if bytes := m[HostToDevice].bytes.Load(); bytes != 500 {
+		t.Fatalf("accounting: bytes=%d, want the retry's 500 only", bytes)
 	}
 	if busy := m[HostToDevice].busy.Load(); busy != okAt {
 		t.Fatalf("busy time %v, want %v: the failed transfer's latency and the retry's service", busy, okAt)

@@ -33,14 +33,12 @@ type AllocHook func(n int64) error
 
 // Memory is an accounting allocator over a fixed capacity.
 type Memory struct {
-	name         string
-	capacity     int64
-	used         int64
-	highWater    int64
-	failedAllocs int64
-	generation   int64
-	resets       int64
-	hook         AllocHook
+	name       string
+	capacity   int64
+	used       int64
+	highWater  int64
+	generation int64
+	hook       AllocHook
 }
 
 // NewMemory creates an allocator of the given capacity in bytes.
@@ -66,17 +64,12 @@ func (m *Memory) Available() int64 { return m.capacity - m.used }
 // HighWater returns the maximum allocation level observed.
 func (m *Memory) HighWater() int64 { return m.highWater }
 
-// FailedAllocs returns how many allocations were rejected.
-func (m *Memory) FailedAllocs() int64 { return m.failedAllocs }
-
 // SetAllocHook installs (or, with nil, removes) the allocation fault hook.
 func (m *Memory) SetAllocHook(h AllocHook) { m.hook = h }
 
-// Generation returns the reset generation; it increments on every Reset.
+// Generation returns the reset generation: how many times the device was
+// reset.
 func (m *Memory) Generation() int64 { return m.generation }
-
-// Resets returns how many times the device was reset.
-func (m *Memory) Resets() int64 { return m.resets }
 
 // Reset models a full device reset: every allocation is wiped instantly and
 // all outstanding reservations become invalid (their holders observe ErrReset
@@ -85,7 +78,6 @@ func (m *Memory) Resets() int64 { return m.resets }
 func (m *Memory) Reset() {
 	m.used = 0
 	m.generation++
-	m.resets++
 }
 
 // Alloc reserves n bytes or returns ErrOutOfMemory (leaving state unchanged).
@@ -97,12 +89,10 @@ func (m *Memory) Alloc(n int64) error {
 	}
 	if m.hook != nil {
 		if err := m.hook(n); err != nil {
-			m.failedAllocs++
 			return err
 		}
 	}
 	if m.used+n > m.capacity {
-		m.failedAllocs++
 		return fmt.Errorf("%w: %s needs %d bytes, %d free of %d",
 			ErrOutOfMemory, m.name, n, m.Available(), m.capacity)
 	}

@@ -18,7 +18,7 @@ import (
 // retry loop (attempts), the device attempt with its one deferred rollback
 // (runOnGPU), the host attempt (runOnCPU), and what they share — classifying
 // the error that ended an attempt, moving data over the bus, applying the
-// fault schedule's kernel delays, and metering the kernel.
+// fault schedule's kernel stalls, and metering the kernel.
 
 // unit is what one attempt runs: a whole operator over its inputs, or — c
 // non-nil — one chunk of a pipelined operator, a range of its rows.
@@ -98,23 +98,16 @@ func (e *Engine) transferTimed(p *sim.Proc, d bus.Direction, n int64, acc *time.
 	return err
 }
 
-// injectDelay applies the fault schedule's kernel degradation to a device
-// kernel of nominal duration dur: a stuck kernel holds the process while the
-// device makes no progress, a slow one stretches the returned duration. slow
-// reports a stretched run, which must not calibrate the cost learner.
-func (e *Engine) injectDelay(p *sim.Proc, dur time.Duration) (_ time.Duration, slow bool) {
+// stall holds a device kernel for as long as the fault schedule keeps it
+// stuck: the process waits while the device makes no progress.
+func (e *Engine) stall(p *sim.Proc) {
 	if e.injector == nil {
-		return dur, false
+		return
 	}
-	factor, stall := e.injector.OpDelay(p.Now())
-	if stall > 0 {
+	if d := e.injector.OpDelay(p.Now()); d > 0 {
 		e.Metrics.StuckOps.Inc()
-		p.Hold(stall)
+		p.Hold(d)
 	}
-	if factor == 1 {
-		return dur, false
-	}
-	return time.Duration(float64(dur) * factor), true
 }
 
 // runKernel makes one metered kernel call: it folds the context's

@@ -298,8 +298,8 @@ func TestCopyBackFaultRollsBackOnce(t *testing.T) {
 		return fail()
 	})
 	v, st := runQueryOnce(t, e, scanPlan(), fixedPlacer{cost.GPU})
-	if v.OnDevice || v.Batch.NumRows() != 8200 {
-		t.Fatalf("result: onDevice=%v rows=%d", v.OnDevice, v.Batch.NumRows())
+	if v.OnDevice() || v.Batch.NumRows() != 8200 {
+		t.Fatalf("result: onDevice=%v rows=%d", v.OnDevice(), v.Batch.NumRows())
 	}
 	if got := st.Spans[0].Abort; got != "fault" {
 		t.Fatalf("copy-back fault ended the attempt as %q, want fault", got)

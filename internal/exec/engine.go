@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"robustdb/internal/bus"
@@ -65,7 +66,7 @@ type Config struct {
 	ForceCopyBack bool
 	// Faults, when non-nil, injects the configured fault schedule into the
 	// run: the injector's hooks wrap the device heap and the bus, and the
-	// engine polls it for device resets and operator slowdowns.
+	// engine polls it for device resets and stuck kernels.
 	Faults *faults.Injector
 	// QueryDeadline fails any query still running after this much virtual
 	// time, releasing its device reservations (0 = no deadline).
@@ -165,9 +166,6 @@ type Engine struct {
 	pipeDepth     int
 	pipeCoExec    bool
 	pipeChunkRows int
-	// deviceValues registers every device-resident Value so a device reset
-	// can invalidate all of them.
-	deviceValues map[*Value]struct{}
 	// kernels is the morsel worker pool shared by every operator's kernels;
 	// nil when the engine is configured serial (KernelWorkers <= 1).
 	kernels *par.Pool
@@ -232,7 +230,6 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		pipeDepth:     cfg.PipelineDepth,
 		pipeCoExec:    cfg.PipelineCoExec,
 		pipeChunkRows: cfg.PipelineChunkRows,
-		deviceValues:  make(map[*Value]struct{}),
 	}
 	if cfg.KernelWorkers > 1 {
 		e.kernels = par.New(cfg.KernelWorkers)
@@ -255,16 +252,11 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 }
 
 // DeviceReset performs a full device reset: the heap is wiped (invalidating
-// every outstanding reservation), the column cache is flushed, and every
-// device-resident intermediate loses its device copy — its data survives on
-// the host, where the batch is authoritative. The health tracker records the
-// reset as an infrastructure fault.
+// every outstanding reservation, and with it every device-resident
+// intermediate's device copy — its data survives on the host, where the batch
+// is authoritative), and the column cache is flushed. The health tracker
+// records the reset as an infrastructure fault.
 func (e *Engine) DeviceReset() {
-	for v := range e.deviceValues {
-		v.OnDevice = false
-		v.res = nil
-		delete(e.deviceValues, v)
-	}
 	e.Cache.Flush()
 	e.Heap.Reset()
 	e.Metrics.DeviceResets.Inc()
@@ -289,27 +281,6 @@ func (e *Engine) pollReset(now time.Duration) bool {
 		return true
 	}
 	return false
-}
-
-// newDeviceValue registers a freshly produced device-resident result.
-func (e *Engine) newDeviceValue(batch *engine.Batch, res *device.Reservation) *Value {
-	v := &Value{Batch: batch, OnDevice: true, res: res}
-	e.deviceValues[v] = struct{}{}
-	return v
-}
-
-// dropDevice releases a value's device copy (if any) and marks it
-// host-resident. Safe to call on host-resident values and after resets.
-func (e *Engine) dropDevice(v *Value) {
-	if !v.OnDevice {
-		return
-	}
-	if v.res != nil {
-		v.res.Release()
-	}
-	v.OnDevice = false
-	v.res = nil
-	delete(e.deviceValues, v)
 }
 
 // NoteCatalogError surfaces a swallowed catalog lookup failure: placement
@@ -367,9 +338,21 @@ type Placer interface {
 
 // Value is a materialized intermediate result and its current location.
 type Value struct {
-	Batch    *engine.Batch
-	OnDevice bool
-	res      *device.Reservation // holds the device copy while OnDevice
+	Batch *engine.Batch
+	res   *device.Reservation // holds the device copy, nil for a host value
+}
+
+// OnDevice reports whether the value has a device copy: a reservation that no
+// device reset has invalidated since the device produced the value.
+func (v *Value) OnDevice() bool { return v.res != nil && v.res.Valid() }
+
+// dropDevice releases the value's device copy, if any, leaving it
+// host-resident. Safe on host-resident values and after resets.
+func (v *Value) dropDevice() {
+	if v.res != nil {
+		v.res.Release()
+		v.res = nil
+	}
 }
 
 // Bytes returns the footprint of the value.
@@ -391,39 +374,10 @@ func (e *Engine) InputBytes(n *plan.Node, inputs []*Value) (int64, error) {
 	return in, nil
 }
 
-// TransferInEstimate estimates the bus seconds needed to make the inputs of
-// n resident on kind: uncached base columns and host-resident intermediates
-// for the GPU, device-resident intermediates for the CPU.
-func (e *Engine) TransferInEstimate(kind cost.ProcKind, n *plan.Node, inputs []*Value) float64 {
-	var bytes int64
-	if kind == cost.GPU {
-		for _, id := range n.Op.BaseColumns() {
-			if !e.Cache.Contains(id) {
-				if b, err := e.Cat.ColumnBytes(id); err == nil {
-					bytes += b
-				} else {
-					// Estimating zero bytes keeps the decision safe; the
-					// lookup failure itself must not vanish.
-					e.NoteCatalogError(err)
-				}
-			}
-		}
-		for _, v := range inputs {
-			if !v.OnDevice {
-				bytes += v.Bytes()
-			}
-		}
-	} else {
-		for _, v := range inputs {
-			if v.OnDevice {
-				bytes += v.Bytes()
-			}
-		}
-	}
-	if bytes == 0 {
-		return 0
-	}
-	return e.Bus.Duration(bus.HostToDevice, bytes).Seconds()
+// uncachedInput reports whether n reads a base column the device cache does
+// not hold: a GPU placement of n would upload it.
+func (e *Engine) uncachedInput(n *plan.Node) bool {
+	return slices.ContainsFunc(n.Op.BaseColumns(), func(id table.ColumnID) bool { return !e.Cache.Contains(id) })
 }
 
 // nextQueryID hands out unique query names for deterministic process naming.

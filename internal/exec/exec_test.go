@@ -36,7 +36,7 @@ func (hostAwarePlacer) Name() string                                          { 
 func (hostAwarePlacer) CompileTime(*Engine, *plan.Plan) map[int]cost.ProcKind { return nil }
 func (hostAwarePlacer) RunTime(_ *Engine, _ *plan.Node, inputs []*Value) cost.ProcKind {
 	for _, v := range inputs {
-		if !v.OnDevice {
+		if !v.OnDevice() {
 			return cost.CPU
 		}
 	}
@@ -153,7 +153,7 @@ func TestGPURunMatchesCPUResult(t *testing.T) {
 		t.Fatalf("gpu ops=%d aborts=%d", eGPU.Metrics.GPUOperators.Load(), eGPU.Metrics.Aborts.Load())
 	}
 	// The root result must have been copied back.
-	if vGPU.OnDevice {
+	if vGPU.OnDevice() {
 		t.Fatal("root result must be host-resident")
 	}
 	if eGPU.Metrics.D2HBytes.Load() == 0 {
@@ -391,37 +391,25 @@ func TestProcessorAccessor(t *testing.T) {
 	}
 }
 
-func TestTransferInEstimate(t *testing.T) {
+// A leaf reads an uncached input until the cache holds every column it reads;
+// an operator over intermediates reads none.
+func TestUncachedInput(t *testing.T) {
 	cat := testCatalog(1000)
 	e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})
 	pl := testPlan()
 	scan := pl.Leaves()[0]
-	// Nothing cached: GPU estimate positive, CPU estimate zero.
-	if e.TransferInEstimate(cost.GPU, scan, nil) <= 0 {
-		t.Fatal("uncached GPU estimate should be positive")
+	if !e.uncachedInput(scan) {
+		t.Fatal("a leaf over an empty cache reads no uncached column")
 	}
-	if e.TransferInEstimate(cost.CPU, scan, nil) != 0 {
-		t.Fatal("CPU estimate with host data should be zero")
-	}
-	// Cached: GPU estimate zero.
-	for _, id := range scan.Op.BaseColumns() {
+	cols := scan.Op.BaseColumns()
+	for i, id := range cols {
 		b, _ := cat.ColumnBytes(id)
 		e.Cache.Insert(id, b)
+		if got := e.uncachedInput(scan); got != (i < len(cols)-1) {
+			t.Fatalf("%d of %d columns cached: uncached input %v", i+1, len(cols), got)
+		}
 	}
-	if e.TransferInEstimate(cost.GPU, scan, nil) != 0 {
-		t.Fatal("cached GPU estimate should be zero")
+	if e.uncachedInput(pl.Root) {
+		t.Fatal("the root reads no base column")
 	}
-	// Device-resident input must be counted for CPU.
-	res := e.Heap.Reserve()
-	if err := res.Grow(100); err != nil {
-		t.Fatal(err)
-	}
-	v := &Value{Batch: engine.MustNewBatch(column.NewInt64("x", []int64{1})), OnDevice: true, res: res}
-	if e.TransferInEstimate(cost.CPU, pl.Root, []*Value{v}) <= 0 {
-		t.Fatal("device input should cost a D2H transfer for CPU")
-	}
-	if e.TransferInEstimate(cost.GPU, pl.Root, []*Value{v}) != 0 {
-		t.Fatal("device input should be free for GPU")
-	}
-	res.Release()
 }

@@ -264,7 +264,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, u unit) (v *Value, st trace.Span, aborted
 	}
 	for _, in := range u.inputs {
 		inBytes += in.Bytes()
-		if in.OnDevice {
+		if in.OnDevice() {
 			continue // produced by a GPU child, already resident
 		}
 		if serr := stream(in.Bytes()); serr != nil {
@@ -297,7 +297,8 @@ func (e *Engine) runOnGPU(p *sim.Proc, u unit) (v *Value, st trace.Span, aborted
 	// behind heap contention (Figures 3 and 20).
 	work := cost.Work(inBytes, outBytes)
 	footprint := e.Params.HeapFootprint(n.Op.Class(), inBytes, outBytes)
-	dur, slow := e.injectDelay(p, e.Params.OpDuration(n.Op.Class(), cost.GPU, work))
+	e.stall(p)
+	dur := e.Params.OpDuration(n.Op.Class(), cost.GPU, work)
 	t0 := p.Now()
 	for _, phase := range heapPhases {
 		if aerr := res.Grow(int64(float64(footprint) * phase.allocFraction)); aerr != nil {
@@ -315,14 +316,8 @@ func (e *Engine) runOnGPU(p *sim.Proc, u unit) (v *Value, st trace.Span, aborted
 		c.stage(p, "compute", "gpu", t0, dur)
 		c.gpuWork += work
 		c.gpuCompute += p.Now() - t0
-		c.anySlow = c.anySlow || slow
 	} else {
-		if slow {
-			// Degraded runs would poison the learner's calibration.
-			e.Metrics.OperatorRuns.Inc()
-		} else {
-			e.observe(n.Op.Class(), cost.GPU, work, p.Now()-t0)
-		}
+		e.observe(n.Op.Class(), cost.GPU, work, p.Now()-t0)
 		e.Metrics.GPUOperators.Inc()
 	}
 	e.Metrics.HeapHighWater.Max(e.Heap.HighWater())
@@ -334,7 +329,7 @@ func (e *Engine) runOnGPU(p *sim.Proc, u unit) (v *Value, st trace.Span, aborted
 	}
 	refs = nil
 	for _, in := range u.inputs {
-		e.dropDevice(in)
+		in.dropDevice()
 	}
 	if held := res.Held(); held >= outBytes {
 		res.ReleasePartial(held - outBytes)
@@ -352,9 +347,9 @@ func (e *Engine) runOnGPU(p *sim.Proc, u unit) (v *Value, st trace.Span, aborted
 			c.stage(p, "download", "gpu", t0, e.Bus.Duration(bus.DeviceToHost, outBytes))
 		}
 		res.Release()
-		return &Value{Batch: result, OnDevice: false}, st, abortNone, nil
+		return &Value{Batch: result}, st, abortNone, nil
 	}
-	return e.newDeviceValue(result, res), st, abortNone, nil
+	return &Value{Batch: result, res: res}, st, abortNone, nil
 }
 
 // runOnCPU executes u on the host. Device-resident inputs are copied back
@@ -398,7 +393,7 @@ func (e *Engine) runOnCPU(p *sim.Proc, u unit) (*Value, trace.Span, error) {
 	}
 	e.observe(n.Op.Class(), cost.CPU, work, p.Now()-t0)
 	e.Metrics.CPUOperators.Inc()
-	return &Value{Batch: result, OnDevice: false}, st, nil
+	return &Value{Batch: result}, st, nil
 }
 
 // kernel runs u's kernel: the operator's over its inputs, or FilterChunk
@@ -429,10 +424,10 @@ func (e *Engine) kernel(st *trace.Span, u unit) (*engine.Batch, int64, error) {
 // fails the query, whose cleanup releases the device copy.
 func (e *Engine) pullToHost(p *sim.Proc, v *Value) (time.Duration, error) {
 	var busTime time.Duration
-	for attempt := 0; v.OnDevice; attempt++ {
+	for attempt := 0; v.OnDevice(); attempt++ {
 		err := e.transferTimed(p, bus.DeviceToHost, v.Bytes(), &busTime)
 		if err == nil {
-			e.dropDevice(v)
+			v.dropDevice()
 			break
 		}
 		kind := e.classify(err)

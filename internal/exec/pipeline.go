@@ -58,7 +58,7 @@ func (e *Engine) pipelinePlanFor(n *plan.Node) (chunkPlan, bool) {
 		return chunkPlan{}, false
 	}
 	op, ok := n.Op.(plan.ChunkableOp)
-	if !ok || e.TransferInEstimate(cost.GPU, n, nil) == 0 {
+	if !ok || !e.uncachedInput(n) {
 		return chunkPlan{}, false
 	}
 	info, err := op.ChunkInfo(e.Cat)
@@ -119,7 +119,6 @@ type pipeRun struct {
 	err       error
 
 	cpuChunks  int64
-	anySlow    bool
 	transfer   time.Duration // the chunk attempts' bus time (incl. queueing), for the op span
 	maxHeld    int64         // the largest reservation a chunk attempt held, for the op span
 	stageTime  time.Duration // ideal serial stage time (service times, no queueing)
@@ -199,7 +198,7 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node, chunks chunkP
 		q.pipeHidden += hidden
 	}
 
-	if kind == cost.GPU && !r.anySlow && r.gpuCompute > 0 {
+	if kind == cost.GPU && r.gpuCompute > 0 {
 		e.observe(n.Op.Class(), cost.GPU, r.gpuWork, r.gpuCompute)
 	} else {
 		e.Metrics.OperatorRuns.Inc()
@@ -217,7 +216,7 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node, chunks chunkP
 	// Chunk results streamed back to the host as they completed, so the
 	// stitched value is host-resident (the transfer cost is already paid —
 	// nothing is saved by leaving a copy on the device).
-	return &Value{Batch: result, OnDevice: false}, nil
+	return &Value{Batch: result}, nil
 }
 
 // runChunk runs chunk i through the attempts of a whole operator: on the

@@ -48,10 +48,10 @@ func TestPipelinedBitIdenticalToSerial(t *testing.T) {
 						// every cell: chunk, retry and CPU-redo spans included.
 						Tracer: trace.New(0),
 					}
-					if withFaults {
-						cfg.Faults = faults.New(faults.Config{Seed: 7, TransferFailRate: 0.2, AllocFailRate: 0.1, Stop: 2 * time.Millisecond})
-					}
 					e := New(cat, cfg)
+					if withFaults {
+						injectUntil(e, faults.New(faults.Config{Seed: 7, TransferFailRate: 0.2, AllocFailRate: 0.1}), 2*time.Millisecond)
+					}
 					got, _ := runQueryOnce(t, e, scanPlan(), fixedPlacer{cost.GPU})
 					requireSameBatch(t, want, got)
 					if used := e.Heap.Used(); used != 0 {

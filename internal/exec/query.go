@@ -294,7 +294,7 @@ func (q *query) runNode(p *sim.Proc, n *plan.Node, kind cost.ProcKind, est float
 		// already executing: fail() released the reservations it knew about,
 		// so storing this result now would leak its device memory. Release
 		// it immediately instead.
-		q.engine.dropDevice(v)
+		v.dropDevice()
 		return
 	}
 	q.values[n.ID()] = v
@@ -349,7 +349,7 @@ func (q *query) fail(err error) {
 	}
 	for _, v := range q.values {
 		if v != nil {
-			q.engine.dropDevice(v)
+			v.dropDevice()
 		}
 	}
 	q.done.Fire()

@@ -7,8 +7,7 @@ import (
 )
 
 // WrapMemory installs the injector's transient-allocation fault hook on a
-// device allocator. The hook consults the simulation clock so the injection
-// window applies.
+// device allocator. The hook reads the simulation clock to stamp the fault.
 func (i *Injector) WrapMemory(s *sim.Sim, m *device.Memory) {
 	m.SetAllocHook(func(n int64) error {
 		return i.AllocFault(s.Now())

@@ -21,6 +21,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"robustdb/internal/cost"
 	"robustdb/internal/engine"
@@ -62,7 +63,7 @@ type Host struct {
 	jobs   chan *job
 	quit   chan struct{}
 	done   chan struct{}
-	seq    chan int64 // capacity 1: holds the next session sequence number
+	seq    atomic.Int64 // the last session sequence number handed out
 }
 
 // NewHost starts the pump goroutine over an engine built elsewhere
@@ -76,9 +77,7 @@ func NewHost(e *exec.Engine, placer exec.Placer) *Host {
 		jobs:   make(chan *job, 256),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
-		seq:    make(chan int64, 1),
 	}
-	h.seq <- 1
 	go h.pump()
 	return h
 }
@@ -87,10 +86,8 @@ func NewHost(e *exec.Engine, placer exec.Placer) *Host {
 // is failed by its virtual-time deadline, or the host shuts down. It is safe
 // from any goroutine.
 func (h *Host) Run(pl *plan.Plan, opts exec.QueryOpts) (*engine.Batch, exec.QueryStats, error) {
-	n := <-h.seq
-	h.seq <- n + 1
 	j := &job{
-		name: fmt.Sprintf("session%06d", n),
+		name: fmt.Sprintf("session%06d", h.seq.Add(1)),
 		plan: pl,
 		opts: opts,
 		done: make(chan jobResult, 1),

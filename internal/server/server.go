@@ -68,11 +68,10 @@ type Server struct {
 
 	journal *journal.Journal // nil = journaling off
 
-	// reg and tenantPool back the per-tenant SLO attribution histograms
-	// (TenantQueryLatency{tenant,outcome}); tenantPool bounds the
-	// client-controlled tenant label's cardinality.
-	reg        *trace.Registry
-	tenantPool *trace.LabelPool
+	// reg backs the per-tenant SLO attribution histograms
+	// (TenantQueryLatency{tenant,outcome}), labelled by the admission
+	// controller's tenant pool.
+	reg *trace.Registry
 }
 
 // planCacheCap bounds the SQL plan cache. The cache key is raw
@@ -192,10 +191,9 @@ func New(cfg Config) (*Server, error) {
 			failed:     reg.Counter("ServerQueryErrors"),
 			succeeded:  reg.Counter("ServerQueriesOK"),
 		},
-		plans:      newPlanCache(planCacheCap, reg),
-		journal:    cfg.Journal,
-		reg:        reg,
-		tenantPool: trace.NewLabelPool(),
+		plans:   newPlanCache(planCacheCap, reg),
+		journal: cfg.Journal,
+		reg:     reg,
 	}, nil
 }
 
@@ -308,7 +306,7 @@ func runOutcome(err error) string {
 // Registration is idempotent, so the hot path is one registry map lookup.
 func (s *Server) noteOutcome(tenant, outcome string, latency time.Duration) {
 	s.reg.Histogram(trace.LabeledName("TenantQueryLatency",
-		"tenant", s.tenantPool.Get(tenant), "outcome", outcome), trace.Durations).ObserveDuration(latency)
+		"tenant", s.ctrl.TenantLabel(tenant), "outcome", outcome), trace.Durations).ObserveDuration(latency)
 }
 
 // journalQuery records the query in the slow-query journal when it crosses

@@ -670,3 +670,44 @@ func TestHTTPExplainEndpoint(t *testing.T) {
 		t.Fatalf("bad SQL explain status = %d", resp.StatusCode)
 	}
 }
+
+// A tenant carries one label value in every per-tenant family of the front
+// door, whichever family first meets it: past the label pool's 16 tenants the
+// admission series and the latency histogram must not disagree on who is
+// "other".
+func TestTenantLabelAgreesAcrossFamilies(t *testing.T) {
+	cat := catalog(t)
+	s := newServer(t, cat, exec.Config{}, func(cfg *server.Config) {
+		cfg.Admission.MaxConcurrent = 1
+		cfg.Admission.MaxQueue = 1
+		cfg.Admission.Policy = admission.FIFO
+	})
+	defer drain(t, s)
+	ctx := context.Background()
+	held, err := s.Admission().Submit("a", 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := held.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// With a's ticket holding the one slot, every other tenant times out in
+	// the queue and is shed.
+	pl := ssb.Queries()[0].Plan
+	for i := range 16 {
+		if _, err := s.Submit(ctx, fmt.Sprintf("t%02d", i), 0, pl, time.Millisecond); err == nil {
+			t.Fatalf("tenant t%02d ran past the held slot", i)
+		}
+	}
+	s.Admission().Release(held)
+	if _, err := s.Submit(ctx, "a", 0, pl, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	reg := s.Engine().Metrics.Registry()
+	if n := reg.Counter(trace.LabeledName("AdmissionTenantAdmitted", "tenant", "a")).Load(); n != 2 {
+		t.Fatalf("the admission series count %d admissions of a, want 2", n)
+	}
+	if n := reg.Histogram(trace.LabeledName("TenantQueryLatency", "tenant", "a", "outcome", "ok"), trace.Durations).Count(); n != 1 {
+		t.Fatalf("the latency histogram holds %d queries of a, want 1", n)
+	}
+}

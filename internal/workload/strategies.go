@@ -294,13 +294,10 @@ func estimateResponse(e *exec.Engine, p *plan.Plan, placement map[int]cost.ProcK
 // transfers — why plain chopping still thrashes the cache and Data-Driven
 // Chopping does not (§6.2.1, Fig 15b) — and the GPU must fit the heap (§4).
 func loadBalanced(e *exec.Engine, n *plan.Node, inputs []*exec.Value) (cost.ProcKind, string) {
-	inBytes, err := e.InputBytes(n, inputs)
-	if err != nil {
-		// CPU is the safe fallback, but the lookup failure must be visible.
-		e.NoteCatalogError(err)
-		return cost.CPU, "catalog-error"
+	inBytes, refusal := sizeUp(e, n, inputs)
+	if refusal == "catalog-error" {
+		return cost.CPU, refusal
 	}
-	// Exact input sizes; the output estimated at input volume.
 	work := cost.Work(inBytes, inBytes)
 	cpuT := e.Outstanding(cost.CPU) +
 		e.Learner.Estimate(n.Op.Class(), cost.CPU, work).Seconds()
@@ -313,9 +310,8 @@ func loadBalanced(e *exec.Engine, n *plan.Node, inputs []*exec.Value) (cost.Proc
 		// reserves heap a chunk at a time, so no whole-operator heap gate.
 		gpuT = e.Outstanding(cost.GPU) + est
 		reason = "load-balance-pipelined"
-	} else if e.Params.HeapFootprint(n.Op.Class(), inBytes, inBytes) > e.Heap.Available() {
-		// Would abort immediately; don't even try.
-		return cost.CPU, "heap-full"
+	} else if refusal != "" {
+		return cost.CPU, refusal
 	}
 	if gpuT <= cpuT {
 		return cost.GPU, reason
@@ -334,18 +330,30 @@ func dataResident(e *exec.Engine, n *plan.Node, inputs []*exec.Value) (cost.Proc
 		}
 	}
 	for _, v := range inputs {
-		if !v.OnDevice {
+		if !v.OnDevice() {
 			return cost.CPU, "input-on-host"
 		}
 	}
-	inBytes, err := e.InputBytes(n, inputs)
-	if err != nil {
-		// CPU is the safe fallback, but the lookup failure must be visible.
-		e.NoteCatalogError(err)
-		return cost.CPU, "catalog-error"
-	}
-	if e.Params.HeapFootprint(n.Op.Class(), inBytes, inBytes) > e.Heap.Available() {
-		return cost.CPU, "heap-full"
+	if _, refusal := sizeUp(e, n, inputs); refusal != "" {
+		return cost.CPU, refusal
 	}
 	return cost.GPU, "data-resident"
+}
+
+// sizeUp is the estimate both run-time rules make of a ready operator: its
+// exact input bytes, with the output estimated at input volume. refusal names
+// why the device cannot take the operator whole, empty when it can:
+// "catalog-error" when an input's size cannot be looked up (the CPU is the
+// safe fallback, and the lookup failure is counted), "heap-full" when its
+// footprint exceeds the free heap right now — it would abort at once.
+func sizeUp(e *exec.Engine, n *plan.Node, inputs []*exec.Value) (inBytes int64, refusal string) {
+	inBytes, err := e.InputBytes(n, inputs)
+	if err != nil {
+		e.NoteCatalogError(err)
+		return 0, "catalog-error"
+	}
+	if e.Params.HeapFootprint(n.Op.Class(), inBytes, inBytes) > e.Heap.Available() {
+		return inBytes, "heap-full"
+	}
+	return inBytes, ""
 }
