@@ -22,7 +22,7 @@ const overheadBudget = 0.10
 // at least depth+1 chunks exist whenever the table is large enough — a
 // pipeline of depth d needs d+1 chunks before any stage overlaps — and never
 // below MinChunkRows. The pipelined executor and the placement estimate
-// that prices it (exec.PipelinedGPUEstimate) both size through here.
+// that prices it (exec.Estimate's Pipelined makespan) both size through here.
 func PipelineChunkRows(learner *Learner, params *Params, class OpClass,
 	totalRows int, inRowBytes, outRowBytes float64, depth int) int {
 	if totalRows <= 0 {

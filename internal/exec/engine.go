@@ -358,8 +358,8 @@ func (v *Value) dropDevice() {
 // Bytes returns the footprint of the value.
 func (v *Value) Bytes() int64 { return v.Batch.Bytes() }
 
-// InputBytes sums base-column bytes and child-result bytes of a node.
-func (e *Engine) InputBytes(n *plan.Node, inputs []*Value) (int64, error) {
+// inputBytes sums base-column bytes and child-result bytes of a node.
+func (e *Engine) inputBytes(n *plan.Node, inputs []*Value) (int64, error) {
 	var in int64
 	for _, id := range n.Op.BaseColumns() {
 		b, err := e.Cat.ColumnBytes(id)

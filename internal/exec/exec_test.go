@@ -382,6 +382,35 @@ func TestOutstandingLoadTracking(t *testing.T) {
 	if e.Outstanding(cost.GPU) != 0 {
 		t.Fatal("load must clamp at zero")
 	}
+
+	// While an operator runs, its processor carries the estimate of it.
+	for _, kind := range []cost.ProcKind{cost.CPU, cost.GPU} {
+		e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})
+		pl := plan.New(plan.Scan("fact", []string{"qty"}, expr.NewCmp("v", expr.LT, 50)))
+		est, err := e.EstimateReady(pl.Root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen float64
+		e.Sim.Spawn("session", func(p *sim.Proc) {
+			if _, _, err := e.RunQuery(p, pl, fixedPlacer{kind}); err != nil {
+				t.Errorf("query failed: %v", err)
+			}
+		})
+		e.Sim.Spawn("poller", func(p *sim.Proc) {
+			for e.Metrics.QueriesCompleted.Load() == 0 {
+				seen = max(seen, e.Outstanding(kind))
+				p.Hold(time.Microsecond)
+			}
+		})
+		e.Sim.Run()
+		if want := est.Time[kind].Seconds(); seen != want {
+			t.Errorf("load on %s while the scan ran = %v s, want its estimate %v s", kind, seen, want)
+		}
+		if e.Outstanding(kind) != 0 {
+			t.Errorf("load on %s not retired: %v", kind, e.Outstanding(kind))
+		}
+	}
 }
 
 func TestProcessorAccessor(t *testing.T) {

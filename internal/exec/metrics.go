@@ -52,8 +52,8 @@ type Metrics struct {
 	StuckOps *trace.Counter
 	// Retries counts device retry attempts after transient faults.
 	Retries *trace.Counter
-	// DegradedPlacements counts operators the device circuit breaker forced
-	// from GPU to CPU placement.
+	// DegradedPlacements counts GPU placements (compile-time, a run-time
+	// rule's, a device attempt's) the open circuit breaker turned to the CPU.
 	DegradedPlacements *trace.Counter
 	// DeadlineFailures counts queries failed by the per-query deadline.
 	DeadlineFailures *trace.Counter

@@ -368,7 +368,7 @@ func (e *Engine) runOnCPU(p *sim.Proc, u unit) (*Value, trace.Span, error) {
 	var err error
 	if c != nil {
 		inBytes = c.in
-	} else if inBytes, err = e.InputBytes(n, u.inputs); err != nil {
+	} else if inBytes, err = e.inputBytes(n, u.inputs); err != nil {
 		return nil, st, err
 	}
 	for _, in := range u.inputs {

@@ -78,24 +78,6 @@ func (e *Engine) pipelinePlanFor(n *plan.Node) (chunkPlan, bool) {
 	return chunkPlan{op: op, info: info, chunkRows: chunkRows, k: k}, k >= 2
 }
 
-// PipelinedGPUEstimate estimates the seconds a GPU placement of n would take
-// through the pipelined executor: per-chunk stage times rolled up with the
-// overlap-aware makespan instead of summed transfer + compute. ok is false
-// when the operator would not run pipelined, in which case callers fall back
-// to the serial estimate.
-func (e *Engine) PipelinedGPUEstimate(n *plan.Node) (float64, bool) {
-	cp, ok := e.pipelinePlanFor(n)
-	if !ok {
-		return 0, false
-	}
-	chunkIn := int64(float64(cp.chunkRows) * cp.info.InRowBytes())
-	chunkOut := int64(float64(cp.chunkRows) * cp.info.OutRowBytes) // selectivity-1 bound
-	up := e.Bus.Duration(bus.HostToDevice, chunkIn)
-	down := e.Bus.Duration(bus.DeviceToHost, chunkOut)
-	comp := e.Learner.Estimate(n.Op.Class(), cost.GPU, cost.Work(chunkIn, chunkOut))
-	return cost.PipelinedDuration(up, comp, down, cp.k).Seconds(), true
-}
-
 // pipeRun is the shared state of one pipelined operator execution. The
 // simulator serializes all processes, so plain fields are safe.
 type pipeRun struct {
@@ -251,10 +233,9 @@ func (r *pipeRun) wantCPU(c *chunk) bool {
 	}
 	e := r.e
 	outMax := int64(float64(c.hi-c.lo) * r.info.OutRowBytes)
-	work := cost.Work(c.in, outMax)
-	cpuSec := e.Learner.Estimate(r.n.Op.Class(), cost.CPU, work).Seconds() + e.Outstanding(cost.CPU)
+	cpuSec := e.price(r.n.Op.Class(), c.in, outMax).Time[cost.CPU].Seconds() + e.Outstanding(cost.CPU)
 	up := e.Bus.Duration(bus.HostToDevice, c.in).Seconds()
-	comp := e.Params.OpDuration(r.n.Op.Class(), cost.GPU, work).Seconds()
+	comp := e.Params.OpDuration(r.n.Op.Class(), cost.GPU, cost.Work(c.in, outMax)).Seconds()
 	down := e.Bus.Duration(bus.DeviceToHost, outMax).Seconds()
 	backlog := r.inFlight.InUse() + r.inFlight.Waiting()
 	return cpuSec < max(up, comp, down)*float64(backlog+1)

@@ -261,12 +261,12 @@ func (q *query) scheduleNode(n *plan.Node) {
 	}
 	// Register the estimated demand with the processor's queue estimate so
 	// later placement decisions see the load.
-	inBytes, err := e.InputBytes(n, inputs)
+	ready, err := e.EstimateReady(n, inputs)
 	if err != nil {
 		q.fail(err)
 		return
 	}
-	est := e.Learner.Estimate(n.Op.Class(), kind, cost.Work(inBytes, inBytes)).Seconds()
+	est := ready.Time[kind].Seconds()
 	e.addLoad(kind, est)
 	e.Sim.Spawn(procName(q.name, n), func(p *sim.Proc) {
 		q.runNode(p, n, kind, est, inputs)

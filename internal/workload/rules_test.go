@@ -11,6 +11,7 @@ import (
 	"robustdb/internal/plan"
 	"robustdb/internal/sim"
 	"robustdb/internal/table"
+	"robustdb/internal/trace"
 )
 
 // The placement rules of the catalogue, one at a time on a hand-built engine.
@@ -309,9 +310,12 @@ func TestCatalogErrorsSurfaced(t *testing.T) {
 }
 
 // A tripped device breaker overrides run-time placement to CPU even when the
-// data is device-resident — the degradation ladder's last rung.
+// data is device-resident — the degradation ladder's last rung. It counts a
+// degraded placement only where the rule chose the GPU, as under compile-time
+// placement; a rule that chose the CPU keeps its own reason.
 func TestRunTimePlacersConsultBreaker(t *testing.T) {
 	e := exec.New(sumCatalog(), exec.Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})
+	e.Tracer = trace.New(16)
 	scan := sumPlan().Leaves()[0]
 	cacheColumns(e, scan.Op.BaseColumns())
 	if loadBalancedRule.RunTime(e, scan, nil) != cost.GPU ||
@@ -326,11 +330,22 @@ func TestRunTimePlacersConsultBreaker(t *testing.T) {
 		e.Health.BeginAttempt()
 		e.Health.RecordFault(e.Sim.Now())
 	}
+	lastReason := func() string {
+		evs := e.Tracer.Events()
+		return evs[len(evs)-1].Reason
+	}
 	if loadBalancedRule.RunTime(e, scan, nil) != cost.CPU {
 		t.Fatal("load-balanced ignored the open breaker")
 	}
+	if got := e.Metrics.DegradedPlacements.Load(); got != 1 || lastReason() != "breaker-open" {
+		t.Fatalf("warm scan under load-balanced: degraded = %d, reason %q; want 1, breaker-open", got, lastReason())
+	}
+	e.Cache.Evict(scan.Op.BaseColumns()[0])
 	if dataResidentRule.RunTime(e, scan, nil) != cost.CPU {
 		t.Fatal("data-driven ignored the open breaker")
+	}
+	if got := e.Metrics.DegradedPlacements.Load(); got != 1 || lastReason() != "column-not-cached" {
+		t.Fatalf("uncached scan under data-resident: degraded = %d, reason %q; want 1, column-not-cached", got, lastReason())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"robustdb/internal/bus"
 	"robustdb/internal/cost"
 	"robustdb/internal/exec"
 	"robustdb/internal/placement"
@@ -137,17 +138,19 @@ func (r compileTime) CompileTime(e *exec.Engine, p *plan.Plan) map[int]cost.Proc
 func (compileTime) RunTime(*exec.Engine, *plan.Node, []*exec.Value) cost.ProcKind { return cost.CPU }
 
 // runTime adapts a run-time rule to exec.Placer: each ready operator goes
-// where the rule says, or to the CPU while the device circuit breaker is
-// open. Each decision is a trace event with its reason (and a debug log
-// record); with tracing and logging off that costs two nil checks.
+// where the rule says, save that the open device circuit breaker degrades a
+// GPU placement to the CPU. Each decision is a trace event with its reason
+// (and a debug log record); with tracing and logging off, two nil checks.
 type runTime func(e *exec.Engine, n *plan.Node, inputs []*exec.Value) (kind cost.ProcKind, reason string)
 
 func (runTime) CompileTime(*exec.Engine, *plan.Plan) map[int]cost.ProcKind { return nil }
 
 func (r runTime) RunTime(e *exec.Engine, n *plan.Node, inputs []*exec.Value) cost.ProcKind {
-	kind, reason := cost.CPU, "breaker-open"
-	if e.Health.AllowGPU(e.Sim.Now()) {
-		kind, reason = r(e, n, inputs)
+	kind, reason := r(e, n, inputs)
+	// Asked on every decision: asking half-opens the breaker after its cooldown.
+	if allow := e.Health.AllowGPU(e.Sim.Now()); kind == cost.GPU && !allow {
+		kind, reason = cost.CPU, "breaker-open"
+		e.Metrics.DegradedPlacements.Inc()
 	}
 	e.LogPlacement(n, kind.String(), reason)
 	if e.Tracer != nil {
@@ -247,10 +250,6 @@ func derivePlacement(p *plan.Plan, gpuLeaves map[int]bool) map[int]cost.ProcKind
 // with a final copy-back if the root runs on the co-processor.
 func estimateResponse(e *exec.Engine, p *plan.Plan, placement map[int]cost.ProcKind) time.Duration {
 	finish := make(map[int]time.Duration, len(p.Nodes()))
-	busSec := e.Params.BusBandwidth
-	transfer := func(bytes int64) time.Duration {
-		return e.Params.BusLatency + time.Duration(float64(bytes)/busSec*float64(time.Second))
-	}
 	for _, n := range p.Nodes() {
 		kind := placement[n.ID()]
 		var start time.Duration
@@ -263,7 +262,9 @@ func estimateResponse(e *exec.Engine, p *plan.Plan, placement map[int]cost.ProcK
 				moved += c.EstOutBytes
 			}
 		}
+		dir := bus.DeviceToHost
 		if kind == cost.GPU {
+			dir = bus.HostToDevice
 			// Uncached base columns must be shipped to the device.
 			for _, id := range n.Op.BaseColumns() {
 				if !e.Cache.Contains(id) {
@@ -275,15 +276,11 @@ func estimateResponse(e *exec.Engine, p *plan.Plan, placement map[int]cost.ProcK
 				}
 			}
 		}
-		op := e.Learner.Estimate(n.Op.Class(), kind, cost.Work(n.EstInBytes, n.EstOutBytes))
-		if moved > 0 {
-			start += transfer(moved)
-		}
-		finish[n.ID()] = start + op
+		finish[n.ID()] = start + e.Bus.Duration(dir, moved) + e.EstimatePlanned(n).Time[kind]
 	}
 	total := finish[p.Root.ID()]
 	if placement[p.Root.ID()] == cost.GPU {
-		total += transfer(p.Root.EstOutBytes)
+		total += e.Bus.Duration(bus.DeviceToHost, p.Root.EstOutBytes)
 	}
 	return total
 }
@@ -294,24 +291,22 @@ func estimateResponse(e *exec.Engine, p *plan.Plan, placement map[int]cost.ProcK
 // transfers — why plain chopping still thrashes the cache and Data-Driven
 // Chopping does not (§6.2.1, Fig 15b) — and the GPU must fit the heap (§4).
 func loadBalanced(e *exec.Engine, n *plan.Node, inputs []*exec.Value) (cost.ProcKind, string) {
-	inBytes, refusal := sizeUp(e, n, inputs)
-	if refusal == "catalog-error" {
-		return cost.CPU, refusal
+	est, err := e.EstimateReady(n, inputs)
+	if err != nil {
+		e.NoteCatalogError(err)
+		return cost.CPU, "catalog-error"
 	}
-	work := cost.Work(inBytes, inBytes)
-	cpuT := e.Outstanding(cost.CPU) +
-		e.Learner.Estimate(n.Op.Class(), cost.CPU, work).Seconds()
-	gpuT := e.Outstanding(cost.GPU) +
-		e.Learner.Estimate(n.Op.Class(), cost.GPU, work).Seconds()
+	cpuT := e.Outstanding(cost.CPU) + est.Time[cost.CPU].Seconds()
+	gpuT := e.Outstanding(cost.GPU) + est.Time[cost.GPU].Seconds()
 	reason := "load-balance"
-	if est, ok := e.PipelinedGPUEstimate(n); ok {
+	if est.Pipelined > 0 {
 		// The pipelined executor would run this operator: its overlap-aware
 		// makespan includes the chunk transfers it mostly hides, and it
 		// reserves heap a chunk at a time, so no whole-operator heap gate.
-		gpuT = e.Outstanding(cost.GPU) + est
+		gpuT = e.Outstanding(cost.GPU) + est.Pipelined.Seconds()
 		reason = "load-balance-pipelined"
-	} else if refusal != "" {
-		return cost.CPU, refusal
+	} else if est.Heap > e.Heap.Available() {
+		return cost.CPU, "heap-full" // it would abort at once
 	}
 	if gpuT <= cpuT {
 		return cost.GPU, reason
@@ -334,26 +329,13 @@ func dataResident(e *exec.Engine, n *plan.Node, inputs []*exec.Value) (cost.Proc
 			return cost.CPU, "input-on-host"
 		}
 	}
-	if _, refusal := sizeUp(e, n, inputs); refusal != "" {
-		return cost.CPU, refusal
-	}
-	return cost.GPU, "data-resident"
-}
-
-// sizeUp is the estimate both run-time rules make of a ready operator: its
-// exact input bytes, with the output estimated at input volume. refusal names
-// why the device cannot take the operator whole, empty when it can:
-// "catalog-error" when an input's size cannot be looked up (the CPU is the
-// safe fallback, and the lookup failure is counted), "heap-full" when its
-// footprint exceeds the free heap right now — it would abort at once.
-func sizeUp(e *exec.Engine, n *plan.Node, inputs []*exec.Value) (inBytes int64, refusal string) {
-	inBytes, err := e.InputBytes(n, inputs)
+	est, err := e.EstimateReady(n, inputs)
 	if err != nil {
 		e.NoteCatalogError(err)
-		return 0, "catalog-error"
+		return cost.CPU, "catalog-error"
 	}
-	if e.Params.HeapFootprint(n.Op.Class(), inBytes, inBytes) > e.Heap.Available() {
-		return inBytes, "heap-full"
+	if est.Heap > e.Heap.Available() {
+		return cost.CPU, "heap-full" // it would abort at once
 	}
-	return inBytes, ""
+	return cost.GPU, "data-resident"
 }

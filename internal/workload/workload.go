@@ -76,8 +76,8 @@ type Result struct {
 	Retries int64
 	// BreakerTrips counts how often the device circuit breaker opened.
 	BreakerTrips int64
-	// DegradedPlacements counts operators forced from GPU to CPU by the
-	// breaker.
+	// DegradedPlacements counts GPU placements the open breaker turned to
+	// the CPU, under compile-time and run-time strategies alike.
 	DegradedPlacements int64
 	// DeadlineFailures counts queries failed by the per-query deadline.
 	DeadlineFailures int64
