@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -64,7 +63,7 @@ func AdmissionOverload(o Options) []*Figure {
 		var p50s, p99s, sheds, faultP99s []float64
 		for _, n := range offered {
 			lat, shed := admissionRun(cat, policy, capacity, n, reps, nil)
-			p50, p99 := latQuantiles(lat.admitted)
+			p50, p99 := server.Quantiles(lat.admitted)
 			p50s = append(p50s, ms(p50))
 			p99s = append(p99s, ms(p99))
 			sheds = append(sheds, 100*shed)
@@ -75,7 +74,7 @@ func AdmissionOverload(o Options) []*Figure {
 				TransferFailRate: 0.02,
 			})
 			flat, _ := admissionRun(cat, policy, capacity, n, reps, inj)
-			_, fp99 := latQuantiles(flat.admitted)
+			_, fp99 := server.Quantiles(flat.admitted)
 			faultP99s = append(faultP99s, ms(fp99))
 		}
 		latFig.Series = append(latFig.Series,
@@ -180,14 +179,4 @@ func admissionRun(c *table.Catalog, policy admission.Policy, capacity, clients, 
 func isTyped(err error) bool {
 	var ae *admission.Error
 	return errors.As(err, &ae) || errors.Is(err, exec.ErrDeadlineExceeded)
-}
-
-// latQuantiles returns (p50, p99) of the sample (0,0 when empty).
-func latQuantiles(lat []time.Duration) (p50, p99 time.Duration) {
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2], sorted[int(0.99*float64(len(sorted)-1))]
 }

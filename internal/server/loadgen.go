@@ -176,8 +176,8 @@ arrivals:
 		}()
 	}
 	wg.Wait()
-	res.WallP50, res.WallP99 = quantiles(wallLat)
-	res.VirtualP50, res.VirtualP99 = quantiles(virtLat)
+	res.WallP50, res.WallP99 = Quantiles(wallLat)
+	res.VirtualP50, res.VirtualP99 = Quantiles(virtLat)
 	return res, nil
 }
 
@@ -197,8 +197,10 @@ func shedCode(err error) string {
 	return "unknown"
 }
 
-// quantiles returns (p50, p99) of the samples (0,0 when empty).
-func quantiles(samples []time.Duration) (p50, p99 time.Duration) {
+// Quantiles returns (p50, p99) of the samples (0,0 when empty): quantile q is
+// the element at index ⌊q·(n−1)⌋ of the sorted sample, so the median of an
+// even count is the lower of the middle two.
+func Quantiles(samples []time.Duration) (p50, p99 time.Duration) {
 	if len(samples) == 0 {
 		return 0, 0
 	}
