@@ -70,6 +70,44 @@ func BenchmarkQueryChopping(b *testing.B) {
 	}
 }
 
+// servedStatements is the statement mix of the serve-scan-large workload in
+// bench/workloads.go, verbatim: cmd/robustdb's -loadgen statements, then SSB
+// Q1.1, Q2.1 and Q3.3.
+var servedStatements = []struct{ name, sql string }{
+	{"scan-sum", "SELECT SUM(lo_revenue) AS revenue FROM lineorder"},
+	{"filter-sum", "SELECT SUM(lo_extendedprice * lo_discount) AS revenue FROM lineorder WHERE lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25"},
+	{"group-count", "SELECT lo_quantity, COUNT(*) AS orders FROM lineorder GROUP BY lo_quantity"},
+	{"join-group", "SELECT d_year, SUM(lo_revenue) AS revenue FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year"},
+	{"Q1.1", "select sum(lo_extendedprice * lo_discount) as revenue from lineorder, date where lo_orderdate = d_datekey and d_year = 1993 and lo_discount between 1 and 3 and lo_quantity < 25"},
+	{"Q2.1", "select d_year, p_brand1, sum(lo_revenue) as sum_revenue from lineorder, date, part, supplier where lo_orderdate = d_datekey and lo_partkey = p_partkey and lo_suppkey = s_suppkey and p_category = 'MFGR#12' and s_region = 'AMERICA' group by d_year, p_brand1 order by d_year, p_brand1"},
+	{"Q3.3", "select c_city, s_city, d_year, sum(lo_revenue) as revenue from customer, lineorder, supplier, date where lo_custkey = c_custkey and lo_suppkey = s_suppkey and lo_orderdate = d_datekey and c_city in ('UNITED KI1', 'UNITED KI5') and s_city in ('UNITED KI1', 'UNITED KI5') and d_year between 1992 and 1997 group by c_city, s_city, d_year order by d_year asc, revenue desc"},
+}
+
+// BenchmarkServedStatement runs the serve-scan-large statements in-process,
+// one sub-benchmark each, so that a change to that workload's wall clock can
+// be placed at one statement: DB.SQL and DB.Query on SSB SF 10 under
+// Data-Driven Chopping, on the device cmd/robustdb -serve builds there (half
+// the database cached, a heap the size of it, two kernel workers, pipeline
+// depth 2 with co-execution). It is not in the Micro set the CI gate compares.
+func BenchmarkServedStatement(b *testing.B) {
+	db := OpenSSB(SSBConfig{SF: 10, Seed: 1})
+	dev := Device{CacheBytes: db.TotalBytes() / 2, HeapBytes: db.TotalBytes(), KernelWorkers: 2, PipelineDepth: 2, PipelineCoExec: true}
+	for _, s := range servedStatements {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := db.SQL(s.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := db.Query(dev, DataDrivenChopping(), p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // The BenchmarkMicro* set below is the pinned suite the CI perf-regression
 // gate runs (`go test -run=NONE -bench=Micro -benchtime=200x -count=5 .`,
 // compared against BENCH_BASELINE.json by cmd/benchdiff). Keep each

@@ -32,53 +32,65 @@ func GatherRange(c Column, lo, hi int) (Column, bool) {
 }
 
 // Reader returns a function reading rows [lo, hi) of a numeric column as
-// []T: a view of the column's own storage where it already holds Ts, and
-// otherwise the rows decoded (a block at a time) or converted into scratch,
-// which is grown if its capacity is short. The result must not be written
-// to. Integer-valued columns of every encoding read as int64 or float64;
-// float columns read only as float64; ok is false for anything else.
-func Reader[T int64 | float64](c Column) (read func(lo, hi int, scratch []T) []T, ok bool) {
+// []T — or, given positions, the rows pos[lo:hi] of a plain one: a view of
+// the column's own storage where it holds Ts row for row, and otherwise the
+// rows gathered, decoded (a block at a time) or converted into scratch, in
+// one pass, which is grown if its capacity is short. The result must not be
+// written to. Integer-valued columns of every encoding read as int64 or
+// float64, and dates, stored as int32s, as int32 too; float columns read
+// only as float64; ok is false for anything else.
+func Reader[T Number](c Column, pos []int32) (read func(lo, hi int, scratch []T) []T, ok bool) {
+	_, narrow := any(T(0)).(int32)
+	_, float := any(T(0)).(float64)
 	switch c := c.(type) {
-	case *Int64Column:
-		return plainReader[T](c.Values), true
 	case *DateColumn:
-		return plainReader[T](c.Values), true
+		return ValueReader[T](c.Values, pos), true
+	case *Int64Column:
+		return ValueReader[T](c.Values, pos), !narrow
 	case *Float64Column:
-		if _, ints := any(T(0)).(int64); ints {
-			return nil, false
-		}
-		return plainReader[T](c.Values), true
+		return ValueReader[T](c.Values, pos), float
 	case *CompressedInt64Column:
-		return packedReader[T](&c.packed), true
+		return packedReader[T](&c.packed), pos == nil && !narrow
 	case *CompressedDateColumn:
-		return packedReader[T](&c.packed), true
+		return packedReader[T](&c.packed), pos == nil && !narrow
 	default:
 		return nil, false
 	}
 }
 
-// grown returns scratch resized to n elements, reallocated if too small.
-func grown[T any](scratch []T, n int) []T {
+// Grown returns scratch resized to n elements, reallocated if too small.
+func Grown[T any](scratch []T, n int) []T {
 	if cap(scratch) < n {
 		return make([]T, n)
 	}
 	return scratch[:n]
 }
 
-func packedReader[T number](s *packed) func(lo, hi int, scratch []T) []T {
+func packedReader[T Number](s *packed) func(lo, hi int, scratch []T) []T {
 	return func(lo, hi int, scratch []T) []T {
-		dst := grown(scratch, hi-lo)
+		dst := Grown(scratch, hi-lo)
 		decode(s, lo, hi, dst)
 		return dst
 	}
 }
 
-func plainReader[T, S number](vals []S) func(lo, hi int, scratch []T) []T {
+// ValueReader is Reader over the stored values of a plain column — or a
+// string column's codes — row for row where pos is nil.
+func ValueReader[T, S Number](vals []S, pos []int32) func(lo, hi int, scratch []T) []T {
+	if pos != nil {
+		return func(lo, hi int, scratch []T) []T {
+			dst := Grown(scratch, hi-lo)
+			for i, p := range pos[lo:hi] {
+				dst[i] = T(vals[p])
+			}
+			return dst
+		}
+	}
 	if same, ok := any(vals).([]T); ok {
 		return func(lo, hi int, _ []T) []T { return same[lo:hi] }
 	}
 	return func(lo, hi int, scratch []T) []T {
-		dst := grown(scratch, hi-lo)
+		dst := Grown(scratch, hi-lo)
 		for i, v := range vals[lo:hi] {
 			dst[i] = T(v)
 		}

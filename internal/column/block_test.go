@@ -6,8 +6,9 @@ import (
 )
 
 // Reader gives every numeric encoding the same rows in both element types,
-// hands out storage itself where no conversion is needed, and refuses what
-// is not a number in the asked-for domain.
+// a plain one through positions too, hands out storage itself where no
+// conversion is needed, and refuses what is not a number in the asked-for
+// domain.
 func TestReaderAcrossEncodings(t *testing.T) {
 	vals := make([]int64, 700)
 	dates := make([]int32, len(vals))
@@ -24,8 +25,8 @@ func TestReaderAcrossEncodings(t *testing.T) {
 		if c == view {
 			base = 128
 		}
-		ints, ok := Reader[int64](c)
-		flts, ok2 := Reader[float64](c)
+		ints, ok := Reader[int64](c, nil)
+		flts, ok2 := Reader[float64](c, nil)
 		if !ok || !ok2 {
 			t.Fatalf("%T: no reader", c)
 		}
@@ -38,17 +39,36 @@ func TestReaderAcrossEncodings(t *testing.T) {
 			}
 		}
 	}
-	if got, _ := Reader[int64](plain); &got(10, 20, nil)[0] != &vals[10] {
+	pos := []int32{699, 3, 3, 0, 512, 41}
+	for _, c := range []Column{plain, NewDate("v", dates), NewFloat64("v", floats)} {
+		want, _ := Reader[float64](c.Gather(pos), nil)
+		through, ok := Reader[float64](c, pos)
+		if !ok || !slices.Equal(through(1, 5, nil), want(1, 5, nil)) {
+			t.Fatalf("%T: rows read through positions differ from the gathered rows", c)
+		}
+	}
+	if _, ok := Reader[int64](CompressInt64(plain), pos); ok {
+		t.Fatal("a bit-packed column is not read through positions")
+	}
+	if narrow, ok := Reader[int32](NewDate("v", dates), pos); !ok || !slices.Equal(narrow(0, 6, nil), []int32{dates[699], dates[3], dates[3], dates[0], dates[512], dates[41]}) {
+		t.Fatal("dates read as int32 at their positions")
+	}
+	for _, c := range []Column{plain, CompressDate(NewDate("v", dates)), NewFloat64("f", floats)} {
+		if _, ok := Reader[int32](c, nil); ok {
+			t.Fatalf("%T must not read as int32", c)
+		}
+	}
+	if got, _ := Reader[int64](plain, nil); &got(10, 20, nil)[0] != &vals[10] {
 		t.Fatal("an int64 read of a plain int64 column should be a view, not a copy")
 	}
 	fc := NewFloat64("f", floats)
-	if got, ok := Reader[float64](fc); !ok || &got(3, 9, nil)[0] != &floats[3] {
+	if got, ok := Reader[float64](fc, nil); !ok || &got(3, 9, nil)[0] != &floats[3] {
 		t.Fatal("a float64 read of a float column should be a view")
 	}
-	if _, ok := Reader[int64](fc); ok {
+	if _, ok := Reader[int64](fc, nil); ok {
 		t.Fatal("a float column must not read as integers")
 	}
-	if _, ok := Reader[float64](NewString("s", []string{"a"})); ok {
+	if _, ok := Reader[float64](NewString("s", []string{"a"}), nil); ok {
 		t.Fatal("a string column is not numeric")
 	}
 }

@@ -153,12 +153,13 @@ func pack(name string, values []int64) packed {
 	return s
 }
 
-// number is the set of element types a packed sequence decodes into.
-type number interface{ ~int32 | ~int64 | ~float64 }
+// Number is the set of element types a packed sequence decodes into and a
+// Reader reads as.
+type Number interface{ ~int32 | ~int64 | ~float64 }
 
 // unpack decodes len(dst) consecutive values of a block, starting at the
 // block's j-th, with the bit cursor and the current word in registers.
-func unpack[T number](dst []T, words []uint64, j int, mn int64, width uint8) {
+func unpack[T Number](dst []T, words []uint64, j int, mn int64, width uint8) {
 	switch width {
 	case 0:
 		for i := range dst {
@@ -245,7 +246,7 @@ func checkSlice(lo, hi, n int) {
 }
 
 // decode writes rows [lo, hi) to dst, one source block at a time.
-func decode[T number](s *packed, lo, hi int, dst []T) {
+func decode[T Number](s *packed, lo, hi int, dst []T) {
 	for lo < hi {
 		bi, j := lo/blockSize, lo%blockSize
 		n := min(blockSize-j, hi-lo)

@@ -232,11 +232,11 @@ func FuzzPackedGather(f *testing.F) {
 		if len(window) > 0 {
 			a := lo + rng.Intn(len(window))
 			b := a + rng.Intn(hi-a+1)
-			ints, _ := Reader[int64](c)
+			ints, _ := Reader[int64](c, nil)
 			if got := ints(a, b, nil); !slices.Equal(got, vals[a:b]) {
 				t.Fatalf("Reader[int64](%d,%d) differs from the values", a, b)
 			}
-			floats, _ := Reader[float64](c)
+			floats, _ := Reader[float64](c, nil)
 			for i, x := range floats(a, b, make([]float64, 3)) {
 				if x != float64(vals[a+i]) {
 					t.Fatalf("Reader[float64](%d,%d)[%d] = %v, want %v", a, b, i, x, float64(vals[a+i]))

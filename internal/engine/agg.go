@@ -78,47 +78,46 @@ func groupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec, layout joinLayou
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("group by: %d rows, int32 positions cannot address them", n)
 	}
-	keyCols := make([]column.Column, len(keys))
+	keySrc, keyAt := make([]column.Column, len(keys)), make([][]int32, len(keys))
 	keyReads := make([]keyReader, len(keys))
 	for i, k := range keys {
-		c, err := b.column(ctx, k)
+		c, err := b.find(k)
 		if err != nil {
 			return nil, fmt.Errorf("group by: %w", err)
 		}
-		keyCols[i] = c
-		if keyReads[i], err = groupKeyReader(c); err != nil {
+		keySrc[i], keyAt[i] = c.stored()
+		if keyReads[i], err = groupKeyReader(keySrc[i], keyAt[i]); err != nil {
 			return nil, fmt.Errorf("group by: %w", err)
 		}
 	}
-	aggReads := make([]func(lo, hi int, scratch []float64) []float64, len(aggs)) // nil for Count
+	folds := make([]aggInput, len(aggs))
 	for i, a := range aggs {
 		if a.Func > Avg {
 			return nil, fmt.Errorf("aggregate: unknown function %v", a.Func)
 		}
 		if a.Func == Count {
+			folds[i] = foldInput[float64](Count, nil)
 			continue
 		}
-		c, err := b.column(ctx, a.Col)
+		c, err := b.find(a.Col)
 		if err != nil {
 			return nil, fmt.Errorf("aggregate %s(%s): %w", a.Func, a.Col, err)
 		}
-		read, ok := column.Reader[float64](c)
-		if !ok {
-			return nil, fmt.Errorf("aggregate %s(%s): column %s is not numeric", a.Func, a.Col, c.Name())
+		if folds[i] = numericInput(a.Func, c); folds[i] == nil {
+			return nil, fmt.Errorf("aggregate %s(%s): column %s is not numeric", a.Func, a.Col, c.name)
 		}
-		aggReads[i] = read
 	}
 
 	partials := make([]groupPartial, par.Morsels(n))
 	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
 		keyVals := make([][]int64, len(keys))
 		for i, read := range keyReads {
-			scratch := par.GetInt64(hi - lo)
-			defer par.PutInt64(scratch)
+			scratch := par.Get[int64](hi - lo)
+			defer par.Put(scratch)
 			keyVals[i] = read(lo, hi, scratch)
 		}
-		gid := par.GetInt32(hi - lo)[:hi-lo]
-		defer par.PutInt32(gid)
+		gid := par.Get[int32](hi - lo)[:hi-lo]
+		defer par.Put(gid)
 		pt := &partials[mi]
 		pt.first = numberGroups(keyVals, gid, layout)
 		if len(partials) > 1 {
@@ -133,16 +132,10 @@ func groupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec, layout joinLayou
 		for g := range pt.first {
 			pt.first[g] += int32(lo)
 		}
-		scratch := par.GetFloat64(hi - lo)
-		defer par.PutFloat64(scratch)
 		pt.aggs = make([]aggState, len(aggs))
 		for i, a := range aggs {
-			var vals []float64
-			if aggReads[i] != nil {
-				vals = aggReads[i](lo, hi, scratch)
-			}
 			pt.aggs[i] = newAggState(a.Func, len(pt.first))
-			pt.aggs[i].fold(a.Func, gid, vals, nil)
+			folds[i](&pt.aggs[i], gid, lo, hi)
 		}
 	})
 
@@ -154,8 +147,14 @@ func groupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec, layout joinLayou
 	if len(partials) == 1 {
 		all = partials[0]
 	} else if len(partials) > 1 {
-		var firsts []int32
-		tuples := make([][]int64, len(keys))
+		total := 0
+		for _, pt := range partials {
+			total += len(pt.first)
+		}
+		firsts, tuples := make([]int32, 0, total), make([][]int64, len(keys))
+		for i := range tuples {
+			tuples[i] = make([]int64, 0, total)
+		}
 		for _, pt := range partials {
 			firsts = append(firsts, pt.first...)
 			for i := range tuples {
@@ -169,7 +168,7 @@ func groupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec, layout joinLayou
 			all.aggs[i] = newAggState(a.Func, len(all.first))
 			off := 0
 			for _, pt := range partials {
-				all.aggs[i].fold(a.Func, gid[off:off+len(pt.first)], pt.aggs[i].val, pt.aggs[i].cnt)
+				fold(&all.aggs[i], a.Func, gid[off:off+len(pt.first)], pt.aggs[i].val, pt.aggs[i].cnt)
 				off += len(pt.first)
 			}
 		}
@@ -178,11 +177,18 @@ func groupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec, layout joinLayou
 		}
 	}
 
-	// Materialize: key columns gathered at the groups' first rows, aggregates
-	// from their arrays.
+	// Materialize: key columns gathered at the groups' first rows — a pending
+	// one's source at their positions — and aggregates from their arrays.
 	out := make([]column.Column, 0, len(keys)+len(aggs))
-	for _, kc := range keyCols {
-		out = append(out, kc.Gather(all.first))
+	for i, src := range keySrc {
+		rows := all.first
+		if at := keyAt[i]; at != nil {
+			rows = make([]int32, len(all.first))
+			for g, r := range all.first {
+				rows[g] = at[r]
+			}
+		}
+		out = append(out, src.Gather(rows))
 	}
 	for i, a := range aggs {
 		var vals []float64
@@ -207,18 +213,20 @@ func groupBy(ctx *Ctx, b *Batch, keys []string, aggs []AggSpec, layout joinLayou
 // unsigned, as buildJoinTable's is. Two factors below 2^32 multiply inside
 // 64 bits; one that is not — a float column's bit patterns, integers at both
 // ends of int64, the product of the columns so far — is numbered on its own
-// by the same table first, which leaves it below the row count.
+// by the same table first, which leaves it below the row count. A single
+// key is numbered as it is, against its own domain: no code array.
 func numberGroups(cols [][]int64, gid []int32, layout joinLayout) (first []int32) {
+	if len(cols) == 1 {
+		mn, mx := span(cols[0])
+		return numberCodes(cols[0], mn, uint64(mx)-uint64(mn), layout, gid)
+	}
 	const half = 1 << 32
-	code := par.GetInt64(len(gid))[:len(gid)]
-	defer par.PutInt64(code)
+	code := par.Get[int64](len(gid))[:len(gid)]
+	defer par.Put(code)
 	clear(code)
 	var dom uint64 // the codes so far lie in [0, dom]
 	for _, kv := range cols {
-		mn, mx := kv[0], kv[0]
-		for _, k := range kv {
-			mn, mx = min(mn, k), max(mx, k)
-		}
+		mn, mx := span(kv)
 		width := uint64(mx) - uint64(mn)
 		if width == 0 {
 			continue // one value: nothing to tell groups apart by
@@ -238,14 +246,23 @@ func numberGroups(cols [][]int64, gid []int32, layout joinLayout) (first []int32
 		}
 		dom = dom*(width+1) + width
 	}
-	return numberCodes(code, dom, layout, gid)
+	return numberCodes(code, 0, dom, layout, gid)
+}
+
+// span returns the least and the greatest of keys, which are not empty.
+func span(keys []int64) (mn, mx int64) {
+	mn, mx = keys[0], keys[0]
+	for _, k := range keys {
+		mn, mx = min(mn, k), max(mx, k)
+	}
+	return mn, mx
 }
 
 // renumber replaces each of the codes, which lie in [0, dom], by its number
 // among them (gid is scratch) and returns the new, dense dom. Too wide to
 // multiply is too wide for a direct table by any rule.
 func renumber(code []int64, dom uint64, gid []int32) uint64 {
-	first := numberCodes(code, dom, layoutHash, gid)
+	first := numberCodes(code, 0, dom, layoutHash, gid)
 	for j, g := range gid {
 		code[j] = int64(g)
 	}
@@ -253,12 +270,13 @@ func renumber(code []int64, dom uint64, gid []int32) uint64 {
 }
 
 // numberCodes is the slot table of the group-by: it numbers the codes, which
-// lie in [0, dom], in order of first occurrence, as numberGroups states. The
-// table is direct-addressed, a slot per code of the domain, where the density
-// rule the join applies to its probe side allows (every row here is a probe,
-// and inserts on a miss), and the join's open-addressing slots otherwise —
-// sized for every row being a group of its own, so they never grow.
-func numberCodes(code []int64, dom uint64, layout joinLayout, gid []int32) (first []int32) {
+// lie in [base, base+dom], in order of first occurrence, as numberGroups
+// states. The table is direct-addressed, a slot per code of the domain, where
+// the density rule the join applies to its probe side allows (every row here
+// is a probe, and inserts on a miss), and the join's open-addressing slots
+// otherwise — sized for every row being a group of its own, so they never
+// grow.
+func numberCodes(code []int64, base int64, dom uint64, layout joinLayout, gid []int32) (first []int32) {
 	if dom == 0 { // no key column, or none with two values: one group
 		clear(gid)
 		return []int32{0}
@@ -266,17 +284,18 @@ func numberCodes(code []int64, dom uint64, layout joinLayout, gid []int32) (firs
 	if layout == layoutDirect || layout == layoutAuto && dense(dom, 0, len(code)) {
 		slots := make([]int32, dom+1) // code → group + 1
 		for j, c := range code {
-			g := slots[uint64(c)]
+			s := uint64(c) - uint64(base)
+			g := slots[s]
 			if g == 0 {
 				first = append(first, int32(j))
 				g = int32(len(first))
-				slots[uint64(c)] = g
+				slots[s] = g
 			}
 			gid[j] = g - 1
 		}
 		return first
 	}
-	t := newSlotTable(len(code), 0)
+	t := newSlotTable(len(code), 0, nil)
 	for j, c := range code {
 		s := t.slot(c, fibHash(c))
 		if t.head[s] == 0 {
@@ -322,31 +341,33 @@ func newAggState(f AggFunc, groups int) aggState {
 // fold folds item j — a row with its value and a count of one (cnt nil), or a
 // group of a partial with its sum or extreme and its count — into group
 // gid[j], in the order of j: one loop an array, nothing per group but the
-// array element.
-func (a *aggState) fold(f AggFunc, gid []int32, val []float64, cnt []int64) {
+// array element. A value becomes a float64 where it is folded, so that an
+// integer input is read as it is stored: the same additions, in the same
+// order, as over the input converted first.
+func fold[V int32 | int64 | float64](a *aggState, f AggFunc, gid []int32, val []V, cnt []int64) {
 	switch f {
 	case Sum, Avg:
 		if len(a.val) == 1 { // one group: the same additions in the same order, through a register
 			sum := a.val[0]
 			for _, v := range val {
-				sum += v
+				sum += float64(v)
 			}
 			a.val[0] = sum
 		} else {
 			for j, g := range gid {
-				a.val[g] += val[j]
+				a.val[g] += float64(val[j])
 			}
 		}
 	case Min:
 		for j, g := range gid {
-			if floatLess(val[j], a.val[g]) {
-				a.val[g] = val[j]
+			if v := float64(val[j]); floatLess(v, a.val[g]) {
+				a.val[g] = v
 			}
 		}
 	case Max:
 		for j, g := range gid {
-			if floatLess(a.val[g], val[j]) {
-				a.val[g] = val[j]
+			if v := float64(val[j]); floatLess(a.val[g], v) {
+				a.val[g] = v
 			}
 		}
 	}
@@ -380,30 +401,67 @@ func (a *aggState) result(f AggFunc) []float64 {
 	return out
 }
 
-// groupKeyReader reads a grouping column as integers that are equal exactly
-// where the values are: integer and date columns of any encoding through
-// column.Reader, strings as their dictionary codes, floats as their bit
-// patterns with the two zeros folded into one and all NaNs into another.
-func groupKeyReader(c column.Column) (keyReader, error) {
-	switch c := c.(type) {
-	case *column.StringColumn:
-		return codeReader(c.Codes, nil), nil
-	case *column.Float64Column:
+// aggInput folds rows [lo, hi) of an aggregate's input into the states of
+// their groups (gid).
+type aggInput func(a *aggState, gid []int32, lo, hi int)
+
+// numericInput is the aggInput of f over column c, read at the width it is
+// stored at, or nil where c is not numeric.
+func numericInput(f AggFunc, c *batchCol) aggInput {
+	src, at := c.stored()
+	if read, ok := column.Reader[int32](src, at); ok {
+		return foldInput(f, read)
+	}
+	if read, ok := column.Reader[int64](src, at); ok {
+		return foldInput(f, read)
+	}
+	if read, ok := column.Reader[float64](src, at); ok {
+		return foldInput(f, read)
+	}
+	return nil
+}
+
+// foldInput is the aggInput of f over rows read through read into pooled
+// scratch; Count reads none (read nil).
+func foldInput[V int32 | int64 | float64](f AggFunc, read func(lo, hi int, scratch []V) []V) aggInput {
+	return func(a *aggState, gid []int32, lo, hi int) {
+		if read == nil {
+			fold[V](a, f, gid, nil, nil)
+			return
+		}
+		scratch := par.Get[V](hi - lo)
+		fold(a, f, gid, read(lo, hi, scratch), nil)
+		par.Put(scratch)
+	}
+}
+
+// groupKeyReader reads a grouping column at the positions at (nil: row for
+// row) as integers that are equal exactly where the values are: integer and
+// date columns of any encoding through column.Reader, strings as their
+// dictionary codes, floats as their bit patterns with the two zeros folded
+// into one and all NaNs into another.
+func groupKeyReader(c column.Column, at []int32) (keyReader, error) {
+	if f, ok := c.(*column.Float64Column); ok {
 		return func(lo, hi int, scratch []int64) []int64 {
-			keys := sized(scratch, hi-lo)
-			for i, v := range c.Values[lo:hi] {
-				switch {
-				case v == 0:
-					v = 0 // −0 groups with +0
-				case v != v:
-					v = math.NaN()
+			keys := column.Grown(scratch, hi-lo)
+			for i := range keys {
+				row := lo + i
+				if at != nil {
+					row = int(at[row])
 				}
-				keys[i] = int64(math.Float64bits(v))
+				switch v := f.Values[row]; {
+				case v == 0:
+					keys[i] = 0 // −0 groups with +0
+				case v != v:
+					keys[i] = int64(math.Float64bits(math.NaN()))
+				default:
+					keys[i] = int64(math.Float64bits(v))
+				}
 			}
 			return keys
 		}, nil
 	}
-	if read, ok := column.Reader[int64](c); ok {
+	if read, ok := keysOf[int64](c, at); ok {
 		return read, nil
 	}
 	return nil, fmt.Errorf("column %s has ungroupable type %T", c.Name(), c)

@@ -47,7 +47,7 @@ func columnChecksum(t *testing.T, c column.Column) uint64 {
 			word(math.Float64bits(v))
 		}
 	default:
-		read, ok := column.Reader[int64](c)
+		read, ok := column.Reader[int64](c, nil)
 		if !ok {
 			t.Fatalf("column %s: no checksum for %T", c.Name(), c)
 		}

@@ -75,6 +75,22 @@ func (c *batchCol) get(ctx *Ctx) column.Column {
 	return c.col
 }
 
+// stored returns what a kernel reads c through, a block at a time
+// (column.Reader): the held column row for row (at nil), or the source of a
+// pending one at its positions, which leaves it pending — a range of them is
+// the source's view. Nothing is copied whole to be read once.
+func (c *batchCol) stored() (src column.Column, at []int32) {
+	col, src, pos := c.state()
+	if col != nil {
+		return col, nil
+	}
+	if lo, hi, isRange := pos.AsRange(); isRange {
+		view, _ := column.GatherRange(src, lo, hi) // a pending source is plain
+		return view, nil
+	}
+	return src, pos.Explicit()
+}
+
 // footprint reports what a gather of c weighs, width bytes a row plus extra,
 // where that does not depend on the rows gathered: the four plain layouts.
 // A bit-packed gather re-encodes, so only doing it tells.

@@ -35,21 +35,22 @@ func (op BinOp) String() string {
 }
 
 // operand is one side of a derived column: a numeric column, read a block at
-// a time (column.Reader), or a constant.
+// a time (column.Reader) — a pending one through its positions — or a
+// constant.
 type operand struct {
 	read func(lo, hi int, scratch []float64) []float64
 	k    float64
 }
 
 // columnOperand resolves a numeric column of the batch as an operand.
-func columnOperand(ctx *Ctx, b *Batch, as, col string) (operand, error) {
-	c, err := b.column(ctx, col)
+func columnOperand(b *Batch, as, col string) (operand, error) {
+	c, err := b.find(col)
 	if err != nil {
 		return operand{}, fmt.Errorf("compute %s: %w", as, err)
 	}
-	read, ok := column.Reader[float64](c)
+	read, ok := column.Reader[float64](c.stored())
 	if !ok {
-		return operand{}, fmt.Errorf("compute %s: column %s is not numeric", as, c.Name())
+		return operand{}, fmt.Errorf("compute %s: column %s is not numeric", as, c.name)
 	}
 	return operand{read: read}, nil
 }
@@ -77,9 +78,9 @@ func compute(ctx *Ctx, n int, as string, l operand, op BinOp, r operand) (column
 	}
 	out := make([]float64, n)
 	run := func(_, lo, hi int) error {
-		ls, rs := par.GetFloat64(hi-lo), par.GetFloat64(hi-lo)
-		defer par.PutFloat64(ls)
-		defer par.PutFloat64(rs)
+		ls, rs := par.Get[float64](hi-lo), par.Get[float64](hi-lo)
+		defer par.Put(ls)
+		defer par.Put(rs)
 		lv, rv, dst := l.block(lo, hi, ls), r.block(lo, hi, rs), out[lo:hi]
 		switch op {
 		case Add:
@@ -120,11 +121,11 @@ func compute(ctx *Ctx, n int, as string, l operand, op BinOp, r operand) (column
 // batch and returns the derived column under the given name. The result is
 // always float64, matching the engine's aggregate domain.
 func Compute(ctx *Ctx, b *Batch, as string, left string, op BinOp, right string) (column.Column, error) {
-	l, err := columnOperand(ctx, b, as, left)
+	l, err := columnOperand(b, as, left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := columnOperand(ctx, b, as, right)
+	r, err := columnOperand(b, as, right)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +134,7 @@ func Compute(ctx *Ctx, b *Batch, as string, left string, op BinOp, right string)
 
 // ComputeConst evaluates "col op constant" row-wise, e.g. "price * 0.9".
 func ComputeConst(ctx *Ctx, b *Batch, as string, col string, op BinOp, k float64) (column.Column, error) {
-	l, err := columnOperand(ctx, b, as, col)
+	l, err := columnOperand(b, as, col)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +147,7 @@ func ComputeConst(ctx *Ctx, b *Batch, as string, col string, op BinOp, k float64
 // ComputeConstLeft evaluates "constant op col" row-wise (e.g. the
 // "1 - discount" term of TPC-H pricing expressions).
 func ComputeConstLeft(ctx *Ctx, b *Batch, as string, k float64, op BinOp, col string) (column.Column, error) {
-	r, err := columnOperand(ctx, b, as, col)
+	r, err := columnOperand(b, as, col)
 	if err != nil {
 		return nil, err
 	}

@@ -18,44 +18,49 @@ type JoinResult struct {
 // NumRows returns the number of join matches.
 func (r *JoinResult) NumRows() int { return r.RightPos.Len() }
 
-// keyReader reads rows [lo, hi) of a join key column as int64 keys: a view of
-// the column where it stores int64s, otherwise decoded a block at a time (or
-// translated from dictionary codes) into scratch. See column.Reader.
+// keyReader reads rows [lo, hi) of a key column as int64 keys: a view of the
+// column where it stores int64s row for row, otherwise read into scratch.
+// See column.Reader.
 type keyReader func(lo, hi int, scratch []int64) []int64
 
-// joinKeyReaders resolves both key columns of a join together. Integer and
-// date keys, plain or compressed, read through column.Reader — a compressed
-// key column is decoded a morsel at a time, never materialized whole.
-// Dictionary-encoded string keys join on their integer codes: when both
-// sides share one dictionary (Gather propagates the dictionary by
-// reference), codes compare directly; otherwise a code→code bridge is built
-// once — build-side codes translate into the probe side's code domain, with
-// −1 marking build values absent from the probe dictionary (−1 never equals
-// a probe code, so unmatched build rows simply find no partner). String
-// joins therefore never materialize or hash a single string. bridged reports
-// that build keys went through such a bridge, and so that a negative one is
-// no key at all.
-func joinKeyReaders(build, probe column.Column) (bk, pk keyReader, bridged bool, err error) {
+// keysOf reads a key column at the positions at (nil: row for row) as Ts:
+// the dictionary codes of a string column, the values of any other
+// (column.Reader). Codes and dates are stored as int32s.
+func keysOf[T int32 | int64](c column.Column, at []int32) (func(lo, hi int, scratch []T) []T, bool) {
+	if s, ok := c.(*column.StringColumn); ok {
+		return column.ValueReader[T](s.Codes, at), true
+	}
+	return column.Reader[T](c, at)
+}
+
+// joinKeyReaders resolves both key columns of a join together, each read at
+// its positions as int64 keys. Integer and date keys, plain or compressed,
+// read through column.Reader — a compressed key column is decoded a morsel
+// at a time, never materialized whole. Dictionary-encoded string keys join
+// on their integer codes: when both sides share one dictionary (Gather
+// propagates the dictionary by reference), codes compare directly;
+// otherwise a code→code bridge is built once — build-side codes translate
+// into the probe side's code domain, with −1 marking build values absent
+// from the probe dictionary (−1 never equals a probe code, so unmatched
+// build rows simply find no partner). String joins therefore never
+// materialize or hash a single string. bridged reports that build keys went
+// through such a bridge, and so that a negative one is no key at all.
+func joinKeyReaders(build, probe column.Column, bat, pat []int32) (bk, pk keyReader, bridged bool, err error) {
 	bs, bok := build.(*column.StringColumn)
 	ps, pok := probe.(*column.StringColumn)
 	if bok != pok {
 		return nil, nil, false, fmt.Errorf("join: cannot join %s (%T) with %s (%T)",
 			build.Name(), build, probe.Name(), probe)
 	}
-	if !bok {
-		br, ok := column.Reader[int64](build)
-		if !ok {
-			return nil, nil, false, fmt.Errorf("join: unsupported key column type %T (%s)", build, build.Name())
-		}
-		pr, ok := column.Reader[int64](probe)
-		if !ok {
-			return nil, nil, false, fmt.Errorf("join: unsupported key column type %T (%s)", probe, probe.Name())
-		}
-		return br, pr, false, nil
+	bk, ok := keysOf[int64](build, bat)
+	if !ok {
+		return nil, nil, false, fmt.Errorf("join: unsupported key column type %T (%s)", build, build.Name())
 	}
-	if len(bs.Dict) == len(ps.Dict) && (len(bs.Dict) == 0 || &bs.Dict[0] == &ps.Dict[0]) {
-		// Shared dictionary: one code domain on both sides.
-		return codeReader(bs.Codes, nil), codeReader(ps.Codes, nil), false, nil
+	if pk, ok = keysOf[int64](probe, pat); !ok {
+		return nil, nil, false, fmt.Errorf("join: unsupported key column type %T (%s)", probe, probe.Name())
+	}
+	if !bok || len(bs.Dict) == len(ps.Dict) && (len(bs.Dict) == 0 || &bs.Dict[0] == &ps.Dict[0]) {
+		return bk, pk, false, nil // a shared dictionary is one code domain on both sides
 	}
 	bridge := make([]int64, len(bs.Dict))
 	for c, s := range bs.Dict {
@@ -65,30 +70,14 @@ func joinKeyReaders(build, probe column.Column) (bk, pk keyReader, bridged bool,
 			bridge[c] = -1
 		}
 	}
-	return codeReader(bs.Codes, bridge), codeReader(ps.Codes, nil), true, nil
-}
-
-// sized returns scratch with length n, reallocated if its capacity is short.
-func sized(scratch []int64, n int) []int64 {
-	if cap(scratch) < n {
-		return make([]int64, n)
-	}
-	return scratch[:n]
-}
-
-// codeReader reads dictionary codes as join keys, through bridge if given.
-func codeReader(codes []int32, bridge []int64) keyReader {
+	codes := bk
 	return func(lo, hi int, scratch []int64) []int64 {
-		keys := sized(scratch, hi-lo)
-		for i, c := range codes[lo:hi] {
-			if bridge != nil {
-				keys[i] = bridge[c]
-			} else {
-				keys[i] = int64(c)
-			}
+		keys := codes(lo, hi, scratch) // int32 codes widen into scratch, never a view
+		for i, c := range keys {
+			keys[i] = bridge[c]
 		}
 		return keys
-	}
+	}, pk, true, nil
 }
 
 // fibMul is the 64-bit Fibonacci hashing constant (2^64 / φ, odd). A single
@@ -146,15 +135,27 @@ type slotTable struct {
 	dup   bool    // some key of a join partition occurs twice
 }
 
-// newSlotTable sizes a table for rows keys at a load factor ≤ 0.5, so that
-// probing always ends at an empty slot; the top pbits of a hash are spent.
-func newSlotTable(rows int, pbits uint) slotTable {
-	slots, slotBits := 8, uint(3)
+// slotsFor is the slot count of a table for rows keys, a power of two at
+// least 8 at a load factor ≤ 0.5, so that probing always ends at an empty
+// slot, and its logarithm.
+func slotsFor(rows int) (slots int, bits uint) {
+	slots, bits = 8, 3
 	for slots < 2*rows {
 		slots <<= 1
-		slotBits++
+		bits++
 	}
-	return slotTable{shift: 64 - pbits - slotBits, mask: uint32(slots - 1), key: make([]int64, slots), head: make([]int32, slots)}
+	return slots, bits
+}
+
+// newSlotTable sizes a table for rows keys; the top pbits of a hash are
+// spent. Its head is head, of slotsFor(rows) slots, or a new array where
+// head is nil.
+func newSlotTable(rows int, pbits uint, head []int32) slotTable {
+	slots, bits := slotsFor(rows)
+	if head == nil {
+		head = make([]int32, slots)
+	}
+	return slotTable{shift: 64 - pbits - bits, mask: uint32(slots - 1), key: make([]int64, slots), head: head}
 }
 
 // slot returns the slot of key k (with h = fibHash(k)): the one that holds
@@ -175,16 +176,19 @@ func (p *slotTable) slot(k int64, h uint64) uint32 {
 // because neither the direct slots nor the hash slots decide anything but
 // where a chain starts.
 type joinTable struct {
-	// Direct layout (parts == nil): head[k − min] starts key k's chain. The
-	// slot at index last belongs to no key and stays 0; keys outside the
-	// domain are clamped onto it (k − min is taken unsigned, so keys below
-	// min land far above).
+	// head[slot] starts the chain of the key at slot. Direct layout (parts ==
+	// nil): key k's slot is k − min. The slot at index last belongs to no key
+	// and stays 0; keys outside the domain are clamped onto it (k − min is
+	// taken unsigned, so keys below min land far above).
 	min  uint64
 	last uint64
 	head []int32
-	// Hash layout: 1 << pbits partitions by the top hash bits.
-	pbits uint
-	parts []slotTable
+	// Hash layout: 1 << pbits partitions by the top hash bits, whose heads
+	// lie end to end in head, partition p's from starts[p]: a key's slot is
+	// the one its partition finds for it (hashSlots), and min is 0.
+	pbits  uint
+	parts  []slotTable
+	starts []int32
 
 	next   []int32 // build row → next build row with the same key + 1, 0 at the end
 	unique bool    // no key occurs twice: every chain is one row long, next is unused
@@ -302,8 +306,15 @@ func buildHashed(ctx *Ctx, keys []int64, dropNegative bool) *joinTable {
 	// Index each partition. Inserting its rows downwards with prepends
 	// leaves every per-key chain in ascending build-row order; a row belongs
 	// to one partition, so the writes to next are disjoint too.
+	t.starts = make([]int32, numParts+1)
+	for p := range rows {
+		slots, _ := slotsFor(len(rows[p]))
+		t.starts[p+1] = t.starts[p] + int32(slots)
+	}
+	t.last = uint64(t.starts[numParts])
+	t.head = make([]int32, t.last+1)
 	ctx.forEachNNoErr(numParts, func(p int) {
-		t.parts[p] = newSlotTable(len(rows[p]), pbits)
+		t.parts[p] = newSlotTable(len(rows[p]), pbits, t.head[t.starts[p]:t.starts[p+1]:t.starts[p+1]])
 		part := &t.parts[p]
 		for c := len(rows[p]) - 1; c >= 0; c-- {
 			row := rows[p][c]
@@ -322,33 +333,29 @@ func buildHashed(ctx *Ctx, keys []int64, dropNegative bool) *joinTable {
 	return t
 }
 
-// first returns the first build row + 1 of key k's chain, 0 when absent.
-// The direct arm is one subtraction, one clamp and one load, and inlines
-// into the probe loops.
-func (t *joinTable) first(k int64) int32 {
-	if t.parts == nil {
-		return t.head[min(uint64(k)-t.min, t.last)]
+// hashSlots writes the slot of every key of a hashed table to slots: the
+// one its partition holds it in, or the empty one it would be in.
+func hashSlots[K int32 | int64](t *joinTable, keys []K, slots []int32) {
+	for i, k := range keys {
+		h := fibHash(int64(k))
+		p := h >> (64 - t.pbits)
+		slots[i] = t.starts[p] + int32(t.parts[p].slot(int64(k), h))
 	}
-	return t.hashed(k)
 }
 
-// hashed is first for the hash layout, kept out of line so that first fits
-// the inlining budget.
-//
-//go:noinline
-func (t *joinTable) hashed(k int64) int32 {
-	h := fibHash(k)
-	p := &t.parts[h>>(64-t.pbits)]
-	return p.head[p.slot(k, h)]
-}
-
-// probe appends the matches of keys — the probe rows base, base+1, … — to
-// the two buffers, which hold len(keys) positions each: build rows to lout,
-// probe rows to rout.
-func (t *joinTable) probe(keys []int64, base int, lout, rout []int32) ([]int32, []int32) {
-	if !t.unique {
-		for i, k := range keys {
-			for c := t.first(k); c != 0; c = t.next[c-1] {
+// probe appends the matches of the probe rows base, base+1, … whose keys
+// lie at slots of the table — direct: the keys themselves — to rout, which
+// holds len(slots) positions, and their build rows to lout, which holds as
+// many; a nil lout writes each matching probe row once. It is the one probe
+// loop of both layouts and every key width; the table's header is hoisted
+// out of the rows, each of which then costs a subtraction, a clamp and a
+// load.
+func probe[K int32 | int64](t *joinTable, slots []K, base int, lout, rout []int32) ([]int32, []int32) {
+	head, mn, last := t.head, t.min, t.last
+	first := func(k K) int32 { return head[min(uint64(k)-mn, last)] }
+	if lout != nil && !t.unique {
+		for i, k := range slots {
+			for c := first(k); c != 0; c = t.next[c-1] {
 				lout = append(lout, c-1)
 				rout = append(rout, int32(base+i))
 			}
@@ -358,26 +365,46 @@ func (t *joinTable) probe(keys []int64, base int, lout, rout []int32) ([]int32, 
 	// At most one match a probe row: every row is written where the next
 	// match belongs, and the count moves on only past a match — no branch
 	// for the processor to mispredict on a half-selective dimension.
-	lout, rout = lout[:len(keys)], rout[:len(keys)]
-	cnt := 0
-	for i, k := range keys {
-		c := t.first(k)
+	rout, cnt := rout[:len(slots)], 0
+	if lout == nil {
+		for i, k := range slots {
+			rout[cnt] = int32(base + i)
+			cnt += int(uint32(-first(k)) >> 31)
+		}
+		return nil, rout[:cnt]
+	}
+	lout = lout[:len(slots)]
+	for i, k := range slots {
+		c := first(k)
 		lout[cnt], rout[cnt] = c-1, int32(base+i)
 		cnt += int(uint32(-c) >> 31)
 	}
 	return lout[:cnt], rout[:cnt]
 }
 
-// semiProbe appends to out, which holds len(keys) positions, the probe rows
-// among base, base+1, … whose key the table has.
-func (t *joinTable) semiProbe(keys []int64, base int, out []int32) []int32 {
-	out = out[:len(keys)]
-	cnt := 0
-	for i, k := range keys {
-		out[cnt] = int32(base + i)
-		cnt += int(uint32(-t.first(k)) >> 31)
-	}
-	return out[:cnt]
+// probeAll probes the table with rows [0, n) of a probe key read through
+// read, a morsel per task into pooled buffers, keeping the build rows of
+// the matches where keepBuild says so.
+func probeAll[K int32 | int64](ctx *Ctx, t *joinTable, read func(lo, hi int, scratch []K) []K, n int, keepBuild bool) (perL, perR [][]int32) {
+	perL, perR = make([][]int32, par.Morsels(n)), make([][]int32, par.Morsels(n))
+	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
+		var lout []int32
+		if keepBuild {
+			lout = par.Get[int32](hi - lo)
+		}
+		rout, scratch := par.Get[int32](hi-lo), par.Get[K](hi-lo)
+		keys := read(lo, hi, scratch)
+		if t.parts == nil {
+			perL[mi], perR[mi] = probe(t, keys, lo, lout, rout)
+		} else {
+			slots := par.Get[int32](hi - lo)[:hi-lo]
+			hashSlots(t, keys, slots)
+			perL[mi], perR[mi] = probe(t, slots, lo, lout, rout)
+			par.Put(slots)
+		}
+		par.Put(scratch)
+	})
+	return perL, perR
 }
 
 // joinKeep is what of its matches an equi-join hands back.
@@ -395,37 +422,34 @@ const (
 // asked for and none can match twice — a semi join, or unique build keys —
 // no build position is written at all, and left stays empty.
 func equiJoin(ctx *Ctx, what string, build *Batch, buildKey string, probe *Batch, probeKey string, keep joinKeep, layout joinLayout) (left, right column.PosList, err error) {
-	bk, err := build.column(ctx, buildKey)
+	bc, err := build.find(buildKey)
 	if err != nil {
 		return left, right, fmt.Errorf("%s build side: %w", what, err)
 	}
-	pk, err := probe.column(ctx, probeKey)
+	pc, err := probe.find(probeKey)
 	if err != nil {
 		return left, right, fmt.Errorf("%s probe side: %w", what, err)
 	}
-	n := pk.Len()
-	if bk.Len() > math.MaxInt32 || n > math.MaxInt32 {
-		return left, right, fmt.Errorf("%s: %d build and %d probe rows, int32 positions cannot address them", what, bk.Len(), n)
+	m, n := build.NumRows(), probe.NumRows()
+	if m > math.MaxInt32 || n > math.MaxInt32 {
+		return left, right, fmt.Errorf("%s: %d build and %d probe rows, int32 positions cannot address them", what, m, n)
 	}
-	bkeys, pkeys, bridged, err := joinKeyReaders(bk, pk)
-	if err != nil || bk.Len() == 0 || n == 0 {
+	bsrc, bat := bc.stored()
+	psrc, pat := pc.stored()
+	bkeys, pkeys, bridged, err := joinKeyReaders(bsrc, psrc, bat, pat)
+	if err != nil || m == 0 || n == 0 {
 		return left, right, err
 	}
-	ht := buildJoinTable(ctx, bkeys, bk.Len(), n, bridged, layout)
+	ht := buildJoinTable(ctx, bkeys, m, n, bridged, layout)
 	once := keep == keepProbeOnce || keep == keepProbe && ht.unique
 
-	m := par.Morsels(n)
-	perL, perR := make([][]int32, m), make([][]int32, m)
-	ctx.forEachMorselNoErr(n, func(mi, lo, hi int) {
-		scratch := par.GetInt64(hi - lo)
-		keys := pkeys(lo, hi, scratch)
-		if once {
-			perR[mi] = ht.semiProbe(keys, lo, par.GetInt32(hi-lo))
-		} else {
-			perL[mi], perR[mi] = ht.probe(keys, lo, par.GetInt32(hi-lo), par.GetInt32(hi-lo))
-		}
-		par.PutInt64(scratch)
-	})
+	// Keys stored as int32s — dates, dictionary codes — probe as they are.
+	var perL, perR [][]int32
+	if narrow, ok := keysOf[int32](psrc, pat); ok {
+		perL, perR = probeAll(ctx, ht, narrow, n, !once)
+	} else {
+		perL, perR = probeAll(ctx, ht, pkeys, n, !once)
+	}
 	total := 0
 	for _, r := range perR {
 		total += len(r)
@@ -441,8 +465,8 @@ func equiJoin(ctx *Ctx, what string, build *Batch, buildKey string, probe *Batch
 		left = stitch(perL, total)
 	}
 	for mi := range perR {
-		par.PutInt32(perL[mi])
-		par.PutInt32(perR[mi])
+		par.Put(perL[mi])
+		par.Put(perR[mi])
 	}
 	return left, right, nil
 }
@@ -492,7 +516,7 @@ func NestedLoopJoin(left *Batch, leftKey string, right *Batch, rightKey string) 
 	if err != nil {
 		return nil, err
 	}
-	lkeys, rkeys, _, err := joinKeyReaders(lk, rk)
+	lkeys, rkeys, _, err := joinKeyReaders(lk, rk, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -220,7 +220,7 @@ func TestJoinLayoutGuards(t *testing.T) {
 	// which is no key — it matches nothing and does not widen the domain.
 	sb := MustNewBatch(column.NewString("k", []string{"zz-absent", "b", "aa-absent", "d", "b"}))
 	sp := MustNewBatch(column.NewString("k", []string{"b", "c", "d", "a", "b"}))
-	bkeys, _, bridged, err := joinKeyReaders(sb.MustColumn("k"), sp.MustColumn("k"))
+	bkeys, _, bridged, err := joinKeyReaders(sb.MustColumn("k"), sp.MustColumn("k"), nil, nil)
 	if err != nil || !bridged {
 		t.Fatalf("string keys with two dictionaries: bridged %v, %v", bridged, err)
 	}

@@ -68,8 +68,8 @@ func (c *CmpCols) Eval(resolve Resolver, sel column.PosList) (column.PosList, er
 // scan kernels': every candidate row is stored, and the cursor moves on by
 // the comparison.
 func cmpCols[T int64 | float64](c *CmpCols, lc, rc column.Column, sel column.PosList) (column.PosList, error) {
-	lr, lok := column.Reader[T](lc)
-	rr, rok := column.Reader[T](rc)
+	lr, lok := column.Reader[T](lc, nil)
+	rr, rok := column.Reader[T](rc, nil)
 	switch {
 	case !lok:
 		return none, fmt.Errorf("predicate %s: column %s is not numeric", c, lc.Name())
@@ -83,7 +83,7 @@ func cmpCols[T int64 | float64](c *CmpCols, lc, rc column.Column, sel column.Pos
 		return none, nil
 	}
 	const block = 4096
-	out, k, t := par.GetInt32(sel.Len())[:sel.Len()], 0, truth[c.Op]
+	out, k, t := par.Get[int32](sel.Len())[:sel.Len()], 0, truth[c.Op]
 	if lo, hi, isRange := sel.AsRange(); isRange {
 		lbuf, rbuf := make([]T, block), make([]T, block)
 		for base := lo; base < hi; base += block {

@@ -133,7 +133,7 @@ func floatInterval(op CmpOp, v float64) column.Interval[float64] {
 // scan evaluates a column-vs-constant predicate p, normalized to iv, over
 // the rows sel of col.
 func scan[T int64 | float64](p Predicate, col column.Column, iv column.Interval[T], sel column.PosList) (column.PosList, error) {
-	out, ok := column.Scan(col, iv, sel, par.GetInt32(sel.Len()))
+	out, ok := column.Scan(col, iv, sel, par.Get[int32](sel.Len()))
 	if !ok {
 		return none, fmt.Errorf("predicate %s: unsupported column type %T", p, col)
 	}

@@ -64,33 +64,34 @@ var (
 	i32Arena bufPool[int32]
 )
 
-// GetFloat64 returns a zero-length []float64 with capacity >= capHint.
-func GetFloat64(capHint int) []float64 { return f64Arena.get(capHint) }
+// Get returns a zero-length []T with capacity >= capHint.
+func Get[T float64 | int64 | int32](capHint int) []T { return arena[T]().get(capHint) }
 
-// PutFloat64 recycles a buffer obtained from GetFloat64.
-func PutFloat64(s []float64) { f64Arena.put(s) }
+// Put recycles a buffer obtained from Get.
+func Put[T float64 | int64 | int32](s []T) { arena[T]().put(s) }
 
-// GetInt64 returns a zero-length []int64 with capacity >= capHint.
-func GetInt64(capHint int) []int64 { return i64Arena.get(capHint) }
-
-// PutInt64 recycles a buffer obtained from GetInt64.
-func PutInt64(s []int64) { i64Arena.put(s) }
-
-// GetInt32 returns a zero-length []int32 with capacity >= capHint.
-func GetInt32(capHint int) []int32 { return i32Arena.get(capHint) }
-
-// PutInt32 recycles a buffer obtained from GetInt32.
-func PutInt32(s []int32) { i32Arena.put(s) }
+func arena[T float64 | int64 | int32]() *bufPool[T] {
+	var a any
+	switch any(T(0)).(type) {
+	case float64:
+		a = &f64Arena
+	case int64:
+		a = &i64Arena
+	default:
+		a = &i32Arena
+	}
+	return a.(*bufPool[T])
+}
 
 // PutPos recycles the buffer behind an explicit position list whose
-// positions were collected in a GetInt32 buffer. A range holds no buffer.
+// positions were collected in a Get[int32] buffer. A range holds no buffer.
 func PutPos(pos column.PosList) {
 	if _, _, isRange := pos.AsRange(); !isRange {
-		PutInt32(pos.Explicit())
+		Put(pos.Explicit())
 	}
 }
 
-// TakePos is the way out of a GetInt32 buffer for a selection kernel, which
+// TakePos is the way out of a Get[int32] buffer for a selection kernel, which
 // stores every candidate row and so needs a place for each: out holds the
 // ascending positions that qualified. The selection returned keeps a copy
 // the size of what qualified — none at all when that is a run of rows, which
@@ -100,6 +101,6 @@ func TakePos(out []int32) column.PosList {
 	if _, _, isRange := pos.AsRange(); !isRange {
 		pos = column.Positions(slices.Clone(out))
 	}
-	PutInt32(out)
+	Put(out)
 	return pos
 }

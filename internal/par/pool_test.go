@@ -129,31 +129,31 @@ func TestForEachNZeroAndNegative(t *testing.T) {
 }
 
 func TestArenaRoundTrip(t *testing.T) {
-	f := GetFloat64(100)
+	f := Get[float64](100)
 	if len(f) != 0 || cap(f) < 100 {
-		t.Fatalf("GetFloat64: len=%d cap=%d", len(f), cap(f))
+		t.Fatalf("Get[float64]: len=%d cap=%d", len(f), cap(f))
 	}
 	f = append(f, 1, 2, 3)
-	PutFloat64(f)
-	f2 := GetFloat64(10)
+	Put(f)
+	f2 := Get[float64](10)
 	if len(f2) != 0 {
 		t.Fatalf("recycled buffer has len %d, want 0", len(f2))
 	}
 
-	i := GetInt32(77)
+	i := Get[int32](77)
 	if len(i) != 0 || cap(i) < 77 {
-		t.Fatalf("GetInt32: len=%d cap=%d", len(i), cap(i))
+		t.Fatalf("Get[int32]: len=%d cap=%d", len(i), cap(i))
 	}
-	PutInt32(i)
+	Put(i)
 
 	// A list's buffer comes back through PutPos; a range has none to give.
-	p := append(GetInt32(DefaultMorselRows*2), 5, 3)
+	p := append(Get[int32](DefaultMorselRows*2), 5, 3)
 	PutPos(column.Positions(p))
 	PutPos(column.Range(0, 1<<30))
 
 	// Puts of foreign or empty slices must be harmless.
-	PutFloat64(nil)
-	PutInt32(nil)
+	Put[float64](nil)
+	Put[int32](nil)
 	PutPos(column.PosList{})
 	PutPos(column.Positions(make([]int32, 0)))
 }

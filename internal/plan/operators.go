@@ -59,11 +59,28 @@ type ScanOp struct {
 	Table string
 	Cols  []string
 	Pred  expr.Predicate
+	base  []table.ColumnID // BaseColumns, listed once by Scan
 }
 
 // Scan builds a leaf scan node.
 func Scan(tbl string, cols []string, pred expr.Predicate) *Node {
-	return NewNode(&ScanOp{Table: tbl, Cols: cols, Pred: pred})
+	o := &ScanOp{Table: tbl, Cols: cols, Pred: pred}
+	seen := make(map[string]bool)
+	add := func(c string) {
+		if !seen[c] {
+			seen[c] = true
+			o.base = append(o.base, table.MakeColumnID(tbl, c))
+		}
+	}
+	if pred != nil {
+		for _, c := range pred.Columns() {
+			add(c)
+		}
+	}
+	for _, c := range cols {
+		add(c)
+	}
+	return NewNode(o)
 }
 
 // Class returns cost.Selection.
@@ -77,26 +94,10 @@ func (o *ScanOp) Name() string {
 	return fmt.Sprintf("scan(%s)", o.Table)
 }
 
-// BaseColumns returns the filter columns and the materialized columns.
-func (o *ScanOp) BaseColumns() []table.ColumnID {
-	seen := make(map[string]bool)
-	var out []table.ColumnID
-	add := func(c string) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, table.MakeColumnID(o.Table, c))
-		}
-	}
-	if o.Pred != nil {
-		for _, c := range o.Pred.Columns() {
-			add(c)
-		}
-	}
-	for _, c := range o.Cols {
-		add(c)
-	}
-	return out
-}
+// BaseColumns returns the filter columns and the materialized columns, in
+// that order and each once: a list shared by every caller, not to be
+// written to.
+func (o *ScanOp) BaseColumns() []table.ColumnID { return o.base }
 
 // Execute runs the scan on real data: one full-range chunk, stitched and
 // materialized — the serial special case of the chunked execution path, which

@@ -230,6 +230,11 @@ func TestOperatorMetadata(t *testing.T) {
 	if len(scan.Op.BaseColumns()) != 1 { // qty used as filter and output
 		t.Fatalf("scan base columns = %v", scan.Op.BaseColumns())
 	}
+	// Placement asks every scan for its base columns several times an
+	// attempt: the list is made once, with the node.
+	if n := testing.AllocsPerRun(10, func() { scan.Op.BaseColumns() }); n != 0 {
+		t.Fatalf("a scan's base columns cost %v allocations a call, want 0", n)
+	}
 	f := Filter(scan, expr.NewCmp("qty", expr.LT, 100))
 	if f.Op.Class() != cost.Selection || f.Op.BaseColumns() != nil {
 		t.Fatal("filter metadata wrong")

@@ -501,7 +501,7 @@ func batchCells(b *Batch) []string {
 				cells = append(cells, math.Float64bits(v))
 			}
 		default:
-			read, _ := column.Reader[int64](c)
+			read, _ := column.Reader[int64](c, nil)
 			for _, v := range read(0, c.Len(), nil) {
 				cells = append(cells, v)
 			}
