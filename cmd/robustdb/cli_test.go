@@ -31,9 +31,10 @@ func TestCLIExitCodes(t *testing.T) {
 		want   string // on stderr for a refusal, on stdout for a run
 	}{
 		{"batch", []string{"-users", "2", "-total", "4", "-strategy", "all", "-kernel-workers", "1"}, 0, "Data-Driven Chopping"},
-		{"batch-chaos", []string{"-fault-seed", "7", "-fault-alloc", "0.1", "-deadline", "500ms", "-query", "Q1.1"}, 0, "failures="},
+		{"batch-chaos", []string{"-rows", "200", "-fault-seed", "7", "-fault-alloc", "0.1", "-deadline", "500ms"}, 0, "failures="},
 		{"explain", []string{"-explain", q}, 0, `"root"`},
 		{"explain-analyze", []string{"-analyze", "-explain", q, "-strategy", "gpu-only", "-cache-frac", "0.1"}, 0, `"analyze"`},
+		{"analyze-explain-analyze-statement", []string{"-analyze", "-explain", "EXPLAIN ANALYZE " + q}, 0, `"analyze"`},
 		{"help", []string{"-h"}, 0, ""},
 
 		{"loadgen-flag-in-batch", []string{"-rate", "5"}, 2, "-rate: not read by a batch run"},
@@ -47,11 +48,12 @@ func TestCLIExitCodes(t *testing.T) {
 		{"positional-first", []string{"extra", "-serve", ":0"}, 2, `unexpected argument "extra"`},
 		{"positional-drops-flags", []string{"-users", "20", "total", "100"}, 2, `unexpected argument "total"`},
 		{"explain-swallows-analyze", []string{"-explain", "-analyze", q}, 2, "unexpected argument"},
+		{"explain-analyze-statement", []string{"-explain", "EXPLAIN ANALYZE " + q}, 2, "-explain: an EXPLAIN ANALYZE statement executes, and only -analyze"},
 		{"analyze-all-strategies", []string{"-strategy", "all", "-analyze", "-explain", q}, 2, "-explain: needs a single -strategy"},
 		{"serve-all-strategies", []string{"-strategy", "all", "-serve", ":0"}, 2, "-serve: needs a single -strategy"},
 		{"out-of-range", []string{"-cache-frac", "NaN"}, 2, "-cache-frac: must be finite and at least 0, got NaN"},
-		{"zero-queue-timeout", []string{"-serve", ":0", "-queue-timeout", "0"}, 2, "-queue-timeout: must be above 0, got 0s"},
-		{"negative-queue-timeout", []string{"-serve", ":0", "-queue-timeout", "-1s"}, 2, "-queue-timeout: must be above 0, got -1s"},
+		{"zero-drain-timeout", []string{"-serve", ":0", "-drain-timeout", "0"}, 2, "-drain-timeout: must be above 0, got 0s"},
+		{"negative-drain-timeout", []string{"-serve", ":0", "-drain-timeout", "-1s"}, 2, "-drain-timeout: must be above 0, got -1s"},
 		{"not-enumerated", []string{"-strategy", "quantum"}, 2, "-strategy: must be one of "},
 		{"undefined-flag", []string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
 		{"unparsable-value", []string{"-users", "two"}, 2, `invalid value "two" for flag -users`},
@@ -93,16 +95,20 @@ func TestServeAndLoadgen(t *testing.T) {
 	}
 }
 
+// benchLines are the argument lists bench/proc.go starts its server with, at
+// its small and its large scale.
+var benchLines = [][]string{
+	{"-bench", "ssb", "-sf", "1", "-rows", "6000", "-seed", "1", "-strategy", "data-driven-chopping",
+		"-cache-frac", "1", "-kernel-workers", "2", "-serve", "127.0.0.1:0", "-serve-cooldown", "1h", "-log-level", "error"},
+	{"-bench", "ssb", "-sf", "10", "-seed", "1", "-strategy", "data-driven-chopping",
+		"-cache-frac", "0.5", "-kernel-workers", "2", "-serve", "127.0.0.1:0", "-serve-cooldown", "1h", "-log-level", "error"},
+}
+
 // TestBenchHarnessInvocation holds the command to the argument list
 // bench/proc.go starts its server with — a file no product change may edit,
 // so a CLI change that broke this line would break the benchmark unnoticed.
 func TestBenchHarnessInvocation(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bench", "ssb", "-sf", "1", "-rows", "6000", "-seed", "1", "-strategy", "data-driven-chopping",
-			"-cache-frac", "1", "-kernel-workers", "2", "-serve", "127.0.0.1:0", "-serve-cooldown", "1h", "-log-level", "error"},
-		{"-bench", "ssb", "-sf", "10", "-seed", "1", "-strategy", "data-driven-chopping",
-			"-cache-frac", "0.5", "-kernel-workers", "2", "-serve", "127.0.0.1:0", "-serve-cooldown", "1h", "-log-level", "error"},
-	} {
+	for _, args := range benchLines {
 		o, err := parseFlags(args, io.Discard)
 		if err != nil {
 			t.Fatalf("%q does not parse: %v", args, err)
@@ -117,8 +123,8 @@ func TestBenchHarnessInvocation(t *testing.T) {
 // assume.
 func TestFlagTable(t *testing.T) {
 	defs := flagDefs(new(options))
-	if len(defs) != 41 {
-		t.Errorf("%d flags, want the 41 the command has always had", len(defs))
+	if len(defs) != 31 {
+		t.Errorf("%d flags, want 31: a new flag needs a setter (TestEveryFlagHasASetter)", len(defs))
 	}
 	seen := map[string]bool{}
 	groups := map[mode]bool{}
@@ -200,5 +206,65 @@ func TestChaosGolden(t *testing.T) {
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("the chaos run differs from %s (go test ./cmd/robustdb -run TestChaosGolden -update-golden rewrites it):\n%s", golden, &stdout)
+	}
+}
+
+// TestEveryFlagHasASetter holds the command line to the rule DESIGN.md §31
+// states for Config fields: a flag is set by a CI step, by the benchmark's
+// server line (bench/proc.go) or by a robustdb command line in README.md or
+// EXPERIMENTS.md — with a value, or bare for a boolean. A flag nothing sets
+// doubles the configurations the tests must cover for no caller; it is the
+// constant it defaults to. The exemptions say why they are flags at all.
+func TestEveryFlagHasASetter(t *testing.T) {
+	const deployment = "a deployment setting, the host's to choose"
+	const faults = "the fault schedule: how a mechanism is made to fire (DESIGN.md §31)"
+	exempt := map[string]string{
+		"max-conns":      deployment + " (its descriptor limit)",
+		"drain-timeout":  deployment + " (the orchestrator's grace period)",
+		"fault-seed":     faults,
+		"fault-alloc":    faults,
+		"fault-transfer": faults,
+		"fault-stuck":    faults,
+		"fault-resets":   faults,
+		"deadline":       faults,
+	}
+	set := map[string]bool{}
+	read := func(path string) string {
+		b, err := os.ReadFile(filepath.Join("..", "..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, m := range regexp.MustCompile(`"-([a-z][a-z-]*)"`).FindAllStringSubmatch(read("bench/proc.go"), -1) {
+		set[m[1]] = true
+	}
+	bools := map[string]bool{}
+	for _, d := range flagDefs(new(options)) {
+		_, bools[d.name] = d.def.(bool)
+	}
+	invocation := regexp.MustCompile(`(^|[\s/` + "`" + `])robustdb(-bin)?\s`)
+	for _, path := range []string{".github/workflows/ci.yml", "README.md", "EXPERIMENTS.md"} {
+		for _, line := range strings.Split(strings.ReplaceAll(read(path), "\\\n", " "), "\n") {
+			if !invocation.MatchString(line) {
+				continue
+			}
+			fields := strings.Fields(line)
+			for i, f := range fields {
+				name, _, assigned := strings.Cut(strings.TrimPrefix(f, "-"), "=")
+				if strings.HasPrefix(f, "-") && (assigned || bools[name] || i+1 < len(fields)) {
+					set[name] = true
+				}
+			}
+		}
+	}
+	var unset []string
+	for _, d := range flagDefs(new(options)) {
+		if !set[d.name] && exempt[d.name] == "" {
+			unset = append(unset, "-"+d.name)
+		}
+	}
+	if len(unset) > 0 {
+		t.Errorf("no CI step, bench/proc.go, README.md or EXPERIMENTS.md command line sets %s: make each the constant it defaults to, or exempt it with its reason", strings.Join(unset, ", "))
 	}
 }

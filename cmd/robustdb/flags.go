@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 
 	"robustdb"
 	"robustdb/internal/admission"
+	"robustdb/internal/sql"
 	"robustdb/internal/workload"
 )
 
@@ -21,23 +23,21 @@ import (
 type options struct {
 	explain, serve, loadgen string // at most one: the mode flags
 
-	bench, query, strategy, logLevel, trace string
-	sf, rows, users, total                  int
-	seed                                    int64
-	cacheFrac, heapFrac                     float64
-	kernelWorkers, pipelineDepth            int
-	pipelineCoExec, admission, analyze      bool
-	deadline                                time.Duration
+	bench, strategy, logLevel, trace string
+	sf, rows, users, total           int
+	seed                             int64
+	cacheFrac                        float64
+	kernelWorkers, pipelineDepth     int
+	pipelineCoExec, analyze          bool
+	deadline                         time.Duration
 
 	faultSeed                             int64
 	faultAlloc, faultTransfer, faultStuck float64
 	faultResets                           int
 
-	serveWindow, serveCooldown, queueTimeout, drainTimeout  time.Duration
-	admissionPolicy                                         string
-	admit, queueDepth, tenantInflight, maxConns, slowlogCap int
-	slowlogThreshold                                        time.Duration
-	slowlogQError                                           float64
+	serveCooldown, drainTimeout, slowlogThreshold time.Duration
+	admissionPolicy                               string
+	maxConns                                      int
 
 	rate      float64
 	duration  time.Duration
@@ -128,7 +128,6 @@ func flagDefs(o *options) []flagDef {
 	return []flagDef{
 		{"users", &o.users, 1, span{1, inf}, batch, "parallel user sessions"},
 		{"total", &o.total, 0, span{0, inf}, batch, "total queries, split over the users (0 = one pass over the mix a user)"},
-		{"admission", &o.admission, false, nil, batch, "admit only one query at a time (baseline)"},
 		{"trace", &o.trace, "", nil, batch, "write an operator-level Chrome trace_event JSON to `FILE` (chrome://tracing, ui.perfetto.dev, cmd/tracereport); with -strategy all, one file a strategy"},
 
 		{"bench", &o.bench, "ssb", keys(benchmarks), dataset, "benchmark database"},
@@ -136,12 +135,10 @@ func flagDefs(o *options) []flagDef {
 		{"rows", &o.rows, 0, span{0, inf}, dataset, "rows per scale factor (0 = the generator's own)"},
 		{"strategy", &o.strategy, workload.NameOf(robustdb.DataDrivenChopping()), oneOf(workload.Names()), dataset, "execution strategy; all runs six in turn and is for a batch run only"},
 		{"cache-frac", &o.cacheFrac, 0.5, span{0, maxF}, dataset, "device cache as a fraction of the database"},
-		{"heap-frac", &o.heapFrac, 1.0, span{0, maxF}, dataset, "device heap as a fraction of the database"},
 		{"kernel-workers", &o.kernelWorkers, runtime.GOMAXPROCS(0), span{1, inf}, dataset, "worker threads per operator kernel, GOMAXPROCS unless set (results are bit-identical at any setting; 1 is serial)"},
 		{"pipeline-depth", &o.pipelineDepth, 2, span{0, inf}, dataset, "in-flight chunk bound of the pipelined chunk executor (0 disables pipelining)"},
 		{"pipeline-coexec", &o.pipelineCoExec, true, nil, dataset, "let the pipelined executor hand trailing chunks to the CPU when the device side is saturated"},
 
-		{"query", &o.query, "", nil, engine, "run the one query of -bench with this `NAME` instead of the whole mix"},
 		{"fault-seed", &o.faultSeed, int64(1), nil, engine, "fault injector seed (the schedule is reproducible per seed)"},
 		{"fault-alloc", &o.faultAlloc, 0.0, span{0, 1}, engine, "transient device-allocation failure probability"},
 		{"fault-transfer", &o.faultTransfer, 0.0, span{0, 1}, engine, "transient bus-transfer failure probability"},
@@ -157,18 +154,11 @@ func flagDefs(o *options) []flagDef {
 		{"analyze", &o.analyze, false, nil, explain, "execute the statement once on a fresh simulated machine under -strategy and attach per-node actuals (EXPLAIN ANALYZE)"},
 
 		{"serve", &o.serve, "", nil, serve | selector, "serve POST /v1/query and /v1/explain (tenant-tagged SQL through admission control), /metrics, /healthz and /debug/{admission,slowlog,snapshot,spans,pprof} on `ADDR` until SIGINT/SIGTERM, then drain and exit 0; a background tenant cycles the query mix, its first pass before the first accept"},
-		{"serve-window", &o.serveWindow, 500 * time.Millisecond, span{tiny, inf}, serve, "detector sampling + backpressure interval"},
 		{"serve-cooldown", &o.serveCooldown, 2 * time.Second, span{0, inf}, serve, "idle gap between background passes, in which the detectors observe recovery"},
 		{"admission-policy", &o.admissionPolicy, string(admission.Fair), oneOf{string(admission.FIFO), string(admission.Fair), string(admission.Detector)}, serve, "admission policy; detector couples admitted concurrency to the thrashing/contention detectors"},
-		{"admit", &o.admit, 0, span{0, inf}, serve, "queries admitted into the engine at once (0 = derived from the strategy's chopping pool bounds)"},
-		{"queue-depth", &o.queueDepth, 64, span{1, inf}, serve, "bounded admission queue length"},
-		{"queue-timeout", &o.queueTimeout, 5 * time.Second, span{tiny, inf}, serve, "queue wait after which a queued query is shed"},
-		{"tenant-inflight", &o.tenantInflight, 0, span{0, inf}, serve, "per-tenant in-flight cap (0 = same as -admit)"},
 		{"max-conns", &o.maxConns, 256, span{1, inf}, serve, "accepted TCP connection limit"},
 		{"drain-timeout", &o.drainTimeout, 10 * time.Second, span{tiny, inf}, serve, "bound on the SIGTERM drain"},
-		{"slowlog-capacity", &o.slowlogCap, 256, span{0, inf}, serve, "slow-query journal ring capacity (0 disables the journal and /debug/slowlog)"},
 		{"slowlog-threshold", &o.slowlogThreshold, 100 * time.Millisecond, span{0, inf}, serve, "virtual latency at or above which a query is journaled (0 journals every query)"},
-		{"slowlog-qerror", &o.slowlogQError, 16.0, span{0, maxF}, serve, "q-error at or above which a query is journaled whatever its latency (0 disables the gate)"},
 
 		{"loadgen", &o.loadgen, "", nil, loadgen | selector, "offer open-loop load to the front door at `URL` and report admitted/shed counts and latency quantiles; builds no database"},
 		{"rate", &o.rate, 50.0, span{tiny, maxF}, loadgen, "offered arrival rate in queries/second"},
@@ -250,7 +240,7 @@ func checkFlags(defs []flagDef, set map[string]bool) (mode, error) {
 
 // validateOptions checks the whole command line and returns the mode it
 // selects, or an error that leads with the offending flag. It runs before the
-// dataset is built and must stay cheap: naming a query builds plans, never
+// dataset is built and must stay cheap: it parses a statement, never builds
 // table data. The rules here need two flags or a parser another package owns.
 func validateOptions(o options) (mode, error) {
 	if len(o.args) > 0 {
@@ -264,9 +254,10 @@ func validateOptions(o options) (mode, error) {
 	if o.strategy == "all" && (m == serve || m == explain && o.analyze) {
 		return 0, fmt.Errorf("%s: needs a single -strategy, not %q", modeNames(defs, m), o.strategy)
 	}
-	named := func(q robustdb.WorkloadQuery) bool { return q.Name == o.query }
-	if o.query != "" && !slices.ContainsFunc(benchmarks[o.bench].queries(), named) {
-		return 0, fmt.Errorf("-query: no query %q in %s", o.query, o.bench)
+	if m == explain && !o.analyze {
+		if st, err := sql.Parse(o.explain); err == nil && st.Analyze {
+			return 0, errors.New("-explain: an EXPLAIN ANALYZE statement executes, and only -analyze (before -explain) runs it")
+		}
 	}
 	if _, err := parseTenantMix(o.tenantMix); err != nil {
 		return 0, fmt.Errorf("-tenant-mix: %w", err)

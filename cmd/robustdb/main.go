@@ -89,18 +89,14 @@ func (o *options) faults(log *slog.Logger) *robustdb.FaultInjector {
 	})
 }
 
-// start is what every mode over a database begins with: the database, the
-// queries to run on it and the device sized against it, announced on the log.
+// start is what every mode over a database begins with: the database, its
+// whole query mix and the device (heap: the database's size), announced.
 func (o *options) start(log *slog.Logger) (*robustdb.DB, []robustdb.WorkloadQuery, robustdb.Device) {
 	b := benchmarks[o.bench]
-	queries := b.queries()
-	if i := slices.IndexFunc(queries, func(q robustdb.WorkloadQuery) bool { return q.Name == o.query }); i >= 0 {
-		queries = queries[i : i+1 : i+1]
-	}
 	db := b.open(robustdb.SSBConfig{SF: o.sf, RowsPerSF: o.rows, Seed: o.seed})
 	dev := robustdb.Device{
 		CacheBytes:     int64(o.cacheFrac * float64(db.TotalBytes())),
-		HeapBytes:      int64(o.heapFrac * float64(db.TotalBytes())),
+		HeapBytes:      db.TotalBytes(),
 		KernelWorkers:  o.kernelWorkers,
 		PipelineDepth:  o.pipelineDepth,
 		PipelineCoExec: o.pipelineCoExec,
@@ -115,7 +111,7 @@ func (o *options) start(log *slog.Logger) (*robustdb.DB, []robustdb.WorkloadQuer
 			"component", "cli", "seed", o.faultSeed, "alloc", o.faultAlloc,
 			"transfer", o.faultTransfer, "resets", o.faultResets, "stuck", o.faultStuck)
 	}
-	return db, queries, dev
+	return db, b.queries(), dev
 }
 
 // runExplain prints the statement's plan document. Plain EXPLAIN never
@@ -147,11 +143,10 @@ func runBatch(o *options, log *slog.Logger, stdout io.Writer) error {
 		dev.Tracer = robustdb.NewTracer(0)
 	}
 	spec := robustdb.Workload{
-		Queries:          queries,
-		Users:            o.users,
-		TotalQueries:     o.total,
-		AdmissionControl: o.admission,
-		ContinueOnError:  o.chaos() || o.deadline > 0,
+		Queries:         queries,
+		Users:           o.users,
+		TotalQueries:    o.total,
+		ContinueOnError: o.chaos() || o.deadline > 0,
 	}
 	strats := workload.Select(o.strategy)
 	fmt.Fprintf(stdout, "%-22s %12s %10s %10s %8s %12s\n",

@@ -22,6 +22,13 @@ import (
 	"robustdb/internal/workload"
 )
 
+// Serve mode's fixed settings (DESIGN.md §31): the detectors' sampling and
+// backpressure window, and the q-error at which a query is journaled.
+const (
+	serveWindow   = 500 * time.Millisecond
+	slowlogQError = 16
+)
+
 // runServe runs the query front door on addr: POST /v1/query admits
 // tenant-tagged SQL into the engine under the configured admission policy,
 // POST /v1/explain describes a statement's plan without running it,
@@ -35,46 +42,24 @@ import (
 func runServe(o *options, log *slog.Logger) error {
 	//lint:ignore virtualtime process uptime on /metrics is wall-clock by definition, outside any deterministic run
 	start := time.Now()
-	db, queries, dev := o.start(log)
-	dev.Faults = o.faults(log)
-	dev.Tracer = robustdb.NewTracer(0)
-	strat := workload.Select(o.strategy)[0]
-	engine, err := workload.NewEngine(db.Catalog(), dev, strat, queries)
+	cfg, queries, err := o.serveConfig(log)
 	if err != nil {
 		return err
 	}
-	var slowlog *journal.Journal
-	if o.slowlogCap != 0 {
-		slowlog = journal.New(o.slowlogCap, o.slowlogThreshold, o.slowlogQError)
-	}
-	front, err := server.New(server.Config{
-		Engine:  engine,
-		Placer:  strat.Placer,
-		Catalog: db.Catalog(),
-		Admission: admission.Config{ // zero fields keep the controller's defaults
-			Policy:        admission.Policy(o.admissionPolicy),
-			MaxConcurrent: o.admit,
-			MaxQueue:      o.queueDepth,
-			QueueTimeout:  o.queueTimeout,
-			DefaultTenant: admission.TenantConfig{MaxInFlight: o.tenantInflight},
-		},
-		MaxQueryDeadline: o.deadline, // the ceiling on what a client may ask for
-		Journal:          slowlog,
-		Log:              log,
-	})
+	front, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
-	reg := engine.Metrics.Registry()
+	reg := cfg.Engine.Metrics.Registry()
 	detectors := []*obs.Detector{
 		obs.NewThrashingDetector(),
 		obs.NewContentionDetector(),
 	}
 	sampler := obs.NewSampler(reg, detectors, log)
-	stopPressure := server.StartPressureLoop(front, sampler, o.serveWindow)
+	stopPressure := server.StartPressureLoop(front, sampler, serveWindow)
 	obsMux := obs.NewMux(obs.ServerConfig{
 		Registry:  reg,
-		Tracer:    dev.Tracer,
+		Tracer:    cfg.Engine.Tracer,
 		Detectors: detectors,
 		Log:       log,
 		Build:     obs.ReadBuildInfo(),
@@ -111,11 +96,10 @@ func runServe(o *options, log *slog.Logger) error {
 	log.LogAttrs(context.Background(), slog.LevelInfo, "serving",
 		slog.String("component", "serve"),
 		slog.String("addr", ln.Addr().String()),
-		slog.String("strategy", strat.Label),
+		slog.String("strategy", o.strategy),
 		slog.String("policy", o.admissionPolicy),
-		slog.Int("admit", o.admit),
-		slog.Int("max_conns", o.maxConns),
-		slog.Duration("window", o.serveWindow))
+		slog.Int("admit", front.Admission().Stats().ConcurrencyLimit),
+		slog.Int("max_conns", o.maxConns))
 
 	// The background tenant from here on: a wall-clock cooldown, then one
 	// pass over the query mix through the front door. It shares the admission
@@ -162,6 +146,29 @@ func runServe(o *options, log *slog.Logger) error {
 		return runErr
 	}
 	return drainErr
+}
+
+// serveConfig builds the front door and returns it with the query mix: a
+// traced engine, admission at the controller's own bounds (server.New admits
+// workload.AdmittedBound), the slow-query journal always on.
+func (o *options) serveConfig(log *slog.Logger) (server.Config, []robustdb.WorkloadQuery, error) {
+	db, queries, dev := o.start(log)
+	dev.Faults = o.faults(log)
+	dev.Tracer = robustdb.NewTracer(0)
+	strat := workload.Select(o.strategy)[0]
+	engine, err := workload.NewEngine(db.Catalog(), dev, strat, queries)
+	if err != nil {
+		return server.Config{}, nil, err
+	}
+	return server.Config{
+		Engine:           engine,
+		Placer:           strat.Placer,
+		Catalog:          db.Catalog(),
+		Admission:        admission.Config{Policy: admission.Policy(o.admissionPolicy)},
+		MaxQueryDeadline: o.deadline, // the ceiling on what a client may ask for
+		Journal:          journal.New(journal.DefaultCapacity, o.slowlogThreshold, slowlogQError),
+		Log:              log,
+	}, queries, nil
 }
 
 // What a client that sends nothing may hold: a connection whose request

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,10 @@ import (
 	"time"
 
 	"robustdb"
+	"robustdb/internal/admission"
+	"robustdb/internal/journal"
+	"robustdb/internal/obs"
+	"robustdb/internal/server"
 )
 
 // startServe runs the command in serve mode on a free local port, through
@@ -67,11 +73,11 @@ func startServe(t *testing.T, args ...string) (addr string, stop func() int) {
 // TestFirstBackgroundPassPrecedesServing pins the serve mode's start-up
 // order: whatever a client reads first already counts the background
 // tenant's whole first pass, and with a long cooldown nothing is added to it
-// afterwards — so a client that brackets its own requests with two /metrics
-// scrapes counts exactly those requests.
+// afterwards, not by a sampling window either — so a client that brackets its
+// own requests with two /metrics scrapes counts exactly those requests.
 func TestFirstBackgroundPassPrecedesServing(t *testing.T) {
 	addr, stop := startServe(t, "-sf", "1", "-rows", "2000", "-seed", "1", "-cache-frac", "1",
-		"-serve-window", "1h", "-serve-cooldown", "1h", "-slowlog-capacity", "16", "-log-level", "error")
+		"-serve-cooldown", "1h", "-log-level", "error")
 	requests := func() string {
 		t.Helper()
 		resp, err := http.Get("http://" + addr + "/metrics")
@@ -95,7 +101,7 @@ func TestFirstBackgroundPassPrecedesServing(t *testing.T) {
 	if got := requests(); got != want {
 		t.Errorf("first scrape: %s requests, want the whole background pass (%s)", got, want)
 	}
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(serveWindow + 100*time.Millisecond) // the detectors sample, no request is made
 	if got := requests(); got != want {
 		t.Errorf("second scrape: %s requests, want still %s", got, want)
 	}
@@ -163,5 +169,91 @@ func TestGCPercentFor(t *testing.T) {
 		if got := gcPercentFor(c.live); got != c.want {
 			t.Errorf("gcPercentFor(%d MB) = %d, want %d", c.live>>20, got, c.want)
 		}
+	}
+}
+
+// TestBenchLineKeepsItsSettings pins what the benchmark's server line runs
+// with, which no flag sets: 8 queries admitted under data-driven chopping, a
+// queue of 64 with 17 a tenant, 5 s of queue wait for a submitter that names
+// none (admission's TestZeroConfigDefaults), a 500 ms window, a journal of 256
+// entries gated at 100 ms and q-error 16, and a heap as large as the database.
+func TestBenchLineKeepsItsSettings(t *testing.T) {
+	o, err := parseFlags(benchLines[0], io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, err := o.serveConfig(obs.NewLogger(io.Discard, slog.LevelError))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heap, db := cfg.Engine.Heap.Capacity(), cfg.Catalog.TotalBytes(); heap != db {
+		t.Errorf("device heap %d bytes, want the database's %d", heap, db)
+	}
+	if a := cfg.Admission; a.Policy != admission.Fair || a.MaxConcurrent != 0 || a.MaxQueue != 0 || a.MaxTenantQueue != 0 || a.QueueTimeout != 0 {
+		t.Errorf("admission config %+v, want the fair policy under the controller's own bounds", a)
+	}
+	if serveWindow != 500*time.Millisecond {
+		t.Errorf("serve window %v, want 500ms", serveWindow)
+	}
+	j := cfg.Journal
+	for _, c := range []struct {
+		latency time.Duration
+		qerror  float64
+		want    string
+	}{{99 * time.Millisecond, 15.9, ""}, {100 * time.Millisecond, 0, "latency"}, {0, 16, "qerror"}} {
+		if got := j.Reason(c.latency, c.qerror, false); got != c.want {
+			t.Errorf("journal reason at %v and q-error %g: %q, want %q", c.latency, c.qerror, got, c.want)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		j.Record(journal.Entry{})
+	}
+	if j.Len() != 256 {
+		t.Errorf("journal holds %d entries, want 256", j.Len())
+	}
+
+	front, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := front.Admission()
+	var admitted []*admission.Ticket
+	for i := 0; i < 8; i++ {
+		tk, err := ctrl.Submit("bench", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted = append(admitted, tk)
+	}
+	if s := ctrl.Stats(); s.ConcurrencyLimit != 8 || s.InFlight != 8 {
+		t.Errorf("concurrency limit %d with %d in flight, want 8 and 8", s.ConcurrencyLimit, s.InFlight)
+	}
+	submit := func(tenant string, n int) error {
+		for i := 0; i < n; i++ {
+			if _, err := ctrl.Submit(tenant, 0, 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := submit("bench", 18); err == nil || !strings.Contains(err.Error(), "tenant queue full (17)") {
+		t.Errorf("the 18th query a tenant queues: %v, want a tenant queue of 17", err)
+	}
+	if err := submit("a", 17); err != nil {
+		t.Fatal(err)
+	}
+	if err := submit("b", 17); err != nil {
+		t.Fatal(err)
+	}
+	if err := submit("c", 14); err == nil || !strings.Contains(err.Error(), "queue full (64)") || ctrl.Stats().Queued != 64 {
+		t.Errorf("the 65th queued query: %v with %d queued, want a queue of 64", err, ctrl.Stats().Queued)
+	}
+	ctrl.Drain()
+	for _, tk := range admitted {
+		tk.Wait(context.Background())
+		ctrl.Release(tk)
+	}
+	if err := front.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

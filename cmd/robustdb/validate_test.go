@@ -15,23 +15,16 @@ func validOptions() options {
 		users:         1,
 		strategy:      "data-driven-chopping",
 		cacheFrac:     0.5,
-		heapFrac:      1.0,
 		kernelWorkers: 1,
 		logLevel:      "info",
-		serveWindow:   500 * time.Millisecond,
 		serveCooldown: time.Second,
 		pipelineDepth: 2,
 
 		admissionPolicy: "fair",
-		admit:           8,
-		queueDepth:      64,
-		queueTimeout:    5 * time.Second,
 		maxConns:        256,
 		drainTimeout:    10 * time.Second,
 
-		slowlogCap:       256,
 		slowlogThreshold: 100 * time.Millisecond,
-		slowlogQError:    16,
 
 		rate:     50,
 		duration: 10 * time.Second,
@@ -47,8 +40,6 @@ func TestValidateOptions(t *testing.T) {
 		{"defaults", func(o *options) {}, ""},
 		{"tpch", func(o *options) { o.bench = "tpch" }, ""},
 		{"all-strategies", func(o *options) { o.strategy = "all" }, ""},
-		{"named-query", func(o *options) { o.query = "Q3.3" }, ""},
-		{"tpch-query", func(o *options) { o.bench = "tpch"; o.query = "Q5" }, ""},
 		{"serve", func(o *options) { o.serve = ":0" }, ""},
 		{"many-kernel-workers", func(o *options) { o.kernelWorkers = 64 }, ""},
 
@@ -60,19 +51,13 @@ func TestValidateOptions(t *testing.T) {
 		{"negative-users", func(o *options) { o.users = -3 }, "-users"},
 		{"negative-total", func(o *options) { o.total = -1 }, "-total"},
 		{"negative-cache-frac", func(o *options) { o.cacheFrac = -0.1 }, "-cache-frac"},
-		{"negative-heap-frac", func(o *options) { o.heapFrac = -1 }, "-heap-frac"},
 		{"nan-cache-frac", func(o *options) { o.cacheFrac = math.NaN() }, "-cache-frac"},
 		{"inf-cache-frac", func(o *options) { o.cacheFrac = math.Inf(1) }, "-cache-frac"},
-		{"nan-heap-frac", func(o *options) { o.heapFrac = math.NaN() }, "-heap-frac"},
-		{"inf-heap-frac", func(o *options) { o.heapFrac = math.Inf(1) }, "-heap-frac"},
 		{"zero-kernel-workers", func(o *options) { o.kernelWorkers = 0 }, "-kernel-workers"},
 		{"negative-kernel-workers", func(o *options) { o.kernelWorkers = -2 }, "-kernel-workers"},
 		{"unknown-strategy", func(o *options) { o.strategy = "quantum" }, "-strategy"},
-		{"unknown-query", func(o *options) { o.query = "Q9.9" }, "-query"},
-		{"query-wrong-bench", func(o *options) { o.bench = "tpch"; o.query = "Q3.3" }, "-query"},
 		{"bad-log-level", func(o *options) { o.logLevel = "verbose" }, "-log-level"},
 		{"serve-all", func(o *options) { o.serve = ":0"; o.strategy = "all" }, "-serve"},
-		{"serve-zero-window", func(o *options) { o.serve = ":0"; o.serveWindow = 0 }, "-serve-window"},
 		{"serve-negative-cooldown", func(o *options) { o.serve = ":0"; o.serveCooldown = -time.Second }, "-serve-cooldown"},
 
 		{"zero-pipeline-depth", func(o *options) { o.pipelineDepth = 0 }, ""},
@@ -86,21 +71,11 @@ func TestValidateOptions(t *testing.T) {
 		{"fault-stuck-above-one", func(o *options) { o.faultStuck = 1.01 }, "-fault-stuck"},
 		{"nan-fault-stuck", func(o *options) { o.faultStuck = math.NaN() }, "-fault-stuck"},
 		{"negative-fault-resets", func(o *options) { o.faultResets = -1 }, "-fault-resets"},
-		{"slowlog-off", func(o *options) { o.slowlogCap, o.slowlogThreshold, o.slowlogQError = 0, 0, 0 }, ""},
-		{"negative-slowlog-capacity", func(o *options) { o.slowlogCap = -1 }, "-slowlog-capacity"},
 		{"negative-slowlog-threshold", func(o *options) { o.slowlogThreshold = -time.Second }, "-slowlog-threshold"},
-		{"negative-slowlog-qerror", func(o *options) { o.slowlogQError = -16 }, "-slowlog-qerror"},
-		{"inf-slowlog-qerror", func(o *options) { o.slowlogQError = math.Inf(1) }, "-slowlog-qerror"},
 
 		{"serve-detector-policy", func(o *options) { o.serve = ":0"; o.admissionPolicy = "detector" }, ""},
 		{"serve-fifo-policy", func(o *options) { o.serve = ":0"; o.admissionPolicy = "fifo" }, ""},
-		{"serve-tenant-inflight", func(o *options) { o.serve = ":0"; o.tenantInflight = 2 }, ""},
 		{"serve-bad-policy", func(o *options) { o.serve = ":0"; o.admissionPolicy = "lifo" }, "-admission-policy"},
-		{"serve-derived-admit", func(o *options) { o.serve = ":0"; o.admit = 0 }, ""},
-		{"serve-negative-admit", func(o *options) { o.serve = ":0"; o.admit = -1 }, "-admit"},
-		{"serve-zero-queue-depth", func(o *options) { o.serve = ":0"; o.queueDepth = 0 }, "-queue-depth"},
-		{"serve-zero-queue-timeout", func(o *options) { o.serve = ":0"; o.queueTimeout = 0 }, "-queue-timeout"},
-		{"serve-negative-tenant-inflight", func(o *options) { o.serve = ":0"; o.tenantInflight = -1 }, "-tenant-inflight"},
 		{"serve-zero-max-conns", func(o *options) { o.serve = ":0"; o.maxConns = 0 }, "-max-conns"},
 		{"serve-zero-drain-timeout", func(o *options) { o.serve = ":0"; o.drainTimeout = 0 }, "-drain-timeout"},
 

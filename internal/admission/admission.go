@@ -55,8 +55,8 @@ const (
 	// CodeOverloaded marks a query shed because the global queue was full or
 	// backpressure shed it. Clients should back off and retry.
 	CodeOverloaded Code = "overloaded"
-	// CodeTenantLimit marks a query shed by its own tenant's queue or
-	// in-flight bound; other tenants are unaffected.
+	// CodeTenantLimit marks a query shed by its own tenant's queue bound;
+	// other tenants are unaffected.
 	CodeTenantLimit Code = "tenant-limit"
 	// CodeQueueTimeout marks a query whose deadline expired while queued.
 	CodeQueueTimeout Code = "queue-timeout"
@@ -107,14 +107,6 @@ var (
 	ErrCanceled = &Error{Code: CodeCanceled}
 )
 
-// TenantConfig bounds one tenant.
-type TenantConfig struct {
-	// MaxInFlight caps the tenant's concurrently admitted queries.
-	MaxInFlight int
-	// MaxQueue caps the tenant's queued queries.
-	MaxQueue int
-}
-
 const (
 	// agingStep is the queue wait that earns a ticket one effective
 	// priority point.
@@ -138,9 +130,9 @@ type Config struct {
 	// QueueTimeout bounds how long a query may wait for admission when the
 	// submitter gives no deadline (default 5s).
 	QueueTimeout time.Duration
-	// DefaultTenant bounds every tenant (default: MaxInFlight =
-	// MaxConcurrent, MaxQueue = MaxQueue/4+1).
-	DefaultTenant TenantConfig
+	// MaxTenantQueue bounds each tenant's queued queries (default
+	// MaxQueue/4+1).
+	MaxTenantQueue int
 	// Registry receives the controller's metrics series (Admission*
 	// counters/gauges and the AdmissionQueueWait histogram); nil gets a
 	// private one.
@@ -162,11 +154,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 5 * time.Second
 	}
-	if c.DefaultTenant.MaxInFlight <= 0 {
-		c.DefaultTenant.MaxInFlight = c.MaxConcurrent
-	}
-	if c.DefaultTenant.MaxQueue <= 0 {
-		c.DefaultTenant.MaxQueue = c.MaxQueue/4 + 1
+	if c.MaxTenantQueue <= 0 {
+		c.MaxTenantQueue = c.MaxQueue/4 + 1
 	}
 	if c.Registry == nil {
 		c.Registry = trace.NewRegistry()
@@ -221,13 +210,13 @@ func (t *Ticket) QueueWait() time.Duration {
 	return t.ctrl.cfg.now().Sub(t.enqueued)
 }
 
-// tenantState is the controller's per-tenant bookkeeping.
+// tenantState is the controller's bookkeeping of a tenant with work queued or
+// in flight; forget drops it when it has neither. Tenant ids are chosen by
+// clients, so state kept past that would grow with every id ever seen. A
+// tenant's totals live on its labeled series.
 type tenantState struct {
-	name     string
 	queue    []*Ticket
 	inFlight int
-	admitted int64
-	shed     int64
 }
 
 // metrics is the controller's registry-backed series.
@@ -282,7 +271,7 @@ type Controller struct {
 	cfg Config
 
 	mu       sync.Mutex
-	tenants  map[string]*tenantState
+	tenants  map[string]*tenantState // tenants with work queued or in flight
 	seq      int64
 	queued   int
 	inFlight int
@@ -317,14 +306,22 @@ func (c *Controller) Policy() Policy { return c.cfg.Policy }
 // per-tenant series with it names each tenant alike in every family.
 func (c *Controller) TenantLabel(tenant string) string { return c.m.tenantPool.Get(tenant) }
 
-// tenant returns (creating on first contact) the tenant's state.
+// tenant returns the tenant's state, creating it when the tenant has none.
 func (c *Controller) tenant(name string) *tenantState {
 	ts, ok := c.tenants[name]
 	if !ok {
-		ts = &tenantState{name: name}
+		ts = &tenantState{}
 		c.tenants[name] = ts
 	}
 	return ts
+}
+
+// forget drops the tenant's state once it has nothing queued and nothing in
+// flight.
+func (c *Controller) forget(name string, ts *tenantState) {
+	if len(ts.queue) == 0 && ts.inFlight == 0 {
+		delete(c.tenants, name)
+	}
 }
 
 // Submit asks for admission of one query. prio is its priority before aging;
@@ -334,9 +331,7 @@ func (c *Controller) tenant(name string) *tenantState {
 // returns nil, Release it after the query finishes.
 func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ticket, error) {
 	c.mu.Lock()
-	ts := c.tenant(tenant)
 	if c.draining {
-		ts.shed++
 		c.mu.Unlock()
 		return nil, c.shedError(tenant, CodeDraining, "server draining")
 	}
@@ -354,12 +349,11 @@ func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ti
 	// stale low-priority work.
 	var victim *Ticket
 	victimCode := CodeOverloaded
-	if maxQueue := c.cfg.DefaultTenant.MaxQueue; len(ts.queue) >= maxQueue {
+	if ts := c.tenants[tenant]; ts != nil && len(ts.queue) >= c.cfg.MaxTenantQueue {
 		victim = c.boundVictim(t, ts)
 		if victim == nil {
-			ts.shed++
 			c.mu.Unlock()
-			return nil, c.shedError(tenant, CodeTenantLimit, fmt.Sprintf("tenant queue full (%d)", maxQueue))
+			return nil, c.shedError(tenant, CodeTenantLimit, fmt.Sprintf("tenant queue full (%d)", c.cfg.MaxTenantQueue))
 		}
 		// The displaced ticket hit its own tenant's bound, not global
 		// overload: signal the tenant-local condition so clients (and the
@@ -368,7 +362,6 @@ func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ti
 	} else if c.queued >= c.queueBound() {
 		victim = c.boundVictim(t, nil)
 		if victim == nil {
-			ts.shed++
 			c.mu.Unlock()
 			return nil, c.shedError(tenant, CodeOverloaded, fmt.Sprintf("queue full (%d)", c.queueBound()))
 		}
@@ -376,6 +369,8 @@ func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ti
 	if victim != nil {
 		c.shedLocked(victim, victimCode, "displaced by higher-priority arrival")
 	}
+	// Looked up after the victim left: shedding may have forgotten the state.
+	ts := c.tenant(tenant)
 	ts.queue = append(ts.queue, t)
 	c.queued++
 	c.m.queued.Inc()
@@ -482,7 +477,6 @@ func (c *Controller) grantLocked() []*Ticket {
 		t.state = stateGranted
 		t.timer.Stop()
 		ts.inFlight++
-		ts.admitted++
 		c.inFlight++
 		c.m.admitted.Inc()
 		c.m.inFlight.Set(int64(c.inFlight))
@@ -494,15 +488,13 @@ func (c *Controller) grantLocked() []*Ticket {
 	return granted
 }
 
-// nextLocked picks the next admissible queued ticket per policy, or nil.
-// Tickets of tenants at their in-flight cap are skipped (another tenant's
-// work proceeds instead — work conservation).
+// nextLocked picks the next queued ticket per policy, or nil.
 func (c *Controller) nextLocked() *Ticket {
 	now := c.cfg.now()
 	var best *Ticket
 	bestScore := 0.0
 	for _, ts := range c.tenants {
-		if len(ts.queue) == 0 || ts.inFlight >= c.cfg.DefaultTenant.MaxInFlight {
+		if len(ts.queue) == 0 {
 			continue
 		}
 		head := ts.queue[0] // per-tenant FIFO: the head is the oldest
@@ -540,7 +532,7 @@ func (c *Controller) shedLocked(t *Ticket, code Code, reason string) {
 	}
 	ts := c.tenants[t.Tenant]
 	c.removeFromQueue(ts, t)
-	ts.shed++
+	c.forget(t.Tenant, ts)
 	t.state = stateShed
 	t.timer.Stop()
 	err := c.shedError(t.Tenant, code, reason)
@@ -602,6 +594,7 @@ func (c *Controller) Release(t *Ticket) {
 	t.state = stateReleased
 	ts := c.tenants[t.Tenant]
 	ts.inFlight--
+	c.forget(t.Tenant, ts)
 	c.inFlight--
 	granted := c.grantLocked()
 	c.m.inFlight.Set(int64(c.inFlight))
@@ -686,13 +679,13 @@ func (c *Controller) closeDrained() {
 // no in-flight queries remain.
 func (c *Controller) Drained() <-chan struct{} { return c.drained }
 
-// TenantStats is the frozen per-tenant view for diagnostics.
+// TenantStats is the frozen view of a tenant with work queued or in flight.
+// Its admitted and shed totals are on the AdmissionTenantAdmitted and
+// AdmissionTenantShed series.
 type TenantStats struct {
 	Tenant   string `json:"tenant"`
 	Queued   int    `json:"queued"`
 	InFlight int    `json:"in_flight"`
-	Admitted int64  `json:"admitted"`
-	Shed     int64  `json:"shed"`
 }
 
 // Stats is the frozen controller view for the /debug/admission endpoint.
@@ -718,14 +711,8 @@ func (c *Controller) Stats() Stats {
 		Queued:           c.queued,
 		Draining:         c.draining,
 	}
-	for _, ts := range c.tenants {
-		s.Tenants = append(s.Tenants, TenantStats{
-			Tenant:   ts.name,
-			Queued:   len(ts.queue),
-			InFlight: ts.inFlight,
-			Admitted: ts.admitted,
-			Shed:     ts.shed,
-		})
+	for name, ts := range c.tenants {
+		s.Tenants = append(s.Tenants, TenantStats{Tenant: name, Queued: len(ts.queue), InFlight: ts.inFlight})
 	}
 	sort.Slice(s.Tenants, func(i, j int) bool { return s.Tenants[i].Tenant < s.Tenants[j].Tenant })
 	return s

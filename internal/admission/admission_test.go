@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -99,7 +100,7 @@ func TestFIFOQueueFullRejectsNewcomer(t *testing.T) {
 		cfg.Policy = FIFO
 		cfg.MaxConcurrent = 1
 		cfg.MaxQueue = 2
-		cfg.DefaultTenant.MaxQueue = 2
+		cfg.MaxTenantQueue = 2
 	}))
 	admit(t, c, "a")
 	queued(t, c, "a", 0)
@@ -119,7 +120,7 @@ func TestFairDisplacesLowestPriorityWhenFull(t *testing.T) {
 	c := New(testConfig(clk, func(cfg *Config) {
 		cfg.MaxConcurrent = 1
 		cfg.MaxQueue = 1
-		cfg.DefaultTenant.MaxQueue = 1
+		cfg.MaxTenantQueue = 1
 	}))
 	admit(t, c, "a")
 	low := queued(t, c, "a", 0)
@@ -144,7 +145,7 @@ func TestFairDisplacementAtGlobalBoundShedsOverloaded(t *testing.T) {
 	c := New(testConfig(clk, func(cfg *Config) {
 		cfg.MaxConcurrent = 1
 		cfg.MaxQueue = 2
-		cfg.DefaultTenant.MaxQueue = 10 // per-tenant bound never binds here
+		cfg.MaxTenantQueue = 10 // per-tenant bound never binds here
 	}))
 	admit(t, c, "a")
 	low := queued(t, c, "a", 0)
@@ -176,21 +177,43 @@ func TestAgingPreventsStarvation(t *testing.T) {
 	}
 }
 
-func TestTenantInFlightCapIsWorkConserving(t *testing.T) {
-	clk := newFakeClock()
-	c := New(testConfig(clk, func(cfg *Config) {
-		cfg.MaxConcurrent = 4
-		cfg.DefaultTenant.MaxInFlight = 1
-	}))
-	admit(t, c, "capped")
-	blocked := queued(t, c, "capped", 0)
-	// The capped tenant's queued ticket must not block another tenant.
-	other := admit(t, c, "other")
-	c.Release(other)
-	select {
-	case <-blocked.decided:
-		t.Fatal("capped tenant admitted beyond its in-flight bound")
-	default:
+// TestIdleTenantStateIsFreed holds the controller to the tenants it is
+// serving: tenant ids are the clients' to choose, so state kept for every id
+// ever seen would make each submit scan them all and /debug/admission list
+// them.
+func TestIdleTenantStateIsFreed(t *testing.T) {
+	c := New(testConfig(newFakeClock(), nil))
+	for i := 0; i < 10_000; i++ {
+		c.Release(admit(t, c, fmt.Sprintf("tenant-%d", i)))
+	}
+	if s := c.Stats(); len(s.Tenants) != 0 {
+		t.Fatalf("%d tenants listed after every query was released, want none", len(s.Tenants))
+	}
+	// A tenant is listed while it has work queued or in flight, and only then.
+	a, b := admit(t, c, "a"), admit(t, c, "b")
+	waiting := queued(t, c, "b", 0)
+	if got := c.Stats().Tenants; len(got) != 2 || got[0] != (TenantStats{"a", 0, 1}) || got[1] != (TenantStats{"b", 1, 1}) {
+		t.Fatalf("tenants %+v, want a with one in flight and b with one in flight and one queued", got)
+	}
+	c.Drain()
+	if err := waiting.Wait(context.Background()); !errors.Is(err, ErrDraining) {
+		t.Fatalf("queued at drain: want ErrDraining, got %v", err)
+	}
+	c.Release(a)
+	c.Release(b)
+	if s := c.Stats(); len(s.Tenants) != 0 {
+		t.Fatalf("tenants %+v after the drain, want none", s.Tenants)
+	}
+}
+
+// TestZeroConfigDefaults pins the bounds a zero Config gets, which are the
+// ones serve mode runs with: 8 admitted, a queue of 64, 17 of them a tenant's,
+// and 5 s of queue wait for a submitter that names none.
+func TestZeroConfigDefaults(t *testing.T) {
+	cfg := New(Config{}).cfg
+	if cfg.Policy != Fair || cfg.MaxConcurrent != 8 || cfg.MaxQueue != 64 || cfg.MaxTenantQueue != 17 || cfg.QueueTimeout != 5*time.Second {
+		t.Fatalf("zero Config became %s, %d admitted, queue %d, tenant queue %d, timeout %v; want fair, 8, 64, 17, 5s",
+			cfg.Policy, cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxTenantQueue, cfg.QueueTimeout)
 	}
 }
 
@@ -272,7 +295,7 @@ func TestDetectorPressureShrinksAndSheds(t *testing.T) {
 		cfg.Policy = Detector
 		cfg.MaxConcurrent = 4
 		cfg.MaxQueue = 4
-		cfg.DefaultTenant.MaxQueue = 8
+		cfg.MaxTenantQueue = 8
 		cfg.Registry = reg
 	}))
 	var granted []*Ticket
@@ -351,21 +374,18 @@ func TestDrainShedsQueuedAndSignalsIdle(t *testing.T) {
 			t.Fatalf("submit by %s after drain: want ErrDraining, got %v", tenant, err)
 		}
 	}
-	// An arrival turned away while draining counts on its tenant, as the
-	// queue-full refusals do: /debug/admission's per-tenant shed equals the
-	// tenant's labeled draining counter.
-	shed := map[string]int64{}
-	for _, ts := range c.Stats().Tenants {
-		shed[ts.Tenant] = ts.Shed
-	}
+	// An arrival turned away while draining counts on its tenant's labeled
+	// series, as the queue-full refusals do, and leaves no tenant state.
 	snap := reg.Snapshot()
 	for tenant, want := range map[string]int64{"a": 2, "late": 1} {
 		counter := snap.Counters[trace.LabeledName("AdmissionTenantShed",
 			"tenant", tenant, "code", string(CodeDraining))]
-		if shed[tenant] != want || counter != want {
-			t.Errorf("tenant %s: Stats shed %d, labeled draining counter %d, want both %d",
-				tenant, shed[tenant], counter, want)
+		if counter != want {
+			t.Errorf("tenant %s: labeled draining counter %d, want %d", tenant, counter, want)
 		}
+	}
+	if got := c.Stats().Tenants; len(got) != 1 || got[0] != (TenantStats{Tenant: "a", InFlight: 1}) {
+		t.Errorf("tenants while draining: %+v, want only a, one in flight", got)
 	}
 	select {
 	case <-c.Drained():
@@ -387,7 +407,7 @@ func TestMetricsSeries(t *testing.T) {
 	c := New(testConfig(clk, func(cfg *Config) {
 		cfg.MaxConcurrent = 1
 		cfg.MaxQueue = 1
-		cfg.DefaultTenant.MaxQueue = 1
+		cfg.MaxTenantQueue = 1
 		cfg.Policy = FIFO
 		cfg.Registry = reg
 	}))
@@ -483,5 +503,8 @@ func TestConcurrentChurn(t *testing.T) {
 	case <-c.Drained():
 	case <-time.After(2 * time.Second):
 		t.Fatal("drain after churn never completed")
+	}
+	if s := c.Stats(); len(s.Tenants) != 0 {
+		t.Errorf("tenants %+v after the drain, want none", s.Tenants)
 	}
 }

@@ -114,12 +114,12 @@ func admissionRun(c *table.Catalog, policy admission.Policy, capacity, clients, 
 		Placer:  strat.Placer,
 		Catalog: c,
 		Admission: admission.Config{
-			Policy:        policy,
-			MaxConcurrent: capacity,
-			MaxQueue:      2 * capacity,
-			DefaultTenant: admission.TenantConfig{MaxQueue: 2 * capacity},
-			QueueTimeout:  2 * time.Second,
-			Registry:      reg,
+			Policy:         policy,
+			MaxConcurrent:  capacity,
+			MaxQueue:       2 * capacity,
+			MaxTenantQueue: 2 * capacity,
+			QueueTimeout:   2 * time.Second,
+			Registry:       reg,
 		},
 	})
 	if err != nil {

@@ -114,6 +114,42 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 	}
 }
 
+// TestSubmitSQLRefusesExplain: SubmitSQL returns rows, so an EXPLAIN
+// statement is refused — naming the surfaces that answer it — rather than run
+// for rows its caller did not ask for. Nothing is admitted.
+func TestSubmitSQLRefusesExplain(t *testing.T) {
+	s := newServer(t, catalog(t), exec.Config{}, nil)
+	defer drain(t, s)
+	for _, prefix := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+		_, err := s.SubmitSQL(context.Background(), "acme", 0, prefix+analyzeSQL, 0)
+		if !errors.Is(err, server.ErrBadQuery) || !strings.Contains(err.Error(), "Server.Explain") {
+			t.Errorf("SubmitSQL(%q…): %v, want a bad query naming Server.Explain", prefix, err)
+		}
+	}
+	if got := s.Admission().Stats(); got.InFlight != 0 || len(got.Tenants) != 0 {
+		t.Errorf("a refused statement reached admission: %+v", got)
+	}
+}
+
+// TestExplainRefusesAnalyze: Explain never executes, so an EXPLAIN ANALYZE
+// statement is refused — naming the surfaces that run it — rather than
+// answered without the actuals it asked for.
+func TestExplainRefusesAnalyze(t *testing.T) {
+	s := newServer(t, catalog(t), exec.Config{Tracer: trace.New(0)}, nil)
+	defer drain(t, s)
+	_, err := s.Explain("EXPLAIN ANALYZE " + analyzeSQL)
+	if !errors.Is(err, server.ErrBadQuery) || !strings.Contains(err.Error(), "Server.ExplainAnalyze") {
+		t.Errorf("Explain(EXPLAIN ANALYZE …): %v, want a bad query naming Server.ExplainAnalyze", err)
+	}
+	doc, err := s.Explain("EXPLAIN " + analyzeSQL)
+	if err != nil {
+		t.Fatalf("Explain(EXPLAIN …): %v", err)
+	}
+	if doc.Exec != nil {
+		t.Errorf("Explain(EXPLAIN …) ran the statement: %+v", doc.Exec)
+	}
+}
+
 // TestExplainAnalyzeDeadline pins the mid-plan deadline contract: the
 // payload is still returned, the outcome is "deadline", and no node carries
 // fabricated actuals — unreached nodes are "missing", aborted ones "partial".

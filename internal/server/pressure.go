@@ -13,14 +13,11 @@ import (
 // Detector admission policy each degraded detector halves the admitted
 // concurrency and the queue bound — thrashing or contention inside the
 // engine therefore sheds load at the front door instead of degrading every
-// tenant together.
+// tenant together. interval must be above 0.
 //
 // The returned stop function halts the loop and resets the pressure to
 // zero; it is safe to call once.
 func StartPressureLoop(s *Server, sampler *obs.Sampler, interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
 	quit := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -39,13 +36,13 @@ func StartPressureLoop(s *Server, sampler *obs.Sampler, interval time.Duration) 
 						level++
 					}
 				}
-				s.SetPressure(level)
+				s.ctrl.SetPressure(level)
 			}
 		}
 	}()
 	return func() {
 		close(quit)
 		<-done
-		s.SetPressure(0)
+		s.ctrl.SetPressure(0)
 	}
 }

@@ -200,12 +200,8 @@ func New(cfg Config) (*Server, error) {
 // Engine exposes the serving engine for observability wiring.
 func (s *Server) Engine() *exec.Engine { return s.host.Engine }
 
-// Admission exposes the controller (pressure wiring, stats handler).
+// Admission exposes the controller (its stats, for serve mode's logs).
 func (s *Server) Admission() *admission.Controller { return s.ctrl }
-
-// SetPressure forwards the detector-driven backpressure level; see
-// admission.Controller.SetPressure.
-func (s *Server) SetPressure(level int) { s.ctrl.SetPressure(level) }
 
 // Result is one admitted, completed query.
 type Result struct {
@@ -343,11 +339,15 @@ func (s *Server) journalQuery(prep *prepared, tenant, outcome string, stats exec
 // to 400 instead of 500.
 var ErrBadQuery = errors.New("server: bad query")
 
-// SubmitSQL prepares the SQL text (cached per statement) and Submits it.
+// SubmitSQL prepares the SQL text (cached per statement) and Submits it; it
+// refuses an EXPLAIN statement, which answers with no rows.
 func (s *Server) SubmitSQL(ctx context.Context, tenant string, prio int, query string, deadline time.Duration) (Result, error) {
 	prep, err := s.prepare(query)
 	if err != nil {
 		return Result{}, err
+	}
+	if prep.explain {
+		return Result{}, fmt.Errorf("%w: SubmitSQL returns rows, not an EXPLAIN: use Server.Explain, Server.ExplainAnalyze or POST /v1/query", ErrBadQuery)
 	}
 	res, _, err := s.submit(ctx, tenant, prio, prep, deadline)
 	return res, err
@@ -480,11 +480,15 @@ type ExplainRequest struct {
 }
 
 // Explain renders the statement's plan tree with the strategy's compile-time
-// placement decisions and per-scan compression modes, without executing it.
+// placement decisions and per-scan compression modes, without executing it:
+// it refuses an EXPLAIN ANALYZE statement.
 func (s *Server) Explain(query string) (*plan.ExplainPayload, error) {
 	prep, err := s.prepare(query)
 	if err != nil {
 		return nil, err
+	}
+	if prep.analyze {
+		return nil, fmt.Errorf("%w: Explain does not execute the statement: use Server.ExplainAnalyze, POST /v1/explain or POST /v1/query for EXPLAIN ANALYZE", ErrBadQuery)
 	}
 	return s.explain(prep)
 }
@@ -665,7 +669,7 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusGatewayTimeout, "deadline", err, 0)
 	case errors.Is(err, ErrHostClosed):
 		writeError(w, http.StatusServiceUnavailable, "draining", err, time.Second)
-	case isBadRequest(err):
+	case errors.Is(err, ErrBadQuery): // the client's statement
 		writeError(w, http.StatusBadRequest, "bad-request", err, 0)
 	default:
 		// Admitted query failed inside the engine (fault injection exhausted
@@ -677,10 +681,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 // statusClientClosedRequest is nginx's conventional status for a client
 // that disconnected before the response; stdlib has no constant for it.
 const statusClientClosedRequest = 499
-
-// isBadRequest reports whether the error is the client's fault (SQL parse
-// or plan building over missing tables/columns).
-func isBadRequest(err error) bool { return errors.Is(err, ErrBadQuery) }
 
 // writeError emits the typed error envelope plus Retry-After when hinted.
 func writeError(w http.ResponseWriter, status int, code string, err error, retryAfter time.Duration) {

@@ -160,7 +160,7 @@ func TestHTTPWireStatuses(t *testing.T) {
 	s := newServer(t, cat, exec.Config{}, func(cfg *server.Config) {
 		cfg.Admission.MaxConcurrent = 1
 		cfg.Admission.MaxQueue = 1
-		cfg.Admission.DefaultTenant = admission.TenantConfig{MaxQueue: 1}
+		cfg.Admission.MaxTenantQueue = 1
 		cfg.Admission.Policy = admission.FIFO
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -294,7 +294,7 @@ func TestDrainNoSilentDrops(t *testing.T) {
 	s := newServer(t, cat, exec.Config{Tracer: tracer}, func(cfg *server.Config) {
 		cfg.Admission.MaxConcurrent = 2
 		cfg.Admission.MaxQueue = 64
-		cfg.Admission.DefaultTenant = admission.TenantConfig{MaxQueue: 64}
+		cfg.Admission.MaxTenantQueue = 64
 	})
 
 	qs := queries()
@@ -384,7 +384,7 @@ func TestOverloadProperty(t *testing.T) {
 			cfg.Admission.Policy = admission.Detector
 			cfg.Admission.MaxConcurrent = capacity
 			cfg.Admission.MaxQueue = 2 * capacity
-			cfg.Admission.DefaultTenant = admission.TenantConfig{MaxQueue: 2 * capacity}
+			cfg.Admission.MaxTenantQueue = 2 * capacity
 			cfg.Admission.QueueTimeout = 2 * time.Second
 		})
 	}
@@ -470,7 +470,7 @@ func TestLoadgenOverload(t *testing.T) {
 		cfg.Admission.Policy = admission.Fair
 		cfg.Admission.MaxConcurrent = 2
 		cfg.Admission.MaxQueue = 4
-		cfg.Admission.DefaultTenant = admission.TenantConfig{MaxQueue: 4}
+		cfg.Admission.MaxTenantQueue = 4
 		cfg.Admission.QueueTimeout = 500 * time.Millisecond
 	})
 	ts := httptest.NewServer(s.Handler())

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"robustdb/internal/plan"
+	"robustdb/internal/sql"
 	"robustdb/internal/trace"
 )
 
@@ -68,7 +69,7 @@ func pinnedPlans(t *testing.T, workers int) []pinnedPlan {
 		}
 	}
 	db := OpenSSB(SSBConfig{SF: 1, RowsPerSF: 2000, Seed: 42}).Compressed()
-	pl, err := db.SQL(goldenSQL)
+	pl, err := sql.PlanQuery(db.cat, goldenSQL) // DB.SQL refuses an EXPLAIN ANALYZE statement
 	if err != nil {
 		t.Fatal(err)
 	}

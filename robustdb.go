@@ -21,6 +21,7 @@
 package robustdb
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -228,8 +229,17 @@ func (db *DB) RunWorkload(dev Device, strat Strategy, spec Workload) (*exec.Engi
 // aggregates and arithmetic, multi-table FROM with equi-join conditions in
 // WHERE, BETWEEN/IN filters, GROUP BY, ORDER BY, and LIMIT (see
 // internal/sql for the grammar). Plans needing more use the plan DSL.
+// An EXPLAIN statement is refused: a plan from SQL is run for its rows, and
+// ExplainSQL and ExplainAnalyzeSQL are the surfaces that describe one.
 func (db *DB) SQL(query string) (*Plan, error) {
-	return sql.PlanQuery(db.cat, query)
+	st, err := sql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	if st.Explain {
+		return nil, errors.New("robustdb: DB.SQL returns a plan to run, not an EXPLAIN: use DB.ExplainSQL, or DB.ExplainAnalyzeSQL for EXPLAIN ANALYZE")
+	}
+	return sql.Compile(db.cat, st)
 }
 
 // ExplainPayload is the JSON plan document EXPLAIN produces.
@@ -240,9 +250,17 @@ type ExplainPayload = plan.ExplainPayload
 // predicates, build sides, size/cardinality estimates, and the stored
 // compression mode of every scanned column. Placement shows as "runtime" —
 // the library surface has no strategy attached; the serve-mode /v1/explain
-// endpoint reports the strategy's compile-time decisions.
+// endpoint reports the strategy's compile-time decisions. An EXPLAIN ANALYZE
+// statement is refused: nothing here executes it, ExplainAnalyzeSQL does.
 func (db *DB) ExplainSQL(query string) (*ExplainPayload, error) {
-	pl, err := db.SQL(query)
+	st, err := sql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	if st.Analyze {
+		return nil, errors.New("robustdb: DB.ExplainSQL does not execute the statement: use DB.ExplainAnalyzeSQL for EXPLAIN ANALYZE")
+	}
+	pl, err := sql.Compile(db.cat, st)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +279,7 @@ func (db *DB) ExplainSQL(query string) (*ExplainPayload, error) {
 // same function as the server's. The actuals are folded from the query's
 // spans, which only a tracer records; one is attached when dev.Tracer is nil.
 func (db *DB) ExplainAnalyzeSQL(dev Device, strat Strategy, query string) (*ExplainPayload, error) {
-	pl, err := db.SQL(query)
+	pl, err := sql.PlanQuery(db.cat, query)
 	if err != nil {
 		return nil, err
 	}

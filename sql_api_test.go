@@ -2,6 +2,7 @@ package robustdb
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"robustdb/internal/column"
@@ -54,6 +55,32 @@ func TestSQLFacade(t *testing.T) {
 
 	if _, err := db.SQL("select nothing from nowhere"); err == nil {
 		t.Fatal("expected SQL error")
+	}
+}
+
+// TestSQLRefusesExplain: a plan from DB.SQL is run for its rows, so an
+// EXPLAIN statement is refused, naming the surface that describes it.
+func TestSQLRefusesExplain(t *testing.T) {
+	db := OpenSSB(SSBConfig{SF: 1, RowsPerSF: 1000, Seed: 12})
+	for _, prefix := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+		if _, err := db.SQL(prefix + "SELECT SUM(lo_revenue) AS r FROM lineorder"); err == nil || !strings.Contains(err.Error(), "DB.ExplainSQL") {
+			t.Errorf("SQL(%q…): %v, want a refusal naming DB.ExplainSQL", prefix, err)
+		}
+	}
+}
+
+// TestExplainSQLRefusesAnalyze: DB.ExplainSQL never executes, so an EXPLAIN
+// ANALYZE statement is refused, naming the surface that runs it, rather than
+// answered without the actuals it asked for.
+func TestExplainSQLRefusesAnalyze(t *testing.T) {
+	db := OpenSSB(SSBConfig{SF: 1, RowsPerSF: 1000, Seed: 12})
+	const q = "SELECT SUM(lo_revenue) AS r FROM lineorder"
+	if _, err := db.ExplainSQL("EXPLAIN ANALYZE " + q); err == nil || !strings.Contains(err.Error(), "DB.ExplainAnalyzeSQL") {
+		t.Errorf("ExplainSQL(EXPLAIN ANALYZE …): %v, want a refusal naming DB.ExplainAnalyzeSQL", err)
+	}
+	doc, err := db.ExplainAnalyzeSQL(db.DeviceForWorkingSet(1), DataDrivenChopping(), "EXPLAIN ANALYZE "+q)
+	if err != nil || doc.Root.Analyze == nil {
+		t.Fatalf("ExplainAnalyzeSQL(EXPLAIN ANALYZE …): %v, want the plan with actuals", err)
 	}
 }
 
