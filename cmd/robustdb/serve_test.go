@@ -189,7 +189,7 @@ func TestBenchLineKeepsItsSettings(t *testing.T) {
 	if heap, db := cfg.Engine.Heap.Capacity(), cfg.Catalog.TotalBytes(); heap != db {
 		t.Errorf("device heap %d bytes, want the database's %d", heap, db)
 	}
-	if a := cfg.Admission; a.Policy != admission.Fair || a.MaxConcurrent != 0 || a.MaxQueue != 0 || a.MaxTenantQueue != 0 || a.QueueTimeout != 0 {
+	if a := cfg.Admission; a.Policy != admission.Fair || a.MaxConcurrent != 0 || a.MaxQueue != 0 || a.MaxTenantQueue != 0 {
 		t.Errorf("admission config %+v, want the fair policy under the controller's own bounds", a)
 	}
 	if serveWindow != 500*time.Millisecond {
@@ -219,7 +219,7 @@ func TestBenchLineKeepsItsSettings(t *testing.T) {
 	ctrl := front.Admission()
 	var admitted []*admission.Ticket
 	for i := 0; i < 8; i++ {
-		tk, err := ctrl.Submit("bench", 0, 0)
+		tk, err := ctrl.Submit("bench", 0, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestBenchLineKeepsItsSettings(t *testing.T) {
 	}
 	submit := func(tenant string, n int) error {
 		for i := 0; i < n; i++ {
-			if _, err := ctrl.Submit(tenant, 0, 0); err != nil {
+			if _, err := ctrl.Submit(tenant, 0, time.Minute); err != nil {
 				return err
 			}
 		}

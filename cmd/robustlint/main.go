@@ -2,8 +2,9 @@
 // analyzers that each flag a defect go vet, the race detector and the test
 // suite all pass (DESIGN.md §25) — virtual-time determinism, surfaced errors,
 // pool-bounded kernel goroutines, and the request-path lifecycle rules
-// (context threading, goroutine joins). It uses only the standard library
-// (go/parser, go/ast, go/types) and is wired into CI.
+// (context threading, goroutine joins). It uses the standard library
+// (go/parser, go/ast, go/types) and the go command, which says what each
+// package is, and is wired into CI.
 //
 // The run is whole-program: every matched package is loaded into one Program
 // with a CHA call graph, so the interprocedural analyzers see flows that span
@@ -14,7 +15,8 @@
 //
 //	go run ./cmd/robustlint [-github] [packages]
 //
-// Packages default to ./... (all module packages, testdata excluded).
+// Packages default to ./...; patterns mean what they mean to `go list` run
+// at the module root.
 // -github also emits GitHub Actions ::error annotations.
 //
 // A diagnostic can be suppressed with a justified directive on its line or

@@ -87,6 +87,21 @@ func TestDesignReferencesResolve(t *testing.T) {
 	}
 }
 
+// designMaxLines bounds DESIGN.md, which states the tree as it is; its
+// history is CHANGES.md's.
+const designMaxLines = 1400
+
+// DESIGN.md is at most designMaxLines lines, counted as wc -l counts them.
+func TestDesignFitsItsBound(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(doc), "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md has %d lines, more than %d: state the tree as it is and move history to CHANGES.md", n, designMaxLines)
+	}
+}
+
 // Every directory under internal/ and cmd/ that holds Go code is named by its
 // path in DESIGN.md §3 and in README's Architecture block, and every such
 // path those two blocks name exists.

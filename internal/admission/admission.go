@@ -127,9 +127,6 @@ type Config struct {
 	MaxConcurrent int
 	// MaxQueue bounds the global queue (default 64).
 	MaxQueue int
-	// QueueTimeout bounds how long a query may wait for admission when the
-	// submitter gives no deadline (default 5s).
-	QueueTimeout time.Duration
 	// MaxTenantQueue bounds each tenant's queued queries (default
 	// MaxQueue/4+1).
 	MaxTenantQueue int
@@ -150,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
-	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 5 * time.Second
 	}
 	if c.MaxTenantQueue <= 0 {
 		c.MaxTenantQueue = c.MaxQueue/4 + 1
@@ -325,8 +319,9 @@ func (c *Controller) forget(name string, ts *tenantState) {
 }
 
 // Submit asks for admission of one query. prio is its priority before aging;
-// timeout bounds the queue wait (≤ 0 = Config.QueueTimeout). The
-// returned error, when non-nil, is a typed *Error (the query was shed
+// timeout bounds the queue wait. A timeout ≤ 0 fires at once, so the ticket
+// is either granted inside Submit or shed as queue-timeout. The returned
+// error, when non-nil, is a typed *Error (the query was shed
 // immediately); otherwise the caller must Wait on the ticket and, if Wait
 // returns nil, Release it after the query finishes.
 func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ticket, error) {
@@ -375,9 +370,6 @@ func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ti
 	c.queued++
 	c.m.queued.Inc()
 	c.m.queueDepth.Set(int64(c.queued))
-	if timeout <= 0 {
-		timeout = c.cfg.QueueTimeout
-	}
 	t.timer = time.AfterFunc(timeout, func() { c.expire(t) })
 	granted := c.grantLocked()
 	c.mu.Unlock()

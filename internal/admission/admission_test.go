@@ -48,10 +48,14 @@ func testConfig(clk *fakeClock, mut func(*Config)) Config {
 	return cfg
 }
 
+// queueWait is the queue timeout of a test's tickets: longer than any test
+// runs, so only a test that asks for a timeout sees one.
+const queueWait = time.Minute
+
 // admit submits and waits, failing the test on any shed.
 func admit(t *testing.T, c *Controller, tenant string) *Ticket {
 	t.Helper()
-	tk, err := c.Submit(tenant, 0, 0)
+	tk, err := c.Submit(tenant, 0, queueWait)
 	if err != nil {
 		t.Fatalf("Submit(%s): %v", tenant, err)
 	}
@@ -64,7 +68,7 @@ func admit(t *testing.T, c *Controller, tenant string) *Ticket {
 // queued submits and asserts the ticket is still undecided.
 func queued(t *testing.T, c *Controller, tenant string, prio int) *Ticket {
 	t.Helper()
-	tk, err := c.Submit(tenant, prio, 0)
+	tk, err := c.Submit(tenant, prio, queueWait)
 	if err != nil {
 		t.Fatalf("Submit(%s): %v", tenant, err)
 	}
@@ -105,7 +109,7 @@ func TestFIFOQueueFullRejectsNewcomer(t *testing.T) {
 	admit(t, c, "a")
 	queued(t, c, "a", 0)
 	queued(t, c, "a", 0)
-	_, err := c.Submit("a", 100, 0) // priority is irrelevant under FIFO
+	_, err := c.Submit("a", 100, queueWait) // priority is irrelevant under FIFO
 	if !errors.Is(err, ErrTenantLimit) && !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("want typed overload error, got %v", err)
 	}
@@ -124,7 +128,7 @@ func TestFairDisplacesLowestPriorityWhenFull(t *testing.T) {
 	}))
 	admit(t, c, "a")
 	low := queued(t, c, "a", 0)
-	tk, err := c.Submit("a", 10, 0) // outranks the queued ticket
+	tk, err := c.Submit("a", 10, queueWait) // outranks the queued ticket
 	if err != nil {
 		t.Fatalf("high-priority submit displaced nothing: %v", err)
 	}
@@ -150,7 +154,7 @@ func TestFairDisplacementAtGlobalBoundShedsOverloaded(t *testing.T) {
 	admit(t, c, "a")
 	low := queued(t, c, "a", 0)
 	queued(t, c, "a", 5)
-	if _, err := c.Submit("b", 10, 0); err != nil { // global bound displaces
+	if _, err := c.Submit("b", 10, queueWait); err != nil { // global bound displaces
 		t.Fatalf("high-priority submit displaced nothing: %v", err)
 	}
 	if err := low.Wait(context.Background()); !errors.Is(err, ErrOverloaded) {
@@ -207,13 +211,13 @@ func TestIdleTenantStateIsFreed(t *testing.T) {
 }
 
 // TestZeroConfigDefaults pins the bounds a zero Config gets, which are the
-// ones serve mode runs with: 8 admitted, a queue of 64, 17 of them a tenant's,
-// and 5 s of queue wait for a submitter that names none.
+// ones serve mode runs with: 8 admitted, a queue of 64, 17 of them a
+// tenant's.
 func TestZeroConfigDefaults(t *testing.T) {
 	cfg := New(Config{}).cfg
-	if cfg.Policy != Fair || cfg.MaxConcurrent != 8 || cfg.MaxQueue != 64 || cfg.MaxTenantQueue != 17 || cfg.QueueTimeout != 5*time.Second {
-		t.Fatalf("zero Config became %s, %d admitted, queue %d, tenant queue %d, timeout %v; want fair, 8, 64, 17, 5s",
-			cfg.Policy, cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxTenantQueue, cfg.QueueTimeout)
+	if cfg.Policy != Fair || cfg.MaxConcurrent != 8 || cfg.MaxQueue != 64 || cfg.MaxTenantQueue != 17 {
+		t.Fatalf("zero Config became %s, %d admitted, queue %d, tenant queue %d; want fair, 8, 64, 17",
+			cfg.Policy, cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxTenantQueue)
 	}
 }
 
@@ -238,7 +242,7 @@ func TestContextCancelWithdraws(t *testing.T) {
 		cfg.MaxConcurrent = 1
 	}))
 	running := admit(t, c, "a")
-	tk, err := c.Submit("a", 0, 0)
+	tk, err := c.Submit("a", 0, queueWait)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -370,7 +374,7 @@ func TestDrainShedsQueuedAndSignalsIdle(t *testing.T) {
 		t.Fatalf("queued at drain: want ErrDraining, got %v", err)
 	}
 	for _, tenant := range []string{"a", "late"} {
-		if _, err := c.Submit(tenant, 0, 0); !errors.Is(err, ErrDraining) {
+		if _, err := c.Submit(tenant, 0, queueWait); !errors.Is(err, ErrDraining) {
 			t.Fatalf("submit by %s after drain: want ErrDraining, got %v", tenant, err)
 		}
 	}
@@ -413,7 +417,7 @@ func TestMetricsSeries(t *testing.T) {
 	}))
 	a := admit(t, c, "a")
 	queued(t, c, "a", 0)
-	if _, err := c.Submit("a", 0, 0); err == nil {
+	if _, err := c.Submit("a", 0, queueWait); err == nil {
 		t.Fatal("expected shed")
 	}
 	c.Release(a)
@@ -464,7 +468,6 @@ func TestConcurrentChurn(t *testing.T) {
 		Policy:        Detector,
 		MaxConcurrent: 4,
 		MaxQueue:      16,
-		QueueTimeout:  50 * time.Millisecond,
 		Registry:      trace.NewRegistry(),
 	})
 	var wg sync.WaitGroup
@@ -473,7 +476,7 @@ func TestConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tk, err := c.Submit(tenants[i%len(tenants)], i%3, 0)
+			tk, err := c.Submit(tenants[i%len(tenants)], i%3, 50*time.Millisecond)
 			if err != nil {
 				return
 			}

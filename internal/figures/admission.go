@@ -118,7 +118,6 @@ func admissionRun(c *table.Catalog, policy admission.Policy, capacity, clients, 
 			MaxConcurrent:  capacity,
 			MaxQueue:       2 * capacity,
 			MaxTenantQueue: 2 * capacity,
-			QueueTimeout:   2 * time.Second,
 			Registry:       reg,
 		},
 	})

@@ -178,27 +178,3 @@ func implementsFor(m *types.Func, iface *types.Interface) bool {
 	}
 	return false
 }
-
-// Reachable computes the set of functions reachable from the roots by
-// following every edge kind (static, dynamic, go-spawned).
-func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]bool {
-	reached := map[*types.Func]bool{}
-	var stack []*CallNode
-	for _, r := range roots {
-		if node, ok := g.Nodes[r]; ok && !reached[r] {
-			reached[r] = true
-			stack = append(stack, node)
-		}
-	}
-	for len(stack) > 0 {
-		node := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range node.Out {
-			if !reached[e.Callee.Func] {
-				reached[e.Callee.Func] = true
-				stack = append(stack, e.Callee)
-			}
-		}
-	}
-	return reached
-}

@@ -36,9 +36,9 @@ import (
 // tests — are upstream of the roots and stay free to use Background as
 // their process root context.
 var CtxFlow = &Analyzer{
-	Name:       "ctxflow",
-	Doc:        "require request-path code to thread the request context (no Background/TODO, Sleep, or naked blocking ops)",
-	RunProgram: runCtxFlow,
+	Name: "ctxflow",
+	Doc:  "require request-path code to thread the request context (no Background/TODO, Sleep, or naked blocking ops)",
+	Run:  runCtxFlow,
 }
 
 // ctxFlowRootPkg reports whether the package is part of the serving surface
@@ -53,7 +53,7 @@ func ctxFlowRootPkg(pkg *Package) bool {
 	return false
 }
 
-func runCtxFlow(p *ProgramPass) {
+func runCtxFlow(p *Pass) {
 	g := p.Prog.CallGraph
 	// Seed the request path with the serving surface and record, for every
 	// reached function, which root first reached it — naming the entry point
@@ -108,7 +108,7 @@ func isServingRoot(node *CallNode) bool {
 }
 
 // checkRequestPathFunc applies the three rules to one reached function.
-func checkRequestPathFunc(p *ProgramPass, node *CallNode, root *types.Func) {
+func checkRequestPathFunc(p *Pass, node *CallNode, root *types.Func) {
 	info := node.Pkg.Info
 	body := node.Decl.Body
 	parents := parentMap(body)

@@ -34,42 +34,47 @@ func errDropExemptPkg(path string) bool {
 }
 
 func runErrDrop(p *Pass) {
-	if errDropExemptPkg(p.Pkg.Path) {
-		return
+	for _, pkg := range p.Prog.Packages {
+		if errDropExemptPkg(pkg.Path) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				checkErrDrop(p, pkg.Info, n)
+				return true
+			})
+		}
 	}
-	info := p.Pkg.Info
-	p.walkFiles(func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.ExprStmt:
-				call, ok := ast.Unparen(s.X).(*ast.CallExpr)
-				if !ok || !resultsError(info, call) || errDropExempt(info, call) {
-					return true
-				}
-				p.Reportf(s.Pos(), "error return of %s is silently discarded; handle, propagate, or count it", calleeName(info, call))
-			case *ast.DeferStmt:
-				// A deferred call is not an ExprStmt, so it used to slip past
-				// the walk — yet its error is just as lost. `defer x.Close()`
-				// (a no-argument Close method) is the one conventional
-				// exception: deferred cleanup of a resource whose close
-				// failure has no remediation.
-				if resultsError(info, s.Call) && !errDropExempt(info, s.Call) && !isDeferredClose(info, s.Call) {
-					p.Reportf(s.Pos(), "error return of deferred %s call is silently discarded; wrap it in a closure that handles or counts it", calleeName(info, s.Call))
-				}
-			case *ast.GoStmt:
-				// Same blind spot for go statements: an error returned by the
-				// goroutine's entry call has no receiver at all.
-				if resultsError(info, s.Call) && !errDropExempt(info, s.Call) {
-					p.Reportf(s.Pos(), "error return of %s is unobservable from a go statement; run it in a closure that handles or counts the error", calleeName(info, s.Call))
-				}
-			case *ast.AssignStmt:
-				if blanksError(info, s) {
-					p.Reportf(s.Pos(), "error assigned to _; handle, propagate, or count it")
-				}
-			}
-			return true
-		})
-	})
+}
+
+// checkErrDrop reports the statement n if it loses an error.
+func checkErrDrop(p *Pass, info *types.Info, n ast.Node) {
+	switch s := n.(type) {
+	case *ast.ExprStmt:
+		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
+		if ok && resultsError(info, call) && !errDropExempt(info, call) {
+			p.Reportf(s.Pos(), "error return of %s is silently discarded; handle, propagate, or count it", calleeName(info, call))
+		}
+	case *ast.DeferStmt:
+		// A deferred call is not an ExprStmt, so it used to slip past the
+		// walk — yet its error is just as lost. `defer x.Close()` (a
+		// no-argument Close method) is the one conventional exception:
+		// deferred cleanup of a resource whose close failure has no
+		// remediation.
+		if resultsError(info, s.Call) && !errDropExempt(info, s.Call) && !isDeferredClose(info, s.Call) {
+			p.Reportf(s.Pos(), "error return of deferred %s call is silently discarded; wrap it in a closure that handles or counts it", calleeName(info, s.Call))
+		}
+	case *ast.GoStmt:
+		// Same blind spot for go statements: an error returned by the
+		// goroutine's entry call has no receiver at all.
+		if resultsError(info, s.Call) && !errDropExempt(info, s.Call) {
+			p.Reportf(s.Pos(), "error return of %s is unobservable from a go statement; run it in a closure that handles or counts the error", calleeName(info, s.Call))
+		}
+	case *ast.AssignStmt:
+		if blanksError(info, s) {
+			p.Reportf(s.Pos(), "error assigned to _; handle, propagate, or count it")
+		}
+	}
 }
 
 // errDropExempt lists callees whose error results are conventionally

@@ -30,16 +30,18 @@ func kernelParScoped(pkg *Package) bool {
 }
 
 func runKernelPar(p *Pass) {
-	if !kernelParScoped(p.Pkg) {
-		return
+	for _, pkg := range p.Prog.Packages {
+		if !kernelParScoped(pkg) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					p.Reportf(g.Pos(),
+						"raw go statement in kernel package; spawn workers through par.Pool so the worker bound and deterministic results hold")
+				}
+				return true
+			})
+		}
 	}
-	p.walkFiles(func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				p.Reportf(g.Pos(),
-					"raw go statement in kernel package; spawn workers through par.Pool so the worker bound and deterministic results hold")
-			}
-			return true
-		})
-	})
 }

@@ -28,9 +28,9 @@ import (
 // packages are covered by the stricter kernelpar rule (no raw go statements
 // at all), and the deterministic engine never spawns.
 var LeakCheck = &Analyzer{
-	Name:       "leakcheck",
-	Doc:        "require every serving-layer goroutine to have a join or stop path (WaitGroup, closed stop channel, or drained channel)",
-	RunProgram: runLeakCheck,
+	Name: "leakcheck",
+	Doc:  "require every serving-layer goroutine to have a join or stop path (WaitGroup, closed stop channel, or drained channel)",
+	Run:  runLeakCheck,
 }
 
 // leakCheckScoped reports whether the package is part of the serving layer
@@ -44,7 +44,7 @@ func leakCheckScoped(pkg *Package) bool {
 	return false
 }
 
-func runLeakCheck(p *ProgramPass) {
+func runLeakCheck(p *Pass) {
 	ev := collectJoinEvidence(p.Prog)
 	for _, pkg := range p.Prog.Packages {
 		if !leakCheckScoped(pkg) {

@@ -1,50 +1,44 @@
-// Package lint is robustdb's static-analysis framework: a small,
-// standard-library-only analogue of golang.org/x/tools/go/analysis that
-// enforces the invariants neither the compiler, go vet, the race detector
-// nor the test suite can see — virtual-time determinism, surfaced errors,
-// pool-bounded kernel goroutines, and the request-path lifecycle rules behind
-// the serving layer (context threading, goroutine joins). An analyzer is kept
-// only while it flags a seeded defect everything else passes (DESIGN.md §25
-// has the table); what a running test already fails on is left to that test.
+// Package lint is robustdb's static-analysis framework: a small analogue of
+// golang.org/x/tools/go/analysis, built on the standard library and the go
+// command, that enforces the invariants neither the compiler, go vet, the
+// race detector nor the test suite can see — virtual-time determinism,
+// surfaced errors, pool-bounded kernel goroutines, and the request-path
+// lifecycle rules behind the serving layer (context threading, goroutine
+// joins). An analyzer is kept only while it flags a seeded defect everything
+// else passes (DESIGN.md §25 has the table); what a running test already
+// fails on is left to that test.
 //
 // The framework is whole-program: Run assembles every loaded package into a
-// Program — the packages and a CHA call graph over them — so analyzers come
-// in two shapes:
-//
-//   - Run: intra-procedural, one package at a time.
-//   - RunProgram: one pass over the whole Program with the call graph in
-//     hand — ctxflow's request-path reachability and leakcheck's
-//     goroutine-join search.
+// Program — the packages and a CHA call graph over them — and hands it to
+// each analyzer once. An intra-procedural analyzer ranges over the
+// Program's packages; ctxflow's request-path reachability and leakcheck's
+// goroutine-join search walk the call graph.
 //
 // Analyzers are table-registered in Analyzers; adding one is ~50 lines: a
-// declaration with a Run (or RunProgram) func, plus a golden test fixture
-// under testdata/src. The framework supplies package loading and type
-// checking (load.go), `file:line:col` diagnostics, and per-line
+// declaration with a Run func, plus a golden test fixture under
+// testdata/src. The framework supplies package loading and type checking
+// (load.go: the go command says what a package is, go/parser and go/types
+// do the rest), `file:line:col` diagnostics, and per-line
 // `//lint:ignore <analyzer> <reason>` suppression, audited on every run.
 package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"io"
 	"sort"
 	"strings"
 )
 
-// Analyzer is one named invariant check. At least one of Run and RunProgram
-// must be set.
+// Analyzer is one named invariant check.
 type Analyzer struct {
 	// Name is the identifier diagnostics carry and //lint:ignore directives
 	// name.
 	Name string
 	// Doc is a one-line description of the guarded invariant.
 	Doc string
-	// Run executes the analyzer over one package (intra-procedural).
+	// Run executes the analyzer once over the whole program.
 	Run func(*Pass)
-	// RunProgram executes the analyzer once over the whole program
-	// (interprocedural; the call graph is available).
-	RunProgram func(*ProgramPass)
 }
 
 // Analyzers is the registry of all shipped analyzers, in reporting order.
@@ -67,37 +61,17 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// Pass carries one type-checked package through one analyzer.
+// Pass carries the type-checked program through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
-	Pkg      *Package
-	report   func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ProgramPass carries the whole program through one interprocedural
-// analyzer.
-type ProgramPass struct {
-	Analyzer *Analyzer
 	Prog     *Program
-	Fset     *token.FileSet
 	report   func(Diagnostic)
 }
 
-// Reportf records a diagnostic at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
+// Reportf records a diagnostic at pos. A position comes from a loaded
+// package, and every package of a load shares one file set.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	position := p.Prog.Packages[0].Fset.Position(pos)
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		File:     position.Filename,
@@ -121,12 +95,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.File, d.Line, d.Col, d.Message, d.Analyzer)
 }
 
-// Run assembles the packages into a Program, executes every analyzer's
-// per-package and whole-program pass, and returns the surviving diagnostics
-// sorted by position. Diagnostics on a line carrying (or directly below) a
-// matching //lint:ignore directive are suppressed; a directive that is
-// malformed, names no registered analyzer, or suppressed nothing is itself
-// reported.
+// Run assembles the packages into a Program, executes every analyzer over
+// it, and returns the surviving diagnostics sorted by position. Diagnostics
+// on a line carrying (or directly below) a matching //lint:ignore directive
+// are suppressed; a directive that is malformed, names no registered
+// analyzer, or suppressed nothing is itself reported.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	prog := NewProgram(pkgs)
 	ignores := ignoreSet{}
@@ -140,14 +113,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 	for _, a := range analyzers {
-		if a.Run != nil {
-			for _, pkg := range prog.Packages {
-				a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
-			}
-		}
-		if a.RunProgram != nil {
-			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, Fset: fsetOf(prog), report: report})
-		}
+		a.Run(&Pass{Analyzer: a, Prog: prog, report: report})
 	}
 	diags = append(diags, ignores.stale()...)
 	sort.Slice(diags, func(i, j int) bool {
@@ -164,14 +130,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		return a.Analyzer < b.Analyzer
 	})
 	return diags
-}
-
-// fsetOf returns the program's shared file set (every loader shares one).
-func fsetOf(prog *Program) *token.FileSet {
-	for _, pkg := range prog.Packages {
-		return pkg.Fset
-	}
-	return token.NewFileSet()
 }
 
 // WriteText prints diagnostics one per line in file:line:col form.
@@ -301,11 +259,4 @@ func parseDirective(fields []string) (names []string, problem string) {
 		}
 	}
 	return names, ""
-}
-
-// walkFiles applies fn to every file of the package.
-func (p *Pass) walkFiles(fn func(*ast.File)) {
-	for _, f := range p.Pkg.Files {
-		fn(f)
-	}
 }

@@ -171,18 +171,23 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
-// TestRepoClean lints the whole module: the tree must stay free of
-// diagnostics, the same gate CI applies via cmd/robustlint.
+// TestRepoClean lints the whole module and bench/, the module of its own
+// that drives it: the tree must stay free of diagnostics, the gate CI
+// applies via cmd/robustlint.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint skipped in -short mode")
 	}
-	pkgs, err := fixtureLoader(t).Load("./...")
+	bench, err := NewLoader(filepath.Join("..", "..", "bench"))
 	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
+		t.Fatalf("NewLoader(bench): %v", err)
 	}
-	if diags := Run(pkgs, Analyzers); len(diags) != 0 {
-		for _, d := range diags {
+	for _, loader := range []*Loader{fixtureLoader(t), bench} {
+		pkgs, err := loader.Load("./...")
+		if err != nil {
+			t.Fatalf("loading module packages: %v", err)
+		}
+		for _, d := range Run(pkgs, Analyzers) {
 			t.Errorf("repo not lint-clean: %s", d)
 		}
 	}

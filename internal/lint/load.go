@@ -1,16 +1,16 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -32,26 +32,43 @@ type Package struct {
 	Info *types.Info
 }
 
-// Loader parses and type-checks module packages using only the standard
-// library: module-internal imports are resolved recursively from source, and
-// standard-library imports go through the compiler's source importer. One
-// Loader caches every package it sees, so loading ./... type-checks each
-// package exactly once.
+// Loader parses and type-checks module packages using the standard library
+// and the go command. `go list` decides what a package is — its directory,
+// its import path, the files the toolchain compiles under the current build
+// configuration, and whether it can be built at all — so the loader never
+// evaluates a build constraint or walks a directory itself. Module packages
+// are type-checked from source through the loader itself; standard-library
+// imports go through the compiler's source importer. One Loader caches every
+// package it sees, so loading ./... type-checks each package exactly once.
 type Loader struct {
-	Fset    *token.FileSet
-	root    string // module root directory (holds go.mod)
-	modPath string // module path from go.mod
-	cache   map[string]*Package
-	loading map[string]bool // packages currently being type-checked (cycle detection)
-	std     types.ImporterFrom
+	Fset   *token.FileSet
+	root   string                    // module root directory (holds go.mod)
+	listed map[string]*listedPackage // every non-standard package go list reported, by import path
+	cache  map[string]*Package
+	std    types.ImporterFrom
 }
 
-// NewLoader creates a loader for the module containing dir (found by walking
-// up to the nearest go.mod).
+// listedPackage is the part of a `go list -json` record the loader reads.
+// GoFiles leaves out the files that import "C" (CgoFiles); robustdb has none.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
+}
+
+// NewLoader creates a loader for the module containing dir, as the go
+// command finds it.
 func NewLoader(dir string) (*Loader, error) {
-	root, modPath, err := findModule(dir)
+	out, err := goCommand(dir, "env", "GOMOD")
 	if err != nil {
 		return nil, err
+	}
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == "/dev/null" {
+		return nil, fmt.Errorf("lint: %s is not inside a module", dir)
 	}
 	fset := token.NewFileSet()
 	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
@@ -59,67 +76,25 @@ func NewLoader(dir string) (*Loader, error) {
 		return nil, fmt.Errorf("lint: source importer unavailable")
 	}
 	return &Loader{
-		Fset:    fset,
-		root:    root,
-		modPath: modPath,
-		cache:   map[string]*Package{},
-		loading: map[string]bool{},
-		std:     std,
+		Fset:   fset,
+		root:   filepath.Dir(gomod),
+		listed: map[string]*listedPackage{},
+		cache:  map[string]*Package{},
+		std:    std,
 	}, nil
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
-// findModule walks up from dir to the nearest go.mod and returns the module
-// root and module path.
-func findModule(dir string) (root, modPath string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, rerr := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if rerr == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if after, ok := strings.CutPrefix(line, "module "); ok {
-					return dir, strings.TrimSpace(after), nil
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module directive", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("lint: no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// Load expands the patterns (a directory, or a directory followed by /...)
-// and returns the matched packages, type-checked. Directories named
-// "testdata" or starting with "." or "_" are skipped during expansion, like
-// the go tool does.
+// Load returns the packages the patterns match, type-checked, in directory
+// order. Patterns mean what they mean to the go command run at the module
+// root ("./...", "./internal/exec", an absolute directory).
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	var dirs []string
-	seen := map[string]bool{}
-	for _, pat := range patterns {
-		expanded, err := l.expand(pat)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range expanded {
-			if !seen[d] {
-				seen[d] = true
-				dirs = append(dirs, d)
-			}
-		}
+	matched, err := l.list(patterns)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(dirs)
 	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
+	for _, lp := range matched {
+		pkg, err := l.load(lp)
 		if err != nil {
 			return nil, err
 		}
@@ -128,144 +103,95 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// expand resolves one pattern to package directories (directories containing
-// at least one non-test .go file).
-func (l *Loader) expand(pattern string) ([]string, error) {
-	recursive := false
-	if pattern == "..." || strings.HasSuffix(pattern, "/...") {
-		recursive = true
-		pattern = strings.TrimSuffix(strings.TrimSuffix(pattern, "..."), "/")
-		if pattern == "" {
-			pattern = "."
-		}
-	}
-	base := pattern
-	if !filepath.IsAbs(base) {
-		base = filepath.Join(l.root, base)
-	}
-	base = filepath.Clean(base)
-	if !recursive {
-		if !hasGoFiles(base) {
-			return nil, fmt.Errorf("lint: no Go files in %s", base)
-		}
-		return []string{base}, nil
-	}
-	var dirs []string
-	err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path) {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
 // LoadDir parses and type-checks the package in dir (non-test files only).
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	return l.load(l.importPathFor(dir), dir)
+	pkgs, err := l.Load(dir)
+	if err != nil {
+		return nil, err
+	}
+	return pkgs[0], nil
 }
 
-// importPathFor maps a directory under the module root to its import path.
-func (l *Loader) importPathFor(dir string) string {
-	rel, err := filepath.Rel(l.root, dir)
-	if err != nil || rel == "." {
-		return l.modPath
+// list asks the go command for the packages the patterns match and
+// everything they import, records every non-standard one for Import, and
+// returns the matched ones sorted by directory.
+func (l *Loader) list(patterns []string) ([]*listedPackage, error) {
+	args := append([]string{"list", "-e", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Error", "--"}, patterns...)
+	out, err := goCommand(l.root, args...)
+	if err != nil {
+		return nil, err
 	}
-	return l.modPath + "/" + filepath.ToSlash(rel)
-}
-
-// Import resolves an import path for the type checker: module-internal
-// paths load from source through the loader, everything else (the standard
-// library) goes through the compiler's source importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if pkg, ok := l.cache[path]; ok {
-		return pkg.Types, nil
-	}
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
-		pkg, err := l.load(path, filepath.Join(l.root, filepath.FromSlash(rel)))
-		if err != nil {
-			return nil, err
+	var matched []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := &listedPackage{}
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("lint: reading go list output: %w", err)
 		}
-		return pkg.Types, nil
+		if !lp.Standard {
+			l.listed[lp.ImportPath] = lp
+		}
+		if !lp.DepOnly {
+			matched = append(matched, lp)
+		}
 	}
-	return l.std.ImportFrom(path, l.root, 0)
+	sort.Slice(matched, func(i, j int) bool { return matched[i].Dir < matched[j].Dir })
+	return matched, nil
 }
 
-func (l *Loader) load(path, dir string) (*Package, error) {
-	if pkg, ok := l.cache[path]; ok {
+// goCommand runs the go command, found on PATH, in dir and returns what it
+// printed; a failure carries what it printed on standard error.
+func goCommand(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		if msg := bytes.TrimSpace(stderr.Bytes()); len(msg) > 0 {
+			err = fmt.Errorf("%w: %s", err, msg)
+		}
+		return nil, fmt.Errorf("lint: go %s in %s: %w", args[0], dir, err)
+	}
+	return out, nil
+}
+
+// Import resolves an import path for the type checker: module packages load
+// from source through the loader, everything else (the standard library)
+// goes through the compiler's source importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	lp, ok := l.listed[path]
+	if !ok {
+		return l.std.ImportFrom(path, l.root, 0)
+	}
+	pkg, err := l.load(lp)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// load parses and type-checks one listed package. A package the go command
+// could not make sense of — an import cycle, no Go files, constraints that
+// exclude every file, a malformed //go:build line — fails with its error, so
+// type-checking never recurses into a cycle.
+func (l *Loader) load(lp *listedPackage) (*Package, error) {
+	if pkg, ok := l.cache[lp.ImportPath]; ok {
 		return pkg, nil
 	}
-	// Type-checking a package recurses through Import for each module-internal
-	// dependency; re-entering a package still being checked means the module
-	// has an import cycle, which must surface as a clean diagnostic rather
-	// than unbounded recursion.
-	if l.loading[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %s: %w", path, err)
+	if lp.Error != nil {
+		return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, lp.Error.Err)
 	}
 	var files []*ast.File
-	excluded := 0
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		src, rerr := os.ReadFile(filepath.Join(dir, name))
-		if rerr != nil {
-			return nil, fmt.Errorf("lint: %s: %w", path, rerr)
-		}
-		if !buildTagsSatisfied(src) {
-			excluded++
-			continue
-		}
-		f, perr := parser.ParseFile(l.Fset, filepath.Join(dir, name), src, parser.ParseComments)
-		if perr != nil {
-			return nil, fmt.Errorf("lint: %s: %w", path, perr)
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", lp.ImportPath, err)
 		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		if excluded > 0 {
-			return nil, fmt.Errorf("lint: all %d Go files in %s are excluded by build constraints", excluded, dir)
-		}
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -274,46 +200,11 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.Fset, files, info)
+	tpkg, err := conf.Check(lp.ImportPath, l.Fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %w", lp.ImportPath, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
-	l.cache[path] = pkg
+	pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	l.cache[lp.ImportPath] = pkg
 	return pkg, nil
-}
-
-// buildTagsSatisfied reports whether the file's //go:build constraint (if
-// any) is satisfied for the host platform, mirroring what the go tool would
-// compile. Only the leading comment block is consulted; files without a
-// constraint are always included. Unknown tags evaluate to false, so files
-// gated on `ignore`, another OS, or a custom tag are skipped instead of
-// breaking the type check with duplicate or dangling declarations.
-func buildTagsSatisfied(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") && !constraint.IsGoBuild(line) {
-			continue
-		}
-		if !constraint.IsGoBuild(line) {
-			// First non-comment line: the constraint block is over.
-			return true
-		}
-		expr, err := constraint.Parse(line)
-		if err != nil {
-			return true // malformed constraint: let the type checker decide
-		}
-		return expr.Eval(func(tag string) bool {
-			switch tag {
-			case runtime.GOOS, runtime.GOARCH, "gc", "unix":
-				// "unix" is correct for every platform this repo targets
-				// (linux CI and darwin laptops).
-				return true
-			}
-			// Released Go versions satisfy go1.N tags up to the toolchain's
-			// own version; assuming they hold matches a current toolchain.
-			return strings.HasPrefix(tag, "go1.")
-		})
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,7 +70,7 @@ func TestLoadImportCycle(t *testing.T) {
 		"b/b.go": "package b\n\nimport \"example.com/m/a\"\n\nvar Y = a.X\n",
 	})
 	err := loadErr(t, root, "a")
-	if !strings.Contains(err.Error(), "import cycle through") {
+	if !strings.Contains(err.Error(), "import cycle not allowed") {
 		t.Errorf("cycle not reported as an import-cycle diagnostic: %v", err)
 	}
 }
@@ -109,30 +110,59 @@ func TestLoadAllFilesExcluded(t *testing.T) {
 		"gated/gated.go": "//go:build sometool\n\npackage gated\n\nconst X = 1\n",
 	})
 	err := loadErr(t, root, "gated")
-	if !strings.Contains(err.Error(), "excluded by build constraints") {
+	if !strings.Contains(err.Error(), "build constraints exclude all Go files") {
 		t.Errorf("all-excluded package not reported cleanly: %v", err)
 	}
 }
 
+// TestBuildTagsSatisfied loads one package a row, each a real file beside
+// a gated one, and checks the loader includes the gated file exactly when
+// `go build` builds it (the built column is the toolchain's verdict on this
+// host). An excluded file repeats the real declaration, so a loader that
+// wrongly includes it fails to type-check.
 func TestBuildTagsSatisfied(t *testing.T) {
 	cases := []struct {
-		name string
-		src  string
-		want bool
+		name, header string
+		built        bool
 	}{
-		{"no constraint", "package p\n", true},
-		{"unknown tag", "//go:build sometool\n\npackage p\n", false},
-		{"negated unknown tag", "//go:build !sometool\n\npackage p\n", true},
-		{"host os", "//go:build linux || darwin\n\npackage p\n", true},
-		{"foreign os", "//go:build plan9\n\npackage p\n", false},
-		{"compiler", "//go:build gc\n\npackage p\n", true},
-		{"go version", "//go:build go1.21\n\npackage p\n", true},
-		{"doc comment first", "// Package p does things.\n//go:build sometool\npackage p\n", false},
-		{"malformed", "//go:build !!(\n\npackage p\n", true},
+		{"no constraint", "", true},
+		{"unknown tag", "//go:build sometool\n\n", false},
+		{"negated unknown tag", "//go:build !sometool\n\n", true},
+		{"host os", "//go:build linux || darwin\n\n", true},
+		{"foreign os", "//go:build plan9\n\n", false},
+		{"compiler", "//go:build gc\n\n", true},
+		{"go version", "//go:build go1.21\n\n", true},
+		{"future go version", "//go:build go1.999\n\n", false},
+		{"doc comment first", "// Package p does things.\n//go:build sometool\n", false},
 	}
-	for _, tc := range cases {
-		if got := buildTagsSatisfied([]byte(tc.src)); got != tc.want {
-			t.Errorf("%s: buildTagsSatisfied = %v, want %v", tc.name, got, tc.want)
+	files := map[string]string{
+		"malformed/real.go":  "package p\n\nconst Real = 1\n",
+		"malformed/gated.go": "//go:build !!(\n\npackage p\n",
+	}
+	for i, tc := range cases {
+		decl := "Real"
+		if tc.built {
+			decl = "Gated"
 		}
+		files[fmt.Sprintf("row%d/real.go", i)] = "package p\n\nconst Real = 1\n"
+		files[fmt.Sprintf("row%d/gated.go", i)] = tc.header + "package p\n\nconst " + decl + " = 2\n"
+	}
+	root := writeModule(t, files)
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	for i, tc := range cases {
+		pkg, err := loader.LoadDir(filepath.Join(root, fmt.Sprintf("row%d", i)))
+		if err != nil {
+			t.Errorf("%s: LoadDir: %v", tc.name, err)
+			continue
+		}
+		if got := len(pkg.Files) == 2; got != tc.built {
+			t.Errorf("%s: gated file included = %v, want %v", tc.name, got, tc.built)
+		}
+	}
+	if err := loadErr(t, root, "malformed"); !strings.Contains(err.Error(), "gated.go") {
+		t.Errorf("malformed constraint: load error does not name the file: %v", err)
 	}
 }

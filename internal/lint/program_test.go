@@ -2,16 +2,18 @@ package lint
 
 import (
 	"go/types"
+	"strings"
 	"testing"
 )
 
 // TestCallGraphCrossPackage asserts the call graph carries edges across
-// package boundaries and that reachability follows them — what ctxflow's
-// request path (server → admission → exec) is built on.
+// package boundaries and that ctxflow's request path follows them (server →
+// admission → exec is built on that): a context.Background() one call below
+// a serving root in another package is flagged, naming the root.
 func TestCallGraphCrossPackage(t *testing.T) {
 	root := writeModule(t, map[string]string{
-		"helper/helper.go": "package helper\n\nfunc Leaf() {}\n",
-		"user/user.go":     "package user\n\nimport \"example.com/m/helper\"\n\nfunc Entry() { helper.Leaf() }\n",
+		"helper/helper.go": "package helper\n\nimport \"context\"\n\nfunc Leaf() context.Context { return context.Background() }\n",
+		"server/server.go": "package server\n\nimport \"example.com/m/helper\"\n\nfunc Entry() { helper.Leaf() }\n",
 	})
 	loader, err := NewLoader(root)
 	if err != nil {
@@ -33,8 +35,7 @@ func TestCallGraphCrossPackage(t *testing.T) {
 	if entry == nil || leaf == nil {
 		t.Fatalf("Entry/Leaf not found in %v", funcs)
 	}
-	prog := NewProgram(pkgs)
-	node := prog.CallGraph.Nodes[entry]
+	node := NewProgram(pkgs).CallGraph.Nodes[entry]
 	if node == nil {
 		t.Fatal("no call-graph node for Entry")
 	}
@@ -47,7 +48,10 @@ func TestCallGraphCrossPackage(t *testing.T) {
 	if !foundEdge {
 		t.Error("missing cross-package call edge Entry -> Leaf")
 	}
-	if !prog.CallGraph.Reachable([]*types.Func{entry})[leaf] {
-		t.Error("Reachable does not cross the package boundary")
+	diags := Run(pkgs, []*Analyzer{CtxFlow})
+	if len(diags) != 1 || !strings.HasSuffix(diags[0].File, "helper.go") ||
+		!strings.Contains(diags[0].Message, "context.Background() on the request path") ||
+		!strings.Contains(diags[0].Message, "(on the request path from Entry)") {
+		t.Errorf("want one ctxflow diagnostic in helper.go naming root Entry, got %v", diags)
 	}
 }

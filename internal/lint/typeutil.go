@@ -86,22 +86,6 @@ func isErrorType(t types.Type) bool {
 	return types.Implements(t, errorType)
 }
 
-// funcBodies visits every function body in the file — declarations and
-// function literals — with the enclosing declaration's name for messages.
-func funcBodies(f *ast.File, fn func(name string, ftype *ast.FuncType, body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.FuncDecl:
-			if d.Body != nil {
-				fn(d.Name.Name, d.Type, d.Body)
-			}
-		case *ast.FuncLit:
-			fn("func literal", d.Type, d.Body)
-		}
-		return true
-	})
-}
-
 // isResponseWriter reports whether t is net/http.ResponseWriter.
 func isResponseWriter(t types.Type) bool {
 	named, ok := t.(*types.Named)

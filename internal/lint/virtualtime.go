@@ -46,9 +46,9 @@ var seededRandFuncs = map[string]bool{
 // virtualTimeExemptPkg reports whether the package is part of the wall-clock
 // serving layer (see the analyzer doc). Matching by path suffix or package
 // name covers both the real packages and their golden-test fixtures.
-func virtualTimeExemptPkg(p *Pass) bool {
+func virtualTimeExemptPkg(pkg *Package) bool {
 	for _, name := range []string{"server", "admission"} {
-		if strings.HasSuffix(p.Pkg.Path, "/"+name) || p.Pkg.Types.Name() == name {
+		if strings.HasSuffix(pkg.Path, "/"+name) || pkg.Types.Name() == name {
 			return true
 		}
 	}
@@ -56,40 +56,41 @@ func virtualTimeExemptPkg(p *Pass) bool {
 }
 
 func runVirtualTime(p *Pass) {
-	if virtualTimeExemptPkg(p) {
-		return
+	for _, pkg := range p.Prog.Packages {
+		if virtualTimeExemptPkg(pkg) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeFunc(pkg.Info, call)
+				if fn == nil || fn.Pkg() == nil {
+					return true
+				}
+				if _, _, isMeth := receiverOf(fn); isMeth {
+					// Methods on *rand.Rand / *time.Timer operate on values whose
+					// construction was already checked.
+					return true
+				}
+				switch fn.Pkg().Path() {
+				case "time":
+					if wallClockFuncs[fn.Name()] {
+						p.Reportf(call.Pos(),
+							"time.%s reads the wall clock; deterministic code must use virtual sim time (sim.Proc.Now/Hold)",
+							fn.Name())
+					}
+				case "math/rand", "math/rand/v2":
+					if !seededRandFuncs[fn.Name()] {
+						p.Reportf(call.Pos(),
+							"rand.%s draws from an unseeded global source; use a seeded *rand.Rand (rand.New(rand.NewSource(seed))) so chaos runs replay bit-for-bit",
+							fn.Name())
+					}
+				}
+				return true
+			})
+		}
 	}
-	info := p.Pkg.Info
-	p.walkFiles(func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(info, call)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			if _, _, isMeth := receiverOf(fn); isMeth {
-				// Methods on *rand.Rand / *time.Timer operate on values whose
-				// construction was already checked.
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "time":
-				if wallClockFuncs[fn.Name()] {
-					p.Reportf(call.Pos(),
-						"time.%s reads the wall clock; deterministic code must use virtual sim time (sim.Proc.Now/Hold)",
-						fn.Name())
-				}
-			case "math/rand", "math/rand/v2":
-				if !seededRandFuncs[fn.Name()] {
-					p.Reportf(call.Pos(),
-						"rand.%s draws from an unseeded global source; use a seeded *rand.Rand (rand.New(rand.NewSource(seed))) so chaos runs replay bit-for-bit",
-						fn.Name())
-				}
-			}
-			return true
-		})
-	})
 }

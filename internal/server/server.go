@@ -410,7 +410,7 @@ type QueryRequest struct {
 	// Priority raises the query in the admission queue (default 0).
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS bounds queue wait + execution in milliseconds (0 = server
-	// default).
+	// default; above the server's cap means the cap; negative is refused).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -597,6 +597,11 @@ func (s *Server) serveStatement(w http.ResponseWriter, r *http.Request, req Quer
 		writeError(w, http.StatusBadRequest, "bad-request", errors.New("server: empty sql"), 0)
 		return
 	}
+	if req.DeadlineMS < 0 {
+		s.reqs.badRequest.Inc()
+		writeError(w, http.StatusBadRequest, "bad-request", errors.New("server: negative deadline_ms"), 0)
+		return
+	}
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
@@ -605,7 +610,12 @@ func (s *Server) serveStatement(w http.ResponseWriter, r *http.Request, req Quer
 		s.writeQueryError(w, err)
 		return
 	}
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
+	// Compared in milliseconds before converting: a value past the cap means
+	// the cap, never a product that wrapped round to a tiny duration.
+	deadline := s.maxDeadline
+	if req.DeadlineMS > 0 && req.DeadlineMS <= s.maxDeadline.Milliseconds() {
+		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+	}
 	if explain || prep.explain {
 		var payload *plan.ExplainPayload
 		if analyze || prep.analyze {

@@ -124,6 +124,60 @@ func TestHTTPQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPHugeDeadlineMeansTheCap: a deadline_ms whose product with a
+// millisecond overflows int64 (18446744073710 ms wraps round to 448 µs) is
+// a deadline past the cap, so the statement runs under the cap and
+// completes. The catalog is ten times the shared one, so the four-way join
+// takes milliseconds of virtual time.
+func TestHTTPHugeDeadlineMeansTheCap(t *testing.T) {
+	cat := ssb.Generate(ssb.Config{SF: 1, RowsPerSF: 20000, Seed: 7})
+	s := newServer(t, cat, exec.Config{}, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drain(t, s)
+
+	body := `{"sql":"SELECT c_city, s_city, d_year, SUM(lo_revenue) AS revenue FROM lineorder, customer, supplier, date WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey GROUP BY c_city, s_city, d_year","deadline_ms":18446744073710}`
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 under the 10 s cap", resp.StatusCode)
+	}
+	var out server.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if out.LatencyUS <= 500 {
+		t.Fatalf("latency %d µs: the statement must take longer than the wrapped 448 µs deadline to test anything", out.LatencyUS)
+	}
+}
+
+// TestHTTPNegativeDeadlineIsBadRequest: a negative deadline_ms is the
+// client's fault on every surface that reads one.
+func TestHTTPNegativeDeadlineIsBadRequest(t *testing.T) {
+	cat := catalog(t)
+	s := newServer(t, cat, exec.Config{}, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drain(t, s)
+
+	body := `{"sql":"SELECT SUM(lo_revenue) AS rev FROM lineorder","deadline_ms":-1}`
+	for _, path := range []string{"/v1/query", "/v1/explain", "/v1/explain?analyze=1"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var we server.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || we.Code != "bad-request" {
+			t.Errorf("%s: status %d code %q (%v), want 400 bad-request", path, resp.StatusCode, we.Code, err)
+		}
+	}
+}
+
 // TestHTTPNonFiniteCellIsNull: a SUM that overflows float64 is a completed
 // query — 200, with its +Inf cell written as null, not an empty body.
 func TestHTTPNonFiniteCellIsNull(t *testing.T) {
@@ -385,7 +439,6 @@ func TestOverloadProperty(t *testing.T) {
 			cfg.Admission.MaxConcurrent = capacity
 			cfg.Admission.MaxQueue = 2 * capacity
 			cfg.Admission.MaxTenantQueue = 2 * capacity
-			cfg.Admission.QueueTimeout = 2 * time.Second
 		})
 	}
 	qs := queries()
@@ -471,7 +524,6 @@ func TestLoadgenOverload(t *testing.T) {
 		cfg.Admission.MaxConcurrent = 2
 		cfg.Admission.MaxQueue = 4
 		cfg.Admission.MaxTenantQueue = 4
-		cfg.Admission.QueueTimeout = 500 * time.Millisecond
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
